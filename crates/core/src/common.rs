@@ -10,7 +10,7 @@ use ceh_storage::{
     DiskHandle, DurableConfig, DurableStore, DurableTxn, PageBuf, PageStore, PageStoreConfig,
     RecoveryReport,
 };
-use ceh_types::bucket::Bucket;
+use ceh_types::bucket::{Bucket, BucketView};
 use ceh_types::{hash_key, Error, HashFileConfig, Key, PageId, Pseudokey, Result, Value};
 
 use crate::directory::Directory;
@@ -494,7 +494,6 @@ impl FileCore {
         let _op = self.op_span("find", key.0);
         let owner = self.locks.new_owner();
         let pk = (self.hasher)(key);
-        let mut buf = self.new_buf();
 
         self.rho_lock(owner, LockId::Directory);
         let (_depth, mut oldpage) = self.dir.lookup(pk);
@@ -502,11 +501,15 @@ impl FileCore {
         if !hold_directory {
             self.un_rho_lock(owner, LockId::Directory);
         }
-        let mut current = self.getbucket(oldpage, &mut buf)?;
+        let mut current = try_or_release!(self, owner, self.peek(oldpage, pk, key));
         let mut recovered = false;
         let mut recovery = ceh_obs::TraceCtx::NONE;
         let mut hops = 0u64;
-        while !current.owns(pk) {
+        let found = loop {
+            let newpage = match current {
+                Peek::Owns { found } => break found,
+                Peek::WrongBucket { next } => next,
+            };
             /* WRONG BUCKET */
             if !recovered {
                 recovery = self.trace_begin("find.recover", oldpage.0, 0);
@@ -514,7 +517,6 @@ impl FileCore {
             recovered = true;
             hops += 1;
             self.stats.chain_hops();
-            let newpage = current.next;
             if newpage.is_null() {
                 // Structurally impossible under the protocols; if it
                 // happens the structure is corrupt and silence would be
@@ -528,10 +530,10 @@ impl FileCore {
                 )));
             }
             self.rho_lock(owner, LockId::Page(newpage));
-            current = self.getbucket(newpage, &mut buf)?;
+            current = try_or_release!(self, owner, self.peek(newpage, pk, key));
             self.un_rho_lock(owner, LockId::Page(oldpage));
             oldpage = newpage;
-        }
+        };
         if recovered {
             self.stats.wrong_bucket_recoveries();
             self.trace_end(recovery, "find.recover", oldpage.0, hops);
@@ -539,7 +541,6 @@ impl FileCore {
         if hold_directory {
             self.un_rho_lock(owner, LockId::Directory);
         }
-        let found = current.search(key);
         self.un_rho_lock(owner, LockId::Page(oldpage));
         match found {
             Some(_) => self.stats.finds_hit(),
@@ -547,6 +548,35 @@ impl FileCore {
         }
         Ok(found)
     }
+
+    /// A find's `getbucket`: look at `page` in place under the page
+    /// latch and keep only what Figure 5 uses of it — whether the bucket
+    /// owns `pk`, and then either `search(key)` or the `next` link. No
+    /// copy, no decode, no allocation. Announced to the race detector
+    /// exactly as [`FileCore::getbucket`] is.
+    #[track_caller]
+    fn peek(&self, page: PageId, pk: Pseudokey, key: Key) -> Result<Peek> {
+        shadow::page_read(page.0);
+        self.store.with_page(page, |bytes| {
+            let view = BucketView::new(bytes)?;
+            Ok(if view.owns(pk) {
+                Peek::Owns {
+                    found: view.search(key),
+                }
+            } else {
+                Peek::WrongBucket { next: view.next() }
+            })
+        })?
+    }
+}
+
+/// What a find learns from one bucket page (see [`FileCore::peek`]).
+#[derive(Debug, Clone, Copy)]
+enum Peek {
+    /// The bucket owns the pseudokey; `found` is `search(key)`.
+    Owns { found: Option<Value> },
+    /// Wrong bucket: follow `next`.
+    WrongBucket { next: PageId },
 }
 
 /// Guard for one operation's `core.*` span: closes the span and
@@ -592,6 +622,22 @@ mod tests {
         let s = core.stats().snapshot();
         assert_eq!(s.finds_miss, 2);
         assert_eq!(core.locks().total_granted(), 0, "find released everything");
+    }
+
+    #[test]
+    fn find_on_a_corrupt_page_errors_and_releases_its_locks() {
+        let core = FileCore::new(HashFileConfig::tiny()).unwrap();
+        let root = core.dir().index(0);
+        let mut junk = core.new_buf();
+        junk.fill(0xAB);
+        core.store().write(root, &junk).unwrap();
+        for hold_directory in [false, true] {
+            assert!(matches!(
+                core.find_impl(Key(7), hold_directory),
+                Err(Error::Corrupt(_))
+            ));
+            assert_eq!(core.locks().total_granted(), 0, "no ρ left behind");
+        }
     }
 
     #[test]

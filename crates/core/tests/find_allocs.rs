@@ -1,0 +1,90 @@
+//! A warm find allocates nothing.
+//!
+//! Figure 5's find reads one bucket page under two ρ locks. On the memory
+//! backend it inspects the page in place (no page buffer, no decoded
+//! record vector), and the lock table reuses emptied resource states, so
+//! once the file is loaded and the lock table warm, hits and misses alike
+//! run without touching the heap. A counting global allocator with a
+//! per-thread counter checks that exactly.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ceh_core::{ConcurrentHashFile, Solution2};
+use ceh_types::{HashFileConfig, Key, Value};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every method forwards to `System` unchanged; the only extra
+// work is bumping a const-initialised thread-local `Cell`, which itself
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const KEYS: u64 = 50_000;
+
+#[test]
+fn warm_finds_allocate_nothing() {
+    let file = Solution2::new(HashFileConfig::realistic()).unwrap();
+    // Even keys are resident, odd keys are misses.
+    for i in 0..KEYS {
+        file.insert(Key(2 * i), Value(i)).unwrap();
+    }
+    // Warm-up: the lock table's shards reach their steady size.
+    for i in 0..1_000 {
+        assert_eq!(file.find(Key(2 * i)).unwrap(), Some(Value(i)));
+        assert_eq!(file.find(Key(2 * i + 1)).unwrap(), None);
+    }
+
+    let before = allocs();
+    for i in 0..KEYS {
+        assert_eq!(file.find(Key(2 * i)).unwrap(), Some(Value(i)));
+    }
+    for i in 0..KEYS {
+        assert_eq!(file.find(Key(2 * i + 1)).unwrap(), None);
+    }
+    let counted = allocs() - before;
+    assert_eq!(
+        counted,
+        0,
+        "{counted} heap allocations over {} warm finds",
+        2 * KEYS
+    );
+}

@@ -1,6 +1,7 @@
 //! The lock manager.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,6 +47,9 @@ struct Grant {
     mode: LockMode,
     count: u32,
 }
+
+/// The ticket an immediate grant is checked with: behind every waiter.
+const LAST_IN_LINE: u64 = u64::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Waiter {
@@ -119,8 +123,79 @@ impl ResourceState {
     }
 }
 
+/// A multiply-mix hasher for [`LockId`]s (FxHash's step). A lock id is a
+/// discriminant plus at most one page number, chosen by the protocols
+/// rather than by an adversary, so SipHash's flood resistance buys
+/// nothing here and one multiply per word is mixing enough.
+#[derive(Default)]
+struct LockIdHasher(u64);
+
+impl Hasher for LockIdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type LockIdHash = BuildHasherDefault<LockIdHasher>;
+
+/// Emptied resource states a shard keeps for reuse, so an uncontended
+/// lock/unlock pair neither allocates a fresh state (nor the `granted`
+/// vector inside it) nor frees one.
+const SPARE_STATES: usize = 8;
+
+/// One shard's lock table.
+#[derive(Default)]
+struct Table {
+    resources: HashMap<LockId, ResourceState, LockIdHash>,
+    spare: Vec<ResourceState>,
+}
+
+impl Table {
+    /// The state of `id`, created (from a spare if one is left) when the
+    /// resource has no grants or waiters yet.
+    fn entry(&mut self, id: LockId) -> &mut ResourceState {
+        let spare = &mut self.spare;
+        self.resources
+            .entry(id)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+    }
+
+    /// Drop `id`'s state, which has no grants and no waiters left,
+    /// keeping it (its vectors' capacity included) as a spare.
+    fn retire(&mut self, id: LockId) {
+        let rs = self.resources.remove(&id).expect("retiring a live state");
+        debug_assert!(rs.is_empty(), "retiring {id} with grants or waiters");
+        if self.spare.len() < SPARE_STATES {
+            self.spare.push(rs);
+        }
+    }
+}
+
 struct Shard {
-    state: Mutex<HashMap<LockId, ResourceState>>,
+    state: Mutex<Table>,
     cv: Condvar,
 }
 
@@ -184,7 +259,10 @@ impl LockManager {
         let n = cfg.shards.max(1).next_power_of_two();
         let shards = (0..n)
             .map(|_| Shard {
-                state: Mutex::new(HashMap::new()),
+                state: Mutex::new(Table {
+                    resources: HashMap::default(),
+                    spare: Vec::with_capacity(SPARE_STATES),
+                }),
                 cv: Condvar::new(),
             })
             .collect::<Vec<_>>()
@@ -240,10 +318,10 @@ impl LockManager {
     }
 
     fn shard(&self, id: LockId) -> &Shard {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        id.hash(&mut h);
-        &self.shards[(h.finish() as usize) & self.shard_mask]
+        // The high half of the mix picks the shard; the table inside
+        // indexes by the low bits of the same hash.
+        let h = LockIdHash::default().hash_one(id);
+        &self.shards[((h >> 32) as usize) & self.shard_mask]
     }
 
     /// Acquire `mode` on `id` for `owner`, blocking until granted.
@@ -251,6 +329,13 @@ impl LockManager {
     /// Reentrant: acquiring a (resource, mode) pair the owner already
     /// holds nests. An owner holding *any* lock on the resource makes this
     /// a conversion-style request (queue bypass; see crate docs).
+    ///
+    /// A request draws a FIFO ticket only when it has to wait. An
+    /// immediate grant is checked as if it were last in line: every
+    /// waiter already on the resource drew its ticket earlier, while
+    /// holding this shard's mutex, so "behind all of them" is exactly
+    /// where a fresh ticket would have put it. A ticket drawn now, under
+    /// the same mutex, is again larger than all of theirs.
     pub fn lock(&self, owner: OwnerId, id: LockId, mode: LockMode) {
         let hook = self.hook();
         if let Some(h) = &hook {
@@ -259,7 +344,7 @@ impl LockManager {
         let target = crate::stats::lock_trace_target(id);
         let shard = self.shard(id);
         let mut state = shard.state.lock();
-        let rs = state.entry(id).or_default();
+        let rs = state.entry(id);
 
         // Reentrant same-mode acquisition.
         if let Some(g) = rs
@@ -277,9 +362,7 @@ impl LockManager {
         }
 
         let is_conversion = rs.holds(owner);
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-
-        if rs.grantable(owner, mode, is_conversion, ticket) {
+        if rs.grantable(owner, mode, is_conversion, LAST_IN_LINE) {
             rs.granted.push(Grant {
                 owner,
                 mode,
@@ -297,6 +380,7 @@ impl LockManager {
         }
 
         // Must wait.
+        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         let waiter = Waiter {
             owner,
             mode,
@@ -316,7 +400,10 @@ impl LockManager {
                 drop(state);
                 h.at_block(owner, id, mode);
                 state = shard.state.lock();
-                let rs = state.get_mut(&id).expect("resource with waiter vanished");
+                let rs = state
+                    .resources
+                    .get_mut(&id)
+                    .expect("resource with waiter vanished");
                 if rs.grantable(owner, mode, is_conversion, ticket) {
                     Self::promote(rs, owner, mode, is_conversion, ticket);
                     self.stats
@@ -337,7 +424,10 @@ impl LockManager {
                     if timed_out {
                         // Re-check before running the detector: we may have
                         // become grantable while timing out.
-                        let rs = state.get_mut(&id).expect("resource with waiter vanished");
+                        let rs = state
+                            .resources
+                            .get_mut(&id)
+                            .expect("resource with waiter vanished");
                         if rs.grantable(owner, mode, is_conversion, ticket) {
                             Self::promote(rs, owner, mode, is_conversion, ticket);
                             self.stats.record_wait_end(
@@ -366,7 +456,10 @@ impl LockManager {
                 }
                 None => shard.cv.wait(&mut state),
             }
-            let rs = state.get_mut(&id).expect("resource with waiter vanished");
+            let rs = state
+                .resources
+                .get_mut(&id)
+                .expect("resource with waiter vanished");
             if rs.grantable(owner, mode, is_conversion, ticket) {
                 Self::promote(rs, owner, mode, is_conversion, ticket);
                 self.stats
@@ -418,7 +511,7 @@ impl LockManager {
         let target = crate::stats::lock_trace_target(id);
         let shard = self.shard(id);
         let mut state = shard.state.lock();
-        let rs = state.entry(id).or_default();
+        let rs = state.entry(id);
         if let Some(g) = rs
             .granted
             .iter_mut()
@@ -432,9 +525,9 @@ impl LockManager {
             }
             return true;
         }
+        // Never enqueues, so never needs a ticket (see `lock`).
         let is_conversion = rs.holds(owner);
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        if rs.grantable(owner, mode, is_conversion, ticket) {
+        if rs.grantable(owner, mode, is_conversion, LAST_IN_LINE) {
             rs.granted.push(Grant {
                 owner,
                 mode,
@@ -448,7 +541,7 @@ impl LockManager {
             true
         } else {
             if rs.is_empty() {
-                state.remove(&id);
+                state.retire(id);
             }
             false
         }
@@ -462,6 +555,7 @@ impl LockManager {
         let shard = self.shard(id);
         let mut state = shard.state.lock();
         let rs = state
+            .resources
             .get_mut(&id)
             .unwrap_or_else(|| panic!("{owner:?} unlocking {mode} on {id}: resource not locked"));
         let pos = rs
@@ -476,7 +570,7 @@ impl LockManager {
         self.stats.record_release(mode);
         let has_waiters = !rs.conversions.is_empty() || !rs.queue.is_empty();
         if rs.is_empty() {
-            state.remove(&id);
+            state.retire(id);
         }
         drop(state);
         if has_waiters {
@@ -493,7 +587,7 @@ impl LockManager {
         for shard in self.shards.iter() {
             let mut state = shard.state.lock();
             let mut touched = false;
-            state.retain(|_, rs| {
+            state.resources.retain(|_, rs| {
                 let before = rs.granted.len();
                 rs.granted.retain(|g| g.owner != owner);
                 touched |= rs.granted.len() != before;
@@ -511,6 +605,7 @@ impl LockManager {
         let shard = self.shard(id);
         let state = shard.state.lock();
         state
+            .resources
             .get(&id)
             .map(|rs| {
                 rs.granted
@@ -530,6 +625,7 @@ impl LockManager {
             .map(|s| {
                 s.state
                     .lock()
+                    .resources
                     .values()
                     .map(|rs| rs.granted.len())
                     .sum::<usize>()
@@ -551,7 +647,7 @@ impl LockManager {
         let mut edges: HashMap<OwnerId, Vec<OwnerId>> = HashMap::new();
         for shard in self.shards.iter() {
             let state = shard.state.lock();
-            for rs in state.values() {
+            for rs in state.resources.values() {
                 let mut consider = |w: &Waiter, include_queue_fifo: bool| {
                     let out = edges.entry(w.owner).or_default();
                     for g in &rs.granted {
@@ -647,7 +743,7 @@ impl LockManager {
         let mut out = String::new();
         for shard in self.shards.iter() {
             let state = shard.state.lock();
-            for (id, rs) in state.iter() {
+            for (id, rs) in state.resources.iter() {
                 let _ = writeln!(out, "{id}:");
                 for g in &rs.granted {
                     let _ = writeln!(out, "  granted {} to {:?} x{}", g.mode, g.owner, g.count);

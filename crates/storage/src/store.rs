@@ -53,7 +53,9 @@ impl PageStoreConfig {
 /// One page's physical storage: a latch plus (for memory backing) the
 /// bytes.
 ///
-/// The latch is held only for the duration of a single whole-page copy; it
+/// The latch is held for one page access: a whole-page write, or one
+/// reader's pass over the page ([`PageStore::with_page`] — a find
+/// inspects the bytes in place, [`PageStore::read`] copies them out). It
 /// models the disk's "read and written as single operations" guarantee
 /// (§2.1) and deliberately provides no other synchronization — the
 /// *locking protocols* under test are responsible for everything else.
@@ -446,29 +448,45 @@ impl PageStore {
         Ok(())
     }
 
-    /// Read a whole page into `buf` (`getbucket(page, buffer)`). Atomic
-    /// with respect to concurrent [`PageStore::write`]s of the same page.
-    pub fn read(&self, page: PageId, buf: &mut PageBuf) -> Result<()> {
-        assert_eq!(buf.len(), self.cfg.page_size, "buffer/page size mismatch");
+    /// Run `f` over the bytes of `page` under its latch, so `f` sees one
+    /// whole page, atomic with respect to concurrent
+    /// [`PageStore::write`]s of it. On memory backing `f` reads the slot
+    /// in place; on file backing it reads a buffer filled by one pread.
+    /// Counts as one page read, with the same fault checks and simulated
+    /// latency as [`PageStore::read`].
+    ///
+    /// The latch is held while `f` runs: `f` must only inspect the bytes
+    /// and return (a lock-manager call or another page access from
+    /// inside it could deadlock against a writer).
+    pub fn with_page<R>(&self, page: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let slot = self.slot(page)?;
         if self.cfg.poison_freed && !slot.allocated.load(Ordering::Acquire) {
             self.stats.record_page_fault();
             return Err(Error::PageFault { page: page.0 });
         }
         self.simulate_latency();
-        {
+        let out = {
             let bytes = slot.bytes.lock();
             match &self.backing {
-                Backing::Memory => buf.copy_from_slice(&bytes),
-                Backing::File(f) => {
+                Backing::Memory => f(&bytes),
+                Backing::File(file) => {
                     use std::os::unix::fs::FileExt;
-                    f.read_exact_at(buf, page.0 * self.cfg.page_size as u64)
+                    let mut buf = vec![0u8; self.cfg.page_size];
+                    file.read_exact_at(&mut buf, page.0 * self.cfg.page_size as u64)
                         .map_err(|e| Error::Io(format!("reading {page}: {e}")))?;
+                    f(&buf)
                 }
             }
-        }
+        };
         self.stats.record_read();
-        Ok(())
+        Ok(out)
+    }
+
+    /// Read a whole page into `buf` (`getbucket(page, buffer)`): a copy
+    /// through [`PageStore::with_page`].
+    pub fn read(&self, page: PageId, buf: &mut PageBuf) -> Result<()> {
+        assert_eq!(buf.len(), self.cfg.page_size, "buffer/page size mismatch");
+        self.with_page(page, |bytes| buf.copy_from_slice(bytes))
     }
 
     /// Write a whole page from `buf` (`putbucket(page, buffer)`). Atomic
@@ -533,6 +551,29 @@ mod tests {
         let mut out = s.new_buf();
         s.read(p, &mut out).unwrap();
         assert_eq!(&*out, &*buf);
+    }
+
+    #[test]
+    fn with_page_reads_in_place_and_counts_one_read() {
+        let s = store();
+        let p = s.alloc().unwrap();
+        let mut buf = s.new_buf();
+        buf[5] = 0x42;
+        s.write(p, &buf).unwrap();
+        assert_eq!(
+            s.with_page(p, |bytes| (bytes.len(), bytes[5])).unwrap(),
+            (64, 0x42)
+        );
+        assert_eq!(s.stats().reads, 1);
+        s.dealloc(p).unwrap();
+        assert_eq!(
+            s.with_page(p, |_| ()).unwrap_err(),
+            Error::PageFault { page: p.0 }
+        );
+        assert_eq!(
+            s.with_page(PageId(99), |_| ()).unwrap_err(),
+            Error::PageFault { page: 99 }
+        );
     }
 
     #[test]

@@ -256,8 +256,43 @@ impl Bucket {
         Ok(())
     }
 
-    /// Decode from a page buffer, validating the header.
+    /// Decode from a page buffer, validating the header (see
+    /// [`BucketView::new`] for what is checked).
     pub fn decode(page: &[u8]) -> Result<Bucket> {
+        let view = BucketView::new(page)?;
+        Ok(Bucket {
+            localdepth: view.localdepth,
+            commonbits: view.commonbits,
+            next: view.next(),
+            next_mgr: ManagerId(view.u32_at(20)),
+            prev: PageId(view.u64_at(40)),
+            prev_mgr: ManagerId(view.u32_at(32)),
+            version: view.u64_at(48),
+            records: view.records().collect(),
+        })
+    }
+}
+
+/// A borrowed, read-only view of an encoded bucket page.
+///
+/// A Figure 5 find needs three things from a bucket — the wrong-bucket
+/// test, the `next` link, and `search` — none of which needs the records
+/// decoded into a [`Bucket`]. The view validates the header exactly as
+/// [`Bucket::decode`] does (it *is* decode's check), then answers those
+/// questions by reading the page bytes where they lie.
+#[derive(Debug, Clone, Copy)]
+pub struct BucketView<'a> {
+    page: &'a [u8],
+    localdepth: u32,
+    commonbits: u64,
+    count: usize,
+}
+
+impl<'a> BucketView<'a> {
+    /// Validate the header of an encoded page: long enough for a header,
+    /// the bucket magic, `localdepth` ≤ 64, and `count` records fitting
+    /// the page. A page of garbage fails with [`Error::Corrupt`].
+    pub fn new(page: &'a [u8]) -> Result<Self> {
         if page.len() < BUCKET_HEADER_BYTES {
             return Err(Error::Corrupt(format!(
                 "page of {} bytes is too small",
@@ -276,45 +311,60 @@ impl Bucket {
                 "localdepth {localdepth} out of range"
             )));
         }
-        if count > Self::capacity_for(page.len()) {
+        if count > Bucket::capacity_for(page.len()) {
             return Err(Error::Corrupt(format!(
                 "count {count} exceeds page capacity"
             )));
         }
-        let next_mgr = ManagerId(u32::from_le_bytes(
-            page[20..24].try_into().expect("slice len"),
-        ));
-        let next = PageId(u64::from_le_bytes(
-            page[24..32].try_into().expect("slice len"),
-        ));
-        let prev_mgr = ManagerId(u32::from_le_bytes(
-            page[32..36].try_into().expect("slice len"),
-        ));
-        let prev = PageId(u64::from_le_bytes(
-            page[40..48].try_into().expect("slice len"),
-        ));
-        let version = u64::from_le_bytes(page[48..56].try_into().expect("slice len"));
-        let mut records = Vec::with_capacity(count);
-        let mut off = BUCKET_HEADER_BYTES;
-        for _ in 0..count {
-            let key = u64::from_le_bytes(page[off..off + 8].try_into().expect("slice len"));
-            let value = u64::from_le_bytes(page[off + 8..off + 16].try_into().expect("slice len"));
-            records.push(Record {
-                key: Key(key),
-                value: Value(value),
-            });
-            off += RECORD_BYTES;
-        }
-        Ok(Bucket {
+        Ok(BucketView {
+            page,
             localdepth,
             commonbits,
-            next,
-            next_mgr,
-            prev,
-            prev_mgr,
-            version,
-            records,
+            count,
         })
+    }
+
+    fn u32_at(&self, off: usize) -> u32 {
+        u32::from_le_bytes(self.page[off..off + 4].try_into().expect("slice len"))
+    }
+
+    fn u64_at(&self, off: usize) -> u64 {
+        u64::from_le_bytes(self.page[off..off + 8].try_into().expect("slice len"))
+    }
+
+    /// Does `pk` belong in this bucket? Same test as [`Bucket::owns`]:
+    /// false for a deleted bucket.
+    #[inline]
+    pub fn owns(&self, pk: Pseudokey) -> bool {
+        self.commonbits != DELETED && pk.matches(self.commonbits, self.localdepth)
+    }
+
+    /// The `next` link (the wrong-bucket recovery path).
+    #[inline]
+    pub fn next(&self) -> PageId {
+        PageId(self.u64_at(24))
+    }
+
+    /// The paper's `search(current, z)`, scanning the record slots in
+    /// place.
+    pub fn search(&self, key: Key) -> Option<Value> {
+        let want = key.0.to_le_bytes();
+        self.slots()
+            .find(|slot| slot[..8] == want)
+            .map(|slot| Value(u64::from_le_bytes(slot[8..].try_into().expect("slice len"))))
+    }
+
+    /// The records, decoded one at a time in slot order.
+    fn records(&self) -> impl ExactSizeIterator<Item = Record> + 'a {
+        self.slots().map(|slot| Record {
+            key: Key(u64::from_le_bytes(slot[..8].try_into().expect("slice len"))),
+            value: Value(u64::from_le_bytes(slot[8..].try_into().expect("slice len"))),
+        })
+    }
+
+    fn slots(&self) -> std::slice::ChunksExact<'a, u8> {
+        let end = BUCKET_HEADER_BYTES + self.count * RECORD_BYTES;
+        self.page[BUCKET_HEADER_BYTES..end].chunks_exact(RECORD_BYTES)
     }
 }
 
@@ -427,6 +477,24 @@ mod tests {
         let empty = Bucket::new(ld, pk.low_bits(ld));
         assert!(empty.owns(pk));
         assert!(!empty.owns_by_rehash(pk, hash_key));
+    }
+
+    #[test]
+    fn view_reads_the_page_in_place() {
+        let b = sample();
+        let mut page = vec![0u8; 256];
+        b.encode(&mut page).unwrap();
+        let v = BucketView::new(&page).unwrap();
+        assert_eq!(v.next(), PageId(9));
+        assert!(v.owns(Pseudokey(0b10101)));
+        assert!(!v.owns(Pseudokey(0b10100)));
+        assert_eq!(v.search(Key(200)), Some(Value(2)));
+        assert_eq!(v.search(Key(999)), None);
+        assert!(v.records().eq(b.records.iter().copied()));
+        assert!(matches!(
+            BucketView::new(&[0xDEu8; 256]),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod key;
 pub mod ops;
 
 pub use bits::{mask, partner_bit, Mask};
-pub use bucket::{Bucket, BUCKET_HEADER_BYTES, DELETED, RECORD_BYTES};
+pub use bucket::{Bucket, BucketView, BUCKET_HEADER_BYTES, DELETED, RECORD_BYTES};
 pub use config::{HashFileConfig, RetryPolicy};
 pub use error::{Error, Result};
 pub use ids::{BucketLink, ManagerId, PageId};

@@ -1,7 +1,7 @@
 //! Property tests for the bucket page codec.
 
-use ceh_types::bucket::Bucket;
-use ceh_types::{ManagerId, PageId, Record};
+use ceh_types::bucket::{Bucket, BucketView};
+use ceh_types::{Key, ManagerId, PageId, Pseudokey, Record};
 use proptest::prelude::*;
 
 fn arb_bucket(max_records: usize) -> impl Strategy<Value = Bucket> {
@@ -51,6 +51,56 @@ proptest! {
         if let Ok(b) = Bucket::decode(&bytes) {
             let mut page = vec![0u8; bytes.len()];
             b.encode(&mut page).unwrap();
+        }
+    }
+
+    /// The borrowed view accepts exactly the pages `decode` accepts. Half
+    /// the pages carry the bucket magic and a small depth and count, so
+    /// the checks past the magic are reached too.
+    #[test]
+    fn view_validates_like_decode(
+        mut bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        stamp in any::<bool>(),
+        localdepth in 0u32..80,
+        count in 0u32..40,
+    ) {
+        if stamp && bytes.len() >= 20 {
+            let mut magic = vec![0u8; Bucket::page_size_for(0)];
+            Bucket::new(0, 0).encode(&mut magic).unwrap();
+            bytes[0..4].copy_from_slice(&magic[0..4]);
+            bytes[4..8].copy_from_slice(&localdepth.to_le_bytes());
+            bytes[16..20].copy_from_slice(&count.to_le_bytes());
+        }
+        prop_assert_eq!(BucketView::new(&bytes).is_ok(), Bucket::decode(&bytes).is_ok());
+    }
+
+    /// On any encoded bucket — deleted-marked ones included — the view's
+    /// `owns`, `next` and `search` agree with the decoded bucket, for
+    /// resident and absent keys alike.
+    #[test]
+    fn view_agrees_with_decoded_bucket(
+        b in arb_bucket(20),
+        deleted in any::<bool>(),
+        probes in proptest::collection::vec(any::<u64>(), 1..8),
+        pk_seeds in proptest::collection::vec(any::<u64>(), 1..8),
+    ) {
+        let mut b = b;
+        if deleted {
+            b.mark_deleted();
+        }
+        let mut page = vec![0u8; Bucket::page_size_for(20)];
+        b.encode(&mut page).unwrap();
+        let decoded = Bucket::decode(&page).unwrap();
+        let view = BucketView::new(&page).unwrap();
+        prop_assert_eq!(view.next(), decoded.next);
+        let resident = decoded.records.iter().map(|r| r.key.0);
+        for k in resident.chain(probes) {
+            prop_assert_eq!(view.search(Key(k)), decoded.search(Key(k)));
+        }
+        // Pseudokeys both inside and outside the bucket's commonbits.
+        let inside = pk_seeds.iter().map(|s| (s & !ceh_types::mask(b.localdepth)) | (b.commonbits & ceh_types::mask(b.localdepth)));
+        for pk in inside.chain(pk_seeds.iter().copied()) {
+            prop_assert_eq!(view.owns(Pseudokey(pk)), decoded.owns(Pseudokey(pk)));
         }
     }
 

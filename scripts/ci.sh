@@ -24,6 +24,12 @@ cargo clippy -p ceh-obs --all-targets -- -D warnings
 echo "=== test ==="
 cargo test -q --workspace
 
+echo "=== benchmark unit tests ==="
+# perfbench/ is its own Cargo workspace, so the workspace test run above
+# does not reach it: percentile math, per-op ratio bases, /proc parsing,
+# the oracle and the BENCHMARK.json metric tables.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "=== chaos smoke ==="
 CEH_QUICK=1 cargo test -q -p ceh-harness --test chaos
 
