@@ -435,6 +435,16 @@ impl FileCore {
         Bucket::decode(buf)
     }
 
+    /// [`FileCore::getbucket`] of a page this operation has already
+    /// peeked under a lock it still holds, for the restructuring paths
+    /// (split, merge) that need the records decoded. The lock excludes
+    /// every writer since the peek, so this reads the same bytes, and the
+    /// race detector, which saw the peek, is not told of the access again.
+    pub(crate) fn getbucket_again(&self, page: PageId, buf: &mut PageBuf) -> Result<Bucket> {
+        self.store.read(page, buf)?;
+        Bucket::decode(buf)
+    }
+
     /// `putbucket(page, buffer)`: encode and write — through the WAL
     /// when durable (redo record first, then the cache). Announced to
     /// the race detector as a page-granular release write.
@@ -445,6 +455,31 @@ impl FileCore {
         match &self.wal {
             Some(w) => w.write(page, buf),
             None => self.store.write(page, buf),
+        }
+    }
+
+    /// The `add`/`remove` + `putbucket` of an update that does not
+    /// restructure: `edit` changes one record of the encoded page (see
+    /// [`ceh_types::bucket::append_in_place`]). Announced to the race
+    /// detector exactly as [`FileCore::putbucket`] is. On the volatile
+    /// store the page is edited in place under its latch; when durable,
+    /// a copy is edited and its full image logged, as `putbucket` does.
+    #[track_caller]
+    pub(crate) fn edit_bucket<T>(
+        &self,
+        page: PageId,
+        edit: impl FnOnce(&mut [u8]) -> Result<T>,
+    ) -> Result<T> {
+        shadow::page_write(page.0);
+        match &self.wal {
+            Some(w) => {
+                let mut buf = self.new_buf();
+                w.read(page, &mut buf)?;
+                let out = edit(&mut buf)?;
+                w.write(page, &buf)?;
+                Ok(out)
+            }
+            None => self.store.with_page_mut(page, edit)?,
         }
     }
 
@@ -507,7 +542,7 @@ impl FileCore {
         let mut hops = 0u64;
         let found = loop {
             let newpage = match current {
-                Peek::Owns { found } => break found,
+                Peek::Owns(at) => break at.found,
                 Peek::WrongBucket { next } => next,
             };
             /* WRONG BUCKET */
@@ -549,34 +584,61 @@ impl FileCore {
         Ok(found)
     }
 
-    /// A find's `getbucket`: look at `page` in place under the page
-    /// latch and keep only what Figure 5 uses of it — whether the bucket
-    /// owns `pk`, and then either `search(key)` or the `next` link. No
-    /// copy, no decode, no allocation. Announced to the race detector
-    /// exactly as [`FileCore::getbucket`] is.
+    /// The `getbucket` of a find or of an updater's walk: look at `page`
+    /// in place under the page latch and keep only what Figures 5–9 use
+    /// of it before deciding to restructure — whether the bucket owns
+    /// `pk`, and then either `search(key)`, `count` and `localdepth`, or
+    /// the `next` link. No copy, no decode, no allocation. Announced to
+    /// the race detector exactly as [`FileCore::getbucket`] is.
     #[track_caller]
-    fn peek(&self, page: PageId, pk: Pseudokey, key: Key) -> Result<Peek> {
+    pub(crate) fn peek(&self, page: PageId, pk: Pseudokey, key: Key) -> Result<Peek> {
         shadow::page_read(page.0);
         self.store.with_page(page, |bytes| {
             let view = BucketView::new(bytes)?;
             Ok(if view.owns(pk) {
-                Peek::Owns {
+                Peek::Owns(Owning {
                     found: view.search(key),
-                }
+                    count: view.count(),
+                    localdepth: view.localdepth(),
+                })
             } else {
                 Peek::WrongBucket { next: view.next() }
             })
         })?
     }
+
+    /// [`FileCore::peek`] for a Solution 1 updater, whose directory lock
+    /// excludes every restructurer: a bucket that does not own `pk` is
+    /// corruption, not a wrong bucket to recover from.
+    #[track_caller]
+    pub(crate) fn peek_owner(&self, page: PageId, pk: Pseudokey, key: Key) -> Result<Owning> {
+        match self.peek(page, pk, key)? {
+            Peek::Owns(at) => Ok(at),
+            Peek::WrongBucket { .. } => Err(Error::Corrupt(format!(
+                "{page} does not own {pk:?} under a directory lock that excludes restructuring"
+            ))),
+        }
+    }
 }
 
-/// What a find learns from one bucket page (see [`FileCore::peek`]).
+/// What an operation learns from one bucket page (see [`FileCore::peek`]).
 #[derive(Debug, Clone, Copy)]
-enum Peek {
-    /// The bucket owns the pseudokey; `found` is `search(key)`.
-    Owns { found: Option<Value> },
+pub(crate) enum Peek {
+    /// The bucket owns the pseudokey.
+    Owns(Owning),
     /// Wrong bucket: follow `next`.
     WrongBucket { next: PageId },
+}
+
+/// What [`FileCore::peek`] keeps of the bucket that owns the pseudokey.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Owning {
+    /// `search(key)`.
+    pub(crate) found: Option<Value>,
+    /// The paper's `count`.
+    pub(crate) count: usize,
+    /// The bucket's local depth.
+    pub(crate) localdepth: u32,
 }
 
 /// Guard for one operation's `core.*` span: closes the span and

@@ -17,6 +17,7 @@
 
 use ceh_locks::LockId;
 use ceh_types::bits::{mask, partner_bit, partner_commonbits};
+use ceh_types::bucket::{append_in_place, remove_in_place};
 use ceh_types::{DeleteOutcome, HashFileConfig, InsertOutcome, Key, ManagerId, Result, Value};
 
 use crate::common::{try_or_release, FileCore};
@@ -93,21 +94,17 @@ impl Solution1 {
         let _op = core.op_span("insert", key.0);
         let cap = core.config().bucket_capacity;
         let pk = (core.hasher())(key);
-        let mut buf = core.new_buf();
         // "if (!done) insert (z)" — the recursion is this loop.
         loop {
             let owner = core.locks().new_owner();
             core.alpha_lock(owner, LockId::Directory);
             let (_depth, oldpage) = core.dir().lookup(pk);
             core.alpha_lock(owner, LockId::Page(oldpage));
-            let current = try_or_release!(core, owner, core.getbucket(oldpage, &mut buf));
-            debug_assert!(
-                current.owns(pk),
-                "a Solution-1 updater can never have the wrong bucket: its α on the \
-                 directory excludes every restructurer"
-            );
+            // A Solution-1 updater can never have the wrong bucket: its α
+            // on the directory excludes every restructurer.
+            let at = try_or_release!(core, owner, core.peek_owner(oldpage, pk, key));
 
-            if current.search(key).is_some() {
+            if at.found.is_some() {
                 /* z is already there */
                 core.un_alpha_lock(owner, LockId::Directory);
                 core.un_alpha_lock(owner, LockId::Page(oldpage));
@@ -115,12 +112,15 @@ impl Solution1 {
                 return Ok(InsertOutcome::AlreadyPresent);
             }
 
-            if current.count() != cap {
+            if at.count != cap {
                 /* current bucket not full */
                 core.un_alpha_lock(owner, LockId::Directory);
-                let mut current = current;
-                current.add(ceh_types::Record { key, value });
-                try_or_release!(core, owner, core.putbucket(oldpage, &current, &mut buf));
+                let record = ceh_types::Record { key, value };
+                try_or_release!(
+                    core,
+                    owner,
+                    core.edit_bucket(oldpage, |page| append_in_place(page, record))
+                );
                 core.un_alpha_lock(owner, LockId::Page(oldpage));
                 core.len_inc();
                 core.stats().inserts();
@@ -129,10 +129,12 @@ impl Solution1 {
 
             /* current is full */
             let split_span = core.trace_begin("split", oldpage.0, 0);
-            if current.localdepth == core.dir().depth() {
+            if at.localdepth == core.dir().depth() {
                 try_or_release!(core, owner, core.dir().double());
                 core.stats().doublings();
             }
+            let mut buf = core.new_buf();
+            let current = try_or_release!(core, owner, core.getbucket_again(oldpage, &mut buf));
             // The split's page effects are one logged transaction: if
             // power dies before the commit record is durable, recovery
             // sees either the whole split or none of it.
@@ -181,7 +183,6 @@ impl Solution1 {
         let threshold = core.config().merge_threshold;
         let cap = core.config().bucket_capacity;
         let pk = (core.hasher())(key);
-        let mut buf = core.new_buf();
         let owner = core.locks().new_owner();
 
         core.xi_lock(owner, LockId::Directory);
@@ -189,30 +190,30 @@ impl Solution1 {
         let selectedbits = pk.low_bits(depth);
         let oldpage = core.dir().index(selectedbits);
         core.xi_lock(owner, LockId::Page(oldpage));
-        let mut current = try_or_release!(core, owner, core.getbucket(oldpage, &mut buf));
-        debug_assert!(
-            current.owns(pk),
-            "ξ on the directory: no wrong buckets possible"
-        );
+        // ξ on the directory: no wrong buckets possible.
+        let at = try_or_release!(core, owner, core.peek_owner(oldpage, pk, key));
 
         // DEVIATION: check presence before considering a merge. Figure 7's
         // merge path never searches for z; at merge_threshold 0 the lone
         // record in a too-empty bucket is silently assumed to be z, and a
         // delete of an absent key would discard an innocent record. (The
         // Figure 9 version of the same code adds exactly this check.)
-        if current.search(key).is_none() {
+        if at.found.is_none() {
             core.un_xi_lock(owner, LockId::Directory);
             core.un_xi_lock(owner, LockId::Page(oldpage));
             core.stats().deletes_miss();
             return Ok(DeleteOutcome::NotFound);
         }
 
-        let too_empty = current.count() <= threshold + 1 && current.localdepth > 1;
+        let too_empty = at.count <= threshold + 1 && at.localdepth > 1;
         if !too_empty {
             /* current not too empty */
             core.un_xi_lock(owner, LockId::Directory);
-            current.remove(key);
-            try_or_release!(core, owner, core.putbucket(oldpage, &current, &mut buf));
+            try_or_release!(
+                core,
+                owner,
+                core.edit_bucket(oldpage, |page| remove_in_place(page, key))
+            );
             core.un_xi_lock(owner, LockId::Page(oldpage));
             core.len_dec();
             core.stats().deletes();
@@ -220,6 +221,8 @@ impl Solution1 {
         }
 
         // Merge attempt. Identify the partner with respect to localdepth.
+        let mut buf = core.new_buf();
+        let mut current = try_or_release!(core, owner, core.getbucket_again(oldpage, &mut buf));
         let m = partner_bit(current.localdepth);
         let (brother, newpage, merged_page, garbage_page) = if pk.0 & m != m {
             /* z goes in first of pair: the partner follows via next */
@@ -228,7 +231,7 @@ impl Solution1 {
                 // Defensive: a "0" bucket of localdepth ≥ 2 always has a
                 // next under the protocols; treat a missing one as
                 // unmergeable rather than corrupting the chain.
-                return self.finish_unmergeable(owner, key, oldpage, current, buf);
+                return self.finish_unmergeable(owner, key, oldpage);
             }
             core.xi_lock(owner, LockId::Page(newpage));
             let brother = try_or_release!(core, owner, core.getbucket(newpage, &mut buf));
@@ -254,7 +257,7 @@ impl Solution1 {
         if !mergeable {
             /* not possible to merge these two */
             core.un_xi_lock(owner, LockId::Page(newpage));
-            return self.finish_unmergeable(owner, key, oldpage, current, buf);
+            return self.finish_unmergeable(owner, key, oldpage);
         }
         debug_assert_eq!(
             brother.commonbits,
@@ -312,13 +315,14 @@ impl Solution1 {
         owner: ceh_locks::OwnerId,
         key: Key,
         oldpage: ceh_types::PageId,
-        mut current: ceh_types::bucket::Bucket,
-        mut buf: ceh_storage::PageBuf,
     ) -> Result<DeleteOutcome> {
         let core = &self.core;
-        let removed = current.remove(key);
+        let removed = try_or_release!(
+            core,
+            owner,
+            core.edit_bucket(oldpage, |page| remove_in_place(page, key))
+        );
         debug_assert!(removed, "presence was checked under ξ");
-        try_or_release!(core, owner, core.putbucket(oldpage, &current, &mut buf));
         core.un_xi_lock(owner, LockId::Page(oldpage));
         core.un_xi_lock(owner, LockId::Directory);
         core.len_dec();

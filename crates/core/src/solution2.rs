@@ -26,12 +26,12 @@
 
 use ceh_locks::{LockId, OwnerId};
 use ceh_types::bits::{mask, partner_bit};
-use ceh_types::bucket::Bucket;
+use ceh_types::bucket::{append_in_place, remove_in_place, Bucket};
 use ceh_types::{
     DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Result, Value,
 };
 
-use crate::common::{try_or_release, FileCore};
+use crate::common::{try_or_release, FileCore, Owning, Peek};
 use crate::traits::ConcurrentHashFile;
 
 /// When tombstones are deallocated and the directory halved.
@@ -223,17 +223,26 @@ impl Solution2 {
     }
 
     /// One ξ-locked garbage-collection pass over `pages` (the Figure-9
-    /// epilogue, amortized).
+    /// epilogue, amortized). If the store refuses a deallocation (a
+    /// durable medium that lost power), the pass releases its locks and
+    /// stops: the rest of the batch stays allocated as tombstones — still
+    /// valid recovery paths — and is counted in `core.gc_unreclaimed`.
     fn gc_pass(core: &FileCore, pages: &[PageId]) {
         let owner = core.locks().new_owner();
         core.xi_lock(owner, LockId::Directory);
-        for &page in pages {
+        for (i, &page) in pages.iter().enumerate() {
             core.xi_lock(owner, LockId::Page(page));
             if core.dir().depthcount() == 0 {
                 core.dir().halve();
                 core.stats().halvings();
             }
-            core.dealloc_page(page).expect("background GC double-free");
+            if core.dealloc_page(page).is_err() {
+                core.locks().release_all(owner);
+                for _ in i..pages.len() {
+                    core.stats().gc_unreclaimed();
+                }
+                return;
+            }
             core.un_xi_lock(owner, LockId::Page(page));
         }
         if core.dir().depthcount() == 0 && core.dir().depth() > 1 {
@@ -264,26 +273,30 @@ impl Solution2 {
 
     /// Hand-over-hand walk to the bucket owning `pk`, locking each bucket
     /// with `mode` — the `/* WRONG BUCKET */` loops that open Figures 8
-    /// and 9. Returns the final (page, bucket); the lock on that page is
-    /// *held*. Tombstones are walked through like any wrong bucket: their
-    /// `next` is the recovery path.
+    /// and 9. Each page is peeked in place ([`FileCore::peek`]), as a
+    /// find does. Returns the final page and what the peek saw of it; the
+    /// lock on that page is *held*. Tombstones are walked through like
+    /// any wrong bucket: their `next` is the recovery path.
     fn walk_to_owner(
         &self,
         owner: OwnerId,
         mode: ceh_locks::LockMode,
         mut oldpage: PageId,
         pk: ceh_types::Pseudokey,
-        buf: &mut ceh_storage::PageBuf,
-    ) -> Result<(PageId, Bucket)> {
+        key: Key,
+    ) -> Result<(PageId, Owning)> {
         let core = &self.core;
         core.locks().lock(owner, LockId::Page(oldpage), mode);
-        let mut current = try_or_release!(core, owner, core.getbucket(oldpage, buf));
+        let mut current = try_or_release!(core, owner, core.peek(oldpage, pk, key));
         let mut recovered = false;
-        while !current.owns(pk) {
+        let at = loop {
+            let newpage = match current {
+                Peek::Owns(at) => break at,
+                Peek::WrongBucket { next } => next,
+            };
             /* WRONG BUCKET */
             recovered = true;
             core.stats().chain_hops();
-            let newpage = current.next;
             if newpage.is_null() {
                 core.locks().release_all(owner);
                 return Err(Error::Corrupt(format!(
@@ -291,14 +304,14 @@ impl Solution2 {
                 )));
             }
             core.locks().lock(owner, LockId::Page(newpage), mode);
-            current = try_or_release!(core, owner, core.getbucket(newpage, buf));
+            current = try_or_release!(core, owner, core.peek(newpage, pk, key));
             core.locks().unlock(owner, LockId::Page(oldpage), mode);
             oldpage = newpage;
-        }
+        };
         if recovered {
             core.stats().wrong_bucket_recoveries();
         }
-        Ok((oldpage, current))
+        Ok((oldpage, at))
     }
 
     /// Figure 8, the insertion algorithm.
@@ -307,16 +320,15 @@ impl Solution2 {
         let _op = core.op_span("insert", key.0);
         let cap = core.config().bucket_capacity;
         let pk = (core.hasher())(key);
-        let mut buf = core.new_buf();
 
         for _ in 0..self.opts.max_retries {
             let owner = core.locks().new_owner();
             core.rho_lock(owner, LockId::Directory);
             let (_depth, start) = core.dir().lookup(pk);
-            let (oldpage, mut current) =
-                self.walk_to_owner(owner, ceh_locks::LockMode::Alpha, start, pk, &mut buf)?;
+            let (oldpage, at) =
+                self.walk_to_owner(owner, ceh_locks::LockMode::Alpha, start, pk, key)?;
 
-            if current.search(key).is_some() {
+            if at.found.is_some() {
                 /* IS Z ALREADY THERE? */
                 core.un_rho_lock(owner, LockId::Directory);
                 core.un_alpha_lock(owner, LockId::Page(oldpage));
@@ -324,10 +336,14 @@ impl Solution2 {
                 return Ok(InsertOutcome::AlreadyPresent);
             }
 
-            if current.count() != cap {
+            if at.count != cap {
                 core.un_rho_lock(owner, LockId::Directory);
-                current.add(ceh_types::Record { key, value });
-                try_or_release!(core, owner, core.putbucket(oldpage, &current, &mut buf));
+                let record = ceh_types::Record { key, value };
+                try_or_release!(
+                    core,
+                    owner,
+                    core.edit_bucket(oldpage, |page| append_in_place(page, record))
+                );
                 core.un_alpha_lock(owner, LockId::Page(oldpage));
                 core.len_inc();
                 core.stats().inserts();
@@ -339,10 +355,12 @@ impl Solution2 {
             // ρ → α conversion: checked against granted locks only (the
             // §2.5 deadlock-freedom argument; see ceh-locks docs).
             core.alpha_lock(owner, LockId::Directory);
-            if current.localdepth == core.dir().depth() {
+            if at.localdepth == core.dir().depth() {
                 try_or_release!(core, owner, core.dir().double());
                 core.stats().doublings();
             }
+            let mut buf = core.new_buf();
+            let current = try_or_release!(core, owner, core.getbucket_again(oldpage, &mut buf));
             // One logged transaction per split (see Solution 1).
             let txn = try_or_release!(core, owner, core.begin_txn());
             let newpage = try_or_release!(core, owner, core.alloc_page());
@@ -387,7 +405,6 @@ impl Solution2 {
         let threshold = core.config().merge_threshold;
         let cap = core.config().bucket_capacity;
         let pk = (core.hasher())(key);
-        let mut buf = core.new_buf();
 
         'retry: for attempt in 0..self.opts.max_retries {
             // DEVIATION: Figure 9's label-A path re-runs `delete (z)`
@@ -405,28 +422,16 @@ impl Solution2 {
             let depth_at_lookup = core.dir().depth();
             let selectedbits = pk.low_bits(depth_at_lookup);
             let start = core.dir().index(selectedbits);
-            let (oldpage, mut current) =
-                self.walk_to_owner(owner, ceh_locks::LockMode::Xi, start, pk, &mut buf)?;
+            let (oldpage, at) =
+                self.walk_to_owner(owner, ceh_locks::LockMode::Xi, start, pk, key)?;
 
-            let too_empty =
-                allow_merge && current.count() <= threshold + 1 && current.localdepth > 1;
+            let too_empty = allow_merge && at.count <= threshold + 1 && at.localdepth > 1;
             if !too_empty {
-                core.un_rho_lock(owner, LockId::Directory);
-                let outcome = if current.remove(key) {
-                    try_or_release!(core, owner, core.putbucket(oldpage, &current, &mut buf));
-                    core.len_dec();
-                    core.stats().deletes();
-                    DeleteOutcome::Deleted
-                } else {
-                    core.stats().deletes_miss();
-                    DeleteOutcome::NotFound
-                };
-                core.un_xi_lock(owner, LockId::Page(oldpage));
-                return Ok(outcome);
+                return self.remove_without_merge(owner, key, oldpage, at.found.is_some());
             }
 
             /* IF EVERYTHING STAYS THE SAME - TRY TO MERGE */
-            if current.search(key).is_none() {
+            if at.found.is_none() {
                 /* Z NOT THERE */
                 core.un_xi_lock(owner, LockId::Page(oldpage));
                 core.un_rho_lock(owner, LockId::Directory);
@@ -440,14 +445,16 @@ impl Solution2 {
             // race the paper's checklist exists to close. Never enabled in
             // normal builds; the schedule explorer must catch it.
             let skip_label_a = cfg!(feature = "check-inject");
-            let m = partner_bit(current.localdepth);
-            let (brother, newpage, merged_page, garbage_page);
+            let mut buf = core.new_buf();
+            let m = partner_bit(at.localdepth);
+            let (mut current, brother, newpage, merged_page, garbage_page);
             if pk.0 & m != m {
                 /* Z IN FIRST OF PAIR */
+                current = try_or_release!(core, owner, core.getbucket_again(oldpage, &mut buf));
                 let np = current.next;
                 if np.is_null() {
                     // Defensive (see Solution 1): treat as unmergeable.
-                    return self.remove_without_merge(owner, key, oldpage, current, buf);
+                    return self.remove_without_merge(owner, key, oldpage, true);
                 }
                 core.xi_lock(owner, LockId::Page(np));
                 brother = try_or_release!(core, owner, core.getbucket(np, &mut buf));
@@ -499,7 +506,8 @@ impl Solution2 {
                 && current.count() - 1 + brother.count() <= cap;
             if !still_mergeable {
                 core.un_xi_lock(owner, LockId::Page(newpage));
-                return self.remove_without_merge(owner, key, oldpage, current, buf);
+                let present = current.search(key).is_some();
+                return self.remove_without_merge(owner, key, oldpage, present);
             }
 
             /* MERGE */
@@ -586,20 +594,24 @@ impl Solution2 {
         })
     }
 
-    /// The "just remove it" tail shared by the unmergeable paths. Holds:
-    /// ρ(directory), ξ(oldpage). Releases everything.
+    /// The "just remove it" tail shared by the not-too-empty and the
+    /// unmergeable paths: `remove(z, current)` in place when `present`.
+    /// Holds: ρ(directory), ξ(oldpage). Releases everything.
     fn remove_without_merge(
         &self,
         owner: OwnerId,
         key: Key,
         oldpage: PageId,
-        mut current: Bucket,
-        mut buf: ceh_storage::PageBuf,
+        present: bool,
     ) -> Result<DeleteOutcome> {
         let core = &self.core;
         core.un_rho_lock(owner, LockId::Directory);
-        let outcome = if current.remove(key) {
-            try_or_release!(core, owner, core.putbucket(oldpage, &current, &mut buf));
+        let outcome = if present {
+            try_or_release!(
+                core,
+                owner,
+                core.edit_bucket(oldpage, |page| remove_in_place(page, key))
+            );
             core.len_dec();
             core.stats().deletes();
             DeleteOutcome::Deleted
@@ -821,6 +833,61 @@ mod tests {
                 "{p} is an uncollected tombstone after drop"
             );
         }
+    }
+
+    #[test]
+    fn background_gc_on_a_dead_medium_does_not_wedge_the_file() {
+        // When the store refuses a deallocation, the collector must still
+        // release ξ(directory) and ξ(page), or every later operation
+        // blocks behind them.
+        use ceh_storage::{DurableConfig, DurableStore, PageStoreConfig};
+        let cap = 2;
+        let wal = DurableStore::new(
+            DurableConfig {
+                page: PageStoreConfig {
+                    page_size: Bucket::page_size_for(cap),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            &ceh_obs::MetricsHandle::new(),
+        );
+        let core = FileCore::with_durable_metrics(
+            HashFileConfig::tiny().with_bucket_capacity(cap),
+            std::sync::Arc::clone(&wal),
+            std::sync::Arc::new(ceh_locks::LockManager::default()),
+            ceh_types::hash_key,
+            &ceh_obs::MetricsHandle::new(),
+        )
+        .unwrap();
+        let f = std::sync::Arc::new(Solution2::from_core_with_options(
+            core,
+            Solution2Options {
+                max_retries: 10_000,
+                gc: GcStrategy::Background { batch: 1000 },
+            },
+        ));
+        for k in 0..64u64 {
+            f.insert(Key(k), Value(k)).unwrap();
+        }
+        for k in 0..60u64 {
+            f.delete(Key(k)).unwrap();
+        }
+        assert!(f.core().stats().snapshot().merges > 0, "garbage is queued");
+        wal.power_off();
+        f.flush_gc();
+        assert!(f.core().stats().snapshot().gc_unreclaimed > 0);
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let f2 = std::sync::Arc::clone(&f);
+        std::thread::spawn(move || {
+            let _ = tx.send(f2.find(Key(63)).is_ok());
+        });
+        assert!(
+            rx.recv_timeout(std::time::Duration::from_secs(5)).is_ok(),
+            "find blocked behind the collector's locks"
+        );
+        assert_eq!(f.core().locks().total_granted(), 0);
     }
 
     #[test]

@@ -111,6 +111,10 @@ op_stats! {
     delete_retries,
     /// Garbage-collection phases run (Solution 2).
     gc_phases,
+    /// Tombstone pages the background collector left allocated because
+    /// the page store refused to free them (e.g. a durable medium that
+    /// lost power).
+    gc_unreclaimed,
 }
 
 impl OpStatsSnapshot {

@@ -156,3 +156,74 @@ fn snapshots_are_monotone_under_concurrent_mutation() {
         w.join().expect("writer");
     }
 }
+
+/// Run `op` alone on a loaded file and return how far each counter in
+/// `names` moved.
+fn counts_of(
+    file: &dyn ConcurrentHashFile,
+    names: &[&str],
+    op: impl FnOnce(),
+) -> Vec<(String, u64)> {
+    let before = file.metrics().snapshot();
+    op();
+    let after = file.metrics().snapshot();
+    names
+        .iter()
+        .map(|&n| (n.to_string(), after.counter(n) - before.counter(n)))
+        .collect()
+}
+
+/// An insert or delete that does not restructure its bucket reads the
+/// page once (the walk's peek) and writes it once (the in-place edit),
+/// under the same two lock grants as ever: Solution 2 takes ρ on the
+/// directory and α (insert) or ξ (delete) on the page; Solution 1 takes
+/// α or ξ on both.
+#[test]
+fn a_non_restructuring_update_reads_and_writes_its_page_once() {
+    const NAMES: [&str; 7] = [
+        "storage.reads",
+        "storage.writes",
+        "locks.grants.rho",
+        "locks.grants.alpha",
+        "locks.grants.xi",
+        "core.splits",
+        "core.merges",
+    ];
+    let counts = |pairs: [u64; 7]| -> Vec<(String, u64)> {
+        NAMES
+            .iter()
+            .zip(pairs)
+            .map(|(n, v)| (n.to_string(), v))
+            .collect()
+    };
+    let cfg = HashFileConfig::tiny().with_bucket_capacity(64);
+    let s2 = Solution2::new(cfg.clone()).unwrap();
+    let s1 = Solution1::new(cfg).unwrap();
+    let files: [(&dyn ConcurrentHashFile, [u64; 7], [u64; 7]); 2] = [
+        (&s2, [1, 1, 1, 1, 0, 0, 0], [1, 1, 1, 0, 1, 0, 0]),
+        (&s1, [1, 1, 0, 2, 0, 0, 0], [1, 1, 0, 0, 2, 0, 0]),
+    ];
+    for (file, insert, delete) in files {
+        for k in 0..500u64 {
+            file.insert(Key(k), Value(k)).unwrap();
+        }
+        for k in 0..100u64 {
+            assert_eq!(
+                counts_of(file, &NAMES, || {
+                    file.delete(Key(k)).unwrap();
+                }),
+                counts(delete),
+                "{} delete of key {k}",
+                file.name()
+            );
+            assert_eq!(
+                counts_of(file, &NAMES, || {
+                    file.insert(Key(k), Value(k)).unwrap();
+                }),
+                counts(insert),
+                "{} insert of key {k}",
+                file.name()
+            );
+        }
+    }
+}

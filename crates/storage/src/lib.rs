@@ -11,9 +11,10 @@
 //! [`PageStore`] provides exactly that substrate:
 //!
 //! * whole-page [`PageStore::read`] / [`PageStore::write`] (the paper's
-//!   `getbucket`/`putbucket`) and the in-place [`PageStore::with_page`]
-//!   (a find's look at one page), each atomic with respect to the others —
-//!   implemented with a per-page latch held only for the one access,
+//!   `getbucket`/`putbucket`), plus the in-place [`PageStore::with_page`]
+//!   (a find's look at one page) and [`PageStore::with_page_mut`] (an
+//!   update's edit of one record), each atomic with respect to the
+//!   others — implemented with a per-page latch held only for the one access,
 //!   which models the disk controller's single-operation semantics
 //!   without providing any synchronization beyond it;
 //! * [`PageStore::alloc`] / [`PageStore::dealloc`] (`allocbucket` /

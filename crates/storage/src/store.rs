@@ -53,7 +53,8 @@ impl PageStoreConfig {
 /// One page's physical storage: a latch plus (for memory backing) the
 /// bytes.
 ///
-/// The latch is held for one page access: a whole-page write, or one
+/// The latch is held for one page access: a whole-page write, one
+/// updater's in-place edit ([`PageStore::with_page_mut`]), or one
 /// reader's pass over the page ([`PageStore::with_page`] — a find
 /// inspects the bytes in place, [`PageStore::read`] copies them out). It
 /// models the disk's "read and written as single operations" guarantee
@@ -482,6 +483,46 @@ impl PageStore {
         Ok(out)
     }
 
+    /// Run `f` over the bytes of `page` under its latch, letting it edit
+    /// them in place: an update that changes one record dirties that
+    /// record, not a page-sized copy. Atomic with respect to concurrent
+    /// reads and writes of the page, exactly as [`PageStore::write`] is.
+    /// On file backing `f` edits a buffer filled by one pread, which one
+    /// pwrite then stores. Counts as one page write, with the same fault
+    /// checks and simulated latency as [`PageStore::write`].
+    ///
+    /// The latch is held while `f` runs, with the same rule as
+    /// [`PageStore::with_page`]: `f` edits the bytes and returns. Whatever
+    /// `f` leaves in the bytes is stored, so it must validate before it
+    /// writes.
+    pub fn with_page_mut<R>(&self, page: PageId, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
+        let slot = self.slot(page)?;
+        if self.cfg.poison_freed && !slot.allocated.load(Ordering::Acquire) {
+            self.stats.record_page_fault();
+            return Err(Error::PageFault { page: page.0 });
+        }
+        self.simulate_latency();
+        let out = {
+            let mut bytes = slot.bytes.lock();
+            match &self.backing {
+                Backing::Memory => f(&mut bytes),
+                Backing::File(file) => {
+                    use std::os::unix::fs::FileExt;
+                    let at = page.0 * self.cfg.page_size as u64;
+                    let mut buf = vec![0u8; self.cfg.page_size];
+                    file.read_exact_at(&mut buf, at)
+                        .map_err(|e| Error::Io(format!("reading {page}: {e}")))?;
+                    let out = f(&mut buf);
+                    file.write_all_at(&buf, at)
+                        .map_err(|e| Error::Io(format!("writing {page}: {e}")))?;
+                    out
+                }
+            }
+        };
+        self.stats.record_write();
+        Ok(out)
+    }
+
     /// Read a whole page into `buf` (`getbucket(page, buffer)`): a copy
     /// through [`PageStore::with_page`].
     pub fn read(&self, page: PageId, buf: &mut PageBuf) -> Result<()> {
@@ -574,6 +615,86 @@ mod tests {
             s.with_page(PageId(99), |_| ()).unwrap_err(),
             Error::PageFault { page: 99 }
         );
+    }
+
+    #[test]
+    fn with_page_mut_edits_in_place_and_counts_one_write() {
+        let s = store();
+        let p = s.alloc().unwrap();
+        s.write(p, &s.new_buf()).unwrap();
+        let before = s.stats();
+        assert_eq!(
+            s.with_page_mut(p, |bytes| {
+                bytes[7] = 0x5A;
+                bytes.len()
+            })
+            .unwrap(),
+            64
+        );
+        let after = s.stats();
+        assert_eq!(after.writes - before.writes, 1);
+        assert_eq!(after.reads, before.reads, "an edit is not a read");
+        let mut out = s.new_buf();
+        s.read(p, &mut out).unwrap();
+        assert_eq!(out[7], 0x5A);
+        assert!(out.iter().enumerate().all(|(i, &x)| i == 7 || x == 0));
+
+        s.dealloc(p).unwrap();
+        let poisoned = s.stats();
+        assert_eq!(
+            s.with_page_mut(p, |bytes| bytes.fill(0)).unwrap_err(),
+            Error::PageFault { page: p.0 }
+        );
+        assert_eq!(
+            s.with_page_mut(PageId(99), |_| ()).unwrap_err(),
+            Error::PageFault { page: 99 }
+        );
+        assert_eq!(s.stats().writes, poisoned.writes, "a fault writes nothing");
+        assert!(
+            s.with_page(p, |_| ()).is_err(),
+            "the freed page stays poisoned"
+        );
+    }
+
+    #[test]
+    fn with_page_mut_round_trips_on_file_backing() {
+        let dir = std::env::temp_dir().join(format!("ceh-store-edit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("edit.ceh");
+        let cfg = PageStoreConfig {
+            page_size: 128,
+            initial_pages: 0,
+            ..Default::default()
+        };
+        let (a, b);
+        {
+            let s = PageStore::create_file(&path, cfg.clone()).unwrap();
+            a = s.alloc().unwrap();
+            b = s.alloc().unwrap();
+            let mut buf = s.new_buf();
+            buf.fill(0x11);
+            s.write(a, &buf).unwrap();
+            buf.fill(0x22);
+            s.write(b, &buf).unwrap();
+            s.with_page_mut(b, |bytes| bytes[100..].fill(0x33)).unwrap();
+            assert_eq!(s.stats().writes, 3);
+            s.with_page(b, |bytes| {
+                assert!(bytes[..100].iter().all(|&x| x == 0x22));
+                assert!(bytes[100..].iter().all(|&x| x == 0x33));
+            })
+            .unwrap();
+        }
+        let s = PageStore::open_file(&path, cfg).unwrap();
+        let mut buf = s.new_buf();
+        s.read(a, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 0x11), "the neighbour is untouched");
+        s.read(b, &mut buf).unwrap();
+        assert!(buf[..100].iter().all(|&x| x == 0x22));
+        assert!(
+            buf[100..].iter().all(|&x| x == 0x33),
+            "the edit reached the file"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -273,6 +273,63 @@ impl Bucket {
     }
 }
 
+/// The paper's `add(current, z)` on an encoded page, in place: write the
+/// record into slot `count` and bump `count`. The page ends up exactly as
+/// [`Bucket::decode`] → [`Bucket::add`] → [`Bucket::encode`] would leave
+/// it, so an update dirties one slot and the header instead of the page.
+///
+/// Fails with [`Error::Corrupt`], leaving the page untouched, when the
+/// header fails [`BucketView::new`] or the page has no free slot. Like
+/// [`Bucket::add`], the caller has already checked that the key is absent.
+pub fn append_in_place(page: &mut [u8], record: Record) -> Result<()> {
+    let view = BucketView::new(page)?;
+    let count = view.count;
+    if count == Bucket::capacity_for(page.len()) {
+        return Err(Error::Corrupt(format!(
+            "append to a full page of {count} records"
+        )));
+    }
+    debug_assert!(view.search(record.key).is_none(), "add of a present key");
+    let off = BUCKET_HEADER_BYTES + count * RECORD_BYTES;
+    page[off..off + 8].copy_from_slice(&record.key.0.to_le_bytes());
+    page[off + 8..off + 16].copy_from_slice(&record.value.0.to_le_bytes());
+    set_count(page, count + 1);
+    Ok(())
+}
+
+/// The paper's `remove(z, current)` on an encoded page, in place: the
+/// last slot moves into the hole, as [`Bucket::remove`]'s `swap_remove`
+/// does, and `count` drops by one. The page ends up exactly as decode →
+/// remove → encode would leave it. Reports whether anything was removed;
+/// removing an absent key changes nothing.
+///
+/// Fails with [`Error::Corrupt`], leaving the page untouched, when the
+/// header fails [`BucketView::new`].
+pub fn remove_in_place(page: &mut [u8], key: Key) -> Result<bool> {
+    let view = BucketView::new(page)?;
+    let want = key.0.to_le_bytes();
+    let Some(hole) = view.slots().position(|slot| slot[..8] == want) else {
+        return Ok(false);
+    };
+    let last = view.count - 1;
+    if hole != last {
+        let from = BUCKET_HEADER_BYTES + last * RECORD_BYTES;
+        page.copy_within(
+            from..from + RECORD_BYTES,
+            BUCKET_HEADER_BYTES + hole * RECORD_BYTES,
+        );
+    }
+    set_count(page, last);
+    Ok(true)
+}
+
+/// Store a new `count`, and zero the reserved header word next to it as
+/// [`Bucket::encode`] does.
+fn set_count(page: &mut [u8], count: usize) {
+    page[16..20].copy_from_slice(&(count as u32).to_le_bytes());
+    page[36..40].copy_from_slice(&0u32.to_le_bytes());
+}
+
 /// A borrowed, read-only view of an encoded bucket page.
 ///
 /// A Figure 5 find needs three things from a bucket — the wrong-bucket
@@ -330,6 +387,18 @@ impl<'a> BucketView<'a> {
 
     fn u64_at(&self, off: usize) -> u64 {
         u64::from_le_bytes(self.page[off..off + 8].try_into().expect("slice len"))
+    }
+
+    /// Number of records (the paper's `count` field).
+    #[inline]
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The bucket's local depth.
+    #[inline]
+    pub fn localdepth(&self) -> u32 {
+        self.localdepth
     }
 
     /// Does `pk` belong in this bucket? Same test as [`Bucket::owns`]:

@@ -1,6 +1,6 @@
 //! Property tests for the bucket page codec.
 
-use ceh_types::bucket::{Bucket, BucketView};
+use ceh_types::bucket::{append_in_place, remove_in_place, Bucket, BucketView};
 use ceh_types::{Key, ManagerId, PageId, Pseudokey, Record};
 use proptest::prelude::*;
 
@@ -102,6 +102,99 @@ proptest! {
         for pk in inside.chain(pk_seeds.iter().copied()) {
             prop_assert_eq!(view.owns(Pseudokey(pk)), decoded.owns(Pseudokey(pk)));
         }
+    }
+
+    /// Appending in place leaves exactly the bytes decode → add → encode
+    /// leaves, on any encoded bucket (deleted-marked ones included) over a
+    /// page whose slots past `count` hold stale bytes. A full page is an
+    /// error that leaves the page untouched.
+    #[test]
+    fn append_in_place_matches_the_codec(
+        b in arb_bucket(20),
+        deleted in any::<bool>(),
+        slack in 0usize..3,
+        stale in proptest::collection::vec(any::<u8>(), Bucket::page_size_for(22)),
+        key in any::<u64>(),
+        value in any::<u64>(),
+    ) {
+        let mut b = b;
+        if deleted {
+            b.mark_deleted();
+        }
+        let size = Bucket::page_size_for(b.count() + slack);
+        let mut page = stale[..size].to_vec();
+        b.encode(&mut page).unwrap();
+        let record = Record::new(key, value);
+        if slack == 0 {
+            let before = page.clone();
+            prop_assert!(append_in_place(&mut page, record).is_err());
+            prop_assert_eq!(page, before);
+        } else if b.search(Key(key)).is_none() {
+            let mut expected = page.clone();
+            let mut decoded = Bucket::decode(&expected).unwrap();
+            decoded.add(record);
+            decoded.encode(&mut expected).unwrap();
+            append_in_place(&mut page, record).unwrap();
+            prop_assert_eq!(page, expected);
+        }
+    }
+
+    /// Removing in place leaves exactly the bytes decode → remove → encode
+    /// leaves, for resident keys anywhere in the slot order; removing an
+    /// absent key changes nothing.
+    #[test]
+    fn remove_in_place_matches_the_codec(
+        b in arb_bucket(20),
+        deleted in any::<bool>(),
+        slack in 0usize..3,
+        stale in proptest::collection::vec(any::<u8>(), Bucket::page_size_for(22)),
+        pick in any::<usize>(),
+        probe in any::<u64>(),
+    ) {
+        let mut b = b;
+        if deleted {
+            b.mark_deleted();
+        }
+        let size = Bucket::page_size_for(b.count() + slack);
+        let mut page = stale[..size].to_vec();
+        b.encode(&mut page).unwrap();
+        let key = match b.records.get(pick % (b.count() + 1)) {
+            Some(r) => r.key,
+            None => Key(probe),
+        };
+        let mut expected = page.clone();
+        let mut decoded = Bucket::decode(&expected).unwrap();
+        let removed = decoded.remove(key);
+        if removed {
+            decoded.encode(&mut expected).unwrap();
+        }
+        prop_assert_eq!(remove_in_place(&mut page, key).unwrap(), removed);
+        prop_assert_eq!(page, expected);
+    }
+
+    /// A page that fails `BucketView::new` fails both edits and keeps its
+    /// bytes. Half the pages carry the magic, so the depth and count
+    /// checks are what rejects them.
+    #[test]
+    fn in_place_edits_reject_what_the_view_rejects(
+        mut bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        stamp in any::<bool>(),
+        localdepth in 0u32..80,
+        count in 0u32..40,
+        key in any::<u64>(),
+    ) {
+        if stamp && bytes.len() >= 20 {
+            let mut magic = vec![0u8; Bucket::page_size_for(0)];
+            Bucket::new(0, 0).encode(&mut magic).unwrap();
+            bytes[0..4].copy_from_slice(&magic[0..4]);
+            bytes[4..8].copy_from_slice(&localdepth.to_le_bytes());
+            bytes[16..20].copy_from_slice(&count.to_le_bytes());
+        }
+        prop_assume!(BucketView::new(&bytes).is_err());
+        let before = bytes.clone();
+        prop_assert!(append_in_place(&mut bytes, Record::new(key, key)).is_err());
+        prop_assert!(remove_in_place(&mut bytes, Key(key)).is_err());
+        prop_assert_eq!(bytes, before);
     }
 
     /// add/remove/search behave like a set keyed by Key.

@@ -30,6 +30,12 @@ echo "=== benchmark unit tests ==="
 # the oracle and the BENCHMARK.json metric tables.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "=== allocation tests (release) ==="
+# The zero-allocation claims (a warm find; a warm insert or delete that
+# does not restructure) checked on the optimised build the benchmark
+# runs, not only on the debug build of the test run above.
+cargo test -q -p ceh-core --release --test find_allocs --test update_allocs
+
 echo "=== chaos smoke ==="
 CEH_QUICK=1 cargo test -q -p ceh-harness --test chaos
 
