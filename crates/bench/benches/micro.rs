@@ -3,6 +3,7 @@
 //! three lock modes (including the ρ→α conversion that Solution 2's
 //! deadlock-freedom argument leans on).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ceh_locks::{LockId, LockManager, LockMode};
@@ -107,6 +108,30 @@ fn bench_locks(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
         mgr.unlock(bg, id, LockMode::Rho);
+    });
+    // Two callers taking ρ pairs on the directory, the shape of the
+    // in-process benchmark's finds: a partner thread runs pairs for as
+    // long as the measured thread does, so every pair contends for the
+    // directory's lock word.
+    c.bench_function("rho_pair_directory_two_threads", |b| {
+        let stop = Arc::new(AtomicBool::new(false));
+        let partner = {
+            let (mgr, stop) = (Arc::clone(&mgr), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    let o = mgr.new_owner();
+                    mgr.lock(o, LockId::Directory, LockMode::Rho);
+                    mgr.unlock(o, LockId::Directory, LockMode::Rho);
+                }
+            })
+        };
+        b.iter(|| {
+            let o = mgr.new_owner();
+            mgr.lock(o, LockId::Directory, LockMode::Rho);
+            mgr.unlock(o, LockId::Directory, LockMode::Rho);
+        });
+        stop.store(true, Ordering::Release);
+        partner.join().unwrap();
     });
 }
 

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ceh_core::{ConcurrentHashFile, Solution1, Solution2};
-use ceh_types::{HashFileConfig, Key, Value};
+use ceh_types::{Error, HashFileConfig, Key, Value};
 
 const THREADS: u64 = 4;
 const OPS_PER_THREAD: u64 = 2_000;
@@ -102,6 +102,66 @@ fn solution1_ops_issued_equal_ops_counted() {
 fn solution2_ops_issued_equal_ops_counted() {
     let f = Solution2::new(HashFileConfig::tiny().with_bucket_capacity(8)).unwrap();
     check_conservation(Arc::new(f));
+}
+
+/// An operation that fails mid-protocol drops its locks with
+/// `release_all`; each lock it drops must count as a release, or the
+/// grants/releases balance breaks after every error. A one-record bucket
+/// under a depth-2 directory runs out of directory within a few inserts.
+#[test]
+fn grants_balance_releases_after_a_failed_insert() {
+    let f = Solution2::new(
+        HashFileConfig::tiny()
+            .with_bucket_capacity(1)
+            .with_max_depth(2),
+    )
+    .unwrap();
+    let mut failed = false;
+    for k in 0..64 {
+        match f.insert(Key(k), Value(k)) {
+            Ok(_) => {}
+            Err(Error::DirectoryFull { .. }) => {
+                failed = true;
+                break;
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    assert!(failed, "the directory filled up");
+    f.flush_gc();
+    let m = f.metrics().snapshot();
+    assert_eq!(
+        m.counter("locks.grants.rho")
+            + m.counter("locks.grants.alpha")
+            + m.counter("locks.grants.xi"),
+        m.counter("locks.releases"),
+        "every grant released, the failed insert's included"
+    );
+    assert_eq!(f.core().locks().total_granted(), 0);
+}
+
+/// Finds that nobody contends with are granted on the lock words alone:
+/// none of them reaches the waiter table.
+#[test]
+fn uncontended_finds_stay_off_the_waiter_table() {
+    let f = Solution2::new(HashFileConfig::tiny().with_bucket_capacity(8)).unwrap();
+    for k in 0..256 {
+        f.insert(Key(k), Value(k)).unwrap();
+    }
+    let before = f.metrics().snapshot();
+    for i in 0..10_000u64 {
+        f.find(Key(i % 512)).unwrap();
+    }
+    let after = f.metrics().snapshot();
+    assert_eq!(
+        after.counter("locks.slow_path") - before.counter("locks.slow_path"),
+        0
+    );
+    assert_eq!(
+        after.counter("locks.grants.rho") - before.counter("locks.grants.rho"),
+        20_000,
+        "two ρ grants per find"
+    );
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! Figure 7's release-and-relock dance). Guards exist for user-facing code
 //! and for tests that want panic-safety.
 
-use crate::manager::{LockManager, OwnerId};
+use crate::manager::LockManager;
 use crate::mode::{LockId, LockMode};
+use crate::owners::OwnerId;
 
 /// An RAII guard that releases its lock on drop.
 #[must_use = "dropping the guard releases the lock immediately"]

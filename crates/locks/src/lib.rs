@@ -29,6 +29,15 @@
 //!   waiting ξ would deadlock; bypassing is both safe and faithful;
 //! * **reentrancy**: the same owner may acquire the same (resource, mode)
 //!   multiple times; counts nest;
+//! * **a lock word per resource**: one `AtomicU64` holding a ρ-holder
+//!   count, an α bit, a ξ bit and a `QUEUED` bit. An uncontended grant is
+//!   one CAS on it and a release one `fetch_sub`. The sharded waiter table
+//!   holds only the requests that found the word queued or conflicting
+//!   (counted in `locks.slow_path`); `QUEUED` is set exactly while a
+//!   resource has waiters, which keeps newcomers behind them. Each
+//!   owner's grants are kept in its thread's *home* rather than in a
+//!   shared table, so two callers of uncontended operations write no
+//!   common cache line but the resource's word;
 //! * **statistics** ([`LockStats`]) — grants, waits, wait time by mode —
 //!   consumed by the benchmark harness;
 //! * **wait-point hooks** ([`WaitHook`]): the acquire/block/release seam
@@ -51,13 +60,17 @@ mod guard;
 mod hook;
 mod manager;
 mod mode;
+mod owners;
+mod seg;
 pub mod shadow;
 mod stats;
 mod version;
+mod word;
 
 pub use guard::LockGuard;
 pub use hook::WaitHook;
-pub use manager::{LockManager, LockManagerConfig, OwnerId};
+pub use manager::{LockManager, LockManagerConfig};
 pub use mode::{compatible, LockId, LockMode};
+pub use owners::OwnerId;
 pub use stats::{lock_trace_target, LockStats, LockStatsSnapshot};
 pub use version::VersionWord;

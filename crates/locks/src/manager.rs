@@ -1,8 +1,14 @@
 //! The lock manager.
+//!
+//! A grant lives in two places: the resource's lock word ([`crate::word`])
+//! and the owner's home ([`crate::owners`]). An uncontended request
+//! touches only those two — a CAS on the word, and the owner's home,
+//! which no other thread writes. The sharded waiter table holds just the
+//! requests that found the word queued or conflicting; only they, and a
+//! release that finds the word queued, take a shard mutex.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,21 +16,14 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::hook::WaitHook;
 use crate::mode::{compatible, LockId, LockMode};
+use crate::owners::{own_bits, Held, Home, OwnerId, Owners};
 use crate::stats::{LockStats, LockStatsSnapshot};
-
-/// Identifies a lock-holding process (one logical operation).
-///
-/// The paper's "processes" map to operations here, not OS threads: each
-/// `find`/`insert`/`delete` call takes a fresh owner from
-/// [`LockManager::new_owner`], so a thread running operations back to back
-/// never accidentally inherits locks across operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OwnerId(pub u64);
+use crate::word::{self, Words, QUEUED};
 
 /// Configuration for a [`LockManager`].
 #[derive(Debug, Clone)]
 pub struct LockManagerConfig {
-    /// Number of lock-table shards (rounded up to a power of two).
+    /// Number of waiter-table shards (rounded up to a power of two).
     pub shards: usize,
     /// If set, a waiter that has blocked for this long runs the deadlock
     /// detector and panics with the cycle if it is part of one. Armed by
@@ -41,13 +40,6 @@ impl Default for LockManagerConfig {
     }
 }
 
-#[derive(Debug)]
-struct Grant {
-    owner: OwnerId,
-    mode: LockMode,
-    count: u32,
-}
-
 /// The ticket an immediate grant is checked with: behind every waiter.
 const LAST_IN_LINE: u64 = u64::MAX;
 
@@ -56,11 +48,12 @@ struct Waiter {
     owner: OwnerId,
     mode: LockMode,
     ticket: u64,
+    is_conversion: bool,
 }
 
+/// The requests waiting on one resource.
 #[derive(Debug, Default)]
-struct ResourceState {
-    granted: Vec<Grant>,
+struct Waiters {
     /// Conversion requests: owner already holds some lock on the resource.
     /// Checked against granted locks (and earlier conversions) only —
     /// never queued behind ordinary waiters. See crate docs.
@@ -69,33 +62,20 @@ struct ResourceState {
     queue: Vec<Waiter>,
 }
 
-impl ResourceState {
-    fn is_empty(&self) -> bool {
-        self.granted.is_empty() && self.conversions.is_empty() && self.queue.is_empty()
+impl Waiters {
+    fn len(&self) -> usize {
+        self.conversions.len() + self.queue.len()
     }
 
-    fn holds(&self, owner: OwnerId) -> bool {
-        self.granted.iter().any(|g| g.owner == owner)
-    }
-
-    /// May `(owner, mode)` — positioned either in the conversion list or
-    /// the ordinary queue with ticket `ticket` — be granted now?
-    fn grantable(&self, owner: OwnerId, mode: LockMode, is_conversion: bool, ticket: u64) -> bool {
-        // Compatible with every lock granted to a different owner. Own
-        // grants are ignored: Figure 8's inserter holds ρ and α on the
-        // directory simultaneously.
-        if self
-            .granted
-            .iter()
-            .any(|g| g.owner != owner && !compatible(mode, g.mode))
-        {
-            return false;
-        }
+    /// Do the waiters let `(owner, mode)` — a conversion or not, holding
+    /// ticket `ticket` — past? Grants are the word's business.
+    fn admit(&self, owner: OwnerId, mode: LockMode, is_conversion: bool, ticket: u64) -> bool {
+        let blocks = |w: &Waiter| w.owner != owner && !compatible(mode, w.mode);
         // FIFO among conversions.
         if self
             .conversions
             .iter()
-            .any(|c| c.ticket < ticket && c.owner != owner && !compatible(mode, c.mode))
+            .any(|c| c.ticket < ticket && blocks(c))
         {
             return false;
         }
@@ -109,94 +89,47 @@ impl ResourceState {
         // earlier ordinary waiters: FIFO "subject to the compatibility
         // relationship" (§2.3). Without this, readers would starve a
         // waiting ξ forever.
-        if self
-            .conversions
+        !self.conversions.iter().any(blocks)
+            && !self.queue.iter().any(|w| w.ticket < ticket && blocks(w))
+    }
+
+    fn remove(&mut self, w: &Waiter) {
+        let list = if w.is_conversion {
+            &mut self.conversions
+        } else {
+            &mut self.queue
+        };
+        let pos = list
             .iter()
-            .any(|c| c.owner != owner && !compatible(mode, c.mode))
-        {
-            return false;
-        }
-        !self
-            .queue
-            .iter()
-            .any(|w| w.ticket < ticket && w.owner != owner && !compatible(mode, w.mode))
+            .position(|x| x.ticket == w.ticket)
+            .expect("waiter not in its queue");
+        list.remove(pos);
     }
 }
 
-/// A multiply-mix hasher for [`LockId`]s (FxHash's step). A lock id is a
-/// discriminant plus at most one page number, chosen by the protocols
-/// rather than by an adversary, so SipHash's flood resistance buys
-/// nothing here and one multiply per word is mixing enough.
-#[derive(Default)]
-struct LockIdHasher(u64);
-
-impl Hasher for LockIdHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn write_isize(&mut self, n: isize) {
-        self.write_u64(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type LockIdHash = BuildHasherDefault<LockIdHasher>;
-
-/// Emptied resource states a shard keeps for reuse, so an uncontended
-/// lock/unlock pair neither allocates a fresh state (nor the `granted`
-/// vector inside it) nor frees one.
-const SPARE_STATES: usize = 8;
-
-/// One shard's lock table.
+/// One shard's waiter table.
 #[derive(Default)]
 struct Table {
-    resources: HashMap<LockId, ResourceState, LockIdHash>,
-    spare: Vec<ResourceState>,
-}
-
-impl Table {
-    /// The state of `id`, created (from a spare if one is left) when the
-    /// resource has no grants or waiters yet.
-    fn entry(&mut self, id: LockId) -> &mut ResourceState {
-        let spare = &mut self.spare;
-        self.resources
-            .entry(id)
-            .or_insert_with(|| spare.pop().unwrap_or_default())
-    }
-
-    /// Drop `id`'s state, which has no grants and no waiters left,
-    /// keeping it (its vectors' capacity included) as a spare.
-    fn retire(&mut self, id: LockId) {
-        let rs = self.resources.remove(&id).expect("retiring a live state");
-        debug_assert!(rs.is_empty(), "retiring {id} with grants or waiters");
-        if self.spare.len() < SPARE_STATES {
-            self.spare.push(rs);
-        }
-    }
+    waiting: HashMap<LockId, Waiters>,
+    next_ticket: u64,
 }
 
 struct Shard {
-    state: Mutex<Table>,
+    table: Mutex<Table>,
     cv: Condvar,
+}
+
+/// Where a request stands when it attempts a grant under the shard
+/// mutex.
+#[derive(Clone, Copy, PartialEq)]
+enum Stage {
+    /// A `try_lock`: never queues.
+    Probe,
+    /// A blocking request not yet queued: if blocked, it marks the word
+    /// `QUEUED` and the caller queues it before releasing the mutex.
+    Arriving,
+    /// In the waiter table.
+    Queued,
 }
 
 /// The three-mode lock manager. See the crate docs for semantics.
@@ -220,10 +153,10 @@ struct Shard {
 /// mgr.unlock(deleter, LockId::Directory, LockMode::Xi);
 /// ```
 pub struct LockManager {
+    words: Words,
+    owners: Arc<Owners>,
     shards: Box<[Shard]>,
     shard_mask: usize,
-    next_owner: AtomicU64,
-    next_ticket: AtomicU64,
     watchdog: Option<Duration>,
     stats: LockStats,
     /// Fast-path flag for `wait_hook` (one relaxed load when unset).
@@ -259,19 +192,16 @@ impl LockManager {
         let n = cfg.shards.max(1).next_power_of_two();
         let shards = (0..n)
             .map(|_| Shard {
-                state: Mutex::new(Table {
-                    resources: HashMap::default(),
-                    spare: Vec::with_capacity(SPARE_STATES),
-                }),
+                table: Mutex::new(Table::default()),
                 cv: Condvar::new(),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
         LockManager {
+            words: Words::new(),
+            owners: Owners::new(),
             shards,
             shard_mask: n - 1,
-            next_owner: AtomicU64::new(1),
-            next_ticket: AtomicU64::new(1),
             watchdog: cfg.watchdog,
             stats: LockStats::with_handle(metrics),
             hooked: AtomicBool::new(false),
@@ -302,9 +232,11 @@ impl LockManager {
         self.wait_hook.lock().clone()
     }
 
-    /// Allocate a fresh owner token for one logical operation.
+    /// Allocate a fresh owner token for one logical operation. Ids are
+    /// numbered per thread (see the `owners` module), so issuing one
+    /// writes nothing another thread writes.
     pub fn new_owner(&self) -> OwnerId {
-        OwnerId(self.next_owner.fetch_add(1, Ordering::Relaxed))
+        self.owners.new_owner()
     }
 
     /// Lock statistics so far.
@@ -318,10 +250,11 @@ impl LockManager {
     }
 
     fn shard(&self, id: LockId) -> &Shard {
-        // The high half of the mix picks the shard; the table inside
-        // indexes by the low bits of the same hash.
-        let h = LockIdHash::default().hash_one(id);
-        &self.shards[((h >> 32) as usize) & self.shard_mask]
+        let i = match id {
+            LockId::Directory => 0,
+            LockId::Page(p) => (p.0 as usize).wrapping_add(1),
+        };
+        &self.shards[i & self.shard_mask]
     }
 
     /// Acquire `mode` on `id` for `owner`, blocking until granted.
@@ -330,174 +263,196 @@ impl LockManager {
     /// holds nests. An owner holding *any* lock on the resource makes this
     /// a conversion-style request (queue bypass; see crate docs).
     ///
-    /// A request draws a FIFO ticket only when it has to wait. An
-    /// immediate grant is checked as if it were last in line: every
-    /// waiter already on the resource drew its ticket earlier, while
-    /// holding this shard's mutex, so "behind all of them" is exactly
-    /// where a fresh ticket would have put it. A ticket drawn now, under
-    /// the same mutex, is again larger than all of theirs.
+    /// The fast path is one CAS on the resource's word, taken when nobody
+    /// waits on the resource and no other owner's grant conflicts. Any
+    /// other request goes to the waiter table.
     pub fn lock(&self, owner: OwnerId, id: LockId, mode: LockMode) {
         let hook = self.hook();
         if let Some(h) = &hook {
             h.at_acquire(owner, id, mode);
         }
         let target = crate::stats::lock_trace_target(id);
-        let shard = self.shard(id);
-        let mut state = shard.state.lock();
-        let rs = state.entry(id);
-
-        // Reentrant same-mode acquisition.
-        if let Some(g) = rs
-            .granted
-            .iter_mut()
-            .find(|g| g.owner == owner && g.mode == mode)
-        {
-            g.count += 1;
-            self.stats.record_grant(mode, false, target);
-            drop(state);
-            if let Some(h) = &hook {
-                h.at_granted(owner, id, mode);
+        let home = self.owners.home(owner);
+        match self.grant_fast(home, owner, id, mode) {
+            Some(is_conversion) => {
+                self.stats.record_grant(mode, false, target);
+                if is_conversion {
+                    self.stats.record_conversion(target);
+                }
             }
-            return;
+            None => self.lock_slow(home, owner, id, mode, hook.as_ref(), target),
         }
+        if let Some(h) = &hook {
+            h.at_granted(owner, id, mode);
+        }
+    }
 
-        let is_conversion = rs.holds(owner);
-        if rs.grantable(owner, mode, is_conversion, LAST_IN_LINE) {
-            rs.granted.push(Grant {
-                owner,
-                mode,
-                count: 1,
-            });
+    /// Grant without the waiter table if the request nests, or if the
+    /// word takes it in one CAS. `Some(is_conversion)` when granted
+    /// (`false` for a nested acquisition).
+    #[inline]
+    fn grant_fast(&self, home: &Home, owner: OwnerId, id: LockId, mode: LockMode) -> Option<bool> {
+        let mut held = home.held.lock();
+        // Reentrant same-mode acquisition.
+        if let Some(h) = held
+            .iter_mut()
+            .find(|h| h.owner == owner && h.id == id && h.mode == mode)
+        {
+            h.count += 1;
+            return Some(false);
+        }
+        let own = own_bits(&held, owner, id);
+        if !word::try_grant(self.words.get(id), own, mode) {
+            return None;
+        }
+        held.push(Held {
+            owner,
+            id,
+            mode,
+            count: 1,
+        });
+        Some(own != 0)
+    }
+
+    /// Attempt to grant `req` under `table` (its shard's mutex). A
+    /// blocked [`Stage::Arriving`] request sets `QUEUED` in the CAS that
+    /// confirms the word it was judged against, so no release can slip
+    /// between the judgement and the mark unnoticed. A granted waiter
+    /// leaves the table; the last one clears `QUEUED` in the CAS that
+    /// takes its grant. While the mutex is held, `QUEUED` is set exactly
+    /// when the resource has waiters.
+    fn attempt(
+        &self,
+        table: &mut Table,
+        home: &Home,
+        id: LockId,
+        req: &Waiter,
+        stage: Stage,
+    ) -> bool {
+        let word = self.words.get(id);
+        let mut held = home.held.lock();
+        let own = own_bits(&held, req.owner, id);
+        let (admitted, waiting) = table.waiting.get(&id).map_or((true, 0), |ws| {
+            (
+                ws.admit(req.owner, req.mode, req.is_conversion, req.ticket),
+                ws.len(),
+            )
+        });
+        let clear = if stage == Stage::Queued && waiting == 1 {
+            QUEUED
+        } else {
+            0
+        };
+        let mut cur = word.load(Ordering::Acquire);
+        loop {
+            let grant = admitted && !word::conflicts(cur, own, req.mode);
+            let next = if grant {
+                cur + word::bit(req.mode) - clear
+            } else if stage == Stage::Arriving && cur & QUEUED == 0 {
+                cur | QUEUED
+            } else {
+                return false;
+            };
+            match word.compare_exchange(cur, next, Ordering::Acquire, Ordering::Acquire) {
+                Ok(_) if grant => break,
+                Ok(_) => return false,
+                Err(now) => cur = now,
+            }
+        }
+        held.push(Held {
+            owner: req.owner,
+            id,
+            mode: req.mode,
+            count: 1,
+        });
+        drop(held);
+        if stage == Stage::Queued {
+            let ws = table.waiting.get_mut(&id).expect("queued resource");
+            ws.remove(req);
+            if ws.len() == 0 {
+                table.waiting.remove(&id);
+            }
+        }
+        true
+    }
+
+    /// Queue `(owner, mode)` on `id` and wait until it is granted.
+    fn lock_slow(
+        &self,
+        home: &Home,
+        owner: OwnerId,
+        id: LockId,
+        mode: LockMode,
+        hook: Option<&Arc<dyn WaitHook>>,
+        target: u64,
+    ) {
+        self.stats.record_slow_path();
+        let is_conversion = own_bits(&home.held.lock(), owner, id) != 0;
+        let mut me = Waiter {
+            owner,
+            mode,
+            ticket: LAST_IN_LINE,
+            is_conversion,
+        };
+        let shard = self.shard(id);
+        let mut table = shard.table.lock();
+        if self.attempt(&mut table, home, id, &me, Stage::Arriving) {
             self.stats.record_grant(mode, false, target);
             if is_conversion {
                 self.stats.record_conversion(target);
             }
-            drop(state);
-            if let Some(h) = &hook {
-                h.at_granted(owner, id, mode);
-            }
             return;
         }
-
-        // Must wait.
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let waiter = Waiter {
-            owner,
-            mode,
-            ticket,
-        };
+        // Must wait: the word is marked queued, so join the table under
+        // the same mutex hold. A ticket drawn under the shard mutex is
+        // larger than every ticket already queued on the resource.
+        me.ticket = table.next_ticket;
+        table.next_ticket += 1;
+        let ws = table.waiting.entry(id).or_default();
         if is_conversion {
-            rs.conversions.push(waiter);
+            ws.conversions.push(me);
         } else {
-            rs.queue.push(waiter);
+            ws.queue.push(me);
         }
         let wait_span = self.stats.record_wait_start(mode, target);
         let wait_started = Instant::now();
-        // Hook-driven waiting: the scheduler decides when to re-check, the
-        // condvar is never used (the releaser's notify is harmless).
-        if let Some(h) = hook {
-            loop {
-                drop(state);
-                h.at_block(owner, id, mode);
-                state = shard.state.lock();
-                let rs = state
-                    .resources
-                    .get_mut(&id)
-                    .expect("resource with waiter vanished");
-                if rs.grantable(owner, mode, is_conversion, ticket) {
-                    Self::promote(rs, owner, mode, is_conversion, ticket);
-                    self.stats
-                        .record_wait_end(wait_span, mode, target, wait_started.elapsed());
-                    if is_conversion {
-                        self.stats.record_conversion(target);
-                    }
-                    drop(state);
-                    h.at_granted(owner, id, mode);
-                    return;
-                }
-            }
-        }
         loop {
-            match self.watchdog {
-                Some(d) => {
-                    let timed_out = shard.cv.wait_for(&mut state, d).timed_out();
-                    if timed_out {
-                        // Re-check before running the detector: we may have
-                        // become grantable while timing out.
-                        let rs = state
-                            .resources
-                            .get_mut(&id)
-                            .expect("resource with waiter vanished");
-                        if rs.grantable(owner, mode, is_conversion, ticket) {
-                            Self::promote(rs, owner, mode, is_conversion, ticket);
-                            self.stats.record_wait_end(
-                                wait_span,
-                                mode,
-                                target,
-                                wait_started.elapsed(),
-                            );
-                            drop(state);
-                            if let Some(h) = self.hook() {
-                                h.at_granted(owner, id, mode);
+            match hook {
+                // Hook-driven waiting: the scheduler decides when to
+                // re-check; the condvar is never used (the releaser's
+                // notify is harmless).
+                Some(h) => {
+                    drop(table);
+                    h.at_block(owner, id, mode);
+                    table = shard.table.lock();
+                }
+                None => match self.watchdog {
+                    None => shard.cv.wait(&mut table),
+                    Some(d) => {
+                        if shard.cv.wait_for(&mut table, d).timed_out() {
+                            drop(table);
+                            if let Some(cycle) = self.detect_deadlock() {
+                                panic!(
+                                    "deadlock detected while {owner:?} waits for {mode} on \
+                                     {id}: cycle {cycle:?}\n{}",
+                                    self.dump()
+                                );
                             }
-                            return;
+                            table = shard.table.lock();
                         }
-                        drop(state);
-                        if let Some(cycle) = self.detect_deadlock() {
-                            panic!(
-                                "deadlock detected while {owner:?} waits for {mode} on {id}: \
-                                 cycle {cycle:?}\n{}",
-                                self.dump()
-                            );
-                        }
-                        state = shard.state.lock();
-                        continue;
                     }
-                }
-                None => shard.cv.wait(&mut state),
+                },
             }
-            let rs = state
-                .resources
-                .get_mut(&id)
-                .expect("resource with waiter vanished");
-            if rs.grantable(owner, mode, is_conversion, ticket) {
-                Self::promote(rs, owner, mode, is_conversion, ticket);
-                self.stats
-                    .record_wait_end(wait_span, mode, target, wait_started.elapsed());
-                if is_conversion {
-                    self.stats.record_conversion(target);
-                }
-                drop(state);
-                if let Some(h) = self.hook() {
-                    h.at_granted(owner, id, mode);
-                }
-                return;
+            if self.attempt(&mut table, home, id, &me, Stage::Queued) {
+                break;
             }
         }
-    }
-
-    fn promote(
-        rs: &mut ResourceState,
-        owner: OwnerId,
-        mode: LockMode,
-        is_conversion: bool,
-        ticket: u64,
-    ) {
-        let list = if is_conversion {
-            &mut rs.conversions
-        } else {
-            &mut rs.queue
-        };
-        let pos = list
-            .iter()
-            .position(|w| w.ticket == ticket)
-            .expect("waiter not in its queue");
-        list.remove(pos);
-        rs.granted.push(Grant {
-            owner,
-            mode,
-            count: 1,
-        });
+        drop(table);
+        self.stats
+            .record_wait_end(wait_span, mode, target, wait_started.elapsed());
+        if is_conversion {
+            self.stats.record_conversion(target);
+        }
     }
 
     /// Try to acquire without blocking. Returns whether the lock was
@@ -508,43 +463,32 @@ impl LockManager {
         if let Some(h) = &hook {
             h.at_acquire(owner, id, mode);
         }
-        let target = crate::stats::lock_trace_target(id);
-        let shard = self.shard(id);
-        let mut state = shard.state.lock();
-        let rs = state.entry(id);
-        if let Some(g) = rs
-            .granted
-            .iter_mut()
-            .find(|g| g.owner == owner && g.mode == mode)
-        {
-            g.count += 1;
-            self.stats.record_grant(mode, false, target);
-            drop(state);
+        let home = self.owners.home(owner);
+        let granted = self.grant_fast(home, owner, id, mode).is_some() || {
+            // Only a queued word that the grants alone would admit needs
+            // the waiter lists' verdict.
+            let own = own_bits(&home.held.lock(), owner, id);
+            let cur = self.words.get(id).load(Ordering::Acquire);
+            cur & QUEUED != 0 && !word::conflicts(cur, own, mode) && {
+                self.stats.record_slow_path();
+                let req = Waiter {
+                    owner,
+                    mode,
+                    ticket: LAST_IN_LINE,
+                    is_conversion: own != 0,
+                };
+                let mut table = self.shard(id).table.lock();
+                self.attempt(&mut table, home, id, &req, Stage::Probe)
+            }
+        };
+        if granted {
+            self.stats
+                .record_grant(mode, false, crate::stats::lock_trace_target(id));
             if let Some(h) = &hook {
                 h.at_granted(owner, id, mode);
             }
-            return true;
         }
-        // Never enqueues, so never needs a ticket (see `lock`).
-        let is_conversion = rs.holds(owner);
-        if rs.grantable(owner, mode, is_conversion, LAST_IN_LINE) {
-            rs.granted.push(Grant {
-                owner,
-                mode,
-                count: 1,
-            });
-            self.stats.record_grant(mode, false, target);
-            drop(state);
-            if let Some(h) = &hook {
-                h.at_granted(owner, id, mode);
-            }
-            true
-        } else {
-            if rs.is_empty() {
-                state.retire(id);
-            }
-            false
-        }
+        granted
     }
 
     /// Release one acquisition of `mode` on `id` by `owner`.
@@ -552,85 +496,97 @@ impl LockManager {
     /// Panics if the owner does not hold such a lock — in this codebase
     /// that is always a protocol-transcription bug worth failing loudly on.
     pub fn unlock(&self, owner: OwnerId, id: LockId, mode: LockMode) {
-        let shard = self.shard(id);
-        let mut state = shard.state.lock();
-        let rs = state
-            .resources
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("{owner:?} unlocking {mode} on {id}: resource not locked"));
-        let pos = rs
-            .granted
+        let home = self.owners.home(owner);
+        let mut held = home.held.lock();
+        let Some(pos) = held
             .iter()
-            .position(|g| g.owner == owner && g.mode == mode)
-            .unwrap_or_else(|| panic!("{owner:?} unlocking {mode} on {id}: not held"));
-        rs.granted[pos].count -= 1;
-        if rs.granted[pos].count == 0 {
-            rs.granted.remove(pos);
-        }
+            .position(|h| h.owner == owner && h.id == id && h.mode == mode)
+        else {
+            drop(held);
+            panic!("{owner:?} unlocking {mode} on {id}: not held");
+        };
+        held[pos].count -= 1;
+        let queued = held[pos].count == 0 && {
+            held.remove(pos);
+            word::release(self.words.get(id), mode) & QUEUED != 0
+        };
+        drop(held);
         self.stats.record_release(mode);
-        let has_waiters = !rs.conversions.is_empty() || !rs.queue.is_empty();
-        if rs.is_empty() {
-            state.retire(id);
-        }
-        drop(state);
-        if has_waiters {
-            shard.cv.notify_all();
+        if queued {
+            self.wake(id);
         }
         if let Some(h) = self.hook() {
             h.at_release(owner, id, mode);
         }
     }
 
-    /// Release *all* locks held by `owner` (panic-recovery in tests and
-    /// guard teardown).
+    /// Wake the waiters of `id` after a release found its word queued.
+    /// Taking the mutex orders the wake-up after any waiter that marked
+    /// the word has parked on the condvar.
+    fn wake(&self, id: LockId) {
+        let shard = self.shard(id);
+        drop(shard.table.lock());
+        shard.cv.notify_all();
+    }
+
+    /// Release *all* locks held by `owner` (error paths, panic recovery
+    /// in tests). Each nested acquisition counts as one release and fires
+    /// [`WaitHook::at_release`], as the matching `unlock` calls would.
     pub fn release_all(&self, owner: OwnerId) {
-        for shard in self.shards.iter() {
-            let mut state = shard.state.lock();
-            let mut touched = false;
-            state.resources.retain(|_, rs| {
-                let before = rs.granted.len();
-                rs.granted.retain(|g| g.owner != owner);
-                touched |= rs.granted.len() != before;
-                !rs.is_empty()
-            });
-            drop(state);
-            if touched {
-                shard.cv.notify_all();
+        let home = self.owners.home(owner);
+        let mut released = Vec::new();
+        home.held.lock().retain(|h| {
+            if h.owner != owner {
+                return true;
+            }
+            let queued = word::release(self.words.get(h.id), h.mode) & QUEUED != 0;
+            released.push((*h, queued));
+            false
+        });
+        if released.is_empty() {
+            return;
+        }
+        let hook = self.hook();
+        for (h, queued) in released {
+            if queued {
+                self.wake(h.id);
+            }
+            for _ in 0..h.count {
+                self.stats.record_release(h.mode);
+                if let Some(hk) = &hook {
+                    hk.at_release(owner, h.id, h.mode);
+                }
             }
         }
     }
 
     /// The modes `owner` currently holds on `id` (diagnostic).
     pub fn held(&self, owner: OwnerId, id: LockId) -> Vec<LockMode> {
-        let shard = self.shard(id);
-        let state = shard.state.lock();
-        state
-            .resources
-            .get(&id)
-            .map(|rs| {
-                rs.granted
-                    .iter()
-                    .filter(|g| g.owner == owner)
-                    .map(|g| g.mode)
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.owners
+            .home(owner)
+            .held
+            .lock()
+            .iter()
+            .filter(|h| h.owner == owner && h.id == id)
+            .map(|h| h.mode)
+            .collect()
     }
 
     /// Total number of locks currently granted (diagnostic; quiescent
     /// tests assert this returns 0).
     pub fn total_granted(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.state
-                    .lock()
-                    .resources
-                    .values()
-                    .map(|rs| rs.granted.len())
-                    .sum::<usize>()
-            })
-            .sum()
+        self.owners.homes().map(|h| h.held.lock().len()).sum()
+    }
+
+    /// Every grant, by resource. Takes each home's mutex in turn.
+    fn holders(&self) -> HashMap<LockId, Vec<Held>> {
+        let mut by_id: HashMap<LockId, Vec<Held>> = HashMap::new();
+        for home in self.owners.homes() {
+            for h in home.held.lock().iter() {
+                by_id.entry(h.id).or_default().push(*h);
+            }
+        }
+        by_id
     }
 
     /// Build the waits-for graph and look for a cycle. Returns the owners
@@ -641,51 +597,44 @@ impl LockManager {
     /// earlier incompatible waiter on the same resource (conversions wait
     /// only on grants and earlier conversions).
     pub fn detect_deadlock(&self) -> Option<Vec<OwnerId>> {
-        // Snapshot all shards. Shard mutexes are leaves (no lock calls
-        // nest inside them), so taking them in order cannot deadlock with
-        // anything.
+        // Hold every shard while reading the homes, so the waiters and
+        // the grants are one snapshot. Shard mutexes are taken before home
+        // mutexes everywhere, and no lock call nests inside either.
+        let tables: Vec<_> = self.shards.iter().map(|s| s.table.lock()).collect();
+        let holders = self.holders();
         let mut edges: HashMap<OwnerId, Vec<OwnerId>> = HashMap::new();
-        for shard in self.shards.iter() {
-            let state = shard.state.lock();
-            for rs in state.resources.values() {
-                let mut consider = |w: &Waiter, include_queue_fifo: bool| {
+        for table in &tables {
+            for (id, ws) in &table.waiting {
+                let granted = holders.get(id).map_or(&[][..], Vec::as_slice);
+                let mut consider = |w: &Waiter| {
                     let out = edges.entry(w.owner).or_default();
-                    for g in &rs.granted {
-                        if g.owner != w.owner && !compatible(w.mode, g.mode) {
+                    let blocks = |owner: OwnerId, mode: LockMode| {
+                        owner != w.owner && !compatible(w.mode, mode)
+                    };
+                    for g in granted {
+                        if blocks(g.owner, g.mode) {
                             out.push(g.owner);
                         }
                     }
-                    for c in &rs.conversions {
-                        if c.ticket < w.ticket && c.owner != w.owner && !compatible(w.mode, c.mode)
-                        {
+                    for c in &ws.conversions {
+                        // Ordinary waiters also wait on all conversions.
+                        if (c.ticket < w.ticket || !w.is_conversion) && blocks(c.owner, c.mode) {
                             out.push(c.owner);
                         }
                     }
-                    if include_queue_fifo {
-                        for q in &rs.queue {
-                            if q.ticket < w.ticket
-                                && q.owner != w.owner
-                                && !compatible(w.mode, q.mode)
-                            {
+                    if !w.is_conversion {
+                        for q in &ws.queue {
+                            if q.ticket < w.ticket && blocks(q.owner, q.mode) {
                                 out.push(q.owner);
-                            }
-                        }
-                        // Ordinary waiters also wait on all conversions.
-                        for c in &rs.conversions {
-                            if c.owner != w.owner && !compatible(w.mode, c.mode) {
-                                out.push(c.owner);
                             }
                         }
                     }
                 };
-                for c in &rs.conversions {
-                    consider(c, false);
-                }
-                for w in &rs.queue {
-                    consider(w, true);
-                }
+                ws.conversions.iter().for_each(&mut consider);
+                ws.queue.iter().for_each(&mut consider);
             }
         }
+        drop(tables);
         // DFS cycle detection.
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
@@ -736,32 +685,43 @@ impl LockManager {
         None
     }
 
-    /// Human-readable dump of the lock table (diagnostics on watchdog
-    /// panic).
+    /// Human-readable dump of the grants and waiters (diagnostics on
+    /// watchdog panic).
     pub fn dump(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for shard in self.shards.iter() {
-            let state = shard.state.lock();
-            for (id, rs) in state.resources.iter() {
-                let _ = writeln!(out, "{id}:");
-                for g in &rs.granted {
-                    let _ = writeln!(out, "  granted {} to {:?} x{}", g.mode, g.owner, g.count);
-                }
-                for c in &rs.conversions {
-                    let _ = writeln!(
-                        out,
-                        "  converting {} for {:?} (t{})",
-                        c.mode, c.owner, c.ticket
-                    );
-                }
-                for w in &rs.queue {
-                    let _ = writeln!(
-                        out,
-                        "  waiting {} for {:?} (t{})",
-                        w.mode, w.owner, w.ticket
-                    );
-                }
+        let tables: Vec<_> = self.shards.iter().map(|s| s.table.lock()).collect();
+        let mut holders = self.holders();
+        for table in &tables {
+            for id in table.waiting.keys() {
+                holders.entry(*id).or_default();
+            }
+        }
+        for (id, granted) in &holders {
+            let _ = writeln!(
+                out,
+                "{id}: word {:#x}",
+                self.words.get(*id).load(Ordering::Acquire)
+            );
+            for g in granted {
+                let _ = writeln!(out, "  granted {} to {:?} x{}", g.mode, g.owner, g.count);
+            }
+            let Some(ws) = tables.iter().find_map(|t| t.waiting.get(id)) else {
+                continue;
+            };
+            for c in &ws.conversions {
+                let _ = writeln!(
+                    out,
+                    "  converting {} for {:?} (t{})",
+                    c.mode, c.owner, c.ticket
+                );
+            }
+            for w in &ws.queue {
+                let _ = writeln!(
+                    out,
+                    "  waiting {} for {:?} (t{})",
+                    w.mode, w.owner, w.ticket
+                );
             }
         }
         out
@@ -977,6 +937,79 @@ mod tests {
         m.lock(o, LockId::Directory, Rho);
         m.lock(o, LockId::Page(PageId(9)), Xi);
         m.release_all(o);
+        assert_eq!(m.total_granted(), 0);
+    }
+
+    /// Records every release the manager reports to its hook.
+    #[derive(Default)]
+    struct Releases(parking_lot::Mutex<Vec<(LockId, LockMode)>>);
+
+    impl WaitHook for Releases {
+        fn at_release(&self, _owner: OwnerId, id: LockId, mode: LockMode) {
+            self.0.lock().push((id, mode));
+        }
+    }
+
+    #[test]
+    fn release_all_counts_and_reports_every_nested_release() {
+        let m = LockManager::default();
+        let hook = Arc::new(Releases::default());
+        m.set_wait_hook(Some(hook.clone()));
+        let o = m.new_owner();
+        let bystander = m.new_owner();
+        m.lock(bystander, R, Rho);
+        m.lock(o, LockId::Directory, Rho);
+        m.lock(o, R, Alpha);
+        m.lock(o, R, Alpha); // nested: two acquisitions, one grant
+        m.release_all(o);
+        let mut seen = hook.0.lock().clone();
+        seen.sort_by_key(|&(id, mode)| (id != LockId::Directory, mode as u8));
+        assert_eq!(
+            seen,
+            vec![(LockId::Directory, Rho), (R, Alpha), (R, Alpha)],
+            "one at_release per nested acquisition"
+        );
+        let s = m.stats();
+        assert_eq!(s.releases, 3);
+        assert_eq!(s.total_grants(), 4);
+        assert_eq!(m.held(bystander, R), vec![Rho], "other owners keep theirs");
+        // The word forgot o's α: another owner's α is grantable again.
+        assert!(m.try_lock(m.new_owner(), R, Alpha));
+        m.set_wait_hook(None);
+    }
+
+    #[test]
+    fn slow_path_counts_only_requests_that_reach_the_waiter_table() {
+        let metrics = ceh_obs::MetricsHandle::new();
+        let m = Arc::new(LockManager::with_metrics(
+            LockManagerConfig::default(),
+            &metrics,
+        ));
+        let slow = || metrics.snapshot().counter("locks.slow_path");
+        for _ in 0..1000 {
+            let o = m.new_owner();
+            m.lock(o, LockId::Directory, Rho);
+            m.lock(o, R, Rho);
+            m.lock(o, LockId::Directory, Alpha); // an uncontended conversion
+            m.unlock(o, LockId::Directory, Alpha);
+            m.unlock(o, LockId::Directory, Rho);
+            m.unlock(o, R, Rho);
+        }
+        assert_eq!(slow(), 0, "uncontended requests stay on the word");
+        let reader = m.new_owner();
+        m.lock(reader, R, Rho);
+        let m2 = Arc::clone(&m);
+        let t = thread::spawn(move || {
+            let x = m2.new_owner();
+            m2.lock(x, R, Xi); // conflicts with the reader: waits
+            m2.unlock(x, R, Xi);
+        });
+        while m.stats().waits_xi == 0 {
+            thread::yield_now();
+        }
+        m.unlock(reader, R, Rho);
+        t.join().unwrap();
+        assert_eq!(slow(), 1, "the contended ξ went through the table");
         assert_eq!(m.total_granted(), 0);
     }
 

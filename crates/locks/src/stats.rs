@@ -4,7 +4,10 @@
 //! Metric names (all under the `locks.` prefix):
 //! `locks.grants.{rho,alpha,xi}`, `locks.waits.{rho,alpha,xi}`,
 //! `locks.wait_ns.{rho,alpha,xi}` (histograms of per-wait latency),
-//! `locks.releases`, `locks.conversions`.
+//! `locks.releases`, `locks.conversions`, and `locks.slow_path` — the
+//! requests that took the waiter table's mutex because the resource's
+//! lock word was queued or conflicting (the rest were granted by one CAS
+//! on the word).
 //!
 //! The [`LockStatsSnapshot`] shape predates the unified plane and is
 //! kept as-is for every existing consumer; its `wait_ns_*` fields are
@@ -62,6 +65,7 @@ pub struct LockStats {
     wait_hists: [Arc<Histogram>; 3],
     releases: Arc<Counter>,
     conversions: Arc<Counter>,
+    slow_path: Arc<Counter>,
     /// Kept for span probes (acquire/wait/convert trace events); a
     /// disabled tracer makes each probe one relaxed atomic load.
     handle: MetricsHandle,
@@ -100,6 +104,7 @@ impl LockStats {
             ],
             releases: handle.counter("locks.releases"),
             conversions: handle.counter("locks.conversions"),
+            slow_path: handle.counter("locks.slow_path"),
             handle: handle.clone(),
         }
     }
@@ -163,6 +168,11 @@ impl LockStats {
             .end(wait, "locks", wait_event(mode), target, wait_ns);
     }
 
+    /// A request left the word's fast path for the waiter table.
+    pub(crate) fn record_slow_path(&self) {
+        self.slow_path.inc();
+    }
+
     pub(crate) fn record_conversion(&self, target: u64) {
         self.conversions.inc();
         self.stamp("convert", target);
@@ -201,6 +211,7 @@ impl LockStats {
         }
         self.releases.reset();
         self.conversions.reset();
+        self.slow_path.reset();
     }
 }
 

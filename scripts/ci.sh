@@ -36,6 +36,12 @@ echo "=== allocation tests (release) ==="
 # runs, not only on the debug build of the test run above.
 cargo test -q -p ceh-core --release --test find_allocs --test update_allocs
 
+echo "=== lock manager (release) ==="
+# The lock word's fast path (one CAS per uncontended grant) races the
+# waiter table for real only on the optimised build: the unit tests,
+# conversions, stress and word-path interleavings again, in release.
+cargo test -q -p ceh-locks --release
+
 echo "=== chaos smoke ==="
 CEH_QUICK=1 cargo test -q -p ceh-harness --test chaos
 
