@@ -703,6 +703,25 @@ mod tests {
     }
 
     #[test]
+    fn find_through_an_out_of_range_next_link_errors_and_releases_its_locks() {
+        let core = FileCore::new(HashFileConfig::tiny()).unwrap();
+        let root = core.dir().index(0);
+        let key = (0..).map(Key).find(|&k| hash_key(k).0 & 1 == 0).unwrap();
+        let past_the_store = PageId(core.store().capacity() as u64 + 3);
+        for next in [past_the_store, PageId(1 << 40), PageId(u64::MAX - 1)] {
+            // The root no longer owns the key and links to a page that
+            // does not exist.
+            let mut stray = Bucket::new(1, 1);
+            stray.next = next;
+            core.putbucket(root, &stray, &mut core.new_buf()).unwrap();
+            for hold_directory in [false, true] {
+                assert!(core.find_impl(key, hold_directory).is_err(), "{next}");
+                assert_eq!(core.locks().total_granted(), 0, "no ρ left behind");
+            }
+        }
+    }
+
+    #[test]
     fn rejects_capacity_beyond_page() {
         let store = PageStore::new_shared(PageStoreConfig {
             page_size: 128,

@@ -1110,7 +1110,7 @@ mod tests {
 
     use super::*;
     use crate::site::tests::test_site;
-    use ceh_types::{ManagerId, Record};
+    use ceh_types::{Key, ManagerId, Pseudokey, Record, Value};
     use std::time::Duration;
 
     fn put_bucket(site: &Site, b: &Bucket) -> PageId {
@@ -1123,6 +1123,35 @@ mod tests {
     fn get_bucket(site: &Site, page: PageId) -> Bucket {
         let mut buf = site.new_buf();
         site.getbucket(page, &mut buf).unwrap()
+    }
+
+    #[test]
+    fn a_walk_to_a_page_this_site_lacks_is_stale_routing() {
+        let site = test_site(0, 1, None);
+        // Does not own pseudokey 0, and links to a page that does not exist.
+        let mut stray = Bucket::new(3, 0b101);
+        stray.next = PageId(u64::MAX - 1);
+        stray.next_mgr = site.id;
+        let stray = put_bucket(&site, &stray);
+        for page in [PageId(u64::MAX), PageId(1 << 40), stray] {
+            let env = OpEnvelope {
+                op: OpKind::Insert,
+                key: Key(8),
+                value: Value(1),
+                txn: 1,
+                page,
+                user_port: PortId::for_node(1, 1),
+                dirmgr_port: PortId::for_node(1, 2),
+                pseudokey: Pseudokey(0),
+                attempt: 0,
+                req_id: 1,
+                ctx: ceh_obs::TraceCtx::NONE,
+            };
+            let owner = site.locks.new_owner();
+            let walk = walk_to_owner(&site, owner, &env, LockMode::Alpha, None);
+            assert!(matches!(walk, Walk::Stale), "{page}");
+            assert_eq!(site.locks.total_granted(), 0);
+        }
     }
 
     #[test]

@@ -34,7 +34,9 @@
 //!   one CAS on it and a release one `fetch_sub`. The sharded waiter table
 //!   holds only the requests that found the word queued or conflicting
 //!   (counted in `locks.slow_path`); `QUEUED` is set exactly while a
-//!   resource has waiters, which keeps newcomers behind them. Each
+//!   resource has waiters, which keeps newcomers behind them. Any page
+//!   id can be locked: ids past the word table (about 2^20) keep their
+//!   word in the waiter table and always take its mutex. Each
 //!   owner's grants are kept in its thread's *home* rather than in a
 //!   shared table, so two callers of uncontended operations write no
 //!   common cache line but the resource's word;

@@ -5,10 +5,12 @@
 //! touches only those two — a CAS on the word, and the owner's home,
 //! which no other thread writes. The sharded waiter table holds just the
 //! requests that found the word queued or conflicting; only they, and a
-//! release that finds the word queued, take a shard mutex.
+//! release that finds the word queued, take a shard mutex. It also keeps
+//! the words of page ids past the word table (see [`crate::word`]), whose
+//! every request and release takes the shard mutex.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -111,6 +113,9 @@ impl Waiters {
 #[derive(Default)]
 struct Table {
     waiting: HashMap<LockId, Waiters>,
+    /// The words of pages past the word table, read and written only
+    /// under this mutex; an entry goes when its word returns to zero.
+    sparse: HashMap<LockId, AtomicU64>,
     next_ticket: u64,
 }
 
@@ -289,7 +294,8 @@ impl LockManager {
 
     /// Grant without the waiter table if the request nests, or if the
     /// word takes it in one CAS. `Some(is_conversion)` when granted
-    /// (`false` for a nested acquisition).
+    /// (`false` for a nested acquisition). A page past the word table
+    /// always goes to the waiter table.
     #[inline]
     fn grant_fast(&self, home: &Home, owner: OwnerId, id: LockId, mode: LockMode) -> Option<bool> {
         let mut held = home.held.lock();
@@ -302,7 +308,7 @@ impl LockManager {
             return Some(false);
         }
         let own = own_bits(&held, owner, id);
-        if !word::try_grant(self.words.get(id), own, mode) {
+        if !word::try_grant(self.words.get(id)?, own, mode) {
             return None;
         }
         held.push(Held {
@@ -329,7 +335,10 @@ impl LockManager {
         req: &Waiter,
         stage: Stage,
     ) -> bool {
-        let word = self.words.get(id);
+        let word = match self.words.get(id) {
+            Some(w) => w,
+            None => &*table.sparse.entry(id).or_default(),
+        };
         let mut held = home.held.lock();
         let own = own_bits(&held, req.owner, id);
         let (admitted, waiting) = table.waiting.get(&id).map_or((true, 0), |ws| {
@@ -466,10 +475,13 @@ impl LockManager {
         let home = self.owners.home(owner);
         let granted = self.grant_fast(home, owner, id, mode).is_some() || {
             // Only a queued word that the grants alone would admit needs
-            // the waiter lists' verdict.
+            // the waiter lists' verdict, and a word the waiter table keeps.
             let own = own_bits(&home.held.lock(), owner, id);
-            let cur = self.words.get(id).load(Ordering::Acquire);
-            cur & QUEUED != 0 && !word::conflicts(cur, own, mode) && {
+            let worth = self.words.get(id).map_or(true, |w| {
+                let cur = w.load(Ordering::Acquire);
+                cur & QUEUED != 0 && !word::conflicts(cur, own, mode)
+            });
+            worth && {
                 self.stats.record_slow_path();
                 let req = Waiter {
                     owner,
@@ -506,27 +518,52 @@ impl LockManager {
             panic!("{owner:?} unlocking {mode} on {id}: not held");
         };
         held[pos].count -= 1;
-        let queued = held[pos].count == 0 && {
+        let last = held[pos].count == 0;
+        if last {
             held.remove(pos);
-            word::release(self.words.get(id), mode) & QUEUED != 0
-        };
-        drop(held);
-        self.stats.record_release(mode);
-        if queued {
-            self.wake(id);
         }
+        drop(held);
+        if last {
+            self.release_word(id, mode);
+        }
+        self.stats.record_release(mode);
         if let Some(h) = self.hook() {
             h.at_release(owner, id, mode);
         }
     }
 
-    /// Wake the waiters of `id` after a release found its word queued.
-    /// Taking the mutex orders the wake-up after any waiter that marked
-    /// the word has parked on the condvar.
-    fn wake(&self, id: LockId) {
+    /// Drop one `mode` grant from `id`'s word and wake the resource's
+    /// waiters if it has any. Called with no home mutex held: a word the
+    /// waiter table keeps needs the shard mutex, which comes first.
+    fn release_word(&self, id: LockId, mode: LockMode) {
         let shard = self.shard(id);
-        drop(shard.table.lock());
-        shard.cv.notify_all();
+        let queued = match self.words.get(id) {
+            Some(w) => {
+                let queued = word::release(w, mode) & QUEUED != 0;
+                if queued {
+                    // Taking the mutex orders the wake-up after any
+                    // waiter that marked the word has parked on the
+                    // condvar.
+                    drop(shard.table.lock());
+                }
+                queued
+            }
+            None => {
+                let mut table = shard.table.lock();
+                let w = table
+                    .sparse
+                    .get(&id)
+                    .expect("a granted resource has a word");
+                let before = word::release(w, mode);
+                if before == word::bit(mode) {
+                    table.sparse.remove(&id);
+                }
+                before & QUEUED != 0
+            }
+        };
+        if queued {
+            shard.cv.notify_all();
+        }
     }
 
     /// Release *all* locks held by `owner` (error paths, panic recovery
@@ -536,21 +573,18 @@ impl LockManager {
         let home = self.owners.home(owner);
         let mut released = Vec::new();
         home.held.lock().retain(|h| {
-            if h.owner != owner {
-                return true;
+            let mine = h.owner == owner;
+            if mine {
+                released.push(*h);
             }
-            let queued = word::release(self.words.get(h.id), h.mode) & QUEUED != 0;
-            released.push((*h, queued));
-            false
+            !mine
         });
         if released.is_empty() {
             return;
         }
         let hook = self.hook();
-        for (h, queued) in released {
-            if queued {
-                self.wake(h.id);
-            }
+        for h in released {
+            self.release_word(h.id, h.mode);
             for _ in 0..h.count {
                 self.stats.record_release(h.mode);
                 if let Some(hk) = &hook {
@@ -698,11 +732,12 @@ impl LockManager {
             }
         }
         for (id, granted) in &holders {
-            let _ = writeln!(
-                out,
-                "{id}: word {:#x}",
-                self.words.get(*id).load(Ordering::Acquire)
-            );
+            let word = self
+                .words
+                .get(*id)
+                .or_else(|| tables.iter().find_map(|t| t.sparse.get(id)))
+                .map_or(0, |w| w.load(Ordering::Acquire));
+            let _ = writeln!(out, "{id}: word {word:#x}");
             for g in granted {
                 let _ = writeln!(out, "  granted {} to {:?} x{}", g.mode, g.owner, g.count);
             }
@@ -1011,6 +1046,39 @@ mod tests {
         t.join().unwrap();
         assert_eq!(slow(), 1, "the contended ξ went through the table");
         assert_eq!(m.total_granted(), 0);
+    }
+
+    #[test]
+    fn a_page_past_the_word_table_locks_like_any_other() {
+        let m = Arc::new(LockManager::default());
+        let idle = |m: &LockManager| m.shards.iter().all(|s| s.table.lock().sparse.is_empty());
+        for far in [PageId(1 << 40), PageId(u64::MAX)] {
+            let far = LockId::Page(far);
+            let a = m.new_owner();
+            m.lock(a, far, Xi);
+            assert!(!m.try_lock(m.new_owner(), far, Rho), "ξ excludes ρ");
+            let waits = m.stats().waits_rho;
+            let m2 = Arc::clone(&m);
+            let reader = thread::spawn(move || {
+                let b = m2.new_owner();
+                m2.lock(b, far, Rho); // waits for a's ξ
+                m2.lock(b, far, Alpha); // a conversion
+                m2.unlock(b, far, Alpha);
+                m2.unlock(b, far, Rho);
+            });
+            while m.stats().waits_rho == waits {
+                thread::yield_now();
+            }
+            m.unlock(a, far, Xi);
+            reader.join().unwrap();
+            assert_eq!(m.total_granted(), 0);
+            assert!(idle(&m), "a released word leaves the waiter table");
+            let c = m.new_owner();
+            m.lock(c, far, Rho);
+            m.lock(c, far, Rho);
+            m.release_all(c);
+            assert!(idle(&m) && m.total_granted() == 0);
+        }
     }
 
     #[test]

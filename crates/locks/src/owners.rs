@@ -10,16 +10,20 @@
 //! an id or to record a grant. A thread's home goes back to the manager
 //! when the thread exits, and its numbering carries on for the next
 //! thread that claims it, so ids never repeat.
+//!
+//! A manager has a fixed number of homes, and an id's home depends on
+//! the id alone: index `owner >> HOME_SHIFT`, or home 0 for an index past
+//! the table. Home 0 is never claimed. It records the grants of ids past
+//! the table, and it numbers the owners of threads that find every other
+//! home claimed — shared, so slower, but as correct.
 
-use std::cell::{Cell, RefCell, UnsafeCell};
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
 use crate::mode::{LockId, LockMode};
-use crate::seg::SegTable;
 
 /// Identifies a lock-holding process (one logical operation).
 ///
@@ -35,6 +39,12 @@ pub struct OwnerId(pub u64);
 const HOME_SHIFT: u32 = 40;
 const SEQ_LIMIT: u64 = 1 << HOME_SHIFT;
 
+/// Homes per manager, home 0 included: 32 KiB.
+const HOMES: usize = 256;
+
+/// The home that is never claimed.
+const SHARED: usize = 0;
+
 /// One grant an owner holds: `count` nested acquisitions of `mode` on
 /// `id`, counted once in the resource's lock word.
 #[derive(Debug, Clone, Copy)]
@@ -49,99 +59,52 @@ pub(crate) struct Held {
 /// numbering stopped when its last thread let it go. Aligned to two cache
 /// lines so neighbouring homes (two threads) never share one,
 /// adjacent-line prefetch included.
+///
+/// The home's own thread takes `held` for every grant and release, on a
+/// line no other thread touches. Other threads take it only to release
+/// an owner's grants from outside or to read them for diagnostics.
 #[derive(Default)]
 #[repr(align(128))]
 pub(crate) struct Home {
-    pub(crate) held: HeldList,
+    pub(crate) held: Mutex<Vec<Held>>,
     next_seq: AtomicU64,
 }
 
-/// A home's grants behind a spin lock. The home's own thread takes it
-/// for every grant and release: one CAS to take, one store to drop, on a
-/// line no other thread touches. Other threads take it only to release
-/// an owner's grants from outside or to read them for diagnostics, and
-/// nobody blocks or calls out while holding it.
-#[derive(Default)]
-pub(crate) struct HeldList {
-    busy: AtomicBool,
-    list: UnsafeCell<Vec<Held>>,
-}
-
-// ceh-lint: allow(unsafe-block) — the list is only reached through a HeldGuard, and `busy` admits one guard at a time
-unsafe impl Sync for HeldList {}
-
-impl HeldList {
-    #[inline]
-    pub(crate) fn lock(&self) -> HeldGuard<'_> {
-        while self
-            .busy
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Acquire)
-            .is_err()
-        {
-            while self.busy.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        }
-        HeldGuard(self)
-    }
-}
-
-/// Exclusive access to a [`HeldList`]; dropping it (unwinding included)
-/// lets the next holder in.
-pub(crate) struct HeldGuard<'a>(&'a HeldList);
-
-impl Deref for HeldGuard<'_> {
-    type Target = Vec<Held>;
-    fn deref(&self) -> &Vec<Held> {
-        // ceh-lint: allow(unsafe-block) — this guard holds `busy`, so no other reference to the list exists
-        unsafe { &*self.0.list.get() }
-    }
-}
-
-impl DerefMut for HeldGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Vec<Held> {
-        // ceh-lint: allow(unsafe-block) — this guard holds `busy`, so no other reference to the list exists
-        unsafe { &mut *self.0.list.get() }
-    }
-}
-
-impl Drop for HeldGuard<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        self.0.busy.store(false, Ordering::Release);
-    }
+/// Which homes are claimed.
+struct Pool {
+    /// Homes whose thread exited, ready to be claimed again.
+    free: Vec<usize>,
+    /// Homes claimed at least once: `1..created`.
+    created: usize,
 }
 
 /// Every home of one manager.
 pub(crate) struct Owners {
-    homes: SegTable<Home>,
-    /// Homes created so far: `0..created` are live entries of `homes`.
-    created: AtomicU64,
-    /// Homes whose thread exited, ready to be claimed again.
-    free: Mutex<Vec<u64>>,
+    homes: Box<[Home]>,
+    pool: Mutex<Pool>,
 }
 
 /// A thread's claim on one manager's home, numbering the thread's
 /// owners in `next_seq`; hands the home and its numbering back on thread
-/// exit.
+/// exit. A claim on [`SHARED`] numbers from the home's counter instead.
 struct Claim {
     owners: Weak<Owners>,
-    home: u64,
+    home: usize,
     next_seq: Cell<u64>,
 }
 
 impl Drop for Claim {
     fn drop(&mut self) {
+        if self.home == SHARED {
+            return;
+        }
         if let Some(owners) = self.owners.upgrade() {
-            let mut free = owners.free.lock();
-            // Published to the next claimant by the free-list mutex.
-            owners
-                .homes
-                .get(self.home)
-                .expect("claimed home")
+            let mut pool = owners.pool.lock();
+            // Published to the next claimant by the pool mutex.
+            owners.homes[self.home]
                 .next_seq
                 .store(self.next_seq.get(), Ordering::Release);
-            free.push(self.home);
+            pool.free.push(self.home);
         }
     }
 }
@@ -161,30 +124,27 @@ pub(crate) fn own_bits(held: &[Held], owner: OwnerId, id: LockId) -> u64 {
 impl Owners {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Owners {
-            homes: SegTable::new(),
-            // Home 0 exists from the start and is never claimed: it
-            // stands in for ids this manager did not issue.
-            created: AtomicU64::new(1),
-            free: Mutex::new(Vec::new()),
+            homes: (0..HOMES).map(|_| Home::default()).collect(),
+            pool: Mutex::new(Pool {
+                free: Vec::new(),
+                created: SHARED + 1,
+            }),
         })
     }
 
-    /// The home an owner's grants are recorded in. Ids this manager did
-    /// not issue fall back to home 0, which is as correct, only shared.
+    /// The home an owner's grants are recorded in: fixed by the id, so
+    /// the grant and its release always meet in the same home.
     #[inline]
     pub(crate) fn home(&self, owner: OwnerId) -> &Home {
-        let i = owner.0 >> HOME_SHIFT;
-        let i = if i < self.created.load(Ordering::Acquire) {
-            i
-        } else {
-            0
-        };
-        self.homes.get(i).expect("home index within the table")
+        usize::try_from(owner.0 >> HOME_SHIFT)
+            .ok()
+            .and_then(|i| self.homes.get(i))
+            .unwrap_or(&self.homes[SHARED])
     }
 
-    /// The homes created so far, for whole-manager scans.
+    /// Every home, for whole-manager scans.
     pub(crate) fn homes(&self) -> impl Iterator<Item = &Home> {
-        (0..self.created.load(Ordering::Acquire)).filter_map(|i| self.homes.get(i))
+        self.homes.iter()
     }
 
     /// A fresh owner id, numbered in the calling thread's home.
@@ -193,11 +153,16 @@ impl Owners {
             let mut claims = claims.borrow_mut();
             loop {
                 let c = self.claimed(&mut claims);
-                let seq = c.next_seq.get() + 1;
+                let seq = if c.home == SHARED {
+                    self.homes[SHARED].next_seq.fetch_add(1, Ordering::AcqRel) + 1
+                } else {
+                    c.next_seq.get() + 1
+                };
                 if seq < SEQ_LIMIT {
                     c.next_seq.set(seq);
-                    return OwnerId(c.home << HOME_SHIFT | seq);
+                    return OwnerId((c.home as u64) << HOME_SHIFT | seq);
                 }
+                assert_ne!(c.home, SHARED, "the shared owner numbering is used up");
                 // This home's numbering is used up: drop the claim (the
                 // home is never claimed again) and take another.
                 claims.retain(|c| !self.is(c));
@@ -226,26 +191,21 @@ impl Owners {
     }
 
     /// A home no live thread claims, and where its numbering stands: a
-    /// returned one with numbering left, or a new one.
-    fn claim(&self) -> (u64, u64) {
-        let mut free = self.free.lock();
-        while let Some(home) = free.pop() {
-            let next = self
-                .homes
-                .get(home)
-                .expect("returned home")
-                .next_seq
-                .load(Ordering::Acquire);
+    /// returned one with numbering left, or a new one, or [`SHARED`] when
+    /// every other home is taken.
+    fn claim(&self) -> (usize, u64) {
+        let mut pool = self.pool.lock();
+        while let Some(home) = pool.free.pop() {
+            let next = self.homes[home].next_seq.load(Ordering::Acquire);
             if next + 1 < SEQ_LIMIT {
                 return (home, next);
             }
         }
-        // Creations are serialized by the free-list mutex; the count is
-        // read without it, by `home`.
-        let home = self.created.load(Ordering::Acquire);
-        self.homes.get(home).expect("home index within the table");
-        self.created.store(home + 1, Ordering::Release);
-        (home, 0)
+        if pool.created == HOMES {
+            return (SHARED, 0);
+        }
+        pool.created += 1;
+        (pool.created - 1, 0)
     }
 }
 
@@ -284,5 +244,63 @@ mod tests {
         let second = run(&owners);
         assert_eq!(first.0 >> HOME_SHIFT, second.0 >> HOME_SHIFT, "home reused");
         assert_ne!(first, second, "numbering carries on");
+    }
+
+    #[test]
+    fn an_ids_home_does_not_move_when_threads_claim_homes() {
+        let owners = Owners::new();
+        let foreign = OwnerId(3 << HOME_SHIFT | 999);
+        let before: *const Home = owners.home(foreign);
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let (owners, barrier) = (Arc::clone(&owners), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    let id = owners.new_owner();
+                    barrier.wait();
+                    id
+                })
+            })
+            .collect();
+        let claimed: HashSet<u64> = threads
+            .into_iter()
+            .map(|t| t.join().unwrap().0 >> HOME_SHIFT)
+            .collect();
+        assert!(claimed.contains(&3), "home 3 was claimed meanwhile");
+        assert!(std::ptr::eq(before, owners.home(foreign)));
+        assert!(std::ptr::eq(
+            owners.home(OwnerId(u64::MAX)),
+            &owners.homes[SHARED]
+        ));
+    }
+
+    #[test]
+    fn threads_past_the_home_table_share_home_0_with_unique_ids() {
+        let owners = Owners::new();
+        let n = HOMES + 8;
+        let barrier = Arc::new(std::sync::Barrier::new(n));
+        let threads: Vec<_> = (0..n)
+            .map(|_| {
+                let (owners, barrier) = (Arc::clone(&owners), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    // Every thread holds its claim until all have claimed.
+                    owners.new_owner();
+                    barrier.wait();
+                    (0..3).map(|_| owners.new_owner()).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let ids: Vec<OwnerId> = threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        let unique: HashSet<OwnerId> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), ids.len(), "ids never repeat");
+        let shared = ids.iter().filter(|o| o.0 >> HOME_SHIFT == 0).count();
+        assert_eq!(
+            shared,
+            3 * (n - (HOMES - 1)),
+            "the overflow threads share home 0"
+        );
     }
 }

@@ -13,8 +13,10 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 
 const FIRST_BITS: u32 = 6;
 
-/// Segments per table: indexes below `64 * (2^22 - 1)` (about 2^28).
-const SEGS: usize = 22;
+/// Segments per table: indexes below `64 * (2^14 - 1)` = 1 048 512. The
+/// largest segment holds 2^19 entries, so no index, however large, makes
+/// the table allocate more than twice that.
+const SEGS: usize = 14;
 
 fn seg_len(k: usize) -> usize {
     1 << (k as u32 + FIRST_BITS)
@@ -92,10 +94,11 @@ mod tests {
     #[test]
     fn indexes_map_to_distinct_entries_across_segments() {
         let t = SegTable::<AtomicU64>::new();
-        for i in [0u64, 1, 63, 64, 65, 191, 192, 10_000, 1 << 20] {
+        let last = 64 * ((1 << SEGS) - 1) - 1;
+        for i in [0u64, 1, 63, 64, 65, 191, 192, 10_000, last] {
             t.get(i).unwrap().store(i + 1, Ordering::Release);
         }
-        for i in [0u64, 1, 63, 64, 65, 191, 192, 10_000, 1 << 20] {
+        for i in [0u64, 1, 63, 64, 65, 191, 192, 10_000, last] {
             assert_eq!(
                 t.get(i).unwrap().load(Ordering::Acquire),
                 i + 1,
@@ -104,7 +107,7 @@ mod tests {
         }
         assert_eq!(t.get(2).unwrap().load(Ordering::Acquire), 0);
         assert!(t.get(u64::MAX).is_none());
-        assert!(t.get(1 << 30).is_none());
+        assert!(t.get(last + 1).is_none());
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //! ξ excludes a second one.
 //!
 //! The directory's word sits alone on its cache line; page words live in
-//! a [`SegTable`] indexed by page id, growing with the pages.
+//! a [`SegTable`] indexed by page id, growing with the pages. A page id
+//! past the table's range (about 2^20) is still lockable: its word lives
+//! in the manager's waiter table instead, under the shard mutex, and is
+//! dropped when it returns to zero. Such ids never take the fast path.
+//! No page id, whether a real page or a corrupt link, can make the table
+//! allocate more than its largest segment (4 MiB).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,14 +98,13 @@ impl Words {
         }
     }
 
+    /// The word of `id`, or `None` for a page past the table, whose word
+    /// the waiter table keeps.
     #[inline]
-    pub(crate) fn get(&self, id: LockId) -> &AtomicU64 {
+    pub(crate) fn get(&self, id: LockId) -> Option<&AtomicU64> {
         match id {
-            LockId::Directory => &self.directory.0,
-            LockId::Page(p) => self
-                .pages
-                .get(p.0)
-                .unwrap_or_else(|| panic!("{p} is beyond the lock-word table")),
+            LockId::Directory => Some(&self.directory.0),
+            LockId::Page(p) => self.pages.get(p.0),
         }
     }
 }
