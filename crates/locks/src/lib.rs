@@ -38,8 +38,11 @@
 //!   id can be locked: ids past the word table (about 2^20) keep their
 //!   word in the waiter table and always take its mutex. Each
 //!   owner's grants are kept in its thread's *home* rather than in a
-//!   shared table, so two callers of uncontended operations write no
-//!   common cache line but the resource's word;
+//!   shared table, and so is its count of ρ grants on the directory,
+//!   which every operation takes: the directory's word keeps only α, ξ
+//!   and `QUEUED`, and a ξ on the directory, always granted under the
+//!   waiter table's mutex, sums the homes' counts. Two callers of
+//!   uncontended finds write no common cache line of the manager;
 //! * **statistics** ([`LockStats`]) — grants, waits, wait time by mode —
 //!   consumed by the benchmark harness;
 //! * **wait-point hooks** ([`WaitHook`]): the acquire/block/release seam

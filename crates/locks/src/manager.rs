@@ -3,11 +3,15 @@
 //! A grant lives in two places: the resource's lock word ([`crate::word`])
 //! and the owner's home ([`crate::owners`]). An uncontended request
 //! touches only those two — a CAS on the word, and the owner's home,
-//! which no other thread writes. The sharded waiter table holds just the
-//! requests that found the word queued or conflicting; only they, and a
-//! release that finds the word queued, take a shard mutex. It also keeps
-//! the words of page ids past the word table (see [`crate::word`]), whose
-//! every request and release takes the shard mutex.
+//! which no other thread writes. ρ on the directory, which every
+//! operation takes, does not even write the word: it is counted in the
+//! owner's home, and a ξ on the directory, granted only under the waiter
+//! table's mutex, sums the homes. The sharded waiter table holds just
+//! the requests that found the word queued or conflicting, and every ξ
+//! on the directory; only they, and a release that finds the word
+//! queued, take a shard mutex. It also keeps the words of page ids past
+//! the word table (see [`crate::word`]), whose every request and release
+//! takes the shard mutex.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -268,9 +272,11 @@ impl LockManager {
     /// holds nests. An owner holding *any* lock on the resource makes this
     /// a conversion-style request (queue bypass; see crate docs).
     ///
-    /// The fast path is one CAS on the resource's word, taken when nobody
-    /// waits on the resource and no other owner's grant conflicts. Any
-    /// other request goes to the waiter table.
+    /// The fast path is one CAS on the resource's word (for ρ on the
+    /// directory, an increment of the owner's home count and a load of
+    /// the word), taken when nobody waits on the resource and no other
+    /// owner's grant conflicts. Any other request, and every ξ on the
+    /// directory, goes to the waiter table.
     pub fn lock(&self, owner: OwnerId, id: LockId, mode: LockMode) {
         let hook = self.hook();
         if let Some(h) = &hook {
@@ -293,9 +299,10 @@ impl LockManager {
     }
 
     /// Grant without the waiter table if the request nests, or if the
-    /// word takes it in one CAS. `Some(is_conversion)` when granted
-    /// (`false` for a nested acquisition). A page past the word table
-    /// always goes to the waiter table.
+    /// word takes it in one CAS (ρ on the directory: the owner's home
+    /// count). `Some(is_conversion)` when granted (`false` for a nested
+    /// acquisition). A page past the word table and a ξ on the directory
+    /// always go to the waiter table.
     #[inline]
     fn grant_fast(&self, home: &Home, owner: OwnerId, id: LockId, mode: LockMode) -> Option<bool> {
         let mut held = home.held.lock();
@@ -308,7 +315,27 @@ impl LockManager {
             return Some(false);
         }
         let own = own_bits(&held, owner, id);
-        if !word::try_grant(self.words.get(id)?, own, mode) {
+        let granted = match (id, mode) {
+            // Granted only under the waiter table's mutex, where the
+            // homes' ρ counts are summed.
+            (LockId::Directory, LockMode::Xi) => false,
+            (LockId::Directory, LockMode::Rho) => {
+                let dir = self.words.directory();
+                if !word::try_grant_local(dir, &home.dir_rho, own & !word::RHO_COUNT) {
+                    drop(held);
+                    if word::release_local(dir, &home.dir_rho) {
+                        self.wake(id);
+                    }
+                    return None;
+                }
+                true
+            }
+            (LockId::Directory, LockMode::Alpha) => {
+                word::try_grant(self.words.directory(), own & !word::RHO_COUNT, mode)
+            }
+            (LockId::Page(_), _) => word::try_grant(self.words.get(id)?, own, mode),
+        };
+        if !granted {
             return None;
         }
         held.push(Held {
@@ -341,6 +368,13 @@ impl LockManager {
         };
         let mut held = home.held.lock();
         let own = own_bits(&held, req.owner, id);
+        let dir = id == LockId::Directory;
+        // The directory's word counts no ρ: its holders are in the homes.
+        let (own_word, add) = match (dir, req.mode) {
+            (true, LockMode::Rho) => (own & !word::RHO_COUNT, 0),
+            (true, _) => (own & !word::RHO_COUNT, word::bit(req.mode)),
+            (false, _) => (own, word::bit(req.mode)),
+        };
         let (admitted, waiting) = table.waiting.get(&id).map_or((true, 0), |ws| {
             (
                 ws.admit(req.owner, req.mode, req.is_conversion, req.ticket),
@@ -354,9 +388,9 @@ impl LockManager {
         };
         let mut cur = word.load(Ordering::Acquire);
         loop {
-            let grant = admitted && !word::conflicts(cur, own, req.mode);
+            let grant = admitted && !word::conflicts(cur, own_word, req.mode);
             let next = if grant {
-                cur + word::bit(req.mode) - clear
+                cur + add - clear
             } else if stage == Stage::Arriving && cur & QUEUED == 0 {
                 cur | QUEUED
             } else {
@@ -366,6 +400,23 @@ impl LockManager {
                 Ok(_) if grant => break,
                 Ok(_) => return false,
                 Err(now) => cur = now,
+            }
+        }
+        if dir && req.mode == LockMode::Rho {
+            home.dir_rho.fetch_add(word::RHO, Ordering::AcqRel);
+        }
+        if dir && req.mode == LockMode::Xi {
+            // The word now shows this ξ, so a ρ arriving from here on
+            // backs off; count the ones already in (see
+            // `word::try_grant_local`). If there are any, take the ξ back
+            // out, restoring the `QUEUED` mark this request keeps while it
+            // waits (or is about to).
+            let readers = self.owners.directory_readers() - (own & word::RHO_COUNT);
+            if readers != 0 {
+                let requeue = if stage == Stage::Probe { 0 } else { QUEUED };
+                let back = |c: u64| Some((c - word::XI) | requeue);
+                let _ = word.fetch_update(Ordering::AcqRel, Ordering::Acquire, back);
+                return false;
             }
         }
         held.push(Held {
@@ -477,10 +528,17 @@ impl LockManager {
             // Only a queued word that the grants alone would admit needs
             // the waiter lists' verdict, and a word the waiter table keeps.
             let own = own_bits(&home.held.lock(), owner, id);
-            let worth = self.words.get(id).map_or(true, |w| {
-                let cur = w.load(Ordering::Acquire);
-                cur & QUEUED != 0 && !word::conflicts(cur, own, mode)
-            });
+            let worth = match (id, mode) {
+                (LockId::Directory, LockMode::Xi) => true,
+                (LockId::Directory, _) => {
+                    let cur = self.words.directory().load(Ordering::Acquire);
+                    cur & QUEUED != 0 && !word::conflicts(cur, own & !word::RHO_COUNT, mode)
+                }
+                (LockId::Page(_), _) => self.words.get(id).map_or(true, |w| {
+                    let cur = w.load(Ordering::Acquire);
+                    cur & QUEUED != 0 && !word::conflicts(cur, own, mode)
+                }),
+            };
             worth && {
                 self.stats.record_slow_path();
                 let req = Waiter {
@@ -524,7 +582,7 @@ impl LockManager {
         }
         drop(held);
         if last {
-            self.release_word(id, mode);
+            self.release_word(home, id, mode);
         }
         self.stats.record_release(mode);
         if let Some(h) = self.hook() {
@@ -532,37 +590,43 @@ impl LockManager {
         }
     }
 
-    /// Drop one `mode` grant from `id`'s word and wake the resource's
-    /// waiters if it has any. Called with no home mutex held: a word the
-    /// waiter table keeps needs the shard mutex, which comes first.
-    fn release_word(&self, id: LockId, mode: LockMode) {
+    /// Take the shard mutex and wake every waiter of `id`'s shard.
+    /// Taking the mutex orders the wake-up after any waiter that marked
+    /// the word has parked on the condvar.
+    fn wake(&self, id: LockId) {
         let shard = self.shard(id);
-        let queued = match self.words.get(id) {
-            Some(w) => {
-                let queued = word::release(w, mode) & QUEUED != 0;
-                if queued {
-                    // Taking the mutex orders the wake-up after any
-                    // waiter that marked the word has parked on the
-                    // condvar.
-                    drop(shard.table.lock());
-                }
-                queued
+        drop(shard.table.lock());
+        shard.cv.notify_all();
+    }
+
+    /// Drop one `mode` grant from `id`'s word (from `home`'s count for ρ
+    /// on the directory) and wake the resource's waiters if it has any.
+    /// Called with no home mutex held: a word the waiter table keeps needs
+    /// the shard mutex, which comes first.
+    fn release_word(&self, home: &Home, id: LockId, mode: LockMode) {
+        let queued = match (id, mode) {
+            (LockId::Directory, LockMode::Rho) => {
+                word::release_local(self.words.directory(), &home.dir_rho)
             }
-            None => {
-                let mut table = shard.table.lock();
-                let w = table
-                    .sparse
-                    .get(&id)
-                    .expect("a granted resource has a word");
-                let before = word::release(w, mode);
-                if before == word::bit(mode) {
-                    table.sparse.remove(&id);
+            _ => match self.words.get(id) {
+                Some(w) => word::release(w, mode) & QUEUED != 0,
+                None => {
+                    let shard = self.shard(id);
+                    let mut table = shard.table.lock();
+                    let w = table
+                        .sparse
+                        .get(&id)
+                        .expect("a granted resource has a word");
+                    let before = word::release(w, mode);
+                    if before == word::bit(mode) {
+                        table.sparse.remove(&id);
+                    }
+                    before & QUEUED != 0
                 }
-                before & QUEUED != 0
-            }
+            },
         };
         if queued {
-            shard.cv.notify_all();
+            self.wake(id);
         }
     }
 
@@ -584,7 +648,7 @@ impl LockManager {
         }
         let hook = self.hook();
         for h in released {
-            self.release_word(h.id, h.mode);
+            self.release_word(home, h.id, h.mode);
             for _ in 0..h.count {
                 self.stats.record_release(h.mode);
                 if let Some(hk) = &hook {
@@ -1046,6 +1110,86 @@ mod tests {
         t.join().unwrap();
         assert_eq!(slow(), 1, "the contended ξ went through the table");
         assert_eq!(m.total_granted(), 0);
+    }
+
+    /// ρ on the directory is counted in the holder's home and leaves the
+    /// directory word untouched; ξ still sees every holder, on any
+    /// thread, and the holder's own ρ does not block its conversion.
+    #[test]
+    fn directory_rho_is_counted_in_homes_and_still_excludes_xi() {
+        let m = Arc::new(LockManager::default());
+        let dir = LockId::Directory;
+        let word = |m: &LockManager| m.words.directory().load(Ordering::Acquire);
+        let here = m.new_owner();
+        m.lock(here, dir, Rho);
+        let there = {
+            let m = Arc::clone(&m);
+            thread::spawn(move || {
+                let o = m.new_owner();
+                m.lock(o, dir, Rho);
+                o
+            })
+            .join()
+            .unwrap()
+        };
+        assert_eq!(word(&m), 0, "no ρ in the directory word");
+        let x = m.new_owner();
+        assert!(!m.try_lock(x, dir, Xi), "two ρ holders exclude ξ");
+        assert!(!m.try_lock(here, dir, Xi), "another home's ρ excludes it");
+        assert_eq!(word(&m), 0, "a refused ξ leaves no mark");
+        m.unlock(there, dir, Rho);
+        assert!(m.try_lock(here, dir, Xi), "own ρ does not block");
+        assert!(!m.try_lock(x, dir, Rho), "ξ excludes a new ρ");
+        m.unlock(here, dir, Xi);
+        m.unlock(here, dir, Rho);
+        assert!(m.try_lock(x, dir, Xi));
+        m.unlock(x, dir, Xi);
+        assert_eq!(word(&m), 0);
+        assert_eq!(m.owners.directory_readers(), 0);
+        assert_eq!(m.total_granted(), 0);
+    }
+
+    /// A ξ on the directory that waits for a ρ holder on another thread
+    /// is woken by its release, and readers arriving meanwhile queue
+    /// behind the ξ rather than overtaking it (§2.3).
+    #[test]
+    fn directory_xi_waits_for_home_counted_readers() {
+        let m = Arc::new(LockManager::default());
+        let dir = LockId::Directory;
+        let reader = m.new_owner();
+        m.lock(reader, dir, Rho);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let xi = {
+            let (m, order) = (Arc::clone(&m), Arc::clone(&order));
+            thread::spawn(move || {
+                let x = m.new_owner();
+                m.lock(x, dir, Xi);
+                order.lock().push("xi");
+                m.unlock(x, dir, Xi);
+            })
+        };
+        while m.stats().waits_xi == 0 {
+            thread::yield_now();
+        }
+        let late = {
+            let (m, order) = (Arc::clone(&m), Arc::clone(&order));
+            thread::spawn(move || {
+                let r = m.new_owner();
+                m.lock(r, dir, Rho);
+                order.lock().push("late rho");
+                m.unlock(r, dir, Rho);
+            })
+        };
+        while m.stats().waits_rho == 0 {
+            thread::yield_now();
+        }
+        assert!(order.lock().is_empty(), "both wait for the first reader");
+        m.unlock(reader, dir, Rho);
+        xi.join().unwrap();
+        late.join().unwrap();
+        assert_eq!(*order.lock(), ["xi", "late rho"]);
+        assert_eq!(m.total_granted(), 0);
+        assert_eq!(m.owners.directory_readers(), 0);
     }
 
     #[test]

@@ -63,10 +63,14 @@ pub(crate) struct Held {
 /// The home's own thread takes `held` for every grant and release, on a
 /// line no other thread touches. Other threads take it only to release
 /// an owner's grants from outside or to read them for diagnostics.
+/// `dir_rho` counts the ρ grants on the directory that the home's owners
+/// hold (see [`crate::word`]); other threads read it only to grant ξ on
+/// the directory.
 #[derive(Default)]
 #[repr(align(128))]
 pub(crate) struct Home {
     pub(crate) held: Mutex<Vec<Held>>,
+    pub(crate) dir_rho: AtomicU64,
     next_seq: AtomicU64,
 }
 
@@ -145,6 +149,16 @@ impl Owners {
     /// Every home, for whole-manager scans.
     pub(crate) fn homes(&self) -> impl Iterator<Item = &Home> {
         self.homes.iter()
+    }
+
+    /// The ρ grants on the directory, summed over every home. Each count
+    /// is read with a read-modify-write, which sees the latest value; see
+    /// [`crate::word::try_grant_local`] for why a load would not do.
+    pub(crate) fn directory_readers(&self) -> u64 {
+        self.homes
+            .iter()
+            .map(|h| h.dir_rho.fetch_add(0, Ordering::AcqRel))
+            .sum()
     }
 
     /// A fresh owner id, numbered in the calling thread's home.

@@ -9,7 +9,14 @@
 //! ξ excludes a second one.
 //!
 //! The directory's word sits alone on its cache line; page words live in
-//! a [`SegTable`] indexed by page id, growing with the pages. A page id
+//! a [`SegTable`] indexed by page id, growing with the pages.
+//!
+//! The directory's ρ holders are not counted in its word: every find
+//! takes ρ there, so a shared count would be one cache line that every
+//! caller writes twice per operation. Each owner's home counts its own
+//! ρ grants on the directory instead ([`try_grant_local`]), and a ξ
+//! request sums the homes' counts after marking the word. The directory
+//! word's ρ count stays zero. A page id
 //! past the table's range (about 2^20) is still lockable: its word lives
 //! in the manager's waiter table instead, under the shard mutex, and is
 //! dropped when it returns to zero. Such ids never take the fast path.
@@ -23,7 +30,7 @@ use crate::seg::SegTable;
 
 /// One ρ holder.
 pub(crate) const RHO: u64 = 1;
-const RHO_COUNT: u64 = (1 << 32) - 1;
+pub(crate) const RHO_COUNT: u64 = (1 << 32) - 1;
 pub(crate) const ALPHA: u64 = 1 << 32;
 pub(crate) const XI: u64 = 1 << 33;
 /// The resource has waiters: grants go through the waiter table.
@@ -72,6 +79,36 @@ pub(crate) fn try_grant(word: &AtomicU64, own: u64, mode: LockMode) -> bool {
     }
 }
 
+/// The directory's ρ fast path: count the grant in the requester's home
+/// (`local`), then check the directory word. `false` means a ξ is granted
+/// or pending, or waiters are queued: the caller must take the count back
+/// with [`release_local`] and go to the waiter table.
+///
+/// A ξ request marks the word (`XI` or `QUEUED`) and then reads every
+/// home's count, both with read-modify-writes; this side increments and
+/// then loads the word. Whichever read-modify-write on `local` comes
+/// second reads the first (an RMW reads the latest value), so either the
+/// ξ request sees this grant, or the increment synchronizes with the ξ
+/// request's and the load below sees its mark.
+#[inline]
+pub(crate) fn try_grant_local(word: &AtomicU64, local: &AtomicU64, own: u64) -> bool {
+    local.fetch_add(RHO, Ordering::AcqRel);
+    let cur = word.load(Ordering::Acquire);
+    cur & QUEUED == 0 && !conflicts(cur, own, LockMode::Rho)
+}
+
+/// Drop one ρ counted in a home (`local`). `true` when a ξ request may
+/// have counted it and be waiting (the word shows `QUEUED`, or an `XI`
+/// that a ξ request holds while it counts the readers): the caller must
+/// wake the directory's waiters. The same read-modify-write argument as
+/// [`try_grant_local`] makes the decrement or the mark visible to the
+/// other side.
+#[inline]
+pub(crate) fn release_local(word: &AtomicU64, local: &AtomicU64) -> bool {
+    local.fetch_sub(RHO, Ordering::AcqRel);
+    word.load(Ordering::Acquire) & (QUEUED | XI) != 0
+}
+
 /// Drop one `mode` grant: one `fetch_sub`. Returns the word before the
 /// release; its `QUEUED` bit says whether waiters need a wake-up.
 #[inline]
@@ -96,6 +133,12 @@ impl Words {
             directory: Padded::default(),
             pages: SegTable::new(),
         }
+    }
+
+    /// The directory's word.
+    #[inline]
+    pub(crate) fn directory(&self) -> &AtomicU64 {
+        &self.directory.0
     }
 
     /// The word of `id`, or `None` for a page past the table, whose word
@@ -147,5 +190,24 @@ mod tests {
         assert!(!try_grant(&w, 0, Xi));
         assert_eq!(release(&w, Alpha), RHO | ALPHA);
         assert_eq!(w.load(Ordering::Acquire), RHO);
+    }
+
+    #[test]
+    fn a_local_rho_backs_off_a_marked_word() {
+        let (w, local) = (AtomicU64::new(0), AtomicU64::new(0));
+        assert!(try_grant_local(&w, &local, 0));
+        assert!(!release_local(&w, &local), "nobody to wake");
+        for mark in [XI, QUEUED, ALPHA | QUEUED] {
+            w.store(mark, Ordering::Release);
+            assert!(!try_grant_local(&w, &local, 0), "{mark:#x} refuses");
+            assert!(release_local(&w, &local), "{mark:#x} wakes");
+        }
+        w.store(ALPHA, Ordering::Release);
+        assert!(try_grant_local(&w, &local, 0), "α admits ρ");
+        assert!(!release_local(&w, &local));
+        w.store(XI, Ordering::Release);
+        assert!(try_grant_local(&w, &local, XI), "own ξ admits ρ");
+        assert!(release_local(&w, &local));
+        assert_eq!(local.load(Ordering::Acquire), 0);
     }
 }

@@ -1,10 +1,10 @@
 //! The page store.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ceh_types::{Error, PageId, Result};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::page::{PageBuf, POISON_BYTE};
 use crate::stats::{IoStats, IoStatsSnapshot};
@@ -67,6 +67,78 @@ struct PageSlot {
     allocated: AtomicBool,
 }
 
+/// Length of the slot table's first segment, in bits.
+const SEG_BITS: u32 = 6;
+
+/// Segments of the slot table: page ids below 64 · (2^32 − 1).
+const SEGS: usize = 32;
+
+/// The grow-only slot table. Segment `k` holds `64 << k` slots and is
+/// allocated when the store first grows into it. A slot is published
+/// once and then never moves or goes away while the store lives, so a
+/// page access finds it with two acquire loads: no lock and no
+/// reference count. (A read lock, or an `Arc` clone, would be a write
+/// to a line that every caller's every page access writes too.)
+struct Slots {
+    segs: [OnceLock<Box<[OnceLock<PageSlot>]>>; SEGS],
+    /// How many slots exist; the table grows under this mutex.
+    len: Mutex<usize>,
+}
+
+impl Slots {
+    fn new(slots: impl IntoIterator<Item = PageSlot>) -> Self {
+        let table = Slots {
+            segs: std::array::from_fn(|_| OnceLock::new()),
+            len: Mutex::new(0),
+        };
+        {
+            let mut len = table.len.lock();
+            for slot in slots {
+                table
+                    .push(&mut len, slot)
+                    .expect("a new store fits the slot table");
+            }
+        }
+        table
+    }
+
+    /// Segment and offset of page id `i`, if the table can hold it.
+    fn at(i: u64) -> Option<(usize, usize)> {
+        let j = i.checked_add(1 << SEG_BITS)?;
+        let k = (63 - j.leading_zeros() - SEG_BITS) as usize;
+        (k < SEGS).then(|| (k, (j - (1 << (k as u32 + SEG_BITS))) as usize))
+    }
+
+    fn get(&self, i: u64) -> Option<&PageSlot> {
+        let (k, off) = Self::at(i)?;
+        self.segs[k].get()?.get(off)?.get()
+    }
+
+    /// Publish `slot` as the next page id; `len` is `self.len`'s guard.
+    /// `None` when the table is full.
+    fn push(&self, len: &mut usize, slot: PageSlot) -> Option<PageId> {
+        let id = *len as u64;
+        let (k, off) = Self::at(id)?;
+        let seg = self.segs[k].get_or_init(|| {
+            (0..1usize << (k as u32 + SEG_BITS))
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        assert!(seg[off].set(slot).is_ok(), "page {id} published twice");
+        *len += 1;
+        Some(PageId(id))
+    }
+
+    fn len(&self) -> usize {
+        *self.len.lock()
+    }
+
+    /// Every slot with its page id.
+    fn iter(&self) -> impl Iterator<Item = (PageId, &PageSlot)> {
+        (0..self.len() as u64).filter_map(|i| self.get(i).map(|s| (PageId(i), s)))
+    }
+}
+
 /// Where page bytes physically live.
 enum Backing {
     /// In each slot's box (the default simulation).
@@ -85,10 +157,8 @@ enum Backing {
 pub struct PageStore {
     cfg: PageStoreConfig,
     backing: Backing,
-    /// Grow-only slot table. The outer `RwLock` is only write-locked when
-    /// the store grows; steady-state accesses take the read lock, which is
-    /// uncontended and cheap.
-    slots: RwLock<Vec<Arc<PageSlot>>>,
+    /// Grow-only slot table, read without a lock.
+    slots: Slots,
     /// Free list of deallocated page ids, reused LIFO.
     free: Mutex<Vec<PageId>>,
     stats: IoStats,
@@ -101,7 +171,7 @@ impl std::fmt::Debug for PageStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageStore")
             .field("page_size", &self.cfg.page_size)
-            .field("slots", &self.slots.read().len())
+            .field("slots", &self.slots.len())
             .field("stats", &self.stats.snapshot())
             .finish()
     }
@@ -118,16 +188,14 @@ impl PageStore {
     /// registry (under the `storage.` prefix), correlated with every
     /// other layer wired to the same handle.
     pub fn with_metrics(cfg: PageStoreConfig, metrics: &ceh_obs::MetricsHandle) -> Self {
-        let slots = (0..cfg.initial_pages)
-            .map(|_| Arc::new(Self::empty_slot(&cfg, true)))
-            .collect();
+        let slots = Slots::new((0..cfg.initial_pages).map(|_| Self::empty_slot(&cfg, true)));
         // Seed the free list with the initial pool, reversed so pages are
         // handed out in ascending order (stable figure goldens).
         let free = (0..cfg.initial_pages as u64).rev().map(PageId).collect();
         let io_latency_ns = AtomicU64::new(cfg.io_latency_ns);
         PageStore {
             backing: Backing::Memory,
-            slots: RwLock::new(slots),
+            slots,
             free: Mutex::new(free),
             cfg,
             stats: IoStats::with_handle(metrics),
@@ -174,7 +242,7 @@ impl PageStore {
         let io_latency_ns = AtomicU64::new(cfg.io_latency_ns);
         Ok(PageStore {
             backing: Backing::File(file),
-            slots: RwLock::new(Vec::new()),
+            slots: Slots::new([]),
             free: Mutex::new(Vec::new()),
             cfg,
             stats: IoStats::with_handle(metrics),
@@ -217,18 +285,16 @@ impl PageStore {
             file.set_len((npages * cfg.page_size) as u64)
                 .map_err(|e| Error::Io(format!("truncating torn tail page: {e}")))?;
         }
-        let slots = (0..npages)
-            .map(|_| {
-                let s = Self::empty_slot(&cfg, false);
-                // ceh-lint: allow(relaxed-ordering) — recovery runs single-threaded before sharing
-                s.allocated.store(true, Ordering::Relaxed);
-                Arc::new(s)
-            })
-            .collect();
+        let slots = Slots::new((0..npages).map(|_| {
+            let s = Self::empty_slot(&cfg, false);
+            // ceh-lint: allow(relaxed-ordering) — recovery runs single-threaded before sharing
+            s.allocated.store(true, Ordering::Relaxed);
+            s
+        }));
         let io_latency_ns = AtomicU64::new(cfg.io_latency_ns);
         Ok(PageStore {
             backing: Backing::File(file),
-            slots: RwLock::new(slots),
+            slots,
             free: Mutex::new(Vec::new()),
             cfg,
             stats: IoStats::with_handle(metrics),
@@ -248,7 +314,7 @@ impl PageStore {
         metrics: &ceh_obs::MetricsHandle,
     ) -> Self {
         let mut free = Vec::new();
-        let slots: Vec<Arc<PageSlot>> = pages
+        let slots: Vec<PageSlot> = pages
             .into_iter()
             .enumerate()
             .map(|(i, p)| {
@@ -267,16 +333,17 @@ impl PageStore {
                         free.push(PageId(i as u64));
                     }
                 }
-                Arc::new(slot)
+                slot
             })
             .collect();
+        let slots = Slots::new(slots);
         // LIFO free list, reversed so the lowest free id pops first
         // (matching the fresh-store allocation order).
         free.reverse();
         let io_latency_ns = AtomicU64::new(cfg.io_latency_ns);
         PageStore {
             backing: Backing::Memory,
-            slots: RwLock::new(slots),
+            slots,
             free: Mutex::new(free),
             cfg,
             stats: IoStats::with_handle(metrics),
@@ -324,24 +391,21 @@ impl PageStore {
 
     /// Number of page slots that currently exist (allocated or free).
     pub fn capacity(&self) -> usize {
-        self.slots.read().len()
+        self.slots.len()
     }
 
     /// Number of currently allocated pages.
     pub fn allocated_pages(&self) -> usize {
         self.slots
-            .read()
             .iter()
             // ceh-lint: allow(relaxed-ordering) — advisory census; alloc/free is guarded upstream
-            .filter(|s| s.allocated.load(Ordering::Relaxed))
+            .filter(|(_, s)| s.allocated.load(Ordering::Relaxed))
             .count()
     }
 
-    fn slot(&self, page: PageId) -> Result<Arc<PageSlot>> {
-        let slots = self.slots.read();
-        slots
-            .get(page.0 as usize)
-            .cloned()
+    fn slot(&self, page: PageId) -> Result<&PageSlot> {
+        self.slots
+            .get(page.0)
             .ok_or(Error::PageFault { page: page.0 })
     }
 
@@ -398,27 +462,24 @@ impl PageStore {
         // Free list empty: grow the slot table. Every page id ever created
         // is either allocated or on the free list, so appending is the
         // only growth path.
-        let mut slots = self.slots.write();
+        let mut len = self.slots.len.lock();
         if let Some(max) = self.cfg.max_pages {
-            if slots.len() >= max {
+            if *len >= max {
                 return Err(Error::OutOfPages);
             }
         }
-        let slot = Arc::new(Self::empty_slot(
-            &self.cfg,
-            matches!(self.backing, Backing::Memory),
-        ));
+        let slot = Self::empty_slot(&self.cfg, matches!(self.backing, Backing::Memory));
         slot.allocated.store(true, Ordering::Release);
-        slots.push(slot);
+        let page = self.slots.push(&mut len, slot).ok_or(Error::OutOfPages)?;
         if let Backing::File(f) = &self.backing {
             // Guarantee the page's region exists so a read-before-write
             // (never done by the protocols, but defensively possible)
             // gets zeroes instead of a short read.
-            f.set_len((slots.len() * self.cfg.page_size) as u64)
+            f.set_len((*len * self.cfg.page_size) as u64)
                 .map_err(|e| Error::Io(format!("growing backing file: {e}")))?;
         }
         self.stats.record_alloc();
-        Ok(PageId((slots.len() - 1) as u64))
+        Ok(page)
     }
 
     /// Deallocate a page (`deallocbucket`). With poisoning enabled the
@@ -559,12 +620,10 @@ impl PageStore {
     /// invariant checker and the figure-golden tests).
     pub fn allocated_page_ids(&self) -> Vec<PageId> {
         self.slots
-            .read()
             .iter()
-            .enumerate()
             // ceh-lint: allow(relaxed-ordering) — advisory census; alloc/free is guarded upstream
             .filter(|(_, s)| s.allocated.load(Ordering::Relaxed))
-            .map(|(i, _)| PageId(i as u64))
+            .map(|(page, _)| page)
             .collect()
     }
 }
@@ -695,6 +754,32 @@ mod tests {
             "the edit reached the file"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Pages on both sides of the slot table's segment boundaries keep
+    /// their own bytes, and ids past the last slot fault without growing
+    /// anything.
+    #[test]
+    fn slot_table_spans_segments_and_faults_past_its_end() {
+        let s = store();
+        let ids: Vec<_> = (0..200).map(|_| s.alloc().unwrap()).collect();
+        assert_eq!(ids.last(), Some(&PageId(199)));
+        for p in &ids {
+            let mut buf = s.new_buf();
+            buf[0] = p.0 as u8;
+            s.write(*p, &buf).unwrap();
+        }
+        for p in &ids {
+            assert_eq!(s.with_page(*p, |b| b[0]).unwrap(), p.0 as u8, "{p}");
+        }
+        for far in [200, 1 << 40, u64::MAX] {
+            assert!(matches!(
+                s.with_page(PageId(far), |_| ()),
+                Err(Error::PageFault { .. })
+            ));
+        }
+        assert_eq!(s.capacity(), 200);
+        assert_eq!(s.allocated_pages(), 200);
     }
 
     #[test]
