@@ -415,6 +415,10 @@ impl WaitHook for RaceHook {
         self.det.on_granted(id);
     }
 
+    fn at_probe(&self, id: LockId) {
+        self.explorer.at_probe(id);
+    }
+
     fn at_release(&self, owner: OwnerId, id: LockId, mode: LockMode) {
         // Record the release edge first: the thread still holds the
         // token, so the edge lands before any thread this release wakes

@@ -54,6 +54,10 @@ pub enum Pending {
     Acquire(LockId),
     /// Just released this lock; next visible action unknown.
     AfterRelease(LockId),
+    /// Inside a lock-free read window on this page: will probe it for ξ
+    /// and scan it without a lock. Its footprint is whatever a writer of
+    /// the page touches, so it is dependent with everything.
+    Probe(LockId),
 }
 
 impl Pending {
@@ -438,6 +442,12 @@ impl WaitHook for ExplorerHook {
     fn at_release(&self, _owner: OwnerId, id: LockId, _mode: LockMode) {
         if let Some(me) = current_vthread() {
             self.sched.release_point(me, id);
+        }
+    }
+
+    fn at_probe(&self, id: LockId) {
+        if let Some(me) = current_vthread() {
+            self.sched.yield_point(me, Pending::Probe(id));
         }
     }
 }

@@ -94,8 +94,8 @@ fn workloads_are_race_clean() {
 /// Replay gate over the committed race-fixture corpus: every fixture in
 /// `tests/fixtures/races/` must still REPRODUCE its race (the inverse of
 /// the schedules corpus, whose fixtures guard *fixed* bugs and must run
-/// clean). Fixtures marked `# requires: check-inject` are skipped when
-/// that feature is off.
+/// clean). Fixtures marked `# requires: check-inject` or `# requires:
+/// check-inject-find` are skipped when that feature is off.
 #[test]
 fn race_fixture_corpus_reproduces() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/races");
@@ -106,7 +106,13 @@ fn race_fixture_corpus_reproduces() {
             continue;
         }
         let text = std::fs::read_to_string(&path).unwrap();
-        if text.contains("# requires: check-inject") && cfg!(not(feature = "check-inject")) {
+        let requires = |feature: &str| {
+            let line = format!("# requires: {feature}");
+            text.lines().any(|l| l.trim() == line)
+        };
+        if (requires("check-inject") && cfg!(not(feature = "check-inject")))
+            || (requires("check-inject-find") && cfg!(not(feature = "check-inject-find")))
+        {
             continue;
         }
         seen += 1;

@@ -207,6 +207,7 @@ impl Index {
                 format!(
                     "records: {}, depth: {}, buckets: {}, load factor: {:.2}\n\
                      ops: {} finds ({} hits), {} inserts, {} deletes\n\
+                     find path: {} lock-free, {} fell back to locks\n\
                      restructuring: {} splits, {} merges, {} doublings, {} halvings\n\
                      recoveries: {} wrong-bucket chases ({:.2} mean hops)",
                     core.len(),
@@ -219,6 +220,8 @@ impl Index {
                     s.finds_hit,
                     s.inserts + s.inserts_duplicate,
                     s.deletes + s.deletes_miss,
+                    s.find_fast,
+                    s.find_fallback,
                     s.splits,
                     s.merges,
                     s.doublings,
@@ -410,6 +413,10 @@ mod tests {
             .starts_with("inserted"));
         let stats = run_line(&index, "stats").unwrap();
         assert!(stats.contains("records: 501"));
+        assert!(
+            stats.contains("find path: 0 lock-free, 2 fell back to locks"),
+            "a file-backed index reads its pages under the latch: {stats}"
+        );
         assert!(
             stats.contains("run report") && stats.contains("core.inserts"),
             "stats carries the metrics table: {stats}"

@@ -3,15 +3,15 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ceh_locks::shadow::{self, TrackedAtomicUsize};
+use ceh_locks::shadow::TrackedAtomicUsize;
 use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
 use ceh_obs::MetricsHandle;
 use ceh_storage::{
     DiskHandle, DurableConfig, DurableStore, DurableTxn, PageBuf, PageStore, PageStoreConfig,
     RecoveryReport,
 };
-use ceh_types::bucket::{Bucket, BucketView};
-use ceh_types::{hash_key, Error, HashFileConfig, Key, PageId, Pseudokey, Result, Value};
+use ceh_types::bucket::{append_in_place, remove_in_place, Bucket, BucketView, PageWordsMut};
+use ceh_types::{hash_key, Error, HashFileConfig, Key, PageId, Pseudokey, Record, Result, Value};
 
 use crate::directory::Directory;
 use crate::stats::OpStats;
@@ -424,13 +424,10 @@ impl FileCore {
         PageBuf::zeroed(self.store.page_size())
     }
 
-    /// `getbucket(page, buffer)`: read and decode. Announced to the race
-    /// detector as a page-granular acquire read (the page store
-    /// serializes the physical I/O; the ρ/α protocol is what keeps the
-    /// *contents* coherent, and that is what the shadow access models).
+    /// `getbucket(page, buffer)`: read and decode. The page store
+    /// announces the read to the race detector.
     #[track_caller]
     pub fn getbucket(&self, page: PageId, buf: &mut PageBuf) -> Result<Bucket> {
-        shadow::page_read(page.0);
         self.store.read(page, buf)?;
         Bucket::decode(buf)
     }
@@ -438,20 +435,19 @@ impl FileCore {
     /// [`FileCore::getbucket`] of a page this operation has already
     /// peeked under a lock it still holds, for the restructuring paths
     /// (split, merge) that need the records decoded. The lock excludes
-    /// every writer since the peek, so this reads the same bytes, and the
-    /// race detector, which saw the peek, is not told of the access again.
+    /// every writer since the peek, so this reads the same bytes.
+    #[track_caller]
     pub(crate) fn getbucket_again(&self, page: PageId, buf: &mut PageBuf) -> Result<Bucket> {
         self.store.read(page, buf)?;
         Bucket::decode(buf)
     }
 
     /// `putbucket(page, buffer)`: encode and write — through the WAL
-    /// when durable (redo record first, then the cache). Announced to
-    /// the race detector as a page-granular release write.
+    /// when durable (redo record first, then the cache). The page store
+    /// announces the write to the race detector.
     #[track_caller]
     pub fn putbucket(&self, page: PageId, bucket: &Bucket, buf: &mut PageBuf) -> Result<()> {
         bucket.encode(buf)?;
-        shadow::page_write(page.0);
         match &self.wal {
             Some(w) => w.write(page, buf),
             None => self.store.write(page, buf),
@@ -459,27 +455,22 @@ impl FileCore {
     }
 
     /// The `add`/`remove` + `putbucket` of an update that does not
-    /// restructure: `edit` changes one record of the encoded page (see
-    /// [`ceh_types::bucket::append_in_place`]). Announced to the race
-    /// detector exactly as [`FileCore::putbucket`] is. On the volatile
-    /// store the page is edited in place under its latch; when durable,
-    /// a copy is edited and its full image logged, as `putbucket` does.
+    /// restructure: `edit` changes one record of the encoded page, and
+    /// the answer says whether it did. Announced to the race detector
+    /// exactly as [`FileCore::putbucket`] is. On the volatile store the
+    /// page is edited in place under its latch; when durable, a copy is
+    /// edited and its full image logged, as `putbucket` does.
     #[track_caller]
-    pub(crate) fn edit_bucket<T>(
-        &self,
-        page: PageId,
-        edit: impl FnOnce(&mut [u8]) -> Result<T>,
-    ) -> Result<T> {
-        shadow::page_write(page.0);
+    pub(crate) fn edit_bucket(&self, page: PageId, edit: Edit) -> Result<bool> {
         match &self.wal {
             Some(w) => {
                 let mut buf = self.new_buf();
                 w.read(page, &mut buf)?;
-                let out = edit(&mut buf)?;
+                let out = edit.apply(&mut buf[..])?;
                 w.write(page, &buf)?;
                 Ok(out)
             }
-            None => self.store.with_page_mut(page, edit)?,
+            None => self.store.with_page_mut(page, |words| edit.apply(words))?,
         }
     }
 
@@ -525,10 +516,26 @@ impl FileCore {
     /// approach" §2.2 mentions and rejects — the reader keeps its ρ-lock
     /// on the directory until it holds the right bucket — which is the A1
     /// ablation baseline.
+    ///
+    /// Without `hold_directory`, a find first tries
+    /// [`FileCore::find_fast`], which takes no lock; only when that gives
+    /// up does it run the figure's ρ protocol below. Counted as
+    /// `core.find_fast` or `core.find_fallback`.
     pub(crate) fn find_impl(&self, key: Key, hold_directory: bool) -> Result<Option<Value>> {
         let _op = self.op_span("find", key.0);
-        let owner = self.locks.new_owner();
         let pk = (self.hasher)(key);
+        if !hold_directory {
+            if let Some(found) = self.find_fast(pk, key) {
+                self.stats.find_fast();
+                match found {
+                    Some(_) => self.stats.finds_hit(),
+                    None => self.stats.finds_miss(),
+                }
+                return Ok(found);
+            }
+        }
+        self.stats.find_fallback();
+        let owner = self.locks.new_owner();
 
         self.rho_lock(owner, LockId::Directory);
         let (_depth, mut oldpage) = self.dir.lookup(pk);
@@ -584,6 +591,28 @@ impl FileCore {
         Ok(found)
     }
 
+    /// Figure 5 with no lock: read the directory entry, then search
+    /// the page it names in place without its latch, and answer only if
+    /// that pass validates ([`PageStore::read_validated`]), no owner held
+    /// ξ on the page during it ([`LockManager::xi_held`]), and the page
+    /// is a live bucket that owns `pk`. `None` — run the locked protocol
+    /// — in every other case: a change of the page overlapped the pass,
+    /// a ξ holder (a merge or collection between two page writes), a
+    /// wrong bucket or tombstone (recovery via `next` is the locked
+    /// path's), a freed page, or file backing. See DESIGN.md, "The read
+    /// path", for why an answer given here is linearizable.
+    #[inline]
+    fn find_fast(&self, pk: Pseudokey, key: Key) -> Option<Option<Value>> {
+        let (_depth, page) = self.dir.lookup(pk);
+        self.store.read_validated(page, |words| {
+            if self.locks.xi_held(page) {
+                return None;
+            }
+            let view = BucketView::over(words).ok()?;
+            view.owns(pk).then(|| view.search(key))
+        })
+    }
+
     /// The `getbucket` of a find or of an updater's walk: look at `page`
     /// in place under the page latch and keep only what Figures 5–9 use
     /// of it before deciding to restructure — whether the bucket owns
@@ -592,9 +621,8 @@ impl FileCore {
     /// the race detector exactly as [`FileCore::getbucket`] is.
     #[track_caller]
     pub(crate) fn peek(&self, page: PageId, pk: Pseudokey, key: Key) -> Result<Peek> {
-        shadow::page_read(page.0);
-        self.store.with_page(page, |bytes| {
-            let view = BucketView::new(bytes)?;
+        self.store.with_page(page, |words| {
+            let view = BucketView::over(words)?;
             Ok(if view.owns(pk) {
                 Peek::Owns(Owning {
                     found: view.search(key),
@@ -617,6 +645,28 @@ impl FileCore {
             Peek::WrongBucket { .. } => Err(Error::Corrupt(format!(
                 "{page} does not own {pk:?} under a directory lock that excludes restructuring"
             ))),
+        }
+    }
+}
+
+/// The one-record change of an update that does not restructure (see
+/// [`FileCore::edit_bucket`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Edit {
+    /// The paper's `add(current, z)`: the caller has checked that the key
+    /// is absent and the bucket not full.
+    Add(Record),
+    /// The paper's `remove(z, current)`.
+    Remove(Key),
+}
+
+impl Edit {
+    /// Apply to an encoded page in place: whether a record was added or
+    /// removed.
+    fn apply<P: PageWordsMut + ?Sized>(self, page: &mut P) -> Result<bool> {
+        match self {
+            Edit::Add(record) => append_in_place(page, record).map(|()| true),
+            Edit::Remove(key) => remove_in_place(page, key),
         }
     }
 }

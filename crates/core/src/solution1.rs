@@ -17,10 +17,9 @@
 
 use ceh_locks::LockId;
 use ceh_types::bits::{mask, partner_bit, partner_commonbits};
-use ceh_types::bucket::{append_in_place, remove_in_place};
 use ceh_types::{DeleteOutcome, HashFileConfig, InsertOutcome, Key, ManagerId, Result, Value};
 
-use crate::common::{try_or_release, FileCore};
+use crate::common::{try_or_release, Edit, FileCore};
 use crate::traits::ConcurrentHashFile;
 
 /// Tuning knobs for [`Solution1`].
@@ -116,11 +115,7 @@ impl Solution1 {
                 /* current bucket not full */
                 core.un_alpha_lock(owner, LockId::Directory);
                 let record = ceh_types::Record { key, value };
-                try_or_release!(
-                    core,
-                    owner,
-                    core.edit_bucket(oldpage, |page| append_in_place(page, record))
-                );
+                try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Add(record)));
                 core.un_alpha_lock(owner, LockId::Page(oldpage));
                 core.len_inc();
                 core.stats().inserts();
@@ -209,11 +204,7 @@ impl Solution1 {
         if !too_empty {
             /* current not too empty */
             core.un_xi_lock(owner, LockId::Directory);
-            try_or_release!(
-                core,
-                owner,
-                core.edit_bucket(oldpage, |page| remove_in_place(page, key))
-            );
+            try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Remove(key)));
             core.un_xi_lock(owner, LockId::Page(oldpage));
             core.len_dec();
             core.stats().deletes();
@@ -317,11 +308,7 @@ impl Solution1 {
         oldpage: ceh_types::PageId,
     ) -> Result<DeleteOutcome> {
         let core = &self.core;
-        let removed = try_or_release!(
-            core,
-            owner,
-            core.edit_bucket(oldpage, |page| remove_in_place(page, key))
-        );
+        let removed = try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Remove(key)));
         debug_assert!(removed, "presence was checked under ξ");
         core.un_xi_lock(owner, LockId::Page(oldpage));
         core.un_xi_lock(owner, LockId::Directory);

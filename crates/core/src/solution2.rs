@@ -26,12 +26,12 @@
 
 use ceh_locks::{LockId, OwnerId};
 use ceh_types::bits::{mask, partner_bit};
-use ceh_types::bucket::{append_in_place, remove_in_place, Bucket};
+use ceh_types::bucket::Bucket;
 use ceh_types::{
     DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Result, Value,
 };
 
-use crate::common::{try_or_release, FileCore, Owning, Peek};
+use crate::common::{try_or_release, Edit, FileCore, Owning, Peek};
 use crate::traits::ConcurrentHashFile;
 
 /// When tombstones are deallocated and the directory halved.
@@ -339,11 +339,7 @@ impl Solution2 {
             if at.count != cap {
                 core.un_rho_lock(owner, LockId::Directory);
                 let record = ceh_types::Record { key, value };
-                try_or_release!(
-                    core,
-                    owner,
-                    core.edit_bucket(oldpage, |page| append_in_place(page, record))
-                );
+                try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Add(record)));
                 core.un_alpha_lock(owner, LockId::Page(oldpage));
                 core.len_inc();
                 core.stats().inserts();
@@ -607,11 +603,7 @@ impl Solution2 {
         let core = &self.core;
         core.un_rho_lock(owner, LockId::Directory);
         let outcome = if present {
-            try_or_release!(
-                core,
-                owner,
-                core.edit_bucket(oldpage, |page| remove_in_place(page, key))
-            );
+            try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Remove(key)));
             core.len_dec();
             core.stats().deletes();
             DeleteOutcome::Deleted

@@ -82,6 +82,13 @@ op_stats! {
     finds_hit,
     /// Completed find operations that did not.
     finds_miss,
+    /// Finds answered by the lock-free path: one validated pass over the
+    /// page the directory names, no lock taken.
+    find_fast,
+    /// Finds that ran Figure 5's ρ protocol: the lock-free pass gave up
+    /// (a writer overlapped it, ξ was held, a wrong bucket or tombstone,
+    /// file backing), or the pessimistic variant, which always locks.
+    find_fallback,
     /// Inserts that added a key.
     inserts,
     /// Inserts that found the key already present.

@@ -1,11 +1,12 @@
 //! A warm find allocates nothing.
 //!
-//! Figure 5's find reads one bucket page under two ρ locks. On the memory
-//! backend it inspects the page in place (no page buffer, no decoded
-//! record vector), and the lock table reuses emptied resource states, so
-//! once the file is loaded and the lock table warm, hits and misses alike
-//! run without touching the heap. A counting global allocator with a
-//! per-thread counter checks that exactly.
+//! Figure 5's find reads one bucket page. On the memory backend it scans
+//! the page's words in place with no lock and validates the page's
+//! version (falling back to two ρ locks when a writer overlaps it): no
+//! page buffer, no decoded record vector, no lock-table entry. So once
+//! the file is loaded, hits and misses alike run without touching the
+//! heap. A counting global allocator with a per-thread counter checks
+//! that exactly.
 
 mod alloc_counter;
 

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ceh_core::{ConcurrentHashFile, Solution1, Solution2};
+use ceh_core::{ConcurrentHashFile, Solution1, Solution1Options, Solution2};
 use ceh_types::{Error, HashFileConfig, Key, Value};
 
 const THREADS: u64 = 4;
@@ -76,18 +76,20 @@ fn check_conservation(file: Arc<dyn ConcurrentHashFile>) {
         "delete outcomes conserve"
     );
     // The same totals must be visible through the layers below: every
-    // operation acquired at least one lock, and grants == releases at
-    // quiescence.
-    assert!(m.counter("locks.grants.rho") > 0, "lock layer recorded");
+    // update acquired at least one lock (a find answered without locks
+    // takes none), and grants == releases at quiescence.
+    let grants = m.counter("locks.grants.rho")
+        + m.counter("locks.grants.alpha")
+        + m.counter("locks.grants.xi");
+    assert!(grants > 0, "lock layer recorded");
     // A conversion is an *additional* grant in the new mode that the
     // owner later releases separately, so at quiescence every grant has
     // exactly one matching release.
+    assert_eq!(grants, m.counter("locks.releases"), "every grant released");
     assert_eq!(
-        m.counter("locks.grants.rho")
-            + m.counter("locks.grants.alpha")
-            + m.counter("locks.grants.xi"),
-        m.counter("locks.releases"),
-        "every grant released"
+        m.counter("core.find_fast") + m.counter("core.find_fallback"),
+        finds,
+        "every find took one path"
     );
     assert!(m.counter("storage.reads") > 0, "storage layer recorded");
 }
@@ -140,28 +142,49 @@ fn grants_balance_releases_after_a_failed_insert() {
     assert_eq!(f.core().locks().total_granted(), 0);
 }
 
-/// Finds that nobody contends with are granted on the lock words alone:
-/// none of them reaches the waiter table.
+/// Finds that nobody contends with take no lock at all: each is one
+/// validated lock-free pass. The locked protocol they fall back to (here
+/// the pessimistic Solution 1 variant, which always runs it) is granted
+/// on the lock words alone: none of its requests reaches the waiter
+/// table.
 #[test]
 fn uncontended_finds_stay_off_the_waiter_table() {
-    let f = Solution2::new(HashFileConfig::tiny().with_bucket_capacity(8)).unwrap();
-    for k in 0..256 {
-        f.insert(Key(k), Value(k)).unwrap();
+    let fast = Solution2::new(HashFileConfig::tiny().with_bucket_capacity(8)).unwrap();
+    let locked = Solution1::with_options(
+        HashFileConfig::tiny().with_bucket_capacity(8),
+        Solution1Options {
+            pessimistic_find: true,
+        },
+    )
+    .unwrap();
+    for (file, grants_per_find) in [
+        (&fast as &dyn ConcurrentHashFile, 0),
+        (&locked as &dyn ConcurrentHashFile, 2),
+    ] {
+        for k in 0..256 {
+            file.insert(Key(k), Value(k)).unwrap();
+        }
+        let before = file.metrics().snapshot();
+        for i in 0..10_000u64 {
+            file.find(Key(i % 512)).unwrap();
+        }
+        let d = file.metrics().snapshot().since(&before);
+        assert_eq!(d.counter("locks.slow_path"), 0, "{}", file.name());
+        assert_eq!(
+            d.counter("locks.grants.rho"),
+            10_000 * grants_per_find,
+            "{}: {grants_per_find} ρ grants per find",
+            file.name()
+        );
+        assert_eq!(
+            d.counter("core.find_fast") + d.counter("core.find_fallback"),
+            10_000
+        );
+        assert_eq!(
+            d.counter("core.find_fallback"),
+            10_000 * grants_per_find / 2
+        );
     }
-    let before = f.metrics().snapshot();
-    for i in 0..10_000u64 {
-        f.find(Key(i % 512)).unwrap();
-    }
-    let after = f.metrics().snapshot();
-    assert_eq!(
-        after.counter("locks.slow_path") - before.counter("locks.slow_path"),
-        0
-    );
-    assert_eq!(
-        after.counter("locks.grants.rho") - before.counter("locks.grants.rho"),
-        20_000,
-        "two ρ grants per find"
-    );
 }
 
 #[test]

@@ -22,6 +22,10 @@
 //!   request waited.
 //! * **`at_release`** — fired after a release has been applied (waiters on
 //!   the resource are now eligible).
+//! * **`at_probe`** — fired by [`crate::LockManager::xi_held`], the
+//!   read-only ξ probe of the optimistic find, inside the reader's
+//!   version-validated read window: the point where a scheduler lets
+//!   writers overlap a lock-free read.
 //!
 //! A hook is per-manager and must be cheap to consult: the fast path is
 //! one relaxed atomic load when no hook is installed. All callbacks run
@@ -60,6 +64,15 @@ pub trait WaitHook: Send + Sync {
     /// race detector's lock edges rely on.
     fn at_granted(&self, owner: OwnerId, id: LockId, mode: LockMode) {
         let _ = (owner, id, mode);
+    }
+
+    /// An optimistic reader is about to probe `id` for a granted ξ
+    /// ([`crate::LockManager::xi_held`]) inside its read window: it has
+    /// snapshotted the page's version and will validate it after its
+    /// scan. No lock is held or requested. A scheduler may suspend the
+    /// caller here so that writers run inside the window.
+    fn at_probe(&self, id: LockId) {
+        let _ = id;
     }
 
     /// A release of `mode` on `id` by `owner` has been applied and any

@@ -241,6 +241,19 @@ impl LockManager {
         self.wait_hook.lock().clone()
     }
 
+    /// Does some owner hold ξ on `page`? A read-only probe — one
+    /// `Acquire` load of the page's lock word, no grant, no waiter-table
+    /// entry — for the optimistic find, which must not answer from a page
+    /// inside a ξ window. A page past the word table reports `true`, so
+    /// its caller falls back to locking. Fires [`WaitHook::at_probe`]
+    /// first.
+    pub fn xi_held(&self, page: ceh_types::PageId) -> bool {
+        if let Some(h) = self.hook() {
+            h.at_probe(LockId::Page(page));
+        }
+        self.words.xi_held(page.0)
+    }
+
     /// Allocate a fresh owner token for one logical operation. Ids are
     /// numbered per thread (see the `owners` module), so issuing one
     /// writes nothing another thread writes.

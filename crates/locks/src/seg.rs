@@ -52,6 +52,22 @@ impl<T: Default> SegTable<T> {
         Some(unsafe { &*p.add(off) })
     }
 
+    /// Entry `i` without allocating: `None` past the table's last
+    /// segment, `Some(None)` while `i`'s segment has never been asked for
+    /// (so every entry in it is still `T::default()`).
+    #[inline]
+    pub(crate) fn peek(&self, i: u64) -> Option<Option<&T>> {
+        let j = i.checked_add(1 << FIRST_BITS)?;
+        let k = (63 - j.leading_zeros() - FIRST_BITS) as usize;
+        let p = self.segs.get(k)?.load(Ordering::Acquire);
+        if p.is_null() {
+            return Some(None);
+        }
+        let off = (j - (1u64 << (k as u32 + FIRST_BITS))) as usize;
+        // ceh-lint: allow(unsafe-block) — as in `get`: `p` is a live segment of `seg_len(k)` entries and `off < seg_len(k)`
+        Some(Some(unsafe { &*p.add(off) }))
+    }
+
     #[cold]
     fn grow(&self, k: usize) -> *mut T {
         let seg: Box<[T]> = (0..seg_len(k)).map(|_| T::default()).collect();

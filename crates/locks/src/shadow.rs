@@ -4,10 +4,10 @@
 //! The schedule explorer in `ceh-check` serializes threads at lock-manager
 //! wait points, which proves linearizability but says nothing about *data
 //! races*: two accesses to the same location, at least one a write, with no
-//! happens-before edge between them. ROADMAP item 1 (optimistic seqlock
-//! readers) replaces ρ locks with raw atomics, so the verifier needs to see
-//! individual shared accesses, not just lock operations. This module is
-//! that seam:
+//! happens-before edge between them. The optimistic find reads a bucket
+//! page with no ρ lock and validates it against the page's version word,
+//! so the verifier needs to see individual shared accesses, not just lock
+//! operations. This module is that seam:
 //!
 //! * [`Tracked<T>`] — a shared word the detector models as **plain**
 //!   (non-atomic) data. Physically it is a relaxed atomic, so racy test
@@ -20,9 +20,11 @@
 //!   orderings: a `Release` store publishes the writer's vector clock to
 //!   the location, an `Acquire` load joins it. A `Relaxed` store creates
 //!   **no** edge — which is exactly how a missing `Release` is caught.
-//! * [`page_read`]/[`page_write`] — whole-bucket-page accesses. The page
-//!   store serializes page-granular reads/writes internally, so they are
-//!   modeled as acquire/release atomic accesses on a per-page location.
+//! * [`page_read`]/[`page_write`]/[`page_read_speculative`] — whole
+//!   bucket-page accesses. A read under the page latch is modeled as an
+//!   acquire access on a per-page location; a write as a plain write of
+//!   the page followed by a release access (the latch); a latch-free read
+//!   as a speculative plain read, checked when its version validates.
 //! * [`speculate`] — a validated-speculative-read scope for seqlock-style
 //!   readers: reads inside the scope are buffered, not checked; on
 //!   [`Speculation::commit`] (after the version validates) the detector
@@ -51,8 +53,9 @@ pub enum ShadowLoc {
     /// A tracked word, identified by its address (stable while the run's
     /// data structures are alive).
     Addr(usize),
-    /// A whole bucket page behind the page store.
-    Page(u64),
+    /// A whole bucket page, identified by the address of its page-store
+    /// slot (so two stores' pages of one id never alias).
+    Page(usize),
 }
 
 /// What kind of access a [`ShadowAccess`] records.
@@ -436,44 +439,75 @@ tracked_atomic!(
     usize
 );
 
-/// Record a whole-page read from the bucket store. Modeled as an
-/// acquire-atomic access on the page's location: the page store
-/// serializes page-granular reads and writes internally, so pages cannot
-/// race at this granularity (the lock protocol above, not this call, is
-/// what keeps their *contents* coherent — and the optimistic read path
-/// must switch contents reads to [`Tracked::get_speculative`] under a
-/// bucket version word).
-#[track_caller]
+/// Record a whole-page read under the page latch. Modeled as an
+/// acquire-atomic access on the page's location: the latch orders it
+/// after every write of the page that finished before it. What keeps
+/// the page *relevant* (the right bucket, not yet merged away) is the
+/// ρ/α/ξ protocol above, not this edge.
+/// The page store calls it with the page's slot address; `site` is the
+/// store caller's location.
 #[inline]
-pub fn page_read(page: u64) {
+pub fn page_read(slot: usize, site: &'static std::panic::Location<'static>) {
     #[cfg(not(feature = "check-race"))]
-    let _ = page;
+    let _ = (slot, site);
     #[cfg(feature = "check-race")]
     emit(
-        ShadowLoc::Page(page),
+        ShadowLoc::Page(slot),
         "bucket.page",
         AccessKind::AtomicLoad,
         Ordering::Acquire,
         false,
-        std::panic::Location::caller(),
+        site,
     );
 }
 
-/// Record a whole-page write to the bucket store. Modeled as a
-/// release-atomic access; see [`page_read`].
-#[track_caller]
+/// Record a whole-page write. Modeled as a plain write of the page (so a
+/// committed [`page_read_speculative`] must be ordered after it) followed
+/// by a release-atomic access (the latch, which [`page_read`] acquires).
+/// The page store calls it inside the page's version-word bracket, whose
+/// `Acquire` begin orders each write after the page's previous one.
+/// Arguments as for [`page_read`].
 #[inline]
-pub fn page_write(page: u64) {
+pub fn page_write(slot: usize, site: &'static std::panic::Location<'static>) {
     #[cfg(not(feature = "check-race"))]
-    let _ = page;
+    let _ = (slot, site);
+    #[cfg(feature = "check-race")]
+    {
+        emit(
+            ShadowLoc::Page(slot),
+            "bucket.page",
+            AccessKind::Write,
+            PLAIN,
+            false,
+            site,
+        );
+        emit(
+            ShadowLoc::Page(slot),
+            "bucket.page",
+            AccessKind::AtomicStore,
+            Ordering::Release,
+            false,
+            site,
+        );
+    }
+}
+
+/// Record a whole-page read made without the page latch, inside a
+/// [`speculate`] scope: buffered, and race-checked against the page's
+/// last [`page_write`] only if the scope commits (after the page's
+/// version word validates). Arguments as for [`page_read`].
+#[inline]
+pub fn page_read_speculative(slot: usize, site: &'static std::panic::Location<'static>) {
+    #[cfg(not(feature = "check-race"))]
+    let _ = (slot, site);
     #[cfg(feature = "check-race")]
     emit(
-        ShadowLoc::Page(page),
+        ShadowLoc::Page(slot),
         "bucket.page",
-        AccessKind::AtomicStore,
-        Ordering::Release,
-        false,
-        std::panic::Location::caller(),
+        AccessKind::Read,
+        PLAIN,
+        true,
+        site,
     );
 }
 

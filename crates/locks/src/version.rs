@@ -1,23 +1,31 @@
-//! `VersionWord`: the seqlock version primitive for the optimistic
-//! lock-free read path (ROADMAP item 1).
+//! `VersionWord`: the seqlock version primitive of the optimistic
+//! read path (a find that validates instead of taking ρ locks; see
+//! DESIGN.md, "The read path").
 //!
 //! A single even/odd counter guarding a small payload:
 //!
-//! * **Writers** (serialized externally by the α/ξ protocol) bracket
-//!   payload mutation with [`VersionWord::write_begin`] (version goes
-//!   odd) and [`VersionWord::write_end`] (version goes even again). The
-//!   begin increment is `Acquire` so payload writes cannot hoist above
-//!   it; the end increment is `Release` so they cannot sink below it —
-//!   the end increment is the edge that *publishes* the payload.
+//! * **Writers** (serialized externally: the page store brackets each
+//!   page write under the page latch) bracket payload mutation with
+//!   [`VersionWord::write_begin`] (version goes odd) and
+//!   [`VersionWord::write_end`] (version goes even again). The begin
+//!   increment is `Acquire`, and a `Release` fence follows it, so payload
+//!   writes cannot become visible before the odd version; the end
+//!   increment is `Release` so they cannot sink below it — the end
+//!   increment is the edge that *publishes* the payload.
 //! * **Readers** never lock: [`VersionWord::read_begin`] snapshots an
 //!   even version (odd means a writer is mid-flight — back off), the
-//!   payload is read speculatively ([`crate::shadow::Tracked::get_speculative`]
-//!   inside a [`crate::shadow::speculate`] scope), and
-//!   [`VersionWord::validate`] re-loads the version: unchanged means no
-//!   writer intervened and the `Acquire` re-load synchronizes with the
-//!   writer's `Release` end — committing the speculation is then
-//!   race-free by construction. A changed version means the values are
-//!   garbage; abort and retry (or fall back to the ρ protocol).
+//!   payload is read speculatively (relaxed atomic loads, announced with
+//!   [`crate::shadow::Tracked::get_speculative`] or
+//!   [`crate::shadow::page_read_speculative`] inside a
+//!   [`crate::shadow::speculate`] scope), and [`VersionWord::validate`]
+//!   re-loads the version behind an `Acquire` fence: unchanged means no
+//!   writer intervened. If a payload load did see a writer's store, the
+//!   fence synchronizes with the writer's `Release` fence and the re-load
+//!   sees at least the odd version, so validation fails; if it did not,
+//!   the payload is the one published by the `Release` end the first
+//!   load joined. Committing the speculation is then race-free by
+//!   construction. A changed version means the values are garbage; abort
+//!   and retry (or fall back to the ρ protocol).
 //!
 //! The happens-before race detector (`ceh check race`) is the gate for
 //! this primitive: with the correct orderings the seqlock litmus runs
@@ -27,7 +35,7 @@
 //! validating load then joins nothing and the committed payload reads are
 //! unordered with the writer's stores.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, Ordering};
 
 use crate::shadow::TrackedAtomicU64;
 
@@ -55,22 +63,30 @@ impl VersionWord {
     }
 
     /// End an optimistic read: true iff the version still equals `v0`
-    /// (no writer intervened; speculative reads may be committed).
-    /// `Acquire`: this re-load is the edge that makes the commit sound.
+    /// (no writer intervened; speculative reads may be committed). The
+    /// `Acquire` fence keeps the payload loads above the re-load (an
+    /// `Acquire` load alone would let earlier loads sink below it) and
+    /// pairs with the `Release` fence in [`VersionWord::write_begin`].
     #[track_caller]
     #[must_use]
     pub fn validate(&self, v0: u64) -> bool {
+        fence(Ordering::Acquire);
         self.v.load(Ordering::Acquire) == v0
     }
 
-    /// Writer entry: make the version odd. The caller must hold the
-    /// resource's α/ξ lock (writers are externally serialized; this is
-    /// checked with a debug assertion on evenness). `Acquire` keeps the
-    /// payload writes from hoisting above the increment.
+    /// Writer entry: make the version odd. Writers must be serialized
+    /// externally (this is checked with a debug assertion on evenness),
+    /// so the increment is a load and a store, not a read-modify-write.
+    /// The `Acquire` load orders this writer after the previous one's
+    /// [`VersionWord::write_end`]; the `Release` fence keeps the payload
+    /// writes from becoming visible before the odd version.
     #[track_caller]
     pub fn write_begin(&self) {
-        let prev = self.v.fetch_add(1, Ordering::Acquire);
+        let prev = self.v.load(Ordering::Acquire);
         debug_assert!(prev % 2 == 0, "concurrent VersionWord writers");
+        // ceh-lint: allow(relaxed-ordering) — the Release fence below orders it before the payload writes
+        self.v.store(prev + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
     }
 
     /// Writer exit: make the version even again, `Release`-publishing
@@ -78,8 +94,10 @@ impl VersionWord {
     /// version.
     #[track_caller]
     pub fn write_end(&self) {
-        let prev = self.v.fetch_add(1, Ordering::Release);
+        // ceh-lint: allow(relaxed-ordering) — the writer's own odd version, stored by this thread
+        let prev = self.v.load(Ordering::Relaxed);
         debug_assert!(prev % 2 == 1, "write_end without write_begin");
+        self.v.store(prev + 1, Ordering::Release);
     }
 
     /// Deliberately-broken writer exit for detector self-tests: the
@@ -90,9 +108,11 @@ impl VersionWord {
     #[cfg(feature = "check-inject")]
     #[track_caller]
     pub fn write_end_missing_release(&self) {
-        // ceh-lint: allow(relaxed-ordering) — the injected bug under test: publication edge deliberately dropped
-        let prev = self.v.fetch_add(1, Ordering::Relaxed);
+        // ceh-lint: allow(relaxed-ordering) — the writer's own odd version, stored by this thread
+        let prev = self.v.load(Ordering::Relaxed);
         debug_assert!(prev % 2 == 1, "write_end without write_begin");
+        // ceh-lint: allow(relaxed-ordering) — the injected bug under test: publication edge deliberately dropped
+        self.v.store(prev + 1, Ordering::Relaxed);
     }
 }
 

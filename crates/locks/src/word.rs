@@ -141,6 +141,19 @@ impl Words {
         &self.directory.0
     }
 
+    /// Is ξ granted on page `page`, as far as the table can tell without
+    /// a lock? One `Acquire` load; `true` for a page past the table, whose
+    /// word only the waiter table's mutex may read, and `false` for a page
+    /// whose segment was never allocated (no grant ever touched it).
+    #[inline]
+    pub(crate) fn xi_held(&self, page: u64) -> bool {
+        match self.pages.peek(page) {
+            None => true,
+            Some(None) => false,
+            Some(Some(w)) => w.load(Ordering::Acquire) & XI != 0,
+        }
+    }
+
     /// The word of `id`, or `None` for a page past the table, whose word
     /// the waiter table keeps.
     #[inline]

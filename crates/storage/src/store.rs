@@ -3,7 +3,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use ceh_types::{Error, PageId, Result};
+use ceh_locks::shadow;
+use ceh_locks::VersionWord;
+use ceh_types::{Error, PageId, Result, SharedPage, SharedPageMut};
 use parking_lot::Mutex;
 
 use crate::page::{PageBuf, POISON_BYTE};
@@ -50,21 +52,49 @@ impl PageStoreConfig {
     }
 }
 
-/// One page's physical storage: a latch plus (for memory backing) the
-/// bytes.
+/// One page's physical storage: a latch, a version word, and (for
+/// memory backing) the page's words.
 ///
 /// The latch is held for one page access: a whole-page write, one
-/// updater's in-place edit ([`PageStore::with_page_mut`]), or one
-/// reader's pass over the page ([`PageStore::with_page`] — a find
-/// inspects the bytes in place, [`PageStore::read`] copies them out). It
-/// models the disk's "read and written as single operations" guarantee
-/// (§2.1) and deliberately provides no other synchronization — the
-/// *locking protocols* under test are responsible for everything else.
-/// With file backing the box is empty and the latch guards the pread/
-/// pwrite of the page's file region instead.
+/// updater's in-place edit ([`PageStore::with_page_mut`]), an allocation
+/// or deallocation, or one reader's pass over the page
+/// ([`PageStore::with_page`] — a find's look in place,
+/// [`PageStore::read`] a copy). It models the disk's "read and written as
+/// single operations" guarantee (§2.1) and deliberately provides no other
+/// synchronization — the *locking protocols* under test are responsible
+/// for everything else. With file backing `words` is empty and the latch
+/// guards the pread/pwrite of the page's file region instead.
+///
+/// Every change to the slot — a write, an edit, an allocation or a
+/// deallocation — happens under the latch inside one
+/// [`VersionWord::write_begin`]/[`VersionWord::write_end`] bracket, so a
+/// reader that skips the latch ([`PageStore::read_validated`]) can tell
+/// whether its pass overlapped one. The page's bytes are held as atomic
+/// words for the same reader: every store is a whole-word atomic store,
+/// so its loads never race them.
 struct PageSlot {
-    bytes: Mutex<Box<[u8]>>,
+    latch: Mutex<()>,
+    version: VersionWord,
+    words: Box<[AtomicU64]>,
     allocated: AtomicBool,
+}
+
+impl PageSlot {
+    /// The slot's location for the race detector (see
+    /// [`ceh_locks::shadow::ShadowLoc::Page`]).
+    fn shadow_loc(&self) -> usize {
+        self as *const PageSlot as usize
+    }
+
+    /// Run `f` as one change of the slot: under the latch, inside a
+    /// version bracket.
+    fn change<R>(&self, f: impl FnOnce(SharedPageMut<'_>) -> R) -> R {
+        let _latch = self.latch.lock();
+        self.version.write_begin();
+        let out = f(SharedPageMut::new(&self.words));
+        self.version.write_end();
+        out
+    }
 }
 
 /// Length of the slot table's first segment, in bits.
@@ -322,13 +352,13 @@ impl PageStore {
                 match p {
                     Some(buf) => {
                         assert_eq!(buf.len(), cfg.page_size, "restored page size mismatch");
-                        slot.bytes.lock().copy_from_slice(&buf);
+                        SharedPageMut::new(&slot.words).copy_from(&buf);
                         // ceh-lint: allow(relaxed-ordering) — recovery runs single-threaded before sharing
                         slot.allocated.store(true, Ordering::Relaxed);
                     }
                     None => {
                         if cfg.poison_freed {
-                            slot.bytes.lock().fill(POISON_BYTE);
+                            SharedPageMut::new(&slot.words).fill(POISON_BYTE);
                         }
                         free.push(PageId(i as u64));
                     }
@@ -356,14 +386,20 @@ impl PageStore {
         matches!(self.backing, Backing::File(_))
     }
 
+    /// A free slot: zeroed words for memory backing (`with_bytes`), none
+    /// for file backing. Pages are whole words, so the page size must be
+    /// a multiple of 8 (every bucket page size is).
     fn empty_slot(cfg: &PageStoreConfig, with_bytes: bool) -> PageSlot {
-        let bytes = if with_bytes {
-            vec![0u8; cfg.page_size].into_boxed_slice()
-        } else {
-            Box::default()
-        };
+        assert!(
+            cfg.page_size % 8 == 0,
+            "page size {} is not a whole number of 8-byte words",
+            cfg.page_size
+        );
+        let words = if with_bytes { cfg.page_size / 8 } else { 0 };
         PageSlot {
-            bytes: Mutex::new(bytes),
+            latch: Mutex::new(()),
+            version: VersionWord::new("page.version"),
+            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
             allocated: AtomicBool::new(false),
         }
     }
@@ -455,7 +491,7 @@ impl PageStore {
     pub fn alloc(&self) -> Result<PageId> {
         if let Some(p) = self.free.lock().pop() {
             let slot = self.slot(p)?;
-            slot.allocated.store(true, Ordering::Release);
+            slot.change(|_| slot.allocated.store(true, Ordering::Release));
             self.stats.record_alloc();
             return Ok(p);
         }
@@ -489,38 +525,43 @@ impl PageStore {
     /// tell freed regions from live buckets.
     pub fn dealloc(&self, page: PageId) -> Result<()> {
         let slot = self.slot(page)?;
-        if !slot.allocated.swap(false, Ordering::AcqRel) {
-            self.stats.record_page_fault();
-            return Err(Error::PageFault { page: page.0 });
-        }
-        if self.cfg.poison_freed {
-            let mut bytes = slot.bytes.lock();
-            match &self.backing {
-                Backing::Memory => bytes.fill(POISON_BYTE),
-                Backing::File(f) => {
-                    use std::os::unix::fs::FileExt;
-                    let poison = vec![POISON_BYTE; self.cfg.page_size];
-                    f.write_all_at(&poison, page.0 * self.cfg.page_size as u64)
-                        .map_err(|e| Error::Io(format!("poisoning {page}: {e}")))?;
+        slot.change(|mut words| {
+            if !slot.allocated.swap(false, Ordering::AcqRel) {
+                self.stats.record_page_fault();
+                return Err(Error::PageFault { page: page.0 });
+            }
+            if self.cfg.poison_freed {
+                match &self.backing {
+                    Backing::Memory => words.fill(POISON_BYTE),
+                    Backing::File(f) => {
+                        use std::os::unix::fs::FileExt;
+                        let poison = vec![POISON_BYTE; self.cfg.page_size];
+                        f.write_all_at(&poison, page.0 * self.cfg.page_size as u64)
+                            .map_err(|e| Error::Io(format!("poisoning {page}: {e}")))?;
+                    }
                 }
             }
-        }
+            Ok(())
+        })?;
         self.free.lock().push(page);
         self.stats.record_dealloc();
         Ok(())
     }
 
-    /// Run `f` over the bytes of `page` under its latch, so `f` sees one
+    /// Run `f` over the words of `page` under its latch, so `f` sees one
     /// whole page, atomic with respect to concurrent
     /// [`PageStore::write`]s of it. On memory backing `f` reads the slot
-    /// in place; on file backing it reads a buffer filled by one pread.
+    /// in place; on file backing it reads a copy filled by one pread.
     /// Counts as one page read, with the same fault checks and simulated
     /// latency as [`PageStore::read`].
     ///
-    /// The latch is held while `f` runs: `f` must only inspect the bytes
+    /// The latch is held while `f` runs: `f` must only inspect the page
     /// and return (a lock-manager call or another page access from
     /// inside it could deadlock against a writer).
-    pub fn with_page<R>(&self, page: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+    ///
+    /// Announced to the race detector as a page read under the latch.
+    #[track_caller]
+    pub fn with_page<R>(&self, page: PageId, f: impl FnOnce(SharedPage<'_>) -> R) -> Result<R> {
         let slot = self.slot(page)?;
         if self.cfg.poison_freed && !slot.allocated.load(Ordering::Acquire) {
             self.stats.record_page_fault();
@@ -528,15 +569,13 @@ impl PageStore {
         }
         self.simulate_latency();
         let out = {
-            let bytes = slot.bytes.lock();
+            let _latch = slot.latch.lock();
+            shadow::page_read(slot.shadow_loc(), std::panic::Location::caller());
             match &self.backing {
-                Backing::Memory => f(&bytes),
+                Backing::Memory => f(SharedPage::new(&slot.words)),
                 Backing::File(file) => {
-                    use std::os::unix::fs::FileExt;
-                    let mut buf = vec![0u8; self.cfg.page_size];
-                    file.read_exact_at(&mut buf, page.0 * self.cfg.page_size as u64)
-                        .map_err(|e| Error::Io(format!("reading {page}: {e}")))?;
-                    f(&buf)
+                    let words = self.pread_words(file, page)?;
+                    f(SharedPage::new(&words))
                 }
             }
         };
@@ -544,55 +583,136 @@ impl PageStore {
         Ok(out)
     }
 
-    /// Run `f` over the bytes of `page` under its latch, letting it edit
+    /// Run `f` over the words of `page` without its latch — the
+    /// optimistic read of a find — and keep its answer only if nothing
+    /// changed the page while `f` ran. `f` may see a page mid-write (each
+    /// word whole, the page perhaps not): it must only inspect the words
+    /// and return, answering `None` to give up. The answer is also `None`
+    /// when the page is not allocated or a change of it is in progress
+    /// at the start, when a write, edit, allocation or deallocation of it
+    /// overlapped `f`, or when the store is file-backed (its pages are
+    /// read through a buffer under the latch). Counts as one page read
+    /// whenever `f` runs.
+    ///
+    /// The pass is announced to the race detector as a speculative page
+    /// read, committed only when the page's version validates.
+    #[track_caller]
+    pub fn read_validated<R>(
+        &self,
+        page: PageId,
+        f: impl FnOnce(SharedPage<'_>) -> Option<R>,
+    ) -> Option<R> {
+        if !matches!(self.backing, Backing::Memory) {
+            return None;
+        }
+        let slot = self.slots.get(page.0)?;
+        let spec = shadow::speculate();
+        let v0 = slot.version.read_begin()?;
+        if !slot.allocated.load(Ordering::Acquire) {
+            return None;
+        }
+        self.simulate_latency();
+        shadow::page_read_speculative(slot.shadow_loc(), std::panic::Location::caller());
+        let out = f(SharedPage::new(&slot.words));
+        self.stats.record_read();
+        match out {
+            Some(r) if Self::validate(&slot.version, v0) => {
+                spec.commit();
+                Some(r)
+            }
+            _ => {
+                spec.abort();
+                None
+            }
+        }
+    }
+
+    /// Did the version stay at `v0` across a [`PageStore::read_validated`]
+    /// pass?
+    #[cfg(not(feature = "check-inject-find"))]
+    #[inline]
+    fn validate(version: &VersionWord, v0: u64) -> bool {
+        version.validate(v0)
+    }
+
+    /// The injected bug the race detector must catch: an optimistic read
+    /// that never validates, so a find answers from a page a writer
+    /// changed under it. Only exists under `check-inject-find`.
+    #[cfg(feature = "check-inject-find")]
+    #[inline]
+    fn validate(_version: &VersionWord, _v0: u64) -> bool {
+        true
+    }
+
+    /// Run `f` over the words of `page` under its latch, letting it edit
     /// them in place: an update that changes one record dirties that
     /// record, not a page-sized copy. Atomic with respect to concurrent
-    /// reads and writes of the page, exactly as [`PageStore::write`] is.
-    /// On file backing `f` edits a buffer filled by one pread, which one
-    /// pwrite then stores. Counts as one page write, with the same fault
-    /// checks and simulated latency as [`PageStore::write`].
+    /// reads and writes of the page, exactly as [`PageStore::write`] is,
+    /// and one change of the page's version. On file backing `f` edits a
+    /// copy filled by one pread, which one pwrite then stores. Counts as
+    /// one page write, with the same fault checks and simulated latency as
+    /// [`PageStore::write`].
     ///
     /// The latch is held while `f` runs, with the same rule as
-    /// [`PageStore::with_page`]: `f` edits the bytes and returns. Whatever
-    /// `f` leaves in the bytes is stored, so it must validate before it
+    /// [`PageStore::with_page`]: `f` edits the page and returns. Whatever
+    /// `f` leaves in the page is stored, so it must validate before it
     /// writes.
-    pub fn with_page_mut<R>(&self, page: PageId, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
+    #[track_caller]
+    pub fn with_page_mut<R>(
+        &self,
+        page: PageId,
+        f: impl FnOnce(&mut SharedPageMut<'_>) -> R,
+    ) -> Result<R> {
         let slot = self.slot(page)?;
         if self.cfg.poison_freed && !slot.allocated.load(Ordering::Acquire) {
             self.stats.record_page_fault();
             return Err(Error::PageFault { page: page.0 });
         }
         self.simulate_latency();
-        let out = {
-            let mut bytes = slot.bytes.lock();
+        let site = std::panic::Location::caller();
+        let out = slot.change(|mut words| {
+            shadow::page_write(slot.shadow_loc(), site);
             match &self.backing {
-                Backing::Memory => f(&mut bytes),
+                Backing::Memory => Ok(f(&mut words)),
                 Backing::File(file) => {
                     use std::os::unix::fs::FileExt;
-                    let at = page.0 * self.cfg.page_size as u64;
+                    let copy = self.pread_words(file, page)?;
+                    let out = f(&mut SharedPageMut::new(&copy));
                     let mut buf = vec![0u8; self.cfg.page_size];
-                    file.read_exact_at(&mut buf, at)
-                        .map_err(|e| Error::Io(format!("reading {page}: {e}")))?;
-                    let out = f(&mut buf);
-                    file.write_all_at(&buf, at)
+                    SharedPage::new(&copy).copy_to(&mut buf);
+                    file.write_all_at(&buf, page.0 * self.cfg.page_size as u64)
                         .map_err(|e| Error::Io(format!("writing {page}: {e}")))?;
-                    out
+                    Ok(out)
                 }
             }
-        };
+        })?;
         self.stats.record_write();
         Ok(out)
     }
 
+    /// One pread of `page`'s file region, as words.
+    fn pread_words(&self, file: &std::fs::File, page: PageId) -> Result<Box<[AtomicU64]>> {
+        use std::os::unix::fs::FileExt;
+        let mut buf = vec![0u8; self.cfg.page_size];
+        file.read_exact_at(&mut buf, page.0 * self.cfg.page_size as u64)
+            .map_err(|e| Error::Io(format!("reading {page}: {e}")))?;
+        let words: Box<[AtomicU64]> = (0..buf.len() / 8).map(|_| AtomicU64::new(0)).collect();
+        SharedPageMut::new(&words).copy_from(&buf);
+        Ok(words)
+    }
+
     /// Read a whole page into `buf` (`getbucket(page, buffer)`): a copy
     /// through [`PageStore::with_page`].
+    #[track_caller]
     pub fn read(&self, page: PageId, buf: &mut PageBuf) -> Result<()> {
         assert_eq!(buf.len(), self.cfg.page_size, "buffer/page size mismatch");
-        self.with_page(page, |bytes| buf.copy_from_slice(bytes))
+        self.with_page(page, |words| words.copy_to(buf))
     }
 
     /// Write a whole page from `buf` (`putbucket(page, buffer)`). Atomic
-    /// with respect to concurrent [`PageStore::read`]s of the same page.
+    /// with respect to concurrent [`PageStore::read`]s of the same page,
+    /// and one change of the page's version.
+    #[track_caller]
     pub fn write(&self, page: PageId, buf: &PageBuf) -> Result<()> {
         assert_eq!(buf.len(), self.cfg.page_size, "buffer/page size mismatch");
         let slot = self.slot(page)?;
@@ -601,17 +721,21 @@ impl PageStore {
             return Err(Error::PageFault { page: page.0 });
         }
         self.simulate_latency();
-        {
-            let mut bytes = slot.bytes.lock();
+        let site = std::panic::Location::caller();
+        slot.change(|mut words| {
+            shadow::page_write(slot.shadow_loc(), site);
             match &self.backing {
-                Backing::Memory => bytes.copy_from_slice(buf),
+                Backing::Memory => {
+                    words.copy_from(buf);
+                    Ok(())
+                }
                 Backing::File(f) => {
                     use std::os::unix::fs::FileExt;
                     f.write_all_at(buf, page.0 * self.cfg.page_size as u64)
-                        .map_err(|e| Error::Io(format!("writing {page}: {e}")))?;
+                        .map_err(|e| Error::Io(format!("writing {page}: {e}")))
                 }
             }
-        }
+        })?;
         self.stats.record_write();
         Ok(())
     }
@@ -631,6 +755,22 @@ impl PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ceh_types::PageWords;
+
+    /// The bytes of a page handed to a `with_page` closure.
+    fn bytes(page: SharedPage<'_>) -> Vec<u8> {
+        let mut out = vec![0u8; page.len_bytes()];
+        page.copy_to(&mut out);
+        out
+    }
+
+    /// Store `f`'s edit of the bytes of a page handed to a
+    /// `with_page_mut` closure.
+    fn edit_bytes(page: &mut SharedPageMut<'_>, f: impl FnOnce(&mut [u8])) {
+        let mut b = bytes(page.shared());
+        f(&mut b);
+        page.copy_from(&b);
+    }
 
     fn store() -> PageStore {
         PageStore::new(PageStoreConfig {
@@ -661,7 +801,8 @@ mod tests {
         buf[5] = 0x42;
         s.write(p, &buf).unwrap();
         assert_eq!(
-            s.with_page(p, |bytes| (bytes.len(), bytes[5])).unwrap(),
+            s.with_page(p, |page| (page.len_bytes(), bytes(page)[5]))
+                .unwrap(),
             (64, 0x42)
         );
         assert_eq!(s.stats().reads, 1);
@@ -677,15 +818,76 @@ mod tests {
     }
 
     #[test]
+    fn read_validated_answers_only_when_nothing_overlapped() {
+        for poison_freed in [true, false] {
+            let s = PageStore::new(PageStoreConfig {
+                page_size: 64,
+                initial_pages: 2,
+                poison_freed,
+                ..Default::default()
+            });
+            let p = s.alloc().unwrap();
+            let mut buf = s.new_buf();
+            buf[8] = 0x42;
+            s.write(p, &buf).unwrap();
+            assert_eq!(s.read_validated(p, |w| Some(w.word(1))), Some(0x42));
+            assert_eq!(s.stats().reads, 1);
+            assert_eq!(s.read_validated(p, |_| None::<()>), None, "f gave up");
+            // A write, an edit, a deallocation or an allocation while `f`
+            // runs each make the pass worthless.
+            let overlapped = s.read_validated(p, |w| {
+                s.write(p, &buf).unwrap();
+                Some(w.word(1))
+            });
+            assert_eq!(overlapped, None);
+            let overlapped = s.read_validated(p, |w| {
+                s.with_page_mut(p, |_| ()).unwrap();
+                Some(w.word(1))
+            });
+            assert_eq!(overlapped, None);
+            let overlapped = s.read_validated(p, |w| {
+                s.dealloc(p).unwrap();
+                Some(w.word(1))
+            });
+            assert_eq!(overlapped, None);
+            // A freed page is never read, poisoned or not.
+            assert_eq!(s.read_validated(p, |w| Some(w.word(1))), None);
+            let q = s.alloc().unwrap();
+            assert_eq!(q, p);
+            s.write(q, &buf).unwrap();
+            let overlapped = s.read_validated(q, |w| {
+                s.dealloc(q).unwrap();
+                assert_eq!(s.alloc().unwrap(), q);
+                s.write(q, &buf).unwrap();
+                Some(w.word(1))
+            });
+            assert_eq!(overlapped, None, "the page was freed and reused");
+            assert_eq!(s.read_validated(PageId(99), |_| Some(())), None);
+        }
+    }
+
+    #[test]
+    fn read_validated_leaves_file_backed_pages_to_the_latch() {
+        let dir = std::env::temp_dir().join(format!("ceh-store-opt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let s = PageStore::create_file(dir.join("opt.ceh"), PageStoreConfig::small(64)).unwrap();
+        let p = s.alloc().unwrap();
+        s.write(p, &s.new_buf()).unwrap();
+        assert_eq!(s.read_validated(p, |_| Some(())), None);
+        assert_eq!(s.stats().reads, 0, "nothing was read");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn with_page_mut_edits_in_place_and_counts_one_write() {
         let s = store();
         let p = s.alloc().unwrap();
         s.write(p, &s.new_buf()).unwrap();
         let before = s.stats();
         assert_eq!(
-            s.with_page_mut(p, |bytes| {
-                bytes[7] = 0x5A;
-                bytes.len()
+            s.with_page_mut(p, |page| {
+                edit_bytes(page, |b| b[7] = 0x5A);
+                page.len_bytes()
             })
             .unwrap(),
             64
@@ -701,7 +903,7 @@ mod tests {
         s.dealloc(p).unwrap();
         let poisoned = s.stats();
         assert_eq!(
-            s.with_page_mut(p, |bytes| bytes.fill(0)).unwrap_err(),
+            s.with_page_mut(p, |page| page.fill(0)).unwrap_err(),
             Error::PageFault { page: p.0 }
         );
         assert_eq!(
@@ -735,13 +937,12 @@ mod tests {
             s.write(a, &buf).unwrap();
             buf.fill(0x22);
             s.write(b, &buf).unwrap();
-            s.with_page_mut(b, |bytes| bytes[100..].fill(0x33)).unwrap();
+            s.with_page_mut(b, |page| edit_bytes(page, |b| b[100..].fill(0x33)))
+                .unwrap();
             assert_eq!(s.stats().writes, 3);
-            s.with_page(b, |bytes| {
-                assert!(bytes[..100].iter().all(|&x| x == 0x22));
-                assert!(bytes[100..].iter().all(|&x| x == 0x33));
-            })
-            .unwrap();
+            let got = s.with_page(b, bytes).unwrap();
+            assert!(got[..100].iter().all(|&x| x == 0x22));
+            assert!(got[100..].iter().all(|&x| x == 0x33));
         }
         let s = PageStore::open_file(&path, cfg).unwrap();
         let mut buf = s.new_buf();
@@ -770,7 +971,7 @@ mod tests {
             s.write(*p, &buf).unwrap();
         }
         for p in &ids {
-            assert_eq!(s.with_page(*p, |b| b[0]).unwrap(), p.0 as u8, "{p}");
+            assert_eq!(s.with_page(*p, |b| bytes(b)[0]).unwrap(), p.0 as u8, "{p}");
         }
         for far in [200, 1 << 40, u64::MAX] {
             assert!(matches!(

@@ -12,6 +12,8 @@
 //! of garbage (e.g. poison bytes from a freed page) fails with
 //! [`Error::Corrupt`] rather than yielding a bucket.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::bits::mask;
 use crate::error::{Error, Result};
 use crate::ids::{ManagerId, PageId};
@@ -257,21 +259,227 @@ impl Bucket {
     }
 
     /// Decode from a page buffer, validating the header (see
-    /// [`BucketView::new`] for what is checked).
+    /// [`BucketView::over`] for what is checked).
     pub fn decode(page: &[u8]) -> Result<Bucket> {
         let view = BucketView::new(page)?;
+        let (w2, w4) = (page.word(2), page.word(4));
         Ok(Bucket {
             localdepth: view.localdepth,
             commonbits: view.commonbits,
             next: view.next(),
-            next_mgr: ManagerId(view.u32_at(20)),
-            prev: PageId(view.u64_at(40)),
-            prev_mgr: ManagerId(view.u32_at(32)),
-            version: view.u64_at(48),
-            records: view.records().collect(),
+            next_mgr: ManagerId((w2 >> 32) as u32),
+            prev: PageId(page.word(5)),
+            prev_mgr: ManagerId(w4 as u32),
+            version: page.word(6),
+            records: page[BUCKET_HEADER_BYTES..BUCKET_HEADER_BYTES + view.count * RECORD_BYTES]
+                .chunks_exact(RECORD_BYTES)
+                .map(|slot| Record {
+                    key: Key(u64::from_le_bytes(slot[..8].try_into().expect("slice len"))),
+                    value: Value(u64::from_le_bytes(slot[8..].try_into().expect("slice len"))),
+                })
+                .collect(),
         })
     }
 }
+
+/// An encoded page read one 64-bit word at a time. The format is a
+/// sequence of little-endian words: a header of seven (magic and
+/// `localdepth`; `commonbits`; `count` and `next_mgr`; `next`;
+/// `prev_mgr` and a reserved half; `prev`; `version`) and two per record
+/// (key, value). Word `i` is the value of bytes `8i..8i + 8`.
+///
+/// Implemented for byte pages (`[u8]`, a process's private buffer) and
+/// for [`SharedPage`], the page store's words, which lock-free readers
+/// may load while a writer stores them.
+pub trait PageWords {
+    /// Length of the page in bytes.
+    fn len_bytes(&self) -> usize;
+    /// Word `i` (`i < len_bytes() / 8`).
+    fn word(&self, i: usize) -> u64;
+    /// The first of the page's first `count` record slots whose key word
+    /// is `key` (`count` no more than the page holds). The paper's
+    /// `search` is this scan, so each page type runs it over its own
+    /// representation, bounds-checked once.
+    fn key_position(&self, count: usize, key: u64) -> Option<usize> {
+        (0..count).find(|&i| self.word(slot_word(i)) == key)
+    }
+}
+
+/// A [`PageWords`] page that can be written one word at a time.
+pub trait PageWordsMut: PageWords {
+    /// Store `w` as word `i`.
+    fn set_word(&mut self, i: usize, w: u64);
+}
+
+impl PageWords for [u8] {
+    #[inline]
+    fn len_bytes(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        u64::from_le_bytes(self[8 * i..8 * i + 8].try_into().expect("slice len"))
+    }
+
+    #[inline]
+    fn key_position(&self, count: usize, key: u64) -> Option<usize> {
+        let want = key.to_le_bytes();
+        self[BUCKET_HEADER_BYTES..BUCKET_HEADER_BYTES + count * RECORD_BYTES]
+            .chunks_exact(RECORD_BYTES)
+            .position(|slot| slot[..8] == want)
+    }
+}
+
+impl PageWordsMut for [u8] {
+    #[inline]
+    fn set_word(&mut self, i: usize, w: u64) {
+        self[8 * i..8 * i + 8].copy_from_slice(&w.to_le_bytes());
+    }
+}
+
+impl<T: PageWords + ?Sized> PageWords for &T {
+    #[inline]
+    fn len_bytes(&self) -> usize {
+        (**self).len_bytes()
+    }
+
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        (**self).word(i)
+    }
+
+    #[inline]
+    fn key_position(&self, count: usize, key: u64) -> Option<usize> {
+        (**self).key_position(count, key)
+    }
+}
+
+/// A page held as atomic words, in the page store's slot, for reading.
+///
+/// Every access is one `Relaxed` load of a whole word, so a reader that
+/// scans the page without the page latch never races a writer's store; it
+/// may see a mix of two versions, which is why such a reader validates
+/// the page's version afterwards and discards what it read if a write
+/// overlapped. `Relaxed` suffices because the version word's fences order
+/// the scan against the writes. The words hold the bytes of the format in
+/// memory order, so word `i` is `u64::from_le(words[i])` on any host.
+#[derive(Debug, Clone, Copy)]
+pub struct SharedPage<'a> {
+    words: &'a [AtomicU64],
+}
+
+impl<'a> SharedPage<'a> {
+    /// The page over `words` (one per 8 bytes of the page).
+    #[inline]
+    pub fn new(words: &'a [AtomicU64]) -> Self {
+        SharedPage { words }
+    }
+
+    /// Copy the page out into `bytes`, which are `len_bytes()` long.
+    pub fn copy_to(&self, bytes: &mut [u8]) {
+        for (chunk, w) in bytes.chunks_exact_mut(8).zip(self.words) {
+            // ceh-lint: allow(relaxed-ordering) — a page word; the page's version word orders it
+            chunk.copy_from_slice(&w.load(Ordering::Relaxed).to_ne_bytes());
+        }
+    }
+}
+
+impl PageWords for SharedPage<'_> {
+    #[inline]
+    fn len_bytes(&self) -> usize {
+        8 * self.words.len()
+    }
+
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        // ceh-lint: allow(relaxed-ordering) — a page word; the page's version word orders it
+        u64::from_le(self.words[i].load(Ordering::Relaxed))
+    }
+
+    #[inline]
+    fn key_position(&self, count: usize, key: u64) -> Option<usize> {
+        let want = key.to_le();
+        self.words[HEADER_WORDS..HEADER_WORDS + 2 * count]
+            .chunks_exact(2)
+            // ceh-lint: allow(relaxed-ordering) — a page word; the page's version word orders it
+            .position(|slot| slot[0].load(Ordering::Relaxed) == want)
+    }
+}
+
+/// A page held as atomic words, for the one writer the page store lets in
+/// at a time (under the page latch, inside the page's version bracket).
+/// Every store is one `Relaxed` store of a whole word; see [`SharedPage`].
+#[derive(Debug)]
+pub struct SharedPageMut<'a> {
+    words: &'a [AtomicU64],
+}
+
+impl<'a> SharedPageMut<'a> {
+    /// The page over `words` (one per 8 bytes of the page).
+    #[inline]
+    pub fn new(words: &'a [AtomicU64]) -> Self {
+        SharedPageMut { words }
+    }
+
+    /// The page, for reading.
+    #[inline]
+    pub fn shared(&self) -> SharedPage<'_> {
+        SharedPage::new(self.words)
+    }
+
+    /// Store `bytes`, which are `len_bytes()` long, as the page.
+    pub fn copy_from(&mut self, bytes: &[u8]) {
+        for (chunk, w) in bytes.chunks_exact(8).zip(self.words) {
+            let v = u64::from_ne_bytes(chunk.try_into().expect("chunk len"));
+            // ceh-lint: allow(relaxed-ordering) — a page word; the page's version word orders it
+            w.store(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Store `v` into every byte of the page.
+    pub fn fill(&mut self, v: u8) {
+        let w = u64::from_ne_bytes([v; 8]);
+        for word in self.words {
+            // ceh-lint: allow(relaxed-ordering) — a page word; the page's version word orders it
+            word.store(w, Ordering::Relaxed);
+        }
+    }
+}
+
+impl PageWords for SharedPageMut<'_> {
+    #[inline]
+    fn len_bytes(&self) -> usize {
+        8 * self.words.len()
+    }
+
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        self.shared().word(i)
+    }
+
+    #[inline]
+    fn key_position(&self, count: usize, key: u64) -> Option<usize> {
+        self.shared().key_position(count, key)
+    }
+}
+
+impl PageWordsMut for SharedPageMut<'_> {
+    #[inline]
+    fn set_word(&mut self, i: usize, w: u64) {
+        // ceh-lint: allow(relaxed-ordering) — a page word; the page's version word orders it
+        self.words[i].store(w.to_le(), Ordering::Relaxed);
+    }
+}
+
+/// Word index of record slot `i`'s key (its value is the next word).
+#[inline]
+const fn slot_word(i: usize) -> usize {
+    HEADER_WORDS + 2 * i
+}
+
+/// Words in the encoded bucket header.
+const HEADER_WORDS: usize = BUCKET_HEADER_BYTES / 8;
 
 /// The paper's `add(current, z)` on an encoded page, in place: write the
 /// record into slot `count` and bump `count`. The page ends up exactly as
@@ -279,20 +487,19 @@ impl Bucket {
 /// it, so an update dirties one slot and the header instead of the page.
 ///
 /// Fails with [`Error::Corrupt`], leaving the page untouched, when the
-/// header fails [`BucketView::new`] or the page has no free slot. Like
+/// header fails [`BucketView::over`] or the page has no free slot. Like
 /// [`Bucket::add`], the caller has already checked that the key is absent.
-pub fn append_in_place(page: &mut [u8], record: Record) -> Result<()> {
-    let view = BucketView::new(page)?;
+pub fn append_in_place<P: PageWordsMut + ?Sized>(page: &mut P, record: Record) -> Result<()> {
+    let view = BucketView::over(&*page)?;
     let count = view.count;
-    if count == Bucket::capacity_for(page.len()) {
+    if count == Bucket::capacity_for(page.len_bytes()) {
         return Err(Error::Corrupt(format!(
             "append to a full page of {count} records"
         )));
     }
     debug_assert!(view.search(record.key).is_none(), "add of a present key");
-    let off = BUCKET_HEADER_BYTES + count * RECORD_BYTES;
-    page[off..off + 8].copy_from_slice(&record.key.0.to_le_bytes());
-    page[off + 8..off + 16].copy_from_slice(&record.value.0.to_le_bytes());
+    page.set_word(slot_word(count), record.key.0);
+    page.set_word(slot_word(count) + 1, record.value.0);
     set_count(page, count + 1);
     Ok(())
 }
@@ -304,30 +511,29 @@ pub fn append_in_place(page: &mut [u8], record: Record) -> Result<()> {
 /// removing an absent key changes nothing.
 ///
 /// Fails with [`Error::Corrupt`], leaving the page untouched, when the
-/// header fails [`BucketView::new`].
-pub fn remove_in_place(page: &mut [u8], key: Key) -> Result<bool> {
-    let view = BucketView::new(page)?;
-    let want = key.0.to_le_bytes();
-    let Some(hole) = view.slots().position(|slot| slot[..8] == want) else {
+/// header fails [`BucketView::over`].
+pub fn remove_in_place<P: PageWordsMut + ?Sized>(page: &mut P, key: Key) -> Result<bool> {
+    let view = BucketView::over(&*page)?;
+    let Some(hole) = view.position(key) else {
         return Ok(false);
     };
     let last = view.count - 1;
     if hole != last {
-        let from = BUCKET_HEADER_BYTES + last * RECORD_BYTES;
-        page.copy_within(
-            from..from + RECORD_BYTES,
-            BUCKET_HEADER_BYTES + hole * RECORD_BYTES,
-        );
+        let (k, v) = (page.word(slot_word(last)), page.word(slot_word(last) + 1));
+        page.set_word(slot_word(hole), k);
+        page.set_word(slot_word(hole) + 1, v);
     }
     set_count(page, last);
     Ok(true)
 }
 
-/// Store a new `count`, and zero the reserved header word next to it as
-/// [`Bucket::encode`] does.
-fn set_count(page: &mut [u8], count: usize) {
-    page[16..20].copy_from_slice(&(count as u32).to_le_bytes());
-    page[36..40].copy_from_slice(&0u32.to_le_bytes());
+/// Store a new `count`, and zero the reserved header half next to
+/// `prev_mgr` as [`Bucket::encode`] does.
+fn set_count<P: PageWordsMut + ?Sized>(page: &mut P, count: usize) {
+    let w2 = page.word(2);
+    page.set_word(2, (w2 & !u64::from(u32::MAX)) | count as u64);
+    let w4 = page.word(4);
+    page.set_word(4, w4 & u64::from(u32::MAX));
 }
 
 /// A borrowed, read-only view of an encoded bucket page.
@@ -336,39 +542,52 @@ fn set_count(page: &mut [u8], count: usize) {
 /// test, the `next` link, and `search` — none of which needs the records
 /// decoded into a [`Bucket`]. The view validates the header exactly as
 /// [`Bucket::decode`] does (it *is* decode's check), then answers those
-/// questions by reading the page bytes where they lie.
+/// questions by reading the page's words where they lie: a byte page
+/// (`BucketView<&[u8]>`) or the page store's own words
+/// (`BucketView<SharedPage>`).
+///
+/// Over a page that a writer may be storing, every answer is made of
+/// words that each passed through one atomic load, and every index the
+/// view uses is bounded by the page, whatever the words hold: the view
+/// of a torn page gives wrong answers, never a panic.
 #[derive(Debug, Clone, Copy)]
-pub struct BucketView<'a> {
-    page: &'a [u8],
+pub struct BucketView<P> {
+    page: P,
     localdepth: u32,
     commonbits: u64,
     count: usize,
 }
 
-impl<'a> BucketView<'a> {
+impl<'a> BucketView<&'a [u8]> {
+    /// [`BucketView::over`] a byte page.
+    pub fn new(page: &'a [u8]) -> Result<Self> {
+        Self::over(page)
+    }
+}
+
+impl<P: PageWords + Copy> BucketView<P> {
     /// Validate the header of an encoded page: long enough for a header,
     /// the bucket magic, `localdepth` ≤ 64, and `count` records fitting
     /// the page. A page of garbage fails with [`Error::Corrupt`].
-    pub fn new(page: &'a [u8]) -> Result<Self> {
-        if page.len() < BUCKET_HEADER_BYTES {
-            return Err(Error::Corrupt(format!(
-                "page of {} bytes is too small",
-                page.len()
-            )));
+    pub fn over(page: P) -> Result<Self> {
+        let len = page.len_bytes();
+        if len < BUCKET_HEADER_BYTES {
+            return Err(Error::Corrupt(format!("page of {len} bytes is too small")));
         }
-        let magic = u32::from_le_bytes(page[0..4].try_into().expect("slice len"));
+        let w0 = page.word(0);
+        let magic = w0 as u32;
         if magic != MAGIC {
             return Err(Error::Corrupt(format!("bad magic {magic:#010x}")));
         }
-        let localdepth = u32::from_le_bytes(page[4..8].try_into().expect("slice len"));
-        let commonbits = u64::from_le_bytes(page[8..16].try_into().expect("slice len"));
-        let count = u32::from_le_bytes(page[16..20].try_into().expect("slice len")) as usize;
+        let localdepth = (w0 >> 32) as u32;
+        let commonbits = page.word(1);
+        let count = page.word(2) as u32 as usize;
         if localdepth > 64 {
             return Err(Error::Corrupt(format!(
                 "localdepth {localdepth} out of range"
             )));
         }
-        if count > Bucket::capacity_for(page.len()) {
+        if count > Bucket::capacity_for(len) {
             return Err(Error::Corrupt(format!(
                 "count {count} exceeds page capacity"
             )));
@@ -379,14 +598,6 @@ impl<'a> BucketView<'a> {
             commonbits,
             count,
         })
-    }
-
-    fn u32_at(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.page[off..off + 4].try_into().expect("slice len"))
-    }
-
-    fn u64_at(&self, off: usize) -> u64 {
-        u64::from_le_bytes(self.page[off..off + 8].try_into().expect("slice len"))
     }
 
     /// Number of records (the paper's `count` field).
@@ -411,29 +622,21 @@ impl<'a> BucketView<'a> {
     /// The `next` link (the wrong-bucket recovery path).
     #[inline]
     pub fn next(&self) -> PageId {
-        PageId(self.u64_at(24))
+        PageId(self.page.word(3))
     }
 
     /// The paper's `search(current, z)`, scanning the record slots in
-    /// place.
+    /// place: one word per slot until the key matches.
+    #[inline]
     pub fn search(&self, key: Key) -> Option<Value> {
-        let want = key.0.to_le_bytes();
-        self.slots()
-            .find(|slot| slot[..8] == want)
-            .map(|slot| Value(u64::from_le_bytes(slot[8..].try_into().expect("slice len"))))
+        self.position(key)
+            .map(|i| Value(self.page.word(slot_word(i) + 1)))
     }
 
-    /// The records, decoded one at a time in slot order.
-    fn records(&self) -> impl ExactSizeIterator<Item = Record> + 'a {
-        self.slots().map(|slot| Record {
-            key: Key(u64::from_le_bytes(slot[..8].try_into().expect("slice len"))),
-            value: Value(u64::from_le_bytes(slot[8..].try_into().expect("slice len"))),
-        })
-    }
-
-    fn slots(&self) -> std::slice::ChunksExact<'a, u8> {
-        let end = BUCKET_HEADER_BYTES + self.count * RECORD_BYTES;
-        self.page[BUCKET_HEADER_BYTES..end].chunks_exact(RECORD_BYTES)
+    /// The slot holding `key`, if any.
+    #[inline]
+    fn position(&self, key: Key) -> Option<usize> {
+        self.page.key_position(self.count, key.0)
     }
 }
 
@@ -559,7 +762,6 @@ mod tests {
         assert!(!v.owns(Pseudokey(0b10100)));
         assert_eq!(v.search(Key(200)), Some(Value(2)));
         assert_eq!(v.search(Key(999)), None);
-        assert!(v.records().eq(b.records.iter().copied()));
         assert!(matches!(
             BucketView::new(&[0xDEu8; 256]),
             Err(Error::Corrupt(_))

@@ -31,7 +31,10 @@ pub mod key;
 pub mod ops;
 
 pub use bits::{mask, partner_bit, Mask};
-pub use bucket::{Bucket, BucketView, BUCKET_HEADER_BYTES, DELETED, RECORD_BYTES};
+pub use bucket::{
+    Bucket, BucketView, PageWords, PageWordsMut, SharedPage, SharedPageMut, BUCKET_HEADER_BYTES,
+    DELETED, RECORD_BYTES,
+};
 pub use config::{HashFileConfig, RetryPolicy};
 pub use error::{Error, Result};
 pub use ids::{BucketLink, ManagerId, PageId};

@@ -1,8 +1,26 @@
 //! Property tests for the bucket page codec.
 
-use ceh_types::bucket::{append_in_place, remove_in_place, Bucket, BucketView};
+use std::sync::atomic::AtomicU64;
+
+use ceh_types::bucket::{
+    append_in_place, remove_in_place, Bucket, BucketView, SharedPage, SharedPageMut,
+};
 use ceh_types::{Key, ManagerId, PageId, Pseudokey, Record};
 use proptest::prelude::*;
+
+/// The page store's atomic words holding `page`.
+fn words_of(page: &[u8]) -> Vec<AtomicU64> {
+    let words: Vec<AtomicU64> = (0..page.len() / 8).map(|_| AtomicU64::new(0)).collect();
+    SharedPageMut::new(&words).copy_from(page);
+    words
+}
+
+/// The bytes `words` hold.
+fn bytes_of(words: &[AtomicU64]) -> Vec<u8> {
+    let mut bytes = vec![0u8; 8 * words.len()];
+    SharedPage::new(words).copy_to(&mut bytes);
+    bytes
+}
 
 fn arb_bucket(max_records: usize) -> impl Strategy<Value = Bucket> {
     (
@@ -76,7 +94,9 @@ proptest! {
 
     /// On any encoded bucket — deleted-marked ones included — the view's
     /// `owns`, `next` and `search` agree with the decoded bucket, for
-    /// resident and absent keys alike.
+    /// resident and absent keys alike — over the page's bytes and over
+    /// the page store's atomic words alike, and the words copy back out
+    /// to the same bytes.
     #[test]
     fn view_agrees_with_decoded_bucket(
         b in arb_bucket(20),
@@ -92,15 +112,22 @@ proptest! {
         b.encode(&mut page).unwrap();
         let decoded = Bucket::decode(&page).unwrap();
         let view = BucketView::new(&page).unwrap();
+        let words = words_of(&page);
+        let shared = BucketView::over(SharedPage::new(&words)).unwrap();
+        prop_assert_eq!(&bytes_of(&words), &page);
         prop_assert_eq!(view.next(), decoded.next);
+        prop_assert_eq!(shared.next(), decoded.next);
+        prop_assert_eq!(shared.count(), decoded.count());
         let resident = decoded.records.iter().map(|r| r.key.0);
         for k in resident.chain(probes) {
             prop_assert_eq!(view.search(Key(k)), decoded.search(Key(k)));
+            prop_assert_eq!(shared.search(Key(k)), decoded.search(Key(k)));
         }
         // Pseudokeys both inside and outside the bucket's commonbits.
         let inside = pk_seeds.iter().map(|s| (s & !ceh_types::mask(b.localdepth)) | (b.commonbits & ceh_types::mask(b.localdepth)));
         for pk in inside.chain(pk_seeds.iter().copied()) {
             prop_assert_eq!(view.owns(Pseudokey(pk)), decoded.owns(Pseudokey(pk)));
+            prop_assert_eq!(shared.owns(Pseudokey(pk)), decoded.owns(Pseudokey(pk)));
         }
     }
 
@@ -127,14 +154,17 @@ proptest! {
         let record = Record::new(key, value);
         if slack == 0 {
             let before = page.clone();
-            prop_assert!(append_in_place(&mut page, record).is_err());
+            prop_assert!(append_in_place(&mut page[..], record).is_err());
             prop_assert_eq!(page, before);
         } else if b.search(Key(key)).is_none() {
             let mut expected = page.clone();
             let mut decoded = Bucket::decode(&expected).unwrap();
             decoded.add(record);
             decoded.encode(&mut expected).unwrap();
-            append_in_place(&mut page, record).unwrap();
+            let words = words_of(&page);
+            append_in_place(&mut SharedPageMut::new(&words), record).unwrap();
+            append_in_place(&mut page[..], record).unwrap();
+            prop_assert_eq!(&bytes_of(&words), &expected);
             prop_assert_eq!(page, expected);
         }
     }
@@ -168,7 +198,10 @@ proptest! {
         if removed {
             decoded.encode(&mut expected).unwrap();
         }
-        prop_assert_eq!(remove_in_place(&mut page, key).unwrap(), removed);
+        let words = words_of(&page);
+        prop_assert_eq!(remove_in_place(&mut SharedPageMut::new(&words), key).unwrap(), removed);
+        prop_assert_eq!(&bytes_of(&words), &expected);
+        prop_assert_eq!(remove_in_place(&mut page[..], key).unwrap(), removed);
         prop_assert_eq!(page, expected);
     }
 
@@ -192,8 +225,8 @@ proptest! {
         }
         prop_assume!(BucketView::new(&bytes).is_err());
         let before = bytes.clone();
-        prop_assert!(append_in_place(&mut bytes, Record::new(key, key)).is_err());
-        prop_assert!(remove_in_place(&mut bytes, Key(key)).is_err());
+        prop_assert!(append_in_place(&mut bytes[..], Record::new(key, key)).is_err());
+        prop_assert!(remove_in_place(&mut bytes[..], Key(key)).is_err());
         prop_assert_eq!(bytes, before);
     }
 

@@ -113,6 +113,13 @@ echo "=== race smoke (injected seqlock bug) ==="
 # reproducible from its committed fixture.
 cargo test -q -p ceh-check --release --features "check-race check-inject" --test race_inject
 
+echo "=== race smoke (injected optimistic-find bug) ==="
+# A lock-free find that skips validating its page's version must be
+# caught as a race on the page (a committed speculative read unordered
+# with a split's write), minimized, and reproducible from its committed
+# fixture. Its own feature, so the label-A self-test above is unchanged.
+cargo test -q -p ceh-check --release --features "check-race check-inject-find" --test race_inject_find
+
 echo "=== schedule-fixture corpus ==="
 # Every committed minimized schedule must replay clean on the current
 # protocol (a reproduced violation means a pinned bug is back).

@@ -57,6 +57,8 @@ fn solution2_mixed_run_produces_one_cross_layer_report() {
     assert!(nonzero("storage.writes"));
     assert!(nonzero("core.splits"), "split/merge metrics in report");
     assert!(nonzero("core.inserts"));
+    assert!(nonzero("core.find_fast"), "find-path counters in report");
+    assert!(counters.get("core.find_fallback").is_some());
 
     let hists = doc.get("hists").expect("hists object");
     assert!(
