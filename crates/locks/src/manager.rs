@@ -1206,6 +1206,31 @@ mod tests {
     }
 
     #[test]
+    fn xi_probe_sees_only_a_granted_xi() {
+        let m = LockManager::default();
+        let p = PageId(7);
+        assert!(!m.xi_held(p), "a page never locked");
+        let (a, b) = (m.new_owner(), m.new_owner());
+        m.lock(a, LockId::Page(p), Rho);
+        m.lock(b, LockId::Page(p), Alpha);
+        assert!(!m.xi_held(p), "ρ and α leave a reader in");
+        assert!(!m.try_lock(m.new_owner(), LockId::Page(p), Xi));
+        assert!(!m.xi_held(p), "a refused ξ is not held");
+        m.unlock(a, LockId::Page(p), Rho);
+        m.unlock(b, LockId::Page(p), Alpha);
+        m.lock(a, LockId::Page(p), Xi);
+        assert!(m.xi_held(p));
+        assert!(!m.xi_held(PageId(8)), "a neighbour's ξ is its own");
+        m.unlock(a, LockId::Page(p), Xi);
+        assert!(!m.xi_held(p));
+        assert!(
+            m.xi_held(PageId(u64::MAX)),
+            "past the word table: fall back"
+        );
+        assert_eq!(m.total_granted(), 0);
+    }
+
+    #[test]
     fn a_page_past_the_word_table_locks_like_any_other() {
         let m = Arc::new(LockManager::default());
         let idle = |m: &LockManager| m.shards.iter().all(|s| s.table.lock().sparse.is_empty());

@@ -36,18 +36,23 @@ impl<T: Default> SegTable<T> {
         }
     }
 
+    /// Segment and offset of index `i`; `None` past the last segment.
+    #[inline]
+    fn locate(i: u64) -> Option<(usize, usize)> {
+        let j = i.checked_add(1 << FIRST_BITS)?;
+        let k = (63 - j.leading_zeros() - FIRST_BITS) as usize;
+        (k < SEGS).then(|| (k, (j - (1u64 << (k as u32 + FIRST_BITS))) as usize))
+    }
+
     /// Entry `i`, allocating its segment on first use; `None` past the
     /// table's last segment.
     #[inline]
     pub(crate) fn get(&self, i: u64) -> Option<&T> {
-        let j = i.checked_add(1 << FIRST_BITS)?;
-        let k = (63 - j.leading_zeros() - FIRST_BITS) as usize;
-        let seg = self.segs.get(k)?;
-        let mut p = seg.load(Ordering::Acquire);
+        let (k, off) = Self::locate(i)?;
+        let mut p = self.segs[k].load(Ordering::Acquire);
         if p.is_null() {
             p = self.grow(k);
         }
-        let off = (j - (1u64 << (k as u32 + FIRST_BITS))) as usize;
         // ceh-lint: allow(unsafe-block) — `p` is a live segment of `seg_len(k)` entries (published by `grow`, freed only in Drop) and `off < seg_len(k)` by the segment arithmetic
         Some(unsafe { &*p.add(off) })
     }
@@ -57,15 +62,10 @@ impl<T: Default> SegTable<T> {
     /// (so every entry in it is still `T::default()`).
     #[inline]
     pub(crate) fn peek(&self, i: u64) -> Option<Option<&T>> {
-        let j = i.checked_add(1 << FIRST_BITS)?;
-        let k = (63 - j.leading_zeros() - FIRST_BITS) as usize;
-        let p = self.segs.get(k)?.load(Ordering::Acquire);
-        if p.is_null() {
-            return Some(None);
-        }
-        let off = (j - (1u64 << (k as u32 + FIRST_BITS))) as usize;
-        // ceh-lint: allow(unsafe-block) — as in `get`: `p` is a live segment of `seg_len(k)` entries and `off < seg_len(k)`
-        Some(Some(unsafe { &*p.add(off) }))
+        let (k, off) = Self::locate(i)?;
+        let p = self.segs[k].load(Ordering::Acquire);
+        // ceh-lint: allow(unsafe-block) — as in `get`: a non-null `p` is a live segment of `seg_len(k)` entries and `off < seg_len(k)`
+        Some((!p.is_null()).then(|| unsafe { &*p.add(off) }))
     }
 
     #[cold]
@@ -136,5 +136,24 @@ mod tests {
             .filter(|s| !s.load(Ordering::Acquire).is_null())
             .count();
         assert_eq!(live, 1, "an index in segment 0 allocates segment 0 only");
+    }
+
+    #[test]
+    fn peek_reads_without_allocating() {
+        let t = SegTable::<AtomicU64>::new();
+        assert!(
+            matches!(t.peek(5), Some(None)),
+            "segment 0 not yet allocated"
+        );
+        t.get(5).unwrap().store(9, Ordering::Release);
+        assert_eq!(t.peek(5).unwrap().unwrap().load(Ordering::Acquire), 9);
+        assert!(matches!(t.peek(10_000), Some(None)));
+        assert!(t.peek(u64::MAX).is_none());
+        let live = t
+            .segs
+            .iter()
+            .filter(|s| !s.load(Ordering::Acquire).is_null())
+            .count();
+        assert_eq!(live, 1, "peek allocated nothing");
     }
 }

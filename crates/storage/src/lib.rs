@@ -17,6 +17,11 @@
 //!   others — implemented with a per-page latch held only for the one access,
 //!   which models the disk controller's single-operation semantics
 //!   without providing any synchronization beyond it;
+//! * the latch-free [`PageStore::read_validated`] (the lock-free find's
+//!   pass over one page): every change of a page bumps a per-page
+//!   version under the latch and memory pages are atomic words, so a
+//!   pass that no change overlapped is known to have read one whole
+//!   page;
 //! * [`PageStore::alloc`] / [`PageStore::dealloc`] (`allocbucket` /
 //!   `deallocbucket`) backed by a free list;
 //! * **freed-page poisoning**: deallocated pages are filled with a poison
