@@ -64,7 +64,7 @@ fn bench_page_io(c: &mut Criterion) {
 }
 
 fn bench_locks(c: &mut Criterion) {
-    let mgr = Arc::new(LockManager::default());
+    let mgr = Arc::new(LockManager::over(ceh_locks::FixedWords::new(2)));
     let id = LockId::Page(PageId(1));
     for (name, mode) in [
         ("lock_unlock_rho", LockMode::Rho),

@@ -112,6 +112,7 @@ fn main() {
         "s1-insert-insert-split",
         "s2-insert-insert-split",
         "s2-delete-delete-merge",
+        "s2-in-bucket-updates",
     ] {
         explore_clean(name, &exhaustive);
     }

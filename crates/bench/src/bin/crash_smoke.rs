@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use ceh_check::{dist_crash_round, run_sweep, CrashConfig};
 use ceh_core::{ConcurrentHashFile, FileCore, Solution2};
-use ceh_locks::LockManager;
+use ceh_locks::{LockManager, LockManagerConfig};
 use ceh_obs::{json, MetricsHandle, RunReport};
 use ceh_storage::{DurableConfig, DurableStore, PageStoreConfig};
 use ceh_types::{hash_key, Bucket, HashFileConfig, Key, Value};
@@ -59,7 +59,7 @@ fn wal_metrics_report(emit_json: bool) {
     let core = FileCore::with_durable_metrics(
         cfg.clone(),
         Arc::clone(&wal),
-        Arc::new(LockManager::default()),
+        Arc::new(LockManager::over(wal.cache().clone())),
         hash_key,
         &metrics,
     )
@@ -79,7 +79,7 @@ fn wal_metrics_report(emit_json: bool) {
         cfg,
         &disk,
         dcfg,
-        Arc::new(LockManager::default()),
+        LockManagerConfig::default(),
         hash_key,
         &metrics,
     )

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use ceh_bench::{md_table, preload, quick_mode, throughput, RunConfig};
 use ceh_core::{ConcurrentHashFile, FileCore, Solution2};
-use ceh_locks::LockManager;
+use ceh_locks::{LockManager, LockManagerConfig};
 use ceh_obs::MetricsHandle;
 use ceh_storage::{DurableConfig, DurableStore, PageStoreConfig};
 use ceh_types::{hash_key, Bucket, HashFileConfig, Key, Value};
@@ -60,7 +60,7 @@ fn durable_lifetime(checkpoint_every: usize, total_ops: usize, threads: u64) -> 
     let core = FileCore::with_durable_metrics(
         cfg.clone(),
         Arc::clone(&wal),
-        Arc::new(LockManager::default()),
+        Arc::new(LockManager::over(wal.cache().clone())),
         hash_key,
         &metrics,
     )
@@ -89,7 +89,7 @@ fn durable_lifetime(checkpoint_every: usize, total_ops: usize, threads: u64) -> 
         cfg,
         &disk,
         dcfg,
-        Arc::new(LockManager::default()),
+        LockManagerConfig::default(),
         hash_key,
         &metrics,
     )

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use ceh_bench::{md_table, quick_mode, throughput, RunConfig};
 use ceh_core::{ConcurrentHashFile, FileCore, Solution2};
-use ceh_locks::LockManager;
+use ceh_locks::{LockManager, LockManagerConfig};
 use ceh_obs::MetricsHandle;
 use ceh_storage::{BackendKind, DiskHandle, DurableConfig, DurableStore, PageStoreConfig};
 use ceh_types::{hash_key, Bucket, HashFileConfig, Key, Value};
@@ -98,7 +98,7 @@ fn durable_lifetime(kind: BackendKind, total_ops: usize, threads: u64) -> Medium
     let core = FileCore::with_durable_metrics(
         cfg.clone(),
         Arc::clone(&wal),
-        Arc::new(LockManager::default()),
+        Arc::new(LockManager::over(wal.cache().clone())),
         hash_key,
         &metrics,
     )
@@ -137,7 +137,7 @@ fn durable_lifetime(kind: BackendKind, total_ops: usize, threads: u64) -> Medium
         cfg,
         &disk,
         dcfg,
-        Arc::new(LockManager::default()),
+        LockManagerConfig::default(),
         hash_key,
         &metrics,
     )
@@ -209,7 +209,7 @@ fn cache_sweep_point(cache_pages: usize, total_ops: usize) -> CacheRow {
     let core = FileCore::with_durable_metrics(
         cfg,
         Arc::clone(&wal),
-        Arc::new(LockManager::default()),
+        Arc::new(LockManager::over(wal.cache().clone())),
         hash_key,
         &metrics,
     )

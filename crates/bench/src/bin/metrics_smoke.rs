@@ -78,7 +78,7 @@ fn durable_file_backend_leg() {
     let core = FileCore::with_durable_metrics(
         cfg,
         Arc::clone(&wal),
-        Arc::new(LockManager::default()),
+        Arc::new(LockManager::over(wal.cache().clone())),
         hash_key,
         &metrics,
     )

@@ -34,7 +34,7 @@ use ceh_core::{
     invariants::check_concurrent_file, ConcurrentHashFile, FileCore, GcStrategy, Solution2,
     Solution2Options,
 };
-use ceh_locks::LockManager;
+use ceh_locks::{LockManager, LockManagerConfig};
 use ceh_obs::MetricsHandle;
 use ceh_storage::{
     BackendKind, CrashPlan, DiskHandle, DurableConfig, DurableStore, PageStoreConfig,
@@ -202,7 +202,7 @@ fn build_file(
     let file = FileCore::with_durable_metrics(
         HashFileConfig::tiny().with_bucket_capacity(cfg.bucket_capacity),
         Arc::clone(&wal),
-        Arc::new(LockManager::default()),
+        Arc::new(LockManager::over(wal.cache().clone())),
         hash_key,
         &metrics,
     )
@@ -227,7 +227,7 @@ fn recover_file(cfg: &CrashConfig, disk: &DiskHandle) -> Result<(Solution2, u64,
         HashFileConfig::tiny().with_bucket_capacity(cfg.bucket_capacity),
         disk,
         durable_cfg(cfg, None),
-        Arc::new(LockManager::default()),
+        LockManagerConfig::default(),
         hash_key,
         &metrics,
     )?;

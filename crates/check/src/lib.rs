@@ -47,6 +47,7 @@ pub mod litmus;
 #[cfg(feature = "check-race")]
 pub mod race;
 pub mod schedule;
+pub mod version;
 pub mod vthread;
 pub mod workload;
 
@@ -62,4 +63,5 @@ pub use litmus::{explore_litmus, litmus_by_name, litmus_corpus, Litmus, LitmusRe
 #[cfg(feature = "check-race")]
 pub use race::{Race, RaceDetector, RaceHook, RaceRun};
 pub use schedule::ScheduleFixture;
+pub use version::VersionWord;
 pub use workload::{Op, Solution, Workload};

@@ -26,11 +26,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ceh_locks::shadow::{speculate, Tracked, TrackedAtomicU64};
-use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, VersionWord};
+use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode};
 use ceh_types::PageId;
 
 use crate::explore::{dfs_explore, minimize_with, ExploreConfig, Violation};
 use crate::race::RaceRun;
+use crate::version::VersionWord;
 use crate::vthread::{Body, ControllerConfig, RunOutcome, Scheduler};
 
 /// One litmus program: a name, its expected verdict, and a builder that
@@ -232,7 +233,10 @@ fn seqlock_missing_release() -> LitmusRun {
 }
 
 fn manager() -> Arc<LockManager> {
-    Arc::new(LockManager::new(LockManagerConfig::default()))
+    Arc::new(LockManager::new(
+        LockManagerConfig::default(),
+        ceh_locks::FixedWords::new(4),
+    ))
 }
 
 /// Lock handoff, correct: both threads access `data` under the same

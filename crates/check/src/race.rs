@@ -308,6 +308,36 @@ impl ShadowSink for RaceDetector {
                 let ls = Self::loc_state(&mut st, a.loc, a.label, self.n);
                 ls.reads[t] = Some((epoch, a.site));
             }
+            AccessKind::UnguardedWrite => {
+                let first = st.locs.get(&a.loc).and_then(|ls| ls.write).map_or(
+                    RaceSite {
+                        what: "no lock",
+                        slot: t,
+                        site: a.site,
+                    },
+                    |(wt, _, wsite)| RaceSite {
+                        what: "plain write",
+                        slot: wt,
+                        site: wsite,
+                    },
+                );
+                Self::push_race(
+                    &mut st,
+                    Race {
+                        label: a.label,
+                        first,
+                        second: RaceSite {
+                            what: "page write without α or ξ",
+                            slot: t,
+                            site: a.site,
+                        },
+                    },
+                );
+                let epoch = st.clocks[t].get(t);
+                let ls = Self::loc_state(&mut st, a.loc, a.label, self.n);
+                ls.write = Some((t, epoch, a.site));
+                ls.reads.iter_mut().for_each(|r| *r = None);
+            }
             AccessKind::Write => {
                 // Write-write check against the last write…
                 Self::check_read(&mut st, a.loc, t, "plain write", a.site);
@@ -419,6 +449,10 @@ impl WaitHook for RaceHook {
         self.explorer.at_probe(id);
     }
 
+    fn at_upgrade(&self, id: LockId, mode: LockMode) {
+        self.explorer.at_upgrade(id, mode);
+    }
+
     fn at_release(&self, owner: OwnerId, id: LockId, mode: LockMode) {
         // Record the release edge first: the thread still holds the
         // token, so the edge lands before any thread this release wakes
@@ -523,6 +557,25 @@ mod tests {
         // to just verify same-slot writes do NOT race.
         det.on_access(&access(loc, AccessKind::Write, false, false));
         assert!(det.take_races().is_empty(), "same-thread writes never race");
+    }
+
+    /// A page write made without α or ξ on a reachable page is reported
+    /// even by the thread that wrote the page last, with no happens-before
+    /// question to ask.
+    #[test]
+    fn an_unguarded_page_write_is_always_reported() {
+        let det = RaceDetector::new(1, false, None);
+        let loc = ceh_locks::shadow::ShadowLoc::Page(0x2000);
+        det.on_access(&access(loc, AccessKind::Write, false, false));
+        assert!(det.take_races().is_empty());
+        det.on_access(&access(loc, AccessKind::UnguardedWrite, false, false));
+        let races = det.take_races();
+        assert_eq!(races.len(), 1);
+        assert!(
+            races[0].to_string().contains("page write without α or ξ"),
+            "{}",
+            races[0]
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! `VersionWord`: the seqlock version primitive of the optimistic
-//! read path (a find that validates instead of taking ρ locks; see
-//! DESIGN.md, "The read path").
+//! `VersionWord`: the textbook seqlock version word, as the race
+//! detector's litmus programs use it (the page store's own seqlock is
+//! the page header word, `ceh_locks::header`, which shares its
+//! orderings).
 //!
 //! A single even/odd counter guarding a small payload:
 //!
-//! * **Writers** (serialized externally: the page store brackets each
-//!   page write under the page latch) bracket payload mutation with
+//! * **Writers** (serialized externally) bracket payload mutation with
 //!   [`VersionWord::write_begin`] (version goes odd) and
 //!   [`VersionWord::write_end`] (version goes even again). The begin
 //!   increment is `Acquire`, and a `Release` fence follows it, so payload
@@ -15,9 +15,8 @@
 //! * **Readers** never lock: [`VersionWord::read_begin`] snapshots an
 //!   even version (odd means a writer is mid-flight — back off), the
 //!   payload is read speculatively (relaxed atomic loads, announced with
-//!   [`crate::shadow::Tracked::get_speculative`] or
-//!   [`crate::shadow::page_read_speculative`] inside a
-//!   [`crate::shadow::speculate`] scope), and [`VersionWord::validate`]
+//!   [`ceh_locks::shadow::Tracked::get_speculative`] inside a
+//!   [`ceh_locks::shadow::speculate`] scope), and [`VersionWord::validate`]
 //!   re-loads the version behind an `Acquire` fence: unchanged means no
 //!   writer intervened. If a payload load did see a writer's store, the
 //!   fence synchronizes with the writer's `Release` fence and the re-load
@@ -37,7 +36,7 @@
 
 use std::sync::atomic::{fence, Ordering};
 
-use crate::shadow::TrackedAtomicU64;
+use ceh_locks::shadow::TrackedAtomicU64;
 
 /// A seqlock version word. Starts even (0); odd means a writer is active.
 #[derive(Debug)]

@@ -54,8 +54,9 @@ pub enum Pending {
     Acquire(LockId),
     /// Just released this lock; next visible action unknown.
     AfterRelease(LockId),
-    /// Inside a lock-free read window on this page: will probe it for ξ
-    /// and scan it without a lock. Its footprint is whatever a writer of
+    /// Inside a lock-free read window on this page: will scan it without
+    /// a lock, or (an in-bucket update) take α or ξ on it with one CAS
+    /// from the read's snapshot. Its footprint is whatever a writer of
     /// the page touches, so it is dependent with everything.
     Probe(LockId),
 }
@@ -450,6 +451,12 @@ impl WaitHook for ExplorerHook {
             self.sched.yield_point(me, Pending::Probe(id));
         }
     }
+
+    fn at_upgrade(&self, id: LockId, _mode: LockMode) {
+        if let Some(me) = current_vthread() {
+            self.sched.yield_point(me, Pending::Probe(id));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -459,7 +466,10 @@ mod tests {
     use ceh_types::PageId;
 
     fn manager_with_hook(sched: &Arc<Scheduler>) -> Arc<LockManager> {
-        let m = Arc::new(LockManager::new(LockManagerConfig::default()));
+        let m = Arc::new(LockManager::new(
+            LockManagerConfig::default(),
+            ceh_locks::FixedWords::new(64),
+        ));
         m.set_wait_hook(Some(Arc::new(ExplorerHook::new(Arc::clone(sched)))));
         m
     }

@@ -103,6 +103,7 @@ impl Workload {
             s2_insert_insert_split(),
             s2_delete_delete_merge(),
             s2_mixed(),
+            s2_in_bucket_updates(),
         ]
     }
 
@@ -120,6 +121,7 @@ impl Workload {
         let store = PageStore::new_shared(PageStoreConfig::small(4096));
         let locks = Arc::new(LockManager::with_metrics(
             LockManagerConfig::default(),
+            store.clone(),
             &metrics,
         ));
         let cfg = HashFileConfig::tiny().with_bucket_capacity(self.bucket_capacity);
@@ -225,6 +227,27 @@ fn s2_delete_delete_merge() -> Workload {
         threads: vec![
             vec![Op::Delete(7), Op::Find(5)],
             vec![Op::Delete(5), Op::Find(7)],
+        ],
+    }
+}
+
+/// Two Solution 2 updates that edit one bucket in place, each through
+/// the fast path's validated read and one-CAS upgrade: the explorer lets
+/// one run its whole update between the other's read and its CAS, which
+/// must then fall back to Figure 8 or 9.
+fn s2_in_bucket_updates() -> Workload {
+    Workload {
+        name: "s2-in-bucket-updates",
+        description:
+            "an insert and a delete edit one bucket in place, each upgrading from its read",
+        solution: Solution::S2,
+        bucket_capacity: 2,
+        // B0 (ld 1) = {0, 2}, B1 (ld 1) = {1}: B1 has room for 3, and at
+        // local depth 1 it is never a merge candidate.
+        setup: vec![Op::Insert(0, 100), Op::Insert(1, 101), Op::Insert(2, 102)],
+        threads: vec![
+            vec![Op::Insert(3, 103), Op::Find(1)],
+            vec![Op::Delete(1), Op::Find(3)],
         ],
     }
 }

@@ -74,7 +74,7 @@ fn racy_litmus_fixture_roundtrips() {
     assert!(replay(&parsed).unwrap().is_some());
 }
 
-/// The four deterministic protocol workloads run race-clean at
+/// The deterministic protocol workloads run race-clean at
 /// preemption bound 2 with the detector on — the lock-edge model admits
 /// the ρ/α/ξ protocol. (The CI race_smoke gate re-runs these at bound 3
 /// through `ceh check race`.)
@@ -94,8 +94,9 @@ fn workloads_are_race_clean() {
 /// Replay gate over the committed race-fixture corpus: every fixture in
 /// `tests/fixtures/races/` must still REPRODUCE its race (the inverse of
 /// the schedules corpus, whose fixtures guard *fixed* bugs and must run
-/// clean). Fixtures marked `# requires: check-inject` or `# requires:
-/// check-inject-find` are skipped when that feature is off.
+/// clean). Fixtures marked `# requires: check-inject`, `# requires:
+/// check-inject-find` or `# requires: check-inject-update` are skipped
+/// when that feature is off.
 #[test]
 fn race_fixture_corpus_reproduces() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/races");
@@ -112,6 +113,7 @@ fn race_fixture_corpus_reproduces() {
         };
         if (requires("check-inject") && cfg!(not(feature = "check-inject")))
             || (requires("check-inject-find") && cfg!(not(feature = "check-inject-find")))
+            || (requires("check-inject-update") && cfg!(not(feature = "check-inject-update")))
         {
             continue;
         }

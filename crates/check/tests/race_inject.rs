@@ -1,5 +1,5 @@
 //! Detector self-test with the injected seqlock bug: the
-//! `check-inject`-gated `VersionWord::write_end_missing_release` writer
+//! `check-inject`-gated `ceh_check::VersionWord::write_end_missing_release` writer
 //! exit must be caught as a data race on the payload, minimized to a
 //! two-access witness, and reproducible from its committed fixture.
 //!

@@ -144,19 +144,20 @@ impl Index {
         // One registry for the whole index: store, locks, and operation
         // counters all report into it (surfaced by `stats` / `stats json`).
         let metrics = MetricsHandle::new();
+        let exists = path.exists();
+        let store = Arc::new(if exists {
+            PageStore::open_file_with_metrics(path, store_cfg, &metrics)?
+        } else {
+            PageStore::create_file_with_metrics(path, store_cfg, &metrics)?
+        });
         let locks = Arc::new(LockManager::with_metrics(
             LockManagerConfig::default(),
+            store.clone(),
             &metrics,
         ));
-        let core = if path.exists() {
-            let store = Arc::new(PageStore::open_file_with_metrics(
-                path, store_cfg, &metrics,
-            )?);
+        let core = if exists {
             FileCore::recover_with_metrics(cfg, store, locks, hash_key, &metrics)?
         } else {
-            let store = Arc::new(PageStore::create_file_with_metrics(
-                path, store_cfg, &metrics,
-            )?);
             FileCore::with_parts_metrics(cfg, store, locks, hash_key, &metrics)?
         };
         Ok(Index {
@@ -208,6 +209,7 @@ impl Index {
                     "records: {}, depth: {}, buckets: {}, load factor: {:.2}\n\
                      ops: {} finds ({} hits), {} inserts, {} deletes\n\
                      find path: {} lock-free, {} fell back to locks\n\
+                     update path: {} upgraded from a validated read, {} took the figures' locks\n\
                      restructuring: {} splits, {} merges, {} doublings, {} halvings\n\
                      recoveries: {} wrong-bucket chases ({:.2} mean hops)",
                     core.len(),
@@ -222,6 +224,8 @@ impl Index {
                     s.deletes + s.deletes_miss,
                     s.find_fast,
                     s.find_fallback,
+                    s.update_fast,
+                    s.update_fallback,
                     s.splits,
                     s.merges,
                     s.doublings,
@@ -415,7 +419,13 @@ mod tests {
         assert!(stats.contains("records: 501"));
         assert!(
             stats.contains("find path: 0 lock-free, 2 fell back to locks"),
-            "a file-backed index reads its pages under the latch: {stats}"
+            "a file-backed index reads its pages under locks: {stats}"
+        );
+        assert!(
+            stats.contains(
+                "update path: 0 upgraded from a validated read, 502 took the figures' locks"
+            ),
+            "a file-backed index never upgrades: {stats}"
         );
         assert!(
             stats.contains("run report") && stats.contains("core.inserts"),

@@ -1,10 +1,9 @@
 //! State and helpers shared by both concurrent solutions.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ceh_locks::shadow::TrackedAtomicUsize;
-use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
+use ceh_locks::{HeaderWords, LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
 use ceh_obs::MetricsHandle;
 use ceh_storage::{
     DiskHandle, DurableConfig, DurableStore, DurableTxn, PageBuf, PageStore, PageStoreConfig,
@@ -53,7 +52,7 @@ pub struct FileCore {
     hasher: fn(Key) -> Pseudokey,
     stats: OpStats,
     metrics: MetricsHandle,
-    len: TrackedAtomicUsize,
+    len: RecordCount,
 }
 
 impl std::fmt::Debug for FileCore {
@@ -87,6 +86,7 @@ impl FileCore {
         );
         let locks = Arc::new(LockManager::with_metrics(
             LockManagerConfig::default(),
+            store.clone(),
             &metrics,
         ));
         Self::with_parts_metrics(cfg, store, locks, hash_key, &metrics)
@@ -94,6 +94,8 @@ impl FileCore {
 
     /// Build a core over caller-supplied substrates (tests inject the
     /// identity pseudokey function and watchdog-armed lock managers).
+    /// `locks` must be built over `store` (its page locks are the store's
+    /// header words); anything else is a configuration error.
     /// The core's own counters get a fresh private registry; construct
     /// the substrates with [`MetricsHandle`]-aware constructors and use
     /// [`FileCore::with_parts_metrics`] for one correlated registry.
@@ -118,6 +120,7 @@ impl FileCore {
         metrics: &MetricsHandle,
     ) -> Result<Self> {
         cfg.validate()?;
+        Self::check_locks(&locks, &store)?;
         if Bucket::capacity_for(store.page_size()) < cfg.bucket_capacity {
             return Err(Error::Config(format!(
                 "page size {} holds only {} records, config wants {}",
@@ -141,8 +144,19 @@ impl FileCore {
             hasher,
             stats: OpStats::with_handle(metrics),
             metrics: metrics.clone(),
-            len: TrackedAtomicUsize::new(0, "core.len"),
+            len: RecordCount::new(0),
         })
+    }
+
+    /// Is `locks` over `store`'s header words?
+    fn check_locks(locks: &LockManager, store: &PageStore) -> Result<()> {
+        if locks.is_over(store) {
+            Ok(())
+        } else {
+            Err(Error::Config(
+                "the lock manager is not built over this file's page store".into(),
+            ))
+        }
     }
 
     /// Build a **crash-consistent** core over a durable store: the root
@@ -157,6 +171,7 @@ impl FileCore {
         metrics: &MetricsHandle,
     ) -> Result<Self> {
         cfg.validate()?;
+        Self::check_locks(&locks, wal.cache())?;
         if Bucket::capacity_for(wal.page_size()) < cfg.bucket_capacity {
             return Err(Error::Config(format!(
                 "page size {} holds only {} records, config wants {}",
@@ -182,7 +197,7 @@ impl FileCore {
             hasher,
             stats: OpStats::with_handle(metrics),
             metrics: metrics.clone(),
-            len: TrackedAtomicUsize::new(0, "core.len"),
+            len: RecordCount::new(0),
         })
     }
 
@@ -191,16 +206,22 @@ impl FileCore {
     /// (tombstones and debris that decode as junk) with **logged**
     /// deallocations, then rebuild the directory from the surviving
     /// buckets' `commonbits`/local depths (the same scan as
-    /// [`FileCore::recover`]).
+    /// [`FileCore::recover`]). The lock manager, configured by `locks`,
+    /// is built over the recovered store.
     pub fn recover_durable_metrics(
         cfg: HashFileConfig,
         disk: &DiskHandle,
         dcfg: DurableConfig,
-        locks: Arc<LockManager>,
+        locks: LockManagerConfig,
         hasher: fn(Key) -> Pseudokey,
         metrics: &MetricsHandle,
     ) -> Result<(Self, RecoveryReport)> {
         let (wal, report) = DurableStore::recover(disk, dcfg, metrics)?;
+        let locks = Arc::new(LockManager::with_metrics(
+            locks,
+            wal.cache().clone(),
+            metrics,
+        ));
         // Bucket-level garbage pass, durably: a page that decodes as a
         // live bucket stays; everything else (tombstones, poison,
         // uncommitted-alloc zero pages) is deallocated *through the
@@ -251,6 +272,7 @@ impl FileCore {
         hasher: fn(Key) -> Pseudokey,
         metrics: &MetricsHandle,
     ) -> Result<Self> {
+        Self::check_locks(&locks, &store)?;
         let recovered =
             ceh_sequential::SequentialHashFile::recover(cfg.clone(), Arc::clone(&store), hasher)?;
         let snap = recovered.snapshot()?;
@@ -266,7 +288,7 @@ impl FileCore {
             hasher,
             stats: OpStats::with_handle(metrics),
             metrics: metrics.clone(),
-            len: TrackedAtomicUsize::new(len, "core.len"),
+            len: RecordCount::new(len),
         })
     }
 
@@ -402,8 +424,7 @@ impl FileCore {
 
     /// Record count (exact at quiescence).
     pub fn len(&self) -> usize {
-        // ceh-lint: allow(relaxed-ordering) — statistics counter, exact only at quiescence
-        self.len.load(Ordering::Relaxed)
+        self.len.get()
     }
 
     /// Is the file empty (quiescent)?
@@ -412,11 +433,11 @@ impl FileCore {
     }
 
     pub(crate) fn len_inc(&self) {
-        self.len.fetch_add(1, Ordering::Relaxed);
+        self.len.add(1);
     }
 
     pub(crate) fn len_dec(&self) {
-        self.len.fetch_sub(1, Ordering::Relaxed);
+        self.len.add(-1);
     }
 
     /// Fresh page buffer.
@@ -458,8 +479,8 @@ impl FileCore {
     /// restructure: `edit` changes one record of the encoded page, and
     /// the answer says whether it did. Announced to the race detector
     /// exactly as [`FileCore::putbucket`] is. On the volatile store the
-    /// page is edited in place under its latch; when durable, a copy is
-    /// edited and its full image logged, as `putbucket` does.
+    /// page is edited in place; when durable, a copy is edited and its
+    /// full image logged, as `putbucket` does.
     #[track_caller]
     pub(crate) fn edit_bucket(&self, page: PageId, edit: Edit) -> Result<bool> {
         match &self.wal {
@@ -571,6 +592,7 @@ impl FileCore {
                     "find({key:?}): wrong bucket {oldpage} has no next link"
                 )));
             }
+            try_or_release!(self, owner, self.check_link(newpage));
             self.rho_lock(owner, LockId::Page(newpage));
             current = try_or_release!(self, owner, self.peek(newpage, pk, key));
             self.un_rho_lock(owner, LockId::Page(oldpage));
@@ -592,30 +614,60 @@ impl FileCore {
     }
 
     /// Figure 5 with no lock: read the directory entry, then search
-    /// the page it names in place without its latch, and answer only if
-    /// that pass validates ([`PageStore::read_validated`]), no owner held
-    /// ξ on the page during it ([`LockManager::xi_held`]), and the page
-    /// is a live bucket that owns `pk`. `None` — run the locked protocol
-    /// — in every other case: a change of the page overlapped the pass,
-    /// a ξ holder (a merge or collection between two page writes), a
-    /// wrong bucket or tombstone (recovery via `next` is the locked
-    /// path's), a freed page, or file backing. See DESIGN.md, "The read
-    /// path", for why an answer given here is linearizable.
+    /// the page it names in place, and answer only if that pass
+    /// validates ([`PageStore::read_validated`]: the page was allocated,
+    /// unchanged and without ξ from its header snapshot to the end of
+    /// the pass), the page is a live bucket that owns `pk`, and the
+    /// directory still names it ([`FileCore::owner_in_window`]). `None`
+    /// — run the locked protocol — in every other case: a change of the
+    /// page overlapped the pass, a ξ holder (a merge or collection
+    /// between two page writes), a wrong bucket or tombstone (recovery
+    /// via `next` is the locked path's), a freed page, or file backing.
+    /// See DESIGN.md, "The read path", for why an answer given here is
+    /// linearizable.
     #[inline]
     fn find_fast(&self, pk: Pseudokey, key: Key) -> Option<Option<Value>> {
         let (_depth, page) = self.dir.lookup(pk);
         self.store.read_validated(page, |words| {
-            if self.locks.xi_held(page) {
-                return None;
-            }
+            self.locks.probe(page);
             let view = BucketView::over(words).ok()?;
-            view.owns(pk).then(|| view.search(key))
+            self.owner_in_window(&view, pk, page)
+                .then(|| view.search(key))
         })
     }
 
+    /// Inside a validated read of `page`, which the directory named for
+    /// `pk`: is the page a live bucket that owns `pk`, and does the
+    /// directory name it still? The second look matters only for a page
+    /// freed and reused while the caller sat between its directory read
+    /// and the page's header snapshot: a split's new half, written but
+    /// not yet published, owns `pk` as well as the old page does, but it
+    /// is not the bucket the directory leads to until the splitter moves
+    /// the entry. A directory that names the page inside the window
+    /// makes it the bucket every locked operation would reach then.
+    #[inline]
+    pub(crate) fn owner_in_window<P: ceh_types::bucket::PageWords + Copy>(
+        &self,
+        view: &BucketView<P>,
+        pk: Pseudokey,
+        page: PageId,
+    ) -> bool {
+        view.owns(pk) && self.dir.lookup(pk).1 == page
+    }
+
+    /// A `next` link about to be locked and read: a page id past the
+    /// store is corruption, and faults here as reading it would (the lock
+    /// manager has no word for it).
+    pub(crate) fn check_link(&self, page: PageId) -> Result<()> {
+        match self.store.header(page) {
+            Some(_) => Ok(()),
+            None => Err(Error::PageFault { page: page.0 }),
+        }
+    }
+
     /// The `getbucket` of a find or of an updater's walk: look at `page`
-    /// in place under the page latch and keep only what Figures 5–9 use
-    /// of it before deciding to restructure — whether the bucket owns
+    /// in place, under a lock the caller holds on it, and keep only what
+    /// Figures 5–9 use of it before deciding to restructure — whether the bucket owns
     /// `pk`, and then either `search(key)`, `count` and `localdepth`, or
     /// the `next` link. No copy, no decode, no allocation. Announced to
     /// the race detector exactly as [`FileCore::getbucket`] is.
@@ -661,13 +713,71 @@ pub(crate) enum Edit {
 }
 
 impl Edit {
+    /// The key the edit adds or removes.
+    pub(crate) fn key(self) -> Key {
+        match self {
+            Edit::Add(record) => record.key,
+            Edit::Remove(key) => key,
+        }
+    }
+
     /// Apply to an encoded page in place: whether a record was added or
     /// removed.
-    fn apply<P: PageWordsMut + ?Sized>(self, page: &mut P) -> Result<bool> {
+    pub(crate) fn apply<P: PageWordsMut + ?Sized>(self, page: &mut P) -> Result<bool> {
         match self {
             Edit::Add(record) => append_in_place(page, record).map(|()| true),
             Edit::Remove(key) => remove_in_place(page, key),
         }
+    }
+}
+
+/// The record count: one signed count per thread slot, each on its own
+/// cache line pair, summed on read. Two callers' updates then write no
+/// common line for it; the sum is exact whenever no update is in flight.
+struct RecordCount {
+    slots: Box<[PaddedCount]>,
+}
+
+#[derive(Default)]
+#[repr(align(128))]
+struct PaddedCount(AtomicI64);
+
+/// Slots per count: callers past this many share slots, still exactly.
+const COUNT_SLOTS: usize = 16;
+
+static NEXT_COUNT_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's slot in every [`RecordCount`], assigned round-robin
+    /// on first use.
+    static COUNT_SLOT: usize =
+        // ceh-lint: allow(relaxed-ordering) — a slot number; only distinctness matters, not order
+        NEXT_COUNT_SLOT.fetch_add(1, Ordering::Relaxed) % COUNT_SLOTS;
+}
+
+impl RecordCount {
+    fn new(start: usize) -> Self {
+        let slots: Box<[PaddedCount]> = (0..COUNT_SLOTS).map(|_| PaddedCount::default()).collect();
+        // ceh-lint: allow(relaxed-ordering) — not yet shared
+        slots[0].0.store(start as i64, Ordering::Relaxed);
+        RecordCount { slots }
+    }
+
+    #[inline]
+    fn add(&self, n: i64) {
+        let slot = COUNT_SLOT.with(|s| *s);
+        // ceh-lint: allow(relaxed-ordering) — statistics counter, exact only at quiescence
+        self.slots[slot].0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> usize {
+        let sum: i64 = self
+            .slots
+            .iter()
+            // ceh-lint: allow(relaxed-ordering) — statistics counter, exact only at quiescence
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .sum();
+        sum.max(0) as usize
     }
 }
 
@@ -777,7 +887,7 @@ mod tests {
             page_size: 128,
             ..Default::default()
         });
-        let locks = Arc::new(LockManager::default());
+        let locks = Arc::new(LockManager::over(store.clone()));
         let cfg = HashFileConfig::tiny().with_bucket_capacity(1000);
         assert!(FileCore::with_parts(cfg, store, locks, hash_key).is_err());
     }

@@ -22,13 +22,21 @@
 //!   and retry the whole operation if validation fails;
 //! * tombstone deallocation and directory halving happen in a separate
 //!   garbage-collection phase under ξ-locks, after all other locks are
-//!   released.
+//!   released;
+//! * an insert or delete that needs no split or merge first tries
+//!   [`Solution2::update_fast`]: the find's validated read of the page
+//!   the directory names, then one CAS from that read's snapshot to α
+//!   (insert) or ξ (delete) on the page, an edit in place and one
+//!   release — no directory lock and no lock-table entry. Everything
+//!   else runs Figures 8–9 unchanged (DESIGN.md §3.9, "The write path").
 
-use ceh_locks::{LockId, OwnerId};
+use ceh_locks::{LockId, LockMode, OwnerId};
+use ceh_storage::Plan;
 use ceh_types::bits::{mask, partner_bit};
-use ceh_types::bucket::Bucket;
+use ceh_types::bucket::{Bucket, BucketView};
 use ceh_types::{
-    DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Result, Value,
+    DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Pseudokey, Result,
+    Value,
 };
 
 use crate::common::{try_or_release, Edit, FileCore, Owning, Peek};
@@ -271,6 +279,62 @@ impl Solution2 {
         &self.core
     }
 
+    /// The in-bucket update with no directory lock: read the page the
+    /// directory names for `pk` as a find does
+    /// ([`ceh_storage::PageStore::update_validated`]) and, if it is a live
+    /// bucket that owns `pk` and the directory still names it
+    /// ([`FileCore::owner_in_window`]), decide there. A duplicate insert
+    /// or a delete of an absent key answers from the read; an insert into
+    /// a bucket with room takes α, a delete that leaves no merge
+    /// candidate takes ξ, each with one CAS from the read's header
+    /// snapshot, then edits the page in place and releases with one
+    /// read-modify-write. `Some(changed)`: whether a record was added or
+    /// removed. `None` — run Figure 8 or 9 — for a full bucket (a split),
+    /// a merge candidate, a wrong bucket or tombstone, a read or CAS that
+    /// a change overlapped, a conflicting grant or waiters, and a durable
+    /// or file-backed store.
+    ///
+    /// Figure 8 and 9 take ρ on the directory only to keep out its ξ
+    /// holders, the merge and the garbage phase, and both also take ξ on
+    /// every page they change; a CAS against the read's unchanged,
+    /// allocated header excludes them as the directory ρ would
+    /// (DESIGN.md §3.9).
+    fn update_fast(&self, pk: Pseudokey, edit: Edit) -> Option<Result<bool>> {
+        let core = &self.core;
+        if core.wal().is_some() {
+            return None;
+        }
+        let cfg = core.config();
+        let (_depth, page) = core.dir().lookup(pk);
+        core.store().update_validated(
+            page,
+            core.locks(),
+            |words| {
+                let view = BucketView::over(words).ok()?;
+                if !core.owner_in_window(&view, pk, page) {
+                    return None;
+                }
+                let found = view.search(edit.key()).is_some();
+                match edit {
+                    /* IS Z ALREADY THERE? */
+                    Edit::Add(_) if found => Some(Plan::Answer(Ok(false))),
+                    /* CURRENT IS FULL */
+                    Edit::Add(_) if view.count() >= cfg.bucket_capacity => None,
+                    Edit::Add(_) => Some(Plan::Upgrade(LockMode::Alpha, edit)),
+                    Edit::Remove(_) if !found => Some(Plan::Answer(Ok(false))),
+                    /* TOO EMPTY: TRY TO MERGE */
+                    Edit::Remove(_)
+                        if view.count() <= cfg.merge_threshold + 1 && view.localdepth() > 1 =>
+                    {
+                        None
+                    }
+                    Edit::Remove(_) => Some(Plan::Upgrade(LockMode::Xi, edit)),
+                }
+            },
+            |words, edit| edit.apply(words),
+        )
+    }
+
     /// Hand-over-hand walk to the bucket owning `pk`, locking each bucket
     /// with `mode` — the `/* WRONG BUCKET */` loops that open Figures 8
     /// and 9. Each page is peeked in place ([`FileCore::peek`]), as a
@@ -303,6 +367,7 @@ impl Solution2 {
                     "walk for {pk:?}: wrong bucket {oldpage} has no next link"
                 )));
             }
+            try_or_release!(core, owner, core.check_link(newpage));
             core.locks().lock(owner, LockId::Page(newpage), mode);
             current = try_or_release!(core, owner, core.peek(newpage, pk, key));
             core.locks().unlock(owner, LockId::Page(oldpage), mode);
@@ -320,6 +385,19 @@ impl Solution2 {
         let _op = core.op_span("insert", key.0);
         let cap = core.config().bucket_capacity;
         let pk = (core.hasher())(key);
+        let record = ceh_types::Record { key, value };
+        if let Some(added) = self.update_fast(pk, Edit::Add(record)) {
+            core.stats().update_fast();
+            return Ok(if added? {
+                core.len_inc();
+                core.stats().inserts();
+                InsertOutcome::Inserted
+            } else {
+                core.stats().inserts_duplicate();
+                InsertOutcome::AlreadyPresent
+            });
+        }
+        core.stats().update_fallback();
 
         for _ in 0..self.opts.max_retries {
             let owner = core.locks().new_owner();
@@ -338,7 +416,6 @@ impl Solution2 {
 
             if at.count != cap {
                 core.un_rho_lock(owner, LockId::Directory);
-                let record = ceh_types::Record { key, value };
                 try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Add(record)));
                 core.un_alpha_lock(owner, LockId::Page(oldpage));
                 core.len_inc();
@@ -401,6 +478,18 @@ impl Solution2 {
         let threshold = core.config().merge_threshold;
         let cap = core.config().bucket_capacity;
         let pk = (core.hasher())(key);
+        if let Some(removed) = self.update_fast(pk, Edit::Remove(key)) {
+            core.stats().update_fast();
+            return Ok(if removed? {
+                core.len_dec();
+                core.stats().deletes();
+                DeleteOutcome::Deleted
+            } else {
+                core.stats().deletes_miss();
+                DeleteOutcome::NotFound
+            });
+        }
+        core.stats().update_fallback();
 
         'retry: for attempt in 0..self.opts.max_retries {
             // DEVIATION: Figure 9's label-A path re-runs `delete (z)`
@@ -847,7 +936,7 @@ mod tests {
         let core = FileCore::with_durable_metrics(
             HashFileConfig::tiny().with_bucket_capacity(cap),
             std::sync::Arc::clone(&wal),
-            std::sync::Arc::new(ceh_locks::LockManager::default()),
+            std::sync::Arc::new(ceh_locks::LockManager::over(wal.cache().clone())),
             ceh_types::hash_key,
             &ceh_obs::MetricsHandle::new(),
         )

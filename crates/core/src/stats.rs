@@ -89,6 +89,15 @@ op_stats! {
     /// (a writer overlapped it, ξ was held, a wrong bucket or tombstone,
     /// file backing), or the pessimistic variant, which always locks.
     find_fallback,
+    /// Solution 2 inserts and deletes answered by the in-bucket fast
+    /// path: one validated read of the page the directory names, then
+    /// (unless the read alone answers) one CAS to α or ξ, an edit in
+    /// place and one release.
+    update_fast,
+    /// Solution 2 inserts and deletes that ran Figures 8–9: the fast path
+    /// gave up (a lost CAS, a changed version, a wrong bucket or
+    /// tombstone, a full bucket, a merge candidate, file or WAL backing).
+    update_fallback,
     /// Inserts that added a key.
     inserts,
     /// Inserts that found the key already present.

@@ -26,10 +26,13 @@ fn watchdog_core(cfg: HashFileConfig) -> FileCore {
         page_size: Bucket::page_size_for(cfg.bucket_capacity),
         ..Default::default()
     });
-    let locks = Arc::new(LockManager::new(LockManagerConfig {
-        watchdog: Some(Duration::from_secs(20)),
-        ..Default::default()
-    }));
+    let locks = Arc::new(LockManager::new(
+        LockManagerConfig {
+            watchdog: Some(Duration::from_secs(20)),
+            ..Default::default()
+        },
+        store.clone(),
+    ));
     FileCore::with_parts(cfg, store, locks, hash_key).unwrap()
 }
 

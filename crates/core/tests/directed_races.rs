@@ -28,8 +28,8 @@ fn build_file() -> Solution2 {
     });
     let core = FileCore::with_parts(
         cfg,
-        store,
-        Arc::new(LockManager::default()),
+        Arc::clone(&store),
+        Arc::new(LockManager::over(store)),
         identity_pseudokey,
     )
     .unwrap();

@@ -31,8 +31,8 @@ fn core(poison_freed: bool) -> FileCore {
     });
     FileCore::with_parts(
         HashFileConfig::tiny().with_bucket_capacity(2),
-        store,
-        Arc::new(LockManager::default()),
+        Arc::clone(&store),
+        Arc::new(LockManager::over(store)),
         identity_pseudokey,
     )
     .unwrap()
@@ -134,9 +134,10 @@ fn a_find_under_another_owners_xi_falls_back_and_blocks() {
 /// partner (which still does). The test replays the merge's locks and
 /// writes as the protocol makes them and holds it between the two
 /// writes. There, the survivor says `10` is absent while the "1"
-/// partner's page alone still validates and shows it present; only the
-/// ξ the deleter holds keeps a find from answering "present" after one
-/// that answered "absent". The find must fall back, wait out the merge,
+/// partner's page still shows it present and is unchanged since before
+/// the merge; only the ξ the deleter holds, which the page's header
+/// shows, keeps a find from answering "present" after one that answered
+/// "absent". The find must fall back, wait out the merge,
 /// and report the key gone.
 #[test]
 fn a_find_in_the_merge_window_never_sees_the_deleted_key() {
@@ -171,12 +172,18 @@ fn a_find_in_the_merge_window_never_sees_the_deleted_key() {
         })
         .unwrap();
     assert_eq!(survivor_says, (true, None));
-    // …while the "1" partner's page, read alone, validates and holds it.
-    let partner_says = core.store().read_validated(one, |w| {
-        let v = BucketView::over(w).ok()?;
-        Some((v.owns(pk), v.search(z)))
-    });
-    assert_eq!(partner_says, Some((true, Some(Value(0b10)))));
+    // …while the "1" partner's page still holds it. The merger's ξ is
+    // in that page's header word, so a lock-free read of the page gives
+    // up at its first load.
+    let partner_says = core
+        .store()
+        .with_page(one, |w| {
+            let v = BucketView::over(w).unwrap();
+            (v.owns(pk), v.search(z))
+        })
+        .unwrap();
+    assert_eq!(partner_says, (true, Some(Value(0b10))));
+    assert_eq!(core.store().read_validated(one, |_| Some(())), None);
 
     let fallbacks = counter(f.as_ref(), "core.find_fallback");
     let waits = locks.stats().total_waits();

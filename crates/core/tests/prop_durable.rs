@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ceh_core::{invariants::check_concurrent_file, ConcurrentHashFile, FileCore, Solution2};
-use ceh_locks::LockManager;
+use ceh_locks::{LockManager, LockManagerConfig};
 use ceh_obs::MetricsHandle;
 use ceh_storage::{CrashPlan, DiskHandle, DurableConfig, DurableStore, PageStoreConfig};
 use ceh_types::bucket::Bucket;
@@ -43,7 +43,7 @@ fn durable_cfg(cap: usize) -> DurableConfig {
 fn durable_file(cap: usize) -> Solution2 {
     let cfg = HashFileConfig::tiny().with_bucket_capacity(cap);
     let wal = DurableStore::new(durable_cfg(cap), &MetricsHandle::new());
-    let locks = Arc::new(LockManager::default());
+    let locks = Arc::new(LockManager::over(wal.cache().clone()));
     let core =
         FileCore::with_durable_metrics(cfg, wal, locks, hash_key, &MetricsHandle::new()).unwrap();
     Solution2::from_core(core)
@@ -59,7 +59,7 @@ fn recover_file(
         plan,
         ..durable_cfg(cap)
     };
-    let locks = Arc::new(LockManager::default());
+    let locks = LockManagerConfig::default();
     let (core, _report) =
         FileCore::recover_durable_metrics(cfg, disk, dcfg, locks, hash_key, &MetricsHandle::new())?;
     Ok(Solution2::from_core(core))

@@ -23,8 +23,8 @@ fn build_file() -> Solution1 {
     });
     let core = FileCore::with_parts(
         cfg,
-        store,
-        Arc::new(LockManager::default()),
+        Arc::clone(&store),
+        Arc::new(LockManager::over(store)),
         identity_pseudokey,
     )
     .unwrap();

@@ -2,11 +2,13 @@
 //! allocates nothing.
 //!
 //! Figures 6–9 change one record of one page when the bucket neither
-//! splits nor merges. The updater peeks at the page in place as a find
-//! does, then edits the record in the page under its latch: no page
-//! buffer, no decoded record vector. Once the lock table is warm, such
-//! updates run without touching the heap. A counting global allocator
-//! with a per-thread counter checks that exactly, on both solutions.
+//! splits nor merges. The updater reads the page in place as a find
+//! does, then edits the record in the page: no page buffer, no decoded
+//! record vector. Solution 2 does it on the fast path (one CAS from the
+//! validated read, the edit, one release); Solution 1 under its locks,
+//! which once the lock table is warm run without touching the heap. A
+//! counting global allocator with a per-thread counter checks that
+//! exactly, on both solutions.
 
 mod alloc_counter;
 

@@ -121,7 +121,12 @@ fn walk_to_owner(
 ) -> Walk {
     let mut oldpage = env.page;
     let mut buf = site.new_buf();
-    site.lock(owner, oldpage, mode);
+    // A page past this site's store (stray routing) has no lock to take;
+    // it is acknowledged like any other and then read as stale.
+    let here = site.has_page(oldpage);
+    if here {
+        site.lock(owner, oldpage, mode);
+    }
     // Acknowledge per Figure 14, *after* taking the first lock.
     if let Some(fwd) = wrongbucket_ack_to {
         site.net.send(fwd, Msg::WrongbucketAck);
@@ -136,6 +141,9 @@ fn walk_to_owner(
                 outcome: None,
             },
         );
+    }
+    if !here {
+        return Walk::Stale;
     }
     let mut current = match site.getbucket(oldpage, &mut buf) {
         Ok(b) => b,
@@ -178,11 +186,9 @@ fn walk_to_owner(
             site.unlock(owner, oldpage, mode);
             return Walk::Forwarded;
         }
-        site.lock(owner, next, mode);
-        match site.getbucket(next, &mut buf) {
+        match site.lock_getbucket(owner, next, mode, &mut buf) {
             Ok(b) => current = b,
             Err(_) => {
-                site.unlock(owner, next, mode);
                 site.unlock(owner, oldpage, mode);
                 return Walk::Stale;
             }
@@ -503,11 +509,9 @@ fn delete_first_of_pair(
 
     if partner_mgr == site.id || partner_mgr.is_none() {
         // Local merge, as in Figure 9.
-        site.lock(owner, partner, LockMode::Xi);
-        let brother = match site.getbucket(partner, &mut buf) {
+        let brother = match site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) {
             Ok(b) => b,
             Err(_) => {
-                site.unlock(owner, partner, LockMode::Xi);
                 remove_plain(current, buf);
                 return;
             }
@@ -687,11 +691,9 @@ fn delete_second_of_pair(
 
     // Re-lock the target and re-validate everything (Figure 14 mirrors
     // Figure 9's checks).
-    site.lock(owner, oldpage, LockMode::Xi);
-    let mut current = match site.getbucket(oldpage, &mut buf) {
+    let mut current = match site.lock_getbucket(owner, oldpage, LockMode::Xi, &mut buf) {
         Ok(b) => b,
         Err(_) => {
-            site.unlock(owner, oldpage, LockMode::Xi);
             site.net.send(
                 goahead_port,
                 Msg::Goahead {
@@ -804,11 +806,9 @@ fn delete_second_local(
     partner: PageId,
     mut buf: ceh_storage::PageBuf,
 ) {
-    site.lock(owner, partner, LockMode::Xi);
-    let brother = match site.getbucket(partner, &mut buf) {
+    let brother = match site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) {
         Ok(b) => b,
         Err(_) => {
-            site.unlock(owner, partner, LockMode::Xi);
             bucketdone(site, env, false, None);
             return;
         }
@@ -819,11 +819,9 @@ fn delete_second_local(
         bucketdone(site, env, false, None);
         return;
     }
-    site.lock(owner, oldpage, LockMode::Xi);
-    let mut current = match site.getbucket(oldpage, &mut buf) {
+    let mut current = match site.lock_getbucket(owner, oldpage, LockMode::Xi, &mut buf) {
         Ok(b) => b,
         Err(_) => {
-            site.unlock(owner, oldpage, LockMode::Xi);
             site.unlock(owner, partner, LockMode::Xi);
             bucketdone(site, env, false, None);
             return;
@@ -934,12 +932,10 @@ fn send_merge_update(
 /// and hand its contents to the requesting "0" side.
 fn slave_mergedown(site: &Site, partner: PageId, localdepth: u32, reply_port: PortId) {
     let owner = site.locks.new_owner();
-    site.lock(owner, partner, LockMode::Xi);
     let mut buf = site.new_buf();
-    let brother = match site.getbucket(partner, &mut buf) {
+    let brother = match site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) {
         Ok(b) => b,
         Err(_) => {
-            site.unlock(owner, partner, LockMode::Xi);
             site.net.send(
                 reply_port,
                 Msg::MDReply {
@@ -992,12 +988,10 @@ fn slave_mergeup(
     reply_port: PortId,
 ) {
     let owner = site.locks.new_owner();
-    site.lock(owner, partner, LockMode::Xi);
     let mut buf = site.new_buf();
-    let mut brother = match site.getbucket(partner, &mut buf) {
+    let mut brother = match site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) {
         Ok(b) => b,
         Err(_) => {
-            site.unlock(owner, partner, LockMode::Xi);
             site.net.send(
                 reply_port,
                 Msg::MUReply {

@@ -332,10 +332,11 @@ impl Cluster {
             };
             sites.push(Arc::new(Site {
                 id,
-                store,
+                store: Arc::clone(&store),
                 wal,
                 locks: Arc::new(LockManager::with_metrics(
                     LockManagerConfig::default(),
+                    store.clone(),
                     metrics,
                 )),
                 cfg: cfg.file.clone(),
@@ -483,10 +484,11 @@ impl Cluster {
                 }
                 Arc::new(Site {
                     id: old.id,
-                    store,
+                    store: Arc::clone(&store),
                     wal: Some(wal),
                     locks: Arc::new(LockManager::with_metrics(
                         LockManagerConfig::default(),
+                        store.clone(),
                         &self.metrics,
                     )),
                     cfg: old.cfg.clone(),

@@ -492,10 +492,11 @@ fn build_site(
     };
     let site = Arc::new(Site {
         id: mgr,
-        store,
+        store: Arc::clone(&store),
         wal,
         locks: Arc::new(LockManager::with_metrics(
             LockManagerConfig::default(),
+            store.clone(),
             metrics,
         )),
         cfg: opts.file.clone(),

@@ -165,6 +165,30 @@ impl Site {
         self.locks.lock(owner, LockId::Page(page), mode);
     }
 
+    /// Does this site's store have a slot for `page`? A page id past it
+    /// (stray routing) has no lock word: locking it would panic.
+    pub fn has_page(&self, page: PageId) -> bool {
+        ceh_locks::HeaderWords::header(&*self.store, page).is_some()
+    }
+
+    /// [`Site::lock`] `page` and read it (`getbucket`). On a fault — a
+    /// page past this site's store, a freed page, a page that does not
+    /// decode — nothing stays locked.
+    pub fn lock_getbucket(
+        &self,
+        owner: OwnerId,
+        page: PageId,
+        mode: LockMode,
+        buf: &mut PageBuf,
+    ) -> Result<Bucket> {
+        if !self.has_page(page) {
+            return Err(ceh_types::Error::PageFault { page: page.0 });
+        }
+        self.lock(owner, page, mode);
+        self.getbucket(page, buf)
+            .inspect_err(|_| self.unlock(owner, page, mode))
+    }
+
     /// Unlock a page lock taken with [`Site::lock`].
     pub fn unlock(&self, owner: OwnerId, page: PageId, mode: LockMode) {
         self.locks.unlock(owner, LockId::Page(page), mode);
@@ -231,9 +255,9 @@ pub(crate) mod tests {
         let metrics = MetricsHandle::default();
         Arc::new(Site {
             id: ManagerId(id),
-            store,
+            store: store.clone(),
             wal: None,
-            locks: Arc::new(LockManager::default()),
+            locks: Arc::new(LockManager::over(store)),
             cfg,
             page_quota: quota,
             all_managers: (0..managers).map(ManagerId).collect(),

@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn guard_releases_on_drop() {
-        let m = LockManager::default();
+        let m = LockManager::over(crate::FixedWords::new(4));
         let o = m.new_owner();
         {
             let _g = LockGuard::acquire(&m, o, R, LockMode::Xi);
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn guard_releases_on_panic() {
-        let m = LockManager::default();
+        let m = LockManager::over(crate::FixedWords::new(4));
         let o = m.new_owner();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _g = LockGuard::acquire(&m, o, R, LockMode::Alpha);
@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn try_acquire_respects_compatibility() {
-        let m = LockManager::default();
+        let m = LockManager::over(crate::FixedWords::new(4));
         let a = m.new_owner();
         let b = m.new_owner();
         let g = LockGuard::try_acquire(&m, a, R, LockMode::Rho).unwrap();
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn disarm_leaves_lock_held() {
-        let m = LockManager::default();
+        let m = LockManager::over(crate::FixedWords::new(4));
         let o = m.new_owner();
         LockGuard::acquire(&m, o, R, LockMode::Rho).disarm();
         assert_eq!(m.total_granted(), 1);

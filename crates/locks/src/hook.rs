@@ -22,10 +22,12 @@
 //!   request waited.
 //! * **`at_release`** — fired after a release has been applied (waiters on
 //!   the resource are now eligible).
-//! * **`at_probe`** — fired by [`crate::LockManager::xi_held`], the
-//!   read-only ξ probe of the optimistic find, inside the reader's
-//!   version-validated read window: the point where a scheduler lets
-//!   writers overlap a lock-free read.
+//! * **`at_probe`** — fired by [`crate::LockManager::probe`] inside an
+//!   optimistic find's validated read window: the point where a
+//!   scheduler lets writers overlap a lock-free read.
+//! * **`at_upgrade`** — fired by [`crate::LockManager::upgrade`] between
+//!   an in-bucket update's validated read and its CAS: the point where a
+//!   scheduler lets writers slip in before the update claims the page.
 //!
 //! A hook is per-manager and must be cheap to consult: the fast path is
 //! one relaxed atomic load when no hook is installed. All callbacks run
@@ -66,13 +68,24 @@ pub trait WaitHook: Send + Sync {
         let _ = (owner, id, mode);
     }
 
-    /// An optimistic reader is about to probe `id` for a granted ξ
-    /// ([`crate::LockManager::xi_held`]) inside its read window: it has
-    /// snapshotted the page's version and will validate it after its
-    /// scan. No lock is held or requested. A scheduler may suspend the
-    /// caller here so that writers run inside the window.
+    /// An optimistic reader is inside its read window on `id`
+    /// ([`crate::LockManager::probe`]): it has snapshotted the page's
+    /// header and will validate it after its scan. No lock is held or
+    /// requested. A scheduler may suspend the caller here so that writers
+    /// run inside the window.
     fn at_probe(&self, id: LockId) {
         let _ = id;
+    }
+
+    /// An in-bucket update has read page `id` and is about to take
+    /// `mode` on it with one CAS from the read's snapshot
+    /// ([`crate::LockManager::upgrade`]). No lock is held. A scheduler
+    /// may suspend the caller here so that writers change the page
+    /// between the read and the CAS. A successful upgrade is reported to
+    /// [`WaitHook::at_granted`] and its release to
+    /// [`WaitHook::at_release`], with owner [`OwnerId::NONE`].
+    fn at_upgrade(&self, id: LockId, mode: LockMode) {
+        let _ = (id, mode);
     }
 
     /// A release of `mode` on `id` by `owner` has been applied and any

@@ -34,9 +34,11 @@
 //!   one CAS on it and a release one `fetch_sub`. The sharded waiter table
 //!   holds only the requests that found the word queued or conflicting
 //!   (counted in `locks.slow_path`); `QUEUED` is set exactly while a
-//!   resource has waiters, which keeps newcomers behind them. Any page
-//!   id can be locked: ids past the word table (about 2^20) keep their
-//!   word in the waiter table and always take its mutex. Each
+//!   resource has waiters, which keeps newcomers behind them. A page's
+//!   word is its header word in the page store ([`HeaderWords`],
+//!   [`header`]), which also carries the page's version, so an in-bucket
+//!   update can upgrade from a validated read with one CAS
+//!   ([`LockManager::upgrade`]). Each
 //!   owner's grants are kept in its thread's *home* rather than in a
 //!   shared table, and so is its count of ρ grants on the directory,
 //!   which every operation takes: the directory's word keeps only α, ξ
@@ -56,7 +58,7 @@
 //!   `TrackedAtomic*` wrappers and a process-global [`shadow::ShadowSink`]
 //!   seam that `ceh check race`'s happens-before detector observes shared
 //!   accesses through (compiled away unless the `check-race` feature is
-//!   on), plus the seqlock [`VersionWord`] primitive the detector gates.
+//!   on).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -66,16 +68,14 @@ mod hook;
 mod manager;
 mod mode;
 mod owners;
-mod seg;
 pub mod shadow;
 mod stats;
-mod version;
 mod word;
 
 pub use guard::LockGuard;
 pub use hook::WaitHook;
-pub use manager::{LockManager, LockManagerConfig};
+pub use manager::{FixedWords, HeaderWords, LockManager, LockManagerConfig};
 pub use mode::{compatible, LockId, LockMode};
 pub use owners::OwnerId;
 pub use stats::{lock_trace_target, LockStats, LockStatsSnapshot};
-pub use version::VersionWord;
+pub use word::header;

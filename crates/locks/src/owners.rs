@@ -34,6 +34,13 @@ use crate::mode::{LockId, LockMode};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OwnerId(pub u64);
 
+impl OwnerId {
+    /// No owner: the holder of an in-bucket update's upgrade
+    /// ([`crate::LockManager::upgrade`]), as reported to a
+    /// [`crate::WaitHook`]. Never issued by `new_owner`.
+    pub const NONE: OwnerId = OwnerId(0);
+}
+
 /// An owner id is `home << HOME_SHIFT | seq`, with `seq` counted per home
 /// from 1.
 const HOME_SHIFT: u32 = 40;

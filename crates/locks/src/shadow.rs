@@ -21,10 +21,11 @@
 //!   the location, an `Acquire` load joins it. A `Relaxed` store creates
 //!   **no** edge — which is exactly how a missing `Release` is caught.
 //! * [`page_read`]/[`page_write`]/[`page_read_speculative`] — whole
-//!   bucket-page accesses. A read under the page latch is modeled as an
-//!   acquire access on a per-page location; a write as a plain write of
-//!   the page followed by a release access (the latch); a latch-free read
-//!   as a speculative plain read, checked when its version validates.
+//!   bucket-page accesses, modelling the page's header word. A validated
+//!   read is an acquire access on a per-page location; a write a plain
+//!   write of the page followed by a release access (flagged outright
+//!   when made without α or ξ on a reachable page); a lock-free read a
+//!   speculative plain read, checked when its header validates.
 //! * [`speculate`] — a validated-speculative-read scope for seqlock-style
 //!   readers: reads inside the scope are buffered, not checked; on
 //!   [`Speculation::commit`] (after the version validates) the detector
@@ -71,6 +72,11 @@ pub enum AccessKind {
     AtomicStore,
     /// Atomic read-modify-write — never races; edges per its ordering.
     AtomicRmw,
+    /// A plain write of a bucket page that other processes can reach,
+    /// made without α or ξ on it ([`page_write`] with `guarded` false):
+    /// a protocol violation whatever the happens-before order says, so
+    /// always reported.
+    UnguardedWrite,
 }
 
 /// One shadowed access, as delivered to the [`ShadowSink`].
@@ -439,8 +445,9 @@ tracked_atomic!(
     usize
 );
 
-/// Record a whole-page read under the page latch. Modeled as an
-/// acquire-atomic access on the page's location: the latch orders it
+/// Record a whole-page read that validated against the page's header
+/// word (or a header snapshot that starts a speculative read). Modeled as
+/// an acquire-atomic access on the page's location: the header orders it
 /// after every write of the page that finished before it. What keeps
 /// the page *relevant* (the right bucket, not yet merged away) is the
 /// ρ/α/ξ protocol above, not this edge.
@@ -463,20 +470,28 @@ pub fn page_read(slot: usize, site: &'static std::panic::Location<'static>) {
 
 /// Record a whole-page write. Modeled as a plain write of the page (so a
 /// committed [`page_read_speculative`] must be ordered after it) followed
-/// by a release-atomic access (the latch, which [`page_read`] acquires).
-/// The page store calls it inside the page's version-word bracket, whose
-/// `Acquire` begin orders each write after the page's previous one.
-/// Arguments as for [`page_read`].
+/// by a release-atomic access (the page's header word, which
+/// [`page_read`] acquires). The header gives consecutive writers no edge:
+/// they are ordered by the α or ξ they hold. The page store calls it
+/// inside the header's writing bit, with `guarded` false for a write
+/// made without α or ξ on a page some process has reached
+/// ([`crate::header::guarded`]), which the detector always reports.
+/// Other arguments as for [`page_read`].
 #[inline]
-pub fn page_write(slot: usize, site: &'static std::panic::Location<'static>) {
+pub fn page_write(slot: usize, site: &'static std::panic::Location<'static>, guarded: bool) {
     #[cfg(not(feature = "check-race"))]
-    let _ = (slot, site);
+    let _ = (slot, site, guarded);
     #[cfg(feature = "check-race")]
     {
+        let kind = if guarded {
+            AccessKind::Write
+        } else {
+            AccessKind::UnguardedWrite
+        };
         emit(
             ShadowLoc::Page(slot),
             "bucket.page",
-            AccessKind::Write,
+            kind,
             PLAIN,
             false,
             site,
@@ -492,7 +507,7 @@ pub fn page_write(slot: usize, site: &'static std::panic::Location<'static>) {
     }
 }
 
-/// Record a whole-page read made without the page latch, inside a
+/// Record a whole-page read made without a lock, inside a
 /// [`speculate`] scope: buffered, and race-checked against the page's
 /// last [`page_write`] only if the scope commits (after the page's
 /// version word validates). Arguments as for [`page_read`].

@@ -1,4 +1,4 @@
-//! The per-resource lock word.
+//! The per-resource lock word, and the page header word that carries it.
 //!
 //! One `AtomicU64` per resource records its grants: the number of owners
 //! holding ρ, one bit for a granted α, one for a granted ξ, and a
@@ -8,33 +8,36 @@
 //! entry), so α and ξ never need more than one bit: another owner's α or
 //! ξ excludes a second one.
 //!
-//! The directory's word sits alone on its cache line; page words live in
-//! a [`SegTable`] indexed by page id, growing with the pages.
+//! The directory's word sits alone on its cache line. A page's word is
+//! the page's **header word** ([`header`]), word 0 of the page's slot in
+//! the page store, which the manager reaches through
+//! [`crate::HeaderWords`]. Besides the grants it holds the page's
+//! version, an "allocated" bit and a "writing" bit, so the optimistic
+//! find's version snapshot and ξ probe are one load, and an in-bucket
+//! update takes its α or ξ with one CAS from the snapshot it validated
+//! ([`upgrade`]).
 //!
 //! The directory's ρ holders are not counted in its word: every find
 //! takes ρ there, so a shared count would be one cache line that every
 //! caller writes twice per operation. Each owner's home counts its own
 //! ρ grants on the directory instead ([`try_grant_local`]), and a ξ
 //! request sums the homes' counts after marking the word. The directory
-//! word's ρ count stays zero. A page id
-//! past the table's range (about 2^20) is still lockable: its word lives
-//! in the manager's waiter table instead, under the shard mutex, and is
-//! dropped when it returns to zero. Such ids never take the fast path.
-//! No page id, whether a real page or a corrupt link, can make the table
-//! allocate more than its largest segment (4 MiB).
+//! word's ρ count stays zero.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-use crate::mode::{LockId, LockMode};
-use crate::seg::SegTable;
+use crate::mode::LockMode;
 
 /// One ρ holder.
 pub(crate) const RHO: u64 = 1;
-pub(crate) const RHO_COUNT: u64 = (1 << 32) - 1;
-pub(crate) const ALPHA: u64 = 1 << 32;
-pub(crate) const XI: u64 = 1 << 33;
+/// The ρ-holder count.
+pub const RHO_COUNT: u64 = (1 << 24) - 1;
+/// A granted α.
+pub const ALPHA: u64 = 1 << 24;
+/// A granted ξ.
+pub const XI: u64 = 1 << 25;
 /// The resource has waiters: grants go through the waiter table.
-pub(crate) const QUEUED: u64 = 1 << 34;
+pub const QUEUED: u64 = 1 << 26;
 
 /// The word bit (or count unit) one grant of `mode` adds.
 #[inline]
@@ -71,8 +74,8 @@ pub(crate) fn try_grant(word: &AtomicU64, own: u64, mode: LockMode) -> bool {
         if cur & QUEUED != 0 || conflicts(cur, own, mode) {
             return false;
         }
-        match word.compare_exchange_weak(cur, cur + bit(mode), Ordering::Acquire, Ordering::Acquire)
-        {
+        let next = (cur + bit(mode)) & !header::FRESH;
+        match word.compare_exchange_weak(cur, next, Ordering::Acquire, Ordering::Acquire) {
             Ok(_) => return true,
             Err(now) => cur = now,
         }
@@ -116,52 +119,187 @@ pub(crate) fn release(word: &AtomicU64, mode: LockMode) -> u64 {
     word.fetch_sub(bit(mode), Ordering::Release)
 }
 
-/// A word alone on its cache line pair.
-#[derive(Default)]
-#[repr(align(128))]
-struct Padded(AtomicU64);
-
-/// Every resource's word.
-pub(crate) struct Words {
-    directory: Padded,
-    pages: SegTable<AtomicU64>,
+/// Take `mode` (α or ξ) on a page with one CAS against `snap`, a header
+/// snapshot from [`header::read_begin`], setting the writing bit in the
+/// same CAS. Refused if the page changed since the snapshot (version,
+/// allocation, a write in progress), if it has waiters, or if another
+/// grant conflicts. Grants alone may differ from the snapshot: a ρ that
+/// came and went does not make the read stale.
+///
+/// The `Acquire` fence keeps the snapshot's page loads above the CAS, as
+/// [`header::validate`]'s does above its re-load: a load that saw a
+/// write's store makes the CAS see that write's `WRITING` or later.
+#[inline]
+pub(crate) fn upgrade(word: &AtomicU64, snap: u64, mode: LockMode) -> bool {
+    fence(Ordering::Acquire);
+    #[cfg(feature = "check-inject-update")]
+    let snap = injected_snapshot(word, snap);
+    let mut cur = snap;
+    loop {
+        let stale = (cur ^ snap) & header::STATE != 0
+            || cur & (header::ALLOCATED | header::WRITING) != header::ALLOCATED;
+        if stale || cur & QUEUED != 0 || conflicts(cur, 0, mode) {
+            return false;
+        }
+        let next = (cur + bit(mode) + header::WRITING) & !header::FRESH;
+        match word.compare_exchange_weak(cur, next, Ordering::Acquire, Ordering::Acquire) {
+            Ok(_) => return true,
+            Err(now) => cur = now,
+        }
+    }
 }
 
-impl Words {
-    pub(crate) fn new() -> Self {
-        Words {
-            directory: Padded::default(),
-            pages: SegTable::new(),
+/// The injected bug the schedule explorer and race detector must catch:
+/// an upgrade that CASes against the page's current header instead of
+/// the snapshot its read validated, so it writes on a decision made from
+/// a page that changed since. Only exists under `check-inject-update`.
+#[cfg(feature = "check-inject-update")]
+fn injected_snapshot(word: &AtomicU64, _snap: u64) -> u64 {
+    // ceh-lint: allow(relaxed-ordering) — the injected bug under test: the read's snapshot is thrown away
+    word.load(Ordering::Relaxed)
+}
+
+/// Release an [`upgrade`] with one read-modify-write: drop `mode` and the
+/// writing bit and publish the next version. Returns the word before;
+/// its `QUEUED` bit says whether waiters need a wake-up.
+#[inline]
+pub(crate) fn release_upgrade(word: &AtomicU64, mode: LockMode) -> u64 {
+    let delta = header::VERSION_ONE
+        .wrapping_sub(header::WRITING)
+        .wrapping_sub(bit(mode));
+    word.fetch_add(delta, Ordering::Release)
+}
+
+/// The page header word: the page's lock word plus its seqlock state.
+///
+/// | bits | field |
+/// |---|---|
+/// | 0–23 | ρ-holder count |
+/// | 24, 25, 26 | `ALPHA`, `XI`, `QUEUED` |
+/// | 27 | `ALLOCATED`: the slot holds a page (`allocbucket` .. `deallocbucket`) |
+/// | 28 | `WRITING`: a change of the page is in progress |
+/// | 29 | `FRESH`: allocated and never locked since |
+/// | 30–63 | version, advanced by every change |
+///
+/// Every change of a page — a write, an in-place edit, an allocation or
+/// a deallocation — sets `WRITING` before its stores ([`write_begin`])
+/// and clears it while advancing the version after them ([`write_end`]),
+/// so a reader that holds no lock can tell whether its pass overlapped
+/// one. Writers are serialized by α or ξ on the page, or write a page no
+/// other process can reach yet: one still `FRESH`, which every grant
+/// clears, so the race detector can tell such a write from one made
+/// without the lock ([`guarded`]). `write_begin` also waits out a
+/// `WRITING` left by another writer, so a stray unlocked write cannot
+/// corrupt the word. The version wraps after 2^34 changes of one page: a
+/// read window or an upgrade would have to span exactly that many
+/// changes to be fooled.
+pub mod header {
+    use std::sync::atomic::{fence, AtomicU64, Ordering};
+
+    pub use super::{ALPHA, QUEUED, RHO_COUNT, XI};
+
+    /// The slot holds an allocated page.
+    pub const ALLOCATED: u64 = 1 << 27;
+    /// A change of the page is in progress.
+    pub const WRITING: u64 = 1 << 28;
+    /// The page was allocated and no lock on it has been granted since:
+    /// no other process has reached it through the locking protocols.
+    pub const FRESH: u64 = 1 << 29;
+    /// One version step.
+    pub const VERSION_ONE: u64 = 1 << 30;
+    /// What a validated read compares: the version, `ALLOCATED` and
+    /// `WRITING`. Grants come and go without changing the page.
+    pub const STATE: u64 = !(VERSION_ONE - 1) | ALLOCATED | WRITING;
+    // FRESH is left out: the first grant clears it without changing the page.
+
+    /// Start a validated read: the header if the page is allocated, no
+    /// change of it is in progress and no ξ is granted on it; `None`
+    /// otherwise. One `Acquire` load, which pairs with [`write_end`].
+    #[inline]
+    pub fn read_begin(word: &AtomicU64) -> Option<u64> {
+        let w = word.load(Ordering::Acquire);
+        (w & (ALLOCATED | WRITING | XI) == ALLOCATED).then_some(w)
+    }
+
+    /// End a validated read started at `snap`: `true` iff no change of
+    /// the page began since. The `Acquire` fence keeps the page loads
+    /// above the re-load and pairs with the `Release` fence in
+    /// [`write_begin`]: if a load saw a change's store, the re-load sees
+    /// that change's `WRITING` or a later version.
+    #[inline]
+    #[must_use]
+    pub fn validate(word: &AtomicU64, snap: u64) -> bool {
+        fence(Ordering::Acquire);
+        (word.load(Ordering::Acquire) ^ snap) & STATE == 0
+    }
+
+    /// Begin a change of the page: set `WRITING` (waiting while another
+    /// change holds it) and return the header as it was. The `Release`
+    /// fence keeps the change's stores from becoming visible before the
+    /// bit.
+    #[inline]
+    pub fn write_begin(word: &AtomicU64) -> u64 {
+        loop {
+            let before = word.fetch_or(WRITING, Ordering::Acquire);
+            if before & WRITING == 0 {
+                fence(Ordering::Release);
+                return before;
+            }
+            wait_quiet(word);
         }
     }
 
-    /// The directory's word.
+    /// The header once no change of the page is in progress: spin a
+    /// little, then yield the thread (the writer may be descheduled).
     #[inline]
-    pub(crate) fn directory(&self) -> &AtomicU64 {
-        &self.directory.0
-    }
-
-    /// Is ξ granted on page `page`, as far as the table can tell without
-    /// a lock? One `Acquire` load; `true` for a page past the table, whose
-    /// word only the waiter table's mutex may read, and `false` for a page
-    /// whose segment was never allocated (no grant ever touched it).
-    #[inline]
-    pub(crate) fn xi_held(&self, page: u64) -> bool {
-        match self.pages.peek(page) {
-            None => true,
-            Some(None) => false,
-            Some(Some(w)) => w.load(Ordering::Acquire) & XI != 0,
+    pub fn wait_quiet(word: &AtomicU64) -> u64 {
+        let mut spins = 0;
+        loop {
+            let w = word.load(Ordering::Acquire);
+            if w & WRITING == 0 {
+                return w;
+            }
+            spins += 1;
+            match spins < 64 {
+                true => std::hint::spin_loop(),
+                false => std::thread::yield_now(),
+            }
         }
     }
 
-    /// The word of `id`, or `None` for a page past the table, whose word
-    /// the waiter table keeps.
+    /// End a change begun with [`write_begin`]: clear `WRITING`, advance
+    /// the version and apply `allocated` (`Some(true)` allocates: the
+    /// page is `ALLOCATED` and `FRESH`; `Some(false)` frees it), in one
+    /// `Release` read-modify-write that publishes the change's stores to
+    /// any reader whose `Acquire` load sees it.
     #[inline]
-    pub(crate) fn get(&self, id: LockId) -> Option<&AtomicU64> {
-        match id {
-            LockId::Directory => Some(&self.directory.0),
-            LockId::Page(p) => self.pages.get(p.0),
-        }
+    pub fn write_end(word: &AtomicU64, allocated: Option<bool>) {
+        let step = VERSION_ONE.wrapping_sub(WRITING);
+        let before = match allocated {
+            None => word.fetch_add(step, Ordering::Release),
+            Some(set) => {
+                let flags = if set { ALLOCATED | FRESH } else { 0 };
+                let next = |w: u64| Some((w.wrapping_add(step) & !(ALLOCATED | FRESH)) | flags);
+                word.fetch_update(Ordering::Release, Ordering::Acquire, next)
+                    .expect("the update always applies")
+            }
+        };
+        debug_assert!(before & WRITING != 0, "write_end without write_begin");
+    }
+
+    /// May a change that found the header at `before` write the page:
+    /// is α or ξ granted on it, or is it still `FRESH` (no process has
+    /// locked it since its allocation, so none can be reading it under
+    /// the protocols)? The race detector reports every other write.
+    #[inline]
+    pub fn guarded(before: u64) -> bool {
+        before & (ALPHA | XI | FRESH) != 0
+    }
+
+    /// Is the page allocated, as of one load?
+    #[inline]
+    pub fn allocated(word: &AtomicU64) -> bool {
+        word.load(Ordering::Acquire) & ALLOCATED != 0
     }
 }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use ceh_locks::{LockId, LockManager, LockMode};
+use ceh_locks::{FixedWords, LockId, LockManager, LockMode};
 use ceh_types::PageId;
 use LockMode::*;
 
@@ -31,7 +31,7 @@ const DIR: LockId = LockId::Directory;
 /// resource (α is compatible with ρ, own grants are ignored).
 #[test]
 fn rho_to_alpha_upgrade_under_readers() {
-    let m = LockManager::default();
+    let m = LockManager::over(FixedWords::new(16));
     let up = m.new_owner();
     let reader = m.new_owner();
     m.lock(up, DIR, Rho);
@@ -49,7 +49,7 @@ fn rho_to_alpha_upgrade_under_readers() {
 /// and proceeds when it releases.
 #[test]
 fn rho_to_alpha_upgrade_waits_for_other_alpha() {
-    let m = Arc::new(LockManager::default());
+    let m = Arc::new(LockManager::over(FixedWords::new(16)));
     let a = m.new_owner();
     let b = m.new_owner();
     m.lock(a, DIR, Alpha);
@@ -74,7 +74,7 @@ fn rho_to_alpha_upgrade_waits_for_other_alpha() {
 /// it would deadlock — the ξ waits on the converter's own ρ).
 #[test]
 fn rho_to_alpha_bypasses_waiting_xi() {
-    let m = Arc::new(LockManager::default());
+    let m = Arc::new(LockManager::over(FixedWords::new(16)));
     let o = m.new_owner();
     m.lock(o, DIR, Rho);
     let m2 = Arc::clone(&m);
@@ -95,7 +95,7 @@ fn rho_to_alpha_bypasses_waiting_xi() {
 /// granted as soon as the owner is alone on the resource.
 #[test]
 fn alpha_to_xi_upgrade_waits_for_readers() {
-    let m = Arc::new(LockManager::default());
+    let m = Arc::new(LockManager::over(FixedWords::new(16)));
     let up = m.new_owner();
     let reader = m.new_owner();
     m.lock(up, R, Alpha);
@@ -118,7 +118,7 @@ fn alpha_to_xi_upgrade_waits_for_readers() {
 /// starved by a reader stream.
 #[test]
 fn pending_xi_conversion_blocks_new_readers() {
-    let m = Arc::new(LockManager::default());
+    let m = Arc::new(LockManager::over(FixedWords::new(16)));
     let up = m.new_owner();
     let reader = m.new_owner();
     m.lock(up, R, Alpha);
@@ -144,7 +144,7 @@ fn pending_xi_conversion_blocks_new_readers() {
 /// exactly the remaining strength.
 #[test]
 fn downgrade_xi_to_alpha_to_rho() {
-    let m = LockManager::default();
+    let m = LockManager::over(FixedWords::new(16));
     let o = m.new_owner();
     let other = m.new_owner();
     m.lock(o, R, Xi);
@@ -174,7 +174,7 @@ fn downgrade_xi_to_alpha_to_rho() {
 /// with the ρ each still holds.
 #[test]
 fn concurrent_rho_to_alpha_upgrades_serialize() {
-    let m = Arc::new(LockManager::default());
+    let m = Arc::new(LockManager::over(FixedWords::new(16)));
     let a = m.new_owner();
     let b = m.new_owner();
     m.lock(a, DIR, Rho);
@@ -203,7 +203,7 @@ fn concurrent_rho_to_alpha_upgrades_serialize() {
 /// the detector must call it out as a cycle.
 #[test]
 fn double_rho_to_xi_upgrade_deadlocks_and_is_detected() {
-    let m = Arc::new(LockManager::default());
+    let m = Arc::new(LockManager::over(FixedWords::new(16)));
     let a = m.new_owner();
     let b = m.new_owner();
     m.lock(a, R, Rho);
@@ -229,7 +229,7 @@ fn double_rho_to_xi_upgrade_deadlocks_and_is_detected() {
 /// find (conversions wait on grants and earlier conversions).
 #[test]
 fn mixed_conversion_cycle_is_detected() {
-    let m = Arc::new(LockManager::default());
+    let m = Arc::new(LockManager::over(FixedWords::new(16)));
     let a = m.new_owner();
     let b = m.new_owner();
     m.lock(a, R, Alpha);
@@ -252,7 +252,7 @@ fn mixed_conversion_cycle_is_detected() {
 /// re-acquire either mode; counts nest and unlock order is free.
 #[test]
 fn reentrant_acquisition_during_conversion() {
-    let m = LockManager::default();
+    let m = LockManager::over(FixedWords::new(16));
     let o = m.new_owner();
     m.lock(o, DIR, Rho);
     m.lock(o, DIR, Alpha);

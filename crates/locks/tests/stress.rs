@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ceh_locks::{compatible, LockId, LockManager, LockManagerConfig, LockMode};
+use ceh_locks::{compatible, FixedWords, LockId, LockManager, LockManagerConfig, LockMode};
 use ceh_types::PageId;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -48,10 +48,13 @@ impl HeldTracker {
 
 #[test]
 fn random_schedules_never_violate_compatibility() {
-    let mgr = Arc::new(LockManager::new(LockManagerConfig {
-        watchdog: Some(Duration::from_secs(10)),
-        ..Default::default()
-    }));
+    let mgr = Arc::new(LockManager::new(
+        LockManagerConfig {
+            watchdog: Some(Duration::from_secs(10)),
+            ..Default::default()
+        },
+        FixedWords::new(16),
+    ));
     let tracker = Arc::new(HeldTracker::default());
     const THREADS: u64 = 8;
     const OPS: usize = 4000;
@@ -113,10 +116,13 @@ fn conversion_storm_makes_progress() {
     // directory, convert to α, release both. With queue-bypassing
     // conversions this must complete; with naive queuing it deadlocks
     // whenever a ξ waiter wedges between ρ and α.
-    let mgr = Arc::new(LockManager::new(LockManagerConfig {
-        watchdog: Some(Duration::from_secs(10)),
-        ..Default::default()
-    }));
+    let mgr = Arc::new(LockManager::new(
+        LockManagerConfig {
+            watchdog: Some(Duration::from_secs(10)),
+            ..Default::default()
+        },
+        FixedWords::new(16),
+    ));
     let dir = LockId::Directory;
 
     let converters: Vec<_> = (0..6)

@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ceh_locks::{compatible, LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
+use ceh_locks::{
+    compatible, FixedWords, LockId, LockManager, LockManagerConfig, LockMode, OwnerId,
+};
 use parking_lot::Mutex;
 
 /// External observer of the directory's grants, as `stress.rs`'s
@@ -51,10 +53,13 @@ impl HeldTracker {
 fn xi_is_granted_while_readers_hammer_the_fast_path() {
     const ROUNDS: usize = 50;
     const BOUND: Duration = Duration::from_secs(5);
-    let mgr = Arc::new(LockManager::new(LockManagerConfig {
-        watchdog: Some(Duration::from_secs(10)),
-        ..Default::default()
-    }));
+    let mgr = Arc::new(LockManager::new(
+        LockManagerConfig {
+            watchdog: Some(Duration::from_secs(10)),
+            ..Default::default()
+        },
+        FixedWords::new(16),
+    ));
     let tracker = Arc::new(HeldTracker::default());
     let stop = Arc::new(AtomicBool::new(false));
     let dir = LockId::Directory;
@@ -106,8 +111,8 @@ fn owner_ids_are_unique_across_threads_and_managers() {
     const THREADS: usize = 4;
     const PER_THREAD: usize = 10_000;
     let managers = [
-        Arc::new(LockManager::default()),
-        Arc::new(LockManager::default()),
+        Arc::new(LockManager::over(FixedWords::new(16))),
+        Arc::new(LockManager::over(FixedWords::new(16))),
     ];
     let workers: Vec<_> = (0..THREADS)
         .map(|_| {

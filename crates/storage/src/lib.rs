@@ -12,16 +12,20 @@
 //!
 //! * whole-page [`PageStore::read`] / [`PageStore::write`] (the paper's
 //!   `getbucket`/`putbucket`), plus the in-place [`PageStore::with_page`]
-//!   (a find's look at one page) and [`PageStore::with_page_mut`] (an
+//!   (a locked look at one page) and [`PageStore::with_page_mut`] (an
 //!   update's edit of one record), each atomic with respect to the
-//!   others — implemented with a per-page latch held only for the one access,
-//!   which models the disk controller's single-operation semantics
-//!   without providing any synchronization beyond it;
-//! * the latch-free [`PageStore::read_validated`] (the lock-free find's
-//!   pass over one page): every change of a page bumps a per-page
-//!   version under the latch and memory pages are atomic words, so a
-//!   pass that no change overlapped is known to have read one whole
-//!   page;
+//!   others: every change of a page sets a writing bit in the page's
+//!   header word and advances its version, and a read validates against
+//!   the version and retries a pass a change overlapped — the disk
+//!   controller's single-operation semantics, with no synchronization
+//!   beyond it (the locking protocols serialize the writers);
+//! * the lock-free [`PageStore::read_validated`] (the optimistic find's
+//!   pass over one page, given up rather than retried) and
+//!   [`PageStore::update_validated`] (an in-bucket update that takes α
+//!   or ξ with one CAS from the snapshot its read validated). The header
+//!   word is also the page's ρ/α/ξ lock word: the store implements
+//!   [`ceh_locks::HeaderWords`], and a file's lock manager is built over
+//!   its store;
 //! * [`PageStore::alloc`] / [`PageStore::dealloc`] (`allocbucket` /
 //!   `deallocbucket`) backed by a free list;
 //! * **freed-page poisoning**: deallocated pages are filled with a poison
@@ -62,5 +66,5 @@ pub use crash::{CrashPlan, Tear};
 pub use durable::{DurableConfig, DurableStore, DurableTxn, RecoveryReport, FRAME_HEADER};
 pub use page::{PageBuf, POISON_BYTE};
 pub use stats::{IoStats, IoStatsSnapshot};
-pub use store::{PageStore, PageStoreConfig};
+pub use store::{PageStore, PageStoreConfig, Plan};
 pub use wal::{crc32, parse_wal, WalRecord};

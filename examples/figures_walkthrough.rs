@@ -72,8 +72,8 @@ fn main() -> ceh_types::Result<()> {
     });
     let core = ceh_core::FileCore::with_parts(
         HashFileConfig::tiny().with_bucket_capacity(3),
-        store,
-        Arc::new(LockManager::default()),
+        Arc::clone(&store),
+        Arc::new(LockManager::over(store)),
         identity_pseudokey,
     )?;
     let file = Solution1::from_core(core);

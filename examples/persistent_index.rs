@@ -32,8 +32,8 @@ fn main() -> ceh_types::Result<()> {
         let store = Arc::new(PageStore::create_file(&path, store_cfg.clone())?);
         let core = FileCore::with_parts(
             cfg.clone(),
-            store,
-            Arc::new(LockManager::default()),
+            Arc::clone(&store),
+            Arc::new(LockManager::over(store)),
             hash_key,
         )?;
         let file = Arc::new(Solution2::from_core(core));
@@ -61,7 +61,12 @@ fn main() -> ceh_types::Result<()> {
     // ---- Session 2: reopen, recover, verify, keep working. ----
     let store = Arc::new(PageStore::open_file(&path, store_cfg)?);
     let t0 = std::time::Instant::now();
-    let core = FileCore::recover(cfg, store, Arc::new(LockManager::default()), hash_key)?;
+    let core = FileCore::recover(
+        cfg,
+        Arc::clone(&store),
+        Arc::new(LockManager::over(store)),
+        hash_key,
+    )?;
     let file = Solution2::from_core(core);
     println!(
         "session 2: recovered {} records, directory depth {}, in {:.1} ms",

@@ -100,7 +100,7 @@ cargo test -q -p ceh-check --release --features check-inject --test inject
 echo "=== race smoke (check-race) ==="
 # The happens-before race detector: litmus-corpus verdicts must match
 # (racy programs caught with a minimized two-access witness, race-free
-# programs clean), the four deterministic workloads must be race-clean
+# programs clean), the deterministic workloads must be race-clean
 # at preemption bound 3, and the committed race-fixture corpus must
 # still *reproduce* its races. Separate invocations: the feature
 # compiles the shadow-access seam in.
@@ -119,6 +119,14 @@ echo "=== race smoke (injected optimistic-find bug) ==="
 # with a split's write), minimized, and reproducible from its committed
 # fixture. Its own feature, so the label-A self-test above is unchanged.
 cargo test -q -p ceh-check --release --features "check-race check-inject-find" --test race_inject_find
+
+echo "=== race smoke (injected in-bucket-update bug) ==="
+# An in-bucket update whose upgrade CAS starts from the page's current
+# header instead of its validated read's snapshot must be caught as a
+# race on the page (the read the CAS commits, unordered with the write
+# that slipped in before it), minimized, and reproducible from its
+# committed fixture. Its own feature, like the two above.
+cargo test -q -p ceh-check --release --features "check-race check-inject-update" --test race_inject_update
 
 echo "=== schedule-fixture corpus ==="
 # Every committed minimized schedule must replay clean on the current

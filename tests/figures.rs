@@ -30,8 +30,8 @@ fn concurrent_core(capacity: usize) -> FileCore {
     });
     FileCore::with_parts(
         cfg,
-        store,
-        Arc::new(LockManager::default()),
+        Arc::clone(&store),
+        Arc::new(LockManager::over(store)),
         identity_pseudokey,
     )
     .unwrap()

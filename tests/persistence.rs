@@ -104,8 +104,8 @@ fn concurrent_solutions_recover_from_disk() {
         let store = Arc::new(PageStore::create_file(&path, store_cfg(4)).unwrap());
         let core = FileCore::with_parts(
             cfg.clone(),
-            store,
-            Arc::new(LockManager::default()),
+            Arc::clone(&store),
+            Arc::new(LockManager::over(store)),
             hash_key,
         )
         .unwrap();
@@ -129,7 +129,13 @@ fn concurrent_solutions_recover_from_disk() {
     // Session 2: recover into Solution 1 (either protocol can adopt the
     // same on-disk structure — it is one format).
     let store = Arc::new(PageStore::open_file(&path, store_cfg(4)).unwrap());
-    let core = FileCore::recover(cfg, store, Arc::new(LockManager::default()), hash_key).unwrap();
+    let core = FileCore::recover(
+        cfg,
+        Arc::clone(&store),
+        Arc::new(LockManager::over(store)),
+        hash_key,
+    )
+    .unwrap();
     let f = Arc::new(Solution1::from_core(core));
     assert_eq!(ConcurrentHashFile::len(&*f), 400);
     invariants::check_concurrent_file(f.core()).unwrap();

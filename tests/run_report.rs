@@ -59,6 +59,11 @@ fn solution2_mixed_run_produces_one_cross_layer_report() {
     assert!(nonzero("core.inserts"));
     assert!(nonzero("core.find_fast"), "find-path counters in report");
     assert!(counters.get("core.find_fallback").is_some());
+    assert!(
+        nonzero("core.update_fast"),
+        "update-path counters in report"
+    );
+    assert!(nonzero("core.update_fallback"), "splits run Figure 8");
 
     let hists = doc.get("hists").expect("hists object");
     assert!(
