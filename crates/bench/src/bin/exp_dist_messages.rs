@@ -33,7 +33,6 @@ fn main() {
             file: HashFileConfig::tiny().with_bucket_capacity(8),
             page_quota: None,
             latency: LatencyModel::none(),
-            data_dir: None,
             ..Default::default()
         })
         .unwrap();

@@ -43,7 +43,6 @@ fn run(dirs: usize, sites: usize, ops_per_client: usize) -> Shape {
             file: HashFileConfig::default().with_bucket_capacity(16),
             page_quota: Some(64), // spread buckets across sites as the file grows
             latency: LatencyModel::fixed(Duration::from_micros(150)),
-            data_dir: None,
             ..Default::default()
         })
         .unwrap(),

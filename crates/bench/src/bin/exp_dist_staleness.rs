@@ -47,7 +47,6 @@ fn main() {
             file: HashFileConfig::tiny().with_bucket_capacity(4),
             page_quota: None,
             latency,
-            data_dir: None,
             ..Default::default()
         })
         .unwrap();

@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use ceh_bench::{md_table, quick_mode};
-use ceh_dist::{Cluster, ClusterConfig};
+use ceh_dist::{Cluster, ClusterConfig, SiteStorage};
 use ceh_net::{FaultPlan, LatencyModel};
 use ceh_types::{HashFileConfig, Key, RetryPolicy, Value};
 
@@ -61,7 +61,7 @@ fn main() {
             file: HashFileConfig::tiny().with_bucket_capacity(8),
             page_quota: Some(32),
             latency: LatencyModel::none(),
-            data_dir: None,
+            storage: SiteStorage::Volatile,
             faults,
             retry: RetryPolicy {
                 attempts: 80,
@@ -71,8 +71,6 @@ fn main() {
             },
             resend_ms: 100,
             reply_timeout_ms: 2_000,
-            durable: false,
-            backend: Default::default(),
         })
         .unwrap();
 

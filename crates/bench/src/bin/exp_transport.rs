@@ -129,7 +129,6 @@ fn simulated(clients: u64, ops_per_client: u64, seed: u64) -> RunStats {
         file: file_config(),
         page_quota: None,
         latency: LatencyModel::none(),
-        data_dir: None,
         ..Default::default()
     })
     .expect("start simulated cluster");

@@ -459,7 +459,7 @@ pub fn dist_crash_round(seed: u64, keys: u64) -> Result<(), String> {
         bucket_managers: 2,
         file: HashFileConfig::tiny().with_bucket_capacity(4),
         page_quota: Some(8),
-        durable: true,
+        storage: ceh_dist::SiteStorage::WalMemory,
         ..Default::default()
     })
     .map_err(|e| format!("cluster start: {e}"))?;

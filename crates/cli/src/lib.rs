@@ -1,7 +1,7 @@
 //! # ceh-cli — command parsing and execution for the `ceh` binary
 //!
 //! A small durable key-value index tool over the Solution-2 concurrent
-//! extendible hash file with a file-backed page store:
+//! extendible hash file, write-ahead logged to files in a directory:
 //!
 //! ```text
 //! $ ceh /tmp/my.index put 42 4200
@@ -25,12 +25,10 @@ pub use check::{run_check, CHECK_HELP};
 pub use serve::{run_client, run_serve, CLIENT_HELP, SERVE_HELP};
 pub use top::{run_live_stats, run_live_trace, run_top, STATS_HELP, TOP_HELP};
 
-use std::sync::Arc;
-
 use ceh_core::{invariants, ConcurrentHashFile, FileCore, Solution2};
-use ceh_locks::{LockManager, LockManagerConfig};
+use ceh_locks::LockManagerConfig;
 use ceh_obs::{MetricsHandle, RunReport};
-use ceh_storage::{PageStore, PageStoreConfig};
+use ceh_storage::{DiskHandle, DurableConfig, PageStoreConfig};
 use ceh_types::bucket::Bucket;
 use ceh_types::{
     hash_key, DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, Result, Value,
@@ -127,39 +125,45 @@ commands:
   quit                exit the REPL
 numbers are decimal or 0x-prefixed hex";
 
-/// The open index: a Solution-2 file over a file-backed store.
+/// The open index: a Solution-2 file whose pages are write-ahead logged
+/// to `frames.ceh` and `wal.ceh` in the index's directory.
 pub struct Index {
     file: Solution2,
 }
 
 impl Index {
-    /// Open (recovering) or create the index at `path`.
+    /// Open (recovering) or create the index in directory `path`. A
+    /// regular file at `path` is an index in the retired single-file
+    /// format, which is refused rather than overwritten.
     pub fn open(path: &std::path::Path) -> Result<Index> {
+        if path.is_file() {
+            return Err(Error::Config(format!(
+                "{} is a single-file index; the index format is now a directory \
+                 (frames.ceh + wal.ceh), and the old format has no reader",
+                path.display()
+            )));
+        }
         let cfg = HashFileConfig::default().with_bucket_capacity(126); // 2 KiB pages
-        let store_cfg = PageStoreConfig {
-            page_size: Bucket::page_size_for(cfg.bucket_capacity),
-            initial_pages: 0,
+        let dcfg = DurableConfig {
+            page: PageStoreConfig {
+                page_size: Bucket::page_size_for(cfg.bucket_capacity),
+                ..Default::default()
+            },
             ..Default::default()
         };
-        // One registry for the whole index: store, locks, and operation
-        // counters all report into it (surfaced by `stats` / `stats json`).
+        // One registry for the whole index: log, cache, locks, and
+        // operation counters all report into it (surfaced by `stats` /
+        // `stats json`).
         let metrics = MetricsHandle::new();
-        let exists = path.exists();
-        let store = Arc::new(if exists {
-            PageStore::open_file_with_metrics(path, store_cfg, &metrics)?
-        } else {
-            PageStore::create_file_with_metrics(path, store_cfg, &metrics)?
-        });
-        let locks = Arc::new(LockManager::with_metrics(
+        let disk = DiskHandle::open_file(path, dcfg.page.page_size)?;
+        let (core, _report) = FileCore::recover_durable_metrics(
+            cfg,
+            &disk,
+            dcfg,
             LockManagerConfig::default(),
-            store.clone(),
+            hash_key,
             &metrics,
-        ));
-        let core = if exists {
-            FileCore::recover_with_metrics(cfg, store, locks, hash_key, &metrics)?
-        } else {
-            FileCore::with_parts_metrics(cfg, store, locks, hash_key, &metrics)?
-        };
+        )?;
         Ok(Index {
             file: Solution2::from_core(core),
         })
@@ -396,9 +400,8 @@ mod tests {
     }
 
     fn temp_index(tag: &str) -> (Index, std::path::PathBuf) {
-        let dir = std::env::temp_dir().join(format!("ceh-cli-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cli.index");
+        let path = std::env::temp_dir().join(format!("ceh-cli-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
         (Index::open(&path).unwrap(), path)
     }
 
@@ -418,14 +421,14 @@ mod tests {
         let stats = run_line(&index, "stats").unwrap();
         assert!(stats.contains("records: 501"));
         assert!(
-            stats.contains("find path: 0 lock-free, 2 fell back to locks"),
-            "a file-backed index reads its pages under locks: {stats}"
+            stats.contains("find path: 2 lock-free, 0 fell back to locks"),
+            "the log's cache is memory, so finds validate without locks: {stats}"
         );
         assert!(
             stats.contains(
                 "update path: 0 upgraded from a validated read, 502 took the figures' locks"
             ),
-            "a file-backed index never upgrades: {stats}"
+            "a logged update takes the figures' locks: {stats}"
         );
         assert!(
             stats.contains("run report") && stats.contains("core.inserts"),
@@ -457,14 +460,40 @@ mod tests {
         assert_eq!(run_line(&index, "del 42").unwrap(), "(not found)");
         drop(index);
 
-        // Reopen: durable.
+        // Reopen: durable, and read without locks again.
         let reopened = Index::open(&path).unwrap();
         assert_eq!(reopened.len(), 500);
         assert_eq!(run_line(&reopened, "get 42").unwrap(), "(not found)");
+        assert_eq!(run_line(&reopened, "get 43").unwrap(), "(not found)");
+        assert!(
+            run_line(&reopened, "stats")
+                .unwrap()
+                .contains("find path: 2 lock-free, 0 fell back to locks"),
+            "a reopened index's finds take the lock-free path"
+        );
         assert_eq!(
             run_line(&reopened, "verify").unwrap(),
             "all structural invariants hold"
         );
-        std::fs::remove_file(&path).unwrap();
+        drop(reopened);
+        std::fs::remove_dir_all(&path).unwrap();
+    }
+
+    #[test]
+    fn a_single_file_index_is_refused_not_overwritten() {
+        let dir = std::env::temp_dir().join(format!("ceh-cli-{}-legacy", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.index");
+        std::fs::write(&path, [0x55u8; 4096]).unwrap();
+        match Index::open(&path) {
+            Err(Error::Config(msg)) => assert!(msg.contains("format"), "{msg}"),
+            other => panic!("expected a format error, got {:?}", other.map(|i| i.len())),
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            vec![0x55u8; 4096],
+            "untouched"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

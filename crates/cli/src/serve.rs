@@ -10,9 +10,10 @@
 use std::collections::HashMap;
 use std::io::Write as _;
 
-use ceh_dist::{ClusterSpec, NodeOptions, ServeNode, TcpClusterClient};
+use ceh_dist::{ClusterSpec, NodeOptions, ServeNode, SiteStorage, TcpClusterClient};
 use ceh_net::FaultPlan;
 use ceh_obs::RunReport;
+use ceh_storage::BackendKind;
 use ceh_types::{DeleteOutcome, Error, InsertOutcome, Key, Result, RetryPolicy, Value};
 
 /// Usage text for `ceh serve`.
@@ -24,11 +25,13 @@ ceh serve --cluster <spec> --node <i> [options]
   <spec> is a comma-separated role@host:port list, identical on every
   process, e.g. dir@127.0.0.1:7101,dir@127.0.0.1:7102,bucket@127.0.0.1:7103
 
-  --data-dir <dir>      persist pages in <dir>/site-<mgr>.ceh (bucket nodes)
-  --backend <which>     'file': crash-consistent storage — frames + WAL
-                        under <data-dir>/site-<mgr>/, fsync'd, recovered
-                        on restart (requires --data-dir); 'memory':
-                        write-ahead logged against an in-memory image
+  --data-dir <dir>      keep a bucket node's pages crash-consistently:
+                        frames + WAL under <dir>/site-<mgr>/, fsync'd,
+                        recovered on restart (without it, pages live in
+                        memory with no log)
+  --backend <which>     'file': the same, and requires --data-dir;
+                        'memory': write-ahead logged against an
+                        in-memory image (keeps no files)
   --capacity <n>        records per bucket (must match cluster-wide)
   --seed <n>            seed for reconnect jitter and fault streams
   --drop <p>            drop each retried-class frame with probability p
@@ -192,11 +195,7 @@ pub(crate) fn node_options(flags: &HashMap<String, String>) -> Result<NodeOption
             .map_err(|e| Error::Config(format!("--capacity {cap}: {e}")))?;
         opts.file = opts.file.with_bucket_capacity(cap);
     }
-    opts.data_dir = flags.get("data-dir").map(std::path::PathBuf::from);
-    opts.backend = flags
-        .get("backend")
-        .map(|v| ceh_storage::BackendKind::parse(v))
-        .transpose()?;
+    opts.storage = site_storage(flags)?;
     opts.seed = flag_u64(flags, "seed", 0)?;
     opts.resend_ms = flag_u64(flags, "resend-ms", opts.resend_ms)?;
     opts.reply_timeout_ms = flag_u64(flags, "reply-timeout-ms", opts.reply_timeout_ms)?;
@@ -204,6 +203,24 @@ pub(crate) fn node_options(flags: &HashMap<String, String>) -> Result<NodeOption
     opts.slow_op_threshold_ms = flag_u64(flags, "slow-ms", opts.slow_op_threshold_ms)?;
     opts.faults = fault_plan(flags, opts.seed)?;
     Ok(opts)
+}
+
+/// Where a bucket node keeps its pages, from `--data-dir` and
+/// `--backend`.
+fn site_storage(flags: &HashMap<String, String>) -> Result<SiteStorage> {
+    let backend = flags.get("backend").map(|v| BackendKind::parse(v));
+    let dir = flags.get("data-dir").map(std::path::PathBuf::from);
+    match (backend.transpose()?, dir) {
+        (None, None) => Ok(SiteStorage::Volatile),
+        (None | Some(BackendKind::File), Some(dir)) => Ok(SiteStorage::WalFiles(dir)),
+        (Some(BackendKind::File), None) => Err(Error::Config(
+            "--backend file needs --data-dir for its frames and WAL".into(),
+        )),
+        (Some(BackendKind::Memory), None) => Ok(SiteStorage::WalMemory),
+        (Some(BackendKind::Memory), Some(_)) => Err(Error::Config(
+            "--backend memory keeps no files: drop --data-dir, or use --backend file".into(),
+        )),
+    }
 }
 
 pub(crate) fn spec_from(flags: &HashMap<String, String>) -> Result<ClusterSpec> {
@@ -461,4 +478,35 @@ pub fn run_client(args: &[String]) -> Result<String> {
     };
     conn.close();
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn storage(args: &[&str]) -> Result<SiteStorage> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        node_options(&split_flags(&args)?.0).map(|o| o.storage)
+    }
+
+    #[test]
+    fn storage_flags_name_one_site_storage() {
+        let dir = std::path::PathBuf::from("d");
+        assert_eq!(storage(&[]).unwrap(), SiteStorage::Volatile);
+        assert_eq!(
+            storage(&["--backend", "file", "--data-dir", "d", "--capacity", "250"]).unwrap(),
+            SiteStorage::WalFiles(dir.clone())
+        );
+        assert_eq!(
+            storage(&["--data-dir", "d"]).unwrap(),
+            SiteStorage::WalFiles(dir)
+        );
+        assert_eq!(
+            storage(&["--backend", "memory"]).unwrap(),
+            SiteStorage::WalMemory
+        );
+        assert!(storage(&["--backend", "file"]).is_err(), "no directory");
+        assert!(storage(&["--backend", "memory", "--data-dir", "d"]).is_err());
+        assert!(storage(&["--backend", "tape"]).is_err());
+    }
 }

@@ -205,9 +205,10 @@ impl FileCore {
     /// ([`DurableStore::recover`]), sweep bucket-level garbage
     /// (tombstones and debris that decode as junk) with **logged**
     /// deallocations, then rebuild the directory from the surviving
-    /// buckets' `commonbits`/local depths (the same scan as
-    /// [`FileCore::recover`]). The lock manager, configured by `locks`,
-    /// is built over the recovered store.
+    /// buckets' `commonbits`/local depths. The lock manager, configured
+    /// by `locks`, is built over the recovered store. This is the one way
+    /// to reopen a persistent file: over a [`DiskHandle::open_file`]
+    /// directory, or over the image of a [`DiskHandle::new`] medium.
     pub fn recover_durable_metrics(
         cfg: HashFileConfig,
         disk: &DiskHandle,
@@ -243,45 +244,20 @@ impl FileCore {
             let core = Self::with_durable_metrics(cfg, wal, locks, hasher, metrics)?;
             return Ok((core, report));
         }
-        let mut core =
-            Self::recover_with_metrics(cfg, Arc::clone(wal.cache()), locks, hasher, metrics)?;
-        core.wal = Some(wal);
-        Ok((core, report))
-    }
-
-    /// Rebuild a core from an existing (typically file-backed) store by
-    /// scanning its pages — the concurrent-file recovery path. Reuses the
-    /// sequential recovery scan (see
-    /// [`ceh_sequential::SequentialHashFile::recover`]), then installs
-    /// the rebuilt layout into the concurrent directory.
-    pub fn recover(
-        cfg: HashFileConfig,
-        store: Arc<PageStore>,
-        locks: Arc<LockManager>,
-        hasher: fn(Key) -> Pseudokey,
-    ) -> Result<Self> {
-        Self::recover_with_metrics(cfg, store, locks, hasher, &MetricsHandle::default())
-    }
-
-    /// [`FileCore::recover`] with the core's counters registered in
-    /// `metrics`' registry.
-    pub fn recover_with_metrics(
-        cfg: HashFileConfig,
-        store: Arc<PageStore>,
-        locks: Arc<LockManager>,
-        hasher: fn(Key) -> Pseudokey,
-        metrics: &MetricsHandle,
-    ) -> Result<Self> {
-        Self::check_locks(&locks, &store)?;
+        // Rebuild the directory from the surviving buckets with the
+        // sequential recovery scan (see
+        // [`ceh_sequential::SequentialHashFile::recover`]), then install
+        // the layout into the concurrent directory.
+        let store = Arc::clone(wal.cache());
         let recovered =
             ceh_sequential::SequentialHashFile::recover(cfg.clone(), Arc::clone(&store), hasher)?;
         let snap = recovered.snapshot()?;
         let dir = Directory::restore(cfg.max_depth, &snap.entries, snap.depthcount)?;
         let len = recovered.len();
         drop(recovered);
-        Ok(FileCore {
+        let core = FileCore {
             store,
-            wal: None,
+            wal: Some(wal),
             locks,
             dir,
             cfg,
@@ -289,7 +265,8 @@ impl FileCore {
             stats: OpStats::with_handle(metrics),
             metrics: metrics.clone(),
             len: RecordCount::new(len),
-        })
+        };
+        Ok((core, report))
     }
 
     /// The directory.

@@ -85,7 +85,7 @@ impl Directory {
     }
 
     /// Restore a directory from recovered state (see
-    /// [`crate::FileCore::recover`]): `entries` must be exactly
+    /// [`crate::FileCore::recover_durable_metrics`]): `entries` must be exactly
     /// `2^depth` page ids.
     pub fn restore(max_depth: u32, entries: &[PageId], depthcount: u32) -> Result<Self> {
         if entries.is_empty() {
@@ -341,27 +341,35 @@ mod tests {
     #[test]
     fn concurrent_readers_during_doubling_see_valid_entries() {
         use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+        use std::sync::{Arc, Barrier};
         let d = Arc::new(Directory::new(12, PageId(1)).unwrap());
         let stop = Arc::new(AtomicBool::new(false));
+        // Doubling starts only once every reader is running, and each
+        // reader checks at least once however late it is scheduled.
+        let start = Arc::new(Barrier::new(5));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let d = Arc::clone(&d);
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let mut checks = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    loop {
                         let (depth, page) = d.lookup(Pseudokey(0xABCD_EF01));
                         assert!(
                             !page.is_null(),
                             "reader saw unpublished entry at depth {depth}"
                         );
                         checks += 1;
+                        if stop.load(Ordering::Relaxed) {
+                            return checks;
+                        }
                     }
-                    checks
                 })
             })
             .collect();
+        start.wait();
         for _ in 0..12 {
             d.double().unwrap();
             std::thread::sleep(std::time::Duration::from_millis(1));

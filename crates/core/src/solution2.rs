@@ -292,7 +292,7 @@ impl Solution2 {
     /// removed. `None` — run Figure 8 or 9 — for a full bucket (a split),
     /// a merge candidate, a wrong bucket or tombstone, a read or CAS that
     /// a change overlapped, a conflicting grant or waiters, and a durable
-    /// or file-backed store.
+    /// store.
     ///
     /// Figure 8 and 9 take ρ on the directory only to keep out its ξ
     /// holders, the merge and the garbage phase, and both also take ξ on

@@ -7,8 +7,8 @@
 //! place and releases. These tests pin its cost (one page read, one
 //! write, one grant, no ρ) and each reason it must run Figures 8–9
 //! instead: a writer between the read and the CAS, a full bucket, a
-//! merge candidate, a ρ holder against a delete's ξ, file or WAL
-//! backing, and Solution 1.
+//! merge candidate, a ρ holder against a delete's ξ, WAL backing, and
+//! Solution 1.
 //!
 //! Shared setup (identity pseudokeys, capacity 2): inserting
 //! `[00, 10, 01, 11, 100, 101]` yields the four depth-2 buckets
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use ceh_core::{invariants, ConcurrentHashFile, FileCore, Solution1, Solution2};
 use ceh_locks::{LockId, LockManager, LockMode, WaitHook};
 use ceh_obs::MetricsHandle;
-use ceh_storage::{DurableConfig, DurableStore, PageStore, PageStoreConfig};
+use ceh_storage::{DiskHandle, DurableConfig, DurableStore, PageStore, PageStoreConfig};
 use ceh_types::bucket::Bucket;
 use ceh_types::{identity_pseudokey, DeleteOutcome, HashFileConfig, InsertOutcome, Key, Value};
 
@@ -276,47 +276,39 @@ fn update_paths(f: &dyn ConcurrentHashFile) -> (u64, u64) {
     )
 }
 
-/// Hazard (e): a file-backed store and a durable (WAL) store never take
-/// the fast path; every update runs the figures.
+/// Hazard (e): a durable (WAL) store — over files or over an in-memory
+/// image — never takes the fast path; every update runs the figures.
 #[test]
 fn file_and_wal_backed_files_never_take_the_fast_path() {
     let dir = std::env::temp_dir().join(format!("ceh-update-fast-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = Arc::new(PageStore::create_file(dir.join("file.ceh"), store_cfg()).unwrap());
-    let metrics = MetricsHandle::new();
-    let file = Solution2::from_core(
-        FileCore::with_parts_metrics(
-            cfg(),
-            Arc::clone(&store),
-            Arc::new(LockManager::over(store)),
-            identity_pseudokey,
+    let page_size = store_cfg().page_size;
+    for disk in [
+        DiskHandle::create_file(&dir, page_size).unwrap(),
+        DiskHandle::new(page_size),
+    ] {
+        let metrics = MetricsHandle::new();
+        let wal = DurableStore::with_disk(
+            disk,
+            DurableConfig {
+                page: store_cfg(),
+                ..Default::default()
+            },
             &metrics,
         )
-        .unwrap(),
-    );
-    assert_eq!(update_paths(&file), (0, 10));
-    drop(file);
+        .unwrap();
+        let file = Solution2::from_core(
+            FileCore::with_durable_metrics(
+                cfg(),
+                Arc::clone(&wal),
+                Arc::new(LockManager::over(wal.cache().clone())),
+                identity_pseudokey,
+                &metrics,
+            )
+            .unwrap(),
+        );
+        assert_eq!(update_paths(&file), (0, 10));
+    }
     std::fs::remove_dir_all(&dir).unwrap();
-
-    let metrics = MetricsHandle::new();
-    let wal = DurableStore::new(
-        DurableConfig {
-            page: store_cfg(),
-            ..Default::default()
-        },
-        &metrics,
-    );
-    let file = Solution2::from_core(
-        FileCore::with_durable_metrics(
-            cfg(),
-            Arc::clone(&wal),
-            Arc::new(LockManager::over(wal.cache().clone())),
-            identity_pseudokey,
-            &metrics,
-        )
-        .unwrap(),
-    );
-    assert_eq!(update_paths(&file), (0, 10));
 }
 
 /// Hazard (f): Solution 1 keeps its top-down locking and never takes the

@@ -3,12 +3,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ceh_locks::{LockManager, LockManagerConfig};
 use ceh_net::{FaultPlan, LatencyModel, MsgStatsSnapshot, PortId, SimNetwork};
 use ceh_obs::{MetricsHandle, RunReport, TraceReport};
-use ceh_storage::{
-    BackendKind, DiskHandle, DurableConfig, DurableStore, PageBuf, PageStore, PageStoreConfig,
-};
+use ceh_storage::PageStore;
 use ceh_types::bucket::Bucket;
 use ceh_types::{BucketLink, Error, HashFileConfig, ManagerId, PageId, Result, RetryPolicy};
 
@@ -17,7 +14,7 @@ use crate::client::DistClient;
 use crate::directory_mgr::DirectoryManager;
 use crate::msg::Msg;
 use crate::replica::{DirEntry, DirReplica};
-use crate::site::{bucket_mgr_name, dir_mgr_name, Site};
+use crate::site::{bucket_mgr_name, dir_mgr_name, recover_pages, Existing, Site, SiteStorage};
 use crate::DistNet;
 
 /// Cluster topology and tuning.
@@ -34,10 +31,13 @@ pub struct ClusterConfig {
     pub page_quota: Option<usize>,
     /// Network latency model (jitter reorders deliveries).
     pub latency: LatencyModel,
-    /// When set, each site's pages live in `<data_dir>/site-<i>.ceh`
-    /// (file-backed, durable); [`Cluster::recover`] can rebuild the
-    /// cluster from those files after a shutdown.
-    pub data_dir: Option<std::path::PathBuf>,
+    /// Where each bucket site keeps its pages: volatile memory (the
+    /// default), a redo WAL over an in-memory image, or a redo WAL over
+    /// files under a directory (see [`SiteStorage`]). On a logged site
+    /// [`Cluster::crash_site`] is a real power loss and
+    /// [`Cluster::restart_site`] recovers the site from its medium
+    /// alone; over files, [`Cluster::recover`] rebuilds a whole cluster.
+    pub storage: SiteStorage,
     /// Seeded fault plan injected into the network (message drops,
     /// duplication, partitions). `None` = reliable delivery.
     pub faults: Option<FaultPlan>,
@@ -51,18 +51,6 @@ pub struct ClusterConfig {
     /// abandoning the handshake and releasing its locks, in
     /// milliseconds. Lower this under fault injection.
     pub reply_timeout_ms: u64,
-    /// Crash-consistent sites: every site's pages are backed by a redo
-    /// WAL over an in-memory disk image, [`Cluster::crash_site`] becomes
-    /// a real power loss (all volatile state dropped), and
-    /// [`Cluster::restart_site`] recovers the site from its durable
-    /// image alone. With [`BackendKind::Memory`] the image is in-memory
-    /// and `data_dir` must be unset; with [`BackendKind::File`] each
-    /// site's frames + WAL live under `<data_dir>/site-<i>/`.
-    pub durable: bool,
-    /// Where a durable site's medium lives (see
-    /// [`ceh_storage::PageBackend`]): the deterministic in-memory image
-    /// (default), or real files with fsync under `data_dir`.
-    pub backend: BackendKind,
 }
 
 impl Default for ClusterConfig {
@@ -73,13 +61,11 @@ impl Default for ClusterConfig {
             file: HashFileConfig::tiny(),
             page_quota: None,
             latency: LatencyModel::none(),
-            data_dir: None,
+            storage: SiteStorage::Volatile,
             faults: None,
             retry: RetryPolicy::default(),
             resend_ms: 200,
             reply_timeout_ms: 30_000,
-            durable: false,
-            backend: BackendKind::Memory,
         }
     }
 }
@@ -142,63 +128,37 @@ impl Cluster {
     /// Spawn the managers and return the running cluster.
     pub fn start(cfg: ClusterConfig) -> Result<Cluster> {
         let metrics = MetricsHandle::new();
-        let (net, sites) = Self::build_sites(&cfg, false, &metrics)?;
-        // The root bucket lives on site 0 (logged when the site is
-        // durable, so a power cut never yields an empty allocated page).
-        let root_page = {
-            let s0 = &sites[0];
-            let txn = s0.begin_txn()?;
-            let page = s0.alloc_page()?;
-            let mut buf = s0.new_buf();
-            s0.putbucket(page, &Bucket::new(0, 0), &mut buf)?;
-            txn.commit()?;
-            page
-        };
-        let root = BucketLink::new(sites[0].id, root_page);
+        let (net, sites) = Self::build_sites(&cfg, Existing::Truncate, &metrics)?;
+        // The root bucket lives on site 0.
+        let root = BucketLink::new(sites[0].id, sites[0].put_root()?);
         let replica = DirReplica::new(cfg.file.max_depth, root);
         Ok(Self::spawn(&cfg, net, sites, replica, metrics))
     }
 
-    /// Rebuild a cluster from the durable site files a previous
-    /// `data_dir`-configured cluster left behind. Scans every site's
-    /// pages, collects crash debris (poisoned free pages, orphaned
-    /// tombstones), reconstructs the directory — entry versions come
-    /// straight from the buckets, which persist them — and starts the
-    /// managers with identical replicas. The rebuilt cluster is
+    /// Rebuild a cluster from the site files a previous cluster with
+    /// [`SiteStorage::WalFiles`] left behind, after a clean shutdown or
+    /// a power cut. Recovers every site from its WAL, collects the
+    /// garbage no directory manager remembers any more (tombstones of
+    /// merges whose collection never ran, pages that do not decode) with
+    /// logged deallocations, reconstructs the directory — entry versions
+    /// come straight from the buckets, which persist them — and starts
+    /// the managers with identical replicas. The rebuilt cluster is
     /// invariant-checked before being returned.
     pub fn recover(cfg: ClusterConfig) -> Result<Cluster> {
-        if cfg.data_dir.is_none() {
-            return Err(Error::Config("recover requires data_dir".into()));
-        }
-        if cfg.durable {
-            return Err(Error::Config(
-                "Cluster::recover scans the legacy non-durable site files; a durable site \
-                 comes back via restart_site (or ServeNode over the same data_dir)"
-                    .into(),
-            ));
-        }
         let metrics = MetricsHandle::new();
-        let (net, sites) = Self::build_sites(&cfg, true, &metrics)?;
+        let (net, sites) = Self::build_sites(&cfg, Existing::Collect, &metrics)?;
 
-        // Scan all sites.
+        // Every page left on every site is a live bucket.
         let mut live: Vec<(ManagerId, PageId, Bucket)> = Vec::new();
         for site in &sites {
             let mut buf = site.new_buf();
             for page in site.store.allocated_page_ids() {
-                site.store.read(page, &mut buf)?;
-                match Bucket::decode(&buf) {
-                    Ok(b) if !b.is_deleted() => live.push((site.id, page, b)),
-                    _ => site.store.dealloc(page)?, // free-page poison or tombstone
-                }
+                live.push((site.id, page, site.getbucket(page, &mut buf)?));
             }
         }
         let replica = if live.is_empty() {
-            let root_page = sites[0].store.alloc()?;
-            let root = Bucket::new(0, 0);
-            let mut buf = sites[0].new_buf();
-            root.encode(&mut buf)?;
-            sites[0].store.write(root_page, &buf)?;
-            DirReplica::new(cfg.file.max_depth, BucketLink::new(sites[0].id, root_page))
+            let root = BucketLink::new(sites[0].id, sites[0].put_root()?);
+            DirReplica::new(cfg.file.max_depth, root)
         } else {
             let depth = live
                 .iter()
@@ -248,10 +208,11 @@ impl Cluster {
         Ok(cluster)
     }
 
-    /// Build the network and the per-site state (memory- or file-backed).
+    /// Build the network and the per-site state, opening each site's
+    /// pages as `existing` says.
     fn build_sites(
         cfg: &ClusterConfig,
-        open_existing: bool,
+        existing: Existing,
         metrics: &MetricsHandle,
     ) -> Result<(SimNetwork<Msg>, Vec<Arc<Site>>)> {
         if cfg.dir_managers == 0 || cfg.bucket_managers == 0 {
@@ -259,96 +220,23 @@ impl Cluster {
                 "cluster needs at least one manager of each kind".into(),
             ));
         }
-        match (cfg.backend, cfg.durable, &cfg.data_dir) {
-            (BackendKind::File, true, Some(_)) => {}
-            (BackendKind::File, _, _) => {
-                return Err(Error::Config(
-                    "the file backend needs durable mode and a data_dir to put its files in".into(),
-                ));
-            }
-            (BackendKind::Memory, true, Some(_)) => {
-                return Err(Error::Config(
-                    "durable mode carries its own in-memory disk image; it cannot combine with data_dir (use backend: File for durable files)".into(),
-                ));
-            }
-            _ => {}
-        }
         cfg.file.validate()?;
         let net: SimNetwork<Msg> = SimNetwork::with_metrics(cfg.latency.clone(), metrics);
         net.set_fault_plan(cfg.faults.clone());
         let dnet: DistNet = Arc::new(net.clone());
-        let page_size = Bucket::page_size_for(cfg.file.bucket_capacity);
         let all_managers: Vec<ManagerId> = (0..cfg.bucket_managers as u32).map(ManagerId).collect();
         let mut sites = Vec::new();
         for &id in &all_managers {
-            let store_cfg = PageStoreConfig {
-                page_size,
-                io_latency_ns: cfg.file.io_latency_ns,
-                initial_pages: if cfg.data_dir.is_some() { 0 } else { 64 },
-                ..Default::default()
-            };
-            let (store, wal) = match (&cfg.data_dir, cfg.durable) {
-                (None, true) => {
-                    let wal = DurableStore::new(
-                        DurableConfig {
-                            page: store_cfg,
-                            ..Default::default()
-                        },
-                        metrics,
-                    );
-                    (Arc::clone(wal.cache()), Some(wal))
-                }
-                (Some(dir), true) => {
-                    // Durable site on the file backend: frames + WAL
-                    // under `<data_dir>/site-<i>/`. A cluster start is
-                    // always a fresh deployment (create truncates);
-                    // restarting *one* site from its surviving files is
-                    // `restart_site`, which recovers through the same
-                    // DiskHandle regardless of backend.
-                    let site_dir = dir.join(format!("site-{}", id.0));
-                    let disk = DiskHandle::create_file(&site_dir, page_size)?;
-                    let wal = DurableStore::with_disk(
-                        disk,
-                        DurableConfig {
-                            page: store_cfg,
-                            ..Default::default()
-                        },
-                        metrics,
-                    )?;
-                    (Arc::clone(wal.cache()), Some(wal))
-                }
-                (None, false) => (PageStore::new_shared_with_metrics(store_cfg, metrics), None),
-                (Some(dir), false) => {
-                    std::fs::create_dir_all(dir)
-                        .map_err(|e| Error::Io(format!("creating data_dir: {e}")))?;
-                    let path = dir.join(format!("site-{}.ceh", id.0));
-                    let store = Arc::new(if open_existing {
-                        PageStore::open_file_with_metrics(&path, store_cfg, metrics)?
-                    } else {
-                        PageStore::create_file_with_metrics(&path, store_cfg, metrics)?
-                    });
-                    (store, None)
-                }
-            };
-            sites.push(Arc::new(Site {
+            sites.push(Site::new(
                 id,
-                store: Arc::clone(&store),
-                wal,
-                locks: Arc::new(LockManager::with_metrics(
-                    LockManagerConfig::default(),
-                    store.clone(),
-                    metrics,
-                )),
-                cfg: cfg.file.clone(),
-                page_quota: cfg.page_quota,
-                all_managers: all_managers.clone(),
-                net: dnet.clone(),
-                recoveries: metrics.counter("dist.recovery_hops"),
-                reply_timeout: Duration::from_millis(cfg.reply_timeout_ms),
-                seen_gc: std::sync::Mutex::new(std::collections::HashSet::new()),
-                fences: std::sync::Mutex::new(std::collections::HashMap::new()),
-                metrics: metrics.clone(),
-            }));
+                cfg.storage.open(id, &cfg.file, existing, metrics)?,
+                cfg.file.clone(),
+                cfg.page_quota,
+                all_managers.clone(),
+                dnet.clone(),
+                Duration::from_millis(cfg.reply_timeout_ms),
+                metrics,
+            ));
         }
         Ok((net, sites))
     }
@@ -462,46 +350,16 @@ impl Cluster {
         let old = Arc::clone(&self.sites[idx]);
         let site = match &old.wal {
             None => old,
-            Some(dead) => {
-                let disk = dead.disk();
-                let dcfg = DurableConfig {
-                    page: PageStoreConfig {
-                        page_size: Bucket::page_size_for(old.cfg.bucket_capacity),
-                        io_latency_ns: old.cfg.io_latency_ns,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                };
-                let (wal, _report) = DurableStore::recover(&disk, dcfg, &self.metrics)?;
-                // Site-local invariant sweep before rejoining: every
-                // recovered page must decode as a bucket (tombstones are
-                // legitimate — their collection is re-driven).
-                let store = Arc::clone(wal.cache());
-                let mut buf = PageBuf::zeroed(store.page_size());
-                for page in store.allocated_page_ids() {
-                    store.read(page, &mut buf)?;
-                    Bucket::decode(&buf)?;
-                }
-                Arc::new(Site {
-                    id: old.id,
-                    store: Arc::clone(&store),
-                    wal: Some(wal),
-                    locks: Arc::new(LockManager::with_metrics(
-                        LockManagerConfig::default(),
-                        store.clone(),
-                        &self.metrics,
-                    )),
-                    cfg: old.cfg.clone(),
-                    page_quota: old.page_quota,
-                    all_managers: old.all_managers.clone(),
-                    net: Arc::new(self.net.clone()),
-                    recoveries: self.metrics.counter("dist.recovery_hops"),
-                    reply_timeout: old.reply_timeout,
-                    seen_gc: std::sync::Mutex::new(std::collections::HashSet::new()),
-                    fences: std::sync::Mutex::new(std::collections::HashMap::new()),
-                    metrics: self.metrics.clone(),
-                })
-            }
+            Some(dead) => Site::new(
+                old.id,
+                recover_pages(&dead.disk(), &old.cfg, false, &self.metrics)?,
+                old.cfg.clone(),
+                old.page_quota,
+                old.all_managers.clone(),
+                Arc::new(self.net.clone()),
+                old.reply_timeout,
+                &self.metrics,
+            ),
         };
         self.sites[idx] = Arc::clone(&site);
         let (port, rx) = self.net.create_port();

@@ -65,3 +65,4 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use msg::Msg;
 pub use node::{ClusterSpec, NodeOptions, NodeRole, ServeNode, TcpClusterClient};
 pub use replica::{ApplyResult, DirEntry, DirReplica, DirUpdate};
+pub use site::SiteStorage;

@@ -25,17 +25,11 @@
 //!   everyone through peers that start late, crash, or restart.
 
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ceh_locks::{LockManager, LockManagerConfig};
 use ceh_net::{FaultPlan, PortId, SupervisorConfig, TcpConfig, TcpPlane, Transport};
 use ceh_obs::{MetricsHandle, RunReport};
-use ceh_storage::{
-    BackendKind, DiskHandle, DurableConfig, DurableStore, PageStore, PageStoreConfig,
-};
-use ceh_types::bucket::Bucket;
 use ceh_types::{BucketLink, Error, HashFileConfig, ManagerId, PageId, Result, RetryPolicy};
 
 use crate::bucket_mgr::run_front_end;
@@ -43,7 +37,7 @@ use crate::client::DistClient;
 use crate::directory_mgr::DirectoryManager;
 use crate::msg::Msg;
 use crate::replica::DirReplica;
-use crate::site::{bucket_mgr_name, dir_mgr_name, Site};
+use crate::site::{bucket_mgr_name, dir_mgr_name, Existing, Site, SiteStorage};
 use crate::DistNet;
 
 /// What a spec entry runs.
@@ -190,18 +184,12 @@ pub struct NodeOptions {
     /// Hash-file parameters (bucket capacity, max depth, merge
     /// threshold); must be identical on every node.
     pub file: HashFileConfig,
-    /// When set, a bucket node keeps its pages on disk under
-    /// `data_dir` and reopens them on restart: the legacy non-WAL
-    /// layout (`site-<mgr>.ceh`) when `backend` is `None`, or a
-    /// crash-consistent frames + WAL directory (`site-<mgr>/`) when
-    /// `backend` selects the durable file store.
-    pub data_dir: Option<PathBuf>,
-    /// Put the bucket site behind a [`DurableStore`]: `Some(File)`
-    /// (with `data_dir`) gives real crash consistency — a SIGKILLed
-    /// node recovers its acked state from the files on disk;
-    /// `Some(Memory)` logs against the simulated image (testing).
-    /// `None` keeps the legacy volatile / plain-file store.
-    pub backend: Option<BackendKind>,
+    /// Where a bucket node keeps its pages (see [`SiteStorage`]):
+    /// volatile memory (the default), a redo WAL over an in-memory image
+    /// (testing), or a redo WAL over files under `<dir>/site-<mgr>/`,
+    /// from which a restarted node — even one SIGKILLed — recovers its
+    /// acked state.
+    pub storage: SiteStorage,
     /// Directory-manager resend interval, in milliseconds.
     pub resend_ms: u64,
     /// Bucket-slave protocol reply timeout, in milliseconds.
@@ -227,8 +215,7 @@ impl Default for NodeOptions {
     fn default() -> Self {
         NodeOptions {
             file: HashFileConfig::tiny(),
-            data_dir: None,
-            backend: None,
+            storage: SiteStorage::Volatile,
             resend_ms: 200,
             reply_timeout_ms: 30_000,
             faults: None,
@@ -422,13 +409,12 @@ impl ServeNode {
     }
 }
 
-/// Build a bucket node's [`Site`]: its page store (plain-file when
-/// `data_dir` is set, write-ahead logged when `backend` selects a
-/// durable store), locks, fences, and — on a fresh manager 0 — the
-/// root bucket at the conventional `PageId(0)`. A durable file-backed
-/// site whose `data_dir` already holds a medium is **recovered** from
-/// it: WAL replay, checksum verification, and a decode sweep over
-/// every page, exactly like [`Cluster::restart_site`].
+/// Build a bucket node's [`Site`]: its pages as `opts.storage` says,
+/// locks, fences, and — on a fresh manager 0 — the root bucket at the
+/// conventional `PageId(0)`. A file site whose directory already holds a
+/// medium is **recovered** from it: WAL replay, checksum verification,
+/// and a decode sweep over every page, exactly like
+/// [`Cluster::restart_site`].
 ///
 /// [`Cluster::restart_site`]: crate::Cluster::restart_site
 fn build_site(
@@ -438,91 +424,24 @@ fn build_site(
     net: &DistNet,
     metrics: &MetricsHandle,
 ) -> Result<Arc<Site>> {
-    let store_cfg = PageStoreConfig {
-        page_size: Bucket::page_size_for(opts.file.bucket_capacity),
-        io_latency_ns: opts.file.io_latency_ns,
-        initial_pages: 0, // first alloc must be page 0 (root convention)
-        ..Default::default()
-    };
-    let (store, wal) = match (opts.backend, &opts.data_dir) {
-        (None, None) => (PageStore::new_shared_with_metrics(store_cfg, metrics), None),
-        (None, Some(dir)) => {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| Error::Io(format!("creating data_dir: {e}")))?;
-            let path = dir.join(format!("site-{}.ceh", mgr.0));
-            let store = Arc::new(if path.exists() {
-                PageStore::open_file_with_metrics(&path, store_cfg, metrics)?
-            } else {
-                PageStore::create_file_with_metrics(&path, store_cfg, metrics)?
-            });
-            (store, None)
-        }
-        (Some(kind), dir) => {
-            let disk = match (kind, dir) {
-                (BackendKind::Memory, _) => DiskHandle::new(store_cfg.page_size),
-                (BackendKind::File, Some(dir)) => {
-                    DiskHandle::open_file(dir.join(format!("site-{}", mgr.0)), store_cfg.page_size)?
-                }
-                (BackendKind::File, None) => {
-                    return Err(Error::Config(
-                        "the file backend needs a data_dir for its frames and WAL".into(),
-                    ));
-                }
-            };
-            let dcfg = DurableConfig {
-                page: store_cfg,
-                ..Default::default()
-            };
-            let wal = if disk.is_empty() {
-                DurableStore::with_disk(disk, dcfg, metrics)?
-            } else {
-                let (wal, _report) = DurableStore::recover(&disk, dcfg, metrics)?;
-                // Site-local invariant sweep before serving: every
-                // recovered page must decode as a bucket.
-                let store = wal.cache();
-                let mut buf = ceh_storage::PageBuf::zeroed(store.page_size());
-                for page in store.allocated_page_ids() {
-                    store.read(page, &mut buf)?;
-                    Bucket::decode(&buf)?;
-                }
-                wal
-            };
-            (Arc::clone(wal.cache()), Some(wal))
-        }
-    };
-    let site = Arc::new(Site {
-        id: mgr,
-        store: Arc::clone(&store),
-        wal,
-        locks: Arc::new(LockManager::with_metrics(
-            LockManagerConfig::default(),
-            store.clone(),
-            metrics,
-        )),
-        cfg: opts.file.clone(),
-        page_quota: None,
-        all_managers: (0..spec.bucket_count() as u32).map(ManagerId).collect(),
-        net: net.clone(),
-        recoveries: metrics.counter("dist.recovery_hops"),
-        reply_timeout: Duration::from_millis(opts.reply_timeout_ms),
-        seen_gc: std::sync::Mutex::new(std::collections::HashSet::new()),
-        fences: std::sync::Mutex::new(std::collections::HashMap::new()),
-        metrics: metrics.clone(),
-    });
+    let site = Site::new(
+        mgr,
+        opts.storage
+            .open(mgr, &opts.file, Existing::Keep, metrics)?,
+        opts.file.clone(),
+        None,
+        (0..spec.bucket_count() as u32).map(ManagerId).collect(),
+        net.clone(),
+        Duration::from_millis(opts.reply_timeout_ms),
+        metrics,
+    );
     if mgr == ManagerId(0) && site.store.allocated_pages() == 0 {
-        // Bootstrap the root bucket through the site funnels so a
-        // durable site logs it (a power cut right after bootstrap must
-        // not recover to an empty page 0).
-        let txn = site.begin_txn()?;
-        let root = site.alloc_page()?;
+        let root = site.put_root()?;
         if root != PageId(0) {
             return Err(Error::Corrupt(format!(
                 "fresh store allocated {root} for the root, expected page 0"
             )));
         }
-        let mut buf = site.new_buf();
-        site.putbucket(root, &Bucket::new(0, 0), &mut buf)?;
-        txn.commit()?;
     }
     Ok(site)
 }

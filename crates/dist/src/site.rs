@@ -7,16 +7,148 @@
 //! memory), the site's ρ/α/ξ lock manager, and the page quota that
 //! drives `AvailablePages()` / remote splits.
 
+use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
-use ceh_locks::{LockId, LockManager, LockMode, OwnerId};
+use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
 use ceh_net::PortId;
 use ceh_obs::{Counter, MetricsHandle};
-use ceh_storage::{DurableStore, DurableTxn, PageBuf, PageStore};
+use ceh_storage::{
+    DiskHandle, DurableConfig, DurableStore, DurableTxn, PageBuf, PageStore, PageStoreConfig,
+};
 use ceh_types::bucket::Bucket;
-use ceh_types::{HashFileConfig, ManagerId, PageId, Result};
+use ceh_types::{Error, HashFileConfig, ManagerId, PageId, Result};
 
 use crate::DistNet;
+
+/// Where a bucket site keeps its pages: the one storage choice of a
+/// [`crate::ClusterConfig`] and of a [`crate::NodeOptions`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum SiteStorage {
+    /// The page store alone, in memory, with no log (the paper's
+    /// simulation). A crashed site resumes over its surviving store.
+    #[default]
+    Volatile,
+    /// A redo WAL over a deterministic in-memory disk image: a crash is a
+    /// real power loss, and a restarted site comes back from the image
+    /// alone.
+    WalMemory,
+    /// A redo WAL over real files: site `i` keeps its frames, log and
+    /// superblock (`frames.ceh`, `wal.ceh`, `meta.ceh`) under
+    /// `<dir>/site-<i>/`, fsync'd. A restarted site, or a whole cluster
+    /// ([`crate::Cluster::recover`]), recovers from them.
+    WalFiles(PathBuf),
+}
+
+/// What [`SiteStorage::open`] does with what a site's medium already
+/// holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Existing {
+    /// Start from an empty medium, truncating a file site's directory (a
+    /// new cluster).
+    Truncate,
+    /// Recover it, strictly (see [`recover_pages`]): one site restarting
+    /// while its directory managers run on.
+    Keep,
+    /// Recover it and collect its garbage (see [`recover_pages`]): a
+    /// whole cluster restarting. Only file sites have a medium to reopen.
+    Collect,
+}
+
+/// A site's pages: its store, and the WAL whose volatile cache that
+/// store is when the site is logged.
+pub(crate) type SitePages = (Arc<PageStore>, Option<Arc<DurableStore>>);
+
+impl SiteStorage {
+    /// Open bucket manager `mgr`'s pages for a file shaped by `file`.
+    /// Volatile and in-memory logged sites always start empty; a file
+    /// site's medium is handled as `existing` says, and an empty one is
+    /// started afresh.
+    pub(crate) fn open(
+        &self,
+        mgr: ManagerId,
+        file: &HashFileConfig,
+        existing: Existing,
+        metrics: &MetricsHandle,
+    ) -> Result<SitePages> {
+        let dcfg = durable_config(file);
+        let wal = match self {
+            SiteStorage::WalFiles(dir) => {
+                let site_dir = dir.join(format!("site-{}", mgr.0));
+                let page_size = dcfg.page.page_size;
+                let disk = match existing {
+                    Existing::Truncate => DiskHandle::create_file(site_dir, page_size)?,
+                    Existing::Collect if !site_dir.is_dir() => {
+                        return Err(Error::Config(format!(
+                            "nothing to recover: {} does not exist",
+                            site_dir.display()
+                        )));
+                    }
+                    Existing::Keep | Existing::Collect => {
+                        DiskHandle::open_file(site_dir, page_size)?
+                    }
+                };
+                if !disk.is_empty() {
+                    return recover_pages(&disk, file, existing == Existing::Collect, metrics);
+                }
+                DurableStore::with_disk(disk, dcfg, metrics)?
+            }
+            _ if existing == Existing::Collect => {
+                return Err(Error::Config(
+                    "only file sites (SiteStorage::WalFiles) leave a medium to recover".into(),
+                ));
+            }
+            SiteStorage::Volatile => {
+                return Ok((PageStore::new_shared_with_metrics(dcfg.page, metrics), None));
+            }
+            SiteStorage::WalMemory => DurableStore::new(dcfg, metrics),
+        };
+        Ok((Arc::clone(wal.cache()), Some(wal)))
+    }
+}
+
+/// The durable-store configuration of a site holding `file`'s buckets.
+fn durable_config(file: &HashFileConfig) -> DurableConfig {
+    DurableConfig {
+        page: PageStoreConfig {
+            page_size: Bucket::page_size_for(file.bucket_capacity),
+            io_latency_ns: file.io_latency_ns,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+/// Bring a logged site's pages back from `disk`: WAL replay and
+/// checksum verification ([`DurableStore::recover`]), then a decode
+/// sweep over every recovered page. With `collect`, tombstones and pages
+/// that do not decode are deallocated through the log: a whole cluster
+/// is restarting, and no directory manager remembers that garbage to
+/// re-drive its collection. Without it, a page that does not decode
+/// fails recovery, and tombstones stay for the collection their
+/// directory managers re-drive.
+pub(crate) fn recover_pages(
+    disk: &DiskHandle,
+    file: &HashFileConfig,
+    collect: bool,
+    metrics: &MetricsHandle,
+) -> Result<SitePages> {
+    let (wal, _report) = DurableStore::recover(disk, durable_config(file), metrics)?;
+    let mut buf = wal.new_buf();
+    for page in wal.allocated_page_ids() {
+        wal.read(page, &mut buf)?;
+        let live = match Bucket::decode(&buf) {
+            Ok(b) => !b.is_deleted(),
+            Err(e) if !collect => return Err(e),
+            Err(_) => false,
+        };
+        if collect && !live {
+            wal.dealloc(page)?;
+        }
+    }
+    Ok((Arc::clone(wal.cache()), Some(wal)))
+}
 
 /// Shared state of one bucket-manager site.
 pub(crate) struct Site {
@@ -27,9 +159,9 @@ pub(crate) struct Site {
     /// must go through [`Site::putbucket`] / [`Site::alloc_page`] /
     /// [`Site::dealloc_page`] so it is logged before it is acked.
     pub store: Arc<PageStore>,
-    /// Crash-consistent backing (`ClusterConfig::durable`): a redo WAL
-    /// over an in-memory disk image. `None` = volatile site (the store
-    /// alone is the truth, as in the original simulation).
+    /// The site's redo WAL, when its [`SiteStorage`] logs. `None` =
+    /// volatile site (the store alone is the truth, as in the original
+    /// simulation).
     pub wal: Option<Arc<DurableStore>>,
     /// The site's lock manager (locks are site-local; cross-site mutual
     /// exclusion is by message protocol).
@@ -55,7 +187,7 @@ pub(crate) struct Site {
     /// Goahead, Splitreply, WrongbucketAck) before treating the peer as
     /// gone. Short under fault injection so abandoned handshakes release
     /// their locks promptly.
-    pub reply_timeout: std::time::Duration,
+    pub reply_timeout: Duration,
     /// `GarbageCollect` ids already executed on this site. A directory
     /// manager re-sends collection requests until acked, so a duplicate
     /// must be answered with a fresh ack *without* deallocating again —
@@ -78,6 +210,52 @@ pub(crate) struct Site {
 }
 
 impl Site {
+    /// A site over `pages` with fresh locks, fences and collection dedupe
+    /// state: a new site, or one coming back from a crash.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        id: ManagerId,
+        (store, wal): SitePages,
+        cfg: HashFileConfig,
+        page_quota: Option<usize>,
+        all_managers: Vec<ManagerId>,
+        net: DistNet,
+        reply_timeout: Duration,
+        metrics: &MetricsHandle,
+    ) -> Arc<Site> {
+        Arc::new(Site {
+            id,
+            locks: Arc::new(LockManager::with_metrics(
+                LockManagerConfig::default(),
+                store.clone(),
+                metrics,
+            )),
+            store,
+            wal,
+            cfg,
+            page_quota,
+            all_managers,
+            net,
+            recoveries: metrics.counter("dist.recovery_hops"),
+            reply_timeout,
+            seen_gc: std::sync::Mutex::new(std::collections::HashSet::new()),
+            fences: std::sync::Mutex::new(std::collections::HashMap::new()),
+            metrics: metrics.clone(),
+        })
+    }
+
+    /// Allocate and write an empty depth-0 root bucket through the
+    /// site's funnels: logged on a logged site, so a power cut never
+    /// leaves an empty allocated page.
+    pub fn put_root(&self) -> Result<PageId> {
+        let txn = self.begin_txn()?;
+        let page = self.alloc_page()?;
+        let mut buf = self.new_buf();
+        self.putbucket(page, &Bucket::new(0, 0), &mut buf)?;
+        txn.commit()?;
+        Ok(page)
+    }
+
     /// `getbucket`.
     pub fn getbucket(&self, page: PageId, buf: &mut PageBuf) -> Result<Bucket> {
         self.store.read(page, buf)?;
@@ -248,26 +426,20 @@ pub(crate) mod tests {
     /// Build a standalone site for protocol-handler unit tests.
     pub(crate) fn test_site(id: u32, managers: u32, quota: Option<usize>) -> Arc<Site> {
         let cfg = HashFileConfig::tiny().with_bucket_capacity(4);
-        let store = Arc::new(ceh_storage::PageStore::new(ceh_storage::PageStoreConfig {
-            page_size: Bucket::page_size_for(cfg.bucket_capacity),
-            ..Default::default()
-        }));
         let metrics = MetricsHandle::default();
-        Arc::new(Site {
-            id: ManagerId(id),
-            store: store.clone(),
-            wal: None,
-            locks: Arc::new(LockManager::over(store)),
+        let pages = SiteStorage::Volatile
+            .open(ManagerId(id), &cfg, Existing::Keep, &metrics)
+            .unwrap();
+        Site::new(
+            ManagerId(id),
+            pages,
             cfg,
-            page_quota: quota,
-            all_managers: (0..managers).map(ManagerId).collect(),
-            net: Arc::new(ceh_net::SimNetwork::default()),
-            recoveries: metrics.counter("dist.recovery_hops"),
-            reply_timeout: std::time::Duration::from_secs(30),
-            seen_gc: std::sync::Mutex::new(std::collections::HashSet::new()),
-            fences: std::sync::Mutex::new(std::collections::HashMap::new()),
-            metrics,
-        })
+            quota,
+            (0..managers).map(ManagerId).collect(),
+            Arc::new(ceh_net::SimNetwork::default()),
+            Duration::from_secs(30),
+            &metrics,
+        )
     }
 
     #[test]

@@ -14,7 +14,6 @@ fn small_cluster(dirs: usize, buckets: usize) -> Cluster {
         file: HashFileConfig::tiny(),
         page_quota: None,
         latency: LatencyModel::none(),
-        data_dir: None,
         ..Default::default()
     })
     .unwrap()
@@ -85,7 +84,6 @@ fn page_quota_forces_cross_site_splits() {
         file: HashFileConfig::tiny(),
         page_quota: Some(8),
         latency: LatencyModel::none(),
-        data_dir: None,
         ..Default::default()
     })
     .unwrap();
@@ -119,7 +117,6 @@ fn cross_site_merges_happen() {
         file: HashFileConfig::tiny(),
         page_quota: Some(4),
         latency: LatencyModel::none(),
-        data_dir: None,
         ..Default::default()
     })
     .unwrap();
@@ -204,7 +201,6 @@ fn jittered_network_reorders_but_stays_correct() {
         file: HashFileConfig::tiny(),
         page_quota: None,
         latency: LatencyModel::jittered(Duration::from_micros(10), Duration::from_micros(500), 7),
-        data_dir: None,
         ..Default::default()
     })
     .unwrap();

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use ceh_dist::{ClusterSpec, NodeOptions, NodeRole, ServeNode, TcpClusterClient};
+use ceh_dist::{ClusterSpec, NodeOptions, NodeRole, ServeNode, SiteStorage, TcpClusterClient};
 use ceh_net::{FaultPlan, Transport};
 use ceh_types::{DeleteOutcome, InsertOutcome, Key, RetryPolicy, Value};
 
@@ -203,7 +203,7 @@ fn bucket_manager_restart_recovers_its_pages() {
         nodes: vec![(NodeRole::Dir, addrs[0]), (NodeRole::Bucket, addrs[1])],
     };
     let opts = NodeOptions {
-        data_dir: Some(dir.clone()),
+        storage: SiteStorage::WalFiles(dir.clone()),
         ..Default::default()
     };
 

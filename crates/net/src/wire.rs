@@ -21,13 +21,15 @@
 //! * `len` — payload bytes following the header, bounded by
 //!   [`MAX_FRAME_PAYLOAD`] so a corrupt length cannot make the reader
 //!   allocate gigabytes.
-//! * `crc` — CRC32 (IEEE, the WAL's polynomial) over the payload.
+//! * `crc` — [`ceh_types::crc32`], the WAL's checksum, over the payload.
 //!
 //! Decoding never panics on hostile input: every failure is a
 //! [`WireError`], and the transport treats it as a *protocol error* —
 //! the connection is severed and re-established, the peer is not wedged.
 
 use std::fmt;
+
+use ceh_types::crc32;
 
 /// First four bytes of every frame.
 pub const WIRE_MAGIC: u32 = 0xCE11_F7A3;
@@ -44,33 +46,6 @@ pub const FRAME_HEADER_BYTES: usize = 16;
 /// header claiming more than this is rejected as corrupt before any
 /// allocation happens.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the same
-/// checksum the storage WAL uses for its record and frame headers.
-/// Table-driven, built at first use; no external dependency.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

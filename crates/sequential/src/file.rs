@@ -88,30 +88,34 @@ impl SequentialHashFile {
         })
     }
 
-    /// Rebuild a file from an existing (typically file-backed) store by
-    /// scanning its pages: the recovery path for a durable index.
+    /// Rebuild a file from an existing store by scanning its pages: the
+    /// directory-rebuild step of every recovery (the durable concurrent
+    /// file runs it over the store its write-ahead log recovered).
     ///
     /// The directory is volatile state — everything needed to rebuild it
     /// (`localdepth`, `commonbits`, the `next` chain) is persisted in the
     /// buckets themselves, which is a deliberate property of the page
-    /// layout. Pages that fail to decode (poisoned free pages from a
-    /// previous run) are returned to the free list; tombstones (crash
-    /// debris from an unfinished Solution-2 merge) are collected. The
-    /// rebuilt structure is invariant-checked before being returned.
+    /// layout. Pages that fail to decode (poisoned free pages) are
+    /// returned to the free list; tombstones (crash debris from an
+    /// unfinished Solution-2 merge) are collected. The rebuilt structure
+    /// is invariant-checked before being returned.
     ///
     /// ```no_run
     /// use ceh_sequential::SequentialHashFile;
     /// use ceh_storage::{PageStore, PageStoreConfig};
-    /// use ceh_types::{hash_key, HashFileConfig, Key};
+    /// use ceh_types::{hash_key, HashFileConfig, Key, Value};
     /// use std::sync::Arc;
     ///
     /// let cfg = HashFileConfig::default();
-    /// let store = Arc::new(PageStore::open_file("index.ceh", PageStoreConfig {
+    /// let store = Arc::new(PageStore::new(PageStoreConfig {
     ///     page_size: ceh_types::Bucket::page_size_for(cfg.bucket_capacity),
     ///     ..Default::default()
-    /// })?);
+    /// }));
+    /// let mut file = SequentialHashFile::with_store(cfg.clone(), Arc::clone(&store), hash_key)?;
+    /// file.insert(Key(42), Value(7))?;
+    /// drop(file); // only the store remains
     /// let file = SequentialHashFile::recover(cfg, store, hash_key)?;
-    /// file.find(Key(42))?;
+    /// assert_eq!(file.find(Key(42))?, Some(Value(7)));
     /// # Ok::<(), ceh_types::Error>(())
     /// ```
     pub fn recover(

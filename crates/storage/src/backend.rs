@@ -30,11 +30,10 @@ use std::io::{Read as _, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ceh_types::{Error, Result};
+use ceh_types::{crc32, Error, Result};
 use parking_lot::Mutex;
 
 use crate::durable::FRAME_HEADER;
-use crate::wal::crc32;
 
 /// The nonvolatile medium's contents: what survives a power cut. Also
 /// the cross-backend interchange format — both backends snapshot to and

@@ -79,7 +79,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ceh_obs::MetricsHandle;
-use ceh_types::{Error, PageId, Result};
+use ceh_types::{crc32, Error, PageId, Result};
 use parking_lot::Mutex;
 
 use crate::backend::{DiskHandle, PageBackend};
@@ -87,7 +87,7 @@ use crate::cache::{BufferCache, FrameState};
 use crate::crash::CrashPlan;
 use crate::page::PageBuf;
 use crate::store::{PageStore, PageStoreConfig};
-use crate::wal::{check_redo_image, crc32, parse_wal, WalRecord};
+use crate::wal::{check_redo_image, parse_wal, WalRecord};
 
 /// Bytes of frame header preceding each page's payload on the medium:
 /// magic (4) + flags (4) + LSN (8) + CRC32 (4).

@@ -36,8 +36,9 @@
 //! * [`IoStats`] counters and optional injected latency, used by the
 //!   benchmark harness.
 //!
-//! On top of the volatile substrate sits the **durability layer** (see
-//! [`durable`]): [`DurableStore`] wraps a `PageStore` with a redo
+//! A `PageStore` holds memory only. On top of it sits the **durability
+//! layer** (see [`durable`]), the one way pages reach a file:
+//! [`DurableStore`] wraps a `PageStore` (its volatile cache) with a redo
 //! write-ahead log over a nonvolatile medium (CRC-guarded frames +
 //! log), group commit, a fixed-capacity dirty-page buffer cache with
 //! CLOCK writeback, checkpointing, seeded power-cut injection via
@@ -67,4 +68,4 @@ pub use durable::{DurableConfig, DurableStore, DurableTxn, RecoveryReport, FRAME
 pub use page::{PageBuf, POISON_BYTE};
 pub use stats::{IoStats, IoStatsSnapshot};
 pub use store::{PageStore, PageStoreConfig, Plan};
-pub use wal::{crc32, parse_wal, WalRecord};
+pub use wal::{parse_wal, WalRecord};

@@ -52,8 +52,8 @@ impl PageStoreConfig {
     }
 }
 
-/// One page's physical storage: the page's header word, and (for
-/// memory backing) the page's words after it, in one allocation.
+/// One page's physical storage: the page's header word, and the page's
+/// words after it, in one allocation.
 ///
 /// The header ([`ceh_locks::header`]) is the page's ρ/α/ξ lock word and
 /// its seqlock state: version, allocated and writing bits. Every change
@@ -66,9 +66,7 @@ impl PageStoreConfig {
 /// validates its pass against the version and retries one that a change
 /// overlapped, so it never sees a torn page (the §2.1 "read and written
 /// as single operations" guarantee). The page's bytes are atomic words
-/// so that such a reader's loads never race a writer's stores. With file
-/// backing the slot is the header alone and the page lives in its file
-/// region.
+/// so that such a reader's loads never race a writer's stores.
 struct PageSlot {
     words: Box<[AtomicU64]>,
 }
@@ -86,7 +84,7 @@ impl PageSlot {
         &self.words[0]
     }
 
-    /// The page's words (empty with file backing).
+    /// The page's words.
     #[inline]
     fn page(&self) -> &[AtomicU64] {
         &self.words[1..]
@@ -187,24 +185,16 @@ pub enum Plan<A, R> {
     Upgrade(LockMode, A),
 }
 
-/// Where page bytes physically live.
-enum Backing {
-    /// In each slot's box (the default simulation).
-    Memory,
-    /// In a real file, one page per `page_size` region, accessed with
-    /// positioned reads and writes inside the slot's header, as memory
-    /// pages are. Same atomicity contract, real durability.
-    File(std::fs::File),
-}
-
-/// Simulated (or file-backed) secondary storage holding fixed-size pages.
+/// Simulated secondary storage holding fixed-size pages, in memory.
+/// Persistence is the durability layer's job: a
+/// [`crate::DurableStore`] logs every change before it reaches its
+/// `PageStore`, which is then the volatile cache.
 ///
 /// Cloneable handle semantics: wrap in [`Arc`] (or use
 /// [`PageStore::new_shared`]) to share between the threads playing the
 /// paper's "processes".
 pub struct PageStore {
     cfg: PageStoreConfig,
-    backing: Backing,
     /// Grow-only slot table, read without a lock.
     slots: Slots,
     /// Free list of deallocated page ids, reused LIFO.
@@ -236,13 +226,12 @@ impl PageStore {
     /// registry (under the `storage.` prefix), correlated with every
     /// other layer wired to the same handle.
     pub fn with_metrics(cfg: PageStoreConfig, metrics: &ceh_obs::MetricsHandle) -> Self {
-        let slots = Slots::new((0..cfg.initial_pages).map(|_| Self::empty_slot(&cfg, true, 0)));
+        let slots = Slots::new((0..cfg.initial_pages).map(|_| Self::empty_slot(&cfg, 0)));
         // Seed the free list with the initial pool, reversed so pages are
         // handed out in ascending order (stable figure goldens).
         let free = (0..cfg.initial_pages as u64).rev().map(PageId).collect();
         let io_latency_ns = AtomicU64::new(cfg.io_latency_ns);
         PageStore {
-            backing: Backing::Memory,
             slots,
             free: Mutex::new(free),
             cfg,
@@ -264,87 +253,6 @@ impl PageStore {
         Arc::new(Self::with_metrics(cfg, metrics))
     }
 
-    /// Create (or truncate) a **file-backed** store at `path`. Pages live
-    /// in the file, one `page_size` region each, read and written inside
-    /// the same per-page header — the identical atomicity contract as the
-    /// in-memory store, with real durability. `initial_pages` is ignored
-    /// (the file grows on demand); simulated latency still applies on
-    /// top of the real I/O if configured.
-    pub fn create_file(path: impl AsRef<std::path::Path>, cfg: PageStoreConfig) -> Result<Self> {
-        Self::create_file_with_metrics(path, cfg, &ceh_obs::MetricsHandle::default())
-    }
-
-    /// [`PageStore::create_file`] reporting into `metrics`' registry.
-    pub fn create_file_with_metrics(
-        path: impl AsRef<std::path::Path>,
-        cfg: PageStoreConfig,
-        metrics: &ceh_obs::MetricsHandle,
-    ) -> Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| Error::Config(format!("cannot create backing file: {e}")))?;
-        let io_latency_ns = AtomicU64::new(cfg.io_latency_ns);
-        Ok(PageStore {
-            backing: Backing::File(file),
-            slots: Slots::new([]),
-            free: Mutex::new(Vec::new()),
-            cfg,
-            stats: IoStats::with_handle(metrics),
-            io_latency_ns,
-        })
-    }
-
-    /// Open an **existing** file-backed store for recovery. Every page
-    /// region present in the file is treated as allocated; callers (e.g.
-    /// `ceh_sequential::SequentialHashFile::recover`) decide which pages
-    /// hold live buckets (deallocated pages were poisoned and fail to
-    /// decode) and return the rest via [`PageStore::dealloc`].
-    ///
-    /// A trailing **partial** page — the footprint of a crash that
-    /// interrupted the file mid-growth — is truncated away: page writes
-    /// always land at page-aligned offsets, so a short tail can only be
-    /// an allocation that never completed a `putbucket`, and nothing in
-    /// the directory can reference it.
-    pub fn open_file(path: impl AsRef<std::path::Path>, cfg: PageStoreConfig) -> Result<Self> {
-        Self::open_file_with_metrics(path, cfg, &ceh_obs::MetricsHandle::default())
-    }
-
-    /// [`PageStore::open_file`] reporting into `metrics`' registry.
-    pub fn open_file_with_metrics(
-        path: impl AsRef<std::path::Path>,
-        cfg: PageStoreConfig,
-        metrics: &ceh_obs::MetricsHandle,
-    ) -> Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(|e| Error::Config(format!("cannot open backing file: {e}")))?;
-        let len = file
-            .metadata()
-            .map_err(|e| Error::Config(format!("cannot stat backing file: {e}")))?
-            .len() as usize;
-        let npages = len / cfg.page_size;
-        if len % cfg.page_size != 0 {
-            file.set_len((npages * cfg.page_size) as u64)
-                .map_err(|e| Error::Io(format!("truncating torn tail page: {e}")))?;
-        }
-        let slots = Slots::new((0..npages).map(|_| Self::empty_slot(&cfg, false, ALLOCATED)));
-        let io_latency_ns = AtomicU64::new(cfg.io_latency_ns);
-        Ok(PageStore {
-            backing: Backing::File(file),
-            slots,
-            free: Mutex::new(Vec::new()),
-            cfg,
-            stats: IoStats::with_handle(metrics),
-            io_latency_ns,
-        })
-    }
-
     /// Rebuild an in-memory store from recovered page images:
     /// `pages[i]` is `Some(bytes)` for an allocated page `i` with
     /// exactly those contents, `None` for a free slot. The allocation
@@ -361,7 +269,7 @@ impl PageStore {
             .into_iter()
             .enumerate()
             .map(|(i, p)| {
-                let slot = Self::empty_slot(&cfg, true, if p.is_some() { ALLOCATED } else { 0 });
+                let slot = Self::empty_slot(&cfg, if p.is_some() { ALLOCATED } else { 0 });
                 match p {
                     Some(buf) => {
                         assert_eq!(buf.len(), cfg.page_size, "restored page size mismatch");
@@ -383,7 +291,6 @@ impl PageStore {
         free.reverse();
         let io_latency_ns = AtomicU64::new(cfg.io_latency_ns);
         PageStore {
-            backing: Backing::Memory,
             slots,
             free: Mutex::new(free),
             cfg,
@@ -392,26 +299,19 @@ impl PageStore {
         }
     }
 
-    /// Is this store file-backed?
-    pub fn is_file_backed(&self) -> bool {
-        matches!(self.backing, Backing::File(_))
-    }
-
     /// A slot not yet shared with any thread: a header (`head`: free, a
     /// recovered page's `ALLOCATED`, or a new page's `ALLOCATED | FRESH`)
-    /// and zeroed words for memory backing (`with_bytes`), the header
-    /// alone for file backing. Pages are whole words, so the page size
-    /// must be a multiple of 8 (every bucket page size is).
-    fn empty_slot(cfg: &PageStoreConfig, with_bytes: bool, head: u64) -> PageSlot {
+    /// and zeroed words. Pages are whole words, so the page size must be
+    /// a multiple of 8 (every bucket page size is).
+    fn empty_slot(cfg: &PageStoreConfig, head: u64) -> PageSlot {
         assert!(
             cfg.page_size % 8 == 0,
             "page size {} is not a whole number of 8-byte words",
             cfg.page_size
         );
-        let words = if with_bytes { cfg.page_size / 8 } else { 0 };
         PageSlot {
             words: std::iter::once(AtomicU64::new(head))
-                .chain((0..words).map(|_| AtomicU64::new(0)))
+                .chain((0..cfg.page_size / 8).map(|_| AtomicU64::new(0)))
                 .collect(),
         }
     }
@@ -514,28 +414,15 @@ impl PageStore {
                 return Err(Error::OutOfPages);
             }
         }
-        let slot = Self::empty_slot(
-            &self.cfg,
-            matches!(self.backing, Backing::Memory),
-            ALLOCATED | header::FRESH,
-        );
+        let slot = Self::empty_slot(&self.cfg, ALLOCATED | header::FRESH);
         let page = self.slots.push(&mut len, slot).ok_or(Error::OutOfPages)?;
-        if let Backing::File(f) = &self.backing {
-            // Guarantee the page's region exists so a read-before-write
-            // (never done by the protocols, but defensively possible)
-            // gets zeroes instead of a short read.
-            f.set_len((*len * self.cfg.page_size) as u64)
-                .map_err(|e| Error::Io(format!("growing backing file: {e}")))?;
-        }
         self.stats.record_alloc();
         Ok(page)
     }
 
     /// Deallocate a page (`deallocbucket`). With poisoning enabled the
     /// page is overwritten with [`POISON_BYTE`] so later reads through a
-    /// stale pointer decode as garbage, and direct reads fault — and, on
-    /// file backing, so a later [`PageStore::open_file`] recovery can
-    /// tell freed regions from live buckets.
+    /// stale pointer decode as garbage, and direct reads fault.
     pub fn dealloc(&self, page: PageId) -> Result<()> {
         self.slot(page)?.change(Some(false), |mut words, before| {
             if before & ALLOCATED == 0 {
@@ -543,15 +430,7 @@ impl PageStore {
                 return Err(Error::PageFault { page: page.0 });
             }
             if self.cfg.poison_freed {
-                match &self.backing {
-                    Backing::Memory => words.fill(POISON_BYTE),
-                    Backing::File(f) => {
-                        use std::os::unix::fs::FileExt;
-                        let poison = vec![POISON_BYTE; self.cfg.page_size];
-                        f.write_all_at(&poison, page.0 * self.cfg.page_size as u64)
-                            .map_err(|e| Error::Io(format!("poisoning {page}: {e}")))?;
-                    }
-                }
+                words.fill(POISON_BYTE);
             }
             Ok(())
         })?;
@@ -562,9 +441,8 @@ impl PageStore {
 
     /// Run `f` over the words of `page` as one whole page: `f` runs again
     /// whenever a change of the page overlapped it, and the answer kept
-    /// is from a pass that validated. On memory backing `f` reads the slot
-    /// in place; on file backing, a copy filled by one pread. Counts as
-    /// one page read, with the fault checks and latency of
+    /// is from a pass that validated; `f` reads the slot in place. Counts
+    /// as one page read, with the fault checks and latency of
     /// [`PageStore::read`]. `f` may see a torn page on a pass that is
     /// thrown away, so it must only inspect the words and return. Meant
     /// for a caller holding a lock on the page, so retries are rare.
@@ -578,10 +456,7 @@ impl PageStore {
                 self.stats.record_page_fault();
                 return Err(Error::PageFault { page: page.0 });
             }
-            let out = match &self.backing {
-                Backing::Memory => f(SharedPage::new(slot.page())),
-                Backing::File(file) => f(SharedPage::new(&self.pread_words(file, page)?)),
-            };
+            let out = f(SharedPage::new(slot.page()));
             if header::validate(slot.header(), snap) {
                 break out;
             }
@@ -598,8 +473,8 @@ impl PageStore {
     /// answering `None` to give up. The answer is also `None` when the
     /// page is not allocated, a change of it is in progress or ξ is
     /// granted on it at the start (one load of its header), when a write,
-    /// edit, allocation or deallocation of it overlapped `f`, or when the
-    /// store is file-backed. Counts as one page read whenever `f` runs.
+    /// edit, allocation or deallocation of it overlapped `f`. Counts as one
+    /// page read whenever `f` runs.
     ///
     /// The pass is announced to the race detector as a speculative page
     /// read, committed only when the page's version validates.
@@ -629,9 +504,6 @@ impl PageStore {
     /// the read gives up at once (see [`PageStore::read_validated`]).
     #[track_caller]
     fn read_begin(&self, page: PageId) -> Option<(&PageSlot, u64, shadow::Speculation)> {
-        if !matches!(self.backing, Backing::Memory) {
-            return None;
-        }
         let slot = self.slots.get(page.0)?;
         let spec = shadow::speculate();
         let snap = header::read_begin(slot.header())?;
@@ -710,8 +582,7 @@ impl PageStore {
     /// an update that changes one record dirties that record, not a
     /// page-sized copy. One change of the page (see [`PageSlot`]): the
     /// caller holds α or ξ on the page, or the page is not yet reachable.
-    /// On file backing `f` edits a copy filled by one pread, which one
-    /// pwrite then stores. Counts as one page write, with the same fault
+    /// Counts as one page write, with the same fault
     /// checks and simulated latency as [`PageStore::write`].
     ///
     /// `f` edits the page and returns. Whatever `f` leaves in the page is
@@ -722,17 +593,14 @@ impl PageStore {
         page: PageId,
         f: impl FnOnce(&mut SharedPageMut<'_>) -> R,
     ) -> Result<R> {
-        self.change_page(page, true, std::panic::Location::caller(), f)
+        self.change_page(page, std::panic::Location::caller(), f)
     }
 
     /// One change of `page` by `f`, after the fault checks and simulated
-    /// latency every write pays. On file backing `f` changes a copy —
-    /// read first by one pread if `read_first`, zeroed otherwise — that
-    /// one pwrite stores.
+    /// latency every write pays.
     fn change_page<R>(
         &self,
         page: PageId,
-        read_first: bool,
         site: &'static std::panic::Location<'static>,
         f: impl FnOnce(&mut SharedPageMut<'_>) -> R,
     ) -> Result<R> {
@@ -744,38 +612,10 @@ impl PageStore {
         self.simulate_latency();
         let out = slot.change(None, |mut words, before| {
             shadow::page_write(slot.shadow_loc(), site, header::guarded(before));
-            match &self.backing {
-                Backing::Memory => Ok(f(&mut words)),
-                Backing::File(file) => {
-                    use std::os::unix::fs::FileExt;
-                    let copy = match read_first {
-                        true => self.pread_words(file, page)?,
-                        false => (0..self.cfg.page_size / 8)
-                            .map(|_| AtomicU64::new(0))
-                            .collect(),
-                    };
-                    let out = f(&mut SharedPageMut::new(&copy));
-                    let mut buf = vec![0u8; self.cfg.page_size];
-                    SharedPage::new(&copy).copy_to(&mut buf);
-                    file.write_all_at(&buf, page.0 * self.cfg.page_size as u64)
-                        .map_err(|e| Error::Io(format!("writing {page}: {e}")))?;
-                    Ok(out)
-                }
-            }
-        })?;
+            f(&mut words)
+        });
         self.stats.record_write();
         Ok(out)
-    }
-
-    /// One pread of `page`'s file region, as words.
-    fn pread_words(&self, file: &std::fs::File, page: PageId) -> Result<Box<[AtomicU64]>> {
-        use std::os::unix::fs::FileExt;
-        let mut buf = vec![0u8; self.cfg.page_size];
-        file.read_exact_at(&mut buf, page.0 * self.cfg.page_size as u64)
-            .map_err(|e| Error::Io(format!("reading {page}: {e}")))?;
-        let words: Box<[AtomicU64]> = (0..buf.len() / 8).map(|_| AtomicU64::new(0)).collect();
-        SharedPageMut::new(&words).copy_from(&buf);
-        Ok(words)
     }
 
     /// Read a whole page into `buf` (`getbucket(page, buffer)`): a copy
@@ -796,7 +636,7 @@ impl PageStore {
     pub fn write(&self, page: PageId, buf: &PageBuf) -> Result<()> {
         assert_eq!(buf.len(), self.cfg.page_size, "buffer/page size mismatch");
         let site = std::panic::Location::caller();
-        self.change_page(page, false, site, |words| words.copy_from(buf))
+        self.change_page(page, site, |words| words.copy_from(buf))
     }
 
     /// List all currently allocated page ids (quiescent use only — the
@@ -932,18 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn read_validated_leaves_file_backed_pages_to_the_latch() {
-        let dir = std::env::temp_dir().join(format!("ceh-store-opt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let s = PageStore::create_file(dir.join("opt.ceh"), PageStoreConfig::small(64)).unwrap();
-        let p = s.alloc().unwrap();
-        s.write(p, &s.new_buf()).unwrap();
-        assert_eq!(s.read_validated(p, |_| Some(())), None);
-        assert_eq!(s.stats().reads, 0, "nothing was read");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn with_page_mut_edits_in_place_and_counts_one_write() {
         let s = store();
         let p = s.alloc().unwrap();
@@ -980,46 +808,6 @@ mod tests {
             s.with_page(p, |_| ()).is_err(),
             "the freed page stays poisoned"
         );
-    }
-
-    #[test]
-    fn with_page_mut_round_trips_on_file_backing() {
-        let dir = std::env::temp_dir().join(format!("ceh-store-edit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("edit.ceh");
-        let cfg = PageStoreConfig {
-            page_size: 128,
-            initial_pages: 0,
-            ..Default::default()
-        };
-        let (a, b);
-        {
-            let s = PageStore::create_file(&path, cfg.clone()).unwrap();
-            a = s.alloc().unwrap();
-            b = s.alloc().unwrap();
-            let mut buf = s.new_buf();
-            buf.fill(0x11);
-            s.write(a, &buf).unwrap();
-            buf.fill(0x22);
-            s.write(b, &buf).unwrap();
-            s.with_page_mut(b, |page| edit_bytes(page, |b| b[100..].fill(0x33)))
-                .unwrap();
-            assert_eq!(s.stats().writes, 3);
-            let got = s.with_page(b, bytes).unwrap();
-            assert!(got[..100].iter().all(|&x| x == 0x22));
-            assert!(got[100..].iter().all(|&x| x == 0x33));
-        }
-        let s = PageStore::open_file(&path, cfg).unwrap();
-        let mut buf = s.new_buf();
-        s.read(a, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 0x11), "the neighbour is untouched");
-        s.read(b, &mut buf).unwrap();
-        assert!(buf[..100].iter().all(|&x| x == 0x22));
-        assert!(
-            buf[100..].iter().all(|&x| x == 0x33),
-            "the edit reached the file"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Pages on both sides of the slot table's segment boundaries keep
@@ -1131,123 +919,6 @@ mod tests {
         let b = s.alloc().unwrap();
         s.dealloc(a).unwrap();
         assert_eq!(s.allocated_page_ids(), vec![b]);
-    }
-
-    #[test]
-    fn file_backed_roundtrip_and_reopen() {
-        let dir = std::env::temp_dir().join(format!("ceh-store-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pages.ceh");
-        let cfg = PageStoreConfig {
-            page_size: 128,
-            initial_pages: 0,
-            ..Default::default()
-        };
-
-        let (a, b);
-        {
-            let s = PageStore::create_file(&path, cfg.clone()).unwrap();
-            assert!(s.is_file_backed());
-            a = s.alloc().unwrap();
-            b = s.alloc().unwrap();
-            let mut buf = s.new_buf();
-            buf.fill(0x11);
-            s.write(a, &buf).unwrap();
-            buf.fill(0x22);
-            s.write(b, &buf).unwrap();
-            // Free one page: poisoned on disk.
-            s.dealloc(b).unwrap();
-        }
-        // Reopen: both regions exist; the freed one reads back poison.
-        let s = PageStore::open_file(&path, cfg).unwrap();
-        assert_eq!(s.capacity(), 2);
-        let mut buf = s.new_buf();
-        s.read(a, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 0x11), "live page survived reopen");
-        s.read(b, &mut buf).unwrap();
-        assert!(buf.is_poisoned(), "freed page poisoned on disk");
-        // Recovery-style dealloc of the poisoned page, then reuse it.
-        s.dealloc(b).unwrap();
-        let c = s.alloc().unwrap();
-        assert_eq!(c, b, "freed region reused");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backed_pages_are_not_torn_either() {
-        // The §2.1 atomicity contract must hold identically on the file
-        // backing: readers never observe a mix of two writes.
-        use std::sync::atomic::AtomicBool;
-        let dir = std::env::temp_dir().join(format!("ceh-store-torn-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let s = Arc::new(
-            PageStore::create_file(
-                dir.join("torn.ceh"),
-                PageStoreConfig {
-                    page_size: 256,
-                    initial_pages: 0,
-                    ..Default::default()
-                },
-            )
-            .unwrap(),
-        );
-        let p = s.alloc().unwrap();
-        let mut a = s.new_buf();
-        a.fill(0xAA);
-        s.write(p, &a).unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                let mut b = PageBuf::zeroed(256);
-                b.fill(0xBB);
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    s.write(p, if i % 2 == 0 { &a } else { &b }).unwrap();
-                    i += 1;
-                }
-            })
-        };
-        let reader = {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                let mut buf = PageBuf::zeroed(256);
-                for _ in 0..5_000 {
-                    s.read(p, &mut buf).unwrap();
-                    let first = buf[0];
-                    assert!(buf.iter().all(|&x| x == first), "torn file-backed read");
-                }
-            })
-        };
-        reader.join().unwrap();
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backed_truncates_torn_tail_page() {
-        // A crash during file growth leaves a partial trailing page; a
-        // reopen must discard exactly that tail and keep the whole pages.
-        let dir = std::env::temp_dir().join(format!("ceh-store-mis-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn-tail.ceh");
-        std::fs::write(&path, vec![0x55u8; 64 + 30]).unwrap();
-        let cfg = PageStoreConfig {
-            page_size: 64,
-            ..Default::default()
-        };
-        let s = PageStore::open_file(&path, cfg).unwrap();
-        assert_eq!(s.capacity(), 1, "the one whole page survives");
-        let mut buf = s.new_buf();
-        s.read(PageId(0), &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 0x55));
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            64,
-            "tail debris gone"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Write-ahead-log record codec and the CRC32 used by both the WAL and
-//! the per-page frame headers.
+//! Write-ahead-log record codec.
 //!
 //! The log is a byte stream of self-describing records:
 //!
@@ -13,34 +12,7 @@
 //! overruns the remaining bytes or whose checksum fails: that is the
 //! torn tail, and everything before it is exactly the durable prefix.
 
-use ceh_types::{Error, PageId, Result};
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the same
-/// checksum ext4 and gzip use for integrity tags. Table-driven, built
-/// at first use; no external dependency.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
+use ceh_types::{crc32, Error, PageId, Result};
 
 /// Fixed prefix of every record: `len` + `crc`.
 pub const REC_PREFIX: usize = 8;
@@ -228,7 +200,8 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
-        // The classic check value for CRC-32/IEEE.
+        // The checksum guarding every record: the classic CRC-32/IEEE
+        // check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }

@@ -1,10 +1,9 @@
 //! Medium-corruption recovery tests on the frame-CRC path.
 //!
-//! The file-backed persistence suite (`tests/persistence.rs`) pins how
-//! decode-based recovery handles torn tail pages and corrupt bucket
-//! headers. These are the same crash shapes ported onto the durable
-//! store's *checksum* verification: every frame on the medium carries a
-//! `magic | flags | LSN | CRC32` header, so recovery detects damage
+//! These are the crash shapes of torn tail pages and corrupt headers,
+//! held to the durable store's *checksum* verification (the bucket-level
+//! sweep above it is `tests/persistence.rs`): every frame on the medium
+//! carries a `magic | flags | LSN | CRC32` header, so recovery detects damage
 //! without interpreting the payload — a torn frame is quarantined and
 //! rebuilt from its committed redo image in the WAL, and damage the log
 //! cannot cover is reported as corruption, never silently served.

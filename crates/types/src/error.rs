@@ -31,7 +31,8 @@ pub enum Error {
     /// raced a torn write — which the atomic page store makes impossible,
     /// so in practice: a protocol bug).
     Corrupt(String),
-    /// An operating-system I/O failure from a file-backed page store.
+    /// An operating-system I/O failure from a file-backed medium (or a
+    /// socket).
     Io(String),
     /// A distributed request failed because the cluster is shutting down
     /// or a manager is unreachable.

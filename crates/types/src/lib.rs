@@ -18,6 +18,7 @@
 //!   related tuning shared by the sequential, concurrent, and distributed
 //!   implementations.
 //! * [`Error`] — the workspace error type.
+//! * [`crc32`] — the checksum of the WAL, the page frames and the wire.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -25,6 +26,7 @@
 pub mod bits;
 pub mod bucket;
 pub mod config;
+pub mod crc;
 pub mod error;
 pub mod ids;
 pub mod key;
@@ -36,6 +38,7 @@ pub use bucket::{
     DELETED, RECORD_BYTES,
 };
 pub use config::{HashFileConfig, RetryPolicy};
+pub use crc::crc32;
 pub use error::{Error, Result};
 pub use ids::{BucketLink, ManagerId, PageId};
 pub use key::{hash_key, identity_pseudokey, Key, Pseudokey, Record, Value};

@@ -20,7 +20,6 @@ fn main() -> ceh_types::Result<()> {
         file: HashFileConfig::tiny().with_bucket_capacity(8),
         page_quota: Some(24), // force some splits to land on other sites
         latency: LatencyModel::jittered(Duration::from_micros(20), Duration::from_micros(200), 42),
-        data_dir: None,
         ..Default::default()
     })?);
 

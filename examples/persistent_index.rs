@@ -1,8 +1,11 @@
-//! A durable extendible hash index: file-backed pages plus recovery.
+//! A durable extendible hash index: write-ahead logged files plus
+//! recovery.
 //!
-//! The directory is volatile by design — buckets persist everything
-//! needed to rebuild it (localdepth, commonbits, next links), so
-//! "booting" the index is a single scan.
+//! Every change is logged to `wal.ceh` before it is acknowledged, and
+//! checkpoints copy committed pages into `frames.ceh`. The directory is
+//! volatile by design — buckets persist everything needed to rebuild it
+//! (localdepth, commonbits, next links), so "booting" the index is a
+//! log replay and a single scan.
 //!
 //! ```sh
 //! cargo run -p ceh-harness --example persistent_index
@@ -11,31 +14,30 @@
 use std::sync::Arc;
 
 use ceh_core::{invariants, ConcurrentHashFile, FileCore, Solution2};
-use ceh_locks::LockManager;
-use ceh_storage::{PageStore, PageStoreConfig};
+use ceh_locks::{LockManager, LockManagerConfig};
+use ceh_obs::MetricsHandle;
+use ceh_storage::{DiskHandle, DurableConfig, DurableStore, PageStoreConfig};
 use ceh_types::bucket::Bucket;
 use ceh_types::{hash_key, HashFileConfig, Key, Value};
 
 fn main() -> ceh_types::Result<()> {
     let cfg = HashFileConfig::default().with_bucket_capacity(32);
-    let store_cfg = PageStoreConfig {
-        page_size: Bucket::page_size_for(cfg.bucket_capacity),
-        initial_pages: 0,
+    let dcfg = DurableConfig {
+        page: PageStoreConfig {
+            page_size: Bucket::page_size_for(cfg.bucket_capacity),
+            ..Default::default()
+        },
         ..Default::default()
     };
     let dir = std::env::temp_dir().join(format!("ceh-example-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("index.ceh");
 
     // ---- Session 1: create, load, shut down. ----
     {
-        let store = Arc::new(PageStore::create_file(&path, store_cfg.clone())?);
-        let core = FileCore::with_parts(
-            cfg.clone(),
-            Arc::clone(&store),
-            Arc::new(LockManager::over(store)),
-            hash_key,
-        )?;
+        let metrics = MetricsHandle::new();
+        let disk = DiskHandle::create_file(&dir, dcfg.page.page_size)?;
+        let wal = DurableStore::with_disk(disk, dcfg.clone(), &metrics)?;
+        let locks = Arc::new(LockManager::over(wal.cache().clone()));
+        let core = FileCore::with_durable_metrics(cfg.clone(), wal, locks, hash_key, &metrics)?;
         let file = Arc::new(Solution2::from_core(core));
         let writers: Vec<_> = (0..4u64)
             .map(|t| {
@@ -51,26 +53,28 @@ fn main() -> ceh_types::Result<()> {
             w.join().unwrap();
         }
         println!(
-            "session 1: inserted {} records into {} (pages on disk: {})",
+            "session 1: inserted {} records into {} ({} pages)",
             file.len(),
-            path.display(),
+            dir.display(),
             file.core().store().allocated_pages()
         );
     } // everything dropped — "process exit"
 
     // ---- Session 2: reopen, recover, verify, keep working. ----
-    let store = Arc::new(PageStore::open_file(&path, store_cfg)?);
     let t0 = std::time::Instant::now();
-    let core = FileCore::recover(
+    let (core, report) = FileCore::recover_durable_metrics(
         cfg,
-        Arc::clone(&store),
-        Arc::new(LockManager::over(store)),
+        &DiskHandle::open_file(&dir, dcfg.page.page_size)?,
+        dcfg,
+        LockManagerConfig::default(),
         hash_key,
+        &MetricsHandle::new(),
     )?;
     let file = Solution2::from_core(core);
     println!(
-        "session 2: recovered {} records, directory depth {}, in {:.1} ms",
+        "session 2: recovered {} records ({} log records replayed), directory depth {}, in {:.1} ms",
         file.len(),
+        report.redo_applied,
         file.core().dir().depth(),
         t0.elapsed().as_secs_f64() * 1000.0
     );
@@ -89,6 +93,7 @@ fn main() -> ceh_types::Result<()> {
     file.insert(Key(999_999), Value(1))?;
     println!("post-recovery mutations fine: {} records", file.len());
 
+    drop(file);
     std::fs::remove_dir_all(&dir).expect("cleanup");
     Ok(())
 }

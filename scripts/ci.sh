@@ -24,6 +24,11 @@ cargo clippy -p ceh-obs --all-targets -- -D warnings
 echo "=== test ==="
 cargo test -q --workspace
 
+echo "=== persistent index example ==="
+# The examples are otherwise only compiled (by clippy): run the one that
+# writes a WAL'd index to files, reopens it and checks it.
+cargo run -q -p ceh-harness --example persistent_index
+
 echo "=== benchmark unit tests ==="
 # perfbench/ is its own Cargo workspace, so the workspace test run above
 # does not reach it: percentile math, per-op ratio bases, /proc parsing,

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use ceh_dist::{Cluster, ClusterConfig};
+use ceh_dist::{Cluster, ClusterConfig, SiteStorage};
 use ceh_net::{FaultPlan, LatencyModel};
 use ceh_types::{HashFileConfig, Key, RetryPolicy, Value};
 
@@ -58,7 +58,7 @@ fn seeded_faults_with_crash_and_restart_converge_exactly() {
         file: HashFileConfig::tiny().with_bucket_capacity(8),
         page_quota: Some(16), // spread buckets so the crashed site matters
         latency: LatencyModel::none(),
-        data_dir: None,
+        storage: SiteStorage::Volatile,
         faults: Some(
             FaultPlan::new(0xCE11_0001)
                 .drop_classes(FAULTABLE, 0.05)
@@ -74,8 +74,6 @@ fn seeded_faults_with_crash_and_restart_converge_exactly() {
         },
         resend_ms: 100,
         reply_timeout_ms: 2_000,
-        durable: false,
-        backend: Default::default(),
     })
     .unwrap();
 
@@ -180,18 +178,19 @@ fn reply_drop_run(seed: u64, ops: u64) -> (u64, u64, u64) {
         file: HashFileConfig::tiny().with_bucket_capacity(8),
         page_quota: None,
         latency: LatencyModel::none(),
-        data_dir: None,
+        storage: SiteStorage::Volatile,
         faults: Some(FaultPlan::new(seed).drop_class("user-reply", 0.2)),
+        // The window must outlast any reply that was not dropped, even on
+        // a loaded machine: a retry sent while a reply is merely late
+        // adds one more reply and shifts the seeded drop schedule.
         retry: RetryPolicy {
             attempts: 40,
-            timeout_ms: 50,
+            timeout_ms: 250,
             base_backoff_ms: 1,
             max_backoff_ms: 2,
         },
         resend_ms: 60_000, // timers quiet: the only retries are the client's
         reply_timeout_ms: 30_000,
-        durable: false,
-        backend: Default::default(),
     })
     .unwrap();
     let client = cluster.client();
@@ -243,7 +242,7 @@ fn crash_without_faults_recovers_in_place() {
         file: HashFileConfig::tiny().with_bucket_capacity(4),
         page_quota: Some(8),
         latency: LatencyModel::none(),
-        data_dir: None,
+        storage: SiteStorage::Volatile,
         faults: None,
         retry: RetryPolicy {
             attempts: 80,
@@ -253,8 +252,6 @@ fn crash_without_faults_recovers_in_place() {
         },
         resend_ms: 100,
         reply_timeout_ms: 1_000,
-        durable: false,
-        backend: Default::default(),
     })
     .unwrap();
     let client = cluster.client();
@@ -304,7 +301,7 @@ fn durable_crash_is_a_power_loss_and_restart_recovers_from_the_image() {
         file: HashFileConfig::tiny().with_bucket_capacity(4),
         page_quota: Some(8), // spread buckets onto the crash target
         latency: LatencyModel::none(),
-        data_dir: None,
+        storage: SiteStorage::WalMemory,
         faults: None,
         retry: RetryPolicy {
             attempts: 80,
@@ -314,8 +311,6 @@ fn durable_crash_is_a_power_loss_and_restart_recovers_from_the_image() {
         },
         resend_ms: 100,
         reply_timeout_ms: 1_000,
-        durable: true,
-        backend: Default::default(),
     })
     .unwrap();
     let client = cluster.client();

@@ -91,7 +91,6 @@ fn all_impls() -> Vec<Impl> {
         file: cfg.clone(),
         page_quota: Some(10),
         latency: LatencyModel::none(),
-        data_dir: None,
         ..Default::default()
     })
     .unwrap();

@@ -21,7 +21,6 @@ fn figure10_distributed_structure() {
         file: HashFileConfig::tiny().with_bucket_capacity(3),
         page_quota: Some(6),
         latency: LatencyModel::none(),
-        data_dir: None,
         ..Default::default()
     })
     .unwrap();
@@ -70,7 +69,6 @@ fn entry_versions_match_bucket_versions() {
         file: HashFileConfig::tiny(),
         page_quota: None,
         latency: LatencyModel::none(),
-        data_dir: None,
         ..Default::default()
     })
     .unwrap();
@@ -116,7 +114,6 @@ fn garbage_collection_is_safe_under_jitter_and_churn() {
                 Duration::from_micros(400),
                 99,
             ),
-            data_dir: None,
             ..Default::default()
         })
         .unwrap(),
@@ -164,7 +161,6 @@ fn stale_replicas_recover_via_next_links() {
         file: HashFileConfig::tiny(),
         page_quota: Some(4),
         latency: LatencyModel::jittered(Duration::ZERO, Duration::from_millis(2), 5),
-        data_dir: None,
         ..Default::default()
     })
     .unwrap();

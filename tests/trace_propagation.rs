@@ -24,7 +24,7 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use ceh_dist::{Cluster, ClusterConfig};
+use ceh_dist::{Cluster, ClusterConfig, SiteStorage};
 use ceh_net::{FaultPlan, LatencyModel};
 use ceh_obs::SpanId;
 use ceh_types::{HashFileConfig, Key, RetryPolicy, Value};
@@ -61,7 +61,7 @@ fn recovery_work_attributes_to_the_originating_request() {
         file: HashFileConfig::tiny().with_bucket_capacity(8),
         page_quota: None,
         latency: LatencyModel::none(),
-        data_dir: None,
+        storage: SiteStorage::Volatile,
         faults: Some(
             FaultPlan::new(0xCE11_0001)
                 .drop_classes(FAULTABLE, 0.05)
@@ -75,8 +75,6 @@ fn recovery_work_attributes_to_the_originating_request() {
         },
         resend_ms: 100,
         reply_timeout_ms: 2_000,
-        durable: false,
-        backend: Default::default(),
     })
     .unwrap();
     // Sized so a full chaos run fits: a truncated ring would silently
