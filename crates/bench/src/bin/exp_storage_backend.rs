@@ -3,7 +3,7 @@
 //!
 //! E11 measured the WAL's tax against a *simulated* medium — an
 //! in-memory byte image whose "fsync" is free. E13 re-runs that
-//! comparison on the real [`FileBackend`] (frames + WAL files,
+//! comparison on the real [`ceh_storage::FileBackend`] (frames + WAL files,
 //! `fsync` on every group commit) and adds the two measurements only a
 //! real medium makes meaningful:
 //!

@@ -14,7 +14,7 @@
 //! 3. **linearizability** — the recorded operation history checks out
 //!    against the sequential model ([`crate::linearize`], exact mode).
 //!
-//! The first violating schedule is [minimized](minimize) by re-running
+//! The first violating schedule is minimized by re-running
 //! candidate sub-schedules and shipped as a replayable
 //! [`ScheduleFixture`].
 

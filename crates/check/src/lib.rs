@@ -2,7 +2,7 @@
 //!
 //! Three pillars, all offline (no solver, no external service):
 //!
-//! 1. **Deterministic schedule explorer** ([`explore`]): a virtual-thread
+//! 1. **Deterministic schedule explorer** ([`explore`](mod@explore)): a virtual-thread
 //!    scheduler plugs into [`ceh_locks::WaitHook`] and serializes a small
 //!    concurrent workload so that exactly one thread runs between lock-
 //!    manager wait points. A DFS over the scheduling decisions then runs
@@ -19,9 +19,9 @@
 //!    ordering discipline, and unsafe-block auditing.
 //!
 //! A fifth pillar (feature `check-race`): the **happens-before race
-//! detector** ([`race`]) — a FastTrack-style vector-clock analysis fed
+//! detector** (the `race` module) — a FastTrack-style vector-clock analysis fed
 //! by `ceh-locks`' shadow-access seam, run over every explored schedule
-//! (`ExploreConfig::race`) and proven against a [`litmus`] corpus of
+//! (`ExploreConfig::race`) and proven against a `litmus` corpus of
 //! known racy/race-free programs, including the seqlock `VersionWord`
 //! pair that gates the optimistic read path.
 //!

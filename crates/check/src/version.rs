@@ -29,7 +29,7 @@
 //! The happens-before race detector (`ceh check race`) is the gate for
 //! this primitive: with the correct orderings the seqlock litmus runs
 //! clean, and the `check-inject`-gated
-//! [`VersionWord::write_end_missing_release`] variant — identical but for
+//! `VersionWord::write_end_missing_release` variant — identical but for
 //! a `Relaxed` end increment — must be caught, because the reader's
 //! validating load then joins nothing and the committed payload reads are
 //! unordered with the writer's stores.

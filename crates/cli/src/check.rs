@@ -1,7 +1,7 @@
 //! `ceh check` — the offline verification entry point.
 //!
 //! Thin argv-level wrapper over [`ceh_check`]: schedule exploration
-//! ([`ceh_check::explore`]), fixture replay ([`ceh_check::replay`]), the
+//! ([`ceh_check::explore()`]), fixture replay ([`ceh_check::replay`]), the
 //! crash-point sweep ([`ceh_check::run_sweep`]), and the lock-discipline
 //! lint ([`ceh_check::lint_paths`]). See [`CHECK_HELP`] for the surface.
 

@@ -209,13 +209,15 @@ impl Index {
             Command::Stats => {
                 let core = self.file.core();
                 let s = core.stats().snapshot();
+                let gauges = self.file.metrics().snapshot();
                 format!(
                     "records: {}, depth: {}, buckets: {}, load factor: {:.2}\n\
                      ops: {} finds ({} hits), {} inserts, {} deletes\n\
                      find path: {} lock-free, {} fell back to locks\n\
                      update path: {} upgraded from a validated read, {} took the figures' locks\n\
                      restructuring: {} splits, {} merges, {} doublings, {} halvings\n\
-                     recoveries: {} wrong-bucket chases ({:.2} mean hops)",
+                     recoveries: {} wrong-bucket chases ({:.2} mean hops)\n\
+                     memory: directory {} bytes, {} page slots ({} free)",
                     core.len(),
                     core.dir().depth(),
                     core.store().allocated_pages(),
@@ -236,6 +238,9 @@ impl Index {
                     s.halvings,
                     s.wrong_bucket_recoveries,
                     s.mean_recovery_hops(),
+                    gauges.gauge("core.dir_bytes"),
+                    gauges.gauge("storage.slot_capacity"),
+                    gauges.gauge("storage.free_pages"),
                 ) + &format!("\n\n{}", self.report().to_table())
             }
             Command::StatsJson => self.report().to_json(),
@@ -433,6 +438,12 @@ mod tests {
         assert!(
             stats.contains("run report") && stats.contains("core.inserts"),
             "stats carries the metrics table: {stats}"
+        );
+        assert!(
+            stats.contains("memory: directory 512 bytes,")
+                && stats.contains("core.dir_bytes")
+                && stats.contains("storage.slot_capacity"),
+            "stats says where the memory goes: {stats}"
         );
         let json = run_line(&index, "stats json").unwrap();
         let doc = ceh_obs::json::parse(&json).expect("stats json parses");

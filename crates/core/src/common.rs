@@ -134,7 +134,7 @@ impl FileCore {
         let mut buf = PageBuf::zeroed(store.page_size());
         bucket.encode(&mut buf)?;
         store.write(root, &buf)?;
-        let dir = Directory::new(cfg.max_depth, root)?;
+        let dir = Directory::new(cfg.max_depth, root)?.with_metrics(metrics);
         Ok(FileCore {
             store,
             wal: None,
@@ -187,7 +187,7 @@ impl FileCore {
         bucket.encode(&mut buf)?;
         wal.write(root, &buf)?;
         txn.commit()?;
-        let dir = Directory::new(cfg.max_depth, root)?;
+        let dir = Directory::new(cfg.max_depth, root)?.with_metrics(metrics);
         Ok(FileCore {
             store: Arc::clone(wal.cache()),
             wal: Some(wal),
@@ -252,7 +252,8 @@ impl FileCore {
         let recovered =
             ceh_sequential::SequentialHashFile::recover(cfg.clone(), Arc::clone(&store), hasher)?;
         let snap = recovered.snapshot()?;
-        let dir = Directory::restore(cfg.max_depth, &snap.entries, snap.depthcount)?;
+        let dir = Directory::restore(cfg.max_depth, &snap.entries, snap.depthcount)?
+            .with_metrics(metrics);
         let len = recovered.len();
         drop(recovered);
         let core = FileCore {

@@ -319,3 +319,33 @@ fn a_non_restructuring_update_reads_and_writes_its_page_once() {
         }
     }
 }
+
+/// The directory costs what it uses: after 2^14 keys at `realistic()`
+/// (`max_depth` 22), `core.dir_bytes` is one entry per live directory
+/// slot, rounded up to the first 64-entry segment, not 2^22 entries
+/// (32 MiB). The store's gauges count its slots and free list.
+#[test]
+fn gauges_say_where_the_memory_goes() {
+    let file = Solution2::new(HashFileConfig::realistic()).unwrap();
+    for k in 0..1u64 << 14 {
+        file.insert(Key(k), Value(k)).unwrap();
+    }
+    let gauges = file.metrics().snapshot();
+    let depth = file.core().dir().depth();
+    let entry = std::mem::size_of::<ceh_locks::shadow::TrackedAtomicU64>() as i64;
+    assert_eq!(
+        gauges.gauge("core.dir_bytes"),
+        entry * (1i64 << depth).max(64),
+        "depth {depth}"
+    );
+    assert!(gauges.gauge("core.dir_bytes") < 1 << 20, "not pre-sized");
+    let store = file.core().store();
+    assert_eq!(
+        gauges.gauge("storage.slot_capacity"),
+        store.capacity() as i64
+    );
+    assert_eq!(
+        gauges.gauge("storage.free_pages"),
+        (store.capacity() - store.allocated_pages()) as i64
+    );
+}

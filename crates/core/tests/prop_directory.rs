@@ -1,11 +1,14 @@
 //! The concurrent directory vs. a plain-vector model: the atomic-entry
-//! `Directory` (with its Release/Acquire publication dance) must compute
-//! exactly the same entry table as a naive single-threaded directory
-//! under any legal sequence of doublings and one-side updates.
+//! `Directory` (with its Release/Acquire publication dance and its
+//! segmented entry array) must compute exactly the same entry table as a
+//! naive single-threaded directory under any legal sequence of
+//! doublings and one-side updates, and under random doublings, updates
+//! and halvings that cross the 64/128/256 segment boundaries.
 
 use ceh_core::Directory;
 use ceh_types::{mask, partner_bit, PageId, Pseudokey};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,6 +30,26 @@ impl ModelDir {
         let copy = self.entries.clone();
         self.entries.extend(copy);
         self.depth += 1;
+    }
+
+    /// `halvedirectory()`: drop the top half, recount differing pairs,
+    /// and cascade while the recount is zero. Returns the depthcount.
+    fn halve(&mut self) -> u32 {
+        loop {
+            self.depth -= 1;
+            self.entries.truncate(1 << self.depth);
+            if self.depth == 0 {
+                return 1;
+            }
+            let quarter = 1usize << (self.depth - 1);
+            let count = 2
+                * (0..quarter)
+                    .filter(|&i| self.entries[i] != self.entries[i + quarter])
+                    .count() as u32;
+            if count != 0 || self.depth <= 1 {
+                return count;
+            }
+        }
     }
 
     fn update_one_side(&mut self, page: u64, d: u32, pk: u64) {
@@ -93,8 +116,57 @@ fn run_script(seed: u64, steps: usize) -> (Vec<PageId>, Vec<u64>, u32) {
     (dir.entries_snapshot(), model.entries, model.depth)
 }
 
+/// Random doublings, one-side updates and halvings, first climbing to
+/// depth 9 (three segment boundaries crossed), then `steps` more with
+/// equal odds. The directory must match the model after every step.
+fn run_mixed(seed: u64, steps: usize) -> std::result::Result<u32, TestCaseError> {
+    let dir = Directory::new(12, PageId(0)).unwrap();
+    let mut model = ModelDir::new(0);
+    let mut depthcount = 1;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut next_page, mut deepest, mut left) = (1u64, 0u32, steps);
+    while deepest < 9 || left > 0 {
+        if deepest >= 9 {
+            left -= 1;
+        }
+        let roll = rng.random_range(0..100);
+        let climbing = deepest < 9;
+        if model.depth < 11 && (roll < 33 || climbing && roll < 60) {
+            dir.double().unwrap();
+            model.double();
+            depthcount = 0;
+        } else if model.depth >= 1 && (roll >= 85 || !climbing && roll >= 66) {
+            dir.halve();
+            depthcount = model.halve();
+        } else if model.depth >= 1 {
+            let d = rng.random_range(1..=model.depth);
+            let pk = rng.random::<u64>();
+            dir.update_one_side(PageId(next_page), d, Pseudokey(pk));
+            model.update_one_side(next_page, d, pk);
+            next_page += 1;
+        }
+        deepest = deepest.max(model.depth);
+        prop_assert_eq!(dir.depth(), model.depth);
+        prop_assert_eq!(dir.depthcount(), depthcount);
+        let expected: Vec<PageId> = model.entries.iter().copied().map(PageId).collect();
+        prop_assert_eq!(dir.entries_snapshot(), expected);
+        for (i, &p) in model.entries.iter().enumerate() {
+            prop_assert_eq!(dir.index(i as u64), PageId(p));
+        }
+    }
+    Ok(deepest)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn segmented_directory_matches_model_through_halvings(
+        seed in any::<u64>(),
+        steps in 1usize..80,
+    ) {
+        prop_assert!(run_mixed(seed, steps)? >= 9);
+    }
 
     #[test]
     fn atomic_directory_matches_model(seed in any::<u64>(), steps in 1usize..60) {

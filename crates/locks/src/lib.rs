@@ -55,7 +55,7 @@
 //!   arguments empirically, with an optional watchdog that panics with the
 //!   cycle when a wait exceeds a configured bound;
 //! * **shadow-access instrumentation** ([`shadow`]): `Tracked`/
-//!   `TrackedAtomic*` wrappers and a process-global [`shadow::ShadowSink`]
+//!   `TrackedAtomic*` wrappers and a process-global `ShadowSink`
 //!   seam that `ceh check race`'s happens-before detector observes shared
 //!   accesses through (compiled away unless the `check-race` feature is
 //!   on).

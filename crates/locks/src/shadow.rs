@@ -79,7 +79,7 @@ pub enum AccessKind {
     UnguardedWrite,
 }
 
-/// One shadowed access, as delivered to the [`ShadowSink`].
+/// One shadowed access, as delivered to the `ShadowSink`.
 #[derive(Debug, Clone, Copy)]
 pub struct ShadowAccess {
     /// Where.

@@ -182,13 +182,13 @@ pub(crate) fn release_upgrade(word: &AtomicU64, mode: LockMode) -> u64 {
 /// | 30–63 | version, advanced by every change |
 ///
 /// Every change of a page — a write, an in-place edit, an allocation or
-/// a deallocation — sets `WRITING` before its stores ([`write_begin`])
-/// and clears it while advancing the version after them ([`write_end`]),
+/// a deallocation — sets `WRITING` before its stores ([`header::write_begin`])
+/// and clears it while advancing the version after them ([`header::write_end`]),
 /// so a reader that holds no lock can tell whether its pass overlapped
 /// one. Writers are serialized by α or ξ on the page, or write a page no
 /// other process can reach yet: one still `FRESH`, which every grant
 /// clears, so the race detector can tell such a write from one made
-/// without the lock ([`guarded`]). `write_begin` also waits out a
+/// without the lock ([`header::guarded`]). `write_begin` also waits out a
 /// `WRITING` left by another writer, so a stray unlocked write cannot
 /// corrupt the word. The version wraps after 2^34 changes of one page: a
 /// read window or an upgrade would have to span exactly that many

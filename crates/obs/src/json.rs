@@ -2,7 +2,7 @@
 //! validator.
 //!
 //! The workspace's offline `serde` stand-in provides marker traits
-//! only — there is no `serde_json` — so report emission ([`write`],
+//! only — there is no `serde_json` — so report emission ([`write()`],
 //! [`escape`]) and CI validation ([`parse`], [`validate`]) are
 //! hand-rolled here. The parser accepts the JSON this crate emits (and
 //! standard JSON generally); the validator understands the subset of

@@ -6,8 +6,9 @@
 //! The nonvolatile state is a flat frame array (one
 //! [`FRAME_HEADER`]-prefixed region per page, carrying an LSN and a
 //! CRC32 over the contents) plus the log bytes, held by a
-//! [`PageBackend`](crate::PageBackend) — the deterministic in-memory
-//! [`DiskImage`] or real files with fsync (see [`crate::backend`]).
+//! [`PageBackend`] — the deterministic in-memory
+//! [`DiskImage`](crate::DiskImage) or real files with fsync (see
+//! [`crate::backend`]).
 //! Either lives behind a [`DiskHandle`] that **outlives the store**:
 //! cutting power is dropping the `DurableStore` (or calling
 //! [`DurableStore::power_off`]) and keeping only the handle; recovery
@@ -27,7 +28,7 @@
 //!   `Commit` record, at the group-commit **sync**. Only then is the
 //!   operation acked;
 //! * committed-but-not-yet-checkpointed page states sit in a
-//!   fixed-capacity **buffer cache** ([`crate::cache`]); a commit that
+//!   fixed-capacity **buffer cache** (the `cache` module); a commit that
 //!   pushes it over capacity writes a CLOCK-chosen victim back to its
 //!   frame (log first — its covering records are already synced) and
 //!   evicts it;

@@ -7,10 +7,16 @@
 //! simulated per-I/O latency, populated only when the store's
 //! `io_latency_ns` is non-zero (with latency disabled, page I/O is a
 //! ~75ns memcpy and per-op timing would cost more than the operation).
+//!
+//! Two gauges say where the store's memory goes: `storage.slot_capacity`
+//! (page slots in the slot table, allocated or free: each holds a
+//! page's words) and `storage.free_pages` (the free list's length).
+//! Every store adds its own levels and takes them back when dropped, so
+//! stores sharing a registry sum.
 
 use std::sync::Arc;
 
-use ceh_obs::{Counter, Histogram, MetricsHandle};
+use ceh_obs::{Counter, Gauge, Histogram, MetricsHandle};
 
 /// I/O instruments maintained by a [`crate::PageStore`].
 ///
@@ -25,6 +31,8 @@ pub struct IoStats {
     deallocs: Arc<Counter>,
     page_faults: Arc<Counter>,
     io_ns: Arc<Histogram>,
+    slot_capacity: Arc<Gauge>,
+    free_pages: Arc<Gauge>,
 }
 
 impl Default for IoStats {
@@ -49,6 +57,8 @@ impl IoStats {
             deallocs: handle.counter("storage.deallocs"),
             page_faults: handle.counter("storage.page_faults"),
             io_ns: handle.histogram("storage.io_ns"),
+            slot_capacity: handle.gauge("storage.slot_capacity"),
+            free_pages: handle.gauge("storage.free_pages"),
         }
     }
 
@@ -76,6 +86,16 @@ impl IoStats {
         self.io_ns.record(ns);
     }
 
+    /// `n` more (or, negative, fewer) page slots.
+    pub(crate) fn record_slots(&self, n: i64) {
+        self.slot_capacity.add(n);
+    }
+
+    /// `n` more (or, negative, fewer) pages on the free list.
+    pub(crate) fn record_free(&self, n: i64) {
+        self.free_pages.add(n);
+    }
+
     /// The simulated-I/O latency histogram (empty unless the store runs
     /// with `io_latency_ns > 0`).
     pub fn io_hist(&self) -> &Histogram {
@@ -93,7 +113,8 @@ impl IoStats {
         }
     }
 
-    /// Reset all counters to zero (between benchmark phases).
+    /// Reset all counters to zero (between benchmark phases). The gauges
+    /// are levels, not counts, and keep their values.
     pub fn reset(&self) {
         self.reads.reset();
         self.writes.reset();

@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock};
 
 use ceh_locks::header::{self, ALLOCATED};
 use ceh_locks::{shadow, HeaderWords, LockManager, LockMode};
-use ceh_types::{Error, PageId, Result, SharedPage, SharedPageMut};
+use ceh_types::{Error, PageId, Result, SegArray, SharedPage, SharedPageMut};
 use parking_lot::Mutex;
 
 use crate::page::{PageBuf, POISON_BYTE};
@@ -102,20 +102,13 @@ impl PageSlot {
     }
 }
 
-/// Length of the slot table's first segment, in bits.
-const SEG_BITS: u32 = 6;
-
-/// Segments of the slot table: page ids below 64 · (2^32 − 1).
-const SEGS: usize = 32;
-
-/// The grow-only slot table. Segment `k` holds `64 << k` slots and is
-/// allocated when the store first grows into it. A slot is published
-/// once and then never moves or goes away while the store lives, so a
-/// page access finds it with two acquire loads: no lock and no
-/// reference count. (A read lock, or an `Arc` clone, would be a write
-/// to a line that every caller's every page access writes too.)
+/// The grow-only slot table: a [`SegArray`] of slots, each published
+/// once and then never moved or freed while the store lives, so a page
+/// access finds it with two acquire loads: no lock and no reference
+/// count. (A read lock, or an `Arc` clone, would be a write to a line
+/// that every caller's every page access writes too.)
 struct Slots {
-    segs: [OnceLock<Box<[OnceLock<PageSlot>]>>; SEGS],
+    table: SegArray<OnceLock<PageSlot>>,
     /// How many slots exist; the table grows under this mutex.
     len: Mutex<usize>,
 }
@@ -123,7 +116,7 @@ struct Slots {
 impl Slots {
     fn new(slots: impl IntoIterator<Item = PageSlot>) -> Self {
         let table = Slots {
-            segs: std::array::from_fn(|_| OnceLock::new()),
+            table: SegArray::new(),
             len: Mutex::new(0),
         };
         {
@@ -137,31 +130,21 @@ impl Slots {
         table
     }
 
-    /// Segment and offset of page id `i`, if the table can hold it.
-    fn at(i: u64) -> Option<(usize, usize)> {
-        let j = i.checked_add(1 << SEG_BITS)?;
-        let k = (63 - j.leading_zeros() - SEG_BITS) as usize;
-        (k < SEGS).then(|| (k, (j - (1 << (k as u32 + SEG_BITS))) as usize))
-    }
-
     fn get(&self, i: u64) -> Option<&PageSlot> {
-        let (k, off) = Self::at(i)?;
-        self.segs[k].get()?.get(off)?.get()
+        self.table.get(usize::try_from(i).ok()?)?.get()
     }
 
     /// Publish `slot` as the next page id; `len` is `self.len`'s guard.
     /// `None` when the table is full.
     fn push(&self, len: &mut usize, slot: PageSlot) -> Option<PageId> {
-        let id = *len as u64;
-        let (k, off) = Self::at(id)?;
-        let seg = self.segs[k].get_or_init(|| {
-            (0..1usize << (k as u32 + SEG_BITS))
-                .map(|_| OnceLock::new())
-                .collect()
-        });
-        assert!(seg[off].set(slot).is_ok(), "page {id} published twice");
+        let id = *len;
+        if !self.table.grow_to(id + 1, |_| OnceLock::new()) {
+            return None;
+        }
+        let cell = self.table.get(id).expect("the table was grown past id");
+        assert!(cell.set(slot).is_ok(), "page {id} published twice");
         *len += 1;
-        Some(PageId(id))
+        Some(PageId(id as u64))
     }
 
     fn len(&self) -> usize {
@@ -170,7 +153,9 @@ impl Slots {
 
     /// Every slot with its page id.
     fn iter(&self) -> impl Iterator<Item = (PageId, &PageSlot)> {
-        (0..self.len() as u64).filter_map(|i| self.get(i).map(|s| (PageId(i), s)))
+        (0..)
+            .zip(self.table.iter())
+            .filter_map(|(i, s)| Some((PageId(i), s.get()?)))
     }
 }
 
@@ -230,14 +215,7 @@ impl PageStore {
         // Seed the free list with the initial pool, reversed so pages are
         // handed out in ascending order (stable figure goldens).
         let free = (0..cfg.initial_pages as u64).rev().map(PageId).collect();
-        let io_latency_ns = AtomicU64::new(cfg.io_latency_ns);
-        PageStore {
-            slots,
-            free: Mutex::new(free),
-            cfg,
-            stats: IoStats::with_handle(metrics),
-            io_latency_ns,
-        }
+        Self::assemble(cfg, slots, free, metrics)
     }
 
     /// Create an `Arc`-wrapped store (the common sharing pattern).
@@ -289,13 +267,26 @@ impl PageStore {
         // LIFO free list, reversed so the lowest free id pops first
         // (matching the fresh-store allocation order).
         free.reverse();
-        let io_latency_ns = AtomicU64::new(cfg.io_latency_ns);
+        Self::assemble(cfg, slots, free, metrics)
+    }
+
+    /// A store over `slots` with free list `free`, its levels counted in
+    /// `metrics`' gauges.
+    fn assemble(
+        cfg: PageStoreConfig,
+        slots: Slots,
+        free: Vec<PageId>,
+        metrics: &ceh_obs::MetricsHandle,
+    ) -> Self {
+        let stats = IoStats::with_handle(metrics);
+        stats.record_slots(slots.len() as i64);
+        stats.record_free(free.len() as i64);
         PageStore {
             slots,
             free: Mutex::new(free),
+            io_latency_ns: AtomicU64::new(cfg.io_latency_ns),
             cfg,
-            stats: IoStats::with_handle(metrics),
-            io_latency_ns,
+            stats,
         }
     }
 
@@ -401,6 +392,7 @@ impl PageStore {
     /// always does).
     pub fn alloc(&self) -> Result<PageId> {
         if let Some(p) = self.free.lock().pop() {
+            self.stats.record_free(-1);
             self.slot(p)?.change(Some(true), |_, _| ());
             self.stats.record_alloc();
             return Ok(p);
@@ -416,6 +408,7 @@ impl PageStore {
         }
         let slot = Self::empty_slot(&self.cfg, ALLOCATED | header::FRESH);
         let page = self.slots.push(&mut len, slot).ok_or(Error::OutOfPages)?;
+        self.stats.record_slots(1);
         self.stats.record_alloc();
         Ok(page)
     }
@@ -435,6 +428,7 @@ impl PageStore {
             Ok(())
         })?;
         self.free.lock().push(page);
+        self.stats.record_free(1);
         self.stats.record_dealloc();
         Ok(())
     }
@@ -580,7 +574,8 @@ impl PageStore {
 
     /// Run `f` over the words of `page`, letting it edit them in place:
     /// an update that changes one record dirties that record, not a
-    /// page-sized copy. One change of the page (see [`PageSlot`]): the
+    /// page-sized copy. One change of the page (its header's writing bit
+    /// set, then its version advanced; see [`ceh_locks::header`]): the
     /// caller holds α or ξ on the page, or the page is not yet reachable.
     /// Counts as one page write, with the same fault
     /// checks and simulated latency as [`PageStore::write`].
@@ -631,7 +626,7 @@ impl PageStore {
 
     /// Write a whole page from `buf` (`putbucket(page, buffer)`). Atomic
     /// with respect to concurrent [`PageStore::read`]s of the same page,
-    /// and one change of the page (see [`PageSlot`]).
+    /// and one change of the page, as in [`PageStore::with_page_mut`].
     #[track_caller]
     pub fn write(&self, page: PageId, buf: &PageBuf) -> Result<()> {
         assert_eq!(buf.len(), self.cfg.page_size, "buffer/page size mismatch");
@@ -647,6 +642,13 @@ impl PageStore {
             .filter(|(_, s)| header::allocated(s.header()))
             .map(|(page, _)| page)
             .collect()
+    }
+}
+
+impl Drop for PageStore {
+    fn drop(&mut self) {
+        self.stats.record_slots(-(self.slots.len() as i64));
+        self.stats.record_free(-(self.free.lock().len() as i64));
     }
 }
 
@@ -810,30 +812,52 @@ mod tests {
         );
     }
 
-    /// Pages on both sides of the slot table's segment boundaries keep
-    /// their own bytes, and ids past the last slot fault without growing
-    /// anything.
+    /// Pages on both sides of the slot table's segment boundaries (ids
+    /// 64, 128 and 256) keep their own bytes, ids past the last slot
+    /// fault without growing anything, and the gauges count the slots
+    /// and the free list.
     #[test]
     fn slot_table_spans_segments_and_faults_past_its_end() {
-        let s = store();
-        let ids: Vec<_> = (0..200).map(|_| s.alloc().unwrap()).collect();
-        assert_eq!(ids.last(), Some(&PageId(199)));
+        let metrics = ceh_obs::MetricsHandle::new();
+        let s = PageStore::with_metrics(
+            PageStoreConfig {
+                page_size: 64,
+                initial_pages: 2,
+                ..Default::default()
+            },
+            &metrics,
+        );
+        let ids: Vec<_> = (0..300).map(|_| s.alloc().unwrap()).collect();
+        assert_eq!(ids.last(), Some(&PageId(299)));
         for p in &ids {
             let mut buf = s.new_buf();
-            buf[0] = p.0 as u8;
+            buf[0..2].copy_from_slice(&(p.0 as u16).to_le_bytes());
             s.write(*p, &buf).unwrap();
         }
         for p in &ids {
-            assert_eq!(s.with_page(*p, |b| bytes(b)[0]).unwrap(), p.0 as u8, "{p}");
+            let first = s.with_page(*p, |b| bytes(b)[0..2].to_vec()).unwrap();
+            assert_eq!(first, (p.0 as u16).to_le_bytes(), "{p}");
         }
-        for far in [200, 1 << 40, u64::MAX] {
+        for far in [300, 1 << 40, u64::MAX] {
             assert!(matches!(
                 s.with_page(PageId(far), |_| ()),
                 Err(Error::PageFault { .. })
             ));
         }
-        assert_eq!(s.capacity(), 200);
-        assert_eq!(s.allocated_pages(), 200);
+        assert_eq!(s.capacity(), 300);
+        assert_eq!(s.allocated_pages(), 300);
+        s.dealloc(PageId(7)).unwrap();
+        let gauges = metrics.snapshot();
+        assert_eq!(gauges.gauge("storage.slot_capacity"), 300);
+        assert_eq!(gauges.gauge("storage.free_pages"), 1);
+        drop(s);
+        let gauges = metrics.snapshot();
+        assert_eq!(
+            gauges.gauge("storage.slot_capacity"),
+            0,
+            "a dropped store takes its levels back"
+        );
+        assert_eq!(gauges.gauge("storage.free_pages"), 0);
     }
 
     #[test]

@@ -16,8 +16,10 @@ pub struct HashFileConfig {
     /// concurrency torture tests use; realistic values are derived from the
     /// page size (a 4 KiB page holds ~250 records).
     pub bucket_capacity: usize,
-    /// Maximum directory depth; the directory array is pre-sized to
-    /// `1 << max_depth` entries, matching `int directory[1<<maxdepth]`.
+    /// Maximum directory depth: the paper's `maxdepth`, the cap on
+    /// doubling. The paper declares `int directory[1<<maxdepth]`; the
+    /// concurrent directory allocates only the `2^depth` entries it has
+    /// reached (at least 64), one segment per doubling.
     pub max_depth: u32,
     /// Merge policy: a delete attempts a merge when, after removing the
     /// key, the bucket would hold at most this many records. The paper's

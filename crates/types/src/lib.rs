@@ -19,6 +19,8 @@
 //!   implementations.
 //! * [`Error`] — the workspace error type.
 //! * [`crc32`] — the checksum of the WAL, the page frames and the wire.
+//! * [`SegArray`] — the grow-only segmented array under the directory
+//!   and the page store's slot table.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,6 +33,7 @@ pub mod error;
 pub mod ids;
 pub mod key;
 pub mod ops;
+pub mod segarray;
 
 pub use bits::{mask, partner_bit, Mask};
 pub use bucket::{
@@ -43,3 +46,4 @@ pub use error::{Error, Result};
 pub use ids::{BucketLink, ManagerId, PageId};
 pub use key::{hash_key, identity_pseudokey, Key, Pseudokey, Record, Value};
 pub use ops::{DeleteOutcome, InsertOutcome};
+pub use segarray::SegArray;

@@ -21,6 +21,10 @@ echo "=== clippy (ceh-obs, pedantic surface) ==="
 # never mask a regression in it.
 cargo clippy -p ceh-obs --all-targets -- -D warnings
 
+echo "=== rustdoc ==="
+# Every intra-doc link resolves and none points at a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "=== test ==="
 cargo test -q --workspace
 

@@ -16,11 +16,11 @@ use ceh_workload::{KeyDist, Op, OpMix, WorkloadGen};
 /// A uniform facade over every implementation.
 enum Impl {
     Seq(SequentialHashFile),
-    S1(Solution1),
-    S2(Solution2),
+    S1(Box<Solution1>),
+    S2(Box<Solution2>),
     Global(GlobalLockFile),
     BTree(BLinkTree),
-    Dist(Cluster, ceh_dist::DistClient),
+    Dist(Box<Cluster>, ceh_dist::DistClient),
 }
 
 impl Impl {
@@ -71,8 +71,8 @@ impl Impl {
     fn len(&self) -> usize {
         match self {
             Impl::Seq(f) => f.len(),
-            Impl::S1(f) => ConcurrentHashFile::len(f),
-            Impl::S2(f) => ConcurrentHashFile::len(f),
+            Impl::S1(f) => ConcurrentHashFile::len(&**f),
+            Impl::S2(f) => ConcurrentHashFile::len(&**f),
             Impl::Global(f) => ConcurrentHashFile::len(f),
             Impl::BTree(f) => f.len(),
             Impl::Dist(c, _) => {
@@ -97,11 +97,11 @@ fn all_impls() -> Vec<Impl> {
     let client = cluster.client();
     vec![
         Impl::Seq(SequentialHashFile::new(cfg.clone()).unwrap()),
-        Impl::S1(Solution1::new(cfg.clone()).unwrap()),
-        Impl::S2(Solution2::new(cfg.clone()).unwrap()),
+        Impl::S1(Box::new(Solution1::new(cfg.clone()).unwrap())),
+        Impl::S2(Box::new(Solution2::new(cfg.clone()).unwrap())),
         Impl::Global(GlobalLockFile::new(cfg).unwrap()),
         Impl::BTree(BLinkTree::new(BLinkTreeConfig { fanout: 6 })),
-        Impl::Dist(cluster, client),
+        Impl::Dist(Box::new(cluster), client),
     ]
 }
 

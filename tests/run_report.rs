@@ -65,6 +65,19 @@ fn solution2_mixed_run_produces_one_cross_layer_report() {
     );
     assert!(nonzero("core.update_fallback"), "splits run Figure 8");
 
+    // Where the memory goes: directory segments, page slots, free list.
+    let gauges = doc.get("gauges").expect("gauges object");
+    let level = |name: &str| {
+        gauges
+            .get(name)
+            .unwrap_or_else(|| panic!("gauge {name} missing from report"))
+            .as_u64()
+            .expect("non-negative integer")
+    };
+    assert!(level("core.dir_bytes") > 0, "directory bytes in report");
+    assert!(level("storage.slot_capacity") > 0, "slot table in report");
+    assert!(level("storage.free_pages") <= level("storage.slot_capacity"));
+
     let hists = doc.get("hists").expect("hists object");
     assert!(
         hists.get("locks.wait_ns.rho").is_some(),
@@ -111,6 +124,16 @@ fn dist_cluster_report_carries_per_class_message_metrics() {
     // And the layers below still feed the same registry.
     assert!(get("storage.writes") > 0, "site page stores counted");
     assert!(get("locks.grants.rho") > 0, "site lock managers counted");
+    let gauges = doc.get("gauges").expect("gauges").as_obj().unwrap();
+    assert!(
+        gauges
+            .get("storage.slot_capacity")
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0)
+            > 0,
+        "site page stores' slots counted"
+    );
+    assert!(gauges.contains_key("storage.free_pages"));
 
     // Topology metadata.
     let meta = doc.get("meta").expect("meta");
