@@ -55,21 +55,24 @@ impl<T> SegArray<T> {
         }
     }
 
-    /// The segment and the offset in it of index `i`, if the array can
-    /// hold `i`.
+    /// The segment and the offset in it of index `i`; the segment is
+    /// `SEGS` or more when the array cannot hold `i`. Branch-free: `i`'s
+    /// top bit names the segment, and the bits below it (all six of
+    /// them in segment 0) are the offset.
     #[inline]
-    fn locate(i: usize) -> Option<(usize, usize)> {
+    fn locate(i: usize) -> (usize, usize) {
         let i = i as u64;
         let low = (1 << FIRST_BITS) - 1;
-        let k = (u64::BITS - FIRST_BITS - (i | low).leading_zeros()) as usize;
-        (k < SEGS).then(|| (k, (i - Self::span(k).0 as u64) as usize))
+        let top = u64::BITS - 1 - (i | low).leading_zeros();
+        let k = (top + 1 - FIRST_BITS) as usize;
+        (k, (i & (((1 << top) - 1) | low)) as usize)
     }
 
     /// The element at `i`, if its segment is allocated.
     #[inline]
     pub fn get(&self, i: usize) -> Option<&T> {
-        let (k, off) = Self::locate(i)?;
-        self.segs[k].get()?.get(off)
+        let (k, off) = Self::locate(i);
+        self.segs.get(k)?.get()?.get(off)
     }
 
     /// Allocate every segment holding an index below `n` that is not
@@ -121,13 +124,13 @@ mod tests {
         for k in 0..SEGS {
             let (start, len) = A::span(k);
             assert_eq!(start, end, "segment {k} starts where {} ends", k.max(1) - 1);
-            assert_eq!(A::locate(start), Some((k, 0)));
-            assert_eq!(A::locate(start + len - 1), Some((k, len - 1)));
+            assert_eq!(A::locate(start), (k, 0));
+            assert_eq!(A::locate(start + len - 1), (k, len - 1));
             end = start + len;
         }
         assert_eq!(end as u64, A::CAPACITY);
-        assert_eq!(A::locate(end), None);
-        assert_eq!(A::locate(usize::MAX), None);
+        assert_eq!(A::locate(end).0, SEGS);
+        assert!(A::locate(usize::MAX).0 >= SEGS);
         assert_eq!(
             (A::span(1).0, A::span(2).0, A::span(3).0),
             (64, 128, 256),
