@@ -159,7 +159,7 @@ impl Directory {
 
     /// Bytes of the allocated entry segments (what `core.dir_bytes`
     /// reports for this directory).
-    pub fn allocated_bytes(&self) -> usize {
+    fn allocated_bytes(&self) -> usize {
         self.entries.allocated() * std::mem::size_of::<Entry>()
     }
 
