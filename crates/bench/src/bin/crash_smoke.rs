@@ -56,7 +56,7 @@ fn wal_metrics_report(emit_json: bool) {
     };
     let wal = DurableStore::new(dcfg.clone(), &metrics);
     let disk = wal.disk();
-    let core = FileCore::with_durable_metrics(
+    let core = FileCore::with_buckets(
         cfg.clone(),
         Arc::clone(&wal),
         Arc::new(LockManager::over(wal.cache().clone())),

@@ -57,7 +57,7 @@ fn durable_lifetime(checkpoint_every: usize, total_ops: usize, threads: u64) -> 
     };
     let wal = DurableStore::new(dcfg.clone(), &metrics);
     let disk = wal.disk();
-    let core = FileCore::with_durable_metrics(
+    let core = FileCore::with_buckets(
         cfg.clone(),
         Arc::clone(&wal),
         Arc::new(LockManager::over(wal.cache().clone())),

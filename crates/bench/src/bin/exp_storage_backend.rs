@@ -95,7 +95,7 @@ fn durable_lifetime(kind: BackendKind, total_ops: usize, threads: u64) -> Medium
     let dcfg = durable_cfg(DurableConfig::default().cache_pages);
     let disk = make_disk(kind, &tmp.0);
     let wal = DurableStore::with_disk(disk.clone(), dcfg.clone(), &metrics).expect("store");
-    let core = FileCore::with_durable_metrics(
+    let core = FileCore::with_buckets(
         cfg.clone(),
         Arc::clone(&wal),
         Arc::new(LockManager::over(wal.cache().clone())),
@@ -206,7 +206,7 @@ fn cache_sweep_point(cache_pages: usize, total_ops: usize) -> CacheRow {
         ..Default::default()
     };
     let wal = DurableStore::new(dcfg, &metrics);
-    let core = FileCore::with_durable_metrics(
+    let core = FileCore::with_buckets(
         cfg,
         Arc::clone(&wal),
         Arc::new(LockManager::over(wal.cache().clone())),

@@ -75,7 +75,7 @@ fn durable_file_backend_leg() {
         .unwrap_or_else(|e| fail(&format!("create file backend: {e}")));
     let wal = DurableStore::with_disk(disk, dcfg, &metrics)
         .unwrap_or_else(|e| fail(&format!("durable store: {e}")));
-    let core = FileCore::with_durable_metrics(
+    let core = FileCore::with_buckets(
         cfg,
         Arc::clone(&wal),
         Arc::new(LockManager::over(wal.cache().clone())),

@@ -199,7 +199,7 @@ fn build_file(
     };
     let wal =
         DurableStore::with_disk(disk.clone(), dcfg, &metrics).expect("fresh medium matches config");
-    let file = FileCore::with_durable_metrics(
+    let file = FileCore::with_buckets(
         HashFileConfig::tiny().with_bucket_capacity(cfg.bucket_capacity),
         Arc::clone(&wal),
         Arc::new(LockManager::over(wal.cache().clone())),

@@ -125,14 +125,9 @@ impl Workload {
             &metrics,
         ));
         let cfg = HashFileConfig::tiny().with_bucket_capacity(self.bucket_capacity);
-        let core = FileCore::with_parts_metrics(
-            cfg,
-            store,
-            Arc::clone(&locks),
-            identity_pseudokey,
-            &metrics,
-        )
-        .map_err(|e| format!("workload {}: build failed: {e}", self.name))?;
+        let core =
+            FileCore::with_buckets(cfg, store, Arc::clone(&locks), identity_pseudokey, &metrics)
+                .map_err(|e| format!("workload {}: build failed: {e}", self.name))?;
         let file = match self.solution {
             Solution::S1 => BuiltFile::S1(Box::new(Solution1::from_core(core))),
             Solution::S2 => BuiltFile::S2(Solution2::from_core_with_options(

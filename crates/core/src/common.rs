@@ -3,14 +3,13 @@
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ceh_locks::{HeaderWords, LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
+use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
 use ceh_obs::MetricsHandle;
 use ceh_storage::{
-    DiskHandle, DurableConfig, DurableStore, DurableTxn, PageBuf, PageStore, PageStoreConfig,
-    RecoveryReport,
+    Buckets, DiskHandle, DurableConfig, DurableStore, PageBuf, PageStore, Peek, RecoveryReport,
 };
-use ceh_types::bucket::{append_in_place, remove_in_place, Bucket, BucketView, PageWordsMut};
-use ceh_types::{hash_key, Error, HashFileConfig, Key, PageId, Pseudokey, Record, Result, Value};
+use ceh_types::bucket::BucketView;
+use ceh_types::{hash_key, Error, HashFileConfig, Key, PageId, Pseudokey, Result, Value};
 
 use crate::directory::Directory;
 use crate::stats::OpStats;
@@ -38,14 +37,10 @@ pub(crate) use try_or_release;
 /// expose it via `core()` so tests and the invariant checker can inspect
 /// structure without duplicating plumbing.
 pub struct FileCore {
-    store: Arc<PageStore>,
-    /// The durability layer, when this file is crash-consistent: every
-    /// mutation funnels through it ([`FileCore::alloc_page`],
-    /// [`FileCore::dealloc_page`], [`FileCore::putbucket`]), and the
-    /// restructuring sections bracket themselves with
-    /// [`FileCore::begin_txn`]. `None` = the volatile simulation
-    /// (`store` is then the only storage).
-    wal: Option<Arc<DurableStore>>,
+    /// The file's buckets: every page access and mutation of the
+    /// protocols funnels through them, logged first when the file is
+    /// crash-consistent.
+    buckets: Buckets,
     locks: Arc<LockManager>,
     dir: Directory,
     cfg: HashFileConfig,
@@ -76,139 +71,59 @@ impl FileCore {
     /// [`FileCore::metrics`].
     pub fn new(cfg: HashFileConfig) -> Result<Self> {
         let metrics = MetricsHandle::new();
-        let store = PageStore::new_shared_with_metrics(
-            PageStoreConfig {
-                page_size: Bucket::page_size_for(cfg.bucket_capacity),
-                io_latency_ns: cfg.io_latency_ns,
-                ..Default::default()
-            },
-            &metrics,
-        );
+        let buckets = Buckets::new(&cfg, &metrics);
         let locks = Arc::new(LockManager::with_metrics(
             LockManagerConfig::default(),
-            store.clone(),
+            buckets.store().clone(),
             &metrics,
         ));
-        Self::with_parts_metrics(cfg, store, locks, hash_key, &metrics)
+        Self::with_buckets(cfg, buckets, locks, hash_key, &metrics)
     }
 
-    /// Build a core over caller-supplied substrates (tests inject the
-    /// identity pseudokey function and watchdog-armed lock managers).
-    /// `locks` must be built over `store` (its page locks are the store's
-    /// header words); anything else is a configuration error.
-    /// The core's own counters get a fresh private registry; construct
-    /// the substrates with [`MetricsHandle`]-aware constructors and use
-    /// [`FileCore::with_parts_metrics`] for one correlated registry.
-    pub fn with_parts(
+    /// Build a core over caller-supplied substrates, with one empty root
+    /// bucket. `buckets` is a [`PageStore`] for the volatile simulation,
+    /// or a [`DurableStore`] for a crash-consistent file: the root's
+    /// creation is then logged, and so is every later mutation, while
+    /// reads still come from the durable store's cache at the cost of
+    /// the volatile path. `locks` must be built over the buckets' page
+    /// store (its page locks are the store's header words); anything
+    /// else is a configuration error. Tests inject the identity
+    /// pseudokey function and watchdog-armed lock managers here. The
+    /// core's operation counters and tracer register in `metrics`: pass
+    /// the handle the store and lock manager were built with for one
+    /// coherent run report.
+    ///
+    /// [`PageStore`]: ceh_storage::PageStore
+    pub fn with_buckets(
         cfg: HashFileConfig,
-        store: Arc<PageStore>,
-        locks: Arc<LockManager>,
-        hasher: fn(Key) -> Pseudokey,
-    ) -> Result<Self> {
-        Self::with_parts_metrics(cfg, store, locks, hasher, &MetricsHandle::default())
-    }
-
-    /// [`FileCore::with_parts`] with the core's operation counters (and
-    /// tracer) registered in `metrics`' registry. Pass the same handle
-    /// the store and lock manager were built with to get one coherent
-    /// run report.
-    pub fn with_parts_metrics(
-        cfg: HashFileConfig,
-        store: Arc<PageStore>,
+        buckets: impl Into<Buckets>,
         locks: Arc<LockManager>,
         hasher: fn(Key) -> Pseudokey,
         metrics: &MetricsHandle,
     ) -> Result<Self> {
         cfg.validate()?;
-        Self::check_locks(&locks, &store)?;
-        if Bucket::capacity_for(store.page_size()) < cfg.bucket_capacity {
-            return Err(Error::Config(format!(
-                "page size {} holds only {} records, config wants {}",
-                store.page_size(),
-                Bucket::capacity_for(store.page_size()),
-                cfg.bucket_capacity
-            )));
-        }
-        let root = store.alloc()?;
-        let bucket = Bucket::new(0, 0);
-        let mut buf = PageBuf::zeroed(store.page_size());
-        bucket.encode(&mut buf)?;
-        store.write(root, &buf)?;
-        let dir = Directory::new(cfg.max_depth, root)?.with_metrics(metrics);
-        Ok(FileCore {
-            store,
-            wal: None,
-            locks,
-            dir,
-            cfg,
-            hasher,
-            stats: OpStats::with_handle(metrics),
-            metrics: metrics.clone(),
-            len: RecordCount::new(0),
-        })
-    }
-
-    /// Is `locks` over `store`'s header words?
-    fn check_locks(locks: &LockManager, store: &PageStore) -> Result<()> {
-        if locks.is_over(store) {
-            Ok(())
-        } else {
-            Err(Error::Config(
+        let buckets = buckets.into();
+        if !locks.is_over(buckets.store().as_ref()) {
+            return Err(Error::Config(
                 "the lock manager is not built over this file's page store".into(),
-            ))
+            ));
         }
-    }
-
-    /// Build a **crash-consistent** core over a durable store: the root
-    /// bucket's creation is logged, and every later mutation funnels
-    /// through the WAL. The volatile read path (`store()`) is the
-    /// durable store's cache, so readers cost the same as ever.
-    pub fn with_durable_metrics(
-        cfg: HashFileConfig,
-        wal: Arc<DurableStore>,
-        locks: Arc<LockManager>,
-        hasher: fn(Key) -> Pseudokey,
-        metrics: &MetricsHandle,
-    ) -> Result<Self> {
-        cfg.validate()?;
-        Self::check_locks(&locks, wal.cache())?;
-        if Bucket::capacity_for(wal.page_size()) < cfg.bucket_capacity {
-            return Err(Error::Config(format!(
-                "page size {} holds only {} records, config wants {}",
-                wal.page_size(),
-                Bucket::capacity_for(wal.page_size()),
-                cfg.bucket_capacity
-            )));
-        }
-        let txn = wal.begin_txn()?;
-        let root = wal.alloc()?;
-        let bucket = Bucket::new(0, 0);
-        let mut buf = PageBuf::zeroed(wal.page_size());
-        bucket.encode(&mut buf)?;
-        wal.write(root, &buf)?;
-        txn.commit()?;
-        let dir = Directory::new(cfg.max_depth, root)?.with_metrics(metrics);
-        Ok(FileCore {
-            store: Arc::clone(wal.cache()),
-            wal: Some(wal),
-            locks,
-            dir,
-            cfg,
-            hasher,
-            stats: OpStats::with_handle(metrics),
-            metrics: metrics.clone(),
-            len: RecordCount::new(0),
-        })
+        let root = buckets.create_root(&cfg)?;
+        let dir = Directory::new(cfg.max_depth, root)?;
+        Ok(Self::assemble(cfg, buckets, locks, dir, hasher, metrics, 0))
     }
 
     /// Crash-recover a core from a durable medium: replay the WAL
-    /// ([`DurableStore::recover`]), sweep bucket-level garbage
-    /// (tombstones and debris that decode as junk) with **logged**
-    /// deallocations, then rebuild the directory from the surviving
-    /// buckets' `commonbits`/local depths. The lock manager, configured
-    /// by `locks`, is built over the recovered store. This is the one way
-    /// to reopen a persistent file: over a [`DiskHandle::open_file`]
-    /// directory, or over the image of a [`DiskHandle::new`] medium.
+    /// ([`DurableStore::recover`]), then rebuild the directory from the
+    /// surviving buckets' `commonbits`/local depths with the sequential
+    /// recovery scan ([`ceh_sequential::SequentialHashFile::recover`]),
+    /// whose sweep deallocates bucket-level garbage (tombstones and
+    /// debris that decode as junk) **through the log**, so the medium
+    /// converges with the recovered structure. The lock manager,
+    /// configured by `locks`, is built over the recovered store. This is
+    /// the one way to reopen a persistent file: over a
+    /// [`DiskHandle::open_file`] directory, or over the image of a
+    /// [`DiskHandle::new`] medium.
     pub fn recover_durable_metrics(
         cfg: HashFileConfig,
         disk: &DiskHandle,
@@ -218,56 +133,41 @@ impl FileCore {
         metrics: &MetricsHandle,
     ) -> Result<(Self, RecoveryReport)> {
         let (wal, report) = DurableStore::recover(disk, dcfg, metrics)?;
+        let buckets = Buckets::from(wal);
         let locks = Arc::new(LockManager::with_metrics(
             locks,
-            wal.cache().clone(),
+            buckets.store().clone(),
             metrics,
         ));
-        // Bucket-level garbage pass, durably: a page that decodes as a
-        // live bucket stays; everything else (tombstones, poison,
-        // uncommitted-alloc zero pages) is deallocated *through the
-        // log* so the medium converges with the recovered structure.
-        let mut buf = PageBuf::zeroed(wal.page_size());
-        for p in wal.allocated_page_ids() {
-            wal.read(p, &mut buf)?;
-            let garbage = match Bucket::decode(&buf) {
-                Ok(b) => b.is_deleted(),
-                Err(_) => true,
-            };
-            if garbage {
-                wal.dealloc(p)?;
-            }
-        }
-        if wal.allocated_page_ids().is_empty() {
-            // Nothing recoverable (a crash before the first commit):
-            // initialize fresh, through the log.
-            let core = Self::with_durable_metrics(cfg, wal, locks, hasher, metrics)?;
-            return Ok((core, report));
-        }
-        // Rebuild the directory from the surviving buckets with the
-        // sequential recovery scan (see
-        // [`ceh_sequential::SequentialHashFile::recover`]), then install
-        // the layout into the concurrent directory.
-        let store = Arc::clone(wal.cache());
         let recovered =
-            ceh_sequential::SequentialHashFile::recover(cfg.clone(), Arc::clone(&store), hasher)?;
+            ceh_sequential::SequentialHashFile::recover(cfg.clone(), buckets.clone(), hasher)?;
         let snap = recovered.snapshot()?;
-        let dir = Directory::restore(cfg.max_depth, &snap.entries, snap.depthcount)?
-            .with_metrics(metrics);
+        let dir = Directory::restore(cfg.max_depth, &snap.entries, snap.depthcount)?;
         let len = recovered.len();
         drop(recovered);
-        let core = FileCore {
-            store,
-            wal: Some(wal),
+        let core = Self::assemble(cfg, buckets, locks, dir, hasher, metrics, len);
+        Ok((core, report))
+    }
+
+    fn assemble(
+        cfg: HashFileConfig,
+        buckets: Buckets,
+        locks: Arc<LockManager>,
+        dir: Directory,
+        hasher: fn(Key) -> Pseudokey,
+        metrics: &MetricsHandle,
+        len: usize,
+    ) -> Self {
+        FileCore {
+            buckets,
             locks,
-            dir,
+            dir: dir.with_metrics(metrics),
             cfg,
             hasher,
             stats: OpStats::with_handle(metrics),
             metrics: metrics.clone(),
             len: RecordCount::new(len),
-        };
-        Ok((core, report))
+        }
     }
 
     /// The directory.
@@ -275,40 +175,22 @@ impl FileCore {
         &self.dir
     }
 
+    /// The buckets: `getbucket`/`putbucket`, the in-place edit and peek,
+    /// page allocation and transactions, each logged when durable.
+    #[inline]
+    pub fn buckets(&self) -> &Buckets {
+        &self.buckets
+    }
+
     /// The page store (the volatile cache when durable).
+    #[inline]
     pub fn store(&self) -> &Arc<PageStore> {
-        &self.store
+        self.buckets.store()
     }
 
     /// The durability layer, when this file is crash-consistent.
     pub fn wal(&self) -> Option<&Arc<DurableStore>> {
-        self.wal.as_ref()
-    }
-
-    /// Allocate a page — logged when durable (`allocbucket`).
-    pub fn alloc_page(&self) -> Result<PageId> {
-        match &self.wal {
-            Some(w) => w.alloc(),
-            None => self.store.alloc(),
-        }
-    }
-
-    /// Deallocate a page — logged when durable (`deallocbucket`).
-    pub fn dealloc_page(&self, page: PageId) -> Result<()> {
-        match &self.wal {
-            Some(w) => w.dealloc(page),
-            None => self.store.dealloc(page),
-        }
-    }
-
-    /// Open a logged transaction bracketing a multi-page restructuring
-    /// (split, merge, GC). A no-op guard in volatile mode, so callers
-    /// bracket unconditionally; see [`DurableTxn`].
-    pub fn begin_txn(&self) -> Result<DurableTxn> {
-        match &self.wal {
-            Some(w) => w.begin_txn(),
-            None => Ok(DurableTxn::noop()),
-        }
+        self.buckets.wal()
     }
 
     /// The lock manager.
@@ -420,57 +302,7 @@ impl FileCore {
 
     /// Fresh page buffer.
     pub fn new_buf(&self) -> PageBuf {
-        PageBuf::zeroed(self.store.page_size())
-    }
-
-    /// `getbucket(page, buffer)`: read and decode. The page store
-    /// announces the read to the race detector.
-    #[track_caller]
-    pub fn getbucket(&self, page: PageId, buf: &mut PageBuf) -> Result<Bucket> {
-        self.store.read(page, buf)?;
-        Bucket::decode(buf)
-    }
-
-    /// [`FileCore::getbucket`] of a page this operation has already
-    /// peeked under a lock it still holds, for the restructuring paths
-    /// (split, merge) that need the records decoded. The lock excludes
-    /// every writer since the peek, so this reads the same bytes.
-    #[track_caller]
-    pub(crate) fn getbucket_again(&self, page: PageId, buf: &mut PageBuf) -> Result<Bucket> {
-        self.store.read(page, buf)?;
-        Bucket::decode(buf)
-    }
-
-    /// `putbucket(page, buffer)`: encode and write — through the WAL
-    /// when durable (redo record first, then the cache). The page store
-    /// announces the write to the race detector.
-    #[track_caller]
-    pub fn putbucket(&self, page: PageId, bucket: &Bucket, buf: &mut PageBuf) -> Result<()> {
-        bucket.encode(buf)?;
-        match &self.wal {
-            Some(w) => w.write(page, buf),
-            None => self.store.write(page, buf),
-        }
-    }
-
-    /// The `add`/`remove` + `putbucket` of an update that does not
-    /// restructure: `edit` changes one record of the encoded page, and
-    /// the answer says whether it did. Announced to the race detector
-    /// exactly as [`FileCore::putbucket`] is. On the volatile store the
-    /// page is edited in place; when durable, a copy is edited and its
-    /// full image logged, as `putbucket` does.
-    #[track_caller]
-    pub(crate) fn edit_bucket(&self, page: PageId, edit: Edit) -> Result<bool> {
-        match &self.wal {
-            Some(w) => {
-                let mut buf = self.new_buf();
-                w.read(page, &mut buf)?;
-                let out = edit.apply(&mut buf[..])?;
-                w.write(page, &buf)?;
-                Ok(out)
-            }
-            None => self.store.with_page_mut(page, |words| edit.apply(words))?,
-        }
+        self.buckets.new_buf()
     }
 
     /// Lock-manager shorthands keeping the transliterations readable:
@@ -542,14 +374,14 @@ impl FileCore {
         if !hold_directory {
             self.un_rho_lock(owner, LockId::Directory);
         }
-        let mut current = try_or_release!(self, owner, self.peek(oldpage, pk, key));
+        let mut current = try_or_release!(self, owner, self.buckets.peek(oldpage, pk, key));
         let mut recovered = false;
         let mut recovery = ceh_obs::TraceCtx::NONE;
         let mut hops = 0u64;
         let found = loop {
             let newpage = match current {
                 Peek::Owns(at) => break at.found,
-                Peek::WrongBucket { next } => next,
+                Peek::WrongBucket { next, .. } => next,
             };
             /* WRONG BUCKET */
             if !recovered {
@@ -570,9 +402,9 @@ impl FileCore {
                     "find({key:?}): wrong bucket {oldpage} has no next link"
                 )));
             }
-            try_or_release!(self, owner, self.check_link(newpage));
+            try_or_release!(self, owner, self.buckets.check_link(newpage));
             self.rho_lock(owner, LockId::Page(newpage));
-            current = try_or_release!(self, owner, self.peek(newpage, pk, key));
+            current = try_or_release!(self, owner, self.buckets.peek(newpage, pk, key));
             self.un_rho_lock(owner, LockId::Page(oldpage));
             oldpage = newpage;
         };
@@ -606,7 +438,7 @@ impl FileCore {
     #[inline]
     fn find_fast(&self, pk: Pseudokey, key: Key) -> Option<Option<Value>> {
         let (_depth, page) = self.dir.lookup(pk);
-        self.store.read_validated(page, |words| {
+        self.store().read_validated(page, |words| {
             self.locks.probe(page);
             let view = BucketView::over(words).ok()?;
             self.owner_in_window(&view, pk, page)
@@ -631,81 +463,6 @@ impl FileCore {
         page: PageId,
     ) -> bool {
         view.owns(pk) && self.dir.lookup(pk).1 == page
-    }
-
-    /// A `next` link about to be locked and read: a page id past the
-    /// store is corruption, and faults here as reading it would (the lock
-    /// manager has no word for it).
-    pub(crate) fn check_link(&self, page: PageId) -> Result<()> {
-        match self.store.header(page) {
-            Some(_) => Ok(()),
-            None => Err(Error::PageFault { page: page.0 }),
-        }
-    }
-
-    /// The `getbucket` of a find or of an updater's walk: look at `page`
-    /// in place, under a lock the caller holds on it, and keep only what
-    /// Figures 5–9 use of it before deciding to restructure — whether the bucket owns
-    /// `pk`, and then either `search(key)`, `count` and `localdepth`, or
-    /// the `next` link. No copy, no decode, no allocation. Announced to
-    /// the race detector exactly as [`FileCore::getbucket`] is.
-    #[track_caller]
-    pub(crate) fn peek(&self, page: PageId, pk: Pseudokey, key: Key) -> Result<Peek> {
-        self.store.with_page(page, |words| {
-            let view = BucketView::over(words)?;
-            Ok(if view.owns(pk) {
-                Peek::Owns(Owning {
-                    found: view.search(key),
-                    count: view.count(),
-                    localdepth: view.localdepth(),
-                })
-            } else {
-                Peek::WrongBucket { next: view.next() }
-            })
-        })?
-    }
-
-    /// [`FileCore::peek`] for a Solution 1 updater, whose directory lock
-    /// excludes every restructurer: a bucket that does not own `pk` is
-    /// corruption, not a wrong bucket to recover from.
-    #[track_caller]
-    pub(crate) fn peek_owner(&self, page: PageId, pk: Pseudokey, key: Key) -> Result<Owning> {
-        match self.peek(page, pk, key)? {
-            Peek::Owns(at) => Ok(at),
-            Peek::WrongBucket { .. } => Err(Error::Corrupt(format!(
-                "{page} does not own {pk:?} under a directory lock that excludes restructuring"
-            ))),
-        }
-    }
-}
-
-/// The one-record change of an update that does not restructure (see
-/// [`FileCore::edit_bucket`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Edit {
-    /// The paper's `add(current, z)`: the caller has checked that the key
-    /// is absent and the bucket not full.
-    Add(Record),
-    /// The paper's `remove(z, current)`.
-    Remove(Key),
-}
-
-impl Edit {
-    /// The key the edit adds or removes.
-    pub(crate) fn key(self) -> Key {
-        match self {
-            Edit::Add(record) => record.key,
-            Edit::Remove(key) => key,
-        }
-    }
-
-    /// Apply to an encoded page in place: whether a record was added or
-    /// removed.
-    pub(crate) fn apply<P: PageWordsMut + ?Sized>(self, page: &mut P) -> Result<bool> {
-        match self {
-            Edit::Add(record) => append_in_place(page, record).map(|()| true),
-            Edit::Remove(key) => remove_in_place(page, key),
-        }
     }
 }
 
@@ -759,26 +516,6 @@ impl RecordCount {
     }
 }
 
-/// What an operation learns from one bucket page (see [`FileCore::peek`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Peek {
-    /// The bucket owns the pseudokey.
-    Owns(Owning),
-    /// Wrong bucket: follow `next`.
-    WrongBucket { next: PageId },
-}
-
-/// What [`FileCore::peek`] keeps of the bucket that owns the pseudokey.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Owning {
-    /// `search(key)`.
-    pub(crate) found: Option<Value>,
-    /// The paper's `count`.
-    pub(crate) count: usize,
-    /// The bucket's local depth.
-    pub(crate) localdepth: u32,
-}
-
 /// Guard for one operation's `core.*` span: closes the span and
 /// restores the previous ambient context when dropped (see
 /// [`FileCore::op_span`]).
@@ -809,7 +546,7 @@ mod tests {
         assert!(core.is_empty());
         let mut buf = core.new_buf();
         let root = core.dir().index(0);
-        let b = core.getbucket(root, &mut buf).unwrap();
+        let b = core.buckets().getbucket(root, &mut buf).unwrap();
         assert_eq!(b.localdepth, 0);
         assert_eq!(b.count(), 0);
     }
@@ -849,9 +586,11 @@ mod tests {
         for next in [past_the_store, PageId(1 << 40), PageId(u64::MAX - 1)] {
             // The root no longer owns the key and links to a page that
             // does not exist.
-            let mut stray = Bucket::new(1, 1);
+            let mut stray = ceh_types::Bucket::new(1, 1);
             stray.next = next;
-            core.putbucket(root, &stray, &mut core.new_buf()).unwrap();
+            core.buckets()
+                .putbucket(root, &stray, &mut core.new_buf())
+                .unwrap();
             for hold_directory in [false, true] {
                 assert!(core.find_impl(key, hold_directory).is_err(), "{next}");
                 assert_eq!(core.locks().total_granted(), 0, "no ρ left behind");
@@ -861,12 +600,13 @@ mod tests {
 
     #[test]
     fn rejects_capacity_beyond_page() {
-        let store = PageStore::new_shared(PageStoreConfig {
+        let store = PageStore::new_shared(ceh_storage::PageStoreConfig {
             page_size: 128,
             ..Default::default()
         });
         let locks = Arc::new(LockManager::over(store.clone()));
         let cfg = HashFileConfig::tiny().with_bucket_capacity(1000);
-        assert!(FileCore::with_parts(cfg, store, locks, hash_key).is_err());
+        let metrics = MetricsHandle::default();
+        assert!(FileCore::with_buckets(cfg, store, locks, hash_key, &metrics).is_err());
     }
 }

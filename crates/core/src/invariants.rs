@@ -1,34 +1,22 @@
 //! Quiescent structural invariant checking for the concurrent files.
 //!
 //! Run when no operations are in flight (the stress tests quiesce first).
-//! On top of the Fagin-79 invariants shared with the sequential file
-//! (directory/commonbits/refcount/depthcount consistency — see
-//! [`ceh_sequential::FileSnapshot::check_invariants`]), the concurrent
-//! structure adds the `next`-chain properties the §2.3/§2.5 correctness
-//! arguments rest on:
+//! It checks what the sequential file checks — the Fagin-79 invariants
+//! (directory/commonbits/refcount/depthcount consistency, see
+//! [`ceh_sequential::FileSnapshot::check_invariants`]) and the link
+//! invariants the §2.3/§2.5 correctness arguments rest on (the `next`
+//! chain visits every bucket in split order, every `prev` names the "0"
+//! side; see [`ceh_sequential::FileSnapshot::check_links`]) — and adds:
 //!
-//! 1. **Chain totality**: starting at the bucket for pseudokey `0…0`
-//!    (directory entry 0) and following `next` links visits every bucket
-//!    exactly once and ends at the all-ones bucket. This is the "for as
-//!    long as any two buckets remain in the hashfile, the ordering imposed
-//!    on them by reachability through next links remains the same"
-//!    property.
-//! 2. **Chain order**: buckets appear in strictly increasing *bit-reversed
-//!    commonbits* order (treating the low-bit-first pattern as a binary
-//!    fraction). Splits insert the "1" half immediately after the "0"
-//!    half, and merges splice one element out, so the list is always
-//!    sorted this way. Together with totality this implies the §2.3
-//!    property that "between any two partner buckets, there is a path
-//!    from the '0' partner to the '1' partner".
-//! 3. **No tombstones at rest**: buckets marked deleted (Solution 2) are
+//! 1. **No tombstones at rest**: buckets marked deleted (Solution 2) are
 //!    unreachable and deallocated once garbage collection has run.
-//! 4. **No leaks**: every allocated page in the store is referenced by
+//! 2. **No leaks**: every allocated page in the store is referenced by
 //!    the directory.
+//! 3. **No locks at rest.**
 
 use std::collections::BTreeSet;
 
 use ceh_sequential::FileSnapshot;
-use ceh_types::bits::mask;
 use ceh_types::{Error, PageId, Result};
 
 use crate::common::FileCore;
@@ -38,7 +26,7 @@ use crate::common::FileCore;
 pub fn snapshot_core(core: &FileCore) -> Result<FileSnapshot> {
     let entries = core.dir().entries_snapshot();
     FileSnapshot::capture(
-        core.store(),
+        core.buckets(),
         &entries,
         core.dir().depth(),
         core.dir().depthcount(),
@@ -70,7 +58,7 @@ pub fn check_concurrent_file(core: &FileCore) -> Result<()> {
         }
     }
 
-    check_chain(&snap)?;
+    snap.check_links()?;
 
     // Leak check: every allocated page is a directory-referenced bucket.
     let reachable: BTreeSet<PageId> = snap.buckets.keys().copied().collect();
@@ -87,68 +75,6 @@ pub fn check_concurrent_file(core: &FileCore) -> Result<()> {
         return Err(Error::Corrupt(format!(
             "{} locks still granted at quiescence",
             core.locks().total_granted()
-        )));
-    }
-    Ok(())
-}
-
-/// Invariants 1 and 2: the global `next` chain.
-fn check_chain(snap: &FileSnapshot) -> Result<()> {
-    if snap.entries.is_empty() {
-        return Err(Error::Corrupt("empty directory".into()));
-    }
-    let head = snap.entries[0];
-    let mut visited = BTreeSet::new();
-    let mut page = head;
-    let mut prev_revkey: Option<u64> = None;
-    loop {
-        if !visited.insert(page) {
-            return Err(Error::Corrupt(format!(
-                "next chain revisits {page} (cycle)"
-            )));
-        }
-        let b = snap
-            .buckets
-            .get(&page)
-            .ok_or_else(|| Error::Corrupt(format!("chain reaches non-directory bucket {page}")))?;
-        // Chain order: bit-reversed commonbits strictly increase. A
-        // commonbits value occupies the low `localdepth` bits, so
-        // `reverse_bits` places bit 1 at the top — exactly the binary
-        // fraction 0.c₁c₂…  the split order sorts by.
-        let revkey = b.commonbits.reverse_bits();
-        if let Some(prev) = prev_revkey {
-            if revkey <= prev {
-                return Err(Error::Corrupt(format!(
-                    "chain order violated at {page} (cb {:b}/{}): bit-reversed key \
-                     {revkey:#x} not above predecessor {prev:#x}",
-                    b.commonbits, b.localdepth
-                )));
-            }
-        }
-        prev_revkey = Some(revkey);
-        if b.next.is_null() {
-            // Must be the all-ones bucket (or the single depth-0 bucket).
-            if b.localdepth > 0 && b.commonbits != mask(b.localdepth) {
-                return Err(Error::Corrupt(format!(
-                    "chain ends at {page} with commonbits {:b}, localdepth {} (not all-ones)",
-                    b.commonbits, b.localdepth
-                )));
-            }
-            break;
-        }
-        if !snap.buckets.contains_key(&b.next) {
-            return Err(Error::Corrupt(format!(
-                "{page}.next -> {} not in directory",
-                b.next
-            )));
-        }
-        page = b.next;
-    }
-    if visited.len() != snap.bucket_count() {
-        return Err(Error::Corrupt(format!(
-            "chain visits {} buckets but the directory references {}",
-            visited.len(),
-            snap.bucket_count()
         )));
     }
     Ok(())
@@ -191,7 +117,7 @@ mod tests {
         assert!(!b.next.is_null());
         b.next = ceh_types::PageId::NULL;
         let mut buf = f.core().new_buf();
-        f.core().putbucket(head, &b, &mut buf).unwrap();
+        f.core().buckets().putbucket(head, &b, &mut buf).unwrap();
         assert!(check_concurrent_file(f.core()).is_err());
     }
 
@@ -206,7 +132,7 @@ mod tests {
         let mut b = b.clone();
         b.mark_deleted();
         let mut buf = f.core().new_buf();
-        f.core().putbucket(p, &b, &mut buf).unwrap();
+        f.core().buckets().putbucket(p, &b, &mut buf).unwrap();
         assert!(check_concurrent_file(f.core()).is_err());
     }
 

@@ -16,10 +16,14 @@
 //! every process that could restructure underneath them.
 
 use ceh_locks::LockId;
-use ceh_types::bits::{mask, partner_bit, partner_commonbits};
-use ceh_types::{DeleteOutcome, HashFileConfig, InsertOutcome, Key, ManagerId, Result, Value};
+use ceh_storage::{Edit, Owning, Peek};
+use ceh_types::bits::{partner_bit, partner_commonbits};
+use ceh_types::{
+    Bucket, DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Pseudokey,
+    Result, Value,
+};
 
-use crate::common::{try_or_release, Edit, FileCore};
+use crate::common::{try_or_release, FileCore};
 use crate::traits::ConcurrentHashFile;
 
 /// Tuning knobs for [`Solution1`].
@@ -101,7 +105,7 @@ impl Solution1 {
             core.alpha_lock(owner, LockId::Page(oldpage));
             // A Solution-1 updater can never have the wrong bucket: its α
             // on the directory excludes every restructurer.
-            let at = try_or_release!(core, owner, core.peek_owner(oldpage, pk, key));
+            let at = try_or_release!(core, owner, peek_owner(core, oldpage, pk, key));
 
             if at.found.is_some() {
                 /* z is already there */
@@ -115,7 +119,7 @@ impl Solution1 {
                 /* current bucket not full */
                 core.un_alpha_lock(owner, LockId::Directory);
                 let record = ceh_types::Record { key, value };
-                try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Add(record)));
+                try_or_release!(core, owner, core.buckets().edit(oldpage, Edit::Add(record)));
                 core.un_alpha_lock(owner, LockId::Page(oldpage));
                 core.len_inc();
                 core.stats().inserts();
@@ -128,13 +132,14 @@ impl Solution1 {
                 try_or_release!(core, owner, core.dir().double());
                 core.stats().doublings();
             }
+            let buckets = core.buckets();
             let mut buf = core.new_buf();
-            let current = try_or_release!(core, owner, core.getbucket_again(oldpage, &mut buf));
+            let current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
             // The split's page effects are one logged transaction: if
             // power dies before the commit record is durable, recovery
             // sees either the whole split or none of it.
-            let txn = try_or_release!(core, owner, core.begin_txn());
-            let newpage = try_or_release!(core, owner, core.alloc_page());
+            let txn = try_or_release!(core, owner, buckets.begin_txn());
+            let newpage = try_or_release!(core, owner, buckets.alloc());
             let (half1, half2, done) = current.split(
                 key,
                 value,
@@ -149,8 +154,8 @@ impl Solution1 {
             // allocated disk page and then the old bucket is replaced by
             // the first half" — this order is what makes the split look
             // atomic to concurrent readers (§2.3).
-            try_or_release!(core, owner, core.putbucket(newpage, &half2, &mut buf));
-            try_or_release!(core, owner, core.putbucket(oldpage, &half1, &mut buf));
+            try_or_release!(core, owner, buckets.putbucket(newpage, &half2, &mut buf));
+            try_or_release!(core, owner, buckets.putbucket(oldpage, &half1, &mut buf));
             try_or_release!(core, owner, txn.commit());
             core.un_alpha_lock(owner, LockId::Page(oldpage));
             core.dir().update_one_side(newpage, half1.localdepth, pk);
@@ -186,7 +191,7 @@ impl Solution1 {
         let oldpage = core.dir().index(selectedbits);
         core.xi_lock(owner, LockId::Page(oldpage));
         // ξ on the directory: no wrong buckets possible.
-        let at = try_or_release!(core, owner, core.peek_owner(oldpage, pk, key));
+        let at = try_or_release!(core, owner, peek_owner(core, oldpage, pk, key));
 
         // DEVIATION: check presence before considering a merge. Figure 7's
         // merge path never searches for z; at merge_threshold 0 the lone
@@ -204,7 +209,7 @@ impl Solution1 {
         if !too_empty {
             /* current not too empty */
             core.un_xi_lock(owner, LockId::Directory);
-            try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Remove(key)));
+            try_or_release!(core, owner, core.buckets().edit(oldpage, Edit::Remove(key)));
             core.un_xi_lock(owner, LockId::Page(oldpage));
             core.len_dec();
             core.stats().deletes();
@@ -212,8 +217,9 @@ impl Solution1 {
         }
 
         // Merge attempt. Identify the partner with respect to localdepth.
+        let buckets = core.buckets();
         let mut buf = core.new_buf();
-        let mut current = try_or_release!(core, owner, core.getbucket_again(oldpage, &mut buf));
+        let mut current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
         let m = partner_bit(current.localdepth);
         let (brother, newpage, merged_page, garbage_page) = if pk.0 & m != m {
             /* z goes in first of pair: the partner follows via next */
@@ -225,7 +231,7 @@ impl Solution1 {
                 return self.finish_unmergeable(owner, key, oldpage);
             }
             core.xi_lock(owner, LockId::Page(newpage));
-            let brother = try_or_release!(core, owner, core.getbucket(newpage, &mut buf));
+            let brother = try_or_release!(core, owner, buckets.getbucket(newpage, &mut buf));
             (brother, newpage, oldpage, newpage)
         } else {
             /* z goes in second of pair: the "0" partner via the directory */
@@ -236,7 +242,7 @@ impl Solution1 {
             core.un_xi_lock(owner, LockId::Page(oldpage));
             core.xi_lock(owner, LockId::Page(newpage));
             core.xi_lock(owner, LockId::Page(oldpage));
-            let brother = try_or_release!(core, owner, core.getbucket(newpage, &mut buf));
+            let brother = try_or_release!(core, owner, buckets.getbucket(newpage, &mut buf));
             // No re-validation needed, unlike Figure 9: our ξ on the
             // directory never left, so nothing can have changed while
             // oldpage was unlocked (readers don't write).
@@ -264,30 +270,29 @@ impl Solution1 {
             // two" (§2.2).
             core.dir().add_depthcount(-2);
         }
-        let mut merged = brother;
-        merged.localdepth -= 1;
-        merged.commonbits &= mask(merged.localdepth);
-        if garbage_page == oldpage {
-            // z's bucket is the "1" partner: unlink it from the chain.
-            merged.next = current.next;
-            merged.next_mgr = current.next_mgr;
-        }
-        // Move the survivors of z's bucket across (none at the paper's
-        // merge_threshold = 0).
+        // The survivors of z's bucket move across (none at the paper's
+        // merge_threshold = 0); the "1" partner leaves the chain.
         current.remove(key);
-        merged.records.extend(current.records.iter().copied());
-        merged.version = merged.version.max(current.version) + 1;
+        let merged = if merged_page == oldpage {
+            Bucket::merged(&current, &brother)
+        } else {
+            Bucket::merged(&brother, &current)
+        };
         // Merge = one logged transaction: the survivor's rewrite and the
         // garbage page's deallocation land atomically or not at all.
-        let txn = try_or_release!(core, owner, core.begin_txn());
-        try_or_release!(core, owner, core.putbucket(merged_page, &merged, &mut buf));
+        let txn = try_or_release!(core, owner, buckets.begin_txn());
+        try_or_release!(
+            core,
+            owner,
+            buckets.putbucket(merged_page, &merged, &mut buf)
+        );
         if core.dir().depthcount() == 0 {
             core.dir().halve();
             core.stats().halvings();
         } else {
             core.dir().update_one_side(merged_page, old_ld, pk);
         }
-        try_or_release!(core, owner, core.dealloc_page(garbage_page));
+        try_or_release!(core, owner, buckets.dealloc(garbage_page));
         try_or_release!(core, owner, txn.commit());
         core.stats().merges();
         core.trace_end(merge_span, "merge", merged_page.0, garbage_page.0);
@@ -305,16 +310,29 @@ impl Solution1 {
         &self,
         owner: ceh_locks::OwnerId,
         key: Key,
-        oldpage: ceh_types::PageId,
+        oldpage: PageId,
     ) -> Result<DeleteOutcome> {
         let core = &self.core;
-        let removed = try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Remove(key)));
+        let removed = try_or_release!(core, owner, core.buckets().edit(oldpage, Edit::Remove(key)));
         debug_assert!(removed, "presence was checked under ξ");
         core.un_xi_lock(owner, LockId::Page(oldpage));
         core.un_xi_lock(owner, LockId::Directory);
         core.len_dec();
         core.stats().deletes();
         Ok(DeleteOutcome::Deleted)
+    }
+}
+
+/// [`ceh_storage::Buckets::peek`] for a Solution 1 updater, whose
+/// directory lock excludes every restructurer: a bucket that does not own
+/// `pk` is corruption, not a wrong bucket to recover from.
+#[track_caller]
+fn peek_owner(core: &FileCore, page: PageId, pk: Pseudokey, key: Key) -> Result<Owning> {
+    match core.buckets().peek(page, pk, key)? {
+        Peek::Owns(at) => Ok(at),
+        Peek::WrongBucket { .. } => Err(Error::Corrupt(format!(
+            "{page} does not own {pk:?} under a directory lock that excludes restructuring"
+        ))),
     }
 }
 
@@ -367,7 +385,6 @@ impl ConcurrentHashFile for Solution1 {
 mod tests {
     use super::*;
     use crate::invariants::check_concurrent_file;
-    use ceh_types::Error;
 
     fn file() -> Solution1 {
         Solution1::new(HashFileConfig::tiny()).unwrap()

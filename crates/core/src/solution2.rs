@@ -31,15 +31,15 @@
 //!   else runs Figures 8–9 unchanged (DESIGN.md §3.9, "The write path").
 
 use ceh_locks::{LockId, LockMode, OwnerId};
-use ceh_storage::Plan;
-use ceh_types::bits::{mask, partner_bit};
+use ceh_storage::{Edit, Owning, Peek, Plan};
+use ceh_types::bits::partner_bit;
 use ceh_types::bucket::{Bucket, BucketView};
 use ceh_types::{
-    DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Pseudokey, Result,
-    Value,
+    BucketLink, DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId,
+    Pseudokey, Result, Value,
 };
 
-use crate::common::{try_or_release, Edit, FileCore, Owning, Peek};
+use crate::common::{try_or_release, FileCore};
 use crate::traits::ConcurrentHashFile;
 
 /// When tombstones are deallocated and the directory halved.
@@ -244,7 +244,7 @@ impl Solution2 {
                 core.dir().halve();
                 core.stats().halvings();
             }
-            if core.dealloc_page(page).is_err() {
+            if core.buckets().dealloc(page).is_err() {
                 core.locks().release_all(owner);
                 for _ in i..pages.len() {
                     core.stats().gc_unreclaimed();
@@ -337,8 +337,8 @@ impl Solution2 {
 
     /// Hand-over-hand walk to the bucket owning `pk`, locking each bucket
     /// with `mode` — the `/* WRONG BUCKET */` loops that open Figures 8
-    /// and 9. Each page is peeked in place ([`FileCore::peek`]), as a
-    /// find does. Returns the final page and what the peek saw of it; the
+    /// and 9. Each page is peeked in place ([`ceh_storage::Buckets::peek`]),
+    /// as a find does. Returns the final page and what the peek saw of it; the
     /// lock on that page is *held*. Tombstones are walked through like
     /// any wrong bucket: their `next` is the recovery path.
     fn walk_to_owner(
@@ -351,12 +351,12 @@ impl Solution2 {
     ) -> Result<(PageId, Owning)> {
         let core = &self.core;
         core.locks().lock(owner, LockId::Page(oldpage), mode);
-        let mut current = try_or_release!(core, owner, core.peek(oldpage, pk, key));
+        let mut current = try_or_release!(core, owner, core.buckets().peek(oldpage, pk, key));
         let mut recovered = false;
         let at = loop {
             let newpage = match current {
                 Peek::Owns(at) => break at,
-                Peek::WrongBucket { next } => next,
+                Peek::WrongBucket { next, .. } => next,
             };
             /* WRONG BUCKET */
             recovered = true;
@@ -367,9 +367,9 @@ impl Solution2 {
                     "walk for {pk:?}: wrong bucket {oldpage} has no next link"
                 )));
             }
-            try_or_release!(core, owner, core.check_link(newpage));
+            try_or_release!(core, owner, core.buckets().check_link(newpage));
             core.locks().lock(owner, LockId::Page(newpage), mode);
-            current = try_or_release!(core, owner, core.peek(newpage, pk, key));
+            current = try_or_release!(core, owner, core.buckets().peek(newpage, pk, key));
             core.locks().unlock(owner, LockId::Page(oldpage), mode);
             oldpage = newpage;
         };
@@ -416,7 +416,7 @@ impl Solution2 {
 
             if at.count != cap {
                 core.un_rho_lock(owner, LockId::Directory);
-                try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Add(record)));
+                try_or_release!(core, owner, core.buckets().edit(oldpage, Edit::Add(record)));
                 core.un_alpha_lock(owner, LockId::Page(oldpage));
                 core.len_inc();
                 core.stats().inserts();
@@ -432,11 +432,12 @@ impl Solution2 {
                 try_or_release!(core, owner, core.dir().double());
                 core.stats().doublings();
             }
+            let buckets = core.buckets();
             let mut buf = core.new_buf();
-            let current = try_or_release!(core, owner, core.getbucket_again(oldpage, &mut buf));
+            let current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
             // One logged transaction per split (see Solution 1).
-            let txn = try_or_release!(core, owner, core.begin_txn());
-            let newpage = try_or_release!(core, owner, core.alloc_page());
+            let txn = try_or_release!(core, owner, buckets.begin_txn());
+            let newpage = try_or_release!(core, owner, buckets.alloc());
             let (half1, half2, done) = current.split(
                 key,
                 value,
@@ -447,8 +448,8 @@ impl Solution2 {
                 newpage,
                 ManagerId::NONE,
             );
-            try_or_release!(core, owner, core.putbucket(newpage, &half2, &mut buf));
-            try_or_release!(core, owner, core.putbucket(oldpage, &half1, &mut buf));
+            try_or_release!(core, owner, buckets.putbucket(newpage, &half2, &mut buf));
+            try_or_release!(core, owner, buckets.putbucket(oldpage, &half1, &mut buf));
             try_or_release!(core, owner, txn.commit());
             core.dir().update_one_side(newpage, half1.localdepth, pk);
             if half1.localdepth == core.dir().depth() {
@@ -530,19 +531,20 @@ impl Solution2 {
             // race the paper's checklist exists to close. Never enabled in
             // normal builds; the schedule explorer must catch it.
             let skip_label_a = cfg!(feature = "check-inject");
+            let buckets = core.buckets();
             let mut buf = core.new_buf();
             let m = partner_bit(at.localdepth);
             let (mut current, brother, newpage, merged_page, garbage_page);
             if pk.0 & m != m {
                 /* Z IN FIRST OF PAIR */
-                current = try_or_release!(core, owner, core.getbucket_again(oldpage, &mut buf));
+                current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
                 let np = current.next;
                 if np.is_null() {
                     // Defensive (see Solution 1): treat as unmergeable.
                     return self.remove_without_merge(owner, key, oldpage, true);
                 }
                 core.xi_lock(owner, LockId::Page(np));
-                brother = try_or_release!(core, owner, core.getbucket(np, &mut buf));
+                brother = try_or_release!(core, owner, buckets.getbucket(np, &mut buf));
                 newpage = np;
                 garbage_page = np;
                 merged_page = oldpage;
@@ -551,7 +553,7 @@ impl Solution2 {
                 let np = core.dir().index(selectedbits & !m);
                 core.un_xi_lock(owner, LockId::Page(oldpage));
                 core.xi_lock(owner, LockId::Page(np));
-                brother = try_or_release!(core, owner, core.getbucket(np, &mut buf));
+                brother = try_or_release!(core, owner, buckets.getbucket(np, &mut buf));
                 if !skip_label_a && (brother.next != oldpage || brother.is_deleted()) {
                     /* A: OLDPAGE AND NEWPAGE ARE NOT MERGABLE PARTNERS */
                     // The stale directory entry led somewhere that is no
@@ -564,7 +566,7 @@ impl Solution2 {
                     continue 'retry;
                 }
                 core.xi_lock(owner, LockId::Page(oldpage));
-                current = try_or_release!(core, owner, core.getbucket(oldpage, &mut buf));
+                current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
                 if !skip_label_a && !current.owns(pk) {
                     /* Z no longer belongs in oldpage - while waiting to
                     re-lock oldpage it may have filled up and split,
@@ -602,41 +604,30 @@ impl Solution2 {
             if old_ld == core.dir().depth() {
                 core.dir().add_depthcount(-2);
             }
-            let mut survivor = brother.clone();
-            survivor.localdepth -= 1;
-            survivor.commonbits &= mask(survivor.localdepth);
-            if garbage_page == oldpage {
-                // z's bucket is the "1" partner: splice it out of the
-                // chain (brother -> next = current -> next).
-                survivor.next = current.next;
-                survivor.next_mgr = current.next_mgr;
-            }
             current.remove(key);
-            survivor.records.extend(current.records.iter().copied());
-            survivor.version = survivor.version.max(current.version) + 1;
-
-            // The tombstone: "marking the old partner as 'deleted' (we
-            // use the commonbits field for this), setting its next field
-            // to point to the merged bucket".
-            let mut tombstone = Bucket::new(0, 0);
-            tombstone.mark_deleted();
-            tombstone.localdepth = old_ld;
-            tombstone.next = merged_page;
-            tombstone.version = survivor.version;
+            let survivor = if merged_page == oldpage {
+                Bucket::merged(&current, &brother)
+            } else {
+                Bucket::merged(&brother, &current)
+            };
+            let tombstone = Bucket::tombstone(
+                BucketLink::new(ManagerId::NONE, merged_page),
+                survivor.version,
+            );
 
             // Survivor + tombstone are one logged transaction: recovery
             // never sees a merged survivor without its tombstone (or
             // vice versa).
-            let txn = try_or_release!(core, owner, core.begin_txn());
+            let txn = try_or_release!(core, owner, buckets.begin_txn());
             try_or_release!(
                 core,
                 owner,
-                core.putbucket(merged_page, &survivor, &mut buf)
+                buckets.putbucket(merged_page, &survivor, &mut buf)
             );
             try_or_release!(
                 core,
                 owner,
-                core.putbucket(garbage_page, &tombstone, &mut buf)
+                buckets.putbucket(garbage_page, &tombstone, &mut buf)
             );
             try_or_release!(core, owner, txn.commit());
             core.dir().update_one_side(merged_page, old_ld, pk);
@@ -666,7 +657,7 @@ impl Solution2 {
                         core.dir().halve();
                         core.stats().halvings();
                     }
-                    try_or_release!(core, owner, core.dealloc_page(garbage_page));
+                    try_or_release!(core, owner, core.buckets().dealloc(garbage_page));
                     core.un_xi_lock(owner, LockId::Page(garbage_page));
                     core.un_xi_lock(owner, LockId::Directory);
                     core.stats().gc_phases();
@@ -692,7 +683,7 @@ impl Solution2 {
         let core = &self.core;
         core.un_rho_lock(owner, LockId::Directory);
         let outcome = if present {
-            try_or_release!(core, owner, core.edit_bucket(oldpage, Edit::Remove(key)));
+            try_or_release!(core, owner, core.buckets().edit(oldpage, Edit::Remove(key)));
             core.len_dec();
             core.stats().deletes();
             DeleteOutcome::Deleted
@@ -933,7 +924,7 @@ mod tests {
             },
             &ceh_obs::MetricsHandle::new(),
         );
-        let core = FileCore::with_durable_metrics(
+        let core = FileCore::with_buckets(
             HashFileConfig::tiny().with_bucket_capacity(cap),
             std::sync::Arc::clone(&wal),
             std::sync::Arc::new(ceh_locks::LockManager::over(wal.cache().clone())),
@@ -969,6 +960,45 @@ mod tests {
             "find blocked behind the collector's locks"
         );
         assert_eq!(f.core().locks().total_granted(), 0);
+    }
+
+    /// Figure 9's first-of-pair merge: the "0" partner survives on its
+    /// own page, keeping its `prev`, and takes the "1" partner's `next`.
+    #[test]
+    fn first_of_pair_merge_keeps_the_zero_partners_prev() {
+        // Identity pseudokeys, capacity 2: [00, 10, 01, 11, 100, 101]
+        // gives depth-2 buckets 00, 10, 01 and 11, chained in that
+        // order; 01's prev is 00's page and 11's prev is 01's.
+        let cfg = HashFileConfig::tiny().with_bucket_capacity(2);
+        let store = ceh_storage::PageStore::new_shared(ceh_storage::Buckets::page_config(&cfg));
+        let locks = std::sync::Arc::new(ceh_locks::LockManager::over(store.clone()));
+        let metrics = ceh_obs::MetricsHandle::default();
+        let core =
+            FileCore::with_buckets(cfg, store, locks, ceh_types::identity_pseudokey, &metrics)
+                .unwrap();
+        let f = Solution2::from_core(core);
+        for k in [0b00u64, 0b10, 0b01, 0b11, 0b100, 0b101] {
+            f.insert(Key(k), Value(k)).unwrap();
+        }
+        let bucket = |page| {
+            let mut buf = f.core().new_buf();
+            f.core().buckets().getbucket(page, &mut buf).unwrap()
+        };
+        let (p00, p01, p11) = (
+            f.core().dir().index(0b00),
+            f.core().dir().index(0b01),
+            f.core().dir().index(0b11),
+        );
+        assert_eq!((bucket(p01).prev, bucket(p11).prev), (p00, p01));
+        f.delete(Key(0b101)).unwrap();
+        // 01:{01} is too empty; its key has bit 2 clear: first of pair.
+        assert_eq!(f.delete(Key(0b01)).unwrap(), DeleteOutcome::Deleted);
+        assert_eq!(f.core().stats().snapshot().merges, 1);
+        let survivor = bucket(p01);
+        assert_eq!((survivor.localdepth, survivor.commonbits), (1, 0b1));
+        assert_eq!(survivor.prev, p00, "prev names the '0' side, not itself");
+        assert_eq!(survivor.next, PageId::NULL, "next skips the freed page");
+        check_concurrent_file(f.core()).unwrap();
     }
 
     #[test]

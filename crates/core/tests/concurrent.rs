@@ -15,6 +15,7 @@ use ceh_core::{
     invariants::check_concurrent_file, ConcurrentHashFile, FileCore, Solution1, Solution2,
 };
 use ceh_locks::{LockManager, LockManagerConfig};
+use ceh_obs::MetricsHandle;
 use ceh_storage::{PageStore, PageStoreConfig};
 use ceh_types::bucket::Bucket;
 use ceh_types::{hash_key, HashFileConfig, Key, Value};
@@ -33,7 +34,7 @@ fn watchdog_core(cfg: HashFileConfig) -> FileCore {
         },
         store.clone(),
     ));
-    FileCore::with_parts(cfg, store, locks, hash_key).unwrap()
+    FileCore::with_buckets(cfg, store, locks, hash_key, &MetricsHandle::default()).unwrap()
 }
 
 /// Per-key ownership partition: thread t owns keys ≡ t (mod T), so every

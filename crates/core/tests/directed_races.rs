@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use ceh_core::{invariants, ConcurrentHashFile, FileCore, Solution2};
 use ceh_locks::{LockId, LockManager, LockMode};
+use ceh_obs::MetricsHandle;
 use ceh_storage::{PageStore, PageStoreConfig};
 use ceh_types::bucket::Bucket;
 use ceh_types::{identity_pseudokey, DeleteOutcome, HashFileConfig, Key, PageId, Value};
@@ -26,11 +27,12 @@ fn build_file() -> Solution2 {
         page_size: Bucket::page_size_for(2),
         ..Default::default()
     });
-    let core = FileCore::with_parts(
+    let core = FileCore::with_buckets(
         cfg,
         Arc::clone(&store),
         Arc::new(LockManager::over(store)),
         identity_pseudokey,
+        &MetricsHandle::default(),
     )
     .unwrap();
     let f = Solution2::from_core(core);
@@ -82,7 +84,11 @@ fn second_of_pair_refilled_while_waiting() {
     {
         let mut buf = f.core().new_buf();
         assert_eq!(
-            f.core().getbucket(target_page, &mut buf).unwrap().count(),
+            f.core()
+                .buckets()
+                .getbucket(target_page, &mut buf)
+                .unwrap()
+                .count(),
             1
         );
     }
@@ -199,7 +205,7 @@ fn second_solution_first_of_pair_merge_outcome() {
     assert_eq!(f.delete(Key(0b01)).unwrap(), DeleteOutcome::Deleted);
 
     let mut buf = f.core().new_buf();
-    let survivor = f.core().getbucket(zero_page, &mut buf).unwrap();
+    let survivor = f.core().buckets().getbucket(zero_page, &mut buf).unwrap();
     assert_eq!(survivor.localdepth, 1);
     assert_eq!(survivor.commonbits, 0b1);
     assert_eq!(survivor.records.len(), 1);
@@ -250,17 +256,23 @@ fn reader_recovers_through_tombstone() {
         .locks()
         .lock(partner_owner, LockId::Page(one_page), LockMode::Xi);
     let mut buf = f.core().new_buf();
-    let mut survivor = f.core().getbucket(one_page, &mut buf).unwrap();
-    let victim = f.core().getbucket(target_page, &mut buf).unwrap();
+    let mut survivor = f.core().buckets().getbucket(one_page, &mut buf).unwrap();
+    let victim = f.core().buckets().getbucket(target_page, &mut buf).unwrap();
     survivor.localdepth -= 1;
     survivor.commonbits &= ceh_types::mask(survivor.localdepth);
     survivor.records.extend(victim.records.iter().copied());
     survivor.next = victim.next;
-    f.core().putbucket(one_page, &survivor, &mut buf).unwrap();
+    f.core()
+        .buckets()
+        .putbucket(one_page, &survivor, &mut buf)
+        .unwrap();
     let mut tomb = Bucket::new(0, 0);
     tomb.mark_deleted();
     tomb.next = one_page;
-    f.core().putbucket(target_page, &tomb, &mut buf).unwrap();
+    f.core()
+        .buckets()
+        .putbucket(target_page, &tomb, &mut buf)
+        .unwrap();
     f.core()
         .dir()
         .update_one_side(one_page, 2, ceh_types::Pseudokey(0b11));

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 
 use ceh_core::{ConcurrentHashFile, FileCore, Solution1, Solution2};
 use ceh_locks::{LockId, LockManager, LockMode};
+use ceh_obs::MetricsHandle;
 use ceh_storage::{PageStore, PageStoreConfig};
 use ceh_types::bucket::{Bucket, BucketView};
 use ceh_types::{identity_pseudokey, mask, HashFileConfig, Key, Pseudokey, Value};
@@ -29,11 +30,12 @@ fn core(poison_freed: bool) -> FileCore {
         poison_freed,
         ..Default::default()
     });
-    FileCore::with_parts(
+    FileCore::with_buckets(
         HashFileConfig::tiny().with_bucket_capacity(2),
         Arc::clone(&store),
         Arc::new(LockManager::over(store)),
         identity_pseudokey,
+        &MetricsHandle::default(),
     )
     .unwrap()
 }
@@ -155,13 +157,13 @@ fn a_find_in_the_merge_window_never_sees_the_deleted_key() {
     locks.lock(merger, LockId::Directory, LockMode::Alpha);
 
     let mut buf = core.new_buf();
-    let current = core.getbucket(one, &mut buf).unwrap();
-    let mut survivor = core.getbucket(zero, &mut buf).unwrap();
+    let current = core.buckets().getbucket(one, &mut buf).unwrap();
+    let mut survivor = core.buckets().getbucket(zero, &mut buf).unwrap();
     survivor.localdepth -= 1;
     survivor.commonbits &= mask(survivor.localdepth);
     survivor.next = current.next;
     survivor.version = survivor.version.max(current.version) + 1;
-    core.putbucket(zero, &survivor, &mut buf).unwrap();
+    core.buckets().putbucket(zero, &survivor, &mut buf).unwrap();
 
     // The window: the survivor owns `10` and does not hold it…
     let survivor_says = core
@@ -200,7 +202,7 @@ fn a_find_in_the_merge_window_never_sees_the_deleted_key() {
     tombstone.localdepth = current.localdepth;
     tombstone.next = zero;
     tombstone.version = survivor.version;
-    core.putbucket(one, &tombstone, &mut buf).unwrap();
+    core.buckets().putbucket(one, &tombstone, &mut buf).unwrap();
     core.dir().update_one_side(zero, current.localdepth, pk);
     locks.unlock(merger, LockId::Page(one), LockMode::Xi);
     locks.unlock(merger, LockId::Page(zero), LockMode::Xi);

@@ -44,8 +44,7 @@ fn durable_file(cap: usize) -> Solution2 {
     let cfg = HashFileConfig::tiny().with_bucket_capacity(cap);
     let wal = DurableStore::new(durable_cfg(cap), &MetricsHandle::new());
     let locks = Arc::new(LockManager::over(wal.cache().clone()));
-    let core =
-        FileCore::with_durable_metrics(cfg, wal, locks, hash_key, &MetricsHandle::new()).unwrap();
+    let core = FileCore::with_buckets(cfg, wal, locks, hash_key, &MetricsHandle::new()).unwrap();
     Solution2::from_core(core)
 }
 

@@ -5,12 +5,16 @@
 //!
 //! Setup (identity pseudokeys, capacity 2): inserting
 //! `[00, 10, 01, 11, 100, 101]` yields depth-2 buckets `00:{00,100}`,
-//! `10:{10}`, `01:{01,101}`, `11:{11}`.
+//! `10:{10}`, `01:{01,101}`, `11:{11}`, chained in that order. `10`
+//! split off from `00`, and `01` and `11` from the depth-1 bucket `1`,
+//! which split off from `0`: so `prev` of `10` and of `01` is the page of
+//! `00`, and `prev` of `11` is the page of `01`.
 
 use std::sync::Arc;
 
 use ceh_core::{invariants, ConcurrentHashFile, FileCore, Solution1};
 use ceh_locks::LockManager;
+use ceh_obs::MetricsHandle;
 use ceh_storage::{PageStore, PageStoreConfig};
 use ceh_types::bucket::Bucket;
 use ceh_types::{identity_pseudokey, DeleteOutcome, HashFileConfig, Key, PageId, Value};
@@ -21,11 +25,12 @@ fn build_file() -> Solution1 {
         page_size: Bucket::page_size_for(2),
         ..Default::default()
     });
-    let core = FileCore::with_parts(
+    let core = FileCore::with_buckets(
         cfg,
         Arc::clone(&store),
         Arc::new(LockManager::over(store)),
         identity_pseudokey,
+        &MetricsHandle::default(),
     )
     .unwrap();
     let f = Solution1::from_core(core);
@@ -42,7 +47,7 @@ fn page_of(f: &Solution1, pattern: u64) -> PageId {
 
 fn bucket_at(f: &Solution1, page: PageId) -> Bucket {
     let mut buf = f.core().new_buf();
-    f.core().getbucket(page, &mut buf).unwrap()
+    f.core().buckets().getbucket(page, &mut buf).unwrap()
 }
 
 /// Case 1 — "z goes in first of pair": deleting the lone key of the
@@ -58,6 +63,8 @@ fn delete_from_first_of_pair_merges_down() {
     let zero_page = page_of(&f, 0b01);
     let one_page = page_of(&f, 0b11);
     assert_ne!(zero_page, one_page);
+    assert_eq!(bucket_at(&f, zero_page).prev, page_of(&f, 0b00));
+    assert_eq!(bucket_at(&f, one_page).prev, zero_page);
     let pages_before = f.core().store().allocated_pages();
 
     // Key 0b01 has bit 2 clear → first of pair → partner via next.
@@ -70,6 +77,10 @@ fn delete_from_first_of_pair_merges_down() {
     assert_eq!(survivor.commonbits, 0b1);
     assert_eq!(survivor.records.len(), 1);
     assert_eq!(survivor.records[0].key, Key(0b11));
+    // It keeps its own `prev` (the "1" partner's named the survivor's
+    // own page) and takes the "1" partner's `next`, the end of the chain.
+    assert_eq!(survivor.prev, page_of(&f, 0b00), "prev names the '0' side");
+    assert_eq!(survivor.next, PageId::NULL, "next skips the freed page");
     // The "1" page is gone, and the directory routes both patterns to
     // the survivor.
     assert_eq!(f.core().store().allocated_pages(), pages_before - 1);
@@ -91,6 +102,8 @@ fn delete_from_second_of_pair_merges_up() {
     let zero_page = page_of(&f, 0b00); // 00:{00,100}
     let one_page = page_of(&f, 0b10); // 10:{10}
     let chain_after = bucket_at(&f, one_page).next; // whatever followed 10
+    assert_eq!(chain_after, page_of(&f, 0b01));
+    assert_eq!(bucket_at(&f, one_page).prev, zero_page);
     let pages_before = f.core().store().allocated_pages();
 
     // Key 0b10 has bit 2 set → second of pair.
@@ -110,6 +123,7 @@ fn delete_from_second_of_pair_merges_up() {
         survivor.next, chain_after,
         "chain spliced past the deleted bucket"
     );
+    assert_eq!(survivor.prev, PageId::NULL, "commonbits 0: no prev");
     assert_eq!(f.core().store().allocated_pages(), pages_before - 1);
     assert_eq!(page_of(&f, 0b00), zero_page);
     assert_eq!(page_of(&f, 0b10), zero_page);

@@ -44,8 +44,7 @@ fn core() -> FileCore {
     let metrics = MetricsHandle::new();
     let store = PageStore::new_shared_with_metrics(store_cfg(), &metrics);
     let locks = LockManager::with_metrics(Default::default(), store.clone(), &metrics);
-    FileCore::with_parts_metrics(cfg(), store, Arc::new(locks), identity_pseudokey, &metrics)
-        .unwrap()
+    FileCore::with_buckets(cfg(), store, Arc::new(locks), identity_pseudokey, &metrics).unwrap()
 }
 
 fn loaded(f: &dyn ConcurrentHashFile) {
@@ -297,7 +296,7 @@ fn file_and_wal_backed_files_never_take_the_fast_path() {
         )
         .unwrap();
         let file = Solution2::from_core(
-            FileCore::with_durable_metrics(
+            FileCore::with_buckets(
                 cfg(),
                 Arc::clone(&wal),
                 Arc::new(LockManager::over(wal.cache().clone())),
@@ -328,11 +327,12 @@ fn solution_1_never_takes_the_fast_path() {
 fn a_lock_manager_over_another_store_is_refused() {
     let store = PageStore::new_shared(store_cfg());
     let other = PageStore::new_shared(store_cfg());
-    assert!(FileCore::with_parts(
+    assert!(FileCore::with_buckets(
         cfg(),
         store,
         Arc::new(LockManager::over(other)),
-        identity_pseudokey
+        identity_pseudokey,
+        &MetricsHandle::default(),
     )
     .is_err());
 }

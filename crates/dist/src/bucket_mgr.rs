@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use ceh_locks::LockMode;
 use ceh_net::{PortId, PortRx, RecvError};
-use ceh_types::bits::{mask, partner_bit};
+use ceh_storage::{Edit, Owning, Peek};
+use ceh_types::bits::{partner_bit, partner_commonbits};
 use ceh_types::bucket::Bucket;
 use ceh_types::{BucketLink, DeleteOutcome, InsertOutcome, PageId, Record};
 
@@ -31,18 +32,8 @@ pub(crate) fn run_front_end(site: Arc<Site>, rx: PortRx<Msg>) {
                 // "newpage = allocbucket(); putbucket (newpage, msg.half2);
                 //  SendSplitReply (msg.replyport, newpage, myid);"
                 // The records now live here; so must their fence entries.
-                // One logged transaction: a crash between the alloc and
-                // the write must not leave a durable empty page.
                 site.fence_merge(&fences);
-                let placed = (|| -> ceh_types::Result<PageId> {
-                    let txn = site.begin_txn()?;
-                    let page = site.alloc_page()?;
-                    let mut buf = site.new_buf();
-                    site.putbucket(page, &half2, &mut buf)?;
-                    txn.commit()?;
-                    Ok(page)
-                })();
-                if let Ok(page) = placed {
+                if let Ok(page) = site.buckets.place(&half2) {
                     site.net.send(
                         reply_port,
                         Msg::Splitreply {
@@ -96,8 +87,8 @@ fn run_slave(site: Arc<Site>, msg: Msg) {
 
 /// Outcome of the wrong-bucket walk.
 enum Walk {
-    /// The right bucket is on this site, locked; here it is.
-    Local(PageId, Bucket),
+    /// The right bucket is on this site, locked; what the peek saw of it.
+    Local(PageId, Owning),
     /// The search moved to another site; this slave is done.
     Forwarded,
     /// Something was stale (page fault / chain ran out): ask the
@@ -109,9 +100,11 @@ enum Walk {
 /// forwarding. Locks `env.page` in `mode`, acknowledges per the figure
 /// (ack to the forwarding manager, or Bucketdone-for-find to the
 /// directory manager), then walks `next` links, forwarding to the owning
-/// manager when a link leaves this site. Hand-over-hand is preserved
-/// across the site boundary: the forwarder keeps its lock until the
-/// receiver has locked the next bucket and acked.
+/// manager when a link leaves this site. Each page is peeked in place
+/// ([`ceh_storage::Buckets::peek`]), as the in-process walk does.
+/// Hand-over-hand is preserved across the site boundary: the forwarder
+/// keeps its lock until the receiver has locked the next bucket and
+/// acked.
 fn walk_to_owner(
     site: &Site,
     owner: ceh_locks::OwnerId,
@@ -120,10 +113,9 @@ fn walk_to_owner(
     wrongbucket_ack_to: Option<PortId>,
 ) -> Walk {
     let mut oldpage = env.page;
-    let mut buf = site.new_buf();
     // A page past this site's store (stray routing) has no lock to take;
     // it is acknowledged like any other and then read as stale.
-    let here = site.has_page(oldpage);
+    let here = site.buckets.check_link(oldpage).is_ok();
     if here {
         site.lock(owner, oldpage, mode);
     }
@@ -145,18 +137,20 @@ fn walk_to_owner(
     if !here {
         return Walk::Stale;
     }
-    let mut current = match site.getbucket(oldpage, &mut buf) {
-        Ok(b) => b,
+    let mut current = match site.buckets.peek(oldpage, env.pseudokey, env.key) {
+        Ok(peek) => peek,
         Err(_) => {
             // Stale routing into a deallocated page: re-drive.
             site.unlock(owner, oldpage, mode);
             return Walk::Stale;
         }
     };
-    while !current.owns(env.pseudokey) {
+    loop {
+        let (next, next_mgr) = match current {
+            Peek::Owns(at) => return Walk::Local(oldpage, at),
+            Peek::WrongBucket { next, next_mgr } => (next, next_mgr),
+        };
         site.recoveries.inc();
-        let next = current.next;
-        let next_mgr = current.next_mgr;
         if next.is_null() {
             site.unlock(owner, oldpage, mode);
             return Walk::Stale;
@@ -186,8 +180,8 @@ fn walk_to_owner(
             site.unlock(owner, oldpage, mode);
             return Walk::Forwarded;
         }
-        match site.lock_getbucket(owner, next, mode, &mut buf) {
-            Ok(b) => current = b,
+        match site.lock_peek(owner, next, mode, env.pseudokey, env.key) {
+            Ok(peek) => current = peek,
             Err(_) => {
                 site.unlock(owner, oldpage, mode);
                 return Walk::Stale;
@@ -196,7 +190,6 @@ fn walk_to_owner(
         site.unlock(owner, oldpage, mode);
         oldpage = next;
     }
-    Walk::Local(oldpage, current)
 }
 
 fn bucketdone(site: &Site, env: &OpEnvelope, success: bool, outcome: Option<UserOutcome>) {
@@ -208,6 +201,20 @@ fn bucketdone(site: &Site, env: &OpEnvelope, success: bool, outcome: Option<User
             outcome,
         },
     );
+}
+
+/// Unlock `page` and answer the directory manager: `Some(outcome)`
+/// completes the request, `None` asks for a re-drive.
+fn release_and_reply(
+    site: &Site,
+    owner: ceh_locks::OwnerId,
+    env: &OpEnvelope,
+    page: PageId,
+    mode: LockMode,
+    outcome: Option<UserOutcome>,
+) {
+    site.unlock(owner, page, mode);
+    bucketdone(site, env, outcome.is_some(), outcome);
 }
 
 fn slave_op(site: &Site, mut env: OpEnvelope, wrongbucket_ack_to: Option<PortId>) {
@@ -257,14 +264,13 @@ fn slave_find(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
             // forwarded find we own the request now.)
             bucketdone(site, &env, false, None);
         }
-        Walk::Local(page, bucket) => {
-            let found = bucket.search(env.key);
+        Walk::Local(page, at) => {
             site.unlock(owner, page, LockMode::Rho);
             // found(z) / notfound(z): answer the user directly.
             site.net.send(
                 env.user_port,
                 Msg::UserReply {
-                    outcome: UserOutcome::Found(found),
+                    outcome: UserOutcome::Found(at.found),
                     req_id: env.req_id,
                 },
             );
@@ -272,59 +278,62 @@ fn slave_find(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
     }
 }
 
-/// Figure 14, `case insert`.
-fn slave_insert(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
-    let owner = site.locks.new_owner();
-    let (oldpage, mut current) = match walk_to_owner(site, owner, &env, LockMode::Alpha, fwd) {
-        Walk::Forwarded => return,
+/// The walk of an insert or delete: `Some` when the owning bucket is
+/// locked here in `mode` and the mutation fence admits the request.
+fn walk_to_update(
+    site: &Site,
+    owner: ceh_locks::OwnerId,
+    env: &OpEnvelope,
+    mode: LockMode,
+    fwd: Option<PortId>,
+) -> Option<(PageId, Owning)> {
+    let (page, at) = match walk_to_owner(site, owner, env, mode, fwd) {
+        Walk::Forwarded => return None,
         Walk::Stale => {
-            bucketdone(site, &env, false, None);
-            return;
+            bucketdone(site, env, false, None);
+            return None;
         }
-        Walk::Local(p, b) => (p, b),
+        Walk::Local(page, at) => (page, at),
     };
     if !site.fence_allows(env.user_port, env.req_id) {
         // Zombie: an abandoned re-drive of a request the client has moved
         // past. Refuse it — applying it could resurrect deleted data. The
         // `Failed` outcome retires the transaction without being cached.
-        site.unlock(owner, oldpage, LockMode::Alpha);
-        bucketdone(site, &env, true, Some(UserOutcome::Failed));
-        return;
+        release_and_reply(site, owner, env, page, mode, Some(UserOutcome::Failed));
+        return None;
     }
     site.fence_record(env.user_port, env.req_id);
-    let mut buf = site.new_buf();
+    Some((page, at))
+}
 
-    if current.search(env.key).is_some() {
-        site.unlock(owner, oldpage, LockMode::Alpha);
-        bucketdone(
-            site,
-            &env,
-            true,
-            Some(UserOutcome::Inserted(InsertOutcome::AlreadyPresent)),
-        );
+/// Figure 14, `case insert`.
+fn slave_insert(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
+    let owner = site.locks.new_owner();
+    let Some((oldpage, at)) = walk_to_update(site, owner, &env, LockMode::Alpha, fwd) else {
+        return;
+    };
+    if at.found.is_some() {
+        let outcome = UserOutcome::Inserted(InsertOutcome::AlreadyPresent);
+        release_and_reply(site, owner, &env, oldpage, LockMode::Alpha, Some(outcome));
         return;
     }
-    if current.count() < site.cfg.bucket_capacity {
-        current.add(Record {
+    if at.count < site.cfg.bucket_capacity {
+        let record = Record {
             key: env.key,
             value: env.value,
-        });
-        if site.putbucket(oldpage, &current, &mut buf).is_err() {
-            site.unlock(owner, oldpage, LockMode::Alpha);
-            bucketdone(site, &env, false, None);
-            return;
-        }
-        site.unlock(owner, oldpage, LockMode::Alpha);
-        bucketdone(
-            site,
-            &env,
-            true,
-            Some(UserOutcome::Inserted(InsertOutcome::Inserted)),
-        );
+        };
+        let added = site.buckets.edit(oldpage, Edit::Add(record)).is_ok();
+        let outcome = added.then_some(UserOutcome::Inserted(InsertOutcome::Inserted));
+        release_and_reply(site, owner, &env, oldpage, LockMode::Alpha, outcome);
         return;
     }
 
     /* CURRENT IS FULL - DIRECTORY WILL BE AFFECTED */
+    let mut buf = site.buckets.new_buf();
+    let Ok(current) = site.buckets.getbucket(oldpage, &mut buf) else {
+        release_and_reply(site, owner, &env, oldpage, LockMode::Alpha, None);
+        return;
+    };
     let old_localdepth = current.localdepth;
     let expected_version = current.version;
     let (mut half1, half2, done) = current.split(
@@ -342,22 +351,13 @@ fn slave_insert(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
     // split: a local placement and the rewritten first half land in the
     // durable image together or not at all (a remote half commits on
     // its own site; our transaction then covers just the first half).
-    let Ok(txn) = site.begin_txn() else {
-        site.unlock(owner, oldpage, LockMode::Alpha);
-        bucketdone(site, &env, false, None);
+    let Ok(txn) = site.buckets.begin_txn() else {
+        release_and_reply(site, owner, &env, oldpage, LockMode::Alpha, None);
         return;
     };
     let placed: Option<BucketLink> = if site.available_pages() || site.all_managers.len() == 1 {
-        match site.alloc_page() {
-            Ok(p) => {
-                if site.putbucket(p, &half2, &mut buf).is_ok() {
-                    Some(BucketLink::new(site.id, p))
-                } else {
-                    None
-                }
-            }
-            Err(_) => None,
-        }
+        let placed = site.buckets.place(&half2);
+        placed.ok().map(|p| BucketLink::new(site.id, p))
     } else {
         let target = site.mgr_with_space();
         match site.bucket_port(target) {
@@ -382,15 +382,13 @@ fn slave_insert(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
     let Some(link) = placed else {
         // Could not place the new half anywhere: leave the bucket
         // untouched and fail the request upward.
-        site.unlock(owner, oldpage, LockMode::Alpha);
-        bucketdone(site, &env, false, None);
+        release_and_reply(site, owner, &env, oldpage, LockMode::Alpha, None);
         return;
     };
     half1.next = link.page;
     half1.next_mgr = link.manager;
-    if site.putbucket(oldpage, &half1, &mut buf).is_err() || txn.commit().is_err() {
-        site.unlock(owner, oldpage, LockMode::Alpha);
-        bucketdone(site, &env, false, None);
+    if site.buckets.putbucket(oldpage, &half1, &mut buf).is_err() || txn.commit().is_err() {
+        release_and_reply(site, owner, &env, oldpage, LockMode::Alpha, None);
         return;
     }
     site.unlock(owner, oldpage, LockMode::Alpha);
@@ -416,62 +414,50 @@ fn slave_insert(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
 /// cross-site mergedown/mergeup protocols.
 fn slave_delete(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
     let owner = site.locks.new_owner();
-    let (oldpage, mut current) = match walk_to_owner(site, owner, &env, LockMode::Xi, fwd) {
-        Walk::Forwarded => return,
-        Walk::Stale => {
-            bucketdone(site, &env, false, None);
-            return;
-        }
-        Walk::Local(p, b) => (p, b),
-    };
-    if !site.fence_allows(env.user_port, env.req_id) {
-        // Zombie re-drive (see `slave_insert`): refuse rather than apply.
-        site.unlock(owner, oldpage, LockMode::Xi);
-        bucketdone(site, &env, true, Some(UserOutcome::Failed));
+    let Some((oldpage, at)) = walk_to_update(site, owner, &env, LockMode::Xi, fwd) else {
         return;
-    }
-    site.fence_record(env.user_port, env.req_id);
-    let mut buf = site.new_buf();
-    let threshold = site.cfg.merge_threshold;
+    };
     // The same bounded degradation as centralized Solution 2: after a few
     // re-drives, stop attempting merges.
     let allow_merge = env.attempt < 3;
-
-    let too_empty = allow_merge && current.count() <= threshold + 1 && current.localdepth > 1;
-    if !too_empty {
-        let outcome = if current.remove(env.key) {
-            if site.putbucket(oldpage, &current, &mut buf).is_err() {
-                site.unlock(owner, oldpage, LockMode::Xi);
-                bucketdone(site, &env, false, None);
-                return;
-            }
-            DeleteOutcome::Deleted
-        } else {
-            DeleteOutcome::NotFound
-        };
-        site.unlock(owner, oldpage, LockMode::Xi);
-        bucketdone(site, &env, true, Some(UserOutcome::Deleted(outcome)));
+    let too_empty = allow_merge && at.count <= site.cfg.merge_threshold + 1 && at.localdepth > 1;
+    if at.found.is_none() || !too_empty {
+        remove_without_merge(site, owner, &env, oldpage, at.found.is_some());
         return;
     }
-    if current.search(env.key).is_none() {
-        site.unlock(owner, oldpage, LockMode::Xi);
-        bucketdone(
-            site,
-            &env,
-            true,
-            Some(UserOutcome::Deleted(DeleteOutcome::NotFound)),
-        );
+    let mut buf = site.buckets.new_buf();
+    let Ok(current) = site.buckets.getbucket(oldpage, &mut buf) else {
+        release_and_reply(site, owner, &env, oldpage, LockMode::Xi, None);
         return;
-    }
-
-    let m = partner_bit(current.localdepth);
+    };
+    let m = partner_bit(at.localdepth);
     if env.pseudokey.0 & m != m {
         /* MSG.KEY IN FIRST OF PAIR */
         delete_first_of_pair(site, owner, &env, oldpage, current, buf);
     } else {
         /* MSG.KEY IN SECOND OF PAIR */
-        delete_second_of_pair(site, owner, &env, oldpage, &mut current, buf);
+        delete_second_of_pair(site, owner, &env, oldpage, current, buf);
     }
+}
+
+/// The delete that does not merge: `remove(z, current)` in place when
+/// `present` (one [`ceh_storage::Buckets::edit`]), then release
+/// `page` (held ξ) and answer.
+fn remove_without_merge(
+    site: &Site,
+    owner: ceh_locks::OwnerId,
+    env: &OpEnvelope,
+    page: PageId,
+    present: bool,
+) {
+    let outcome = if present {
+        let removed = site.buckets.edit(page, Edit::Remove(env.key));
+        removed.ok().map(|_| DeleteOutcome::Deleted)
+    } else {
+        Some(DeleteOutcome::NotFound)
+    };
+    let outcome = outcome.map(UserOutcome::Deleted);
+    release_and_reply(site, owner, env, page, LockMode::Xi, outcome);
 }
 
 /// The key's bucket is the "0" partner; the "1" partner is `next` —
@@ -484,35 +470,19 @@ fn delete_first_of_pair(
     mut current: Bucket,
     mut buf: ceh_storage::PageBuf,
 ) {
-    let partner = current.next;
-    let partner_mgr = current.next_mgr;
-    let remove_plain = |mut current: Bucket, mut buf: ceh_storage::PageBuf| {
-        let removed = current.remove(env.key);
-        debug_assert!(removed);
-        let ok = site.putbucket(oldpage, &current, &mut buf).is_ok();
-        site.unlock(owner, oldpage, LockMode::Xi);
-        if ok {
-            bucketdone(
-                site,
-                env,
-                true,
-                Some(UserOutcome::Deleted(DeleteOutcome::Deleted)),
-            );
-        } else {
-            bucketdone(site, env, false, None);
-        }
-    };
+    let partner = BucketLink::new(current.next_mgr, current.next);
     if partner.is_null() {
-        remove_plain(current, buf);
+        remove_without_merge(site, owner, env, oldpage, true);
         return;
     }
+    let here = BucketLink::new(site.id, oldpage);
 
-    if partner_mgr == site.id || partner_mgr.is_none() {
+    if partner.manager == site.id || partner.manager.is_none() {
         // Local merge, as in Figure 9.
-        let brother = match site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) {
+        let brother = match site.lock_getbucket(owner, partner.page, LockMode::Xi, &mut buf) {
             Ok(b) => b,
             Err(_) => {
-                remove_plain(current, buf);
+                remove_without_merge(site, owner, env, oldpage, true);
                 return;
             }
         };
@@ -520,108 +490,86 @@ fn delete_first_of_pair(
             && brother.localdepth == current.localdepth
             && current.count() - 1 + brother.count() <= site.cfg.bucket_capacity;
         if !mergeable {
-            site.unlock(owner, partner, LockMode::Xi);
-            remove_plain(current, buf);
+            site.unlock(owner, partner.page, LockMode::Xi);
+            remove_without_merge(site, owner, env, oldpage, true);
             return;
         }
-        let expected_v0 = current.version;
-        let expected_v1 = brother.version;
-        let new_version = expected_v0.max(expected_v1) + 1;
         current.remove(env.key);
-        let mut survivor = brother.clone();
-        survivor.localdepth -= 1;
-        survivor.commonbits &= mask(survivor.localdepth);
-        survivor.records.extend(current.records.iter().copied());
-        survivor.version = new_version;
-        // survivor keeps brother's next links (the chain past the partner).
-        let mut tombstone = Bucket::new(0, 0);
-        tombstone.mark_deleted();
-        tombstone.next = oldpage;
-        tombstone.next_mgr = site.id;
-        tombstone.version = new_version;
+        let survivor = Bucket::merged(&current, &brother);
+        let tombstone = Bucket::tombstone(here, survivor.version);
         // Logged together: recovery must never see a merged survivor
         // without its partner's tombstone.
-        let committed = site.begin_txn().is_ok_and(|txn| {
-            site.putbucket(oldpage, &survivor, &mut buf).is_ok()
-                && site.putbucket(partner, &tombstone, &mut buf).is_ok()
+        let committed = site.buckets.begin_txn().is_ok_and(|txn| {
+            site.buckets.putbucket(oldpage, &survivor, &mut buf).is_ok()
+                && site
+                    .buckets
+                    .putbucket(partner.page, &tombstone, &mut buf)
+                    .is_ok()
                 && txn.commit().is_ok()
         });
-        site.unlock(owner, partner, LockMode::Xi);
+        site.unlock(owner, partner.page, LockMode::Xi);
         site.unlock(owner, oldpage, LockMode::Xi);
         if !committed {
             bucketdone(site, env, false, None);
             return;
         }
-        send_merge_update(
-            site,
-            env,
-            env.pseudokey,
-            survivor.localdepth + 1,
-            expected_v0,
-            expected_v1,
-            new_version,
-            BucketLink::new(site.id, oldpage),
-            BucketLink::new(site.id, partner),
-        );
+        let versions = (current.version, brother.version, survivor.version);
+        send_merge_update(site, env, current.localdepth, versions, here, partner);
         return;
     }
 
     // Remote "1" partner: Mergedown protocol.
-    let Some(port) = site.bucket_port(partner_mgr) else {
-        remove_plain(current, buf);
+    let Some(port) = site.bucket_port(partner.manager) else {
+        remove_without_merge(site, owner, env, oldpage, true);
         return;
     };
     let (_id, reply_rx) = site.net.create_port();
     site.net.send(
         port,
         Msg::Mergedown {
-            partner,
+            partner: partner.page,
             localdepth: current.localdepth,
             reply_port: reply_rx.id(),
         },
     );
     let reply = reply_rx.recv_timeout(site.reply_timeout);
-    match reply {
-        Ok(Msg::MDReply {
-            buffer: Some(brother),
-            success: true,
-            fences,
-        }) => {
-            // The remote side has already tombstoned the partner; finish
-            // the merge here. Its records (and their fences) now live here.
-            site.fence_merge(&fences);
-            let expected_v0 = current.version;
-            let expected_v1 = brother.version;
-            let new_version = expected_v0.max(expected_v1) + 1;
-            current.remove(env.key);
-            let mut survivor = (*brother).clone();
-            survivor.localdepth -= 1;
-            survivor.commonbits &= mask(survivor.localdepth);
-            survivor.records.extend(current.records.iter().copied());
-            survivor.version = new_version;
-            let ok = site.putbucket(oldpage, &survivor, &mut buf).is_ok();
-            site.unlock(owner, oldpage, LockMode::Xi);
-            if !ok {
-                bucketdone(site, env, false, None);
-                return;
-            }
-            send_merge_update(
-                site,
-                env,
-                env.pseudokey,
-                survivor.localdepth + 1,
-                expected_v0,
-                expected_v1,
-                new_version,
-                BucketLink::new(site.id, oldpage),
-                BucketLink::new(partner_mgr, partner),
-            );
-        }
-        _ => {
-            // Not mergeable (or peer gone): plain removal.
-            remove_plain(current, buf);
-        }
+    let Ok(Msg::MDReply {
+        buffer: Some(brother),
+        success: true,
+        fences,
+    }) = reply
+    else {
+        // Not mergeable (or peer gone): plain removal.
+        remove_without_merge(site, owner, env, oldpage, true);
+        return;
+    };
+    // The remote side has already tombstoned the partner; finish the
+    // merge here. Its records (and their fences) now live here.
+    site.fence_merge(&fences);
+    current.remove(env.key);
+    let survivor = Bucket::merged(&current, &brother);
+    let ok = site.buckets.putbucket(oldpage, &survivor, &mut buf).is_ok();
+    site.unlock(owner, oldpage, LockMode::Xi);
+    if !ok {
+        bucketdone(site, env, false, None);
+        return;
     }
+    let versions = (current.version, brother.version, survivor.version);
+    send_merge_update(site, env, current.localdepth, versions, here, partner);
+}
+
+/// Tell a waiting Mergeup handler not to merge.
+fn refuse_goahead(site: &Site, goahead_port: PortId) {
+    site.net.send(
+        goahead_port,
+        Msg::Goahead {
+            success: false,
+            next: BucketLink::NULL,
+            version: 0,
+            moved: vec![],
+            fences: vec![],
+        },
+    );
 }
 
 /// The key's bucket is the "1" partner; the "0" partner is `prev` —
@@ -631,35 +579,25 @@ fn delete_second_of_pair(
     owner: ceh_locks::OwnerId,
     env: &OpEnvelope,
     oldpage: PageId,
-    current: &mut Bucket,
+    current: Bucket,
     mut buf: ceh_storage::PageBuf,
 ) {
-    let partner = current.prev;
-    let partner_mgr = current.prev_mgr;
+    let partner = BucketLink::new(current.prev_mgr, current.prev);
     if partner.is_null() {
-        let removed = current.remove(env.key);
-        debug_assert!(removed);
-        let ok = site.putbucket(oldpage, current, &mut buf).is_ok();
-        site.unlock(owner, oldpage, LockMode::Xi);
-        bucketdone(
-            site,
-            env,
-            ok,
-            ok.then_some(UserOutcome::Deleted(DeleteOutcome::Deleted)),
-        );
+        remove_without_merge(site, owner, env, oldpage, true);
         return;
     }
     // Lock ordering: the "0" partner precedes us in the chain, so release
     // the target before requesting the pair in order (Figure 9 / §2.2).
     site.unlock(owner, oldpage, LockMode::Xi);
 
-    if partner_mgr == site.id || partner_mgr.is_none() {
-        delete_second_local(site, owner, env, oldpage, partner, buf);
+    if partner.manager == site.id || partner.manager.is_none() {
+        delete_second_local(site, owner, env, oldpage, partner.page, buf);
         return;
     }
 
     // Remote "0" partner: Mergeup protocol.
-    let Some(port) = site.bucket_port(partner_mgr) else {
+    let Some(port) = site.bucket_port(partner.manager) else {
         bucketdone(site, env, false, None);
         return;
     };
@@ -667,7 +605,7 @@ fn delete_second_of_pair(
     site.net.send(
         port,
         Msg::Mergeup {
-            partner,
+            partner: partner.page,
             target: oldpage,
             target_mgr: site.id,
             reply_port: reply_rx.id(),
@@ -694,16 +632,7 @@ fn delete_second_of_pair(
     let mut current = match site.lock_getbucket(owner, oldpage, LockMode::Xi, &mut buf) {
         Ok(b) => b,
         Err(_) => {
-            site.net.send(
-                goahead_port,
-                Msg::Goahead {
-                    success: false,
-                    next: BucketLink::NULL,
-                    version: 0,
-                    moved: vec![],
-                    fences: vec![],
-                },
-            );
+            refuse_goahead(site, goahead_port);
             bucketdone(site, env, false, None);
             return;
         }
@@ -711,70 +640,37 @@ fn delete_second_of_pair(
     if !current.owns(env.pseudokey) {
         /* z no longer belongs in oldpage */
         site.unlock(owner, oldpage, LockMode::Xi);
-        site.net.send(
-            goahead_port,
-            Msg::Goahead {
-                success: false,
-                next: BucketLink::NULL,
-                version: 0,
-                moved: vec![],
-                fences: vec![],
-            },
-        );
+        refuse_goahead(site, goahead_port);
         bucketdone(site, env, false, None);
         return;
     }
+    let present = current.search(env.key).is_some();
     let still_mergeable = current.localdepth == brother_ld
         && current.count() <= site.cfg.merge_threshold + 1
-        && current.search(env.key).is_some()
+        && present
         && current.count() - 1 + brother_count <= site.cfg.bucket_capacity;
     if !still_mergeable {
-        site.net.send(
-            goahead_port,
-            Msg::Goahead {
-                success: false,
-                next: BucketLink::NULL,
-                version: 0,
-                moved: vec![],
-                fences: vec![],
-            },
-        );
-        let outcome = if current.remove(env.key) {
-            let ok = site.putbucket(oldpage, &current, &mut buf).is_ok();
-            if !ok {
-                site.unlock(owner, oldpage, LockMode::Xi);
-                bucketdone(site, env, false, None);
-                return;
-            }
-            DeleteOutcome::Deleted
-        } else {
-            DeleteOutcome::NotFound
-        };
-        site.unlock(owner, oldpage, LockMode::Xi);
-        bucketdone(site, env, true, Some(UserOutcome::Deleted(outcome)));
+        refuse_goahead(site, goahead_port);
+        remove_without_merge(site, owner, env, oldpage, present);
         return;
     }
 
     /* MERGE */
     let expected_v1 = current.version;
-    let new_version = expected_v1.max(brother_version) + 1;
+    let new_version = Bucket::merged_version(brother_version, expected_v1);
     current.remove(env.key);
-    let moved: Vec<Record> = current.records.clone();
-    let old_next = BucketLink::new(current.next_mgr, current.next);
-    let old_localdepth = current.localdepth;
-    let mut tombstone = Bucket::new(0, 0);
-    tombstone.mark_deleted();
-    tombstone.next = partner;
-    tombstone.next_mgr = partner_mgr;
-    tombstone.version = new_version;
-    let ok = site.putbucket(oldpage, &tombstone, &mut buf).is_ok();
+    let tombstone = Bucket::tombstone(partner, new_version);
+    let ok = site
+        .buckets
+        .putbucket(oldpage, &tombstone, &mut buf)
+        .is_ok();
     site.net.send(
         goahead_port,
         Msg::Goahead {
             success: ok,
-            next: old_next,
+            next: BucketLink::new(current.next_mgr, current.next),
             version: new_version,
-            moved,
+            moved: current.records,
             fences: site.fence_snapshot(),
         },
     );
@@ -783,17 +679,9 @@ fn delete_second_of_pair(
         bucketdone(site, env, false, None);
         return;
     }
-    send_merge_update(
-        site,
-        env,
-        env.pseudokey,
-        old_localdepth,
-        brother_version,
-        expected_v1,
-        new_version,
-        BucketLink::new(partner_mgr, partner),
-        BucketLink::new(site.id, oldpage),
-    );
+    let versions = (brother_version, expected_v1, new_version);
+    let here = BucketLink::new(site.id, oldpage);
+    send_merge_update(site, env, current.localdepth, versions, partner, here);
 }
 
 /// Local second-of-pair merge (both partners on this site): the Figure 9
@@ -815,66 +703,43 @@ fn delete_second_local(
     };
     if brother.is_deleted() || brother.next != oldpage || brother.next_mgr != site.id {
         /* A: not mergeable partners */
-        site.unlock(owner, partner, LockMode::Xi);
-        bucketdone(site, env, false, None);
+        release_and_reply(site, owner, env, partner, LockMode::Xi, None);
         return;
     }
     let mut current = match site.lock_getbucket(owner, oldpage, LockMode::Xi, &mut buf) {
         Ok(b) => b,
         Err(_) => {
-            site.unlock(owner, partner, LockMode::Xi);
-            bucketdone(site, env, false, None);
+            release_and_reply(site, owner, env, partner, LockMode::Xi, None);
             return;
         }
     };
     if !current.owns(env.pseudokey) {
         site.unlock(owner, oldpage, LockMode::Xi);
-        site.unlock(owner, partner, LockMode::Xi);
-        bucketdone(site, env, false, None);
+        release_and_reply(site, owner, env, partner, LockMode::Xi, None);
         return;
     }
+    let present = current.search(env.key).is_some();
     let still_mergeable = current.localdepth == brother.localdepth
         && current.count() <= site.cfg.merge_threshold + 1
-        && current.search(env.key).is_some()
+        && present
         && current.count() - 1 + brother.count() <= site.cfg.bucket_capacity;
     if !still_mergeable {
         site.unlock(owner, partner, LockMode::Xi);
-        let outcome = if current.remove(env.key) {
-            if site.putbucket(oldpage, &current, &mut buf).is_err() {
-                site.unlock(owner, oldpage, LockMode::Xi);
-                bucketdone(site, env, false, None);
-                return;
-            }
-            DeleteOutcome::Deleted
-        } else {
-            DeleteOutcome::NotFound
-        };
-        site.unlock(owner, oldpage, LockMode::Xi);
-        bucketdone(site, env, true, Some(UserOutcome::Deleted(outcome)));
+        remove_without_merge(site, owner, env, oldpage, present);
         return;
     }
-    let expected_v0 = brother.version;
-    let expected_v1 = current.version;
-    let new_version = expected_v0.max(expected_v1) + 1;
     current.remove(env.key);
-    let mut survivor = brother.clone();
-    survivor.localdepth -= 1;
-    survivor.commonbits &= mask(survivor.localdepth);
-    survivor.records.extend(current.records.iter().copied());
-    survivor.next = current.next;
-    survivor.next_mgr = current.next_mgr;
-    survivor.version = new_version;
-    let old_localdepth = current.localdepth;
-    let mut tombstone = Bucket::new(0, 0);
-    tombstone.mark_deleted();
-    tombstone.next = partner;
-    tombstone.next_mgr = site.id;
-    tombstone.version = new_version;
+    let survivor = Bucket::merged(&brother, &current);
+    let merged = BucketLink::new(site.id, partner);
+    let tombstone = Bucket::tombstone(merged, survivor.version);
     // Logged together (see `delete_first_of_pair`): survivor and
     // tombstone are atomic across a crash.
-    let committed = site.begin_txn().is_ok_and(|txn| {
-        site.putbucket(partner, &survivor, &mut buf).is_ok()
-            && site.putbucket(oldpage, &tombstone, &mut buf).is_ok()
+    let committed = site.buckets.begin_txn().is_ok_and(|txn| {
+        site.buckets.putbucket(partner, &survivor, &mut buf).is_ok()
+            && site
+                .buckets
+                .putbucket(oldpage, &tombstone, &mut buf)
+                .is_ok()
             && txn.commit().is_ok()
     });
     site.unlock(owner, oldpage, LockMode::Xi);
@@ -883,28 +748,19 @@ fn delete_second_local(
         bucketdone(site, env, false, None);
         return;
     }
-    send_merge_update(
-        site,
-        env,
-        env.pseudokey,
-        old_localdepth,
-        expected_v0,
-        expected_v1,
-        new_version,
-        BucketLink::new(site.id, partner),
-        BucketLink::new(site.id, oldpage),
-    );
+    let versions = (brother.version, current.version, survivor.version);
+    let garbage = BucketLink::new(site.id, oldpage);
+    send_merge_update(site, env, current.localdepth, versions, merged, garbage);
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Report a committed merge of the partners of depth `old_localdepth`
+/// to the directory manager. `versions`: the "0" and "1" partners'
+/// before, and the survivor's.
 fn send_merge_update(
     site: &Site,
     env: &OpEnvelope,
-    pseudokey: ceh_types::Pseudokey,
     old_localdepth: u32,
-    expected_v0: u64,
-    expected_v1: u64,
-    new_version: u64,
+    (expected_v0, expected_v1, new_version): (u64, u64, u64),
     merged: BucketLink,
     garbage: BucketLink,
 ) {
@@ -915,7 +771,7 @@ fn send_merge_update(
             success: true,
             outcome: Some(UserOutcome::Deleted(DeleteOutcome::Deleted)),
             update: DirUpdate::Merge {
-                pseudokey,
+                pseudokey: env.pseudokey,
                 old_localdepth,
                 expected_v0,
                 expected_v1,
@@ -932,24 +788,8 @@ fn send_merge_update(
 /// and hand its contents to the requesting "0" side.
 fn slave_mergedown(site: &Site, partner: PageId, localdepth: u32, reply_port: PortId) {
     let owner = site.locks.new_owner();
-    let mut buf = site.new_buf();
-    let brother = match site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) {
-        Ok(b) => b,
-        Err(_) => {
-            site.net.send(
-                reply_port,
-                Msg::MDReply {
-                    buffer: None,
-                    success: false,
-                    fences: vec![],
-                },
-            );
-            return;
-        }
-    };
-    let success = !brother.is_deleted() && brother.localdepth == localdepth;
-    if !success {
-        site.unlock(owner, partner, LockMode::Xi);
+    let mut buf = site.buckets.new_buf();
+    let refuse = || {
         site.net.send(
             reply_port,
             Msg::MDReply {
@@ -958,15 +798,23 @@ fn slave_mergedown(site: &Site, partner: PageId, localdepth: u32, reply_port: Po
                 fences: vec![],
             },
         );
+    };
+    let Ok(brother) = site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) else {
+        refuse();
+        return;
+    };
+    if brother.is_deleted() || brother.localdepth != localdepth {
+        site.unlock(owner, partner, LockMode::Xi);
+        refuse();
         return;
     }
     // "brother -> commonbits = deleted; brother -> next = brother -> prev;"
-    let mut tombstone = Bucket::new(0, 0);
-    tombstone.mark_deleted();
-    tombstone.next = brother.prev;
-    tombstone.next_mgr = brother.prev_mgr;
-    tombstone.version = brother.version;
-    let ok = site.putbucket(partner, &tombstone, &mut buf).is_ok();
+    let prev = BucketLink::new(brother.prev_mgr, brother.prev);
+    let tombstone = Bucket::tombstone(prev, brother.version);
+    let ok = site
+        .buckets
+        .putbucket(partner, &tombstone, &mut buf)
+        .is_ok();
     site.unlock(owner, partner, LockMode::Xi);
     site.net.send(
         reply_port,
@@ -988,26 +836,8 @@ fn slave_mergeup(
     reply_port: PortId,
 ) {
     let owner = site.locks.new_owner();
-    let mut buf = site.new_buf();
-    let mut brother = match site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) {
-        Ok(b) => b,
-        Err(_) => {
-            site.net.send(
-                reply_port,
-                Msg::MUReply {
-                    localdepth: 0,
-                    version: 0,
-                    goahead_port: reply_port,
-                    success: false,
-                    count: 0,
-                },
-            );
-            return;
-        }
-    };
-    let success = !brother.is_deleted() && brother.next == target && brother.next_mgr == target_mgr;
-    if !success {
-        site.unlock(owner, partner, LockMode::Xi);
+    let mut buf = site.buckets.new_buf();
+    let refuse = || {
         site.net.send(
             reply_port,
             Msg::MUReply {
@@ -1018,6 +848,14 @@ fn slave_mergeup(
                 count: 0,
             },
         );
+    };
+    let Ok(brother) = site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) else {
+        refuse();
+        return;
+    };
+    if brother.is_deleted() || brother.next != target || brother.next_mgr != target_mgr {
+        site.unlock(owner, partner, LockMode::Xi);
+        refuse();
         return;
     }
     let (_id, goahead_rx) = site.net.create_port();
@@ -1040,13 +878,22 @@ fn slave_mergeup(
             fences,
         }) => {
             site.fence_merge(&fences);
-            brother.localdepth -= 1;
-            brother.commonbits &= mask(brother.localdepth);
-            brother.records.extend(moved);
-            brother.next = next.page;
-            brother.next_mgr = next.manager;
-            brother.version = version;
-            let _ = site.putbucket(partner, &brother, &mut buf);
+            // The "1" partner as the deleter left it, and the survivor at
+            // the version the deleter chose from both partners'.
+            let one = Bucket {
+                next: next.page,
+                next_mgr: next.manager,
+                records: moved,
+                ..Bucket::new(
+                    brother.localdepth,
+                    partner_commonbits(brother.commonbits, brother.localdepth),
+                )
+            };
+            let survivor = Bucket {
+                version,
+                ..Bucket::merged(&brother, &one)
+            };
+            let _ = site.buckets.putbucket(partner, &survivor, &mut buf);
         }
         Ok(Msg::Goahead { success: false, .. }) => {}
         Ok(_) | Err(RecvError::Empty) | Err(RecvError::Disconnected) => {}
@@ -1073,7 +920,7 @@ fn slave_garbage_collect(
         let owner = site.locks.new_owner();
         for page in pages {
             site.lock(owner, page, LockMode::Xi);
-            match site.dealloc_page(page) {
+            match site.buckets.dealloc(page) {
                 Ok(()) => {}
                 Err(ceh_types::Error::PowerLoss) => {
                     // The site lost power mid-collection: stop without
@@ -1108,15 +955,235 @@ mod tests {
     use std::time::Duration;
 
     fn put_bucket(site: &Site, b: &Bucket) -> PageId {
-        let page = site.store.alloc().unwrap();
-        let mut buf = site.new_buf();
-        site.putbucket(page, b, &mut buf).unwrap();
+        let page = site.buckets.alloc().unwrap();
+        let mut buf = site.buckets.new_buf();
+        site.buckets.putbucket(page, b, &mut buf).unwrap();
         page
     }
 
     fn get_bucket(site: &Site, page: PageId) -> Bucket {
-        let mut buf = site.new_buf();
-        site.getbucket(page, &mut buf).unwrap()
+        let mut buf = site.buckets.new_buf();
+        site.buckets.getbucket(page, &mut buf).unwrap()
+    }
+
+    fn envelope(op: OpKind, key: u64, page: PageId, pk: u64, dirmgr_port: PortId) -> OpEnvelope {
+        OpEnvelope {
+            op,
+            key: Key(key),
+            value: Value(key * 10),
+            txn: 1,
+            page,
+            user_port: PortId::for_node(1, 1),
+            dirmgr_port,
+            pseudokey: Pseudokey(pk),
+            attempt: 0,
+            req_id: 1,
+            ctx: ceh_obs::TraceCtx::NONE,
+        }
+    }
+
+    /// Four depth-2 buckets on pages 0–3 of `site`, as a split file
+    /// leaves them: `00`, `10` (split off from `00`), `01` (split off
+    /// from `0`, now `00`) holding key 5, and `11` (split off from `01`)
+    /// holding key 7, chained in that order. `one_at` places `11`
+    /// elsewhere, as `01`'s `next`.
+    fn depth2_file(site: &Site, one_at: Option<BucketLink>) -> [PageId; 4] {
+        let link = |page| (PageId(page), site.id);
+        let mut b00 = Bucket::new(2, 0b00);
+        (b00.next, b00.next_mgr) = link(1);
+        let mut b10 = Bucket::new(2, 0b10);
+        ((b10.prev, b10.prev_mgr), (b10.next, b10.next_mgr)) = (link(0), link(2));
+        let mut b01 = Bucket::new(2, 0b01);
+        b01.add(Record::new(5, 50));
+        ((b01.prev, b01.prev_mgr), (b01.next, b01.next_mgr)) = (link(0), link(3));
+        if let Some(one) = one_at {
+            (b01.next, b01.next_mgr) = (one.page, one.manager);
+        }
+        let [p00, p10, p01] = [b00, b10, b01].map(|b| put_bucket(site, &b));
+        let p11 = match one_at {
+            Some(one) => one.page,
+            None => put_bucket(site, &eleven(site.id, p01)),
+        };
+        [p00, p10, p01, p11]
+    }
+
+    /// The `11` bucket of [`depth2_file`], which split off from `01` at
+    /// (`mgr`, `p01`).
+    fn eleven(mgr: ManagerId, p01: PageId) -> Bucket {
+        let mut b11 = Bucket::new(2, 0b11);
+        b11.add(Record::new(7, 70));
+        (b11.prev, b11.prev_mgr) = (p01, mgr);
+        b11
+    }
+
+    /// The merge the directory manager is told of, and nothing after it.
+    fn merge_update(rx: &PortRx<Msg>) -> (BucketLink, BucketLink) {
+        let got = match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+            Msg::Update {
+                update: DirUpdate::Merge {
+                    merged, garbage, ..
+                },
+                ..
+            } => (merged, garbage),
+            other => panic!("unexpected {other:?}"),
+        };
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        got
+    }
+
+    #[test]
+    fn local_first_of_pair_merge_keeps_the_zero_partners_prev() {
+        let site = test_site(0, 1, None);
+        let [p00, _, p01, p11] = depth2_file(&site, None);
+        let (_id, dir_rx) = site.net.create_port();
+        slave_delete(
+            &site,
+            envelope(OpKind::Delete, 5, p01, 0b01, dir_rx.id()),
+            None,
+        );
+        let here = |p| BucketLink::new(site.id, p);
+        assert_eq!(merge_update(&dir_rx), (here(p01), here(p11)));
+        let survivor = get_bucket(&site, p01);
+        assert_eq!((survivor.localdepth, survivor.commonbits), (1, 0b1));
+        assert_eq!(
+            (survivor.prev, survivor.prev_mgr),
+            (p00, site.id),
+            "not itself"
+        );
+        assert_eq!(survivor.next, PageId::NULL, "the '1' partner's next");
+        assert_eq!(survivor.records, vec![Record::new(7, 70)]);
+        let tomb = get_bucket(&site, p11);
+        assert!(tomb.is_deleted());
+        assert_eq!((tomb.next, tomb.next_mgr), (p01, site.id));
+        assert_eq!(site.locks.total_granted(), 0);
+    }
+
+    #[test]
+    fn mdreply_merge_keeps_the_zero_partners_prev() {
+        let site = test_site(0, 2, None);
+        let remote = BucketLink::new(ManagerId(1), PageId(3));
+        let [p00, _, p01, _] = depth2_file(&site, Some(remote));
+        // Manager 1's front end, played here: it tombstones nothing, and
+        // hands back its "1" partner.
+        let (port, rx) = site.net.create_port();
+        site.net
+            .register_name(&crate::site::bucket_mgr_name(ManagerId(1)), port);
+        let one = eleven(site.id, p01);
+        let peer =
+            std::thread::spawn(
+                move || match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+                    Msg::Mergedown {
+                        partner,
+                        localdepth: 2,
+                        reply_port,
+                    } => {
+                        assert_eq!(partner, remote.page);
+                        (reply_port, one)
+                    }
+                    other => panic!("unexpected {other:?}"),
+                },
+            );
+        let (_id, dir_rx) = site.net.create_port();
+        let deleter = {
+            let site = std::sync::Arc::clone(&site);
+            let env = envelope(OpKind::Delete, 5, p01, 0b01, dir_rx.id());
+            std::thread::spawn(move || slave_delete(&site, env, None))
+        };
+        let (reply_port, one) = peer.join().unwrap();
+        site.net.send(
+            reply_port,
+            Msg::MDReply {
+                buffer: Some(Box::new(one)),
+                success: true,
+                fences: vec![],
+            },
+        );
+        deleter.join().unwrap();
+        assert_eq!(
+            merge_update(&dir_rx),
+            (BucketLink::new(site.id, p01), remote)
+        );
+        let survivor = get_bucket(&site, p01);
+        assert_eq!((survivor.localdepth, survivor.commonbits), (1, 0b1));
+        assert_eq!(
+            (survivor.prev, survivor.prev_mgr),
+            (p00, site.id),
+            "not itself"
+        );
+        assert_eq!(survivor.next, PageId::NULL, "the '1' partner's next");
+        assert_eq!(survivor.records, vec![Record::new(7, 70)]);
+        assert_eq!(site.locks.total_granted(), 0);
+    }
+
+    #[test]
+    fn in_bucket_updates_edit_the_page_in_place() {
+        let site = test_site(0, 1, None);
+        // A root holding keys 1 and 2 whose free slots carry a marker: an
+        // edit in place leaves it, a rewrite from a fresh buffer would not.
+        let page = site.buckets.alloc().unwrap();
+        let mut root = Bucket::new(0, 0);
+        root.add(Record::new(1, 10));
+        root.add(Record::new(2, 20));
+        let mut buf = site.buckets.new_buf();
+        buf.fill(0xAB);
+        root.encode(&mut buf).unwrap();
+        site.buckets.store().write(page, &buf).unwrap();
+        let slot = |i: usize| ceh_types::BUCKET_HEADER_BYTES + i * ceh_types::RECORD_BYTES;
+        let (_id, dir_rx) = site.net.create_port();
+        let (_id, user_rx) = site.net.create_port();
+        let only_bucketdone = |want: UserOutcome| {
+            match dir_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+                Msg::Bucketdone {
+                    success: true,
+                    outcome: Some(got),
+                    ..
+                } => assert_eq!(got, want),
+                other => panic!("unexpected {other:?}"),
+            }
+            assert!(dir_rx.recv_timeout(Duration::from_millis(50)).is_err());
+            assert!(user_rx.try_recv().is_err());
+            assert_eq!(site.locks.total_granted(), 0);
+        };
+        let mut env = envelope(OpKind::Insert, 3, page, 3, dir_rx.id());
+        env.user_port = user_rx.id();
+
+        slave_insert(&site, env.clone(), None);
+        only_bucketdone(UserOutcome::Inserted(InsertOutcome::Inserted));
+        site.buckets.store().read(page, &mut buf).unwrap();
+        let keys: Vec<Key> = Bucket::decode(&buf)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| r.key)
+            .collect();
+        assert_eq!(keys, [Key(1), Key(2), Key(3)]);
+        assert!(
+            buf[slot(3)..slot(4)].iter().all(|&b| b == 0xAB),
+            "slot 3 untouched"
+        );
+
+        // Not too empty at depth 0: a plain removal; key 3 moves into the
+        // hole and its old slot keeps its bytes.
+        (env.op, env.key, env.req_id) = (OpKind::Delete, Key(1), 2);
+        slave_delete(&site, env, None);
+        only_bucketdone(UserOutcome::Deleted(DeleteOutcome::Deleted));
+        site.buckets.store().read(page, &mut buf).unwrap();
+        let keys: Vec<Key> = Bucket::decode(&buf)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| r.key)
+            .collect();
+        assert_eq!(keys, [Key(3), Key(2)]);
+        assert_eq!(
+            buf[slot(2)..slot(2) + 8],
+            3u64.to_le_bytes(),
+            "slot 2 not rewritten"
+        );
+        assert!(
+            buf[slot(3)..slot(4)].iter().all(|&b| b == 0xAB),
+            "slot 3 untouched"
+        );
     }
 
     #[test]
@@ -1316,7 +1383,7 @@ mod tests {
         let b = put_bucket(&site, &Bucket::new(0, 0));
         let (_id, ack_rx) = site.net.create_port();
         slave_garbage_collect(&site, vec![a, b], 7, ack_rx.id(), ceh_obs::TraceCtx::NONE);
-        assert_eq!(site.store.allocated_pages(), 0);
+        assert_eq!(site.buckets.store().allocated_pages(), 0);
         assert_eq!(site.locks.total_granted(), 0);
         match ack_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
             Msg::GcAck { gc_id: 7 } => {}
@@ -1331,12 +1398,16 @@ mod tests {
         let (_id, ack_rx) = site.net.create_port();
         slave_garbage_collect(&site, vec![a], 3, ack_rx.id(), ceh_obs::TraceCtx::NONE);
         // The page gets reallocated to a live bucket...
-        let reused = site.store.alloc().unwrap();
+        let reused = site.buckets.alloc().unwrap();
         assert_eq!(reused, a, "LIFO free list hands the page back");
         // ...and a duplicate of the same collection request arrives (the
         // original ack was lost). It must re-ack and leave the page alone.
         slave_garbage_collect(&site, vec![a], 3, ack_rx.id(), ceh_obs::TraceCtx::NONE);
-        assert_eq!(site.store.allocated_pages(), 1, "reallocated page survives");
+        assert_eq!(
+            site.buckets.store().allocated_pages(),
+            1,
+            "reallocated page survives"
+        );
         for _ in 0..2 {
             match ack_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
                 Msg::GcAck { gc_id: 3 } => {}

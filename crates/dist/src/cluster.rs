@@ -1,12 +1,13 @@
 //! Wiring: spawn the managers, hand out clients, observe, shut down.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ceh_net::{FaultPlan, LatencyModel, MsgStatsSnapshot, PortId, SimNetwork};
 use ceh_obs::{MetricsHandle, RunReport, TraceReport};
 use ceh_storage::PageStore;
-use ceh_types::bucket::Bucket;
+use ceh_types::bucket::{check_links, Bucket};
 use ceh_types::{BucketLink, Error, HashFileConfig, ManagerId, PageId, Result, RetryPolicy};
 
 use crate::bucket_mgr::run_front_end;
@@ -130,7 +131,7 @@ impl Cluster {
         let metrics = MetricsHandle::new();
         let (net, sites) = Self::build_sites(&cfg, Existing::Truncate, &metrics)?;
         // The root bucket lives on site 0.
-        let root = BucketLink::new(sites[0].id, sites[0].put_root()?);
+        let root = BucketLink::new(sites[0].id, sites[0].buckets.create_root(&cfg.file)?);
         let replica = DirReplica::new(cfg.file.max_depth, root);
         Ok(Self::spawn(&cfg, net, sites, replica, metrics))
     }
@@ -149,26 +150,20 @@ impl Cluster {
         let (net, sites) = Self::build_sites(&cfg, Existing::Collect, &metrics)?;
 
         // Every page left on every site is a live bucket.
-        let mut live: Vec<(ManagerId, PageId, Bucket)> = Vec::new();
-        for site in &sites {
-            let mut buf = site.new_buf();
-            for page in site.store.allocated_page_ids() {
-                live.push((site.id, page, site.getbucket(page, &mut buf)?));
-            }
-        }
+        let live = all_buckets(&sites)?;
         let replica = if live.is_empty() {
-            let root = BucketLink::new(sites[0].id, sites[0].put_root()?);
+            let root = BucketLink::new(sites[0].id, sites[0].buckets.create_root(&cfg.file)?);
             DirReplica::new(cfg.file.max_depth, root)
         } else {
             let depth = live
-                .iter()
-                .map(|(_, _, b)| b.localdepth)
+                .values()
+                .map(|b| b.localdepth)
                 .max()
                 .expect("non-empty");
             let size = 1usize << depth;
             let mut entries: Vec<Option<DirEntry>> = vec![None; size];
             let mut depthcount = 0u32;
-            for (mgr, page, b) in &live {
+            for (&(mgr, page), b) in &live {
                 if b.localdepth == depth {
                     depthcount += 1;
                 }
@@ -182,8 +177,8 @@ impl Cluster {
                         )));
                     }
                     entries[i] = Some(DirEntry {
-                        mgr: *mgr,
-                        page: *page,
+                        mgr,
+                        page,
                         version: b.version,
                     });
                     i += step;
@@ -328,7 +323,7 @@ impl Cluster {
         };
         self.net.close_port(self.bucket_ports[idx]);
         let _ = handle.join();
-        if let Some(wal) = &self.sites[idx].wal {
+        if let Some(wal) = self.sites[idx].buckets.wal() {
             wal.power_off();
         }
         true
@@ -348,7 +343,7 @@ impl Cluster {
             return Ok(false);
         }
         let old = Arc::clone(&self.sites[idx]);
-        let site = match &old.wal {
+        let site = match old.buckets.wal() {
             None => old,
             Some(dead) => Site::new(
                 old.id,
@@ -378,7 +373,7 @@ impl Cluster {
     /// identity to assert that a durable restart abandons the crashed
     /// site's in-memory state instead of resuming over it.
     pub fn site_store(&self, idx: usize) -> Arc<PageStore> {
-        Arc::clone(&self.sites[idx].store)
+        Arc::clone(self.sites[idx].buckets.store())
     }
 
     /// The network (message statistics for the experiments).
@@ -507,41 +502,26 @@ impl Cluster {
     /// Total live records across all sites (quiescent; walks every
     /// allocated page and decodes it).
     pub fn total_records(&self) -> Result<usize> {
-        let mut total = 0;
-        for site in &self.sites {
-            let mut buf = site.new_buf();
-            for page in site.store.allocated_page_ids() {
-                site.store.read(page, &mut buf)?;
-                let b = Bucket::decode(&buf)?;
-                if !b.is_deleted() {
-                    total += b.count();
-                }
-            }
-        }
-        Ok(total)
+        let buckets = all_buckets(&self.sites)?;
+        Ok(buckets
+            .values()
+            .filter(|b| !b.is_deleted())
+            .map(Bucket::count)
+            .sum())
     }
 
     /// Count of reachable tombstones across all sites (quiescent; should
     /// be zero after garbage collection has drained).
     pub fn tombstone_count(&self) -> Result<usize> {
-        let mut total = 0;
-        for site in &self.sites {
-            let mut buf = site.new_buf();
-            for page in site.store.allocated_page_ids() {
-                site.store.read(page, &mut buf)?;
-                if Bucket::decode(&buf)?.is_deleted() {
-                    total += 1;
-                }
-            }
-        }
-        Ok(total)
+        let buckets = all_buckets(&self.sites)?;
+        Ok(buckets.values().filter(|b| b.is_deleted()).count())
     }
 
     /// Per-site allocated page counts (placement experiments).
     pub fn pages_per_site(&self) -> Vec<usize> {
         self.sites
             .iter()
-            .map(|s| s.store.allocated_pages())
+            .map(|s| s.buckets.store().allocated_pages())
             .collect()
     }
 
@@ -561,16 +541,15 @@ impl Cluster {
     /// 2. every entry routes to an allocated, non-tombstone bucket whose
     ///    `commonbits` match the entry index, with entry version ==
     ///    bucket version (Figure 10's "completely up to date" state);
-    /// 3. the global `next` chain — followed *across sites* via
-    ///    (manager, page) links — visits every live bucket exactly once,
-    ///    in strictly increasing bit-reversed commonbits order, ending at
-    ///    the all-ones bucket;
+    /// 3. the link invariants of [`ceh_types::bucket::check_links`],
+    ///    with links followed *across sites* as (manager, page) pairs:
+    ///    the global `next` chain visits every live bucket exactly once in
+    ///    split order, and every `prev` names the bucket's "0" side;
     /// 4. every record's pseudokey matches its bucket; no duplicate keys;
     /// 5. no allocated page is unreachable (no leaks, no uncollected
     ///    tombstones).
     pub fn check_invariants(&self) -> Result<()> {
         use ceh_types::{hash_key, mask};
-        use std::collections::{BTreeMap, BTreeSet};
 
         let statuses = self.dir_statuses();
         let first = statuses
@@ -584,15 +563,7 @@ impl Cluster {
             }
         }
 
-        // Decode every allocated page on every site.
-        let mut buckets: BTreeMap<(ManagerId, PageId), Bucket> = BTreeMap::new();
-        for site in &self.sites {
-            let mut buf = site.new_buf();
-            for page in site.store.allocated_page_ids() {
-                site.store.read(page, &mut buf)?;
-                buckets.insert((site.id, page), Bucket::decode(&buf)?);
-            }
-        }
+        let buckets = all_buckets(&self.sites)?;
         for ((mgr, page), b) in &buckets {
             if b.is_deleted() {
                 return Err(Error::Corrupt(format!(
@@ -630,49 +601,8 @@ impl Cluster {
             }
         }
 
-        // Cross-site chain walk.
-        let head = (first.entries[0].mgr, first.entries[0].page);
-        let mut visited: BTreeSet<(ManagerId, PageId)> = BTreeSet::new();
-        let mut cur = head;
-        let mut prev_rev: Option<u64> = None;
-        loop {
-            if !visited.insert(cur) {
-                return Err(Error::Corrupt(format!(
-                    "chain revisits {}/{}",
-                    cur.0, cur.1
-                )));
-            }
-            let b = buckets.get(&cur).ok_or_else(|| {
-                Error::Corrupt(format!("chain reaches missing {}/{}", cur.0, cur.1))
-            })?;
-            let rev = b.commonbits.reverse_bits();
-            if let Some(p) = prev_rev {
-                if rev <= p {
-                    return Err(Error::Corrupt(format!(
-                        "chain order violated at {}/{} (cb {:b})",
-                        cur.0, cur.1, b.commonbits
-                    )));
-                }
-            }
-            prev_rev = Some(rev);
-            if b.next.is_null() {
-                if b.localdepth > 0 && b.commonbits != mask(b.localdepth) {
-                    return Err(Error::Corrupt(format!(
-                        "chain ends at {}/{} (cb {:b}, not all-ones)",
-                        cur.0, cur.1, b.commonbits
-                    )));
-                }
-                break;
-            }
-            cur = (b.next_mgr, b.next);
-        }
-        if visited.len() != buckets.len() {
-            return Err(Error::Corrupt(format!(
-                "chain visits {} buckets of {} allocated",
-                visited.len(),
-                buckets.len()
-            )));
-        }
+        let head = BucketLink::new(first.entries[0].mgr, first.entries[0].page);
+        check_links(head, buckets.len(), |l| buckets.get(&(l.manager, l.page)))?;
 
         // Global duplicate check.
         let mut keys: Vec<u64> = buckets
@@ -699,4 +629,16 @@ impl Cluster {
             let _ = h.join();
         }
     }
+}
+
+/// Every allocated page of every site, decoded, by (manager, page)
+/// (quiescent use only).
+fn all_buckets(sites: &[Arc<Site>]) -> Result<BTreeMap<(ManagerId, PageId), Bucket>> {
+    let mut buckets = BTreeMap::new();
+    for site in sites {
+        for (page, bucket) in site.buckets.scan() {
+            buckets.insert((site.id, page), bucket?);
+        }
+    }
+    Ok(buckets)
 }

@@ -435,8 +435,8 @@ fn build_site(
         Duration::from_millis(opts.reply_timeout_ms),
         metrics,
     );
-    if mgr == ManagerId(0) && site.store.allocated_pages() == 0 {
-        let root = site.put_root()?;
+    if mgr == ManagerId(0) && site.buckets.store().allocated_pages() == 0 {
+        let root = site.buckets.create_root(&opts.file)?;
         if root != PageId(0) {
             return Err(Error::Corrupt(format!(
                 "fresh store allocated {root} for the root, expected page 0"

@@ -14,11 +14,9 @@ use std::time::Duration;
 use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
 use ceh_net::PortId;
 use ceh_obs::{Counter, MetricsHandle};
-use ceh_storage::{
-    DiskHandle, DurableConfig, DurableStore, DurableTxn, PageBuf, PageStore, PageStoreConfig,
-};
+use ceh_storage::{Buckets, DiskHandle, DurableConfig, DurableStore, PageBuf, Peek};
 use ceh_types::bucket::Bucket;
-use ceh_types::{Error, HashFileConfig, ManagerId, PageId, Result};
+use ceh_types::{Error, HashFileConfig, Key, ManagerId, PageId, Pseudokey, Result};
 
 use crate::DistNet;
 
@@ -56,10 +54,6 @@ pub(crate) enum Existing {
     Collect,
 }
 
-/// A site's pages: its store, and the WAL whose volatile cache that
-/// store is when the site is logged.
-pub(crate) type SitePages = (Arc<PageStore>, Option<Arc<DurableStore>>);
-
 impl SiteStorage {
     /// Open bucket manager `mgr`'s pages for a file shaped by `file`.
     /// Volatile and in-memory logged sites always start empty; a file
@@ -71,7 +65,7 @@ impl SiteStorage {
         file: &HashFileConfig,
         existing: Existing,
         metrics: &MetricsHandle,
-    ) -> Result<SitePages> {
+    ) -> Result<Buckets> {
         let dcfg = durable_config(file);
         let wal = match self {
             SiteStorage::WalFiles(dir) => {
@@ -99,70 +93,46 @@ impl SiteStorage {
                     "only file sites (SiteStorage::WalFiles) leave a medium to recover".into(),
                 ));
             }
-            SiteStorage::Volatile => {
-                return Ok((PageStore::new_shared_with_metrics(dcfg.page, metrics), None));
-            }
+            SiteStorage::Volatile => return Ok(Buckets::new(file, metrics)),
             SiteStorage::WalMemory => DurableStore::new(dcfg, metrics),
         };
-        Ok((Arc::clone(wal.cache()), Some(wal)))
+        Ok(wal.into())
     }
 }
 
 /// The durable-store configuration of a site holding `file`'s buckets.
 fn durable_config(file: &HashFileConfig) -> DurableConfig {
     DurableConfig {
-        page: PageStoreConfig {
-            page_size: Bucket::page_size_for(file.bucket_capacity),
-            io_latency_ns: file.io_latency_ns,
-            ..Default::default()
-        },
+        page: Buckets::page_config(file),
         ..Default::default()
     }
 }
 
 /// Bring a logged site's pages back from `disk`: WAL replay and
-/// checksum verification ([`DurableStore::recover`]), then a decode
-/// sweep over every recovered page. With `collect`, tombstones and pages
-/// that do not decode are deallocated through the log: a whole cluster
-/// is restarting, and no directory manager remembers that garbage to
-/// re-drive its collection. Without it, a page that does not decode
-/// fails recovery, and tombstones stay for the collection their
-/// directory managers re-drive.
+/// checksum verification ([`DurableStore::recover`]), then the
+/// recovery sweep ([`Buckets::sweep`]): with `collect` (a whole cluster
+/// restarting) it deallocates garbage through the log, without it (one
+/// site restarting) a page that does not decode fails recovery.
 pub(crate) fn recover_pages(
     disk: &DiskHandle,
     file: &HashFileConfig,
     collect: bool,
     metrics: &MetricsHandle,
-) -> Result<SitePages> {
+) -> Result<Buckets> {
     let (wal, _report) = DurableStore::recover(disk, durable_config(file), metrics)?;
-    let mut buf = wal.new_buf();
-    for page in wal.allocated_page_ids() {
-        wal.read(page, &mut buf)?;
-        let live = match Bucket::decode(&buf) {
-            Ok(b) => !b.is_deleted(),
-            Err(e) if !collect => return Err(e),
-            Err(_) => false,
-        };
-        if collect && !live {
-            wal.dealloc(page)?;
-        }
-    }
-    Ok((Arc::clone(wal.cache()), Some(wal)))
+    let buckets = Buckets::from(wal);
+    buckets.sweep(collect)?;
+    Ok(buckets)
 }
 
 /// Shared state of one bucket-manager site.
 pub(crate) struct Site {
     /// This manager's identity.
     pub id: ManagerId,
-    /// The site's secondary memory. In durable mode this is the WAL's
-    /// volatile page cache — reads come from here, but every mutation
-    /// must go through [`Site::putbucket`] / [`Site::alloc_page`] /
-    /// [`Site::dealloc_page`] so it is logged before it is acked.
-    pub store: Arc<PageStore>,
-    /// The site's redo WAL, when its [`SiteStorage`] logs. `None` =
-    /// volatile site (the store alone is the truth, as in the original
-    /// simulation).
-    pub wal: Option<Arc<DurableStore>>,
+    /// The site's secondary memory: its page store and, when its
+    /// [`SiteStorage`] logs, the redo WAL every mutation goes through
+    /// before it is acked.
+    pub buckets: Buckets,
     /// The site's lock manager (locks are site-local; cross-site mutual
     /// exclusion is by message protocol).
     pub locks: Arc<LockManager>,
@@ -210,12 +180,12 @@ pub(crate) struct Site {
 }
 
 impl Site {
-    /// A site over `pages` with fresh locks, fences and collection dedupe
-    /// state: a new site, or one coming back from a crash.
+    /// A site over `buckets` with fresh locks, fences and collection
+    /// dedupe state: a new site, or one coming back from a crash.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: ManagerId,
-        (store, wal): SitePages,
+        buckets: Buckets,
         cfg: HashFileConfig,
         page_quota: Option<usize>,
         all_managers: Vec<ManagerId>,
@@ -227,11 +197,10 @@ impl Site {
             id,
             locks: Arc::new(LockManager::with_metrics(
                 LockManagerConfig::default(),
-                store.clone(),
+                buckets.store().clone(),
                 metrics,
             )),
-            store,
-            wal,
+            buckets,
             cfg,
             page_quota,
             all_managers,
@@ -244,73 +213,11 @@ impl Site {
         })
     }
 
-    /// Allocate and write an empty depth-0 root bucket through the
-    /// site's funnels: logged on a logged site, so a power cut never
-    /// leaves an empty allocated page.
-    pub fn put_root(&self) -> Result<PageId> {
-        let txn = self.begin_txn()?;
-        let page = self.alloc_page()?;
-        let mut buf = self.new_buf();
-        self.putbucket(page, &Bucket::new(0, 0), &mut buf)?;
-        txn.commit()?;
-        Ok(page)
-    }
-
-    /// `getbucket`.
-    pub fn getbucket(&self, page: PageId, buf: &mut PageBuf) -> Result<Bucket> {
-        self.store.read(page, buf)?;
-        Bucket::decode(buf)
-    }
-
-    /// `putbucket`. Durable sites log the write (joining the ambient
-    /// transaction if one is open, else as its own committed singleton)
-    /// before the cache is updated; volatile sites write the store
-    /// directly.
-    pub fn putbucket(&self, page: PageId, bucket: &Bucket, buf: &mut PageBuf) -> Result<()> {
-        bucket.encode(buf)?;
-        match &self.wal {
-            Some(wal) => wal.write(page, buf),
-            None => self.store.write(page, buf),
-        }
-    }
-
-    /// Allocate a page through the durability funnel.
-    pub fn alloc_page(&self) -> Result<PageId> {
-        match &self.wal {
-            Some(wal) => wal.alloc(),
-            None => self.store.alloc(),
-        }
-    }
-
-    /// Deallocate a page through the durability funnel.
-    pub fn dealloc_page(&self, page: PageId) -> Result<()> {
-        match &self.wal {
-            Some(wal) => wal.dealloc(page),
-            None => self.store.dealloc(page),
-        }
-    }
-
-    /// Open a logged transaction spanning the multi-page steps of a
-    /// split or merge (no-op on a volatile site). Dropping the guard
-    /// without committing aborts: none of its operations reach the
-    /// durable image.
-    pub fn begin_txn(&self) -> Result<DurableTxn> {
-        match &self.wal {
-            Some(wal) => wal.begin_txn(),
-            None => Ok(DurableTxn::noop()),
-        }
-    }
-
-    /// Fresh page-sized buffer.
-    pub fn new_buf(&self) -> PageBuf {
-        PageBuf::zeroed(self.store.page_size())
-    }
-
     /// `AvailablePages()`: may this site take another bucket?
     pub fn available_pages(&self) -> bool {
         match self.page_quota {
             None => true,
-            Some(q) => self.store.allocated_pages() < q,
+            Some(q) => self.buckets.store().allocated_pages() < q,
         }
     }
 
@@ -343,12 +250,6 @@ impl Site {
         self.locks.lock(owner, LockId::Page(page), mode);
     }
 
-    /// Does this site's store have a slot for `page`? A page id past it
-    /// (stray routing) has no lock word: locking it would panic.
-    pub fn has_page(&self, page: PageId) -> bool {
-        ceh_locks::HeaderWords::header(&*self.store, page).is_some()
-    }
-
     /// [`Site::lock`] `page` and read it (`getbucket`). On a fault — a
     /// page past this site's store, a freed page, a page that does not
     /// decode — nothing stays locked.
@@ -359,11 +260,27 @@ impl Site {
         mode: LockMode,
         buf: &mut PageBuf,
     ) -> Result<Bucket> {
-        if !self.has_page(page) {
-            return Err(ceh_types::Error::PageFault { page: page.0 });
-        }
+        self.buckets.check_link(page)?;
         self.lock(owner, page, mode);
-        self.getbucket(page, buf)
+        self.buckets
+            .getbucket(page, buf)
+            .inspect_err(|_| self.unlock(owner, page, mode))
+    }
+
+    /// [`Site::lock`] `page` and peek at it for `pk` and `key`
+    /// ([`Buckets::peek`]). On a fault nothing stays locked.
+    pub fn lock_peek(
+        &self,
+        owner: OwnerId,
+        page: PageId,
+        mode: LockMode,
+        pk: Pseudokey,
+        key: Key,
+    ) -> Result<Peek> {
+        self.buckets.check_link(page)?;
+        self.lock(owner, page, mode);
+        self.buckets
+            .peek(page, pk, key)
             .inspect_err(|_| self.unlock(owner, page, mode))
     }
 
@@ -421,18 +338,17 @@ pub(crate) fn dir_mgr_name(idx: usize) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use ceh_types::bucket::Bucket;
 
     /// Build a standalone site for protocol-handler unit tests.
     pub(crate) fn test_site(id: u32, managers: u32, quota: Option<usize>) -> Arc<Site> {
         let cfg = HashFileConfig::tiny().with_bucket_capacity(4);
         let metrics = MetricsHandle::default();
-        let pages = SiteStorage::Volatile
+        let buckets = SiteStorage::Volatile
             .open(ManagerId(id), &cfg, Existing::Keep, &metrics)
             .unwrap();
         Site::new(
             ManagerId(id),
-            pages,
+            buckets,
             cfg,
             quota,
             (0..managers).map(ManagerId).collect(),
@@ -446,13 +362,13 @@ pub(crate) mod tests {
     fn available_pages_respects_quota() {
         let site = test_site(0, 1, Some(2));
         assert!(site.available_pages());
-        site.store.alloc().unwrap();
+        site.buckets.alloc().unwrap();
         assert!(site.available_pages());
-        site.store.alloc().unwrap();
+        site.buckets.alloc().unwrap();
         assert!(!site.available_pages(), "at quota");
         let unquoted = test_site(0, 1, None);
         for _ in 0..10 {
-            unquoted.store.alloc().unwrap();
+            unquoted.buckets.alloc().unwrap();
         }
         assert!(unquoted.available_pages(), "no quota = always available");
     }
@@ -474,12 +390,12 @@ pub(crate) mod tests {
     #[test]
     fn get_put_roundtrip_through_codec() {
         let site = test_site(0, 1, None);
-        let page = site.store.alloc().unwrap();
+        let page = site.buckets.alloc().unwrap();
         let mut b = Bucket::new(2, 0b01);
         b.add(ceh_types::Record::new(0b101, 7));
-        let mut buf = site.new_buf();
-        site.putbucket(page, &b, &mut buf).unwrap();
-        assert_eq!(site.getbucket(page, &mut buf).unwrap(), b);
+        let mut buf = site.buckets.new_buf();
+        site.buckets.putbucket(page, &b, &mut buf).unwrap();
+        assert_eq!(site.buckets.getbucket(page, &mut buf).unwrap(), b);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use ceh_storage::{PageBuf, PageStore};
+use ceh_storage::{Buckets, PageStore};
 use ceh_types::bits::{mask, partner_commonbits};
 use ceh_types::bucket::Bucket;
 use ceh_types::{
@@ -31,7 +31,7 @@ use crate::snapshot::FileSnapshot;
 /// # Ok::<(), ceh_types::Error>(())
 /// ```
 pub struct SequentialHashFile {
-    store: Arc<PageStore>,
+    buckets: Buckets,
     cfg: HashFileConfig,
     hasher: fn(Key) -> Pseudokey,
     /// The directory: `2^depth` page ids.
@@ -46,13 +46,8 @@ impl SequentialHashFile {
     /// Create a file over its own private page store. The configured
     /// `io_latency_ns` is applied to every page read/write.
     pub fn new(cfg: HashFileConfig) -> Result<Self> {
-        cfg.validate()?;
-        let store = PageStore::new_shared(ceh_storage::PageStoreConfig {
-            page_size: Bucket::page_size_for(cfg.bucket_capacity),
-            io_latency_ns: cfg.io_latency_ns,
-            ..Default::default()
-        });
-        Self::with_store(cfg, store, hash_key)
+        let buckets = Buckets::new(&cfg, &Default::default());
+        Self::with_buckets(cfg, buckets, hash_key)
     }
 
     /// Create a file over a caller-supplied store with a custom pseudokey
@@ -62,23 +57,19 @@ impl SequentialHashFile {
         store: Arc<PageStore>,
         hasher: fn(Key) -> Pseudokey,
     ) -> Result<Self> {
+        Self::with_buckets(cfg, store.into(), hasher)
+    }
+
+    /// Initial state: depth 0, a single bucket with localdepth 0.
+    fn with_buckets(
+        cfg: HashFileConfig,
+        buckets: Buckets,
+        hasher: fn(Key) -> Pseudokey,
+    ) -> Result<Self> {
         cfg.validate()?;
-        if Bucket::capacity_for(store.page_size()) < cfg.bucket_capacity {
-            return Err(Error::Config(format!(
-                "page size {} holds only {} records, config wants {}",
-                store.page_size(),
-                Bucket::capacity_for(store.page_size()),
-                cfg.bucket_capacity
-            )));
-        }
-        // Initial state: depth 0, a single bucket with localdepth 0.
-        let p0 = store.alloc()?;
-        let bucket = Bucket::new(0, 0);
-        let mut buf = store.new_buf();
-        bucket.encode(&mut buf)?;
-        store.write(p0, &buf)?;
+        let p0 = buckets.create_root(&cfg)?;
         Ok(SequentialHashFile {
-            store,
+            buckets,
             cfg,
             hasher,
             directory: vec![p0],
@@ -97,8 +88,9 @@ impl SequentialHashFile {
     /// buckets themselves, which is a deliberate property of the page
     /// layout. Pages that fail to decode (poisoned free pages) are
     /// returned to the free list; tombstones (crash debris from an
-    /// unfinished Solution-2 merge) are collected. The rebuilt structure
-    /// is invariant-checked before being returned.
+    /// unfinished Solution-2 merge) are collected; over a durable store
+    /// both are logged ([`Buckets::sweep`]). The rebuilt structure is
+    /// invariant-checked before being returned.
     ///
     /// ```no_run
     /// use ceh_sequential::SequentialHashFile;
@@ -120,34 +112,16 @@ impl SequentialHashFile {
     /// ```
     pub fn recover(
         cfg: HashFileConfig,
-        store: Arc<PageStore>,
+        buckets: impl Into<Buckets>,
         hasher: fn(Key) -> Pseudokey,
     ) -> Result<Self> {
         cfg.validate()?;
-        if Bucket::capacity_for(store.page_size()) < cfg.bucket_capacity {
-            return Err(Error::Config(format!(
-                "page size {} holds only {} records, config wants {}",
-                store.page_size(),
-                Bucket::capacity_for(store.page_size()),
-                cfg.bucket_capacity
-            )));
-        }
-        let mut buf = PageBuf::zeroed(store.page_size());
-        let mut live: Vec<(PageId, Bucket)> = Vec::new();
-        let mut garbage: Vec<PageId> = Vec::new();
-        for p in store.allocated_page_ids() {
-            store.read(p, &mut buf)?;
-            match Bucket::decode(&buf) {
-                Ok(b) if !b.is_deleted() => live.push((p, b)),
-                _ => garbage.push(p), // poisoned free page or tombstone
-            }
-        }
-        for p in garbage {
-            store.dealloc(p)?;
-        }
+        let buckets = buckets.into();
+        buckets.check_fits(&cfg)?;
+        let live = buckets.sweep(true)?;
         if live.is_empty() {
             // Nothing recoverable: initialize fresh.
-            return Self::with_store(cfg, store, hasher);
+            return Self::with_buckets(cfg, buckets, hasher);
         }
         let depth = live
             .iter()
@@ -187,7 +161,7 @@ impl SequentialHashFile {
         }
         let depthcount = live.iter().filter(|(_, b)| b.localdepth == depth).count() as u32;
         let file = SequentialHashFile {
-            store,
+            buckets,
             cfg,
             hasher,
             directory,
@@ -226,17 +200,7 @@ impl SequentialHashFile {
 
     /// The underlying page store (shared for I/O accounting).
     pub fn store(&self) -> &Arc<PageStore> {
-        &self.store
-    }
-
-    fn getbucket(&self, page: PageId, buf: &mut PageBuf) -> Result<Bucket> {
-        self.store.read(page, buf)?;
-        Bucket::decode(buf)
-    }
-
-    fn putbucket(&self, page: PageId, bucket: &Bucket, buf: &mut PageBuf) -> Result<()> {
-        bucket.encode(buf)?;
-        self.store.write(page, buf)
+        self.buckets.store()
     }
 
     fn index(&self, pk: Pseudokey) -> PageId {
@@ -310,8 +274,8 @@ impl SequentialHashFile {
     pub fn find(&self, key: Key) -> Result<Option<Value>> {
         let pk = (self.hasher)(key);
         let page = self.index(pk);
-        let mut buf = self.store.new_buf();
-        let bucket = self.getbucket(page, &mut buf)?;
+        let mut buf = self.buckets.new_buf();
+        let bucket = self.buckets.getbucket(page, &mut buf)?;
         debug_assert!(
             bucket.owns(pk),
             "sequential file can never have the wrong bucket"
@@ -323,18 +287,18 @@ impl SequentialHashFile {
     /// overwriting) if the key exists.
     pub fn insert(&mut self, key: Key, value: Value) -> Result<InsertOutcome> {
         let pk = (self.hasher)(key);
-        let mut buf = self.store.new_buf();
+        let mut buf = self.buckets.new_buf();
         // The paper's insert retries after a split that failed to make
         // room ("if (!done) insert(z)"); the loop is that recursion.
         loop {
             let oldpage = self.index(pk);
-            let mut current = self.getbucket(oldpage, &mut buf)?;
+            let mut current = self.buckets.getbucket(oldpage, &mut buf)?;
             if current.search(key).is_some() {
                 return Ok(InsertOutcome::AlreadyPresent);
             }
             if current.count() < self.cfg.bucket_capacity {
                 current.add(Record { key, value });
-                self.putbucket(oldpage, &current, &mut buf)?;
+                self.buckets.putbucket(oldpage, &current, &mut buf)?;
                 self.len += 1;
                 return Ok(InsertOutcome::Inserted);
             }
@@ -343,7 +307,7 @@ impl SequentialHashFile {
             if current.localdepth == self.depth {
                 self.double_directory()?;
             }
-            let newpage = self.store.alloc()?;
+            let newpage = self.buckets.alloc()?;
             let (half1, half2, done) = current.split(
                 key,
                 value,
@@ -354,8 +318,8 @@ impl SequentialHashFile {
                 newpage,
                 ceh_types::ManagerId::NONE,
             );
-            self.putbucket(newpage, &half2, &mut buf)?;
-            self.putbucket(oldpage, &half1, &mut buf)?;
+            self.buckets.putbucket(newpage, &half2, &mut buf)?;
+            self.buckets.putbucket(oldpage, &half1, &mut buf)?;
             self.update_directory(newpage, half2.localdepth, Pseudokey(half2.commonbits));
             if half1.localdepth == self.depth {
                 // Two buckets now sit at full depth where none did before
@@ -376,8 +340,8 @@ impl SequentialHashFile {
         let pk = (self.hasher)(key);
         let selectedbits = pk.low_bits(self.depth);
         let oldpage = self.index(pk);
-        let mut buf = self.store.new_buf();
-        let mut current = self.getbucket(oldpage, &mut buf)?;
+        let mut buf = self.buckets.new_buf();
+        let mut current = self.buckets.getbucket(oldpage, &mut buf)?;
 
         if current.search(key).is_none() {
             return Ok(DeleteOutcome::NotFound);
@@ -389,7 +353,7 @@ impl SequentialHashFile {
         let too_empty = current.count() <= self.cfg.merge_threshold + 1 && current.localdepth > 1;
         if !too_empty {
             current.remove(key);
-            self.putbucket(oldpage, &current, &mut buf)?;
+            self.buckets.putbucket(oldpage, &current, &mut buf)?;
             self.len -= 1;
             return Ok(DeleteOutcome::Deleted);
         }
@@ -398,12 +362,12 @@ impl SequentialHashFile {
         let d = current.localdepth;
         let partner_idx = (selectedbits ^ ceh_types::partner_bit(d)) & mask(self.depth);
         let partner_page = self.directory[partner_idx as usize];
-        let mut brother = self.getbucket(partner_page, &mut buf)?;
+        let brother = self.buckets.getbucket(partner_page, &mut buf)?;
 
         if brother.localdepth != d {
             // "Not possible to merge these two" — localdepths differ.
             current.remove(key);
-            self.putbucket(oldpage, &current, &mut buf)?;
+            self.buckets.putbucket(oldpage, &current, &mut buf)?;
             self.len -= 1;
             return Ok(DeleteOutcome::Deleted);
         }
@@ -416,40 +380,29 @@ impl SequentialHashFile {
         // merge_threshold = 0; can fail for larger thresholds).
         current.remove(key);
         if current.count() + brother.count() > self.cfg.bucket_capacity {
-            self.putbucket(oldpage, &current, &mut buf)?;
+            self.buckets.putbucket(oldpage, &current, &mut buf)?;
             self.len -= 1;
             return Ok(DeleteOutcome::Deleted);
         }
 
-        // Merge: the "0" partner (partner bit clear) survives; move the
-        // remaining records in, shrink the localdepth, retire the other
-        // page.
-        let (merged_page, garbage_page, mut merged) =
+        // Merge: the "0" partner (partner bit clear) survives, on its
+        // own page; the other page is retired.
+        let (merged_page, garbage_page, merged) =
             if current.commonbits & ceh_types::partner_bit(d) == 0 {
-                brother
-                    .records
-                    .iter()
-                    .for_each(|r| current.records.push(*r));
-                (oldpage, partner_page, current)
+                (oldpage, partner_page, Bucket::merged(&current, &brother))
             } else {
-                current
-                    .records
-                    .iter()
-                    .for_each(|r| brother.records.push(*r));
-                (partner_page, oldpage, brother)
+                (partner_page, oldpage, Bucket::merged(&brother, &current))
             };
 
-        if merged.localdepth == self.depth {
+        if d == self.depth {
             // "Merging two buckets of localdepth = depth would subtract
             // two" (§2.2).
             self.depthcount -= 2;
         }
-        merged.localdepth -= 1;
-        merged.commonbits &= mask(merged.localdepth);
-        self.putbucket(merged_page, &merged, &mut buf)?;
+        self.buckets.putbucket(merged_page, &merged, &mut buf)?;
         // Redirect every entry that pointed at the garbage bucket.
         self.update_directory(merged_page, merged.localdepth, Pseudokey(merged.commonbits));
-        self.store.dealloc(garbage_page)?;
+        self.buckets.dealloc(garbage_page)?;
         if self.depthcount == 0 && self.depth > 1 {
             self.halve_directory();
         }
@@ -460,7 +413,7 @@ impl SequentialHashFile {
     /// Take a structural snapshot (testing / figures / invariants).
     pub fn snapshot(&self) -> Result<FileSnapshot> {
         FileSnapshot::capture(
-            &self.store,
+            &self.buckets,
             &self.directory,
             self.depth,
             self.depthcount,
@@ -468,11 +421,13 @@ impl SequentialHashFile {
         )
     }
 
-    /// Check every structural invariant, panicking with a description on
-    /// the first violation. See [`FileSnapshot::check_invariants`].
+    /// Check every structural invariant, returning a description of the
+    /// first violation: see [`FileSnapshot::check_invariants`] and
+    /// [`FileSnapshot::check_links`].
     pub fn check_invariants(&self) -> Result<()> {
         let snap = self.snapshot()?;
         snap.check_invariants(self.hasher)?;
+        snap.check_links()?;
         if snap.total_records() != self.len {
             return Err(Error::Corrupt(format!(
                 "len {} but snapshot holds {} records",
@@ -625,6 +580,33 @@ mod tests {
                 "after deleting {k}"
             );
         }
+    }
+
+    /// A merge leaves the survivor linked to what followed the retired
+    /// partner, not to the freed page, and keeps the "0" side's `prev`.
+    #[test]
+    fn merge_survivor_links_past_the_freed_partner() {
+        let cfg = HashFileConfig::tiny().with_bucket_capacity(2);
+        let store = PageStore::new_shared(Buckets::page_config(&cfg));
+        let mut f = SequentialHashFile::with_store(cfg, store, identity_pseudokey).unwrap();
+        for k in [0b00u64, 0b10, 0b01, 0b11, 0b100, 0b101] {
+            f.insert(Key(k), Value(k)).unwrap();
+        }
+        let (p00, p01, p11) = (
+            f.index(Pseudokey(0b00)),
+            f.index(Pseudokey(0b01)),
+            f.index(Pseudokey(0b11)),
+        );
+        let mut buf = f.buckets.new_buf();
+        assert_eq!(f.buckets.getbucket(p01, &mut buf).unwrap().next, p11);
+        f.delete(Key(0b101)).unwrap();
+        // 01:{01} merges with its "1" partner 11, whose page is freed.
+        f.delete(Key(0b01)).unwrap();
+        assert_eq!(f.index(Pseudokey(0b11)), p01);
+        let survivor = f.buckets.getbucket(p01, &mut buf).unwrap();
+        assert_eq!(survivor.next, PageId::NULL, "next skips the freed page");
+        assert_eq!(survivor.prev, p00);
+        f.check_invariants().unwrap();
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! paper-style diagrams.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use ceh_storage::PageStore;
+use ceh_storage::Buckets;
 use ceh_types::bits::mask;
-use ceh_types::bucket::Bucket;
-use ceh_types::{Error, Key, PageId, Pseudokey, Result};
+use ceh_types::bucket::{check_links, Bucket};
+use ceh_types::{BucketLink, Error, Key, ManagerId, PageId, Pseudokey, Result};
 
 /// One bucket as captured in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,20 +37,19 @@ pub struct FileSnapshot {
 }
 
 impl FileSnapshot {
-    /// Decode the file's current state from its store.
+    /// Decode the file's current state: the buckets `entries` name.
     pub fn capture(
-        store: &Arc<PageStore>,
+        pages: &Buckets,
         entries: &[PageId],
         depth: u32,
         depthcount: u32,
         capacity: usize,
     ) -> Result<FileSnapshot> {
         let mut buckets = BTreeMap::new();
-        let mut buf = store.new_buf();
+        let mut buf = pages.new_buf();
         for &p in entries {
             if let std::collections::btree_map::Entry::Vacant(e) = buckets.entry(p) {
-                store.read(p, &mut buf)?;
-                e.insert(Bucket::decode(&buf)?);
+                e.insert(pages.getbucket(p, &mut buf)?);
             }
         }
         Ok(FileSnapshot {
@@ -175,6 +173,21 @@ impl FileSnapshot {
             }
         }
         Ok(())
+    }
+
+    /// Check the link invariants of [`ceh_types::bucket::check_links`]:
+    /// the `next` chain from directory entry 0 visits every bucket in
+    /// split order, and every `prev` link names the bucket's "0" side.
+    pub fn check_links(&self) -> Result<()> {
+        let head = self
+            .entries
+            .first()
+            .ok_or_else(|| Error::Corrupt("empty directory".into()))?;
+        check_links(
+            BucketLink::new(ManagerId::NONE, *head),
+            self.buckets.len(),
+            |link| self.buckets.get(&link.page),
+        )
     }
 
     /// Render a paper-style diagram of the structure (cf. Figures 1–4):

@@ -36,6 +36,16 @@
 //! * [`IoStats`] counters and optional injected latency, used by the
 //!   benchmark harness.
 //!
+//! Above the store sits the **bucket layer**, [`Buckets`]: the one
+//! place a hash file's bucket mutations are routed. The sequential
+//! file, both concurrent solutions and every site of the distributed
+//! file hold one, and call its `getbucket`/`putbucket`, its in-place
+//! [`Buckets::edit`] and [`Buckets::peek`], `alloc`/`dealloc` and
+//! `begin_txn`; it logs each mutation first when the file is durable and
+//! writes the store directly when it is not. It also creates a file's
+//! root bucket, holds the recovery sweep, and the one scan over every
+//! allocated page.
+//!
 //! A `PageStore` holds memory only. On top of it sits the **durability
 //! layer** (see [`durable`]), the one way pages reach a file:
 //! [`DurableStore`] wraps a `PageStore` (its volatile cache) with a redo
@@ -54,6 +64,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod backend;
+mod buckets;
 mod cache;
 mod crash;
 pub mod durable;
@@ -63,6 +74,7 @@ mod store;
 pub mod wal;
 
 pub use backend::{BackendKind, DiskHandle, DiskImage, FileBackend, MemBackend, PageBackend};
+pub use buckets::{Buckets, Edit, Owning, Peek};
 pub use crash::{CrashPlan, Tear};
 pub use durable::{DurableConfig, DurableStore, DurableTxn, RecoveryReport, FRAME_HEADER};
 pub use page::{PageBuf, POISON_BYTE};

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bits::mask;
 use crate::error::{Error, Result};
-use crate::ids::{ManagerId, PageId};
+use crate::ids::{BucketLink, ManagerId, PageId};
 use crate::key::{Key, Pseudokey, Record, Value};
 
 /// Magic tag at the start of every encoded bucket page.
@@ -230,6 +230,49 @@ impl Bucket {
         (half1, half2, done)
     }
 
+    /// The survivor of merging the partners `zero` (partner bit clear)
+    /// and `one` (§2.2, Figures 7, 9 and 14). It keeps the "0" partner's
+    /// identity and `prev` link, takes the "1" partner's `next` link
+    /// (splicing it out of the chain), holds both record sets at one
+    /// level shallower, and gets a version past both partners' (the
+    /// merge is a directory update, §3). Which page it is written to is
+    /// the caller's choice.
+    pub fn merged(zero: &Bucket, one: &Bucket) -> Bucket {
+        debug_assert_eq!(zero.localdepth, one.localdepth, "partners differ in depth");
+        let localdepth = zero.localdepth - 1;
+        Bucket {
+            localdepth,
+            commonbits: zero.commonbits & mask(localdepth),
+            next: one.next,
+            next_mgr: one.next_mgr,
+            prev: zero.prev,
+            prev_mgr: zero.prev_mgr,
+            version: Bucket::merged_version(zero.version, one.version),
+            records: zero.records.iter().chain(&one.records).copied().collect(),
+        }
+    }
+
+    /// The version of the survivor of partners at versions `v0` and `v1`
+    /// (see [`Bucket::merged`]).
+    pub fn merged_version(v0: u64, v1: u64) -> u64 {
+        v0.max(v1) + 1
+    }
+
+    /// The tombstone a merge leaves on a retired partner's page: "marking
+    /// the old partner as 'deleted' (we use the commonbits field for
+    /// this), setting its next field to point to the merged bucket"
+    /// (§2.4), so a search that still reaches the page recovers along
+    /// `next`.
+    pub fn tombstone(next: BucketLink, version: u64) -> Bucket {
+        Bucket {
+            commonbits: DELETED,
+            next: next.page,
+            next_mgr: next.manager,
+            version,
+            ..Bucket::new(0, 0)
+        }
+    }
+
     /// Encode into a page buffer. Fails if the records overflow the page.
     pub fn encode(&self, page: &mut [u8]) -> Result<()> {
         if self.records.len() > Self::capacity_for(page.len()) {
@@ -279,6 +322,99 @@ impl Bucket {
                 })
                 .collect(),
         })
+    }
+}
+
+/// The link invariants of a quiescent file, walked from `head`, the
+/// bucket directory entry 0 names, over the file's `live` live buckets,
+/// which `get` looks up by link (a one-site file may ignore the
+/// manager):
+///
+/// 1. **The `next` chain** (§2.3): from `head` it visits every live
+///    bucket once, in strictly increasing bit-reversed `commonbits`
+///    (a split inserts the "1" half right after the "0" half and a merge
+///    splices one out), and ends at the all-ones bucket. So "between any
+///    two partner buckets, there is a path from the '0' partner to the
+///    '1' partner".
+/// 2. **`prev` names the "0" side** (Figure 10): a bucket whose
+///    `commonbits` are 0 has no `prev`; otherwise, with `h` the highest
+///    set bit of its `commonbits`, `prev` names a live bucket deeper
+///    than `h` whose low `h + 1` bits are this bucket's with bit `h`
+///    cleared: the bucket it split off from, or that bucket's "0" half
+///    since. A distributed merge of the "1" partner finds the "0"
+///    partner there.
+pub fn check_links<'a>(
+    head: BucketLink,
+    live: usize,
+    get: impl Fn(BucketLink) -> Option<&'a Bucket>,
+) -> Result<()> {
+    let mut visited = std::collections::HashSet::new();
+    let mut at = head;
+    let mut last_rev: Option<u64> = None;
+    loop {
+        if !visited.insert(at) {
+            return Err(Error::Corrupt(format!("next chain revisits {at} (cycle)")));
+        }
+        let b = get(at)
+            .ok_or_else(|| Error::Corrupt(format!("next chain reaches {at}, not a live bucket")))?;
+        // `commonbits` occupy the low `localdepth` bits, so
+        // `reverse_bits` puts bit 1 on top: the binary fraction
+        // 0.c1c2... the split order sorts by.
+        let rev = b.commonbits.reverse_bits();
+        if last_rev.is_some_and(|last| rev <= last) {
+            return Err(Error::Corrupt(format!(
+                "chain order violated at {at} (cb {:b}/{})",
+                b.commonbits, b.localdepth
+            )));
+        }
+        last_rev = Some(rev);
+        check_prev(at, b, &get)?;
+        if b.next.is_null() {
+            if b.commonbits != mask(b.localdepth) {
+                return Err(Error::Corrupt(format!(
+                    "chain ends at {at} (cb {:b}/{}, not all-ones)",
+                    b.commonbits, b.localdepth
+                )));
+            }
+            break;
+        }
+        at = BucketLink::new(b.next_mgr, b.next);
+    }
+    if visited.len() != live {
+        return Err(Error::Corrupt(format!(
+            "next chain visits {} buckets of {live}",
+            visited.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Rule 2 of [`check_links`] for the live bucket `b` at `at`.
+fn check_prev<'a>(
+    at: BucketLink,
+    b: &Bucket,
+    get: &impl Fn(BucketLink) -> Option<&'a Bucket>,
+) -> Result<()> {
+    let prev = BucketLink::new(b.prev_mgr, b.prev);
+    let bits = b.commonbits & mask(b.localdepth);
+    if bits == 0 {
+        if prev.is_null() {
+            return Ok(());
+        }
+        return Err(Error::Corrupt(format!(
+            "{at} has commonbits 0 but prev {prev}"
+        )));
+    }
+    let h = 63 - bits.leading_zeros();
+    let want = bits & mask(h);
+    match get(prev) {
+        Some(p) if p.localdepth > h && p.commonbits & mask(h + 1) == want => Ok(()),
+        _ => Err(Error::Corrupt(format!(
+            "{at} (cb {bits:b}/{}): prev {prev} is not a live bucket deeper than {h} \
+             with low bits {want:0w$b}",
+            b.localdepth,
+            w = h as usize + 1
+        ))),
     }
 }
 
@@ -625,6 +761,12 @@ impl<P: PageWords + Copy> BucketView<P> {
         PageId(self.page.word(3))
     }
 
+    /// The manager holding `next` (distributed only).
+    #[inline]
+    pub fn next_mgr(&self) -> ManagerId {
+        ManagerId((self.page.word(2) >> 32) as u32)
+    }
+
     /// The paper's `search(current, z)`, scanning the record slots in
     /// place: one word per slot until the key matches.
     #[inline]
@@ -766,6 +908,89 @@ mod tests {
             BucketView::new(&[0xDEu8; 256]),
             Err(Error::Corrupt(_))
         ));
+    }
+
+    /// Pages 0, 1, 2 of a one-site file: `0` (depth 1), then `01`, which
+    /// split off from it, then `11`, which split off from `01`.
+    fn linked() -> Vec<Bucket> {
+        let mut b0 = Bucket::new(1, 0b0);
+        b0.next = PageId(1);
+        let mut b1 = Bucket::new(2, 0b01);
+        (b1.prev, b1.next) = (PageId(0), PageId(2));
+        let mut b2 = Bucket::new(2, 0b11);
+        b2.prev = PageId(1);
+        vec![b0, b1, b2]
+    }
+
+    fn check(file: &[Bucket]) -> Result<()> {
+        let head = BucketLink::new(ManagerId::NONE, PageId(0));
+        check_links(head, file.len(), |l| file.get(l.page.0 as usize))
+    }
+
+    #[test]
+    fn check_links_accepts_a_well_linked_file() {
+        check(&linked()).unwrap();
+        // The survivor of merging 01 and 11 on page 1 keeps 01's prev.
+        let mut file = linked();
+        file[1] = Bucket::merged(&file[1], &file[2]);
+        file.pop();
+        check(&file).unwrap();
+    }
+
+    #[test]
+    fn check_links_rejects_a_prev_that_is_not_the_zero_side() {
+        let mut file = linked();
+        file[1].prev = PageId(1); // itself
+        assert!(check(&file).is_err());
+        let mut file = linked();
+        file[2].prev = PageId(0); // low bits 0, not 01
+        assert!(check(&file).is_err());
+        let mut file = linked();
+        file[0].prev = PageId(2); // commonbits 0 has no prev
+        assert!(check(&file).is_err());
+        let mut file = linked();
+        file[1].prev = PageId::NULL;
+        assert!(check(&file).is_err());
+    }
+
+    #[test]
+    fn check_links_rejects_a_broken_chain() {
+        let mut file = linked();
+        file[0].next = PageId(2); // skips 01
+        assert!(check(&file).is_err());
+        let mut file = linked();
+        (file[0].next, file[1].next, file[2].next) = (PageId(2), PageId::NULL, PageId(1));
+        assert!(check(&file).is_err(), "out of split order");
+        let mut file = linked();
+        file[2].next = PageId(0); // a cycle
+        assert!(check(&file).is_err());
+    }
+
+    #[test]
+    fn merged_and_tombstone_follow_the_paper() {
+        let file = linked();
+        let mut zero = file[1].clone();
+        zero.add(Record::new(0b001, 1));
+        zero.version = 4;
+        let mut one = file[2].clone();
+        one.add(Record::new(0b011, 2));
+        one.next = PageId(9);
+        one.next_mgr = ManagerId(3);
+        one.version = 6;
+        let s = Bucket::merged(&zero, &one);
+        assert_eq!((s.localdepth, s.commonbits), (1, 0b1));
+        assert_eq!(
+            (s.prev, s.next, s.next_mgr),
+            (PageId(0), PageId(9), ManagerId(3))
+        );
+        assert_eq!(s.version, 7);
+        assert_eq!(s.count(), 2);
+        let t = Bucket::tombstone(BucketLink::new(ManagerId(2), PageId(1)), 7);
+        assert!(t.is_deleted());
+        assert_eq!(
+            (t.next, t.next_mgr, t.version, t.count()),
+            (PageId(1), ManagerId(2), 7, 0)
+        );
     }
 
     #[test]

@@ -96,6 +96,16 @@ impl BucketLink {
     }
 }
 
+impl fmt::Display for BucketLink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.manager.is_none() {
+            write!(f, "{}", self.page)
+        } else {
+            write!(f, "{}/{}", self.manager, self.page)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

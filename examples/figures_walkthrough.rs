@@ -70,11 +70,12 @@ fn main() -> ceh_types::Result<()> {
         page_size: Bucket::page_size_for(3),
         ..Default::default()
     });
-    let core = ceh_core::FileCore::with_parts(
+    let core = ceh_core::FileCore::with_buckets(
         HashFileConfig::tiny().with_bucket_capacity(3),
         Arc::clone(&store),
         Arc::new(LockManager::over(store)),
         identity_pseudokey,
+        &ceh_obs::MetricsHandle::default(),
     )?;
     let file = Solution1::from_core(core);
     for kk in [0b000u64, 0b100, 0b010, 0b001, 0b101, 0b011, 0b111, 0b110] {

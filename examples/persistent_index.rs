@@ -37,7 +37,7 @@ fn main() -> ceh_types::Result<()> {
         let disk = DiskHandle::create_file(&dir, dcfg.page.page_size)?;
         let wal = DurableStore::with_disk(disk, dcfg.clone(), &metrics)?;
         let locks = Arc::new(LockManager::over(wal.cache().clone()));
-        let core = FileCore::with_durable_metrics(cfg.clone(), wal, locks, hash_key, &metrics)?;
+        let core = FileCore::with_buckets(cfg.clone(), wal, locks, hash_key, &metrics)?;
         let file = Arc::new(Solution2::from_core(core));
         let writers: Vec<_> = (0..4u64)
             .map(|t| {

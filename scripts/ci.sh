@@ -9,6 +9,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "=== lines (information) ==="
+# Non-test source lines per crate; gates nothing.
+./scripts/loc.sh
+
 echo "=== fmt ==="
 cargo fmt --all -- --check
 

@@ -28,11 +28,12 @@ fn concurrent_core(capacity: usize) -> FileCore {
         page_size: Bucket::page_size_for(capacity),
         ..Default::default()
     });
-    FileCore::with_parts(
+    FileCore::with_buckets(
         cfg,
         Arc::clone(&store),
         Arc::new(LockManager::over(store)),
         identity_pseudokey,
+        &ceh_obs::MetricsHandle::default(),
     )
     .unwrap()
 }

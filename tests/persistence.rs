@@ -43,7 +43,7 @@ fn create(cfg: &HashFileConfig, dir: &Path) -> FileCore {
     let disk = DiskHandle::create_file(dir, dcfg.page.page_size).unwrap();
     let wal = DurableStore::with_disk(disk, dcfg, &metrics).unwrap();
     let locks = Arc::new(LockManager::over(wal.cache().clone()));
-    FileCore::with_durable_metrics(cfg.clone(), wal, locks, hash_key, &metrics).unwrap()
+    FileCore::with_buckets(cfg.clone(), wal, locks, hash_key, &metrics).unwrap()
 }
 
 /// Recover the core whose medium is in `dir`.
