@@ -58,7 +58,7 @@ impl VersionWord {
     #[track_caller]
     pub fn read_begin(&self) -> Option<u64> {
         let v = self.v.load(Ordering::Acquire);
-        (v % 2 == 0).then_some(v)
+        v.is_multiple_of(2).then_some(v)
     }
 
     /// End an optimistic read: true iff the version still equals `v0`
@@ -82,7 +82,7 @@ impl VersionWord {
     #[track_caller]
     pub fn write_begin(&self) {
         let prev = self.v.load(Ordering::Acquire);
-        debug_assert!(prev % 2 == 0, "concurrent VersionWord writers");
+        debug_assert!(prev.is_multiple_of(2), "concurrent VersionWord writers");
         // ceh-lint: allow(relaxed-ordering) — the Release fence below orders it before the payload writes
         self.v.store(prev + 1, Ordering::Relaxed);
         fence(Ordering::Release);

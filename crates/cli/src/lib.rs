@@ -217,7 +217,7 @@ impl Index {
                      update path: {} upgraded from a validated read, {} took the figures' locks\n\
                      restructuring: {} splits, {} merges, {} doublings, {} halvings\n\
                      recoveries: {} wrong-bucket chases ({:.2} mean hops)\n\
-                     memory: directory {} bytes, {} page slots ({} free)",
+                     memory: directory {} bytes, {} page slots ({} free), {} bytes advised onto huge pages",
                     core.len(),
                     core.dir().depth(),
                     core.store().allocated_pages(),
@@ -241,6 +241,7 @@ impl Index {
                     gauges.gauge("core.dir_bytes"),
                     gauges.gauge("storage.slot_capacity"),
                     gauges.gauge("storage.free_pages"),
+                    gauges.gauge("storage.huge_advised_bytes"),
                 ) + &format!("\n\n{}", self.report().to_table())
             }
             Command::StatsJson => self.report().to_json(),
@@ -442,7 +443,8 @@ mod tests {
         assert!(
             stats.contains("memory: directory 512 bytes,")
                 && stats.contains("core.dir_bytes")
-                && stats.contains("storage.slot_capacity"),
+                && stats.contains("storage.slot_capacity")
+                && stats.contains("0 bytes advised onto huge pages"),
             "stats says where the memory goes: {stats}"
         );
         let json = run_line(&index, "stats json").unwrap();

@@ -50,7 +50,7 @@ type Entry = TrackedAtomicU64;
 /// The concurrently-readable directory.
 pub struct Directory {
     depth: TrackedAtomicU32,
-    entries: SegArray<Entry>,
+    entries: SegArray<Box<[Entry]>>,
     /// Number of buckets with `localdepth == depth` (§2.2). Mutated only
     /// under α or ξ on the directory; atomic so quiescent checkers can
     /// read it without locks.

@@ -202,7 +202,7 @@ fn snapshots_are_monotone_under_concurrent_mutation() {
                     let k = Key((t * 5000 + i) % 2048);
                     let _ = file.insert(k, Value(i));
                     let _ = file.find(k);
-                    if i % 3 == 0 {
+                    if i.is_multiple_of(3) {
                         let _ = file.delete(k);
                     }
                     i += 1;
@@ -323,7 +323,10 @@ fn a_non_restructuring_update_reads_and_writes_its_page_once() {
 /// The directory costs what it uses: after 2^14 keys at `realistic()`
 /// (`max_depth` 22), `core.dir_bytes` is one entry per live directory
 /// slot, rounded up to the first 64-entry segment, not 2^22 entries
-/// (32 MiB). The store's gauges count its slots and free list.
+/// (32 MiB). The store's gauges count its slots and free list, and the
+/// bytes of slot segments advised onto huge pages: none below 2 MiB of
+/// slots, the 2 MiB segment that page 512 opens where the kernel has
+/// transparent huge pages, and none once the file is dropped.
 #[test]
 fn gauges_say_where_the_memory_goes() {
     let file = Solution2::new(HashFileConfig::realistic()).unwrap();
@@ -348,4 +351,17 @@ fn gauges_say_where_the_memory_goes() {
         gauges.gauge("storage.free_pages"),
         (store.capacity() - store.allocated_pages()) as i64
     );
+    assert!(store.capacity() < 512, "{} slots", store.capacity());
+    assert_eq!(gauges.gauge("storage.huge_advised_bytes"), 0);
+    while store.capacity() <= 512 {
+        store.alloc().unwrap();
+    }
+    let metrics = file.metrics();
+    let thp = std::path::Path::new("/sys/kernel/mm/transparent_hugepage").exists();
+    assert_eq!(
+        metrics.snapshot().gauge("storage.huge_advised_bytes"),
+        if thp { 512 * 4096 } else { 0 }
+    );
+    drop(file);
+    assert_eq!(metrics.snapshot().gauge("storage.huge_advised_bytes"), 0);
 }

@@ -61,8 +61,9 @@ fn run_slave(site: Arc<Site>, msg: Msg) {
         Msg::Mergedown {
             partner,
             localdepth,
+            count,
             reply_port,
-        } => slave_mergedown(&site, partner, localdepth, reply_port),
+        } => slave_mergedown(&site, partner, localdepth, count, reply_port),
         Msg::Mergeup {
             partner,
             target,
@@ -529,6 +530,7 @@ fn delete_first_of_pair(
         Msg::Mergedown {
             partner: partner.page,
             localdepth: current.localdepth,
+            count: current.count() - 1,
             reply_port: reply_rx.id(),
         },
     );
@@ -785,8 +787,15 @@ fn send_merge_update(
 }
 
 /// Figure 14, `case mergedown`: the "1" partner lives here; tombstone it
-/// and hand its contents to the requesting "0" side.
-fn slave_mergedown(site: &Site, partner: PageId, localdepth: u32, reply_port: PortId) {
+/// and hand its contents to the requesting "0" side, whose `count`
+/// records they must fit beside.
+fn slave_mergedown(
+    site: &Site,
+    partner: PageId,
+    localdepth: u32,
+    count: usize,
+    reply_port: PortId,
+) {
     let owner = site.locks.new_owner();
     let mut buf = site.buckets.new_buf();
     let refuse = || {
@@ -803,7 +812,8 @@ fn slave_mergedown(site: &Site, partner: PageId, localdepth: u32, reply_port: Po
         refuse();
         return;
     };
-    if brother.is_deleted() || brother.localdepth != localdepth {
+    let fits = count + brother.count() <= site.cfg.bucket_capacity;
+    if brother.is_deleted() || brother.localdepth != localdepth || !fits {
         site.unlock(owner, partner, LockMode::Xi);
         refuse();
         return;
@@ -950,8 +960,8 @@ mod tests {
     //! asserted on in isolation.
 
     use super::*;
-    use crate::site::tests::test_site;
-    use ceh_types::{Key, ManagerId, Pseudokey, Record, Value};
+    use crate::site::tests::{test_site, test_site_on};
+    use ceh_types::{HashFileConfig, Key, ManagerId, Pseudokey, Record, Value};
     use std::time::Duration;
 
     fn put_bucket(site: &Site, b: &Bucket) -> PageId {
@@ -1075,6 +1085,7 @@ mod tests {
                     Msg::Mergedown {
                         partner,
                         localdepth: 2,
+                        count: 0,
                         reply_port,
                     } => {
                         assert_eq!(partner, remote.page);
@@ -1113,6 +1124,66 @@ mod tests {
         assert_eq!(survivor.next, PageId::NULL, "the '1' partner's next");
         assert_eq!(survivor.records, vec![Record::new(7, 70)]);
         assert_eq!(site.locks.total_granted(), 0);
+    }
+
+    /// Capacity 4, merge threshold 1, the "0" partner {5, 9} here and a
+    /// "1" partner of four records on another site: deleting 5 leaves
+    /// one record, too few to keep apart, but 1 + 4 do not fit one
+    /// bucket. The "1" side refuses the Mergedown, the delete is a plain
+    /// removal, and every other record is still where a find looks.
+    #[test]
+    fn mergedown_refuses_a_merge_that_does_not_fit() {
+        let cfg = HashFileConfig::tiny()
+            .with_bucket_capacity(4)
+            .with_merge_threshold(1);
+        let net: crate::DistNet = Arc::new(ceh_net::SimNetwork::default());
+        let site = test_site_on(0, 2, None, cfg.clone(), Arc::clone(&net));
+        let remote = test_site_on(1, 2, None, cfg, net);
+        let p11 = PageId(0);
+        let [_, _, p01, _] = depth2_file(&site, Some(BucketLink::new(remote.id, p11)));
+        let mut zero = get_bucket(&site, p01);
+        zero.add(Record::new(9, 90));
+        let mut buf = site.buckets.new_buf();
+        site.buckets.putbucket(p01, &zero, &mut buf).unwrap();
+        let mut one = eleven(site.id, p01);
+        for k in [11, 15, 19] {
+            one.add(Record::new(k, k * 10));
+        }
+        assert_eq!(put_bucket(&remote, &one), p11);
+        let (port, rx) = remote.net.create_port();
+        remote
+            .net
+            .register_name(&crate::site::bucket_mgr_name(remote.id), port);
+        let front = {
+            let remote = Arc::clone(&remote);
+            std::thread::spawn(move || run_front_end(remote, rx))
+        };
+
+        let (_id, dir_rx) = site.net.create_port();
+        slave_delete(
+            &site,
+            envelope(OpKind::Delete, 5, p01, 0b01, dir_rx.id()),
+            None,
+        );
+        let reply = dir_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        remote.net.send(port, Msg::Shutdown);
+        front.join().unwrap();
+        assert!(
+            matches!(
+                reply,
+                Msg::Bucketdone {
+                    success: true,
+                    outcome: Some(UserOutcome::Deleted(DeleteOutcome::Deleted)),
+                    ..
+                }
+            ),
+            "a plain removal, not {reply:?}"
+        );
+        assert_eq!(get_bucket(&site, p01).records, vec![Record::new(9, 90)]);
+        let kept = get_bucket(&remote, p11);
+        assert!(!kept.is_deleted(), "the '1' partner was not tombstoned");
+        assert_eq!(kept.records, one.records);
+        assert_eq!(site.locks.total_granted() + remote.locks.total_granted(), 0);
     }
 
     #[test]
@@ -1224,8 +1295,9 @@ mod tests {
         partner.prev_mgr = ManagerId(0);
         let page = put_bucket(&site, &partner);
 
+        // Three records on the "0" side and this one fill a bucket exactly.
         let (_id, reply_rx) = site.net.create_port();
-        slave_mergedown(&site, page, 3, reply_rx.id());
+        slave_mergedown(&site, page, 3, 3, reply_rx.id());
         match reply_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
             Msg::MDReply {
                 buffer: Some(b),
@@ -1250,7 +1322,7 @@ mod tests {
         let page = put_bucket(&site, &partner);
 
         let (_id, reply_rx) = site.net.create_port();
-        slave_mergedown(&site, page, 3, reply_rx.id());
+        slave_mergedown(&site, page, 3, 0, reply_rx.id());
         match reply_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
             Msg::MDReply {
                 buffer: None,

@@ -211,6 +211,9 @@ pub enum Msg {
         partner: PageId,
         /// The deleter's bucket's localdepth; merge only if equal.
         localdepth: u32,
+        /// The deleter's bucket's record count once the key is gone;
+        /// merge only if the partner's records fit beside them.
+        count: usize,
         /// Where to send the reply.
         reply_port: PortId,
     },

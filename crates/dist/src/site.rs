@@ -342,6 +342,19 @@ pub(crate) mod tests {
     /// Build a standalone site for protocol-handler unit tests.
     pub(crate) fn test_site(id: u32, managers: u32, quota: Option<usize>) -> Arc<Site> {
         let cfg = HashFileConfig::tiny().with_bucket_capacity(4);
+        let net = Arc::new(ceh_net::SimNetwork::default());
+        test_site_on(id, managers, quota, cfg, net)
+    }
+
+    /// [`test_site`] with config `cfg`, on `net` (shared by sites that
+    /// talk to each other).
+    pub(crate) fn test_site_on(
+        id: u32,
+        managers: u32,
+        quota: Option<usize>,
+        cfg: HashFileConfig,
+        net: DistNet,
+    ) -> Arc<Site> {
         let metrics = MetricsHandle::default();
         let buckets = SiteStorage::Volatile
             .open(ManagerId(id), &cfg, Existing::Keep, &metrics)
@@ -352,7 +365,7 @@ pub(crate) mod tests {
             cfg,
             quota,
             (0..managers).map(ManagerId).collect(),
-            Arc::new(ceh_net::SimNetwork::default()),
+            net,
             Duration::from_secs(30),
             &metrics,
         )

@@ -378,11 +378,13 @@ impl WireMsg for Msg {
             Msg::Mergedown {
                 partner,
                 localdepth,
+                count,
                 reply_port,
             } => {
                 w.u8(TAG_MERGEDOWN);
                 w.u64(partner.0);
                 w.u32(*localdepth);
+                w.u64(*count as u64);
                 w.u64(reply_port.0);
             }
             Msg::MDReply {
@@ -554,6 +556,7 @@ impl WireMsg for Msg {
             TAG_MERGEDOWN => Msg::Mergedown {
                 partner: PageId(r.u64()?),
                 localdepth: r.u32()?,
+                count: r.u64()? as usize,
                 reply_port: PortId(r.u64()?),
             },
             TAG_MDREPLY => Msg::MDReply {
@@ -787,6 +790,7 @@ mod tests {
             Msg::Mergedown {
                 partner: PageId(3),
                 localdepth: 2,
+                count: 1,
                 reply_port: PortId(50),
             },
             Msg::MDReply {

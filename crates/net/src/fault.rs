@@ -393,7 +393,7 @@ impl FaultPlan {
         let mut keep = [1.0f64; 5];
         let mut delay_ms = 0u64;
         for r in &self.rules {
-            if r.class.as_deref().map_or(true, |c| c == class) {
+            if r.class.as_deref().is_none_or(|c| c == class) {
                 keep[0] *= 1.0 - r.drop;
                 keep[1] *= 1.0 - r.duplicate;
                 keep[2] *= 1.0 - r.garble;
@@ -536,7 +536,7 @@ impl FaultState {
     /// Nothing installed and nothing cut? (Fast-path check; callers skip
     /// the verdict entirely.)
     pub(crate) fn is_quiet(&self) -> bool {
-        self.plan.as_ref().map_or(true, |p| !p.is_faulty())
+        self.plan.as_ref().is_none_or(|p| !p.is_faulty())
             && self.blackholes.is_empty()
             && self.cuts.is_empty()
     }

@@ -501,7 +501,7 @@ mod tests {
     struct TestMsg(u32);
     impl MsgClass for TestMsg {
         fn class(&self) -> &'static str {
-            if self.0 % 2 == 0 {
+            if self.0.is_multiple_of(2) {
                 "even"
             } else {
                 "odd"

@@ -36,7 +36,7 @@ pub const WIRE_MAGIC: u32 = 0xCE11_F7A3;
 
 /// Current wire-format version. Bump on any incompatible layout change;
 /// receivers reject other versions rather than guessing.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Frame header bytes on the wire.
 pub const FRAME_HEADER_BYTES: usize = 16;

@@ -8,11 +8,12 @@
 //! `io_latency_ns` is non-zero (with latency disabled, page I/O is a
 //! ~75ns memcpy and per-op timing would cost more than the operation).
 //!
-//! Two gauges say where the store's memory goes: `storage.slot_capacity`
+//! Three gauges say where the store's memory goes: `storage.slot_capacity`
 //! (page slots in the slot table, allocated or free: each holds a
-//! page's words) and `storage.free_pages` (the free list's length).
-//! Every store adds its own levels and takes them back when dropped, so
-//! stores sharing a registry sum.
+//! page's words), `storage.free_pages` (the free list's length) and
+//! `storage.huge_advised_bytes` (bytes of slot segments the kernel agreed
+//! to back with huge pages). Every store adds its own levels and takes
+//! them back when dropped, so stores sharing a registry sum.
 
 use std::sync::Arc;
 
@@ -33,6 +34,7 @@ pub struct IoStats {
     io_ns: Arc<Histogram>,
     slot_capacity: Arc<Gauge>,
     free_pages: Arc<Gauge>,
+    huge_advised: Arc<Gauge>,
 }
 
 impl Default for IoStats {
@@ -59,6 +61,7 @@ impl IoStats {
             io_ns: handle.histogram("storage.io_ns"),
             slot_capacity: handle.gauge("storage.slot_capacity"),
             free_pages: handle.gauge("storage.free_pages"),
+            huge_advised: handle.gauge("storage.huge_advised_bytes"),
         }
     }
 
@@ -94,6 +97,11 @@ impl IoStats {
     /// `n` more (or, negative, fewer) pages on the free list.
     pub(crate) fn record_free(&self, n: i64) {
         self.free_pages.add(n);
+    }
+
+    /// `n` more (or, negative, fewer) bytes advised onto huge pages.
+    pub(crate) fn record_huge_advised(&self, n: i64) {
+        self.huge_advised.add(n);
     }
 
     /// The simulated-I/O latency histogram (empty unless the store runs

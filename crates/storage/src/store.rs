@@ -1,10 +1,11 @@
 //! The page store.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use ceh_locks::header::{self, ALLOCATED};
 use ceh_locks::{shadow, HeaderWords, LockManager, LockMode};
+use ceh_types::segarray::WordSegment;
 use ceh_types::{Error, PageId, Result, SegArray, SharedPage, SharedPageMut};
 use parking_lot::Mutex;
 
@@ -52,8 +53,12 @@ impl PageStoreConfig {
     }
 }
 
-/// One page's physical storage: the page's header word, and the page's
-/// words after it, in one allocation.
+/// Bytes of a huge page: a slot segment this large or larger starts on a
+/// huge-page boundary and is advised `MADV_HUGEPAGE`.
+const HUGE: usize = 2 << 20;
+
+/// One page's physical storage, seen in place in its slot segment: the
+/// page's header word, and the page's words after it.
 ///
 /// The header ([`ceh_locks::header`]) is the page's ρ/α/ξ lock word and
 /// its seqlock state: version, allocated and writing bits. Every change
@@ -67,26 +72,27 @@ impl PageStoreConfig {
 /// overlapped, so it never sees a torn page (the §2.1 "read and written
 /// as single operations" guarantee). The page's bytes are atomic words
 /// so that such a reader's loads never race a writer's stores.
-struct PageSlot {
-    words: Box<[AtomicU64]>,
+#[derive(Clone, Copy)]
+struct PageSlot<'a> {
+    words: &'a [AtomicU64],
 }
 
-impl PageSlot {
+impl<'a> PageSlot<'a> {
     /// The slot's location for the race detector (see
-    /// [`ceh_locks::shadow::ShadowLoc::Page`]).
-    fn shadow_loc(&self) -> usize {
-        self as *const PageSlot as usize
+    /// [`ceh_locks::shadow::ShadowLoc::Page`]): its header word's address.
+    fn shadow_loc(self) -> usize {
+        self.header() as *const AtomicU64 as usize
     }
 
     /// The header word.
     #[inline]
-    fn header(&self) -> &AtomicU64 {
+    fn header(self) -> &'a AtomicU64 {
         &self.words[0]
     }
 
     /// The page's words.
     #[inline]
-    fn page(&self) -> &[AtomicU64] {
+    fn page(self) -> &'a [AtomicU64] {
         &self.words[1..]
     }
 
@@ -94,7 +100,7 @@ impl PageSlot {
     /// header as it was before: inside the writing bit, ending with the
     /// next version and the allocated bit set to `allocated` (`None`
     /// leaves it).
-    fn change<R>(&self, allocated: Option<bool>, f: impl FnOnce(SharedPageMut<'_>, u64) -> R) -> R {
+    fn change<R>(self, allocated: Option<bool>, f: impl FnOnce(SharedPageMut<'_>, u64) -> R) -> R {
         let before = header::write_begin(self.header());
         let out = f(SharedPageMut::new(self.page()), before);
         header::write_end(self.header(), allocated);
@@ -102,60 +108,89 @@ impl PageSlot {
     }
 }
 
-/// The grow-only slot table: a [`SegArray`] of slots, each published
-/// once and then never moved or freed while the store lives, so a page
-/// access finds it with two acquire loads: no lock and no reference
-/// count. (A read lock, or an `Arc` clone, would be a write to a line
-/// that every caller's every page access writes too.)
+/// Ask the kernel to back `words`, from a 4 KiB boundary, with huge
+/// pages, through the `madvise` of the C library that std links already.
+/// `false` when it refuses; 4 KiB pages then serve the same.
+#[cfg(target_os = "linux")]
+fn advise_huge(words: &[AtomicU64]) -> bool {
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_HUGEPAGE: i32 = 14;
+    let (addr, len) = (words.as_ptr() as *mut _, std::mem::size_of_val(words));
+    // SAFETY: MADV_HUGEPAGE is advice: it changes no byte of the range,
+    // which `words` borrows from a 4 KiB boundary inside one allocation.
+    // ceh-lint: allow(unsafe-block) — advice that changes no byte; see SAFETY
+    unsafe { madvise(addr, len, MADV_HUGEPAGE) == 0 }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge(_words: &[AtomicU64]) -> bool {
+    false
+}
+
+/// The grow-only slot table: a [`SegArray`] of [`WordSegment`]s holding
+/// the slots themselves. A slot is published once, by the length's
+/// `Release` store, then never moved or freed while the store lives, so
+/// a page access loads the length, the segment and the page: no lock and
+/// no reference count (either would write a line every access writes).
+/// An id at or past the length faults even where its segment exists: a
+/// zeroed slot not yet published is not a free page.
 struct Slots {
-    table: SegArray<OnceLock<PageSlot>>,
-    /// How many slots exist; the table grows under this mutex.
-    len: Mutex<usize>,
+    table: SegArray<WordSegment>,
+    /// Words from one slot to the next: the header word and the page,
+    /// rounded up to a cache line, and to 4 KiB when that costs at most
+    /// 1/64 more.
+    stride: usize,
+    /// How many slots are published.
+    len: AtomicUsize,
+    /// Held while the table grows: the bytes of its segments advised
+    /// onto huge pages.
+    grow: Mutex<usize>,
 }
 
 impl Slots {
-    fn new(slots: impl IntoIterator<Item = PageSlot>) -> Self {
-        let table = Slots {
-            table: SegArray::new(),
-            len: Mutex::new(0),
+    /// An empty table for pages of `page_size` bytes. Pages are whole
+    /// words, so the page size must be a multiple of 8 (every bucket page
+    /// size is).
+    fn new(page_size: usize) -> Self {
+        assert!(
+            page_size.is_multiple_of(8),
+            "page size {page_size} is not a whole number of 8-byte words"
+        );
+        let line = (8 + page_size).next_multiple_of(64);
+        let page = line.next_multiple_of(4096);
+        let stride = if (page - line) * 64 <= line {
+            page
+        } else {
+            line
         };
-        {
-            let mut len = table.len.lock();
-            for slot in slots {
-                table
-                    .push(&mut len, slot)
-                    .expect("a new store fits the slot table");
-            }
+        Slots {
+            table: SegArray::new(),
+            stride: stride / 8,
+            len: AtomicUsize::new(0),
+            grow: Mutex::new(0),
         }
-        table
     }
 
-    fn get(&self, i: u64) -> Option<&PageSlot> {
-        self.table.get(usize::try_from(i).ok()?)?.get()
+    #[inline]
+    fn get(&self, i: u64) -> Option<PageSlot<'_>> {
+        let i = usize::try_from(i).ok().filter(|&i| i < self.len())?;
+        Some(PageSlot {
+            words: self.table.get(i)?,
+        })
     }
 
-    /// Publish `slot` as the next page id; `len` is `self.len`'s guard.
-    /// `None` when the table is full.
-    fn push(&self, len: &mut usize, slot: PageSlot) -> Option<PageId> {
-        let id = *len;
-        if !self.table.grow_to(id + 1, |_| OnceLock::new()) {
-            return None;
-        }
-        let cell = self.table.get(id).expect("the table was grown past id");
-        assert!(cell.set(slot).is_ok(), "page {id} published twice");
-        *len += 1;
-        Some(PageId(id as u64))
-    }
-
+    #[inline]
     fn len(&self) -> usize {
-        *self.len.lock()
+        self.len.load(Ordering::Acquire)
     }
 
-    /// Every slot with its page id.
-    fn iter(&self) -> impl Iterator<Item = (PageId, &PageSlot)> {
+    /// Every published slot with its page id.
+    fn iter(&self) -> impl Iterator<Item = (PageId, PageSlot<'_>)> {
         (0..)
-            .zip(self.table.iter())
-            .filter_map(|(i, s)| Some((PageId(i), s.get()?)))
+            .zip(self.table.iter().take(self.len()))
+            .map(|(i, words)| (PageId(i), PageSlot { words }))
     }
 }
 
@@ -170,14 +205,14 @@ pub enum Plan<A, R> {
     Upgrade(LockMode, A),
 }
 
-/// Simulated secondary storage holding fixed-size pages, in memory.
-/// Persistence is the durability layer's job: a
-/// [`crate::DurableStore`] logs every change before it reaches its
-/// `PageStore`, which is then the volatile cache.
+/// Simulated secondary storage holding fixed-size pages, in memory: each
+/// page inline after its header word, at a fixed stride in a zeroed
+/// segment (on huge pages from 2 MiB), never moved. Persistence is the
+/// durability layer's job: a [`crate::DurableStore`] logs every change
+/// before it reaches its `PageStore`, which is then the volatile cache.
 ///
-/// Cloneable handle semantics: wrap in [`Arc`] (or use
-/// [`PageStore::new_shared`]) to share between the threads playing the
-/// paper's "processes".
+/// Share it in an [`Arc`] ([`PageStore::new_shared`]) between the threads
+/// playing the paper's "processes".
 pub struct PageStore {
     cfg: PageStoreConfig,
     /// Grow-only slot table, read without a lock.
@@ -211,11 +246,17 @@ impl PageStore {
     /// registry (under the `storage.` prefix), correlated with every
     /// other layer wired to the same handle.
     pub fn with_metrics(cfg: PageStoreConfig, metrics: &ceh_obs::MetricsHandle) -> Self {
-        let slots = Slots::new((0..cfg.initial_pages).map(|_| Self::empty_slot(&cfg, 0)));
+        let n = cfg.initial_pages;
+        let mut store = Self::empty(cfg, metrics);
+        for _ in 0..n {
+            store
+                .push(0, |_| ())
+                .expect("a new store fits the slot table");
+        }
         // Seed the free list with the initial pool, reversed so pages are
         // handed out in ascending order (stable figure goldens).
-        let free = (0..cfg.initial_pages as u64).rev().map(PageId).collect();
-        Self::assemble(cfg, slots, free, metrics)
+        store.set_free((0..n as u64).rev().map(PageId).collect());
+        store
     }
 
     /// Create an `Arc`-wrapped store (the common sharing pattern).
@@ -242,69 +283,84 @@ impl PageStore {
         pages: Vec<Option<PageBuf>>,
         metrics: &ceh_obs::MetricsHandle,
     ) -> Self {
+        let mut store = Self::empty(cfg, metrics);
         let mut free = Vec::new();
-        let slots: Vec<PageSlot> = pages
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let slot = Self::empty_slot(&cfg, if p.is_some() { ALLOCATED } else { 0 });
-                match p {
-                    Some(buf) => {
-                        assert_eq!(buf.len(), cfg.page_size, "restored page size mismatch");
-                        SharedPageMut::new(slot.page()).copy_from(&buf);
-                    }
-                    None => {
-                        if cfg.poison_freed {
-                            SharedPageMut::new(slot.page()).fill(POISON_BYTE);
-                        }
-                        free.push(PageId(i as u64));
+        let (size, poison) = (store.cfg.page_size, store.cfg.poison_freed);
+        for (i, p) in pages.into_iter().enumerate() {
+            let head = if p.is_some() { ALLOCATED } else { 0 };
+            let pushed = store.push(head, |mut words| match p {
+                Some(buf) => {
+                    assert_eq!(buf.len(), size, "restored page size mismatch");
+                    words.copy_from(&buf)
+                }
+                None => {
+                    free.push(PageId(i as u64));
+                    if poison {
+                        words.fill(POISON_BYTE)
                     }
                 }
-                slot
-            })
-            .collect();
-        let slots = Slots::new(slots);
+            });
+            pushed.expect("a restored store fits the slot table");
+        }
         // LIFO free list, reversed so the lowest free id pops first
         // (matching the fresh-store allocation order).
         free.reverse();
-        Self::assemble(cfg, slots, free, metrics)
+        store.set_free(free);
+        store
     }
 
-    /// A store over `slots` with free list `free`, its levels counted in
-    /// `metrics`' gauges.
-    fn assemble(
-        cfg: PageStoreConfig,
-        slots: Slots,
-        free: Vec<PageId>,
-        metrics: &ceh_obs::MetricsHandle,
-    ) -> Self {
-        let stats = IoStats::with_handle(metrics);
-        stats.record_slots(slots.len() as i64);
-        stats.record_free(free.len() as i64);
+    /// A store with no slot, its levels counted in `metrics`' gauges.
+    fn empty(cfg: PageStoreConfig, metrics: &ceh_obs::MetricsHandle) -> Self {
         PageStore {
-            slots,
-            free: Mutex::new(free),
+            slots: Slots::new(cfg.page_size),
+            free: Mutex::new(Vec::new()),
             io_latency_ns: AtomicU64::new(cfg.io_latency_ns),
             cfg,
-            stats,
+            stats: IoStats::with_handle(metrics),
         }
     }
 
-    /// A slot not yet shared with any thread: a header (`head`: free, a
-    /// recovered page's `ALLOCATED`, or a new page's `ALLOCATED | FRESH`)
-    /// and zeroed words. Pages are whole words, so the page size must be
-    /// a multiple of 8 (every bucket page size is).
-    fn empty_slot(cfg: &PageStoreConfig, head: u64) -> PageSlot {
-        assert!(
-            cfg.page_size % 8 == 0,
-            "page size {} is not a whole number of 8-byte words",
-            cfg.page_size
-        );
-        PageSlot {
-            words: std::iter::once(AtomicU64::new(head))
-                .chain((0..cfg.page_size / 8).map(|_| AtomicU64::new(0)))
-                .collect(),
+    /// Make `free` the free list of a store not yet shared.
+    fn set_free(&mut self, free: Vec<PageId>) {
+        self.stats.record_free(free.len() as i64);
+        *self.free.get_mut() = free;
+    }
+
+    /// Publish the next page id: its page filled by `fill`, then its
+    /// header set to `head` (free, a recovered page's `ALLOCATED`, or a
+    /// new page's `ALLOCATED | FRESH`). [`Error::OutOfPages`] past
+    /// `max_pages` or the slot table's capacity.
+    fn push(&self, head: u64, fill: impl FnOnce(SharedPageMut<'_>)) -> Result<PageId> {
+        let mut advised = self.slots.grow.lock();
+        let id = self.slots.len();
+        if self.cfg.max_pages.is_some_and(|max| id >= max) {
+            return Err(Error::OutOfPages);
         }
+        let (stride, used) = (self.slots.stride, 1 + self.cfg.page_size / 8);
+        let grown = self.slots.table.grow_with(id + 1, |_, len| {
+            let bytes = len * stride * 8;
+            let seg =
+                WordSegment::zeroed(len, stride, used, if bytes < HUGE { 4096 } else { HUGE });
+            if bytes >= HUGE && advise_huge(seg.elements()) {
+                *advised += bytes;
+                self.stats.record_huge_advised(bytes as i64);
+            }
+            seg
+        });
+        if !grown {
+            return Err(Error::OutOfPages);
+        }
+        let words = self
+            .slots
+            .table
+            .get(id)
+            .expect("the table was grown past id");
+        let slot = PageSlot { words };
+        fill(SharedPageMut::new(slot.page()));
+        slot.header().store(head, Ordering::Release);
+        self.slots.len.store(id + 1, Ordering::Release);
+        self.stats.record_slots(1);
+        Ok(PageId(id as u64))
     }
 
     /// The configured page size.
@@ -341,7 +397,7 @@ impl PageStore {
             .count()
     }
 
-    fn slot(&self, page: PageId) -> Result<&PageSlot> {
+    fn slot(&self, page: PageId) -> Result<PageSlot<'_>> {
         self.slots
             .get(page.0)
             .ok_or(Error::PageFault { page: page.0 })
@@ -400,15 +456,7 @@ impl PageStore {
         // Free list empty: grow the slot table. Every page id ever created
         // is either allocated or on the free list, so appending is the
         // only growth path.
-        let mut len = self.slots.len.lock();
-        if let Some(max) = self.cfg.max_pages {
-            if *len >= max {
-                return Err(Error::OutOfPages);
-            }
-        }
-        let slot = Self::empty_slot(&self.cfg, ALLOCATED | header::FRESH);
-        let page = self.slots.push(&mut len, slot).ok_or(Error::OutOfPages)?;
-        self.stats.record_slots(1);
+        let page = self.push(ALLOCATED | header::FRESH, |_| ())?;
         self.stats.record_alloc();
         Ok(page)
     }
@@ -497,7 +545,7 @@ impl PageStore {
     /// snapshot and the race detector's speculation scope, or `None` when
     /// the read gives up at once (see [`PageStore::read_validated`]).
     #[track_caller]
-    fn read_begin(&self, page: PageId) -> Option<(&PageSlot, u64, shadow::Speculation)> {
+    fn read_begin(&self, page: PageId) -> Option<(PageSlot<'_>, u64, shadow::Speculation)> {
         let slot = self.slots.get(page.0)?;
         let spec = shadow::speculate();
         let snap = header::read_begin(slot.header())?;
@@ -513,7 +561,7 @@ impl PageStore {
     #[cfg(not(feature = "check-inject-find"))]
     #[inline]
     #[track_caller]
-    fn validate(slot: &PageSlot, snap: u64) -> bool {
+    fn validate(slot: PageSlot<'_>, snap: u64) -> bool {
         let valid = header::validate(slot.header(), snap);
         shadow::page_read(slot.shadow_loc(), std::panic::Location::caller());
         valid
@@ -524,7 +572,7 @@ impl PageStore {
     /// changed under it. Only exists under `check-inject-find`.
     #[cfg(feature = "check-inject-find")]
     #[inline]
-    fn validate(_slot: &PageSlot, _snap: u64) -> bool {
+    fn validate(_slot: PageSlot<'_>, _snap: u64) -> bool {
         true
     }
 
@@ -649,6 +697,8 @@ impl Drop for PageStore {
     fn drop(&mut self) {
         self.stats.record_slots(-(self.slots.len() as i64));
         self.stats.record_free(-(self.free.lock().len() as i64));
+        self.stats
+            .record_huge_advised(-(*self.slots.grow.lock() as i64));
     }
 }
 
@@ -971,7 +1021,8 @@ mod tests {
                 b.fill(0xBB);
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    s.write(p, if i % 2 == 0 { &a } else { &b }).unwrap();
+                    s.write(p, if i.is_multiple_of(2) { &a } else { &b })
+                        .unwrap();
                     i += 1;
                 }
             })

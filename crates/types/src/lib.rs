@@ -20,7 +20,8 @@
 //! * [`Error`] — the workspace error type.
 //! * [`crc32`] — the checksum of the WAL, the page frames and the wire.
 //! * [`SegArray`] — the grow-only segmented array under the directory
-//!   and the page store's slot table.
+//!   and the page store's slot table, whose [`Segment`]s lay out its
+//!   elements (a `Box<[T]>`, or a runtime-strided [`segarray::WordSegment`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,4 +47,4 @@ pub use error::{Error, Result};
 pub use ids::{BucketLink, ManagerId, PageId};
 pub use key::{hash_key, identity_pseudokey, Key, Pseudokey, Record, Value};
 pub use ops::{DeleteOutcome, InsertOutcome};
-pub use segarray::SegArray;
+pub use segarray::{SegArray, Segment};

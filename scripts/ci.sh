@@ -55,6 +55,13 @@ echo "=== lock manager (release) ==="
 # conversions, stress and word-path interleavings again, in release.
 cargo test -q -p ceh-locks --release
 
+echo "=== page store (release) ==="
+# Pages live inline in zeroed slot segments, aligned by an offset into
+# each allocation and advised onto huge pages: the unit tests, the
+# resident-memory test and the segment arithmetic again, on the
+# optimised build the benchmark runs.
+cargo test -q -p ceh-storage --release
+
 echo "=== chaos smoke ==="
 CEH_QUICK=1 cargo test -q -p ceh-harness --test chaos
 

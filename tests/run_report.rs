@@ -65,7 +65,8 @@ fn solution2_mixed_run_produces_one_cross_layer_report() {
     );
     assert!(nonzero("core.update_fallback"), "splits run Figure 8");
 
-    // Where the memory goes: directory segments, page slots, free list.
+    // Where the memory goes: directory segments, page slots, free list,
+    // slot segments on huge pages.
     let gauges = doc.get("gauges").expect("gauges object");
     let level = |name: &str| {
         gauges
@@ -77,6 +78,7 @@ fn solution2_mixed_run_produces_one_cross_layer_report() {
     assert!(level("core.dir_bytes") > 0, "directory bytes in report");
     assert!(level("storage.slot_capacity") > 0, "slot table in report");
     assert!(level("storage.free_pages") <= level("storage.slot_capacity"));
+    assert!(level("storage.huge_advised_bytes") <= level("storage.slot_capacity") * 4096);
 
     let hists = doc.get("hists").expect("hists object");
     assert!(
@@ -134,6 +136,7 @@ fn dist_cluster_report_carries_per_class_message_metrics() {
         "site page stores' slots counted"
     );
     assert!(gauges.contains_key("storage.free_pages"));
+    assert!(gauges.contains_key("storage.huge_advised_bytes"));
 
     // Topology metadata.
     let meta = doc.get("meta").expect("meta");
