@@ -5,7 +5,8 @@
 //! 1. **Exhaustive exploration** — every 2-thread workload is run under
 //!    *every* schedule at preemption bound 3 with DPOR pruning off (the
 //!    coverage claim rests on no heuristic), asserting zero invariant or
-//!    linearizability violations and no truncation;
+//!    linearizability violations, no truncation, and each workload's
+//!    exact schedule count;
 //! 2. **Pruned exploration** — the 3-thread mixed workload at bound 2
 //!    with commutativity pruning on, same assertions;
 //! 3. **Real-thread linearizability** — a seeded 4-thread workload runs
@@ -31,7 +32,10 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn explore_clean(name: &str, cfg: &ExploreConfig) {
+/// Explore `name` under `cfg`: clean, not truncated, and exactly
+/// `schedules` schedules, so a change in any protocol's lock
+/// choreography fails here until the new count is confirmed.
+fn explore_clean(name: &str, cfg: &ExploreConfig, schedules: usize) {
     let w = Workload::by_name(name).unwrap_or_else(|| fail(&format!("unknown workload {name}")));
     let r = explore(&w, cfg).unwrap_or_else(|e| fail(&format!("explore {name}: {e}")));
     if let Some(v) = &r.violation {
@@ -46,6 +50,12 @@ fn explore_clean(name: &str, cfg: &ExploreConfig) {
     if r.truncated {
         fail(&format!(
             "{name} truncated at {} schedules: coverage claim void",
+            r.schedules
+        ));
+    }
+    if r.schedules != schedules {
+        fail(&format!(
+            "{name} explored {} schedules, expected {schedules}",
             r.schedules
         ));
     }
@@ -108,13 +118,13 @@ fn main() {
         max_schedules: 500_000,
         race: false,
     };
-    for name in [
-        "s1-insert-insert-split",
-        "s2-insert-insert-split",
-        "s2-delete-delete-merge",
-        "s2-in-bucket-updates",
+    for (name, schedules) in [
+        ("s1-insert-insert-split", 138),
+        ("s2-insert-insert-split", 290),
+        ("s2-delete-delete-merge", 1_235),
+        ("s2-in-bucket-updates", 72),
     ] {
-        explore_clean(name, &exhaustive);
+        explore_clean(name, &exhaustive, schedules);
     }
 
     // Gate 2: three threads, pruned, shallower bound (CI-sized).
@@ -126,6 +136,7 @@ fn main() {
             max_schedules: 500_000,
             race: false,
         },
+        1_768,
     );
 
     // Gate 3: linearizability on genuinely parallel execution.

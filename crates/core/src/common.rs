@@ -6,10 +6,14 @@ use std::sync::Arc;
 use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
 use ceh_obs::MetricsHandle;
 use ceh_storage::{
-    Buckets, DiskHandle, DurableConfig, DurableStore, PageBuf, PageStore, Peek, RecoveryReport,
+    Buckets, DiskHandle, DurableConfig, DurableStore, Owning, PageBuf, PageStore, RecoveryReport,
+    Split, Walked,
 };
 use ceh_types::bucket::BucketView;
-use ceh_types::{hash_key, Error, HashFileConfig, Key, PageId, Pseudokey, Result, Value};
+use ceh_types::{
+    hash_key, BucketLink, Error, HashFileConfig, Key, ManagerId, PageId, Pseudokey, Record, Result,
+    Value,
+};
 
 use crate::directory::Directory;
 use crate::stats::OpStats;
@@ -305,6 +309,18 @@ impl FileCore {
         self.buckets.new_buf()
     }
 
+    /// Split the full bucket on `page`, which the caller holds α-locked,
+    /// for the record `key`/`value`, placing the "1" half on a new page
+    /// of this file ([`Buckets::split`]).
+    pub(crate) fn split(&self, page: PageId, key: Key, value: Value) -> Result<Split> {
+        let buckets = &self.buckets;
+        let here = ManagerId::NONE;
+        let record = Record { key, value };
+        buckets.split(page, here, record, &self.cfg, self.hasher, |half2| {
+            buckets.place(&half2).map(|p| BucketLink::new(here, p))
+        })
+    }
+
     /// Lock-manager shorthands keeping the transliterations readable:
     /// `rho_lock(owner, LockId::Directory)` reads like the figure's
     /// `RhoLock (directory)`.
@@ -369,58 +385,63 @@ impl FileCore {
         let owner = self.locks.new_owner();
 
         self.rho_lock(owner, LockId::Directory);
-        let (_depth, mut oldpage) = self.dir.lookup(pk);
+        let (_depth, oldpage) = self.dir.lookup(pk);
         self.rho_lock(owner, LockId::Page(oldpage));
         if !hold_directory {
             self.un_rho_lock(owner, LockId::Directory);
         }
-        let mut current = try_or_release!(self, owner, self.buckets.peek(oldpage, pk, key));
-        let mut recovered = false;
-        let mut recovery = ceh_obs::TraceCtx::NONE;
-        let mut hops = 0u64;
-        let found = loop {
-            let newpage = match current {
-                Peek::Owns(at) => break at.found,
-                Peek::WrongBucket { next, .. } => next,
-            };
-            /* WRONG BUCKET */
-            if !recovered {
-                recovery = self.trace_begin("find.recover", oldpage.0, 0);
-            }
-            recovered = true;
-            hops += 1;
-            self.stats.chain_hops();
-            if newpage.is_null() {
-                // Structurally impossible under the protocols; if it
-                // happens the structure is corrupt and silence would be
-                // worse than an error.
-                self.un_rho_lock(owner, LockId::Page(oldpage));
-                if hold_directory {
-                    self.un_rho_lock(owner, LockId::Directory);
-                }
-                return Err(Error::Corrupt(format!(
-                    "find({key:?}): wrong bucket {oldpage} has no next link"
-                )));
-            }
-            try_or_release!(self, owner, self.buckets.check_link(newpage));
-            self.rho_lock(owner, LockId::Page(newpage));
-            current = try_or_release!(self, owner, self.buckets.peek(newpage, pk, key));
-            self.un_rho_lock(owner, LockId::Page(oldpage));
-            oldpage = newpage;
-        };
-        if recovered {
-            self.stats.wrong_bucket_recoveries();
-            self.trace_end(recovery, "find.recover", oldpage.0, hops);
-        }
+        let walk = self.walk(owner, LockMode::Rho, oldpage, pk, key, Some("find.recover"));
+        let (page, at) = walk?;
         if hold_directory {
             self.un_rho_lock(owner, LockId::Directory);
         }
-        self.un_rho_lock(owner, LockId::Page(oldpage));
-        match found {
+        self.un_rho_lock(owner, LockId::Page(page));
+        match at.found {
             Some(_) => self.stats.finds_hit(),
             None => self.stats.finds_miss(),
         }
-        Ok(found)
+        Ok(at.found)
+    }
+
+    /// The `/* WRONG BUCKET */` loops of Figures 5, 8 and 9: from
+    /// `start`, which `owner` holds in `mode`, walk hand over hand to
+    /// the bucket owning `pk` ([`Buckets::walk`]), counting each hop
+    /// and, if there was one, a wrong-bucket recovery, traced as the
+    /// span `recovery` names. Returns that page, still held, and what
+    /// the walk's peek saw of it; on an error every lock of `owner` is
+    /// released.
+    // ceh-lint: allow(unpaired-lock) — the caller releases the page the walk returns held
+    pub(crate) fn walk(
+        &self,
+        owner: OwnerId,
+        mode: LockMode,
+        start: PageId,
+        pk: Pseudokey,
+        key: Key,
+        recovery: Option<&'static str>,
+    ) -> Result<(PageId, Owning)> {
+        let (mut hops, mut span) = (0u64, ceh_obs::TraceCtx::NONE);
+        let hop = || {
+            if let (0, Some(event)) = (hops, recovery) {
+                span = self.trace_begin(event, start.0, 0);
+            }
+            hops += 1;
+            self.stats.chain_hops();
+        };
+        let here = ManagerId::NONE;
+        let walked = self
+            .buckets
+            .walk(&self.locks, owner, mode, start, here, pk, key, hop);
+        let Walked::Owner(page, at) = try_or_release!(self, owner, walked) else {
+            unreachable!("one file has no other site");
+        };
+        if hops > 0 {
+            self.stats.wrong_bucket_recoveries();
+            if let Some(event) = recovery {
+                self.trace_end(span, event, page.0, hops);
+            }
+        }
+        Ok((page, at))
     }
 
     /// Figure 5 with no lock: read the directory entry, then search

@@ -16,11 +16,10 @@
 //! every process that could restructure underneath them.
 
 use ceh_locks::LockId;
-use ceh_storage::{Edit, Owning, Peek};
+use ceh_storage::{mergeable, too_empty, Edit, Owning, Peek, Retire};
 use ceh_types::bits::{partner_bit, partner_commonbits};
 use ceh_types::{
-    Bucket, DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Pseudokey,
-    Result, Value,
+    DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, PageId, Pseudokey, Result, Value,
 };
 
 use crate::common::{try_or_release, FileCore};
@@ -132,34 +131,11 @@ impl Solution1 {
                 try_or_release!(core, owner, core.dir().double());
                 core.stats().doublings();
             }
-            let buckets = core.buckets();
-            let mut buf = core.new_buf();
-            let current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
-            // The split's page effects are one logged transaction: if
-            // power dies before the commit record is durable, recovery
-            // sees either the whole split or none of it.
-            let txn = try_or_release!(core, owner, buckets.begin_txn());
-            let newpage = try_or_release!(core, owner, buckets.alloc());
-            let (half1, half2, done) = current.split(
-                key,
-                value,
-                cap,
-                core.hasher(),
-                oldpage,
-                ManagerId::NONE,
-                newpage,
-                ManagerId::NONE,
-            );
-            // "The second half of the pair is written first in a newly
-            // allocated disk page and then the old bucket is replaced by
-            // the first half" — this order is what makes the split look
-            // atomic to concurrent readers (§2.3).
-            try_or_release!(core, owner, buckets.putbucket(newpage, &half2, &mut buf));
-            try_or_release!(core, owner, buckets.putbucket(oldpage, &half1, &mut buf));
-            try_or_release!(core, owner, txn.commit());
+            let split = try_or_release!(core, owner, core.split(oldpage, key, value));
+            let (newpage, localdepth, done) = (split.half2.page, split.localdepth + 1, split.done);
             core.un_alpha_lock(owner, LockId::Page(oldpage));
-            core.dir().update_one_side(newpage, half1.localdepth, pk);
-            if half1.localdepth == core.dir().depth() {
+            core.dir().update_one_side(newpage, localdepth, pk);
+            if localdepth == core.dir().depth() {
                 // "Splitting a bucket of localdepth = depth-1 would add
                 // two" (§2.2).
                 core.dir().add_depthcount(2);
@@ -180,8 +156,6 @@ impl Solution1 {
     fn delete_impl(&self, key: Key) -> Result<DeleteOutcome> {
         let core = &self.core;
         let _op = core.op_span("delete", key.0);
-        let threshold = core.config().merge_threshold;
-        let cap = core.config().bucket_capacity;
         let pk = (core.hasher())(key);
         let owner = core.locks().new_owner();
 
@@ -205,8 +179,7 @@ impl Solution1 {
             return Ok(DeleteOutcome::NotFound);
         }
 
-        let too_empty = at.count <= threshold + 1 && at.localdepth > 1;
-        if !too_empty {
+        if !too_empty(core.config(), at.count, at.localdepth) {
             /* current not too empty */
             core.un_xi_lock(owner, LockId::Directory);
             try_or_release!(core, owner, core.buckets().edit(oldpage, Edit::Remove(key)));
@@ -221,37 +194,34 @@ impl Solution1 {
         let mut buf = core.new_buf();
         let mut current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
         let m = partner_bit(current.localdepth);
-        let (brother, newpage, merged_page, garbage_page) = if pk.0 & m != m {
+        let first_of_pair = pk.0 & m != m;
+        let newpage = if first_of_pair {
             /* z goes in first of pair: the partner follows via next */
-            let newpage = current.next;
-            if newpage.is_null() {
+            if current.next.is_null() {
                 // Defensive: a "0" bucket of localdepth ≥ 2 always has a
                 // next under the protocols; treat a missing one as
                 // unmergeable rather than corrupting the chain.
                 return self.finish_unmergeable(owner, key, oldpage);
             }
-            core.xi_lock(owner, LockId::Page(newpage));
-            let brother = try_or_release!(core, owner, buckets.getbucket(newpage, &mut buf));
-            (brother, newpage, oldpage, newpage)
+            core.xi_lock(owner, LockId::Page(current.next));
+            current.next
         } else {
             /* z goes in second of pair: the "0" partner via the directory */
             let newpage = core.dir().index(selectedbits & !m);
             // Lock in next-link order to avoid deadlock with readers
             // "following next links from C to B" (§2.2): release B,
-            // request C then B.
+            // request C then B. No re-validation needed, unlike Figure
+            // 9: our ξ on the directory never left, so nothing can have
+            // changed while oldpage was unlocked (readers don't write).
             core.un_xi_lock(owner, LockId::Page(oldpage));
             core.xi_lock(owner, LockId::Page(newpage));
             core.xi_lock(owner, LockId::Page(oldpage));
-            let brother = try_or_release!(core, owner, buckets.getbucket(newpage, &mut buf));
-            // No re-validation needed, unlike Figure 9: our ξ on the
-            // directory never left, so nothing can have changed while
-            // oldpage was unlocked (readers don't write).
-            (brother, newpage, newpage, oldpage)
+            newpage
         };
+        let brother = try_or_release!(core, owner, buckets.getbucket(newpage, &mut buf));
 
-        let mergeable = current.localdepth == brother.localdepth
-            && current.count() - 1 + brother.count() <= cap;
-        if !mergeable {
+        let (cfg, ld, count) = (core.config(), current.localdepth, current.count());
+        if !mergeable(cfg, ld, count, brother.localdepth, brother.count()) {
             /* not possible to merge these two */
             core.un_xi_lock(owner, LockId::Page(newpage));
             return self.finish_unmergeable(owner, key, oldpage);
@@ -271,29 +241,22 @@ impl Solution1 {
             core.dir().add_depthcount(-2);
         }
         // The survivors of z's bucket move across (none at the paper's
-        // merge_threshold = 0); the "1" partner leaves the chain.
+        // merge_threshold = 0); the "1" partner's page is freed.
         current.remove(key);
-        let merged = if merged_page == oldpage {
-            Bucket::merged(&current, &brother)
+        let (z, partner) = ((oldpage, &current), (newpage, &brother));
+        let (zero, one) = if first_of_pair {
+            (z, partner)
         } else {
-            Bucket::merged(&brother, &current)
+            (partner, z)
         };
-        // Merge = one logged transaction: the survivor's rewrite and the
-        // garbage page's deallocation land atomically or not at all.
-        let txn = try_or_release!(core, owner, buckets.begin_txn());
-        try_or_release!(
-            core,
-            owner,
-            buckets.putbucket(merged_page, &merged, &mut buf)
-        );
+        let (merged_page, garbage_page) = (zero.0, one.0);
+        try_or_release!(core, owner, buckets.merge(zero, one, Retire::Free));
         if core.dir().depthcount() == 0 {
             core.dir().halve();
             core.stats().halvings();
         } else {
             core.dir().update_one_side(merged_page, old_ld, pk);
         }
-        try_or_release!(core, owner, buckets.dealloc(garbage_page));
-        try_or_release!(core, owner, txn.commit());
         core.stats().merges();
         core.trace_end(merge_span, "merge", merged_page.0, garbage_page.0);
         core.un_xi_lock(owner, LockId::Page(newpage));

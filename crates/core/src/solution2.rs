@@ -31,12 +31,12 @@
 //!   else runs Figures 8–9 unchanged (DESIGN.md §3.9, "The write path").
 
 use ceh_locks::{LockId, LockMode, OwnerId};
-use ceh_storage::{Edit, Owning, Peek, Plan};
+use ceh_storage::{mergeable, too_empty, Edit, Plan, Retire, MERGE_ATTEMPTS};
 use ceh_types::bits::partner_bit;
-use ceh_types::bucket::{Bucket, BucketView};
+use ceh_types::bucket::BucketView;
 use ceh_types::{
-    BucketLink, DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId,
-    Pseudokey, Result, Value,
+    DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Pseudokey, Result,
+    Value,
 };
 
 use crate::common::{try_or_release, FileCore};
@@ -230,8 +230,9 @@ impl Solution2 {
         }
     }
 
-    /// One ξ-locked garbage-collection pass over `pages` (the Figure-9
-    /// epilogue, amortized). If the store refuses a deallocation (a
+    /// One ξ-locked garbage-collection pass over `pages`: the Figure-9
+    /// epilogue, run by a deleter for its tombstone or by the background
+    /// collector for a batch. If the store refuses a deallocation (a
     /// durable medium that lost power), the pass releases its locks and
     /// stops: the rest of the batch stays allocated as tombstones — still
     /// valid recovery paths — and is counted in `core.gc_unreclaimed`.
@@ -335,50 +336,6 @@ impl Solution2 {
         )
     }
 
-    /// Hand-over-hand walk to the bucket owning `pk`, locking each bucket
-    /// with `mode` — the `/* WRONG BUCKET */` loops that open Figures 8
-    /// and 9. Each page is peeked in place ([`ceh_storage::Buckets::peek`]),
-    /// as a find does. Returns the final page and what the peek saw of it; the
-    /// lock on that page is *held*. Tombstones are walked through like
-    /// any wrong bucket: their `next` is the recovery path.
-    fn walk_to_owner(
-        &self,
-        owner: OwnerId,
-        mode: ceh_locks::LockMode,
-        mut oldpage: PageId,
-        pk: ceh_types::Pseudokey,
-        key: Key,
-    ) -> Result<(PageId, Owning)> {
-        let core = &self.core;
-        core.locks().lock(owner, LockId::Page(oldpage), mode);
-        let mut current = try_or_release!(core, owner, core.buckets().peek(oldpage, pk, key));
-        let mut recovered = false;
-        let at = loop {
-            let newpage = match current {
-                Peek::Owns(at) => break at,
-                Peek::WrongBucket { next, .. } => next,
-            };
-            /* WRONG BUCKET */
-            recovered = true;
-            core.stats().chain_hops();
-            if newpage.is_null() {
-                core.locks().release_all(owner);
-                return Err(Error::Corrupt(format!(
-                    "walk for {pk:?}: wrong bucket {oldpage} has no next link"
-                )));
-            }
-            try_or_release!(core, owner, core.buckets().check_link(newpage));
-            core.locks().lock(owner, LockId::Page(newpage), mode);
-            current = try_or_release!(core, owner, core.buckets().peek(newpage, pk, key));
-            core.locks().unlock(owner, LockId::Page(oldpage), mode);
-            oldpage = newpage;
-        };
-        if recovered {
-            core.stats().wrong_bucket_recoveries();
-        }
-        Ok((oldpage, at))
-    }
-
     /// Figure 8, the insertion algorithm.
     fn insert_impl(&self, key: Key, value: Value) -> Result<InsertOutcome> {
         let core = &self.core;
@@ -403,8 +360,8 @@ impl Solution2 {
             let owner = core.locks().new_owner();
             core.rho_lock(owner, LockId::Directory);
             let (_depth, start) = core.dir().lookup(pk);
-            let (oldpage, at) =
-                self.walk_to_owner(owner, ceh_locks::LockMode::Alpha, start, pk, key)?;
+            core.alpha_lock(owner, LockId::Page(start));
+            let (oldpage, at) = core.walk(owner, LockMode::Alpha, start, pk, key, None)?;
 
             if at.found.is_some() {
                 /* IS Z ALREADY THERE? */
@@ -432,27 +389,10 @@ impl Solution2 {
                 try_or_release!(core, owner, core.dir().double());
                 core.stats().doublings();
             }
-            let buckets = core.buckets();
-            let mut buf = core.new_buf();
-            let current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
-            // One logged transaction per split (see Solution 1).
-            let txn = try_or_release!(core, owner, buckets.begin_txn());
-            let newpage = try_or_release!(core, owner, buckets.alloc());
-            let (half1, half2, done) = current.split(
-                key,
-                value,
-                cap,
-                core.hasher(),
-                oldpage,
-                ManagerId::NONE,
-                newpage,
-                ManagerId::NONE,
-            );
-            try_or_release!(core, owner, buckets.putbucket(newpage, &half2, &mut buf));
-            try_or_release!(core, owner, buckets.putbucket(oldpage, &half1, &mut buf));
-            try_or_release!(core, owner, txn.commit());
-            core.dir().update_one_side(newpage, half1.localdepth, pk);
-            if half1.localdepth == core.dir().depth() {
+            let split = try_or_release!(core, owner, core.split(oldpage, key, value));
+            let (newpage, localdepth, done) = (split.half2.page, split.localdepth + 1, split.done);
+            core.dir().update_one_side(newpage, localdepth, pk);
+            if localdepth == core.dir().depth() {
                 core.dir().add_depthcount(2);
             }
             core.stats().splits();
@@ -476,8 +416,7 @@ impl Solution2 {
     fn delete_impl(&self, key: Key) -> Result<DeleteOutcome> {
         let core = &self.core;
         let _op = core.op_span("delete", key.0);
-        let threshold = core.config().merge_threshold;
-        let cap = core.config().bucket_capacity;
+        let cfg = core.config();
         let pk = (core.hasher())(key);
         if let Some(removed) = self.update_fast(pk, Edit::Remove(key)) {
             core.stats().update_fast();
@@ -492,27 +431,22 @@ impl Solution2 {
         }
         core.stats().update_fallback();
 
-        'retry: for attempt in 0..self.opts.max_retries {
+        'retry: for attempt in 0..self.opts.max_retries as u32 {
             // DEVIATION: Figure 9's label-A path re-runs `delete (z)`
-            // wholesale, but when the cause is persistent (the "0"
-            // partner split deeper, so "the local depths do not match"),
-            // the retry re-encounters the same state forever. §2.5's
-            // prose says the deleter "goes back to simply trying to
-            // remove its key" — which is what we do after a few retries:
-            // give up on merging for this operation and take the plain
-            // removal path, which only ever locks in directory→bucket
-            // walk order and is therefore deadlock-safe.
-            let allow_merge = attempt < 3;
+            // wholesale, which can repeat forever; after MERGE_ATTEMPTS
+            // the deleter gives up on merging and takes the plain removal
+            // path, which only ever locks in directory→bucket walk order
+            // and is therefore deadlock-safe.
+            let allow_merge = attempt < MERGE_ATTEMPTS;
             let owner = core.locks().new_owner();
             core.rho_lock(owner, LockId::Directory);
             let depth_at_lookup = core.dir().depth();
             let selectedbits = pk.low_bits(depth_at_lookup);
             let start = core.dir().index(selectedbits);
-            let (oldpage, at) =
-                self.walk_to_owner(owner, ceh_locks::LockMode::Xi, start, pk, key)?;
+            core.xi_lock(owner, LockId::Page(start));
+            let (oldpage, at) = core.walk(owner, LockMode::Xi, start, pk, key, None)?;
 
-            let too_empty = allow_merge && at.count <= threshold + 1 && at.localdepth > 1;
-            if !too_empty {
+            if !(allow_merge && too_empty(cfg, at.count, at.localdepth)) {
                 return self.remove_without_merge(owner, key, oldpage, at.found.is_some());
             }
 
@@ -534,33 +468,31 @@ impl Solution2 {
             let buckets = core.buckets();
             let mut buf = core.new_buf();
             let m = partner_bit(at.localdepth);
-            let (mut current, brother, newpage, merged_page, garbage_page);
-            if pk.0 & m != m {
+            let first_of_pair = pk.0 & m != m;
+            let (mut current, brother, newpage);
+            if first_of_pair {
                 /* Z IN FIRST OF PAIR */
                 current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
-                let np = current.next;
-                if np.is_null() {
+                newpage = current.next;
+                if newpage.is_null() {
                     // Defensive (see Solution 1): treat as unmergeable.
                     return self.remove_without_merge(owner, key, oldpage, true);
                 }
-                core.xi_lock(owner, LockId::Page(np));
-                brother = try_or_release!(core, owner, buckets.getbucket(np, &mut buf));
-                newpage = np;
-                garbage_page = np;
-                merged_page = oldpage;
+                core.xi_lock(owner, LockId::Page(newpage));
+                brother = try_or_release!(core, owner, buckets.getbucket(newpage, &mut buf));
             } else {
                 /* Z IN SECOND OF PAIR */
-                let np = core.dir().index(selectedbits & !m);
+                newpage = core.dir().index(selectedbits & !m);
                 core.un_xi_lock(owner, LockId::Page(oldpage));
-                core.xi_lock(owner, LockId::Page(np));
-                brother = try_or_release!(core, owner, buckets.getbucket(np, &mut buf));
+                core.xi_lock(owner, LockId::Page(newpage));
+                brother = try_or_release!(core, owner, buckets.getbucket(newpage, &mut buf));
                 if !skip_label_a && (brother.next != oldpage || brother.is_deleted()) {
                     /* A: OLDPAGE AND NEWPAGE ARE NOT MERGABLE PARTNERS */
                     // The stale directory entry led somewhere that is no
                     // longer (or never was) the live "0" partner.
                     // Locking oldpage from here would risk deadlock;
                     // restart instead (Figure 9's `delete (z); return;`).
-                    core.un_xi_lock(owner, LockId::Page(np));
+                    core.un_xi_lock(owner, LockId::Page(newpage));
                     core.un_rho_lock(owner, LockId::Directory);
                     core.stats().delete_retries();
                     continue 'retry;
@@ -572,14 +504,11 @@ impl Solution2 {
                     re-lock oldpage it may have filled up and split,
                     moving z */
                     core.un_xi_lock(owner, LockId::Page(oldpage));
-                    core.un_xi_lock(owner, LockId::Page(np));
+                    core.un_xi_lock(owner, LockId::Page(newpage));
                     core.un_rho_lock(owner, LockId::Directory);
                     core.stats().delete_retries();
                     continue 'retry;
                 }
-                newpage = np;
-                garbage_page = oldpage;
-                merged_page = np;
             }
 
             // Figure 9's combined re-validation: "Either it is not
@@ -587,13 +516,11 @@ impl Solution2 {
             // happened while waiting to re-lock oldpage - more data
             // inserted into oldpage so it is no longer empty and maybe
             // then z deleted".
-            let still_mergeable = current.localdepth == brother.localdepth
-                && current.count() <= threshold + 1
-                && current.search(key).is_some()
-                && current.count() - 1 + brother.count() <= cap;
-            if !still_mergeable {
+            let present = current.search(key).is_some();
+            let (ld, count) = (current.localdepth, current.count());
+            let fits = mergeable(cfg, ld, count, brother.localdepth, brother.count());
+            if !(present && too_empty(cfg, count, ld) && fits) {
                 core.un_xi_lock(owner, LockId::Page(newpage));
-                let present = current.search(key).is_some();
                 return self.remove_without_merge(owner, key, oldpage, present);
             }
 
@@ -605,31 +532,16 @@ impl Solution2 {
                 core.dir().add_depthcount(-2);
             }
             current.remove(key);
-            let survivor = if merged_page == oldpage {
-                Bucket::merged(&current, &brother)
+            let (z, partner) = ((oldpage, &current), (newpage, &brother));
+            let (zero, one) = if first_of_pair {
+                (z, partner)
             } else {
-                Bucket::merged(&brother, &current)
+                (partner, z)
             };
-            let tombstone = Bucket::tombstone(
-                BucketLink::new(ManagerId::NONE, merged_page),
-                survivor.version,
-            );
-
-            // Survivor + tombstone are one logged transaction: recovery
-            // never sees a merged survivor without its tombstone (or
-            // vice versa).
-            let txn = try_or_release!(core, owner, buckets.begin_txn());
-            try_or_release!(
-                core,
-                owner,
-                buckets.putbucket(merged_page, &survivor, &mut buf)
-            );
-            try_or_release!(
-                core,
-                owner,
-                buckets.putbucket(garbage_page, &tombstone, &mut buf)
-            );
-            try_or_release!(core, owner, txn.commit());
+            // Survivor + tombstone are one logged transaction.
+            let retire = Retire::Tombstone(ManagerId::NONE);
+            try_or_release!(core, owner, buckets.merge(zero, one, retire));
+            let (merged_page, garbage_page) = (zero.0, one.0);
             core.dir().update_one_side(merged_page, old_ld, pk);
             core.stats().merges();
             core.trace_end(merge_span, "merge", merged_page.0, garbage_page.0);
@@ -650,18 +562,7 @@ impl Solution2 {
                     // runs the same ξ-locked phase, batched.
                     let _ = tx.send(GcMsg::Garbage(garbage_page));
                 }
-                _ => {
-                    core.xi_lock(owner, LockId::Directory);
-                    core.xi_lock(owner, LockId::Page(garbage_page));
-                    if core.dir().depthcount() == 0 {
-                        core.dir().halve();
-                        core.stats().halvings();
-                    }
-                    try_or_release!(core, owner, core.buckets().dealloc(garbage_page));
-                    core.un_xi_lock(owner, LockId::Page(garbage_page));
-                    core.un_xi_lock(owner, LockId::Directory);
-                    core.stats().gc_phases();
-                }
+                _ => Self::gc_pass(core, &[garbage_page]),
             }
             return Ok(DeleteOutcome::Deleted);
         }
@@ -917,7 +818,7 @@ mod tests {
         let wal = DurableStore::new(
             DurableConfig {
                 page: PageStoreConfig {
-                    page_size: Bucket::page_size_for(cap),
+                    page_size: ceh_types::Bucket::page_size_for(cap),
                     ..Default::default()
                 },
                 ..Default::default()

@@ -8,10 +8,10 @@ use std::sync::Arc;
 
 use ceh_locks::LockMode;
 use ceh_net::{PortId, PortRx, RecvError};
-use ceh_storage::{Edit, Owning, Peek};
+use ceh_storage::{mergeable, too_empty, Edit, Owning, Retire, Walked, MERGE_ATTEMPTS};
 use ceh_types::bits::{partner_bit, partner_commonbits};
 use ceh_types::bucket::Bucket;
-use ceh_types::{BucketLink, DeleteOutcome, InsertOutcome, PageId, Record};
+use ceh_types::{hash_key, BucketLink, DeleteOutcome, InsertOutcome, PageId, Record};
 
 use crate::msg::{Msg, OpEnvelope, OpKind, UserOutcome};
 use crate::replica::DirUpdate;
@@ -86,39 +86,30 @@ fn run_slave(site: Arc<Site>, msg: Msg) {
     }
 }
 
-/// Outcome of the wrong-bucket walk.
-enum Walk {
-    /// The right bucket is on this site, locked; what the peek saw of it.
-    Local(PageId, Owning),
-    /// The search moved to another site; this slave is done.
-    Forwarded,
-    /// Something was stale (page fault / chain ran out): ask the
-    /// directory manager to re-drive the request.
-    Stale,
-}
-
 /// The `/* wrong bucket */` loop of Figure 14 with cross-site
 /// forwarding. Locks `env.page` in `mode`, acknowledges per the figure
 /// (ack to the forwarding manager, or Bucketdone-for-find to the
-/// directory manager), then walks `next` links, forwarding to the owning
-/// manager when a link leaves this site. Each page is peeked in place
-/// ([`ceh_storage::Buckets::peek`]), as the in-process walk does.
-/// Hand-over-hand is preserved across the site boundary: the forwarder
-/// keeps its lock until the receiver has locked the next bucket and
-/// acked.
+/// directory manager), then walks `next` links
+/// ([`ceh_storage::Buckets::walk`]), forwarding to the owning manager
+/// when a link leaves this site. Hand-over-hand is preserved across the
+/// site boundary: the forwarder keeps its lock until the receiver has
+/// locked the next bucket and acked. `Some` when the owning bucket is
+/// locked here; `None` when the request moved to another site, or was
+/// stale (a page fault, a chain that ran out) and the directory manager
+/// was asked to re-drive it. (A first-hop find has already sent
+/// Bucketdone(success); the failure sent after it still re-drives.)
 fn walk_to_owner(
     site: &Site,
     owner: ceh_locks::OwnerId,
     env: &OpEnvelope,
     mode: LockMode,
     wrongbucket_ack_to: Option<PortId>,
-) -> Walk {
-    let mut oldpage = env.page;
+) -> Option<(PageId, Owning)> {
     // A page past this site's store (stray routing) has no lock to take;
     // it is acknowledged like any other and then read as stale.
-    let here = site.buckets.check_link(oldpage).is_ok();
+    let here = site.buckets.check_link(env.page).is_ok();
     if here {
-        site.lock(owner, oldpage, mode);
+        site.lock(owner, env.page, mode);
     }
     // Acknowledge per Figure 14, *after* taking the first lock.
     if let Some(fwd) = wrongbucket_ack_to {
@@ -135,62 +126,45 @@ fn walk_to_owner(
             },
         );
     }
-    if !here {
-        return Walk::Stale;
-    }
-    let mut current = match site.buckets.peek(oldpage, env.pseudokey, env.key) {
-        Ok(peek) => peek,
-        Err(_) => {
-            // Stale routing into a deallocated page: re-drive.
-            site.unlock(owner, oldpage, mode);
-            return Walk::Stale;
-        }
+    let (pk, key) = (env.pseudokey, env.key);
+    let walked = here.then(|| {
+        site.buckets
+            .walk(&site.locks, owner, mode, env.page, site.id, pk, key, || {
+                site.recoveries.inc()
+            })
+    });
+    let stale = || {
+        bucketdone(site, env, false, None);
+        None
     };
-    loop {
-        let (next, next_mgr) = match current {
-            Peek::Owns(at) => return Walk::Local(oldpage, at),
-            Peek::WrongBucket { next, next_mgr } => (next, next_mgr),
-        };
-        site.recoveries.inc();
-        if next.is_null() {
-            site.unlock(owner, oldpage, mode);
-            return Walk::Stale;
-        }
-        if !next_mgr.is_none() && next_mgr != site.id {
-            // Off-site: forward, await the ack, then release our lock.
-            let Some(port) = site.bucket_port(next_mgr) else {
-                site.unlock(owner, oldpage, mode);
-                return Walk::Stale;
-            };
-            let (_reply_id, reply_rx) = site.net.create_port();
-            site.metrics
-                .trace_instant(env.ctx, "dist", "wrongbucket.forward", next.0, env.txn);
-            let mut fwd_env = env.clone();
-            fwd_env.page = next;
-            site.net.send(
-                port,
-                Msg::Wrongbucket {
-                    env: fwd_env,
-                    buckmgr_port: reply_rx.id(),
-                },
-            );
-            match reply_rx.recv_timeout(site.reply_timeout) {
-                Ok(Msg::WrongbucketAck) => {}
-                _ => { /* peer gone; our lock release below is all we can do */ }
-            }
-            site.unlock(owner, oldpage, mode);
-            return Walk::Forwarded;
-        }
-        match site.lock_peek(owner, next, mode, env.pseudokey, env.key) {
-            Ok(peek) => current = peek,
-            Err(_) => {
-                site.unlock(owner, oldpage, mode);
-                return Walk::Stale;
-            }
-        }
-        site.unlock(owner, oldpage, mode);
-        oldpage = next;
+    let (page, next) = match walked {
+        Some(Ok(Walked::Owner(page, at))) => return Some((page, at)),
+        Some(Ok(Walked::OffSite { page, next })) => (page, next),
+        None | Some(Err(_)) => return stale(),
+    };
+    // Off-site: forward, await the ack, then release our lock.
+    let Some(port) = site.bucket_port(next.manager) else {
+        site.unlock(owner, page, mode);
+        return stale();
+    };
+    let (_reply_id, reply_rx) = site.net.create_port();
+    site.metrics
+        .trace_instant(env.ctx, "dist", "wrongbucket.forward", next.page.0, env.txn);
+    let mut fwd_env = env.clone();
+    fwd_env.page = next.page;
+    site.net.send(
+        port,
+        Msg::Wrongbucket {
+            env: fwd_env,
+            buckmgr_port: reply_rx.id(),
+        },
+    );
+    match reply_rx.recv_timeout(site.reply_timeout) {
+        Ok(Msg::WrongbucketAck) => {}
+        _ => { /* peer gone; our lock release below is all we can do */ }
     }
+    site.unlock(owner, page, mode);
+    None
 }
 
 fn bucketdone(site: &Site, env: &OpEnvelope, success: bool, outcome: Option<UserOutcome>) {
@@ -257,26 +231,18 @@ fn slave_op(site: &Site, mut env: OpEnvelope, wrongbucket_ack_to: Option<PortId>
 /// Figure 14, `case find`.
 fn slave_find(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
     let owner = site.locks.new_owner();
-    match walk_to_owner(site, owner, &env, LockMode::Rho, fwd) {
-        Walk::Forwarded => {}
-        Walk::Stale => {
-            // We already sent Bucketdone(success) for a first-hop find;
-            // send a failure so the directory manager re-drives. (For a
-            // forwarded find we own the request now.)
-            bucketdone(site, &env, false, None);
-        }
-        Walk::Local(page, at) => {
-            site.unlock(owner, page, LockMode::Rho);
-            // found(z) / notfound(z): answer the user directly.
-            site.net.send(
-                env.user_port,
-                Msg::UserReply {
-                    outcome: UserOutcome::Found(at.found),
-                    req_id: env.req_id,
-                },
-            );
-        }
-    }
+    let Some((page, at)) = walk_to_owner(site, owner, &env, LockMode::Rho, fwd) else {
+        return;
+    };
+    site.unlock(owner, page, LockMode::Rho);
+    // found(z) / notfound(z): answer the user directly.
+    site.net.send(
+        env.user_port,
+        Msg::UserReply {
+            outcome: UserOutcome::Found(at.found),
+            req_id: env.req_id,
+        },
+    );
 }
 
 /// The walk of an insert or delete: `Some` when the owning bucket is
@@ -288,14 +254,7 @@ fn walk_to_update(
     mode: LockMode,
     fwd: Option<PortId>,
 ) -> Option<(PageId, Owning)> {
-    let (page, at) = match walk_to_owner(site, owner, env, mode, fwd) {
-        Walk::Forwarded => return None,
-        Walk::Stale => {
-            bucketdone(site, env, false, None);
-            return None;
-        }
-        Walk::Local(page, at) => (page, at),
-    };
+    let (page, at) = walk_to_owner(site, owner, env, mode, fwd)?;
     if !site.fence_allows(env.user_port, env.req_id) {
         // Zombie: an abandoned re-drive of a request the client has moved
         // past. Refuse it — applying it could resurrect deleted data. The
@@ -330,85 +289,68 @@ fn slave_insert(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
     }
 
     /* CURRENT IS FULL - DIRECTORY WILL BE AFFECTED */
-    let mut buf = site.buckets.new_buf();
-    let Ok(current) = site.buckets.getbucket(oldpage, &mut buf) else {
+    let record = Record {
+        key: env.key,
+        value: env.value,
+    };
+    let split = site
+        .buckets
+        .split(oldpage, site.id, record, &site.cfg, hash_key, |half2| {
+            place_half(site, half2)
+        });
+    let Ok(split) = split else {
+        // Could not split, or place the new half anywhere: the bucket is
+        // untouched; fail the request upward.
         release_and_reply(site, owner, &env, oldpage, LockMode::Alpha, None);
         return;
     };
-    let old_localdepth = current.localdepth;
-    let expected_version = current.version;
-    let (mut half1, half2, done) = current.split(
-        env.key,
-        env.value,
-        site.cfg.bucket_capacity,
-        ceh_types::hash_key,
-        oldpage,
-        site.id,
-        PageId::NULL, // patched below once placement is known
-        site.id,
-    );
-    // Place the second half: locally if we have space, else on another
-    // manager via the Splitbucket protocol. One logged transaction per
-    // split: a local placement and the rewritten first half land in the
-    // durable image together or not at all (a remote half commits on
-    // its own site; our transaction then covers just the first half).
-    let Ok(txn) = site.buckets.begin_txn() else {
-        release_and_reply(site, owner, &env, oldpage, LockMode::Alpha, None);
-        return;
-    };
-    let placed: Option<BucketLink> = if site.available_pages() || site.all_managers.len() == 1 {
-        let placed = site.buckets.place(&half2);
-        placed.ok().map(|p| BucketLink::new(site.id, p))
-    } else {
-        let target = site.mgr_with_space();
-        match site.bucket_port(target) {
-            Some(port) => {
-                let (_id, reply_rx) = site.net.create_port();
-                site.net.send(
-                    port,
-                    Msg::Splitbucket {
-                        reply_port: reply_rx.id(),
-                        half2: Box::new(half2),
-                        fences: site.fence_snapshot(),
-                    },
-                );
-                match reply_rx.recv_timeout(site.reply_timeout) {
-                    Ok(Msg::Splitreply { link }) => Some(link),
-                    _ => None,
-                }
-            }
-            None => None,
-        }
-    };
-    let Some(link) = placed else {
-        // Could not place the new half anywhere: leave the bucket
-        // untouched and fail the request upward.
-        release_and_reply(site, owner, &env, oldpage, LockMode::Alpha, None);
-        return;
-    };
-    half1.next = link.page;
-    half1.next_mgr = link.manager;
-    if site.buckets.putbucket(oldpage, &half1, &mut buf).is_err() || txn.commit().is_err() {
-        release_and_reply(site, owner, &env, oldpage, LockMode::Alpha, None);
-        return;
-    }
     site.unlock(owner, oldpage, LockMode::Alpha);
     site.net.send(
         env.dirmgr_port,
         Msg::Update {
             txn: env.txn,
-            success: done,
-            outcome: done.then_some(UserOutcome::Inserted(InsertOutcome::Inserted)),
+            success: split.done,
+            outcome: split
+                .done
+                .then_some(UserOutcome::Inserted(InsertOutcome::Inserted)),
             update: DirUpdate::Split {
                 pseudokey: env.pseudokey,
-                old_localdepth,
-                expected_version,
-                new_version: expected_version + 1,
-                new_bucket: link,
+                old_localdepth: split.localdepth,
+                expected_version: split.version,
+                new_version: split.version + 1,
+                new_bucket: split.half2,
             },
             ctx: env.ctx,
         },
     );
+}
+
+/// Place the "1" half of a split: on this site while it has room (or is
+/// the only one), else on another manager through the Splitbucket
+/// protocol, which commits the half on that site.
+fn place_half(site: &Site, half2: Bucket) -> ceh_types::Result<BucketLink> {
+    if site.available_pages() || site.all_managers.len() == 1 {
+        return site
+            .buckets
+            .place(&half2)
+            .map(|p| BucketLink::new(site.id, p));
+    }
+    let target = site.mgr_with_space();
+    let gone = || ceh_types::Error::Unavailable(format!("no Splitreply from {target}"));
+    let port = site.bucket_port(target).ok_or_else(gone)?;
+    let (_id, reply_rx) = site.net.create_port();
+    site.net.send(
+        port,
+        Msg::Splitbucket {
+            reply_port: reply_rx.id(),
+            half2: Box::new(half2),
+            fences: site.fence_snapshot(),
+        },
+    );
+    match reply_rx.recv_timeout(site.reply_timeout) {
+        Ok(Msg::Splitreply { link }) => Ok(link),
+        _ => Err(gone()),
+    }
 }
 
 /// Figure 14, `case delete`, including the local fast paths and the
@@ -420,9 +362,8 @@ fn slave_delete(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
     };
     // The same bounded degradation as centralized Solution 2: after a few
     // re-drives, stop attempting merges.
-    let allow_merge = env.attempt < 3;
-    let too_empty = allow_merge && at.count <= site.cfg.merge_threshold + 1 && at.localdepth > 1;
-    if at.found.is_none() || !too_empty {
+    let allow_merge = env.attempt < MERGE_ATTEMPTS;
+    if at.found.is_none() || !(allow_merge && too_empty(&site.cfg, at.count, at.localdepth)) {
         remove_without_merge(site, owner, &env, oldpage, at.found.is_some());
         return;
     }
@@ -477,6 +418,7 @@ fn delete_first_of_pair(
         return;
     }
     let here = BucketLink::new(site.id, oldpage);
+    let (ld, count) = (current.localdepth, current.count());
 
     if partner.manager == site.id || partner.manager.is_none() {
         // Local merge, as in Figure 9.
@@ -487,35 +429,22 @@ fn delete_first_of_pair(
                 return;
             }
         };
-        let mergeable = !brother.is_deleted()
-            && brother.localdepth == current.localdepth
-            && current.count() - 1 + brother.count() <= site.cfg.bucket_capacity;
-        if !mergeable {
+        if !mergeable(&site.cfg, ld, count, brother.localdepth, brother.count()) {
             site.unlock(owner, partner.page, LockMode::Xi);
             remove_without_merge(site, owner, env, oldpage, true);
             return;
         }
         current.remove(env.key);
-        let survivor = Bucket::merged(&current, &brother);
-        let tombstone = Bucket::tombstone(here, survivor.version);
-        // Logged together: recovery must never see a merged survivor
-        // without its partner's tombstone.
-        let committed = site.buckets.begin_txn().is_ok_and(|txn| {
-            site.buckets.putbucket(oldpage, &survivor, &mut buf).is_ok()
-                && site
-                    .buckets
-                    .putbucket(partner.page, &tombstone, &mut buf)
-                    .is_ok()
-                && txn.commit().is_ok()
-        });
+        let (zero, one) = ((oldpage, &current), (partner.page, &brother));
+        let merged = site.buckets.merge(zero, one, Retire::Tombstone(site.id));
         site.unlock(owner, partner.page, LockMode::Xi);
         site.unlock(owner, oldpage, LockMode::Xi);
-        if !committed {
+        let Ok(survivor) = merged else {
             bucketdone(site, env, false, None);
             return;
-        }
+        };
         let versions = (current.version, brother.version, survivor.version);
-        send_merge_update(site, env, current.localdepth, versions, here, partner);
+        send_merge_update(site, env, ld, versions, here, partner);
         return;
     }
 
@@ -529,8 +458,8 @@ fn delete_first_of_pair(
         port,
         Msg::Mergedown {
             partner: partner.page,
-            localdepth: current.localdepth,
-            count: current.count() - 1,
+            localdepth: ld,
+            count: count - 1,
             reply_port: reply_rx.id(),
         },
     );
@@ -557,7 +486,7 @@ fn delete_first_of_pair(
         return;
     }
     let versions = (current.version, brother.version, survivor.version);
-    send_merge_update(site, env, current.localdepth, versions, here, partner);
+    send_merge_update(site, env, ld, versions, here, partner);
 }
 
 /// Tell a waiting Mergeup handler not to merge.
@@ -647,11 +576,9 @@ fn delete_second_of_pair(
         return;
     }
     let present = current.search(env.key).is_some();
-    let still_mergeable = current.localdepth == brother_ld
-        && current.count() <= site.cfg.merge_threshold + 1
-        && present
-        && current.count() - 1 + brother_count <= site.cfg.bucket_capacity;
-    if !still_mergeable {
+    let (ld, count) = (current.localdepth, current.count());
+    let fits = mergeable(&site.cfg, ld, count, brother_ld, brother_count);
+    if !(present && too_empty(&site.cfg, count, ld) && fits) {
         refuse_goahead(site, goahead_port);
         remove_without_merge(site, owner, env, oldpage, present);
         return;
@@ -683,7 +610,7 @@ fn delete_second_of_pair(
     }
     let versions = (brother_version, expected_v1, new_version);
     let here = BucketLink::new(site.id, oldpage);
-    send_merge_update(site, env, current.localdepth, versions, partner, here);
+    send_merge_update(site, env, ld, versions, partner, here);
 }
 
 /// Local second-of-pair merge (both partners on this site): the Figure 9
@@ -721,38 +648,28 @@ fn delete_second_local(
         return;
     }
     let present = current.search(env.key).is_some();
-    let still_mergeable = current.localdepth == brother.localdepth
-        && current.count() <= site.cfg.merge_threshold + 1
-        && present
-        && current.count() - 1 + brother.count() <= site.cfg.bucket_capacity;
-    if !still_mergeable {
+    let (ld, count) = (current.localdepth, current.count());
+    let fits = mergeable(&site.cfg, ld, count, brother.localdepth, brother.count());
+    if !(present && too_empty(&site.cfg, count, ld) && fits) {
         site.unlock(owner, partner, LockMode::Xi);
         remove_without_merge(site, owner, env, oldpage, present);
         return;
     }
     current.remove(env.key);
-    let survivor = Bucket::merged(&brother, &current);
-    let merged = BucketLink::new(site.id, partner);
-    let tombstone = Bucket::tombstone(merged, survivor.version);
-    // Logged together (see `delete_first_of_pair`): survivor and
-    // tombstone are atomic across a crash.
-    let committed = site.buckets.begin_txn().is_ok_and(|txn| {
-        site.buckets.putbucket(partner, &survivor, &mut buf).is_ok()
-            && site
-                .buckets
-                .putbucket(oldpage, &tombstone, &mut buf)
-                .is_ok()
-            && txn.commit().is_ok()
-    });
+    let (zero, one) = ((partner, &brother), (oldpage, &current));
+    let merged = site.buckets.merge(zero, one, Retire::Tombstone(site.id));
     site.unlock(owner, oldpage, LockMode::Xi);
     site.unlock(owner, partner, LockMode::Xi);
-    if !committed {
+    let Ok(survivor) = merged else {
         bucketdone(site, env, false, None);
         return;
-    }
+    };
     let versions = (brother.version, current.version, survivor.version);
-    let garbage = BucketLink::new(site.id, oldpage);
-    send_merge_update(site, env, current.localdepth, versions, merged, garbage);
+    let (merged, garbage) = (
+        BucketLink::new(site.id, partner),
+        BucketLink::new(site.id, oldpage),
+    );
+    send_merge_update(site, env, ld, versions, merged, garbage);
 }
 
 /// Report a committed merge of the partners of depth `old_localdepth`
@@ -812,8 +729,15 @@ fn slave_mergedown(
         refuse();
         return;
     };
-    let fits = count + brother.count() <= site.cfg.bucket_capacity;
-    if brother.is_deleted() || brother.localdepth != localdepth || !fits {
+    // The "0" side holds `count` records once the key is gone.
+    let fits = mergeable(
+        &site.cfg,
+        localdepth,
+        count + 1,
+        brother.localdepth,
+        brother.count(),
+    );
+    if brother.is_deleted() || !fits {
         site.unlock(owner, partner, LockMode::Xi);
         refuse();
         return;
@@ -1265,6 +1189,7 @@ mod tests {
         stray.next = PageId(u64::MAX - 1);
         stray.next_mgr = site.id;
         let stray = put_bucket(&site, &stray);
+        let (_id, dir_rx) = site.net.create_port();
         for page in [PageId(u64::MAX), PageId(1 << 40), stray] {
             let env = OpEnvelope {
                 op: OpKind::Insert,
@@ -1273,7 +1198,7 @@ mod tests {
                 txn: 1,
                 page,
                 user_port: PortId::for_node(1, 1),
-                dirmgr_port: PortId::for_node(1, 2),
+                dirmgr_port: dir_rx.id(),
                 pseudokey: Pseudokey(0),
                 attempt: 0,
                 req_id: 1,
@@ -1281,7 +1206,14 @@ mod tests {
             };
             let owner = site.locks.new_owner();
             let walk = walk_to_owner(&site, owner, &env, LockMode::Alpha, None);
-            assert!(matches!(walk, Walk::Stale), "{page}");
+            assert!(walk.is_none(), "{page}");
+            assert!(
+                matches!(
+                    dir_rx.recv_timeout(Duration::from_secs(5)),
+                    Ok(Msg::Bucketdone { success: false, .. })
+                ),
+                "{page}: a re-drive is asked for"
+            );
             assert_eq!(site.locks.total_granted(), 0);
         }
     }

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use ceh_net::{FaultPlan, LatencyModel, MsgStatsSnapshot, PortId, SimNetwork};
 use ceh_obs::{MetricsHandle, RunReport, TraceReport};
-use ceh_storage::PageStore;
+use ceh_storage::{rebuild_directory, PageStore};
 use ceh_types::bucket::{check_links, Bucket};
 use ceh_types::{BucketLink, Error, HashFileConfig, ManagerId, PageId, Result, RetryPolicy};
 
@@ -155,47 +155,18 @@ impl Cluster {
             let root = BucketLink::new(sites[0].id, sites[0].buckets.create_root(&cfg.file)?);
             DirReplica::new(cfg.file.max_depth, root)
         } else {
-            let depth = live
-                .values()
-                .map(|b| b.localdepth)
-                .max()
-                .expect("non-empty");
-            let size = 1usize << depth;
-            let mut entries: Vec<Option<DirEntry>> = vec![None; size];
-            let mut depthcount = 0u32;
-            for (&(mgr, page), b) in &live {
-                if b.localdepth == depth {
-                    depthcount += 1;
-                }
-                let step = 1usize << b.localdepth;
-                let mut i = b.commonbits as usize;
-                while i < size {
-                    if entries[i].is_some() {
-                        return Err(Error::Corrupt(format!(
-                            "recovery: entry {i:0w$b} claimed twice",
-                            w = depth as usize
-                        )));
-                    }
-                    entries[i] = Some(DirEntry {
-                        mgr,
-                        page,
-                        version: b.version,
-                    });
-                    i += step;
-                }
-            }
-            let entries: Vec<DirEntry> = entries
+            let links = live
+                .iter()
+                .map(|(&(mgr, page), b)| (BucketLink::new(mgr, page), b));
+            let (entries, _depth, depthcount) = rebuild_directory(cfg.file.max_depth, links)?;
+            let entries = entries
                 .into_iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    e.ok_or_else(|| {
-                        Error::Corrupt(format!(
-                            "recovery: no bucket covers entry {i:0w$b}",
-                            w = depth as usize
-                        ))
-                    })
+                .map(|l| DirEntry {
+                    mgr: l.manager,
+                    page: l.page,
+                    version: live[&(l.manager, l.page)].version,
                 })
-                .collect::<Result<_>>()?;
+                .collect();
             DirReplica::restore(cfg.file.max_depth, entries, depthcount)?
         };
         let cluster = Self::spawn(&cfg, net, sites, replica, metrics);

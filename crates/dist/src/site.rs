@@ -14,9 +14,9 @@ use std::time::Duration;
 use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
 use ceh_net::PortId;
 use ceh_obs::{Counter, MetricsHandle};
-use ceh_storage::{Buckets, DiskHandle, DurableConfig, DurableStore, PageBuf, Peek};
+use ceh_storage::{Buckets, DiskHandle, DurableConfig, DurableStore, PageBuf};
 use ceh_types::bucket::Bucket;
-use ceh_types::{Error, HashFileConfig, Key, ManagerId, PageId, Pseudokey, Result};
+use ceh_types::{Error, HashFileConfig, ManagerId, PageId, Result};
 
 use crate::DistNet;
 
@@ -264,23 +264,6 @@ impl Site {
         self.lock(owner, page, mode);
         self.buckets
             .getbucket(page, buf)
-            .inspect_err(|_| self.unlock(owner, page, mode))
-    }
-
-    /// [`Site::lock`] `page` and peek at it for `pk` and `key`
-    /// ([`Buckets::peek`]). On a fault nothing stays locked.
-    pub fn lock_peek(
-        &self,
-        owner: OwnerId,
-        page: PageId,
-        mode: LockMode,
-        pk: Pseudokey,
-        key: Key,
-    ) -> Result<Peek> {
-        self.buckets.check_link(page)?;
-        self.lock(owner, page, mode);
-        self.buckets
-            .peek(page, pk, key)
             .inspect_err(|_| self.unlock(owner, page, mode))
     }
 

@@ -2,12 +2,11 @@
 
 use std::sync::Arc;
 
-use ceh_storage::{Buckets, PageStore};
-use ceh_types::bits::{mask, partner_commonbits};
-use ceh_types::bucket::Bucket;
+use ceh_storage::{mergeable, rebuild_directory, too_empty, Buckets, PageStore, Retire};
+use ceh_types::bits::{mask, partner_bit, partner_commonbits};
 use ceh_types::{
-    hash_key, DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, PageId, Pseudokey, Record,
-    Result, Value,
+    hash_key, BucketLink, DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId,
+    PageId, Pseudokey, Record, Result, Value,
 };
 
 use crate::snapshot::FileSnapshot;
@@ -123,43 +122,12 @@ impl SequentialHashFile {
             // Nothing recoverable: initialize fresh.
             return Self::with_buckets(cfg, buckets, hasher);
         }
-        let depth = live
+        let links = live
             .iter()
-            .map(|(_, b)| b.localdepth)
-            .max()
-            .expect("non-empty");
-        if depth > cfg.max_depth {
-            return Err(Error::DirectoryFull {
-                max_depth: cfg.max_depth,
-            });
-        }
-        let size = 1usize << depth;
-        let mut directory = vec![PageId::NULL; size];
-        let mut len = 0usize;
-        for (p, b) in &live {
-            len += b.count();
-            let start = b.commonbits as usize;
-            let step = 1usize << b.localdepth;
-            let mut i = start;
-            while i < size {
-                if !directory[i].is_null() {
-                    return Err(Error::Corrupt(format!(
-                        "recovery: entry {i:0w$b} claimed by both {} and {p}",
-                        directory[i],
-                        w = depth as usize
-                    )));
-                }
-                directory[i] = *p;
-                i += step;
-            }
-        }
-        if let Some(gap) = directory.iter().position(|p| p.is_null()) {
-            return Err(Error::Corrupt(format!(
-                "recovery: no bucket covers directory entry {gap:0w$b}",
-                w = depth as usize
-            )));
-        }
-        let depthcount = live.iter().filter(|(_, b)| b.localdepth == depth).count() as u32;
+            .map(|(p, b)| (BucketLink::new(ManagerId::NONE, *p), b));
+        let (entries, depth, depthcount) = rebuild_directory(cfg.max_depth, links)?;
+        let directory = entries.into_iter().map(|l| l.page).collect();
+        let len = live.iter().map(|(_, b)| b.count()).sum();
         let file = SequentialHashFile {
             buckets,
             cfg,
@@ -287,6 +255,7 @@ impl SequentialHashFile {
     /// overwriting) if the key exists.
     pub fn insert(&mut self, key: Key, value: Value) -> Result<InsertOutcome> {
         let pk = (self.hasher)(key);
+        let z = Record { key, value };
         let mut buf = self.buckets.new_buf();
         // The paper's insert retries after a split that failed to make
         // room ("if (!done) insert(z)"); the loop is that recursion.
@@ -297,7 +266,7 @@ impl SequentialHashFile {
                 return Ok(InsertOutcome::AlreadyPresent);
             }
             if current.count() < self.cfg.bucket_capacity {
-                current.add(Record { key, value });
+                current.add(z);
                 self.buckets.putbucket(oldpage, &current, &mut buf)?;
                 self.len += 1;
                 return Ok(InsertOutcome::Inserted);
@@ -307,21 +276,15 @@ impl SequentialHashFile {
             if current.localdepth == self.depth {
                 self.double_directory()?;
             }
-            let newpage = self.buckets.alloc()?;
-            let (half1, half2, done) = current.split(
-                key,
-                value,
-                self.cfg.bucket_capacity,
-                self.hasher,
-                oldpage,
-                ceh_types::ManagerId::NONE,
-                newpage,
-                ceh_types::ManagerId::NONE,
-            );
-            self.buckets.putbucket(newpage, &half2, &mut buf)?;
-            self.buckets.putbucket(oldpage, &half1, &mut buf)?;
-            self.update_directory(newpage, half2.localdepth, Pseudokey(half2.commonbits));
-            if half1.localdepth == self.depth {
+            let buckets = &self.buckets;
+            let here = ManagerId::NONE;
+            let split = buckets.split(oldpage, here, z, &self.cfg, self.hasher, |half2| {
+                buckets.place(&half2).map(|p| BucketLink::new(here, p))
+            })?;
+            let (localdepth, done) = (split.localdepth + 1, split.done);
+            let half2 = Pseudokey(current.commonbits | partner_bit(localdepth));
+            self.update_directory(split.half2.page, localdepth, half2);
+            if localdepth == self.depth {
                 // Two buckets now sit at full depth where none did before
                 // (the split bucket was at depth-1): "splitting a bucket
                 // of localdepth = depth-1 would add two" (§2.2).
@@ -347,62 +310,47 @@ impl SequentialHashFile {
             return Ok(DeleteOutcome::NotFound);
         }
 
-        // "Current not too empty" — or too shallow to have a partner.
-        // Figure 7's test is (count > 1 || localdepth == 1); generalized
-        // to the configured merge threshold.
-        let too_empty = current.count() <= self.cfg.merge_threshold + 1 && current.localdepth > 1;
-        if !too_empty {
-            current.remove(key);
+        // Unless "current [is] not too empty" (Figure 7's count > 1, with
+        // the configured merge threshold) or too shallow to have a
+        // partner, try to merge with the partner (w.r.t. localdepth).
+        let (d, count) = (current.localdepth, current.count());
+        let brother = if too_empty(&self.cfg, count, d) {
+            let partner_idx = (selectedbits ^ partner_bit(d)) & mask(self.depth);
+            let page = self.directory[partner_idx as usize];
+            let brother = self.buckets.getbucket(page, &mut buf)?;
+            mergeable(&self.cfg, d, count, brother.localdepth, brother.count())
+                .then_some((page, brother))
+        } else {
+            None
+        };
+        current.remove(key);
+        let Some((partner_page, brother)) = brother else {
+            // "Not possible to merge these two": the local depths differ,
+            // or the records do not fit in one bucket.
             self.buckets.putbucket(oldpage, &current, &mut buf)?;
             self.len -= 1;
             return Ok(DeleteOutcome::Deleted);
-        }
-
-        // Try to merge with the partner (with respect to localdepth).
-        let d = current.localdepth;
-        let partner_idx = (selectedbits ^ ceh_types::partner_bit(d)) & mask(self.depth);
-        let partner_page = self.directory[partner_idx as usize];
-        let brother = self.buckets.getbucket(partner_page, &mut buf)?;
-
-        if brother.localdepth != d {
-            // "Not possible to merge these two" — localdepths differ.
-            current.remove(key);
-            self.buckets.putbucket(oldpage, &current, &mut buf)?;
-            self.len -= 1;
-            return Ok(DeleteOutcome::Deleted);
-        }
+        };
         debug_assert_eq!(
             brother.commonbits,
             partner_commonbits(current.commonbits, d)
         );
 
-        // Check the merged bucket fits (always true at the paper's
-        // merge_threshold = 0; can fail for larger thresholds).
-        current.remove(key);
-        if current.count() + brother.count() > self.cfg.bucket_capacity {
-            self.buckets.putbucket(oldpage, &current, &mut buf)?;
-            self.len -= 1;
-            return Ok(DeleteOutcome::Deleted);
-        }
-
         // Merge: the "0" partner (partner bit clear) survives, on its
-        // own page; the other page is retired.
-        let (merged_page, garbage_page, merged) =
-            if current.commonbits & ceh_types::partner_bit(d) == 0 {
-                (oldpage, partner_page, Bucket::merged(&current, &brother))
-            } else {
-                (partner_page, oldpage, Bucket::merged(&brother, &current))
-            };
-
+        // own page; the other page is freed.
+        let (z, partner) = ((oldpage, &current), (partner_page, &brother));
+        let (zero, one) = match current.commonbits & partner_bit(d) {
+            0 => (z, partner),
+            _ => (partner, z),
+        };
         if d == self.depth {
             // "Merging two buckets of localdepth = depth would subtract
             // two" (§2.2).
             self.depthcount -= 2;
         }
-        self.buckets.putbucket(merged_page, &merged, &mut buf)?;
-        // Redirect every entry that pointed at the garbage bucket.
-        self.update_directory(merged_page, merged.localdepth, Pseudokey(merged.commonbits));
-        self.buckets.dealloc(garbage_page)?;
+        let merged = self.buckets.merge(zero, one, Retire::Free)?;
+        // Redirect every entry that pointed at the freed bucket.
+        self.update_directory(zero.0, merged.localdepth, Pseudokey(merged.commonbits));
         if self.depthcount == 0 && self.depth > 1 {
             self.halve_directory();
         }
@@ -442,7 +390,7 @@ impl SequentialHashFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ceh_types::identity_pseudokey;
+    use ceh_types::{identity_pseudokey, Bucket};
 
     fn tiny() -> SequentialHashFile {
         SequentialHashFile::new(HashFileConfig::tiny()).unwrap()

@@ -7,15 +7,23 @@
 //! plus the write-ahead log when the file is durable. It alone decides
 //! whether a mutation is logged first or goes straight to the store, so
 //! the protocols above it read the same either way.
+//!
+//! It also holds the restructuring steps every file shares: the
+//! hand-over-hand walk ([`Buckets::walk`]), the split
+//! ([`Buckets::split`]), the merge test ([`mergeable`]) and commit
+//! ([`Buckets::merge`]), and the directory rebuilt from the live buckets
+//! ([`rebuild_directory`]). Each takes no directory lock and sends no
+//! message: the lock order, the directory update and the messages stay
+//! with the file that calls it.
 
 use std::sync::Arc;
 
-use ceh_locks::HeaderWords;
+use ceh_locks::{HeaderWords, LockId, LockManager, LockMode, OwnerId};
 use ceh_obs::MetricsHandle;
 use ceh_types::bucket::{append_in_place, remove_in_place, PageWordsMut};
 use ceh_types::{
-    Bucket, BucketView, Error, HashFileConfig, Key, ManagerId, PageId, Pseudokey, Record, Result,
-    Value,
+    Bucket, BucketLink, BucketView, Error, HashFileConfig, Key, ManagerId, PageId, Pseudokey,
+    Record, Result, Value,
 };
 
 use crate::{DurableStore, DurableTxn, PageBuf, PageStore, PageStoreConfig};
@@ -228,6 +236,130 @@ impl Buckets {
             .collect()
     }
 
+    /// The `/* WRONG BUCKET */` loop of Figures 5, 8, 9 and 14: from
+    /// `page`, which `owner` holds in `mode`, follow `next` links hand
+    /// over hand (lock the next page, peek at it, release the one
+    /// before) until a bucket owns `pk`. Tombstones are walked through
+    /// like any wrong bucket: their `next` is the recovery path. `hop`
+    /// runs once per link followed. A link to a page of a manager other
+    /// than `here` ends the walk at [`Walked::OffSite`], its page still
+    /// held (one file passes [`ManagerId::NONE`] and never leaves). On
+    /// an error (a page that faults or does not decode, a wrong bucket
+    /// with no `next`) the walk holds no page lock.
+    #[allow(clippy::too_many_arguments)]
+    pub fn walk(
+        &self,
+        locks: &LockManager,
+        owner: OwnerId,
+        mode: LockMode,
+        mut page: PageId,
+        here: ManagerId,
+        pk: Pseudokey,
+        key: Key,
+        mut hop: impl FnMut(),
+    ) -> Result<Walked> {
+        let unlock = |page| locks.unlock(owner, LockId::Page(page), mode);
+        let mut current = self.peek(page, pk, key).inspect_err(|_| unlock(page))?;
+        loop {
+            let (next, next_mgr) = match current {
+                Peek::Owns(at) => return Ok(Walked::Owner(page, at)),
+                Peek::WrongBucket { next, next_mgr } => (next, next_mgr),
+            };
+            hop();
+            if next.is_null() {
+                unlock(page);
+                return Err(Error::Corrupt(format!(
+                    "walk for {pk:?}: wrong bucket {page} has no next link"
+                )));
+            }
+            if !next_mgr.is_none() && next_mgr != here {
+                let next = BucketLink::new(next_mgr, next);
+                return Ok(Walked::OffSite { page, next });
+            }
+            let step = self.check_link(next).and_then(|()| {
+                locks.lock(owner, LockId::Page(next), mode);
+                self.peek(next, pk, key).inspect_err(|_| unlock(next))
+            });
+            current = step.inspect_err(|_| unlock(page))?;
+            unlock(page);
+            page = next;
+        }
+    }
+
+    /// The split of Figures 6, 8 and 14 and of the sequential file,
+    /// under the lock the caller holds on `page`, whose bucket is full:
+    /// `getbucket`, then `split(current, half1, half2, z)`, then one
+    /// logged transaction that puts the "1" half where `place` says (a
+    /// page of this store, or another site through `Splitbucket`) and
+    /// rewrites `page` as the "0" half linked to it. The "1" half is
+    /// written first: "this order is what makes the split look atomic
+    /// to concurrent readers" (§2.3). `here`, the manager of `page`,
+    /// becomes the "1" half's `prev`.
+    pub fn split(
+        &self,
+        page: PageId,
+        here: ManagerId,
+        record: Record,
+        cfg: &HashFileConfig,
+        hasher: fn(Key) -> Pseudokey,
+        place: impl FnOnce(Bucket) -> Result<BucketLink>,
+    ) -> Result<Split> {
+        let mut buf = self.new_buf();
+        let current = self.getbucket(page, &mut buf)?;
+        let (mut half1, half2, done) = current.split(
+            record.key,
+            record.value,
+            cfg.bucket_capacity,
+            hasher,
+            page,
+            here,
+            PageId::NULL,
+            here,
+        );
+        // Power lost before the commit record is durable leaves either
+        // the whole split or none of it.
+        let txn = self.begin_txn()?;
+        let link = place(half2)?;
+        (half1.next, half1.next_mgr) = (link.page, link.manager);
+        self.putbucket(page, &half1, &mut buf)?;
+        txn.commit()?;
+        Ok(Split {
+            localdepth: current.localdepth,
+            version: current.version,
+            half2: link,
+            done,
+        })
+    }
+
+    /// The merge commit of Figures 7, 9 and 14 and of the sequential
+    /// file, under the locks the caller holds on both pages, after it
+    /// removed the key: write the survivor of `zero` and `one` (the
+    /// partners, each with its page) on `zero`'s page, and retire
+    /// `one`'s page as `retire` says, as one logged transaction, so
+    /// recovery never sees the survivor without its partner retired.
+    /// Returns the survivor.
+    pub fn merge(
+        &self,
+        (zero_page, zero): (PageId, &Bucket),
+        (one_page, one): (PageId, &Bucket),
+        retire: Retire,
+    ) -> Result<Bucket> {
+        let survivor = Bucket::merged(zero, one);
+        let mut buf = self.new_buf();
+        let txn = self.begin_txn()?;
+        self.putbucket(zero_page, &survivor, &mut buf)?;
+        match retire {
+            Retire::Free => self.dealloc(one_page)?,
+            Retire::Tombstone(here) => {
+                let link = BucketLink::new(here, zero_page);
+                let tombstone = Bucket::tombstone(link, survivor.version);
+                self.putbucket(one_page, &tombstone, &mut buf)?;
+            }
+        }
+        txn.commit()?;
+        Ok(survivor)
+    }
+
     /// The recovery sweep over a file's pages: its live buckets. With
     /// `collect`, tombstones and pages that do not decode are deallocated
     /// (through the log when durable): the whole file is restarting, and
@@ -246,6 +378,123 @@ impl Buckets {
         }
         Ok(live)
     }
+}
+
+/// A delete gives up merging once the operation has been retried this
+/// many times (Figure 9's label-*A* restarts in Solution 2, the
+/// directory manager's re-drives at a bucket slave): when the cause
+/// persists ("the local depths do not match"), retrying re-encounters
+/// it forever, and §2.5 has the deleter go "back to simply trying to
+/// remove its key".
+pub const MERGE_ATTEMPTS: u32 = 3;
+
+/// The trigger of Figures 7, 9 and 14: a delete from a bucket of
+/// `localdepth` holding `count` records tries to merge it with its
+/// partner.
+#[inline]
+pub fn too_empty(cfg: &HashFileConfig, count: usize, localdepth: u32) -> bool {
+    count <= cfg.merge_threshold + 1 && localdepth > 1
+}
+
+/// The merge test of Figures 7, 9 and 14: may a bucket of `localdepth`
+/// holding `count` records, the deleted key among them, merge with its
+/// partner of `partner_localdepth` holding `partner_count`? The partners
+/// are at one depth, and they fit in one bucket once the key is gone. A
+/// tombstone, at depth 0, is never the partner of a bucket that is
+/// [`too_empty`].
+#[inline]
+pub fn mergeable(
+    cfg: &HashFileConfig,
+    localdepth: u32,
+    count: usize,
+    partner_localdepth: u32,
+    partner_count: usize,
+) -> bool {
+    localdepth == partner_localdepth && count + partner_count <= cfg.bucket_capacity + 1
+}
+
+/// The directory of a file that restarted, rebuilt from its `live`
+/// buckets' local depths and `commonbits`: its depth is the deepest
+/// local depth, and entry `i` names the one bucket whose `commonbits`
+/// are `i`'s low `localdepth` bits. Returns the entries, the depth and
+/// the depthcount. Fails if the depth passes `max_depth`, if two
+/// buckets claim one entry, or if no bucket covers one.
+pub fn rebuild_directory<'a, I>(max_depth: u32, live: I) -> Result<(Vec<BucketLink>, u32, u32)>
+where
+    I: IntoIterator<Item = (BucketLink, &'a Bucket)> + Clone,
+{
+    let depth = live.clone().into_iter().map(|(_, b)| b.localdepth).max();
+    let depth = depth.unwrap_or(0);
+    if depth > max_depth {
+        return Err(Error::DirectoryFull { max_depth });
+    }
+    let size = 1usize << depth;
+    let mut entries = vec![BucketLink::NULL; size];
+    let mut depthcount = 0u32;
+    for (link, b) in live {
+        depthcount += u32::from(b.localdepth == depth);
+        for i in (b.commonbits as usize..size).step_by(1usize << b.localdepth) {
+            if !entries[i].is_null() {
+                return Err(Error::Corrupt(format!(
+                    "recovery: entry {i:0w$b} claimed by both {} and {link}",
+                    entries[i],
+                    w = depth as usize
+                )));
+            }
+            entries[i] = link;
+        }
+    }
+    if let Some(gap) = entries.iter().position(|l| l.is_null()) {
+        return Err(Error::Corrupt(format!(
+            "recovery: no bucket covers directory entry {gap:0w$b}",
+            w = depth as usize
+        )));
+    }
+    Ok((entries, depth, depthcount))
+}
+
+/// Where [`Buckets::walk`] stopped.
+#[derive(Debug, Clone, Copy)]
+pub enum Walked {
+    /// The bucket that owns the pseudokey: its page, held in the walk's
+    /// mode, and what the peek saw of it.
+    Owner(PageId, Owning),
+    /// A wrong bucket, `page`, still held, whose `next` is on another
+    /// site.
+    OffSite {
+        /// The held page.
+        page: PageId,
+        /// Its `next` link.
+        next: BucketLink,
+    },
+}
+
+/// What [`Buckets::split`] did.
+#[derive(Debug, Clone, Copy)]
+pub struct Split {
+    /// The split bucket's local depth before the split; both halves are
+    /// one deeper.
+    pub localdepth: u32,
+    /// The split bucket's version before the split; both halves are one
+    /// later.
+    pub version: u64,
+    /// Where the "1" half went.
+    pub half2: BucketLink,
+    /// Did the record go in? `false` when its half was full as well:
+    /// the caller retries, `if (!done) insert (z)`.
+    pub done: bool,
+}
+
+/// How [`Buckets::merge`] retires the "1" partner's page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retire {
+    /// Deallocate it: no process can still reach it (Figure 7, the
+    /// sequential file).
+    Free,
+    /// Leave a tombstone whose `next` names the survivor on this
+    /// manager's site, for the searches that still reach the page
+    /// (Figures 9 and 14); garbage collection frees it later.
+    Tombstone(ManagerId),
 }
 
 /// The one-record change of an update that does not restructure (see
@@ -302,4 +551,63 @@ pub struct Owning {
     pub count: usize,
     /// The bucket's local depth.
     pub localdepth: u32,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Buckets `0`, `01` and `11` (localdepth/commonbits), on pages 0–2.
+    fn live() -> Vec<(BucketLink, Bucket)> {
+        [(1, 0b0), (2, 0b01), (2, 0b11)]
+            .into_iter()
+            .enumerate()
+            .map(|(p, (ld, cb))| {
+                (
+                    BucketLink::new(ManagerId(1), PageId(p as u64)),
+                    Bucket::new(ld, cb),
+                )
+            })
+            .collect()
+    }
+
+    fn rebuild(
+        max_depth: u32,
+        live: &[(BucketLink, Bucket)],
+    ) -> Result<(Vec<BucketLink>, u32, u32)> {
+        rebuild_directory(max_depth, live.iter().map(|(l, b)| (*l, b)))
+    }
+
+    #[test]
+    fn rebuild_points_each_entry_at_its_one_bucket() {
+        let live = live();
+        let (entries, depth, depthcount) = rebuild(8, &live).unwrap();
+        let pages: Vec<u64> = entries.iter().map(|l| l.page.0).collect();
+        assert_eq!((pages, depth, depthcount), (vec![0, 1, 0, 2], 2, 2));
+        assert!(entries.iter().all(|l| l.manager == ManagerId(1)));
+    }
+
+    #[test]
+    fn rebuild_refuses_overlaps_gaps_and_depths_past_the_maximum() {
+        let mut overlap = live();
+        overlap.push((
+            BucketLink::new(ManagerId(1), PageId(3)),
+            Bucket::new(2, 0b10),
+        ));
+        let err = rebuild(8, &overlap).unwrap_err().to_string();
+        assert!(
+            err.contains("entry 10 claimed by both mgr1/p0 and mgr1/p3"),
+            "{err}"
+        );
+
+        let mut gap = live();
+        gap.remove(2);
+        let err = rebuild(8, &gap).unwrap_err().to_string();
+        assert!(err.contains("no bucket covers directory entry 11"), "{err}");
+
+        assert_eq!(
+            rebuild(1, &live()),
+            Err(Error::DirectoryFull { max_depth: 1 })
+        );
+    }
 }

@@ -74,7 +74,10 @@ mod store;
 pub mod wal;
 
 pub use backend::{BackendKind, DiskHandle, DiskImage, FileBackend, MemBackend, PageBackend};
-pub use buckets::{Buckets, Edit, Owning, Peek};
+pub use buckets::{
+    mergeable, rebuild_directory, too_empty, Buckets, Edit, Owning, Peek, Retire, Split, Walked,
+    MERGE_ATTEMPTS,
+};
 pub use crash::{CrashPlan, Tear};
 pub use durable::{DurableConfig, DurableStore, DurableTxn, RecoveryReport, FRAME_HEADER};
 pub use page::{PageBuf, POISON_BYTE};

@@ -494,7 +494,7 @@ impl<T: PageWords + ?Sized> PageWords for &T {
 /// A page held as atomic words, in the page store's slot, for reading.
 ///
 /// Every access is one `Relaxed` load of a whole word, so a reader that
-/// scans the page without the page latch never races a writer's store; it
+/// scans the page without a lock never races a writer's store; it
 /// may see a mix of two versions, which is why such a reader validates
 /// the page's version afterwards and discards what it read if a write
 /// overlapped. `Relaxed` suffices because the version word's fences order
@@ -543,9 +543,11 @@ impl PageWords for SharedPage<'_> {
     }
 }
 
-/// A page held as atomic words, for the one writer the page store lets in
-/// at a time (under the page latch, inside the page's version bracket).
-/// Every store is one `Relaxed` store of a whole word; see [`SharedPage`].
+/// A page held as atomic words, for its one writer at a time. What
+/// serializes writers is the page's α or ξ lock in its header word,
+/// which the locking protocols hold for every write; the store brackets
+/// the write with the header's writing bit and version. Every store is
+/// one `Relaxed` store of a whole word; see [`SharedPage`].
 #[derive(Debug)]
 pub struct SharedPageMut<'a> {
     words: &'a [AtomicU64],

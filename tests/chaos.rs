@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use ceh_dist::{Cluster, ClusterConfig, SiteStorage};
-use ceh_net::{FaultPlan, LatencyModel};
+use ceh_net::{FaultPlan, LatencyModel, MsgStatsSnapshot};
 use ceh_types::{HashFileConfig, Key, RetryPolicy, Value};
 
 fn quick() -> bool {
@@ -50,12 +50,34 @@ const FAULTABLE: &[&str] = &[
 
 #[test]
 fn seeded_faults_with_crash_and_restart_converge_exactly() {
+    seeded_chaos(HashFileConfig::tiny().with_bucket_capacity(8));
+}
+
+/// The same plan where a delete merges a bucket of capacity 4 left with
+/// one record, so merges (local, Mergedown and Mergeup) run under the
+/// faults and the crash at either workload size.
+#[test]
+fn seeded_faults_merging_at_threshold_1_converge_exactly() {
+    let stats = seeded_chaos(
+        HashFileConfig::tiny()
+            .with_bucket_capacity(4)
+            .with_merge_threshold(1),
+    );
+    for class in ["mergedown", "mergeup", "garbagecollect"] {
+        assert!(stats.get(class) > 0, "no {class}: the merges did not run");
+    }
+}
+
+/// Six clients under 5% drops and 1% duplicates, with bucket manager 1
+/// crashed and restarted mid-run, held to an exact oracle. Returns the
+/// message counts.
+fn seeded_chaos(file: HashFileConfig) -> MsgStatsSnapshot {
     let ops_per_client: u64 = if quick() { 150 } else { 900 };
     let clients: u64 = 6; // 6 × 900 = 5400 ops in the full run
     let mut cluster = Cluster::start(ClusterConfig {
         dir_managers: 3,
         bucket_managers: 3,
-        file: HashFileConfig::tiny().with_bucket_capacity(8),
+        file,
         page_quota: Some(16), // spread buckets so the crashed site matters
         latency: LatencyModel::none(),
         storage: SiteStorage::Volatile,
@@ -165,6 +187,7 @@ fn seeded_faults_with_crash_and_restart_converge_exactly() {
     );
     assert!(stats.duplicated_total() > 0, "and duplicated some");
     cluster.shutdown();
+    stats
 }
 
 /// One run of a deterministic workload: a single sequential client, one

@@ -8,7 +8,7 @@ use std::time::Duration;
 use ceh_btree::{BLinkTree, BLinkTreeConfig};
 use ceh_core::{ConcurrentHashFile, GlobalLockFile, Solution1, Solution2};
 use ceh_dist::{Cluster, ClusterConfig};
-use ceh_net::LatencyModel;
+use ceh_net::{LatencyModel, MsgStatsSnapshot};
 use ceh_sequential::SequentialHashFile;
 use ceh_types::{DeleteOutcome, HashFileConfig, InsertOutcome, Key, Value};
 use ceh_workload::{KeyDist, Op, OpMix, WorkloadGen};
@@ -83,8 +83,7 @@ impl Impl {
     }
 }
 
-fn all_impls() -> Vec<Impl> {
-    let cfg = HashFileConfig::tiny().with_bucket_capacity(3);
+fn all_impls(cfg: HashFileConfig) -> Vec<Impl> {
     let cluster = Cluster::start(ClusterConfig {
         dir_managers: 2,
         bucket_managers: 2,
@@ -105,9 +104,35 @@ fn all_impls() -> Vec<Impl> {
     ]
 }
 
+/// The paper's file: capacity 3, merging only buckets that empty.
+fn paper_cfg() -> HashFileConfig {
+    HashFileConfig::tiny().with_bucket_capacity(3)
+}
+
 #[test]
 fn one_tape_six_implementations() {
-    let mut impls = all_impls();
+    replay_tape(paper_cfg());
+}
+
+/// The same tape where a delete merges a bucket left with one record:
+/// the distributed file's Mergedown refusals, remote merges and
+/// second-of-pair re-validation run against the other five.
+#[test]
+fn one_tape_six_implementations_merging_at_threshold_1() {
+    let msgs = replay_tape(
+        HashFileConfig::tiny()
+            .with_bucket_capacity(4)
+            .with_merge_threshold(1),
+    );
+    for class in ["mergedown", "mergeup", "goahead"] {
+        assert!(msgs.get(class) > 0, "no {class}: no merge crossed sites");
+    }
+}
+
+/// Replay the tape on all six, checking every outcome and the final
+/// sizes; returns the distributed file's message counts.
+fn replay_tape(cfg: HashFileConfig) -> MsgStatsSnapshot {
+    let mut impls = all_impls(cfg);
     let mut gen = WorkloadGen::new(0x7A9E, KeyDist::Uniform, 80, OpMix::BALANCED);
     for (step, op) in gen.batch(1200).into_iter().enumerate() {
         match op {
@@ -146,18 +171,21 @@ fn one_tape_six_implementations() {
     for i in impls.iter().skip(1) {
         assert_eq!(i.len(), expected_len, "final size on {}", i.name());
     }
-    // Tear the cluster down cleanly.
+    // Tear the cluster down cleanly, keeping its message counts.
+    let mut msgs = None;
     for i in impls {
         if let Impl::Dist(c, client) = i {
+            msgs = Some(c.msg_stats());
             drop(client);
             c.shutdown();
         }
     }
+    msgs.expect("the tape ran on the distributed file")
 }
 
 #[test]
 fn grow_only_tape_all_agree() {
-    let mut impls = all_impls();
+    let mut impls = all_impls(paper_cfg());
     for k in 0..200u64 {
         let v = Value(k * 7);
         let expected = impls[0].insert(Key(k), v);
