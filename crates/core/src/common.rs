@@ -6,8 +6,8 @@ use std::sync::Arc;
 use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
 use ceh_obs::MetricsHandle;
 use ceh_storage::{
-    Buckets, DiskHandle, DurableConfig, DurableStore, Owning, PageBuf, PageStore, RecoveryReport,
-    Split, Walked,
+    Buckets, Directory, DiskHandle, DurableConfig, DurableStore, Owning, PageBuf, PageStore,
+    RecoveryReport, Split, Walked,
 };
 use ceh_types::bucket::BucketView;
 use ceh_types::{
@@ -15,7 +15,6 @@ use ceh_types::{
     Value,
 };
 
-use crate::directory::Directory;
 use crate::stats::OpStats;
 
 /// Propagate an error out of a protocol function after dropping every
@@ -119,15 +118,15 @@ impl FileCore {
 
     /// Crash-recover a core from a durable medium: replay the WAL
     /// ([`DurableStore::recover`]), then rebuild the directory from the
-    /// surviving buckets' `commonbits`/local depths with the sequential
-    /// recovery scan ([`ceh_sequential::SequentialHashFile::recover`]),
-    /// whose sweep deallocates bucket-level garbage (tombstones and
-    /// debris that decode as junk) **through the log**, so the medium
-    /// converges with the recovered structure. The lock manager,
-    /// configured by `locks`, is built over the recovered store. This is
-    /// the one way to reopen a persistent file: over a
-    /// [`DiskHandle::open_file`] directory, or over the image of a
-    /// [`DiskHandle::new`] medium.
+    /// surviving buckets' `commonbits`/local depths ([`Buckets::recover`],
+    /// as the sequential file does), whose sweep deallocates bucket-level
+    /// garbage (tombstones and debris that decode as junk) **through the
+    /// log**, so the medium converges with the recovered structure. The
+    /// lock manager, configured by `locks`, is built over the recovered
+    /// store, and the recovered file is invariant-checked
+    /// ([`crate::invariants::check_concurrent_file`]). This is the one
+    /// way to reopen a persistent file: over a [`DiskHandle::open_file`]
+    /// directory, or over the image of a [`DiskHandle::new`] medium.
     pub fn recover_durable_metrics(
         cfg: HashFileConfig,
         disk: &DiskHandle,
@@ -136,6 +135,7 @@ impl FileCore {
         hasher: fn(Key) -> Pseudokey,
         metrics: &MetricsHandle,
     ) -> Result<(Self, RecoveryReport)> {
+        cfg.validate()?;
         let (wal, report) = DurableStore::recover(disk, dcfg, metrics)?;
         let buckets = Buckets::from(wal);
         let locks = Arc::new(LockManager::with_metrics(
@@ -143,13 +143,9 @@ impl FileCore {
             buckets.store().clone(),
             metrics,
         ));
-        let recovered =
-            ceh_sequential::SequentialHashFile::recover(cfg.clone(), buckets.clone(), hasher)?;
-        let snap = recovered.snapshot()?;
-        let dir = Directory::restore(cfg.max_depth, &snap.entries, snap.depthcount)?;
-        let len = recovered.len();
-        drop(recovered);
+        let (dir, len) = buckets.recover(&cfg)?;
         let core = Self::assemble(cfg, buckets, locks, dir, hasher, metrics, len);
+        crate::invariants::check_concurrent_file(&core)?;
         Ok((core, report))
     }
 

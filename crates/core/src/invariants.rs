@@ -24,14 +24,7 @@ use crate::common::FileCore;
 /// Capture a [`FileSnapshot`] of a concurrent file's current structure.
 /// Quiescent use only.
 pub fn snapshot_core(core: &FileCore) -> Result<FileSnapshot> {
-    let entries = core.dir().entries_snapshot();
-    FileSnapshot::capture(
-        core.buckets(),
-        &entries,
-        core.dir().depth(),
-        core.dir().depthcount(),
-        core.config().bucket_capacity,
-    )
+    FileSnapshot::capture(core.buckets(), core.dir(), core.config().bucket_capacity)
 }
 
 /// Check every structural invariant of a quiescent concurrent file.

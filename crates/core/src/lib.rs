@@ -20,7 +20,8 @@
 //!
 //! All three implement [`ConcurrentHashFile`], and all store buckets
 //! through the same page codec on a [`ceh_storage::PageStore`], with
-//! locking by [`ceh_locks::LockManager`]. Structural self-checks live in
+//! locking by [`ceh_locks::LockManager`]; Solutions 1 and 2 index them
+//! through the [`ceh_storage::Directory`] every hash file uses. Structural self-checks live in
 //! [`invariants`], per-operation counters in [`OpStats`].
 //!
 //! ## Shape of the transliteration
@@ -37,7 +38,6 @@
 #![warn(rust_2018_idioms)]
 
 mod common;
-mod directory;
 mod global_lock;
 pub mod invariants;
 mod solution1;
@@ -46,7 +46,6 @@ mod stats;
 mod traits;
 
 pub use common::FileCore;
-pub use directory::Directory;
 pub use global_lock::GlobalLockFile;
 pub use solution1::{Solution1, Solution1Options};
 pub use solution2::{GcStrategy, Solution2, Solution2Options};

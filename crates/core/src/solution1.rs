@@ -135,11 +135,7 @@ impl Solution1 {
             let (newpage, localdepth, done) = (split.half2.page, split.localdepth + 1, split.done);
             core.un_alpha_lock(owner, LockId::Page(oldpage));
             core.dir().update_one_side(newpage, localdepth, pk);
-            if localdepth == core.dir().depth() {
-                // "Splitting a bucket of localdepth = depth-1 would add
-                // two" (§2.2).
-                core.dir().add_depthcount(2);
-            }
+            core.dir().count_split(localdepth);
             core.stats().splits();
             core.trace_end(split_span, "split", oldpage.0, newpage.0);
             core.un_alpha_lock(owner, LockId::Directory);
@@ -235,11 +231,7 @@ impl Solution1 {
         /* mergeable */
         let merge_span = core.trace_begin("merge", oldpage.0, 0);
         let old_ld = brother.localdepth;
-        if old_ld == depth {
-            // "Merging two buckets of localdepth = depth would subtract
-            // two" (§2.2).
-            core.dir().add_depthcount(-2);
-        }
+        core.dir().count_merge(old_ld);
         // The survivors of z's bucket move across (none at the paper's
         // merge_threshold = 0); the "1" partner's page is freed.
         current.remove(key);
@@ -251,8 +243,7 @@ impl Solution1 {
         };
         let (merged_page, garbage_page) = (zero.0, one.0);
         try_or_release!(core, owner, buckets.merge(zero, one, Retire::Free));
-        if core.dir().depthcount() == 0 {
-            core.dir().halve();
+        if core.dir().halve() {
             core.stats().halvings();
         } else {
             core.dir().update_one_side(merged_page, old_ld, pk);

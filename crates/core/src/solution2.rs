@@ -241,8 +241,7 @@ impl Solution2 {
         core.xi_lock(owner, LockId::Directory);
         for (i, &page) in pages.iter().enumerate() {
             core.xi_lock(owner, LockId::Page(page));
-            if core.dir().depthcount() == 0 {
-                core.dir().halve();
+            if core.dir().halve() {
                 core.stats().halvings();
             }
             if core.buckets().dealloc(page).is_err() {
@@ -253,10 +252,6 @@ impl Solution2 {
                 return;
             }
             core.un_xi_lock(owner, LockId::Page(page));
-        }
-        if core.dir().depthcount() == 0 && core.dir().depth() > 1 {
-            core.dir().halve();
-            core.stats().halvings();
         }
         core.un_xi_lock(owner, LockId::Directory);
         core.stats().gc_phases();
@@ -324,11 +319,7 @@ impl Solution2 {
                     Edit::Add(_) => Some(Plan::Upgrade(LockMode::Alpha, edit)),
                     Edit::Remove(_) if !found => Some(Plan::Answer(Ok(false))),
                     /* TOO EMPTY: TRY TO MERGE */
-                    Edit::Remove(_)
-                        if view.count() <= cfg.merge_threshold + 1 && view.localdepth() > 1 =>
-                    {
-                        None
-                    }
+                    Edit::Remove(_) if too_empty(cfg, view.count(), view.localdepth()) => None,
                     Edit::Remove(_) => Some(Plan::Upgrade(LockMode::Xi, edit)),
                 }
             },
@@ -392,9 +383,7 @@ impl Solution2 {
             let split = try_or_release!(core, owner, core.split(oldpage, key, value));
             let (newpage, localdepth, done) = (split.half2.page, split.localdepth + 1, split.done);
             core.dir().update_one_side(newpage, localdepth, pk);
-            if localdepth == core.dir().depth() {
-                core.dir().add_depthcount(2);
-            }
+            core.dir().count_split(localdepth);
             core.stats().splits();
             core.trace_end(split_span, "split", oldpage.0, newpage.0);
             core.un_alpha_lock(owner, LockId::Page(oldpage));
@@ -528,9 +517,7 @@ impl Solution2 {
             let merge_span = core.trace_begin("merge", oldpage.0, 0);
             core.alpha_lock(owner, LockId::Directory); // ρ → α conversion
             let old_ld = brother.localdepth;
-            if old_ld == core.dir().depth() {
-                core.dir().add_depthcount(-2);
-            }
+            core.dir().count_merge(old_ld);
             current.remove(key);
             let (z, partner) = ((oldpage, &current), (newpage, &brother));
             let (zero, one) = if first_of_pair {

@@ -276,7 +276,7 @@ fn reader_recovers_through_tombstone() {
     f.core()
         .dir()
         .update_one_side(one_page, 2, ceh_types::Pseudokey(0b11));
-    f.core().dir().add_depthcount(-2);
+    f.core().dir().count_merge(2);
     f.core()
         .locks()
         .unlock(partner_owner, LockId::Page(one_page), LockMode::Xi);

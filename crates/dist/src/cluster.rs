@@ -132,7 +132,7 @@ impl Cluster {
         let (net, sites) = Self::build_sites(&cfg, Existing::Truncate, &metrics)?;
         // The root bucket lives on site 0.
         let root = BucketLink::new(sites[0].id, sites[0].buckets.create_root(&cfg.file)?);
-        let replica = DirReplica::new(cfg.file.max_depth, root);
+        let replica = DirReplica::new(cfg.file.max_depth, root)?;
         Ok(Self::spawn(&cfg, net, sites, replica, metrics))
     }
 
@@ -153,21 +153,13 @@ impl Cluster {
         let live = all_buckets(&sites)?;
         let replica = if live.is_empty() {
             let root = BucketLink::new(sites[0].id, sites[0].buckets.create_root(&cfg.file)?);
-            DirReplica::new(cfg.file.max_depth, root)
+            DirReplica::new(cfg.file.max_depth, root)?
         } else {
             let links = live
                 .iter()
                 .map(|(&(mgr, page), b)| (BucketLink::new(mgr, page), b));
-            let (entries, _depth, depthcount) = rebuild_directory(cfg.file.max_depth, links)?;
-            let entries = entries
-                .into_iter()
-                .map(|l| DirEntry {
-                    mgr: l.manager,
-                    page: l.page,
-                    version: live[&(l.manager, l.page)].version,
-                })
-                .collect();
-            DirReplica::restore(cfg.file.max_depth, entries, depthcount)?
+            let entry = |link, b: &Bucket| DirEntry::new(link, b.version);
+            rebuild_directory(cfg.file.max_depth, links, entry)?.into()
         };
         let cluster = Self::spawn(&cfg, net, sites, replica, metrics);
         cluster.check_invariants()?;

@@ -735,7 +735,7 @@ impl DirectoryManager {
                 alpha: self.alpha(),
                 parked: self.parked.len(),
                 depth: self.replica.depth(),
-                entries: self.replica.entries().to_vec(),
+                entries: self.replica.entries(),
                 pending_garbage,
             },
         );
@@ -784,7 +784,8 @@ mod tests {
         net.register_name(bucket_mgr_name(ceh_types::ManagerId(0)), bucket_port);
         let (_user_port, user_rx) = net.create_port();
         let (dir_port, dir_rx) = net.create_port();
-        let replica = DirReplica::new(8, BucketLink::new(ceh_types::ManagerId(0), PageId(0)));
+        let replica =
+            DirReplica::new(8, BucketLink::new(ceh_types::ManagerId(0), PageId(0))).unwrap();
         let mut mgr = DirectoryManager::new(
             0,
             total_dir_mgrs,

@@ -308,7 +308,7 @@ impl ServeNode {
                 let replica = DirReplica::new(
                     opts.file.max_depth,
                     BucketLink::new(ManagerId(0), PageId(0)),
-                );
+                )?;
                 let (port, rx) = net.create_port();
                 net.register_name(&dir_mgr_name(role_idx), port);
                 let needed = spec.all_names();

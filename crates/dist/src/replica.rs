@@ -26,8 +26,12 @@
 //! versions, parks, the split applies, the merge follows — and only then
 //! may the garbage bucket be deallocated.
 
+use std::cell::Cell;
+use std::sync::atomic::Ordering;
+
+use ceh_storage::{Directory, DirectoryEntry};
 use ceh_types::bits::mask;
-use ceh_types::{BucketLink, Error, ManagerId, PageId, Pseudokey, Result};
+use ceh_types::{BucketLink, ManagerId, PageId, Pseudokey, Result};
 
 /// One directory entry: a bucket link plus the version it was last
 /// updated at (Figure 10 shows "a version field introduced into each
@@ -40,6 +44,41 @@ pub struct DirEntry {
     pub page: PageId,
     /// Version of the bucket this entry last tracked.
     pub version: u64,
+}
+
+impl DirEntry {
+    /// The entry for `link` at `version`.
+    pub fn new(link: BucketLink, version: u64) -> Self {
+        DirEntry {
+            mgr: link.manager,
+            page: link.page,
+            version,
+        }
+    }
+}
+
+/// A replica belongs to one directory manager's thread, so its entries
+/// are plain cells: nothing reads them concurrently, and the orderings
+/// the concurrent files need have nothing to order.
+impl DirectoryEntry for DirEntry {
+    type Cell = Cell<DirEntry>;
+    const NULL: DirEntry = DirEntry {
+        mgr: ManagerId::NONE,
+        page: PageId::NULL,
+        version: 0,
+    };
+
+    fn cell(self) -> Cell<DirEntry> {
+        Cell::new(self)
+    }
+
+    fn load(cell: &Cell<DirEntry>, _: Ordering) -> DirEntry {
+        cell.get()
+    }
+
+    fn store(cell: &Cell<DirEntry>, entry: DirEntry, _: Ordering) {
+        cell.set(entry)
+    }
 }
 
 /// Outcome of [`DirReplica::apply`].
@@ -116,131 +155,56 @@ impl DirUpdate {
     }
 }
 
-/// One directory manager's full copy of the directory.
+/// One directory manager's full copy of the directory: the file's
+/// [`Directory`] over [`DirEntry`] cells. This type adds the version
+/// rules of [`DirReplica::apply`]; doubling, group redirects, halving
+/// and `depthcount` are the directory's.
 #[derive(Debug, Clone)]
 pub struct DirReplica {
-    entries: Vec<DirEntry>,
-    depth: u32,
-    depthcount: u32,
-    max_depth: u32,
+    dir: Directory<DirEntry>,
+}
+
+impl From<Directory<DirEntry>> for DirReplica {
+    /// A replica over a directory built elsewhere (see
+    /// [`crate::Cluster::recover`]).
+    fn from(dir: Directory<DirEntry>) -> Self {
+        DirReplica { dir }
+    }
 }
 
 impl DirReplica {
     /// A depth-0 replica pointing at the root bucket.
-    pub fn new(max_depth: u32, root: BucketLink) -> Self {
-        DirReplica {
-            entries: vec![DirEntry {
-                mgr: root.manager,
-                page: root.page,
-                version: 0,
-            }],
-            depth: 0,
-            depthcount: 1,
-            max_depth,
-        }
-    }
-
-    /// Restore a replica from recovered state (see
-    /// [`crate::Cluster::recover`]): `entries` must be exactly `2^depth`
-    /// long.
-    pub fn restore(max_depth: u32, entries: Vec<DirEntry>, depthcount: u32) -> Result<Self> {
-        if entries.is_empty() {
-            return Err(Error::Corrupt("restore: empty directory".into()));
-        }
-        let depth = entries.len().trailing_zeros();
-        if entries.len() != 1usize << depth {
-            return Err(Error::Corrupt(format!(
-                "restore: {} entries is not a power of two",
-                entries.len()
-            )));
-        }
-        if depth > max_depth {
-            return Err(Error::DirectoryFull { max_depth });
-        }
-        Ok(DirReplica {
-            entries,
-            depth,
-            depthcount,
-            max_depth,
-        })
+    pub fn new(max_depth: u32, root: BucketLink) -> Result<Self> {
+        Ok(Directory::new(max_depth, DirEntry::new(root, 0))?.into())
     }
 
     /// Current depth.
     pub fn depth(&self) -> u32 {
-        self.depth
+        self.dir.depth()
     }
 
     /// Current depthcount.
     pub fn depthcount(&self) -> u32 {
-        self.depthcount
+        self.dir.depthcount()
     }
 
     /// All entries (tests, Status replies).
-    pub fn entries(&self) -> &[DirEntry] {
-        &self.entries
+    pub fn entries(&self) -> Vec<DirEntry> {
+        self.dir.entries_snapshot()
     }
 
     /// `indexdirectory(pseudokey & mask(depth), &oldpage, &bucketmgr)`.
     pub fn lookup(&self, pk: Pseudokey) -> DirEntry {
-        self.entries[pk.low_bits(self.depth) as usize]
+        self.dir.lookup(pk).1
     }
 
-    fn entry_at(&self, bits: u64) -> &DirEntry {
-        &self.entries[(bits & mask(self.depth)) as usize]
-    }
-
-    fn set_group(&mut self, pattern: u64, d: u32, entry: DirEntry) {
-        // Every index whose low d bits equal `pattern`.
-        let step = 1usize << d;
-        let size = 1usize << self.depth;
-        let mut i = (pattern & mask(d)) as usize;
-        while i < size {
-            self.entries[i] = entry;
-            i += step;
-        }
-    }
-
-    fn double(&mut self) -> Result<()> {
-        if self.depth >= self.max_depth {
-            return Err(Error::DirectoryFull {
-                max_depth: self.max_depth,
-            });
-        }
-        let old = self.entries.clone();
-        self.entries.extend_from_slice(&old);
-        self.depth += 1;
-        self.depthcount = 0;
-        Ok(())
-    }
-
-    fn halve(&mut self) {
-        loop {
-            debug_assert!(self.depth >= 1);
-            let half = 1usize << (self.depth - 1);
-            self.entries.truncate(half);
-            self.depth -= 1;
-            if self.depth == 0 {
-                self.depthcount = 1;
-                return;
-            }
-            let quarter = 1usize << (self.depth - 1);
-            let mut count = 0u32;
-            for i in 0..quarter {
-                if self.entries[i].page != self.entries[i + quarter].page
-                    || self.entries[i].mgr != self.entries[i + quarter].mgr
-                {
-                    count += 2;
-                }
-            }
-            self.depthcount = count;
-            if count != 0 || self.depth <= 1 {
-                return;
-            }
-        }
+    fn entry_at(&self, bits: u64) -> DirEntry {
+        self.dir.index(bits & mask(self.dir.depth()))
     }
 
     /// Try to apply an update; see the module docs for the version rules.
     pub fn apply(&mut self, upd: &DirUpdate) -> Result<ApplyResult> {
+        let depth = self.dir.depth();
         match *upd {
             DirUpdate::Split {
                 pseudokey,
@@ -249,16 +213,16 @@ impl DirReplica {
                 new_version,
                 new_bucket,
             } => {
-                let cur = *self.entry_at(pseudokey.low_bits(d.min(self.depth)));
+                let cur = self.entry_at(pseudokey.low_bits(d.min(depth)));
                 if cur.version >= new_version {
                     return Ok(ApplyResult::Stale);
                 }
                 if cur.version != expected_version {
                     return Ok(ApplyResult::Parked);
                 }
-                if d == self.depth {
-                    self.double()?;
-                } else if d > self.depth {
+                if d == depth {
+                    self.dir.double()?;
+                } else if d > depth {
                     // Version matched but the replica is shallower than
                     // the split's localdepth — a predecessor split that
                     // would have deepened us has not applied yet.
@@ -267,20 +231,13 @@ impl DirReplica {
                 let p0 = pseudokey.low_bits(d); // pattern with bit d+1 clear
                 let p1 = p0 | ceh_types::partner_bit(d + 1);
                 let zero_side = DirEntry {
-                    mgr: cur.mgr,
-                    page: cur.page,
                     version: new_version,
+                    ..cur
                 };
-                let one_side = DirEntry {
-                    mgr: new_bucket.manager,
-                    page: new_bucket.page,
-                    version: new_version,
-                };
-                self.set_group(p0, d + 1, zero_side);
-                self.set_group(p1, d + 1, one_side);
-                if d + 1 == self.depth {
-                    self.depthcount += 2;
-                }
+                self.dir.set_group(p0, d + 1, zero_side);
+                self.dir
+                    .set_group(p1, d + 1, DirEntry::new(new_bucket, new_version));
+                self.dir.count_split(d + 1);
                 Ok(ApplyResult::Applied)
             }
             DirUpdate::Merge {
@@ -298,34 +255,25 @@ impl DirReplica {
                 // version is ≥ new_version even if the directory has
                 // since halved below `d`. Checking the depth guard first
                 // would park a duplicate of an applied merge forever.
-                let probe = pseudokey.low_bits((d - 1).min(self.depth));
+                let probe = pseudokey.low_bits((d - 1).min(depth));
                 if self.entry_at(probe).version >= new_version {
                     return Ok(ApplyResult::Stale);
                 }
-                if d > self.depth {
+                if d > depth {
                     // Can't even address both partners yet.
                     return Ok(ApplyResult::Parked);
                 }
                 let bits = pseudokey.low_bits(d);
                 let p1 = bits | ceh_types::partner_bit(d);
                 let p0 = p1 ^ ceh_types::partner_bit(d);
-                let e0 = *self.entry_at(p0);
-                let e1 = *self.entry_at(p1);
+                let (e0, e1) = (self.entry_at(p0), self.entry_at(p1));
                 if e0.version != expected_v0 || e1.version != expected_v1 {
                     return Ok(ApplyResult::Parked);
                 }
-                let entry = DirEntry {
-                    mgr: merged.manager,
-                    page: merged.page,
-                    version: new_version,
-                };
-                self.set_group(p0 & mask(d - 1), d - 1, entry);
-                if d == self.depth {
-                    self.depthcount = self.depthcount.saturating_sub(2);
-                    if self.depthcount == 0 && self.depth > 1 {
-                        self.halve();
-                    }
-                }
+                self.dir
+                    .set_group(p0, d - 1, DirEntry::new(merged, new_version));
+                self.dir.count_merge(d);
+                self.dir.halve();
                 Ok(ApplyResult::Applied)
             }
         }
@@ -352,7 +300,7 @@ mod tests {
 
     #[test]
     fn split_from_depth_zero_doubles() {
-        let mut r = DirReplica::new(8, link(0, 0));
+        let mut r = DirReplica::new(8, link(0, 0)).unwrap();
         assert_eq!(
             r.apply(&split(0, 0, 0, link(0, 1))).unwrap(),
             ApplyResult::Applied
@@ -366,7 +314,7 @@ mod tests {
 
     #[test]
     fn duplicate_split_is_stale() {
-        let mut r = DirReplica::new(8, link(0, 0));
+        let mut r = DirReplica::new(8, link(0, 0)).unwrap();
         let u = split(0, 0, 0, link(0, 1));
         assert_eq!(r.apply(&u).unwrap(), ApplyResult::Applied);
         assert_eq!(r.apply(&u).unwrap(), ApplyResult::Stale);
@@ -374,7 +322,7 @@ mod tests {
 
     #[test]
     fn out_of_order_splits_park_until_ready() {
-        let mut r = DirReplica::new(8, link(0, 0));
+        let mut r = DirReplica::new(8, link(0, 0)).unwrap();
         // Second-generation split (bucket 0 at localdepth 1, version 1)
         // arrives before the first-generation one.
         let second = split(0b00, 1, 1, link(0, 2));
@@ -395,7 +343,7 @@ mod tests {
         // immediately followed by a merge involving those two buckets.
         // Imagine a directory manager that hears about these updates in
         // the opposite order."
-        let mut r = DirReplica::new(8, link(0, 0));
+        let mut r = DirReplica::new(8, link(0, 0)).unwrap();
         r.apply(&split(0, 0, 0, link(0, 1))).unwrap(); // depth 1: [p0, p1] v1
                                                        // Now: split p1 (ld 1, v1) into p1/p2; then merge them back.
         let s = split(0b1, 1, 1, link(0, 2));
@@ -420,7 +368,7 @@ mod tests {
 
     #[test]
     fn merge_at_full_depth_halves_when_empty() {
-        let mut r = DirReplica::new(8, link(0, 0));
+        let mut r = DirReplica::new(8, link(0, 0)).unwrap();
         r.apply(&split(0, 0, 0, link(0, 1))).unwrap(); // depth 1, count 2
         r.apply(&split(0b0, 1, 1, link(0, 2))).unwrap(); // depth 2: p0/p2 at ld2, count 2
         assert_eq!(r.depth(), 2);
@@ -443,7 +391,7 @@ mod tests {
 
     #[test]
     fn merge_parks_until_both_versions_present() {
-        let mut r = DirReplica::new(8, link(0, 0));
+        let mut r = DirReplica::new(8, link(0, 0)).unwrap();
         r.apply(&split(0, 0, 0, link(0, 1))).unwrap();
         // A merge whose "1"-side version is ahead of what we have.
         let m = DirUpdate::Merge {
@@ -460,7 +408,7 @@ mod tests {
 
     #[test]
     fn cross_manager_links_roundtrip() {
-        let mut r = DirReplica::new(8, link(0, 0));
+        let mut r = DirReplica::new(8, link(0, 0)).unwrap();
         r.apply(&split(0, 0, 0, link(3, 9))).unwrap();
         let e = r.lookup(Pseudokey(1));
         assert_eq!(e.mgr, ManagerId(3));
@@ -469,7 +417,7 @@ mod tests {
 
     #[test]
     fn split_past_max_depth_errors() {
-        let mut r = DirReplica::new(1, link(0, 0));
+        let mut r = DirReplica::new(1, link(0, 0)).unwrap();
         r.apply(&split(0, 0, 0, link(0, 1))).unwrap();
         let too_deep = split(0b0, 1, 1, link(0, 2));
         assert!(r.apply(&too_deep).is_err());

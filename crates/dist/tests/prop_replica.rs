@@ -119,7 +119,7 @@ fn legal_history(seed: u64, steps: usize) -> Vec<DirUpdate> {
 /// directory manager does. Returns the replica; panics if anything stays
 /// parked (every legal history must fully apply).
 fn apply_with_parking(updates: &[DirUpdate], order: &[usize]) -> DirReplica {
-    let mut replica = DirReplica::new(12, link(0));
+    let mut replica = DirReplica::new(12, link(0)).unwrap();
     let mut parked: Vec<&DirUpdate> = Vec::new();
     let drain = |replica: &mut DirReplica, parked: &mut Vec<&DirUpdate>| loop {
         let mut progressed = false;

@@ -2,8 +2,8 @@
 
 use std::sync::Arc;
 
-use ceh_storage::{mergeable, rebuild_directory, too_empty, Buckets, PageStore, Retire};
-use ceh_types::bits::{mask, partner_bit, partner_commonbits};
+use ceh_storage::{mergeable, too_empty, Buckets, Directory, PageStore, Retire};
+use ceh_types::bits::{partner_bit, partner_commonbits};
 use ceh_types::{
     hash_key, BucketLink, DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId,
     PageId, Pseudokey, Record, Result, Value,
@@ -13,8 +13,9 @@ use crate::snapshot::FileSnapshot;
 
 /// The sequential (single-threaded) extendible hash file of Fagin et al.
 ///
-/// Not `Sync`: this is the algorithm *before* the paper's contribution.
-/// Concurrent use goes through `ceh-core`.
+/// Updates take `&mut self`: this is the algorithm *before* the paper's
+/// contribution. Concurrent use goes through `ceh-core`. The directory
+/// is the one every file uses ([`Directory`]).
 ///
 /// ```
 /// use ceh_sequential::SequentialHashFile;
@@ -33,11 +34,7 @@ pub struct SequentialHashFile {
     buckets: Buckets,
     cfg: HashFileConfig,
     hasher: fn(Key) -> Pseudokey,
-    /// The directory: `2^depth` page ids.
-    directory: Vec<PageId>,
-    depth: u32,
-    /// Number of buckets whose `localdepth == depth` (§2.2).
-    depthcount: u32,
+    dir: Directory,
     len: usize,
 }
 
@@ -66,21 +63,19 @@ impl SequentialHashFile {
         hasher: fn(Key) -> Pseudokey,
     ) -> Result<Self> {
         cfg.validate()?;
-        let p0 = buckets.create_root(&cfg)?;
+        let dir = Directory::new(cfg.max_depth, buckets.create_root(&cfg)?)?;
         Ok(SequentialHashFile {
             buckets,
             cfg,
             hasher,
-            directory: vec![p0],
-            depth: 0,
-            depthcount: 1,
+            dir,
             len: 0,
         })
     }
 
-    /// Rebuild a file from an existing store by scanning its pages: the
-    /// directory-rebuild step of every recovery (the durable concurrent
-    /// file runs it over the store its write-ahead log recovered).
+    /// Rebuild a file from an existing store by scanning its pages
+    /// ([`Buckets::recover`], which a durable concurrent file also runs,
+    /// over the store its write-ahead log recovered).
     ///
     /// The directory is volatile state — everything needed to rebuild it
     /// (`localdepth`, `commonbits`, the `next` chain) is persisted in the
@@ -88,7 +83,7 @@ impl SequentialHashFile {
     /// layout. Pages that fail to decode (poisoned free pages) are
     /// returned to the free list; tombstones (crash debris from an
     /// unfinished Solution-2 merge) are collected; over a durable store
-    /// both are logged ([`Buckets::sweep`]). The rebuilt structure is
+    /// both are logged. The rebuilt structure is
     /// invariant-checked before being returned.
     ///
     /// ```no_run
@@ -116,25 +111,12 @@ impl SequentialHashFile {
     ) -> Result<Self> {
         cfg.validate()?;
         let buckets = buckets.into();
-        buckets.check_fits(&cfg)?;
-        let live = buckets.sweep(true)?;
-        if live.is_empty() {
-            // Nothing recoverable: initialize fresh.
-            return Self::with_buckets(cfg, buckets, hasher);
-        }
-        let links = live
-            .iter()
-            .map(|(p, b)| (BucketLink::new(ManagerId::NONE, *p), b));
-        let (entries, depth, depthcount) = rebuild_directory(cfg.max_depth, links)?;
-        let directory = entries.into_iter().map(|l| l.page).collect();
-        let len = live.iter().map(|(_, b)| b.count()).sum();
+        let (dir, len) = buckets.recover(&cfg)?;
         let file = SequentialHashFile {
             buckets,
             cfg,
             hasher,
-            directory,
-            depth,
-            depthcount,
+            dir,
             len,
         };
         file.check_invariants()?;
@@ -143,12 +125,12 @@ impl SequentialHashFile {
 
     /// Current directory depth.
     pub fn depth(&self) -> u32 {
-        self.depth
+        self.dir.depth()
     }
 
     /// Current `depthcount` (buckets at full depth).
     pub fn depthcount(&self) -> u32 {
-        self.depthcount
+        self.dir.depthcount()
     }
 
     /// Number of records stored.
@@ -172,70 +154,7 @@ impl SequentialHashFile {
     }
 
     fn index(&self, pk: Pseudokey) -> PageId {
-        self.directory[pk.low_bits(self.depth) as usize]
-    }
-
-    /// `updatedirectory(page, localdepth, pseudokey)`: point every
-    /// directory entry whose index matches `pseudokey` in its low
-    /// `localdepth` bits at `page`.
-    fn update_directory(&mut self, page: PageId, localdepth: u32, pk: Pseudokey) {
-        let start = pk.low_bits(localdepth) as usize;
-        let step = 1usize << localdepth;
-        let size = 1usize << self.depth;
-        let mut i = start;
-        while i < size {
-            self.directory[i] = page;
-            i += step;
-        }
-    }
-
-    /// `doubledirectory()`: copy the bottom half into the new top half and
-    /// bump the depth. Zeroes `depthcount` per §2.2 ("doubling the
-    /// directory would set it to zero").
-    fn double_directory(&mut self) -> Result<()> {
-        if self.depth >= self.cfg.max_depth {
-            return Err(Error::DirectoryFull {
-                max_depth: self.cfg.max_depth,
-            });
-        }
-        let old = self.directory.clone();
-        self.directory.extend_from_slice(&old);
-        self.depth += 1;
-        self.depthcount = 0;
-        Ok(())
-    }
-
-    /// `halvedirectory()`: drop the top half. Recomputes `depthcount` for
-    /// the new depth by "comparing corresponding entries in the top and
-    /// bottom halves for pointers which differ" (§2.2). Cascades while the
-    /// new depthcount is still zero.
-    fn halve_directory(&mut self) {
-        loop {
-            debug_assert!(self.depth >= 1, "halving a depth-0 directory");
-            let half = 1usize << (self.depth - 1);
-            debug_assert!(
-                (0..half).all(|i| self.directory[i] == self.directory[i + half]),
-                "halving with distinct top/bottom halves"
-            );
-            self.directory.truncate(half);
-            self.depth -= 1;
-            // Recount at the new depth.
-            if self.depth == 0 {
-                self.depthcount = 1;
-                return;
-            }
-            let quarter = 1usize << (self.depth - 1);
-            let mut count = 0u32;
-            for i in 0..quarter {
-                if self.directory[i] != self.directory[i + quarter] {
-                    count += 2;
-                }
-            }
-            self.depthcount = count;
-            if self.depthcount != 0 || self.depth <= 1 {
-                return;
-            }
-        }
+        self.dir.lookup(pk).1
     }
 
     /// Find a key.
@@ -273,8 +192,8 @@ impl SequentialHashFile {
             }
             // Current is full: split (doubling the directory first if the
             // bucket is already at full depth).
-            if current.localdepth == self.depth {
-                self.double_directory()?;
+            if current.localdepth == self.dir.depth() {
+                self.dir.double()?;
             }
             let buckets = &self.buckets;
             let here = ManagerId::NONE;
@@ -282,14 +201,8 @@ impl SequentialHashFile {
                 buckets.place(&half2).map(|p| BucketLink::new(here, p))
             })?;
             let (localdepth, done) = (split.localdepth + 1, split.done);
-            let half2 = Pseudokey(current.commonbits | partner_bit(localdepth));
-            self.update_directory(split.half2.page, localdepth, half2);
-            if localdepth == self.depth {
-                // Two buckets now sit at full depth where none did before
-                // (the split bucket was at depth-1): "splitting a bucket
-                // of localdepth = depth-1 would add two" (§2.2).
-                self.depthcount += 2;
-            }
+            self.dir.update_one_side(split.half2.page, localdepth, pk);
+            self.dir.count_split(localdepth);
             if done {
                 self.len += 1;
                 return Ok(InsertOutcome::Inserted);
@@ -301,8 +214,7 @@ impl SequentialHashFile {
     /// §2.2.
     pub fn delete(&mut self, key: Key) -> Result<DeleteOutcome> {
         let pk = (self.hasher)(key);
-        let selectedbits = pk.low_bits(self.depth);
-        let oldpage = self.index(pk);
+        let (depth, oldpage) = self.dir.lookup(pk);
         let mut buf = self.buckets.new_buf();
         let mut current = self.buckets.getbucket(oldpage, &mut buf)?;
 
@@ -315,8 +227,7 @@ impl SequentialHashFile {
         // partner, try to merge with the partner (w.r.t. localdepth).
         let (d, count) = (current.localdepth, current.count());
         let brother = if too_empty(&self.cfg, count, d) {
-            let partner_idx = (selectedbits ^ partner_bit(d)) & mask(self.depth);
-            let page = self.directory[partner_idx as usize];
+            let page = self.dir.index(pk.low_bits(depth) ^ partner_bit(d));
             let brother = self.buckets.getbucket(page, &mut buf)?;
             mergeable(&self.cfg, d, count, brother.localdepth, brother.count())
                 .then_some((page, brother))
@@ -343,30 +254,27 @@ impl SequentialHashFile {
             0 => (z, partner),
             _ => (partner, z),
         };
-        if d == self.depth {
-            // "Merging two buckets of localdepth = depth would subtract
-            // two" (§2.2).
-            self.depthcount -= 2;
-        }
-        let merged = self.buckets.merge(zero, one, Retire::Free)?;
-        // Redirect every entry that pointed at the freed bucket.
-        self.update_directory(zero.0, merged.localdepth, Pseudokey(merged.commonbits));
-        if self.depthcount == 0 && self.depth > 1 {
-            self.halve_directory();
-        }
+        self.dir.count_merge(d);
+        self.buckets.merge(zero, one, Retire::Free)?;
+        // Redirect every entry that pointed at the freed bucket: the
+        // halves then agree, and halving discards nothing live.
+        self.dir.update_one_side(zero.0, d, pk);
+        debug_assert!(
+            !self.dir.halvable() || {
+                let entries = self.dir.entries_snapshot();
+                let (bottom, top) = entries.split_at(entries.len() / 2);
+                bottom == top
+            },
+            "halving with distinct top/bottom halves"
+        );
+        self.dir.halve();
         self.len -= 1;
         Ok(DeleteOutcome::Deleted)
     }
 
     /// Take a structural snapshot (testing / figures / invariants).
     pub fn snapshot(&self) -> Result<FileSnapshot> {
-        FileSnapshot::capture(
-            &self.buckets,
-            &self.directory,
-            self.depth,
-            self.depthcount,
-            self.cfg.bucket_capacity,
-        )
+        FileSnapshot::capture(&self.buckets, &self.dir, self.cfg.bucket_capacity)
     }
 
     /// Check every structural invariant, returning a description of the

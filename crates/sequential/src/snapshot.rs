@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use ceh_storage::Buckets;
+use ceh_storage::{Buckets, Directory};
 use ceh_types::bits::mask;
 use ceh_types::bucket::{check_links, Bucket};
 use ceh_types::{BucketLink, Error, Key, ManagerId, PageId, Pseudokey, Result};
@@ -37,25 +37,20 @@ pub struct FileSnapshot {
 }
 
 impl FileSnapshot {
-    /// Decode the file's current state: the buckets `entries` name.
-    pub fn capture(
-        pages: &Buckets,
-        entries: &[PageId],
-        depth: u32,
-        depthcount: u32,
-        capacity: usize,
-    ) -> Result<FileSnapshot> {
+    /// Decode the file's current state: the buckets `dir` names.
+    pub fn capture(pages: &Buckets, dir: &Directory, capacity: usize) -> Result<FileSnapshot> {
+        let entries = dir.entries_snapshot();
         let mut buckets = BTreeMap::new();
         let mut buf = pages.new_buf();
-        for &p in entries {
+        for &p in &entries {
             if let std::collections::btree_map::Entry::Vacant(e) = buckets.entry(p) {
                 e.insert(pages.getbucket(p, &mut buf)?);
             }
         }
         Ok(FileSnapshot {
-            depth,
-            depthcount,
-            entries: entries.to_vec(),
+            depth: dir.depth(),
+            depthcount: dir.depthcount(),
+            entries,
             buckets,
             capacity,
         })

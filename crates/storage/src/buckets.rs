@@ -11,8 +11,8 @@
 //! It also holds the restructuring steps every file shares: the
 //! hand-over-hand walk ([`Buckets::walk`]), the split
 //! ([`Buckets::split`]), the merge test ([`mergeable`]) and commit
-//! ([`Buckets::merge`]), and the directory rebuilt from the live buckets
-//! ([`rebuild_directory`]). Each takes no directory lock and sends no
+//! ([`Buckets::merge`]), and a one-site file's restart
+//! ([`Buckets::recover`]). Each takes no directory lock and sends no
 //! message: the lock order, the directory update and the messages stay
 //! with the file that calls it.
 
@@ -26,6 +26,7 @@ use ceh_types::{
     Record, Result, Value,
 };
 
+use crate::{rebuild_directory, Directory};
 use crate::{DurableStore, DurableTxn, PageBuf, PageStore, PageStoreConfig};
 
 /// A hash file's buckets: its page store, and the durability layer
@@ -378,6 +379,23 @@ impl Buckets {
         }
         Ok(live)
     }
+
+    /// A whole one-site file restarting over these buckets: sweep them,
+    /// collecting the garbage, then rebuild the directory from the live
+    /// buckets ([`rebuild_directory`]), or place a fresh root when none
+    /// survived. Returns the directory and the number of records.
+    pub fn recover(&self, cfg: &HashFileConfig) -> Result<(Directory, usize)> {
+        self.check_fits(cfg)?;
+        let live = self.sweep(true)?;
+        if live.is_empty() {
+            return Ok((Directory::new(cfg.max_depth, self.create_root(cfg)?)?, 0));
+        }
+        let links = live
+            .iter()
+            .map(|(p, b)| (BucketLink::new(ManagerId::NONE, *p), b));
+        let dir = rebuild_directory(cfg.max_depth, links, |link, _| link.page)?;
+        Ok((dir, live.iter().map(|(_, b)| b.count()).sum()))
+    }
 }
 
 /// A delete gives up merging once the operation has been retried this
@@ -411,46 +429,6 @@ pub fn mergeable(
     partner_count: usize,
 ) -> bool {
     localdepth == partner_localdepth && count + partner_count <= cfg.bucket_capacity + 1
-}
-
-/// The directory of a file that restarted, rebuilt from its `live`
-/// buckets' local depths and `commonbits`: its depth is the deepest
-/// local depth, and entry `i` names the one bucket whose `commonbits`
-/// are `i`'s low `localdepth` bits. Returns the entries, the depth and
-/// the depthcount. Fails if the depth passes `max_depth`, if two
-/// buckets claim one entry, or if no bucket covers one.
-pub fn rebuild_directory<'a, I>(max_depth: u32, live: I) -> Result<(Vec<BucketLink>, u32, u32)>
-where
-    I: IntoIterator<Item = (BucketLink, &'a Bucket)> + Clone,
-{
-    let depth = live.clone().into_iter().map(|(_, b)| b.localdepth).max();
-    let depth = depth.unwrap_or(0);
-    if depth > max_depth {
-        return Err(Error::DirectoryFull { max_depth });
-    }
-    let size = 1usize << depth;
-    let mut entries = vec![BucketLink::NULL; size];
-    let mut depthcount = 0u32;
-    for (link, b) in live {
-        depthcount += u32::from(b.localdepth == depth);
-        for i in (b.commonbits as usize..size).step_by(1usize << b.localdepth) {
-            if !entries[i].is_null() {
-                return Err(Error::Corrupt(format!(
-                    "recovery: entry {i:0w$b} claimed by both {} and {link}",
-                    entries[i],
-                    w = depth as usize
-                )));
-            }
-            entries[i] = link;
-        }
-    }
-    if let Some(gap) = entries.iter().position(|l| l.is_null()) {
-        return Err(Error::Corrupt(format!(
-            "recovery: no bucket covers directory entry {gap:0w$b}",
-            w = depth as usize
-        )));
-    }
-    Ok((entries, depth, depthcount))
 }
 
 /// Where [`Buckets::walk`] stopped.
@@ -551,63 +529,4 @@ pub struct Owning {
     pub count: usize,
     /// The bucket's local depth.
     pub localdepth: u32,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Buckets `0`, `01` and `11` (localdepth/commonbits), on pages 0–2.
-    fn live() -> Vec<(BucketLink, Bucket)> {
-        [(1, 0b0), (2, 0b01), (2, 0b11)]
-            .into_iter()
-            .enumerate()
-            .map(|(p, (ld, cb))| {
-                (
-                    BucketLink::new(ManagerId(1), PageId(p as u64)),
-                    Bucket::new(ld, cb),
-                )
-            })
-            .collect()
-    }
-
-    fn rebuild(
-        max_depth: u32,
-        live: &[(BucketLink, Bucket)],
-    ) -> Result<(Vec<BucketLink>, u32, u32)> {
-        rebuild_directory(max_depth, live.iter().map(|(l, b)| (*l, b)))
-    }
-
-    #[test]
-    fn rebuild_points_each_entry_at_its_one_bucket() {
-        let live = live();
-        let (entries, depth, depthcount) = rebuild(8, &live).unwrap();
-        let pages: Vec<u64> = entries.iter().map(|l| l.page.0).collect();
-        assert_eq!((pages, depth, depthcount), (vec![0, 1, 0, 2], 2, 2));
-        assert!(entries.iter().all(|l| l.manager == ManagerId(1)));
-    }
-
-    #[test]
-    fn rebuild_refuses_overlaps_gaps_and_depths_past_the_maximum() {
-        let mut overlap = live();
-        overlap.push((
-            BucketLink::new(ManagerId(1), PageId(3)),
-            Bucket::new(2, 0b10),
-        ));
-        let err = rebuild(8, &overlap).unwrap_err().to_string();
-        assert!(
-            err.contains("entry 10 claimed by both mgr1/p0 and mgr1/p3"),
-            "{err}"
-        );
-
-        let mut gap = live();
-        gap.remove(2);
-        let err = rebuild(8, &gap).unwrap_err().to_string();
-        assert!(err.contains("no bucket covers directory entry 11"), "{err}");
-
-        assert_eq!(
-            rebuild(1, &live()),
-            Err(Error::DirectoryFull { max_depth: 1 })
-        );
-    }
 }

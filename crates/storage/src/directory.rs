@@ -1,4 +1,5 @@
-//! The shared directory, readable under ρ while writers hold α.
+//! The directory, one type for every hash file, readable under ρ while
+//! writers hold α.
 //!
 //! ceh-lint: allow-file(relaxed-ordering) — entry words are independent
 //! page-id cells published/consumed via the Acquire/Release `depth`
@@ -31,6 +32,13 @@
 //!   lowers `depth`, and a lock-free find may have loaded the old depth
 //!   just before: the entry it then reads must still be there.
 //!
+//! Every hash file holds this directory, with the entry type its
+//! [`DirectoryEntry`] names: page ids for both concurrent solutions and
+//! the sequential file, a replica's `(manager, page, version)` in plain
+//! cells for each distributed directory manager. It keeps `depthcount`
+//! by §2.2's rules ([`Directory::count_split`],
+//! [`Directory::count_merge`], [`Directory::halve`]).
+//!
 //! Mutating methods require the caller to hold the appropriate directory
 //! lock (α for double/update, ξ for halve); that is the protocol's
 //! responsibility, not this struct's.
@@ -40,17 +48,53 @@ use std::sync::Arc;
 
 use ceh_locks::shadow::{TrackedAtomicU32, TrackedAtomicU64};
 use ceh_obs::{Gauge, MetricsHandle};
-use ceh_types::{Error, PageId, Pseudokey, Result, SegArray};
+use ceh_types::{check_max_depth, mask, partner_bit, Bucket, BucketLink, Error, PageId};
+use ceh_types::{Pseudokey, Result, SegArray};
 
-/// Atomic u64 array entry. `u64::MAX` (== `PageId::NULL`) marks entries
-/// that have never been written (beyond the current depth). Tracked so
-/// `ceh check race` observes every directory-entry access.
-type Entry = TrackedAtomicU64;
+/// What a directory entry holds, and the cell that keeps it.
+pub trait DirectoryEntry: Copy + PartialEq + std::fmt::Debug {
+    /// One entry's storage.
+    type Cell;
+    /// What a never-written cell holds, and what [`Directory::index`]
+    /// reads past every allocated segment.
+    const NULL: Self;
+    /// A cell holding `self`.
+    fn cell(self) -> Self::Cell;
+    /// Read `cell` with `order`.
+    fn load(cell: &Self::Cell, order: Ordering) -> Self;
+    /// Write `entry` into `cell` with `order`.
+    fn store(cell: &Self::Cell, entry: Self, order: Ordering);
+}
 
-/// The concurrently-readable directory.
-pub struct Directory {
+/// A page id in an atomic word, tracked so `ceh check race` observes
+/// every directory-entry access; `PageId::NULL` (`u64::MAX`) marks an
+/// entry never written.
+impl DirectoryEntry for PageId {
+    type Cell = TrackedAtomicU64;
+    const NULL: PageId = PageId::NULL;
+
+    fn cell(self) -> TrackedAtomicU64 {
+        TrackedAtomicU64::new(self.0, "dir.entry")
+    }
+
+    #[inline]
+    #[track_caller]
+    fn load(cell: &TrackedAtomicU64, order: Ordering) -> PageId {
+        PageId(cell.load(order))
+    }
+
+    #[inline]
+    #[track_caller]
+    fn store(cell: &TrackedAtomicU64, entry: PageId, order: Ordering) {
+        cell.store(entry.0, order)
+    }
+}
+
+/// The concurrently-readable directory, of [`PageId`] entries unless
+/// the file says otherwise.
+pub struct Directory<E: DirectoryEntry = PageId> {
     depth: TrackedAtomicU32,
-    entries: SegArray<Box<[Entry]>>,
+    entries: SegArray<Box<[E::Cell]>>,
     /// Number of buckets with `localdepth == depth` (§2.2). Mutated only
     /// under α or ξ on the directory; atomic so quiescent checkers can
     /// read it without locks.
@@ -61,7 +105,7 @@ pub struct Directory {
     bytes: Arc<Gauge>,
 }
 
-impl std::fmt::Debug for Directory {
+impl<E: DirectoryEntry> std::fmt::Debug for Directory<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Directory")
             .field("depth", &self.depth())
@@ -71,26 +115,27 @@ impl std::fmt::Debug for Directory {
     }
 }
 
-impl Drop for Directory {
+impl<E: DirectoryEntry> Drop for Directory<E> {
     fn drop(&mut self) {
         self.bytes.add(-(self.allocated_bytes() as i64));
     }
 }
 
-impl Directory {
-    /// Hard cap on `max_depth` for the concurrent directory: 2^26 entries
-    /// is 512 MiB once the directory has grown that far.
-    pub const MAX_SUPPORTED_DEPTH: u32 = 26;
+impl<E: DirectoryEntry> Clone for Directory<E> {
+    /// A quiescent copy (each directory manager's replica starts as
+    /// one), reporting to the same `core.dir_bytes` gauge.
+    fn clone(&self) -> Self {
+        Self::restore(self.max_depth, &self.entries_snapshot(), self.depthcount())
+            .expect("a directory restores from its own entries")
+            .reporting_to(Arc::clone(&self.bytes))
+    }
+}
 
-    /// Create a depth-0 directory whose single entry points at `root`.
-    /// Only the first segment (64 entries) is allocated.
-    pub fn new(max_depth: u32, root: PageId) -> Result<Self> {
-        if max_depth == 0 || max_depth > Self::MAX_SUPPORTED_DEPTH {
-            return Err(Error::Config(format!(
-                "concurrent directory max_depth must be in 1..={}, got {max_depth}",
-                Self::MAX_SUPPORTED_DEPTH
-            )));
-        }
+impl<E: DirectoryEntry> Directory<E> {
+    /// Create a depth-0 directory whose single entry is `root`. Only the
+    /// first segment (64 entries) is allocated.
+    pub fn new(max_depth: u32, root: E) -> Result<Self> {
+        check_max_depth(max_depth)?;
         let dir = Directory {
             depth: TrackedAtomicU32::new(0, "dir.depth"),
             entries: SegArray::new(),
@@ -99,39 +144,39 @@ impl Directory {
             bytes: Arc::new(Gauge::new()),
         };
         dir.grow(1);
-        dir.entry(0).store(root.0, Ordering::Relaxed);
+        E::store(dir.entry(0), root, Ordering::Relaxed);
         Ok(dir)
     }
 
     /// Report this directory's allocated bytes in `metrics`' registry,
     /// as the `core.dir_bytes` gauge (builder-style).
-    pub fn with_metrics(mut self, metrics: &MetricsHandle) -> Self {
-        self.bytes = metrics.gauge("core.dir_bytes");
+    pub fn with_metrics(self, metrics: &MetricsHandle) -> Self {
+        self.reporting_to(metrics.gauge("core.dir_bytes"))
+    }
+
+    fn reporting_to(mut self, bytes: Arc<Gauge>) -> Self {
+        self.bytes = bytes;
         self.bytes.add(self.allocated_bytes() as i64);
         self
     }
 
     /// Restore a directory from recovered state (see
-    /// [`crate::FileCore::recover_durable_metrics`]): `entries` must be exactly
-    /// `2^depth` page ids.
-    pub fn restore(max_depth: u32, entries: &[PageId], depthcount: u32) -> Result<Self> {
-        if entries.is_empty() {
-            return Err(Error::Corrupt("restore: empty directory".into()));
-        }
-        let depth = entries.len().trailing_zeros();
-        if entries.len() != 1usize << depth {
+    /// [`rebuild_directory`]): `entries` must be exactly `2^depth` long.
+    pub fn restore(max_depth: u32, entries: &[E], depthcount: u32) -> Result<Self> {
+        if !entries.len().is_power_of_two() {
             return Err(Error::Corrupt(format!(
                 "restore: {} entries is not a power of two",
                 entries.len()
             )));
         }
+        let depth = entries.len().trailing_zeros();
         if depth > max_depth {
             return Err(Error::DirectoryFull { max_depth });
         }
         let dir = Self::new(max_depth, entries[0])?;
         dir.grow(entries.len());
-        for (i, p) in entries.iter().enumerate() {
-            dir.entry(i).store(p.0, Ordering::Relaxed);
+        for (i, &e) in entries.iter().enumerate() {
+            E::store(dir.entry(i), e, Ordering::Relaxed);
         }
         dir.depth.store(depth, Ordering::Release);
         dir.depthcount.store(depthcount, Ordering::Relaxed);
@@ -142,16 +187,14 @@ impl Directory {
     /// entries), and count them in `core.dir_bytes`.
     fn grow(&self, n: usize) {
         let before = self.allocated_bytes();
-        let grown = self
-            .entries
-            .grow_to(n, |_| Entry::new(PageId::NULL.0, "dir.entry"));
+        let grown = self.entries.grow_to(n, |_| E::NULL.cell());
         assert!(grown, "2^MAX_SUPPORTED_DEPTH entries fit the segment array");
         self.bytes.add((self.allocated_bytes() - before) as i64);
     }
 
     /// Entry `i`, below `2^depth` for a depth this directory has reached:
     /// allocated, and never freed.
-    fn entry(&self, i: usize) -> &Entry {
+    fn entry(&self, i: usize) -> &E::Cell {
         self.entries
             .get(i)
             .expect("entries below a reached depth are allocated")
@@ -160,12 +203,7 @@ impl Directory {
     /// Bytes of the allocated entry segments (what `core.dir_bytes`
     /// reports for this directory).
     fn allocated_bytes(&self) -> usize {
-        self.entries.allocated() * std::mem::size_of::<Entry>()
-    }
-
-    /// The configured maximum depth.
-    pub fn max_depth(&self) -> u32 {
-        self.max_depth
+        self.entries.allocated() * std::mem::size_of::<E::Cell>()
     }
 
     /// Current depth (`Acquire`: pairs with the `Release` publish in
@@ -181,29 +219,20 @@ impl Directory {
         self.depthcount.load(Ordering::Relaxed)
     }
 
-    /// Adjust depthcount by `delta` (caller holds α or ξ).
-    pub fn add_depthcount(&self, delta: i32) {
-        if delta >= 0 {
-            self.depthcount.fetch_add(delta as u32, Ordering::Relaxed);
-        } else {
-            self.depthcount
-                .fetch_sub((-delta) as u32, Ordering::Relaxed);
-        }
-    }
-
     /// `indexdirectory(bits)`: the entry for the given low bits
-    /// (`PageId::NULL` past every segment the directory has allocated).
+    /// ([`DirectoryEntry::NULL`] past every segment the directory has
+    /// allocated).
     #[inline]
-    pub fn index(&self, bits: u64) -> PageId {
+    pub fn index(&self, bits: u64) -> E {
         self.entries
             .get(bits as usize)
-            .map_or(PageId::NULL, |e| PageId(e.load(Ordering::Acquire)))
+            .map_or(E::NULL, |e| E::load(e, Ordering::Acquire))
     }
 
     /// Read depth and index in one step: `indexdirectory(pseudokey &
     /// mask(depth))`, the opening move of every figure.
     #[inline]
-    pub fn lookup(&self, pk: Pseudokey) -> (u32, PageId) {
+    pub fn lookup(&self, pk: Pseudokey) -> (u32, E) {
         let d = self.depth();
         (d, self.index(pk.low_bits(d)))
     }
@@ -226,8 +255,8 @@ impl Directory {
         let half = 1usize << d;
         self.grow(2 * half);
         for i in 0..half {
-            let v = self.entry(i).load(Ordering::Relaxed);
-            self.entry(i + half).store(v, Ordering::Relaxed);
+            let e = E::load(self.entry(i), Ordering::Relaxed);
+            E::store(self.entry(i + half), e, Ordering::Relaxed);
         }
         // "It is the act of incrementing depth that makes the new
         // directory entries visible."
@@ -236,83 +265,146 @@ impl Directory {
         Ok(())
     }
 
-    /// `halvedirectory()`: drop the top half (depth decrement only — the
-    /// discarded entries and their segments stay, invisible beyond the
-    /// new depth) and recompute `depthcount` by "comparing corresponding
-    /// entries in the top and bottom halves for pointers which differ"
-    /// (§2.2). Cascades while the recount is zero. Caller holds ξ — no
-    /// locked access of any kind; a lock-free find may still read an
-    /// entry of the old depth, which is why nothing is freed.
-    pub fn halve(&self) {
-        loop {
-            let d = self.depth.load(Ordering::Relaxed);
-            debug_assert!(d >= 1, "halving a depth-0 directory");
-            // The halves need not be bit-identical here: Figure 7/9 halve
+    /// §2.2's rule: halve when no bucket is at full depth. A depth-1
+    /// directory is never halved: its two buckets are too shallow to
+    /// merge.
+    pub fn halvable(&self) -> bool {
+        self.depthcount() == 0 && self.depth() > 1
+    }
+
+    /// `halvedirectory()` while [`Directory::halvable`]: drop the top
+    /// half (depth decrement only — the discarded entries and their
+    /// segments stay, invisible beyond the new depth) and recompute
+    /// `depthcount` by "comparing corresponding entries in the top and
+    /// bottom halves for pointers which differ" (§2.2). Returns whether
+    /// it halved. Caller holds ξ — no locked access of any kind; a
+    /// lock-free find may still read an entry of the old depth, which is
+    /// why nothing is freed.
+    pub fn halve(&self) -> bool {
+        let halvable = self.halvable();
+        while self.halvable() {
+            // The halves need not be identical here: Figure 7/9 halve
             // *instead of* redirecting the just-merged pair's entries, so
             // the top-half entry for that pair still points at the
             // garbage bucket. Merges always survive on the "0" partner
             // (bottom half), which is exactly why discarding the top half
             // is correct. Every *other* pair is identical because
             // depthcount == 0.
-            self.depth.store(d - 1, Ordering::Release);
-            let new_d = d - 1;
-            if new_d == 0 {
-                self.depthcount.store(1, Ordering::Relaxed);
-                return;
-            }
-            let quarter = 1usize << (new_d - 1);
-            let mut count = 0u32;
-            for i in 0..quarter {
-                if self.entry(i).load(Ordering::Relaxed)
-                    != self.entry(i + quarter).load(Ordering::Relaxed)
-                {
-                    count += 2;
-                }
-            }
-            self.depthcount.store(count, Ordering::Relaxed);
-            if count != 0 || new_d <= 1 {
-                return;
-            }
+            let d = self.depth.load(Ordering::Relaxed) - 1;
+            self.depth.store(d, Ordering::Release);
+            let quarter = 1usize << (d - 1);
+            let differ = (0..quarter).filter(|&i| {
+                E::load(self.entry(i), Ordering::Relaxed)
+                    != E::load(self.entry(i + quarter), Ordering::Relaxed)
+            });
+            self.depthcount
+                .store(2 * differ.count() as u32, Ordering::Relaxed);
+        }
+        halvable
+    }
+
+    /// A split left two buckets at `localdepth` (caller holds α): at full
+    /// depth, "splitting a bucket of localdepth = depth-1 would add two"
+    /// to `depthcount` (§2.2).
+    pub fn count_split(&self, localdepth: u32) {
+        if localdepth == self.depth() {
+            self.depthcount.fetch_add(2, Ordering::Relaxed);
+        }
+    }
+
+    /// A merge of two buckets at `localdepth` (caller holds α or ξ): at
+    /// full depth, "merging two buckets of localdepth = depth would
+    /// subtract two" (§2.2).
+    pub fn count_merge(&self, localdepth: u32) {
+        if localdepth == self.depth() {
+            let before = self.depthcount.fetch_sub(2, Ordering::Relaxed);
+            debug_assert!(
+                before >= 2,
+                "a merge at full depth with depthcount {before}"
+            );
+        }
+    }
+
+    /// Point every entry whose low `d` bits are `bits`' low `d` bits at
+    /// `entry`: the group of one bucket of local depth `d`. Caller holds
+    /// α; concurrent ρ readers see each entry flip atomically and recover
+    /// through `next` links if they read the old value.
+    pub fn set_group(&self, bits: u64, d: u32, entry: E) {
+        let size = 1u64 << self.depth.load(Ordering::Relaxed); // stable under our α
+        let mut i = bits & mask(d);
+        while i < size {
+            E::store(self.entry(i as usize), entry, Ordering::Release);
+            i += 1 << d;
         }
     }
 
     /// `updatedirectory(page, d, pseudokey)` with the semantics both
     /// Figure 6 and Figure 7 need: redirect the **"1"-partner group at
     /// depth `d`** — every entry whose low `d` bits are
-    /// `(pseudokey's low d-1 bits) | partner_bit(d)` — to `page`.
+    /// `(pseudokey's low d-1 bits) | partner_bit(d)` — to `entry`.
     ///
     /// Splits create the new bucket on the "1" side (its entries must
     /// point at `newpage`); merges survive on the "0" side (the
     /// tombstone's "1"-side entries must point at `merged`). One
     /// operation serves both, which is why the paper can pass a single
     /// `(page, localdepth, pseudokey)` triple from either call site.
-    ///
-    /// Caller holds α; concurrent ρ readers see each entry flip
-    /// atomically and recover through `next` links if they read the old
-    /// value.
-    pub fn update_one_side(&self, page: PageId, d: u32, pk: Pseudokey) {
+    pub fn update_one_side(&self, entry: E, d: u32, pk: Pseudokey) {
         debug_assert!(d >= 1);
-        let depth = self.depth.load(Ordering::Relaxed); // stable under our α
-        let pattern = pk.low_bits(d - 1) | ceh_types::partner_bit(d);
-        let step = 1u64 << d;
-        let size = 1u64 << depth;
-        let mut i = pattern;
-        while i < size {
-            self.entry(i as usize).store(page.0, Ordering::Release);
-            i += step;
-        }
+        self.set_group(pk.low_bits(d - 1) | partner_bit(d), d, entry);
     }
 
     /// Snapshot the live entries (quiescent use: invariant checker,
-    /// figure rendering).
-    pub fn entries_snapshot(&self) -> Vec<PageId> {
+    /// figure rendering, a replica's status).
+    pub fn entries_snapshot(&self) -> Vec<E> {
         let d = self.depth();
         self.entries
             .iter()
             .take(1 << d)
-            .map(|e| PageId(e.load(Ordering::Relaxed)))
+            .map(|e| E::load(e, Ordering::Relaxed))
             .collect()
     }
+}
+
+/// The directory of a file that restarted, rebuilt from its `live`
+/// buckets' local depths and `commonbits`: its depth is the deepest
+/// local depth, entry `i` is `entry` of the one bucket whose
+/// `commonbits` are `i`'s low `localdepth` bits, and `depthcount` counts
+/// the buckets at that depth. Fails if the depth passes `max_depth`, if
+/// two buckets claim one entry, or if no bucket covers one.
+pub fn rebuild_directory<'a, E: DirectoryEntry>(
+    max_depth: u32,
+    live: impl IntoIterator<Item = (BucketLink, &'a Bucket)>,
+    entry: impl Fn(BucketLink, &Bucket) -> E,
+) -> Result<Directory<E>> {
+    let live: Vec<_> = live.into_iter().collect();
+    let depth = live.iter().map(|(_, b)| b.localdepth).max().unwrap_or(0);
+    if depth > max_depth {
+        return Err(Error::DirectoryFull { max_depth });
+    }
+    let size = 1usize << depth;
+    let mut owners: Vec<Option<usize>> = vec![None; size];
+    let mut depthcount = 0u32;
+    for (n, (link, b)) in live.iter().enumerate() {
+        depthcount += u32::from(b.localdepth == depth);
+        for i in (b.commonbits as usize..size).step_by(1usize << b.localdepth) {
+            if let Some(m) = owners[i] {
+                return Err(Error::Corrupt(format!(
+                    "recovery: entry {i:0w$b} claimed by both {} and {link}",
+                    live[m].0,
+                    w = depth as usize
+                )));
+            }
+            owners[i] = Some(n);
+        }
+    }
+    let entries = owners.iter().enumerate().map(|(i, owner)| match *owner {
+        Some(n) => Ok(entry(live[n].0, live[n].1)),
+        None => Err(Error::Corrupt(format!(
+            "recovery: no bucket covers directory entry {i:0w$b}",
+            w = depth as usize
+        ))),
+    });
+    Directory::restore(max_depth, &entries.collect::<Result<Vec<E>>>()?, depthcount)
 }
 
 #[cfg(test)]
@@ -381,7 +473,7 @@ mod tests {
         let d = Directory::new(4, PageId(1)).unwrap();
         d.double().unwrap(); // depth 1
         d.update_one_side(PageId(2), 1, Pseudokey(0)); // [p1, p2]
-        d.add_depthcount(2); // both at depth 1
+        d.count_split(1); // both at depth 1
         d.double().unwrap(); // depth 2: [p1, p2, p1, p2], depthcount 0
                              // Merge nothing — just halve (legal: halves are identical).
         d.halve();
@@ -410,11 +502,11 @@ mod tests {
         }
     }
 
-    const ENTRY: usize = std::mem::size_of::<Entry>();
+    const ENTRY: usize = std::mem::size_of::<TrackedAtomicU64>();
 
     #[test]
     fn new_allocates_only_the_first_segment() {
-        let d = Directory::new(Directory::MAX_SUPPORTED_DEPTH, PageId(1)).unwrap();
+        let d = Directory::new(ceh_types::MAX_SUPPORTED_DEPTH, PageId(1)).unwrap();
         assert_eq!(d.allocated_bytes(), 64 * ENTRY);
         let d = Directory::new(22, PageId(1)).unwrap();
         assert_eq!(d.allocated_bytes(), 64 * ENTRY, "not 2^22 entries");
@@ -538,6 +630,119 @@ mod tests {
         assert_eq!(gauge(), ((1024 + 128) * ENTRY) as i64, "directories sum");
         drop((d, restored));
         assert_eq!(gauge(), 0, "a dropped directory takes its bytes back");
+    }
+
+    /// §2.2's bookkeeping: splits and merges at full depth add and
+    /// subtract two, elsewhere nothing; halving cascades while no bucket
+    /// is at full depth, and never below depth 1.
+    #[test]
+    fn depthcount_rules_drive_the_halving() {
+        let d = Directory::new(8, PageId(1)).unwrap();
+        d.double().unwrap();
+        d.update_one_side(PageId(2), 1, Pseudokey(0)); // [p1, p2]
+        d.count_split(1);
+        assert_eq!(d.depthcount(), 2);
+        d.double().unwrap();
+        d.update_one_side(PageId(3), 2, Pseudokey(0)); // p1 splits: [p1, p2, p3, p2]
+        d.count_split(2);
+        d.count_split(1);
+        assert_eq!(d.depthcount(), 2, "a split below full depth adds nothing");
+        assert!(!d.halvable());
+        assert!(!d.halve(), "nothing to halve");
+        d.count_merge(1);
+        assert_eq!(
+            d.depthcount(),
+            2,
+            "a merge below full depth subtracts nothing"
+        );
+        // p1 and p3 merge back, in place of the redirect (Figure 7).
+        d.count_merge(2);
+        assert!(d.halvable());
+        assert!(d.halve());
+        assert_eq!((d.depth(), d.depthcount()), (1, 2));
+        assert_eq!(d.entries_snapshot(), vec![PageId(1), PageId(2)]);
+
+        // Two doublings with no split: the cascade stops at depth 1.
+        d.double().unwrap();
+        d.double().unwrap();
+        d.set_group(0, 0, PageId(1));
+        assert!(d.halve());
+        assert_eq!((d.depth(), d.depthcount()), (1, 0));
+        assert!(!d.halvable(), "a depth-1 directory is never halved");
+    }
+
+    #[test]
+    fn clone_copies_entries_and_counts() {
+        let metrics = MetricsHandle::new();
+        let d = Directory::new(8, PageId(1)).unwrap().with_metrics(&metrics);
+        d.double().unwrap();
+        d.update_one_side(PageId(2), 1, Pseudokey(0));
+        d.count_split(1);
+        let c = d.clone();
+        d.update_one_side(PageId(3), 1, Pseudokey(0));
+        assert_eq!(c.entries_snapshot(), vec![PageId(1), PageId(2)]);
+        assert_eq!((c.depth(), c.depthcount()), (1, 2));
+        let gauge = metrics.snapshot().gauge("core.dir_bytes");
+        assert_eq!(gauge, (2 * 64 * ENTRY) as i64, "the copy reports too");
+    }
+
+    /// Buckets `0`, `01` and `11` (localdepth/commonbits), on pages 0–2.
+    fn live() -> Vec<(BucketLink, Bucket)> {
+        [(1, 0b0), (2, 0b01), (2, 0b11)]
+            .into_iter()
+            .enumerate()
+            .map(|(p, (ld, cb))| {
+                (
+                    BucketLink::new(ceh_types::ManagerId(1), PageId(p as u64)),
+                    Bucket::new(ld, cb),
+                )
+            })
+            .collect()
+    }
+
+    fn rebuild(max_depth: u32, live: &[(BucketLink, Bucket)]) -> Result<Directory> {
+        rebuild_directory(max_depth, live.iter().map(|(l, b)| (*l, b)), |l, _| l.page)
+    }
+
+    #[test]
+    fn rebuild_points_each_entry_at_its_one_bucket() {
+        let d = rebuild(8, &live()).unwrap();
+        let pages: Vec<u64> = d.entries_snapshot().iter().map(|p| p.0).collect();
+        assert_eq!((pages, d.depth(), d.depthcount()), (vec![0, 1, 0, 2], 2, 2));
+        let versions = rebuild_directory(8, live().iter().map(|(l, b)| (*l, b)), |l, b| {
+            PageId(l.page.0 * 10 + b.localdepth as u64)
+        })
+        .unwrap();
+        let entries: Vec<u64> = versions.entries_snapshot().iter().map(|p| p.0).collect();
+        assert_eq!(
+            entries,
+            vec![1, 12, 1, 22],
+            "each entry from its own bucket"
+        );
+    }
+
+    #[test]
+    fn rebuild_refuses_overlaps_gaps_and_depths_past_the_maximum() {
+        let mut overlap = live();
+        overlap.push((
+            BucketLink::new(ceh_types::ManagerId(1), PageId(3)),
+            Bucket::new(2, 0b10),
+        ));
+        let err = rebuild(8, &overlap).unwrap_err().to_string();
+        assert!(
+            err.contains("entry 10 claimed by both mgr1/p0 and mgr1/p3"),
+            "{err}"
+        );
+
+        let mut gap = live();
+        gap.remove(2);
+        let err = rebuild(8, &gap).unwrap_err().to_string();
+        assert!(err.contains("no bucket covers directory entry 11"), "{err}");
+
+        assert_eq!(
+            rebuild(1, &live()).unwrap_err(),
+            Error::DirectoryFull { max_depth: 1 }
+        );
     }
 
     #[test]

@@ -46,6 +46,12 @@
 //! root bucket, holds the recovery sweep, and the one scan over every
 //! allocated page.
 //!
+//! Beside it sits the **directory**, [`Directory`], every hash file's:
+//! the one copy of §2.2's doubling, group redirect, halving and
+//! `depthcount` rules, over page ids in atomic words or a distributed
+//! replica's `(manager, page, version)` entries ([`DirectoryEntry`]). A
+//! restarting file gets one from [`rebuild_directory`].
+//!
 //! A `PageStore` holds memory only. On top of it sits the **durability
 //! layer** (see [`durable`]), the one way pages reach a file:
 //! [`DurableStore`] wraps a `PageStore` (its volatile cache) with a redo
@@ -67,6 +73,7 @@ pub mod backend;
 mod buckets;
 mod cache;
 mod crash;
+mod directory;
 pub mod durable;
 mod page;
 mod stats;
@@ -75,10 +82,10 @@ pub mod wal;
 
 pub use backend::{BackendKind, DiskHandle, DiskImage, FileBackend, MemBackend, PageBackend};
 pub use buckets::{
-    mergeable, rebuild_directory, too_empty, Buckets, Edit, Owning, Peek, Retire, Split, Walked,
-    MERGE_ATTEMPTS,
+    mergeable, too_empty, Buckets, Edit, Owning, Peek, Retire, Split, Walked, MERGE_ATTEMPTS,
 };
 pub use crash::{CrashPlan, Tear};
+pub use directory::{rebuild_directory, Directory, DirectoryEntry};
 pub use durable::{DurableConfig, DurableStore, DurableTxn, RecoveryReport, FRAME_HEADER};
 pub use page::{PageBuf, POISON_BYTE};
 pub use stats::{IoStats, IoStatsSnapshot};

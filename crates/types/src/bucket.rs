@@ -32,7 +32,8 @@ pub const RECORD_BYTES: usize = 16;
 ///
 /// Solution 2 "mark\[s\] the old partner as 'deleted' (we use the commonbits
 /// field for this)" (§2.4). Real commonbits are at most `mask(max_depth)`
-/// and `max_depth ≤ 32`, so `u64::MAX` can never be a legitimate value.
+/// and `max_depth ≤` [`crate::MAX_SUPPORTED_DEPTH`] (26), so `u64::MAX`
+/// can never be a legitimate value.
 pub const DELETED: u64 = u64::MAX;
 
 /// A bucket, as held in a process's private buffer.

@@ -2,6 +2,22 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The deepest directory any file builds: 2^26 entries, 512 MiB of page
+/// ids once a directory has grown that far. Every file's configuration
+/// is checked against it ([`check_max_depth`]).
+pub const MAX_SUPPORTED_DEPTH: u32 = 26;
+
+/// Is `max_depth` in `1..=`[`MAX_SUPPORTED_DEPTH`]? The one check, and
+/// the one message, for every file's directory.
+pub fn check_max_depth(max_depth: u32) -> crate::Result<()> {
+    if max_depth == 0 || max_depth > MAX_SUPPORTED_DEPTH {
+        return Err(crate::Error::Config(format!(
+            "max_depth must be in 1..={MAX_SUPPORTED_DEPTH}, got {max_depth}"
+        )));
+    }
+    Ok(())
+}
+
 /// Tuning parameters for an extendible hash file.
 ///
 /// The paper fixes two structural constants: `numentries` (bucket capacity,
@@ -17,9 +33,10 @@ pub struct HashFileConfig {
     /// page size (a 4 KiB page holds ~250 records).
     pub bucket_capacity: usize,
     /// Maximum directory depth: the paper's `maxdepth`, the cap on
-    /// doubling. The paper declares `int directory[1<<maxdepth]`; the
-    /// concurrent directory allocates only the `2^depth` entries it has
-    /// reached (at least 64), one segment per doubling.
+    /// doubling, in `1..=`[`MAX_SUPPORTED_DEPTH`]. The paper declares
+    /// `int directory[1<<maxdepth]`; the directory allocates only the
+    /// `2^depth` entries it has reached (at least 64), one segment per
+    /// doubling.
     pub max_depth: u32,
     /// Merge policy: a delete attempts a merge when, after removing the
     /// key, the bucket would hold at most this many records. The paper's
@@ -104,12 +121,7 @@ impl HashFileConfig {
                 "bucket_capacity must be at least 1".into(),
             ));
         }
-        if self.max_depth == 0 || self.max_depth > 32 {
-            return Err(crate::Error::Config(format!(
-                "max_depth must be in 1..=32, got {}",
-                self.max_depth
-            )));
-        }
+        check_max_depth(self.max_depth)?;
         if self.merge_threshold >= self.bucket_capacity {
             return Err(crate::Error::Config(format!(
                 "merge_threshold ({}) must be below bucket_capacity ({})",
@@ -251,11 +263,11 @@ mod tests {
             .validate()
             .is_err());
         assert!(HashFileConfig::default()
-            .with_max_depth(33)
+            .with_max_depth(27)
             .validate()
             .is_err());
         assert!(HashFileConfig::default()
-            .with_max_depth(32)
+            .with_max_depth(26)
             .validate()
             .is_ok());
     }

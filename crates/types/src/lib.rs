@@ -41,7 +41,7 @@ pub use bucket::{
     Bucket, BucketView, PageWords, PageWordsMut, SharedPage, SharedPageMut, BUCKET_HEADER_BYTES,
     DELETED, RECORD_BYTES,
 };
-pub use config::{HashFileConfig, RetryPolicy};
+pub use config::{check_max_depth, HashFileConfig, RetryPolicy, MAX_SUPPORTED_DEPTH};
 pub use crc::crc32;
 pub use error::{Error, Result};
 pub use ids::{BucketLink, ManagerId, PageId};

@@ -5,7 +5,8 @@
 #
 # Formatting, lints, the complete test suite, and a quick chaos smoke
 # (the seeded fault-injection test from tests/chaos.rs at its CI-sized
-# workload). Mirrors .github/workflows/ci.yml.
+# workload). .github/workflows/ci.yml runs this script as its gate, so a
+# step added here runs in CI too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

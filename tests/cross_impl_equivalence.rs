@@ -1,7 +1,8 @@
 //! Cross-implementation equivalence: six implementations of the same
 //! dictionary contract — sequential, Solution 1, Solution 2, global-lock,
 //! the B-link tree, and the distributed cluster — replay one operation
-//! tape and must agree on every single outcome.
+//! tape and must agree on every single outcome, and every file with a
+//! directory must end at the same depth and depthcount.
 
 use std::time::Duration;
 
@@ -68,6 +69,31 @@ impl Impl {
         }
     }
 
+    /// The directory's depth, and its depthcount where the file
+    /// exposes one; `None` for the B-link tree, which has no directory.
+    /// The cluster answers once every replica agrees.
+    fn directory(&self) -> Option<(u32, Option<u32>)> {
+        match self {
+            Impl::Seq(f) => Some((f.depth(), Some(f.depthcount()))),
+            Impl::S1(f) => Some((f.core().dir().depth(), Some(f.core().dir().depthcount()))),
+            Impl::S2(f) => {
+                f.flush_gc();
+                Some((f.core().dir().depth(), Some(f.core().dir().depthcount())))
+            }
+            Impl::Global(f) => f.with_inner(|f| Some((f.depth(), Some(f.depthcount())))),
+            Impl::BTree(_) => None,
+            Impl::Dist(c, _) => {
+                assert!(c.quiesce(Duration::from_secs(20)));
+                let depths: Vec<u32> = c.dir_statuses().iter().map(|s| s.depth).collect();
+                assert!(
+                    depths.windows(2).all(|w| w[0] == w[1]),
+                    "replica depths {depths:?}"
+                );
+                Some((depths[0], None))
+            }
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             Impl::Seq(f) => f.len(),
@@ -129,8 +155,24 @@ fn one_tape_six_implementations_merging_at_threshold_1() {
     }
 }
 
-/// Replay the tape on all six, checking every outcome and the final
-/// sizes; returns the distributed file's message counts.
+/// Every file with a directory ends at the sequential file's depth, and
+/// at its depthcount where the file exposes one: the halving rule is the
+/// same everywhere.
+fn assert_directories_agree(impls: &[Impl]) {
+    let (depth, depthcount) = impls[0].directory().expect("the sequential file");
+    for i in &impls[1..] {
+        let Some((d, dc)) = i.directory() else {
+            continue;
+        };
+        assert_eq!(d, depth, "final directory depth on {}", i.name());
+        if let Some(dc) = dc {
+            assert_eq!(Some(dc), depthcount, "final depthcount on {}", i.name());
+        }
+    }
+}
+
+/// Replay the tape on all six, checking every outcome, the final sizes
+/// and directories; returns the distributed file's message counts.
 fn replay_tape(cfg: HashFileConfig) -> MsgStatsSnapshot {
     let mut impls = all_impls(cfg);
     let mut gen = WorkloadGen::new(0x7A9E, KeyDist::Uniform, 80, OpMix::BALANCED);
@@ -171,6 +213,7 @@ fn replay_tape(cfg: HashFileConfig) -> MsgStatsSnapshot {
     for i in impls.iter().skip(1) {
         assert_eq!(i.len(), expected_len, "final size on {}", i.name());
     }
+    assert_directories_agree(&impls);
     // Tear the cluster down cleanly, keeping its message counts.
     let mut msgs = None;
     for i in impls {
@@ -202,6 +245,7 @@ fn grow_only_tape_all_agree() {
             assert_eq!(i.find(Key(k)), expected, "{}", i.name());
         }
     }
+    assert_directories_agree(&impls);
     for i in impls {
         if let Impl::Dist(c, client) = i {
             drop(client);
