@@ -653,6 +653,8 @@ impl WireMsg for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn roundtrip(msg: &Msg) -> Msg {
         let mut w = WireWriter::new();
@@ -704,9 +706,10 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
-    #[test]
-    fn every_variant_roundtrips() {
-        let msgs = vec![
+    /// One message of every variant (and every `UserOutcome`), the input
+    /// of the round-trip, golden-bytes and mutation tests.
+    fn samples() -> Vec<Msg> {
+        vec![
             Msg::Request {
                 op: OpKind::Find,
                 key: Key(5),
@@ -865,23 +868,108 @@ mod tests {
                 json: String::new(),
             },
             Msg::Shutdown,
-        ];
-        for msg in &msgs {
+        ]
+    }
+
+    #[test]
+    fn every_variant_roundtrips() {
+        for msg in &samples() {
             assert_same(msg, &roundtrip(msg));
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The bytes of every sample, pinned: a layout change fails here and
+    /// must come with a [`ceh_net::wire::WIRE_VERSION`] bump.
+    const GOLDEN: [&str; 30] = [
+        "0100050000000000000000000000000000000100000000000900030000000000000000000000000000000000000000000000",
+        "020132000000000000000300000000000000",
+        "02000400000000000000",
+        "02030500000000000000",
+        "02050600000000000000",
+        "02060700000000000000",
+        "0301efbeadde000000002a0000000000000007000000000003000b0000000000000009000000000004000200000000000100b600000000000000030000001100000000000000cdab0000000000003700000000000000",
+        "0401efbeadde000000002a0000000000000007000000000003000b0000000000000009000000000004000200000000000100b600000000000000030000001100000000000000cdab00000000000037000000000000000500000000000200",
+        "05",
+        "060900000000000000010102",
+        "060a000000000000000000",
+        "070b00000000000000010104000300000000000000020000000400000000000000050000000000000001000000080000000000000000000000000000000000000000000000",
+        "08010200000000000000020000000300000000000000040000000000000005000000000000000000000001000000000000000100000002000000000000004d00000000000000030000000000010000000000000000000000000000000000",
+        "094d00000000000000",
+        "0a04000000000003000300000005000000000000000900000000000000020000000400000000000000000000000c00000000000000020000000d000000000000004d0000000000000005000000000000004e000000000000000200000084030000000000000c0000000000000085030000000000000d00000000000000",
+        "0b020000000600000000000000",
+        "0c03000000000000000200000001000000000000003200000000000000",
+        "0d010300000005000000000000000900000000000000020000000400000000000000000000000c00000000000000020000000d000000000000004d0000000000000005000000000000004e000000000000000100000000",
+        "0d00000100000007000000000000000800000000000000",
+        "0e01000000000000000200000000000000010000003300000000000000",
+        "0f0400000009000000000000003400000000000000010300000000000000",
+        "1001000000000e000000000000000a0000000000000001000000010000000000000002000000000000000100000035000000000000000100000000000000",
+        "1102000000070000000000000008000000000000000500000000000200360000000000000000000000000000000000000000000000",
+        "120500000000000000",
+        "133700000000000000",
+        "140100000000000000020000000000000003000000000000000400000002000000000000000000000000000000010000000000000001000000030000000000000002000000000000000500000000000000",
+        "160700000000000200",
+        "172a0000007b226e6f6465223a332c22636f756e74657273223a7b22646973742e7265717565737473223a34327d7d",
+        "1700000000",
+        "15",
+    ];
+
+    #[test]
+    fn encodings_match_the_golden_bytes() {
+        let samples = samples();
+        assert_eq!(samples.len(), GOLDEN.len());
+        for (msg, golden) in samples.iter().zip(GOLDEN) {
+            let mut w = WireWriter::new();
+            msg.wire_encode(&mut w);
+            assert_eq!(hex(&w.into_bytes()), golden, "{msg:?}");
+        }
+    }
+
+    fn encode(msg: &Msg) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        msg.wire_encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// Strict decoding gives each message one encoding: whatever decodes
+    /// re-encodes to exactly the bytes it came from.
+    /// Returns whether `bytes` decoded.
+    fn assert_canonical(bytes: &[u8]) -> bool {
+        let decoded = Msg::wire_decode(bytes);
+        if let Ok(msg) = &decoded {
+            assert_eq!(hex(&encode(msg)), hex(bytes), "{msg:?}");
+        }
+        decoded.is_ok()
+    }
+
     #[test]
     fn truncated_payloads_are_rejected_not_panicked() {
-        let mut w = WireWriter::new();
-        Msg::BucketOp(sample_env()).wire_encode(&mut w);
-        let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                Msg::wire_decode(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
+        let mut rng = StdRng::seed_from_u64(0x3E11);
+        let mut decoded = 0;
+        for msg in &samples() {
+            let bytes = encode(msg);
+            for cut in 0..bytes.len() {
+                assert!(
+                    Msg::wire_decode(&bytes[..cut]).is_err(),
+                    "prefix of {cut} bytes of {msg:?} decoded"
+                );
+            }
+            // Seeded mutations: a flip of every byte, and a random tail
+            // after every cut. None may panic.
+            for at in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= rng.random_range(1..=255u8);
+                let mut tail = bytes[..at].to_vec();
+                let extra = rng.random_range(1..24usize);
+                tail.extend((0..extra).map(|_| rng.random::<u8>()));
+                decoded += assert_canonical(&flipped) as usize + assert_canonical(&tail) as usize;
+            }
         }
+        // Flips inside scalar fields decode, so the re-encoding check ran.
+        assert!(decoded > 100, "only {decoded} mutations decoded");
     }
 
     #[test]

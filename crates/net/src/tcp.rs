@@ -1038,4 +1038,28 @@ mod tests {
         );
         a.close();
     }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The control payloads' bytes, pinned (one name, so the map's order
+    /// is fixed): a layout change fails here and must bump the version.
+    #[test]
+    fn hello_and_bind_bytes_are_pinned() {
+        let port = PortId::for_node(3, 7);
+        let names = HashMap::from([("dirmgr-0".to_string(), port)]);
+        let hello = encode_hello(3, &names);
+        assert_eq!(
+            hex(&hello),
+            "030000000000000001000000080000006469726d67722d300700000000000300"
+        );
+        assert_eq!(
+            decode_hello(&hello),
+            Ok((3, vec![("dirmgr-0".to_string(), port)]))
+        );
+        let bind = encode_bind("bucket-1", port);
+        assert_eq!(hex(&bind), "080000006275636b65742d310700000000000300");
+        assert_eq!(decode_bind(&bind), Ok(("bucket-1".to_string(), port)));
+    }
 }
