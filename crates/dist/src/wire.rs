@@ -2,659 +2,128 @@
 //! crosses real sockets.
 //!
 //! The simulated plane moves `Msg` values by `clone()`; the TCP plane
-//! ([`ceh_net::TcpPlane`]) needs bytes. This module implements
-//! [`WireMsg`] for [`Msg`] with the same hand-rolled, dependency-free
-//! discipline as the storage WAL: fixed little-endian scalars,
-//! length-prefixed sequences, one tag byte per enum, and a decoder that
-//! answers every malformed input with a [`WireError`] instead of a
-//! panic. The payload travels inside a CRC-checked frame
-//! ([`ceh_net::wire`]), so decoding here only has to be *strict*, not
-//! corruption-tolerant: any leftover or missing bytes are protocol
-//! errors that sever the connection.
+//! ([`ceh_net::TcpPlane`]) needs bytes. Each message's layout is its
+//! field list below, in wire order: [`ceh_net::wire!`] derives both the
+//! encoder and the strict decoder from it (fixed little-endian scalars,
+//! `u32`-counted sequences, one tag byte per enum), and the shared types
+//! inside (keys, links, buckets, trace contexts) encode as
+//! [`mod@ceh_net::wire`] defines them. The payload travels inside a
+//! CRC-checked frame, so decoding only has to be *strict*, not
+//! corruption-tolerant: any leftover or missing bytes are protocol errors
+//! that sever the connection.
 //!
-//! Compatibility is guarded by the frame header's version byte, not by
-//! this encoding — a node that changes the layout below must bump
-//! [`ceh_net::wire::WIRE_VERSION`].
+//! The tests pin every variant's bytes (`encodings_match_the_golden_bytes`)
+//! and sweep truncations, byte flips and random tails over all of them
+//! (`truncated_payloads_are_rejected_not_panicked`): nothing panics, and
+//! whatever decodes re-encodes to the bytes it came from. Compatibility
+//! is guarded by the frame header's version byte: a change to a list
+//! below must bump [`ceh_net::wire::WIRE_VERSION`].
 
-use ceh_net::wire::{WireError, WireMsg, WireReader, WireWriter};
-use ceh_net::PortId;
-use ceh_obs::{SpanId, TraceCtx};
-use ceh_types::bucket::Bucket;
-use ceh_types::{
-    BucketLink, DeleteOutcome, InsertOutcome, Key, ManagerId, PageId, Pseudokey, Record, Value,
-};
+use ceh_net::wire::{Wire, WireError, WireReader, WireWriter};
+use ceh_types::{DeleteOutcome, InsertOutcome};
 
 use crate::msg::{Msg, OpEnvelope, OpKind, UserOutcome};
 use crate::replica::{DirEntry, DirUpdate};
 
-// One tag byte per `Msg` variant, in declaration order.
-const TAG_REQUEST: u8 = 1;
-const TAG_USER_REPLY: u8 = 2;
-const TAG_BUCKET_OP: u8 = 3;
-const TAG_WRONGBUCKET: u8 = 4;
-const TAG_WRONGBUCKET_ACK: u8 = 5;
-const TAG_BUCKETDONE: u8 = 6;
-const TAG_UPDATE: u8 = 7;
-const TAG_COPYUPDATE: u8 = 8;
-const TAG_COPY_ACK: u8 = 9;
-const TAG_SPLITBUCKET: u8 = 10;
-const TAG_SPLITREPLY: u8 = 11;
-const TAG_MERGEDOWN: u8 = 12;
-const TAG_MDREPLY: u8 = 13;
-const TAG_MERGEUP: u8 = 14;
-const TAG_MUREPLY: u8 = 15;
-const TAG_GOAHEAD: u8 = 16;
-const TAG_GARBAGE_COLLECT: u8 = 17;
-const TAG_GC_ACK: u8 = 18;
-const TAG_STATUS: u8 = 19;
-const TAG_STATUS_REPLY: u8 = 20;
-const TAG_SHUTDOWN: u8 = 21;
-const TAG_STATS_REQUEST: u8 = 22;
-const TAG_STATS_REPLY: u8 = 23;
+ceh_net::wire!(Msg {
+    1 => Request { op, key, value, user_port, req_id, ctx },
+    2 => UserReply { outcome, req_id },
+    3 => BucketOp(env),
+    4 => Wrongbucket { env, buckmgr_port },
+    5 => WrongbucketAck,
+    6 => Bucketdone { txn, success, outcome },
+    7 => Update { txn, success, outcome, update, ctx },
+    8 => Copyupdate { update, update_id, ack_port, ctx },
+    9 => CopyAck { update_id },
+    10 => Splitbucket { reply_port, half2, fences },
+    11 => Splitreply { link },
+    12 => Mergedown { partner, localdepth, count, reply_port },
+    13 => MDReply { buffer, success, fences },
+    14 => Mergeup { partner, target, target_mgr, reply_port },
+    15 => MUReply { localdepth, version, goahead_port, success, count },
+    16 => Goahead { success, next, version, moved, fences },
+    17 => GarbageCollect { pages, gc_id, ack_port, ctx },
+    18 => GcAck { gc_id },
+    19 => Status { reply_port },
+    20 => StatusReply { rho, alpha, parked, depth, entries, pending_garbage },
+    21 => Shutdown,
+    22 => StatsRequest { reply_port },
+    23 => StatsReply { json },
+});
 
-fn put_ctx(w: &mut WireWriter, ctx: TraceCtx) {
-    w.u64(ctx.trace_id);
-    w.u64(ctx.parent_span.0);
-}
+ceh_net::wire!(OpKind {
+    0 => Find,
+    1 => Insert,
+    2 => Delete,
+});
 
-fn get_ctx(r: &mut WireReader<'_>) -> Result<TraceCtx, WireError> {
-    Ok(TraceCtx {
-        trace_id: r.u64()?,
-        parent_span: SpanId(r.u64()?),
-    })
-}
+ceh_net::wire!(OpEnvelope {
+    op,
+    key,
+    value,
+    txn,
+    page,
+    user_port,
+    dirmgr_port,
+    pseudokey,
+    attempt,
+    req_id,
+    ctx,
+});
 
-fn put_op(w: &mut WireWriter, op: OpKind) {
-    w.u8(match op {
-        OpKind::Find => 0,
-        OpKind::Insert => 1,
-        OpKind::Delete => 2,
-    });
-}
+ceh_net::wire!(DirEntry { mgr, page, version });
 
-fn get_op(r: &mut WireReader<'_>) -> Result<OpKind, WireError> {
-    match r.u8()? {
-        0 => Ok(OpKind::Find),
-        1 => Ok(OpKind::Insert),
-        2 => Ok(OpKind::Delete),
-        _ => Err(WireError::Malformed("unknown OpKind tag")),
-    }
-}
+ceh_net::wire!(DirUpdate {
+    0 => Split { pseudokey, old_localdepth, expected_version, new_version, new_bucket },
+    1 => Merge { pseudokey, old_localdepth, expected_v0, expected_v1, new_version, merged, garbage },
+});
 
-fn put_outcome(w: &mut WireWriter, outcome: UserOutcome) {
-    match outcome {
-        UserOutcome::Found(None) => w.u8(0),
-        UserOutcome::Found(Some(v)) => {
-            w.u8(1);
-            w.u64(v.0);
-        }
-        UserOutcome::Inserted(InsertOutcome::Inserted) => w.u8(2),
-        UserOutcome::Inserted(InsertOutcome::AlreadyPresent) => w.u8(3),
-        UserOutcome::Deleted(DeleteOutcome::Deleted) => w.u8(4),
-        UserOutcome::Deleted(DeleteOutcome::NotFound) => w.u8(5),
-        UserOutcome::Failed => w.u8(6),
-    }
-}
+/// One tag byte covers the outcome and its nested answer.
+impl Wire for UserOutcome {
+    const MIN_BYTES: usize = 1;
 
-fn get_outcome(r: &mut WireReader<'_>) -> Result<UserOutcome, WireError> {
-    Ok(match r.u8()? {
-        0 => UserOutcome::Found(None),
-        1 => UserOutcome::Found(Some(Value(r.u64()?))),
-        2 => UserOutcome::Inserted(InsertOutcome::Inserted),
-        3 => UserOutcome::Inserted(InsertOutcome::AlreadyPresent),
-        4 => UserOutcome::Deleted(DeleteOutcome::Deleted),
-        5 => UserOutcome::Deleted(DeleteOutcome::NotFound),
-        6 => UserOutcome::Failed,
-        _ => return Err(WireError::Malformed("unknown UserOutcome tag")),
-    })
-}
-
-fn put_opt_outcome(w: &mut WireWriter, outcome: Option<UserOutcome>) {
-    match outcome {
-        None => w.bool(false),
-        Some(o) => {
-            w.bool(true);
-            put_outcome(w, o);
-        }
-    }
-}
-
-fn get_opt_outcome(r: &mut WireReader<'_>) -> Result<Option<UserOutcome>, WireError> {
-    if r.bool()? {
-        Ok(Some(get_outcome(r)?))
-    } else {
-        Ok(None)
-    }
-}
-
-fn put_env(w: &mut WireWriter, env: &OpEnvelope) {
-    put_op(w, env.op);
-    w.u64(env.key.0);
-    w.u64(env.value.0);
-    w.u64(env.txn);
-    w.u64(env.page.0);
-    w.u64(env.user_port.0);
-    w.u64(env.dirmgr_port.0);
-    w.u64(env.pseudokey.0);
-    w.u32(env.attempt);
-    w.u64(env.req_id);
-    put_ctx(w, env.ctx);
-}
-
-fn get_env(r: &mut WireReader<'_>) -> Result<OpEnvelope, WireError> {
-    Ok(OpEnvelope {
-        op: get_op(r)?,
-        key: Key(r.u64()?),
-        value: Value(r.u64()?),
-        txn: r.u64()?,
-        page: PageId(r.u64()?),
-        user_port: PortId(r.u64()?),
-        dirmgr_port: PortId(r.u64()?),
-        pseudokey: Pseudokey(r.u64()?),
-        attempt: r.u32()?,
-        req_id: r.u64()?,
-        ctx: get_ctx(r)?,
-    })
-}
-
-fn put_link(w: &mut WireWriter, link: BucketLink) {
-    w.u32(link.manager.0);
-    w.u64(link.page.0);
-}
-
-fn get_link(r: &mut WireReader<'_>) -> Result<BucketLink, WireError> {
-    let manager = ManagerId(r.u32()?);
-    let page = PageId(r.u64()?);
-    Ok(BucketLink { manager, page })
-}
-
-fn put_update(w: &mut WireWriter, update: &DirUpdate) {
-    match update {
-        DirUpdate::Split {
-            pseudokey,
-            old_localdepth,
-            expected_version,
-            new_version,
-            new_bucket,
-        } => {
-            w.u8(0);
-            w.u64(pseudokey.0);
-            w.u32(*old_localdepth);
-            w.u64(*expected_version);
-            w.u64(*new_version);
-            put_link(w, *new_bucket);
-        }
-        DirUpdate::Merge {
-            pseudokey,
-            old_localdepth,
-            expected_v0,
-            expected_v1,
-            new_version,
-            merged,
-            garbage,
-        } => {
-            w.u8(1);
-            w.u64(pseudokey.0);
-            w.u32(*old_localdepth);
-            w.u64(*expected_v0);
-            w.u64(*expected_v1);
-            w.u64(*new_version);
-            put_link(w, *merged);
-            put_link(w, *garbage);
-        }
-    }
-}
-
-fn get_update(r: &mut WireReader<'_>) -> Result<DirUpdate, WireError> {
-    match r.u8()? {
-        0 => Ok(DirUpdate::Split {
-            pseudokey: Pseudokey(r.u64()?),
-            old_localdepth: r.u32()?,
-            expected_version: r.u64()?,
-            new_version: r.u64()?,
-            new_bucket: get_link(r)?,
-        }),
-        1 => Ok(DirUpdate::Merge {
-            pseudokey: Pseudokey(r.u64()?),
-            old_localdepth: r.u32()?,
-            expected_v0: r.u64()?,
-            expected_v1: r.u64()?,
-            new_version: r.u64()?,
-            merged: get_link(r)?,
-            garbage: get_link(r)?,
-        }),
-        _ => Err(WireError::Malformed("unknown DirUpdate tag")),
-    }
-}
-
-fn put_bucket(w: &mut WireWriter, b: &Bucket) {
-    w.u32(b.localdepth);
-    w.u64(b.commonbits);
-    w.u64(b.next.0);
-    w.u32(b.next_mgr.0);
-    w.u64(b.prev.0);
-    w.u32(b.prev_mgr.0);
-    w.u64(b.version);
-    w.u32(b.records.len() as u32);
-    for rec in &b.records {
-        w.u64(rec.key.0);
-        w.u64(rec.value.0);
-    }
-}
-
-fn get_bucket(r: &mut WireReader<'_>) -> Result<Bucket, WireError> {
-    let localdepth = r.u32()?;
-    let commonbits = r.u64()?;
-    let next = PageId(r.u64()?);
-    let next_mgr = ManagerId(r.u32()?);
-    let prev = PageId(r.u64()?);
-    let prev_mgr = ManagerId(r.u32()?);
-    let version = r.u64()?;
-    let n = r.seq_len(16)?;
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        records.push(Record {
-            key: Key(r.u64()?),
-            value: Value(r.u64()?),
-        });
-    }
-    Ok(Bucket {
-        localdepth,
-        commonbits,
-        next,
-        next_mgr,
-        prev,
-        prev_mgr,
-        version,
-        records,
-    })
-}
-
-fn put_fences(w: &mut WireWriter, fences: &[(PortId, u64)]) {
-    w.u32(fences.len() as u32);
-    for &(p, r) in fences {
-        w.u64(p.0);
-        w.u64(r);
-    }
-}
-
-fn get_fences(r: &mut WireReader<'_>) -> Result<Vec<(PortId, u64)>, WireError> {
-    let n = r.seq_len(16)?;
-    let mut fences = Vec::with_capacity(n);
-    for _ in 0..n {
-        fences.push((PortId(r.u64()?), r.u64()?));
-    }
-    Ok(fences)
-}
-
-impl WireMsg for Msg {
-    fn wire_encode(&self, w: &mut WireWriter) {
-        match self {
-            Msg::Request {
-                op,
-                key,
-                value,
-                user_port,
-                req_id,
-                ctx,
-            } => {
-                w.u8(TAG_REQUEST);
-                put_op(w, *op);
-                w.u64(key.0);
-                w.u64(value.0);
-                w.u64(user_port.0);
-                w.u64(*req_id);
-                put_ctx(w, *ctx);
+    fn put(&self, w: &mut WireWriter) {
+        match *self {
+            UserOutcome::Found(None) => w.u8(0),
+            UserOutcome::Found(Some(v)) => {
+                w.u8(1);
+                v.put(w);
             }
-            Msg::UserReply { outcome, req_id } => {
-                w.u8(TAG_USER_REPLY);
-                put_outcome(w, *outcome);
-                w.u64(*req_id);
-            }
-            Msg::BucketOp(env) => {
-                w.u8(TAG_BUCKET_OP);
-                put_env(w, env);
-            }
-            Msg::Wrongbucket { env, buckmgr_port } => {
-                w.u8(TAG_WRONGBUCKET);
-                put_env(w, env);
-                w.u64(buckmgr_port.0);
-            }
-            Msg::WrongbucketAck => w.u8(TAG_WRONGBUCKET_ACK),
-            Msg::Bucketdone {
-                txn,
-                success,
-                outcome,
-            } => {
-                w.u8(TAG_BUCKETDONE);
-                w.u64(*txn);
-                w.bool(*success);
-                put_opt_outcome(w, *outcome);
-            }
-            Msg::Update {
-                txn,
-                success,
-                outcome,
-                update,
-                ctx,
-            } => {
-                w.u8(TAG_UPDATE);
-                w.u64(*txn);
-                w.bool(*success);
-                put_opt_outcome(w, *outcome);
-                put_update(w, update);
-                put_ctx(w, *ctx);
-            }
-            Msg::Copyupdate {
-                update,
-                update_id,
-                ack_port,
-                ctx,
-            } => {
-                w.u8(TAG_COPYUPDATE);
-                put_update(w, update);
-                w.u64(*update_id);
-                w.u64(ack_port.0);
-                put_ctx(w, *ctx);
-            }
-            Msg::CopyAck { update_id } => {
-                w.u8(TAG_COPY_ACK);
-                w.u64(*update_id);
-            }
-            Msg::Splitbucket {
-                reply_port,
-                half2,
-                fences,
-            } => {
-                w.u8(TAG_SPLITBUCKET);
-                w.u64(reply_port.0);
-                put_bucket(w, half2);
-                put_fences(w, fences);
-            }
-            Msg::Splitreply { link } => {
-                w.u8(TAG_SPLITREPLY);
-                put_link(w, *link);
-            }
-            Msg::Mergedown {
-                partner,
-                localdepth,
-                count,
-                reply_port,
-            } => {
-                w.u8(TAG_MERGEDOWN);
-                w.u64(partner.0);
-                w.u32(*localdepth);
-                w.u64(*count as u64);
-                w.u64(reply_port.0);
-            }
-            Msg::MDReply {
-                buffer,
-                success,
-                fences,
-            } => {
-                w.u8(TAG_MDREPLY);
-                match buffer {
-                    None => w.bool(false),
-                    Some(b) => {
-                        w.bool(true);
-                        put_bucket(w, b);
-                    }
-                }
-                w.bool(*success);
-                put_fences(w, fences);
-            }
-            Msg::Mergeup {
-                partner,
-                target,
-                target_mgr,
-                reply_port,
-            } => {
-                w.u8(TAG_MERGEUP);
-                w.u64(partner.0);
-                w.u64(target.0);
-                w.u32(target_mgr.0);
-                w.u64(reply_port.0);
-            }
-            Msg::MUReply {
-                localdepth,
-                version,
-                goahead_port,
-                success,
-                count,
-            } => {
-                w.u8(TAG_MUREPLY);
-                w.u32(*localdepth);
-                w.u64(*version);
-                w.u64(goahead_port.0);
-                w.bool(*success);
-                w.u64(*count as u64);
-            }
-            Msg::Goahead {
-                success,
-                next,
-                version,
-                moved,
-                fences,
-            } => {
-                w.u8(TAG_GOAHEAD);
-                w.bool(*success);
-                put_link(w, *next);
-                w.u64(*version);
-                w.u32(moved.len() as u32);
-                for rec in moved {
-                    w.u64(rec.key.0);
-                    w.u64(rec.value.0);
-                }
-                put_fences(w, fences);
-            }
-            Msg::GarbageCollect {
-                pages,
-                gc_id,
-                ack_port,
-                ctx,
-            } => {
-                w.u8(TAG_GARBAGE_COLLECT);
-                w.u32(pages.len() as u32);
-                for p in pages {
-                    w.u64(p.0);
-                }
-                w.u64(*gc_id);
-                w.u64(ack_port.0);
-                put_ctx(w, *ctx);
-            }
-            Msg::GcAck { gc_id } => {
-                w.u8(TAG_GC_ACK);
-                w.u64(*gc_id);
-            }
-            Msg::Status { reply_port } => {
-                w.u8(TAG_STATUS);
-                w.u64(reply_port.0);
-            }
-            Msg::StatusReply {
-                rho,
-                alpha,
-                parked,
-                depth,
-                entries,
-                pending_garbage,
-            } => {
-                w.u8(TAG_STATUS_REPLY);
-                w.u64(*rho as u64);
-                w.u64(*alpha as u64);
-                w.u64(*parked as u64);
-                w.u32(*depth);
-                w.u32(entries.len() as u32);
-                for e in entries {
-                    w.u32(e.mgr.0);
-                    w.u64(e.page.0);
-                    w.u64(e.version);
-                }
-                w.u64(*pending_garbage as u64);
-            }
-            Msg::StatsRequest { reply_port } => {
-                w.u8(TAG_STATS_REQUEST);
-                w.u64(reply_port.0);
-            }
-            Msg::StatsReply { json } => {
-                w.u8(TAG_STATS_REPLY);
-                w.str(json);
-            }
-            Msg::Shutdown => w.u8(TAG_SHUTDOWN),
+            UserOutcome::Inserted(InsertOutcome::Inserted) => w.u8(2),
+            UserOutcome::Inserted(InsertOutcome::AlreadyPresent) => w.u8(3),
+            UserOutcome::Deleted(DeleteOutcome::Deleted) => w.u8(4),
+            UserOutcome::Deleted(DeleteOutcome::NotFound) => w.u8(5),
+            UserOutcome::Failed => w.u8(6),
         }
     }
 
-    fn wire_decode(bytes: &[u8]) -> Result<Msg, WireError> {
-        let mut r = WireReader::new(bytes);
-        let msg = match r.u8()? {
-            TAG_REQUEST => Msg::Request {
-                op: get_op(&mut r)?,
-                key: Key(r.u64()?),
-                value: Value(r.u64()?),
-                user_port: PortId(r.u64()?),
-                req_id: r.u64()?,
-                ctx: get_ctx(&mut r)?,
-            },
-            TAG_USER_REPLY => Msg::UserReply {
-                outcome: get_outcome(&mut r)?,
-                req_id: r.u64()?,
-            },
-            TAG_BUCKET_OP => Msg::BucketOp(get_env(&mut r)?),
-            TAG_WRONGBUCKET => Msg::Wrongbucket {
-                env: get_env(&mut r)?,
-                buckmgr_port: PortId(r.u64()?),
-            },
-            TAG_WRONGBUCKET_ACK => Msg::WrongbucketAck,
-            TAG_BUCKETDONE => Msg::Bucketdone {
-                txn: r.u64()?,
-                success: r.bool()?,
-                outcome: get_opt_outcome(&mut r)?,
-            },
-            TAG_UPDATE => Msg::Update {
-                txn: r.u64()?,
-                success: r.bool()?,
-                outcome: get_opt_outcome(&mut r)?,
-                update: get_update(&mut r)?,
-                ctx: get_ctx(&mut r)?,
-            },
-            TAG_COPYUPDATE => Msg::Copyupdate {
-                update: get_update(&mut r)?,
-                update_id: r.u64()?,
-                ack_port: PortId(r.u64()?),
-                ctx: get_ctx(&mut r)?,
-            },
-            TAG_COPY_ACK => Msg::CopyAck {
-                update_id: r.u64()?,
-            },
-            TAG_SPLITBUCKET => Msg::Splitbucket {
-                reply_port: PortId(r.u64()?),
-                half2: Box::new(get_bucket(&mut r)?),
-                fences: get_fences(&mut r)?,
-            },
-            TAG_SPLITREPLY => Msg::Splitreply {
-                link: get_link(&mut r)?,
-            },
-            TAG_MERGEDOWN => Msg::Mergedown {
-                partner: PageId(r.u64()?),
-                localdepth: r.u32()?,
-                count: r.u64()? as usize,
-                reply_port: PortId(r.u64()?),
-            },
-            TAG_MDREPLY => Msg::MDReply {
-                buffer: if r.bool()? {
-                    Some(Box::new(get_bucket(&mut r)?))
-                } else {
-                    None
-                },
-                success: r.bool()?,
-                fences: get_fences(&mut r)?,
-            },
-            TAG_MERGEUP => Msg::Mergeup {
-                partner: PageId(r.u64()?),
-                target: PageId(r.u64()?),
-                target_mgr: ManagerId(r.u32()?),
-                reply_port: PortId(r.u64()?),
-            },
-            TAG_MUREPLY => Msg::MUReply {
-                localdepth: r.u32()?,
-                version: r.u64()?,
-                goahead_port: PortId(r.u64()?),
-                success: r.bool()?,
-                count: r.u64()? as usize,
-            },
-            TAG_GOAHEAD => Msg::Goahead {
-                success: r.bool()?,
-                next: get_link(&mut r)?,
-                version: r.u64()?,
-                moved: {
-                    let n = r.seq_len(16)?;
-                    let mut moved = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        moved.push(Record {
-                            key: Key(r.u64()?),
-                            value: Value(r.u64()?),
-                        });
-                    }
-                    moved
-                },
-                fences: get_fences(&mut r)?,
-            },
-            TAG_GARBAGE_COLLECT => Msg::GarbageCollect {
-                pages: {
-                    let n = r.seq_len(8)?;
-                    let mut pages = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        pages.push(PageId(r.u64()?));
-                    }
-                    pages
-                },
-                gc_id: r.u64()?,
-                ack_port: PortId(r.u64()?),
-                ctx: get_ctx(&mut r)?,
-            },
-            TAG_GC_ACK => Msg::GcAck { gc_id: r.u64()? },
-            TAG_STATUS => Msg::Status {
-                reply_port: PortId(r.u64()?),
-            },
-            TAG_STATUS_REPLY => Msg::StatusReply {
-                rho: r.u64()? as usize,
-                alpha: r.u64()? as usize,
-                parked: r.u64()? as usize,
-                depth: r.u32()?,
-                entries: {
-                    let n = r.seq_len(20)?;
-                    let mut entries = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        entries.push(DirEntry {
-                            mgr: ManagerId(r.u32()?),
-                            page: PageId(r.u64()?),
-                            version: r.u64()?,
-                        });
-                    }
-                    entries
-                },
-                pending_garbage: r.u64()? as usize,
-            },
-            TAG_STATS_REQUEST => Msg::StatsRequest {
-                reply_port: PortId(r.u64()?),
-            },
-            TAG_STATS_REPLY => Msg::StatsReply {
-                json: r.str()?.to_string(),
-            },
-            TAG_SHUTDOWN => Msg::Shutdown,
-            _ => return Err(WireError::Malformed("unknown Msg tag")),
-        };
-        // Strictness: the payload must be exactly one message. Trailing
-        // bytes mean a framing bug (or tampering) — reject, sever, redial.
-        r.finish()?;
-        Ok(msg)
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => UserOutcome::Found(None),
+            1 => UserOutcome::Found(Some(Wire::get(r)?)),
+            2 => UserOutcome::Inserted(InsertOutcome::Inserted),
+            3 => UserOutcome::Inserted(InsertOutcome::AlreadyPresent),
+            4 => UserOutcome::Deleted(DeleteOutcome::Deleted),
+            5 => UserOutcome::Deleted(DeleteOutcome::NotFound),
+            6 => UserOutcome::Failed,
+            _ => return Err(WireError::Malformed("unknown UserOutcome tag")),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ceh_net::wire::WireMsg;
+    use ceh_net::PortId;
+    use ceh_obs::{SpanId, TraceCtx};
+    use ceh_types::bucket::Bucket;
+    use ceh_types::{BucketLink, Key, ManagerId, PageId, Pseudokey, Record, Value};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    const TAG_USER_REPLY: u8 = 2;
+    const TAG_SPLITBUCKET: u8 = 10;
 
     fn roundtrip(msg: &Msg) -> Msg {
         let mut w = WireWriter::new();

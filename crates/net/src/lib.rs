@@ -10,7 +10,7 @@
 //!   sender-anonymous delivery (`send` never fails while the receiving
 //!   port exists; messages queue without bound);
 //! * [`TcpPlane`] — the same port/name surface over real sockets:
-//!   length-prefixed wire frames with version/CRC headers ([`wire`]),
+//!   length-prefixed wire frames with version/CRC headers ([`mod@wire`]),
 //!   a supervised connection per peer ([`supervisor`]) with bounded
 //!   reconnect backoff, heartbeats, and load-shedding degradation, so
 //!   the distributed hash file runs as actual processes (`ceh serve`);
@@ -57,4 +57,4 @@ pub use stats::{MsgStats, MsgStatsSnapshot};
 pub use supervisor::{Backoff, PeerFsm, PeerState, SupervisorConfig, TickAction};
 pub use tcp::{TcpConfig, TcpPlane};
 pub use transport::Transport;
-pub use wire::{WireError, WireMsg, WireReader, WireWriter};
+pub use wire::{Wire, WireError, WireMsg, WireReader, WireWriter};

@@ -54,7 +54,7 @@ use crate::stats::{MsgStats, MsgStatsSnapshot};
 use crate::supervisor::{PeerFsm, PeerState, SupervisorConfig, TickAction};
 use crate::transport::Transport;
 use crate::wire::{
-    check_payload, decode_header, encode_frame, FrameKind, WireError, WireMsg, WireReader,
+    check_payload, decode_header, encode_frame, FrameKind, Wire, WireError, WireMsg, WireReader,
     WireWriter, FRAME_HEADER_BYTES,
 };
 
@@ -491,47 +491,33 @@ where
 // ---------------------------------------------------------------------
 // Control-frame payloads.
 
-fn encode_hello(node: u16, names: &HashMap<String, PortId>) -> Vec<u8> {
+/// Hello: `(node, bindings)`.
+type Hello = (u64, Vec<(String, PortId)>);
+
+/// Bind: one `(name, port)`.
+type Bind = (String, PortId);
+
+fn payload(v: &impl Wire) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.u64(u64::from(node));
-    w.u32(names.len() as u32);
-    for (name, port) in names {
-        w.str(name);
-        w.u64(port.0);
-    }
+    v.put(&mut w);
     w.into_bytes()
+}
+
+fn encode_hello(node: u16, names: &HashMap<String, PortId>) -> Vec<u8> {
+    let names: Vec<_> = names.iter().map(|(n, &p)| (n.clone(), p)).collect();
+    payload(&(u64::from(node), names))
 }
 
 fn decode_hello(bytes: &[u8]) -> Result<(u16, Vec<(String, PortId)>), WireError> {
-    let mut r = WireReader::new(bytes);
-    let node = r.u64()?;
-    if node == 0 || node > u64::from(u16::MAX) {
-        return Err(WireError::Malformed("hello node id out of range"));
+    let (node, names) = Hello::wire_decode(bytes)?;
+    match u16::try_from(node) {
+        Ok(node) if node != 0 => Ok((node, names)),
+        _ => Err(WireError::Malformed("hello node id out of range")),
     }
-    let count = r.seq_len(8)?;
-    let mut names = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = r.str()?.to_string();
-        let port = PortId(r.u64()?);
-        names.push((name, port));
-    }
-    r.finish()?;
-    Ok((node as u16, names))
 }
 
 fn encode_bind(name: &str, port: PortId) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.str(name);
-    w.u64(port.0);
-    w.into_bytes()
-}
-
-fn decode_bind(bytes: &[u8]) -> Result<(String, PortId), WireError> {
-    let mut r = WireReader::new(bytes);
-    let name = r.str()?.to_string();
-    let port = PortId(r.u64()?);
-    r.finish()?;
-    Ok((name, port))
+    payload(&(name.to_string(), port))
 }
 
 // ---------------------------------------------------------------------
@@ -656,7 +642,7 @@ where
                     break;
                 }
             },
-            FrameKind::Bind => match decode_bind(&payload) {
+            FrameKind::Bind => match Bind::wire_decode(&payload) {
                 Ok((name, port)) => {
                     inner.names.write().insert(name, port);
                 }
@@ -958,17 +944,7 @@ mod tests {
             "test"
         }
     }
-    impl WireMsg for TestMsg {
-        fn wire_encode(&self, w: &mut WireWriter) {
-            w.u64(self.0);
-        }
-        fn wire_decode(bytes: &[u8]) -> Result<Self, WireError> {
-            let mut r = WireReader::new(bytes);
-            let v = r.u64()?;
-            r.finish()?;
-            Ok(TestMsg(v))
-        }
-    }
+    crate::wire!(TestMsg(u64));
 
     fn loopback() -> SocketAddr {
         SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0)
@@ -1060,6 +1036,6 @@ mod tests {
         );
         let bind = encode_bind("bucket-1", port);
         assert_eq!(hex(&bind), "080000006275636b65742d310700000000000300");
-        assert_eq!(decode_bind(&bind), Ok(("bucket-1".to_string(), port)));
+        assert_eq!(Bind::wire_decode(&bind), Ok(("bucket-1".to_string(), port)));
     }
 }

@@ -23,13 +23,31 @@
 //!   allocate gigabytes.
 //! * `crc` — [`ceh_types::crc32`], the WAL's checksum, over the payload.
 //!
+//! Payloads are written by the [`Wire`] trait: scalars, strings,
+//! counted sequences, options and pairs here, and each struct or enum
+//! from one field list in wire order ([`wire!`](crate::wire!)), which
+//! derives both the encoder and the decoder. The shared types every
+//! message carries (keys, links, buckets, trace contexts, ports) are
+//! listed at the bottom of this module; the Hello and Bind payloads are
+//! pairs; [`WireMsg`] (one value per frame, no trailing bytes) comes
+//! with every `Wire` type.
+//!
 //! Decoding never panics on hostile input: every failure is a
 //! [`WireError`], and the transport treats it as a *protocol error* —
 //! the connection is severed and re-established, the peer is not wedged.
+//! The tests pin the bytes (`hello_and_bind_bytes_are_pinned` in
+//! `tcp.rs`, `encodings_match_the_golden_bytes` in
+//! `crates/dist/src/wire.rs`) and sweep truncations, byte flips and
+//! random tails over every message (`truncated_payloads_are_rejected_not_panicked`
+//! there, `crates/net/tests/wire_robustness.rs` over real sockets).
 
 use std::fmt;
 
-use ceh_types::crc32;
+use ceh_obs::{SpanId, TraceCtx};
+use ceh_types::bucket::Bucket;
+use ceh_types::{crc32, BucketLink, Key, ManagerId, PageId, Pseudokey, Record, Value};
+
+use crate::PortId;
 
 /// First four bytes of every frame.
 pub const WIRE_MAGIC: u32 = 0xCE11_F7A3;
@@ -201,24 +219,7 @@ pub fn check_payload(header: &FrameHeader, payload: &[u8]) -> Result<(), WireErr
     Ok(())
 }
 
-/// A message type that knows how to put itself on the wire. Implemented
-/// by the distributed layer for its Figure 10–14 message set; the
-/// framing above is payload-agnostic.
-///
-/// `encode` must be the exact inverse of `decode`: the property tests in
-/// `crates/dist/src/wire.rs` hold every message variant to a byte-exact
-/// round trip, and the fuzz tests in `crates/net/tests/wire_robustness.rs`
-/// hold `decode` to *never panicking* on arbitrary bytes.
-pub trait WireMsg: Sized {
-    /// Append this message's encoding to `w`.
-    fn wire_encode(&self, w: &mut WireWriter);
-
-    /// Decode one message from exactly `bytes` (trailing bytes are an
-    /// error — frames carry one message each).
-    fn wire_decode(bytes: &[u8]) -> Result<Self, WireError>;
-}
-
-/// Append-only byte cursor for [`WireMsg`] implementations.
+/// Append-only byte cursor that [`Wire::put`] writes to.
 #[derive(Debug, Default)]
 pub struct WireWriter {
     buf: Vec<u8>,
@@ -250,34 +251,19 @@ impl WireWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-
     /// Append a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
+        self.u32(v.len() as u32);
+        self.buf.extend_from_slice(v.as_bytes());
     }
 
     /// Append a bool as one byte.
     pub fn bool(&mut self, v: bool) {
         self.u8(v as u8);
     }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Nothing written yet?
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
-/// Bounds-checked read cursor for [`WireMsg`] implementations. Every
+/// Bounds-checked read cursor that [`Wire::get`] reads from. Every
 /// read returns [`WireError::Truncated`] instead of slicing out of
 /// bounds, so decoders are panic-free on hostile input by construction.
 #[derive(Debug)]
@@ -317,15 +303,10 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str, WireError> {
-        std::str::from_utf8(self.bytes()?).map_err(|_| WireError::Malformed("non-utf8 string"))
+        let n = self.u32()? as usize;
+        std::str::from_utf8(self.take(n)?).map_err(|_| WireError::Malformed("non-utf8 string"))
     }
 
     /// Read a bool (strictly 0 or 1; anything else is malformed).
@@ -358,12 +339,285 @@ impl<'a> WireReader<'a> {
             Err(WireError::Malformed("trailing bytes after message"))
         }
     }
+}
 
-    /// Bytes not yet read.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.at
+/// A value with one wire layout. `put` and `get` are exact inverses;
+/// the layout of a struct or enum is its [`wire!`](crate::wire!) list.
+///
+/// Decoding is strict: a bool or presence byte other than 0 or 1, an
+/// unknown tag, a non-UTF-8 string or an impossible count is an error,
+/// so every value has exactly one encoding. The golden-bytes and
+/// mutation-sweep tests in `crates/dist/src/wire.rs` hold the real
+/// `ceh_dist::Msg` set to that, and the fuzz tests in
+/// `crates/net/tests/wire_robustness.rs` hold decoding to never
+/// panicking on arbitrary bytes.
+pub trait Wire: Sized {
+    /// The fewest bytes any encoding takes: [`WireReader::seq_len`]
+    /// rejects a count that could not fit before anything is allocated.
+    const MIN_BYTES: usize;
+
+    /// Append this value's encoding.
+    fn put(&self, w: &mut WireWriter);
+
+    /// Read one value.
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+}
+
+/// A message that travels as one frame payload: every [`Wire`] type.
+/// The framing above is payload-agnostic.
+pub trait WireMsg: Sized {
+    /// Append this message's encoding to `w`.
+    fn wire_encode(&self, w: &mut WireWriter);
+
+    /// Decode one message from exactly `bytes` (trailing bytes are an
+    /// error — frames carry one message each).
+    fn wire_decode(bytes: &[u8]) -> Result<Self, WireError>;
+}
+
+impl<T: Wire> WireMsg for T {
+    fn wire_encode(&self, w: &mut WireWriter) {
+        self.put(w);
+    }
+
+    fn wire_decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut r = WireReader::new(bytes);
+        let v = T::get(&mut r)?;
+        r.finish()?;
+        Ok(v)
     }
 }
+
+/// Derive [`Wire`] from one field list, in wire order:
+///
+/// * `wire!(T(Inner))` — a newtype, encoded as its inner value;
+/// * `wire!(T { a, b })` — a struct, its fields one after another;
+/// * `wire!(T { 1 => A { a, b }, 2 => B(x), 3 => C })` — an enum: one
+///   tag byte, then the variant's fields. An unknown tag is
+///   [`WireError::Malformed`].
+///
+/// Every field's type must be [`Wire`]. A struct's list must name all
+/// its fields (the constructor does not compile otherwise); their order
+/// is the layout.
+///
+/// ```
+/// use ceh_net::wire::{WireMsg, WireWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Note {
+///     seq: u64,
+///     text: Option<String>,
+/// }
+/// ceh_net::wire!(Note { seq, text });
+///
+/// let note = Note { seq: 7, text: Some("hi".into()) };
+/// let mut w = WireWriter::new();
+/// note.wire_encode(&mut w);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes.len(), 8 + 1 + 4 + 2);
+/// assert_eq!(Note::wire_decode(&bytes), Ok(note));
+/// ```
+#[macro_export]
+macro_rules! wire {
+    ($t:ident($inner:ty)) => {
+        impl $crate::wire::Wire for $t {
+            const MIN_BYTES: usize = <$inner as $crate::wire::Wire>::MIN_BYTES;
+
+            fn put(&self, w: &mut $crate::wire::WireWriter) {
+                $crate::wire::Wire::put(&self.0, w);
+            }
+
+            fn get(r: &mut $crate::wire::WireReader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(Self($crate::wire::Wire::get(r)?))
+            }
+        }
+    };
+    ($t:ident { $($tag:literal => $v:ident $({ $($f:ident),* })? $(($($x:ident),*))?),+ $(,)? }) => {
+        impl $crate::wire::Wire for $t {
+            const MIN_BYTES: usize = 1;
+
+            fn put(&self, w: &mut $crate::wire::WireWriter) {
+                match self {
+                    $(Self::$v $({ $($f),* })? $(($($x),*))? => {
+                        w.u8($tag);
+                        $($($crate::wire::Wire::put($f, w);)*)?
+                        $($($crate::wire::Wire::put($x, w);)*)?
+                    })+
+                }
+            }
+
+            fn get(r: &mut $crate::wire::WireReader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(match r.u8()? {
+                    $($tag => {
+                        $($(let $f = $crate::wire::Wire::get(r)?;)*)?
+                        $($(let $x = $crate::wire::Wire::get(r)?;)*)?
+                        Self::$v $({ $($f),* })? $(($($x),*))?
+                    })+
+                    _ => {
+                        return Err($crate::wire::WireError::Malformed(concat!(
+                            "unknown ",
+                            stringify!($t),
+                            " tag"
+                        )))
+                    }
+                })
+            }
+        }
+    };
+    ($t:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::wire::Wire for $t {
+            const MIN_BYTES: usize = 0 $(+ $crate::wire::min_bytes_of(|s: &Self| &s.$f))+;
+
+            fn put(&self, w: &mut $crate::wire::WireWriter) {
+                $($crate::wire::Wire::put(&self.$f, w);)+
+            }
+
+            fn get(r: &mut $crate::wire::WireReader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok(Self { $($f: $crate::wire::Wire::get(r)?),+ })
+            }
+        }
+    };
+}
+
+/// [`Wire::MIN_BYTES`] of the field `field` projects out of `S`: lets a
+/// [`wire!`](crate::wire!) struct list name its fields without their types.
+#[doc(hidden)]
+pub const fn min_bytes_of<S, F: Wire>(_field: fn(&S) -> &F) -> usize {
+    F::MIN_BYTES
+}
+
+macro_rules! scalars {
+    ($($t:ident, $bytes:expr;)+) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = $bytes;
+
+            fn put(&self, w: &mut WireWriter) {
+                w.$t(*self);
+            }
+
+            fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                r.$t()
+            }
+        }
+    )+};
+}
+
+scalars! {
+    u32, 4;
+    u64, 8;
+    bool, 1;
+}
+
+/// A `usize` travels as a `u64`.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut WireWriter) {
+        w.u64(*self as u64);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        usize::try_from(r.u64()?).map_err(|_| WireError::Malformed("usize out of range"))
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut WireWriter) {
+        w.str(self);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.str().map(str::to_owned)
+    }
+}
+
+/// A `u32` count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut WireWriter) {
+        w.u32(self.len() as u32);
+        for v in self {
+            v.put(w);
+        }
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let n = r.seq_len(T::MIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// A presence byte (strictly 0 or 1), then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut WireWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+
+    fn put(&self, w: &mut WireWriter) {
+        (**self).put(w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        T::get(r).map(Box::new)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+
+    fn put(&self, w: &mut WireWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+// The shared vocabulary of every message.
+wire!(Key(u64));
+wire!(Value(u64));
+wire!(PageId(u64));
+wire!(ManagerId(u32));
+wire!(Pseudokey(u64));
+wire!(PortId(u64));
+wire!(SpanId(u64));
+wire!(TraceCtx {
+    trace_id,
+    parent_span
+});
+wire!(Record { key, value });
+wire!(BucketLink { manager, page });
+wire!(Bucket {
+    localdepth,
+    commonbits,
+    next,
+    next_mgr,
+    prev,
+    prev_mgr,
+    version,
+    records
+});
 
 #[cfg(test)]
 mod tests {
@@ -449,5 +703,44 @@ mod tests {
         let mut r = WireReader::new(&bytes);
         r.u8().unwrap();
         assert!(matches!(r.finish(), Err(WireError::Malformed(_))));
+    }
+
+    fn encode<T: Wire>(v: &T) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        v.put(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn derived_layouts_are_their_field_lists() {
+        // Minimum sizes sum the fields', so `seq_len` bounds counts tightly.
+        assert_eq!(Record::MIN_BYTES, 16);
+        assert_eq!(BucketLink::MIN_BYTES, 12);
+        assert_eq!(TraceCtx::MIN_BYTES, 16);
+        assert_eq!(Bucket::MIN_BYTES, 48);
+        assert_eq!(<(String, PortId)>::MIN_BYTES, 12);
+
+        let mut b = Bucket::new(2, 0b01);
+        b.next = PageId(5);
+        b.records.push(Record {
+            key: Key(9),
+            value: Value(10),
+        });
+        let bytes = encode(&Some(Box::new(b.clone())));
+        assert_eq!(bytes.len(), 1 + 48 + 16);
+        assert_eq!(
+            Option::<Box<Bucket>>::wire_decode(&bytes),
+            Ok(Some(Box::new(b)))
+        );
+
+        // Presence bytes are bools: strictly 0 or 1.
+        assert_eq!(
+            Option::<u64>::wire_decode(&[2]),
+            Err(WireError::Malformed("bool out of range"))
+        );
+        assert_eq!(
+            String::wire_decode(&[1, 0, 0, 0, 0xFF]),
+            Err(WireError::Malformed("non-utf8 string"))
+        );
     }
 }

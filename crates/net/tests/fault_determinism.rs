@@ -4,9 +4,7 @@
 
 use std::time::{Duration, Instant};
 
-use ceh_net::{
-    FaultPlan, MsgClass, TcpConfig, TcpPlane, Transport, WireError, WireMsg, WireReader, WireWriter,
-};
+use ceh_net::{FaultPlan, MsgClass, TcpConfig, TcpPlane, Transport};
 use ceh_obs::MetricsHandle;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -18,17 +16,7 @@ impl MsgClass for TestMsg {
     }
 }
 
-impl WireMsg for TestMsg {
-    fn wire_encode(&self, w: &mut WireWriter) {
-        w.u64(self.0);
-    }
-    fn wire_decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(bytes);
-        let v = r.u64()?;
-        r.finish()?;
-        Ok(TestMsg(v))
-    }
-}
+ceh_net::wire!(TestMsg(u64));
 
 /// One seeded lossy run: node 2 sends `count` messages to node 1
 /// through a 30% drop plan; returns the sorted values that survived.

@@ -9,10 +9,7 @@
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use ceh_net::{
-    MsgClass, PeerState, SupervisorConfig, TcpConfig, TcpPlane, Transport, WireError, WireMsg,
-    WireReader, WireWriter,
-};
+use ceh_net::{MsgClass, PeerState, SupervisorConfig, TcpConfig, TcpPlane, Transport};
 use ceh_obs::MetricsHandle;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -24,17 +21,7 @@ impl MsgClass for TestMsg {
     }
 }
 
-impl WireMsg for TestMsg {
-    fn wire_encode(&self, w: &mut WireWriter) {
-        w.u64(self.0);
-    }
-    fn wire_decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(bytes);
-        let v = r.u64()?;
-        r.finish()?;
-        Ok(TestMsg(v))
-    }
-}
+ceh_net::wire!(TestMsg(u64));
 
 fn loopback() -> SocketAddr {
     "127.0.0.1:0".parse().unwrap()

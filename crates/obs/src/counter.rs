@@ -1,6 +1,7 @@
 //! Sharded atomic counters and gauges.
 // ceh-lint: allow-file(relaxed-ordering) — monotonic statistics cells; snapshots are advisory and exact only at quiescence, no data is published through them
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of independent cache lines a [`Counter`] spreads its value
@@ -16,9 +17,29 @@ struct PaddedU64(AtomicU64);
 static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// This thread's home shard, assigned once on first use.
-    static THREAD_SLOT: usize =
-        NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    /// This thread's home shard, or `usize::MAX` before its first use.
+    /// Initialised by a constant, so reading it is one thread-local load
+    /// with no lazy-init check to inline into every counter increment.
+    static THREAD_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// This thread's home shard, assigned on first use.
+#[inline]
+fn thread_slot() -> usize {
+    let slot = THREAD_SLOT.get();
+    if slot < SHARDS {
+        slot
+    } else {
+        assign_thread_slot()
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn assign_thread_slot() -> usize {
+    let slot = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    THREAD_SLOT.set(slot);
+    slot
 }
 
 /// A monotone event counter: sharded per-thread so the hot path is one
@@ -45,8 +66,7 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        let slot = THREAD_SLOT.with(|s| *s);
-        self.shards[slot].0.fetch_add(n, Ordering::Relaxed);
+        self.shards[thread_slot()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value (sum of shards).
@@ -128,6 +148,22 @@ impl std::fmt::Debug for Gauge {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn thread_slot_is_stable_and_in_range() {
+        let slots: Vec<usize> = (0..3)
+            .map(|_| {
+                std::thread::spawn(|| {
+                    let slot = thread_slot();
+                    assert!((0..100).all(|_| thread_slot() == slot));
+                    slot
+                })
+                .join()
+                .unwrap()
+            })
+            .collect();
+        assert!(slots.iter().all(|&s| s < SHARDS), "{slots:?}");
+    }
 
     #[test]
     fn counter_accumulates_and_resets() {

@@ -1,18 +1,22 @@
 #!/usr/bin/env bash
 # Non-test source lines per crate, and their total:
 #
-#   ./scripts/loc.sh [crate ...]      # default: types storage sequential core dist
+#   ./scripts/loc.sh [crate ...]      # default: every crate under crates/
 #
 # Counts every line of each `.rs` file under `crates/<crate>/src` up to
 # the file's first unindented `#[cfg(test)]`, which opens its unit-test
 # module: those tests are not counted, and files under `tests/` are not
-# read. Information only: it gates nothing.
+# read. One line per crate, so any subset's sum (say, the five crates
+# types storage sequential core dist) reads off the default output.
+# Information only: it gates nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 crates=("$@")
 if [ ${#crates[@]} -eq 0 ]; then
-    crates=(types storage sequential core dist)
+    for d in crates/*/; do
+        crates+=("$(basename "$d")")
+    done
 fi
 
 total=0
