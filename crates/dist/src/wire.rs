@@ -122,14 +122,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    // Two of `Msg`'s tags, for hand-built payloads.
     const TAG_USER_REPLY: u8 = 2;
     const TAG_SPLITBUCKET: u8 = 10;
 
-    fn roundtrip(msg: &Msg) -> Msg {
+    fn encode(msg: &Msg) -> Vec<u8> {
         let mut w = WireWriter::new();
         msg.wire_encode(&mut w);
-        let bytes = w.into_bytes();
-        Msg::wire_decode(&bytes).expect("decode")
+        w.into_bytes()
+    }
+
+    fn roundtrip(msg: &Msg) -> Msg {
+        Msg::wire_decode(&encode(msg)).expect("decode")
     }
 
     fn sample_env() -> OpEnvelope {
@@ -391,21 +395,13 @@ mod tests {
         let samples = samples();
         assert_eq!(samples.len(), GOLDEN.len());
         for (msg, golden) in samples.iter().zip(GOLDEN) {
-            let mut w = WireWriter::new();
-            msg.wire_encode(&mut w);
-            assert_eq!(hex(&w.into_bytes()), golden, "{msg:?}");
+            assert_eq!(hex(&encode(msg)), golden, "{msg:?}");
         }
     }
 
-    fn encode(msg: &Msg) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        msg.wire_encode(&mut w);
-        w.into_bytes()
-    }
-
     /// Strict decoding gives each message one encoding: whatever decodes
-    /// re-encodes to exactly the bytes it came from.
-    /// Returns whether `bytes` decoded.
+    /// re-encodes to exactly the bytes it came from. Returns whether
+    /// `bytes` decoded.
     fn assert_canonical(bytes: &[u8]) -> bool {
         let decoded = Msg::wire_decode(bytes);
         if let Ok(msg) = &decoded {
