@@ -126,14 +126,8 @@ mod tests {
     const TAG_USER_REPLY: u8 = 2;
     const TAG_SPLITBUCKET: u8 = 10;
 
-    fn encode(msg: &Msg) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        msg.wire_encode(&mut w);
-        w.into_bytes()
-    }
-
     fn roundtrip(msg: &Msg) -> Msg {
-        Msg::wire_decode(&encode(msg)).expect("decode")
+        Msg::wire_decode(&msg.wire_bytes()).expect("decode")
     }
 
     fn sample_env() -> OpEnvelope {
@@ -395,7 +389,7 @@ mod tests {
         let samples = samples();
         assert_eq!(samples.len(), GOLDEN.len());
         for (msg, golden) in samples.iter().zip(GOLDEN) {
-            assert_eq!(hex(&encode(msg)), golden, "{msg:?}");
+            assert_eq!(hex(&msg.wire_bytes()), golden, "{msg:?}");
         }
     }
 
@@ -405,7 +399,7 @@ mod tests {
     fn assert_canonical(bytes: &[u8]) -> bool {
         let decoded = Msg::wire_decode(bytes);
         if let Ok(msg) = &decoded {
-            assert_eq!(hex(&encode(msg)), hex(bytes), "{msg:?}");
+            assert_eq!(hex(&msg.wire_bytes()), hex(bytes), "{msg:?}");
         }
         decoded.is_ok()
     }
@@ -415,7 +409,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x3E11);
         let mut decoded = 0;
         for msg in &samples() {
-            let bytes = encode(msg);
+            let bytes = msg.wire_bytes();
             for cut in 0..bytes.len() {
                 assert!(
                     Msg::wire_decode(&bytes[..cut]).is_err(),

@@ -54,7 +54,7 @@ use crate::stats::{MsgStats, MsgStatsSnapshot};
 use crate::supervisor::{PeerFsm, PeerState, SupervisorConfig, TickAction};
 use crate::transport::Transport;
 use crate::wire::{
-    check_payload, decode_header, encode_frame, FrameKind, Wire, WireError, WireMsg, WireReader,
+    check_payload, decode_header, encode_frame, FrameKind, WireError, WireMsg, WireReader,
     WireWriter, FRAME_HEADER_BYTES,
 };
 
@@ -497,15 +497,9 @@ type Hello = (u64, Vec<(String, PortId)>);
 /// Bind: one `(name, port)`.
 type Bind = (String, PortId);
 
-fn payload(v: &impl Wire) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    v.put(&mut w);
-    w.into_bytes()
-}
-
 fn encode_hello(node: u16, names: &HashMap<String, PortId>) -> Vec<u8> {
     let names: Vec<_> = names.iter().map(|(n, &p)| (n.clone(), p)).collect();
-    payload(&(u64::from(node), names))
+    (u64::from(node), names).wire_bytes()
 }
 
 fn decode_hello(bytes: &[u8]) -> Result<(u16, Vec<(String, PortId)>), WireError> {
@@ -517,7 +511,7 @@ fn decode_hello(bytes: &[u8]) -> Result<(u16, Vec<(String, PortId)>), WireError>
 }
 
 fn encode_bind(name: &str, port: PortId) -> Vec<u8> {
-    payload(&(name.to_string(), port))
+    (name.to_string(), port).wire_bytes()
 }
 
 // ---------------------------------------------------------------------

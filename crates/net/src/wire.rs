@@ -372,6 +372,13 @@ pub trait WireMsg: Sized {
     /// Decode one message from exactly `bytes` (trailing bytes are an
     /// error — frames carry one message each).
     fn wire_decode(bytes: &[u8]) -> Result<Self, WireError>;
+
+    /// This message's encoding, in a fresh buffer.
+    fn wire_bytes(&self) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        self.wire_encode(&mut w);
+        w.into_bytes()
+    }
 }
 
 impl<T: Wire> WireMsg for T {
@@ -705,12 +712,6 @@ mod tests {
         assert!(matches!(r.finish(), Err(WireError::Malformed(_))));
     }
 
-    fn encode<T: Wire>(v: &T) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        v.put(&mut w);
-        w.into_bytes()
-    }
-
     #[test]
     fn derived_layouts_are_their_field_lists() {
         // Minimum sizes sum the fields', so `seq_len` bounds counts tightly.
@@ -726,7 +727,7 @@ mod tests {
             key: Key(9),
             value: Value(10),
         });
-        let bytes = encode(&Some(Box::new(b.clone())));
+        let bytes = Some(Box::new(b.clone())).wire_bytes();
         assert_eq!(bytes.len(), 1 + 48 + 16);
         assert_eq!(
             Option::<Box<Bucket>>::wire_decode(&bytes),
