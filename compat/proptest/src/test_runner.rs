@@ -8,8 +8,14 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 256 cases, or as many as the `PROPTEST_CASES` environment
+    /// variable says, as in the real crate.
     fn default() -> Self {
-        ProptestConfig { cases: 256 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256);
+        ProptestConfig { cases }
     }
 }
 

@@ -3,12 +3,12 @@
 //! three lock modes (including the ρ→α conversion that Solution 2's
 //! deadlock-freedom argument leans on).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ceh_locks::{LockId, LockManager, LockMode};
 use ceh_storage::{PageStore, PageStoreConfig};
-use ceh_types::bucket::Bucket;
+use ceh_types::bucket::{Bucket, BucketView, SharedPage};
 use ceh_types::{hash_key, Key, PageId, Pseudokey, Record};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -36,6 +36,30 @@ fn bench_codec(c: &mut Criterion) {
     c.bench_function("bucket_decode_250", |b| {
         b.iter(|| black_box(Bucket::decode(black_box(&page)).unwrap()))
     });
+    // The paper's `search` in place, over the page store's words as a
+    // find reads them: hits cycle through the resident keys, misses
+    // through keys of the same bucket that are absent.
+    for n in [128u64, 250] {
+        let mut half = Bucket::new(8, 0xAB);
+        for i in 0..n {
+            half.add(Record::new(i * 256 + 0xAB, i));
+        }
+        half.encode(&mut page).unwrap();
+        let words: Vec<AtomicU64> = page
+            .chunks_exact(8)
+            .map(|w| AtomicU64::new(u64::from_ne_bytes(w.try_into().unwrap())))
+            .collect();
+        let view = BucketView::over(SharedPage::new(&words)).unwrap();
+        for (case, first) in [("hit", 0), ("miss", n)] {
+            c.bench_function(&format!("bucket_search_{case}_{n}"), |b| {
+                let mut i = 0u64;
+                b.iter(|| {
+                    i = (i + 1) % n;
+                    black_box(view.search(Key((first + i) * 256 + 0xAB)))
+                })
+            });
+        }
+    }
     c.bench_function("bucket_owns_check", |b| {
         let pk = Pseudokey(0x1AB);
         b.iter(|| black_box(bucket.owns(black_box(pk))))

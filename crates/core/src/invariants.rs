@@ -129,6 +129,67 @@ mod tests {
         assert!(check_concurrent_file(f.core()).is_err());
     }
 
+    /// The page word holding slots 0–63 of a bucket's occupancy bitmap,
+    /// right after the seven header words (DESIGN.md §3.2).
+    const BITMAP_WORD: usize = 7;
+
+    /// Flip a live page of a populated file through `edit` (given the
+    /// page's words and its occupied slots) and run the checker.
+    fn check_after_page_edit(
+        edit: impl FnOnce(&mut ceh_types::SharedPageMut<'_>, &[usize]),
+    ) -> Result<()> {
+        use ceh_types::PageWords;
+        let f = Solution1::new(HashFileConfig::tiny().with_bucket_capacity(8)).unwrap();
+        for k in 0..64u64 {
+            f.insert(Key(k), Value(k)).unwrap();
+        }
+        check_concurrent_file(f.core()).unwrap();
+        let snap = snapshot_core(f.core()).unwrap();
+        let (&p, _) = snap
+            .buckets
+            .iter()
+            .find(|(_, b)| b.count() >= 2)
+            .expect("a bucket of two records");
+        let slots = ceh_types::Bucket::capacity_for(f.core().store().page_size());
+        f.core()
+            .store()
+            .with_page_mut(p, |words| {
+                let used: Vec<usize> = (0..slots)
+                    .filter(|&s| words.word(BITMAP_WORD + s / 64) >> (s % 64) & 1 == 1)
+                    .collect();
+                edit(words, &used);
+            })
+            .unwrap();
+        check_concurrent_file(f.core())
+    }
+
+    #[test]
+    fn detects_a_page_out_of_robin_hood_order() {
+        use ceh_types::{PageWords, PageWordsMut, BUCKET_HEADER_BYTES};
+        let err = check_after_page_edit(|words, used| {
+            // Swap the first two records: a find would probe past one.
+            let key = |s: usize| BUCKET_HEADER_BYTES / 8 + 2 * s;
+            let (a, b) = (key(used[0]), key(used[1]));
+            let (ka, kb) = (words.word(a), words.word(b));
+            words.set_word(a, kb);
+            words.set_word(b, ka);
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("Robin Hood order"), "{err}");
+    }
+
+    #[test]
+    fn detects_a_bitmap_that_disagrees_with_count() {
+        use ceh_types::{PageWords, PageWordsMut};
+        let err = check_after_page_edit(|words, used| {
+            // Clear the first occupied slot's bit; `count` stays.
+            let (i, s) = (BITMAP_WORD + used[0] / 64, used[0] % 64);
+            words.set_word(i, words.word(i) & !(1 << s));
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("bitmap marks"), "{err}");
+    }
+
     #[test]
     fn detects_page_leak() {
         let f = Solution1::new(HashFileConfig::tiny()).unwrap();

@@ -895,6 +895,13 @@ mod tests {
         page
     }
 
+    /// `records` in key order: a page keeps the record set, in slot
+    /// order.
+    fn by_key(mut records: Vec<Record>) -> Vec<Record> {
+        records.sort_by_key(|r| r.key);
+        records
+    }
+
     fn get_bucket(site: &Site, page: PageId) -> Bucket {
         let mut buf = site.buckets.new_buf();
         site.buckets.getbucket(page, &mut buf).unwrap()
@@ -1106,15 +1113,18 @@ mod tests {
         assert_eq!(get_bucket(&site, p01).records, vec![Record::new(9, 90)]);
         let kept = get_bucket(&remote, p11);
         assert!(!kept.is_deleted(), "the '1' partner was not tombstoned");
-        assert_eq!(kept.records, one.records);
+        assert_eq!(by_key(kept.records), by_key(one.records));
         assert_eq!(site.locks.total_granted() + remote.locks.total_granted(), 0);
     }
 
     #[test]
     fn in_bucket_updates_edit_the_page_in_place() {
         let site = test_site(0, 1, None);
-        // A root holding keys 1 and 2 whose free slots carry a marker: an
-        // edit in place leaves it, a rewrite from a fresh buffer would not.
+        // A root holding keys 1 and 2 whose free slots carry a marker. The
+        // layout is a function of the record set, so the page after each
+        // edit is the codec's encoding of the new set over the page before
+        // it: the record slots it fills or frees change, and every other
+        // free slot keeps its marker.
         let page = site.buckets.alloc().unwrap();
         let mut root = Bucket::new(0, 0);
         root.add(Record::new(1, 10));
@@ -1124,6 +1134,12 @@ mod tests {
         root.encode(&mut buf).unwrap();
         site.buckets.store().write(page, &buf).unwrap();
         let slot = |i: usize| ceh_types::BUCKET_HEADER_BYTES + i * ceh_types::RECORD_BYTES;
+        let marked = |buf: &[u8]| {
+            (0..Bucket::capacity_for(buf.len()))
+                .filter(|&i| buf[slot(i)..slot(i + 1)].iter().all(|&b| b == 0xAB))
+                .count()
+        };
+        let slots = marked(&buf) + 2;
         let (_id, dir_rx) = site.net.create_port();
         let (_id, user_rx) = site.net.create_port();
         let only_bucketdone = |want: UserOutcome| {
@@ -1144,41 +1160,31 @@ mod tests {
 
         slave_insert(&site, env.clone(), None);
         only_bucketdone(UserOutcome::Inserted(InsertOutcome::Inserted));
+        let mut want = buf.clone();
+        root.add(Record::new(3, 30));
+        root.encode(&mut want).unwrap();
         site.buckets.store().read(page, &mut buf).unwrap();
-        let keys: Vec<Key> = Bucket::decode(&buf)
-            .unwrap()
-            .records
-            .iter()
-            .map(|r| r.key)
-            .collect();
-        assert_eq!(keys, [Key(1), Key(2), Key(3)]);
-        assert!(
-            buf[slot(3)..slot(4)].iter().all(|&b| b == 0xAB),
-            "slot 3 untouched"
-        );
+        assert_eq!(&buf[..], &want[..]);
+        assert_eq!(marked(&buf), slots - 3, "only key 3's slot filled");
 
-        // Not too empty at depth 0: a plain removal; key 3 moves into the
-        // hole and its old slot keeps its bytes.
+        // Not too empty at depth 0: a plain removal. The slot it frees
+        // keeps the bytes it held, as encoding over the page does.
         (env.op, env.key, env.req_id) = (OpKind::Delete, Key(1), 2);
         slave_delete(&site, env, None);
         only_bucketdone(UserOutcome::Deleted(DeleteOutcome::Deleted));
+        assert!(root.remove(Key(1)));
+        root.encode(&mut want).unwrap();
         site.buckets.store().read(page, &mut buf).unwrap();
-        let keys: Vec<Key> = Bucket::decode(&buf)
+        assert_eq!(&buf[..], &want[..]);
+        assert_eq!(marked(&buf), slots - 3, "no marker rewritten");
+        let mut keys: Vec<Key> = Bucket::decode(&buf)
             .unwrap()
             .records
             .iter()
             .map(|r| r.key)
             .collect();
-        assert_eq!(keys, [Key(3), Key(2)]);
-        assert_eq!(
-            buf[slot(2)..slot(2) + 8],
-            3u64.to_le_bytes(),
-            "slot 2 not rewritten"
-        );
-        assert!(
-            buf[slot(3)..slot(4)].iter().all(|&b| b == 0xAB),
-            "slot 3 untouched"
-        );
+        keys.sort();
+        assert_eq!(keys, [Key(2), Key(3)]);
     }
 
     #[test]

@@ -219,7 +219,10 @@ const WAL_FILE: &str = "wal.ceh";
 const META_FILE: &str = "meta.ceh";
 
 const META_MAGIC: u32 = 0xCE11_0E7A; // stable arbitrary tag
-const META_VERSION: u32 = 1;
+/// The on-disk format version. 2: bucket pages hash each record to its
+/// slot (`ceh_types::bucket`); version 1 held the slots in insertion
+/// order, which this build would misread.
+const META_VERSION: u32 = 2;
 
 fn io_err(what: &str, e: std::io::Error) -> Error {
     Error::Io(format!("{what}: {e}"))
@@ -302,11 +305,18 @@ fn read_meta(path: &Path) -> Result<usize> {
     f.read_exact(&mut buf)
         .map_err(|e| io_err("reading meta.ceh", e))?;
     let word = |i: usize| u32::from_le_bytes(buf[i..i + 4].try_into().expect("slice len"));
-    if word(0) != META_MAGIC || word(4) != META_VERSION {
-        return Err(Error::Corrupt("meta.ceh: bad magic or version".into()));
+    if word(0) != META_MAGIC {
+        return Err(Error::Corrupt("meta.ceh: bad magic".into()));
     }
     if crc32(&buf[..12]) != word(12) {
         return Err(Error::Corrupt("meta.ceh: checksum mismatch".into()));
+    }
+    if word(4) != META_VERSION {
+        return Err(Error::Config(format!(
+            "{}: on-disk format version {}, this build reads only version {META_VERSION}",
+            path.display(),
+            word(4)
+        )));
     }
     Ok(word(8) as usize)
 }
@@ -577,6 +587,28 @@ mod tests {
         ));
         let disk = DiskHandle::create_file(&dir, 32).unwrap();
         assert!(disk.is_empty(), "create truncates");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_older_format_version_is_refused() {
+        let dir = tmp("v1");
+        DiskHandle::create_file(&dir, 32).unwrap();
+        // A version-1 meta.ceh, checksum intact.
+        let mut meta = Vec::new();
+        for w in [META_MAGIC, 1, 32] {
+            meta.extend_from_slice(&w.to_le_bytes());
+        }
+        let sum = crc32(&meta);
+        meta.extend_from_slice(&sum.to_le_bytes());
+        std::fs::write(dir.join(META_FILE), &meta).unwrap();
+        match DiskHandle::open_file(&dir, 32) {
+            Err(Error::Config(msg)) => assert!(
+                msg.contains("format version 1") && msg.contains("only version 2"),
+                "{msg}"
+            ),
+            other => panic!("a version-1 directory opened: {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use ceh_locks::{HeaderWords, LockId, LockManager, LockMode, OwnerId};
 use ceh_obs::MetricsHandle;
-use ceh_types::bucket::{append_in_place, remove_in_place, PageWordsMut};
+use ceh_types::bucket::{
+    append_in_place, append_located, remove_in_place, remove_located, Located, PageWordsMut,
+};
 use ceh_types::{
     Bucket, BucketLink, BucketView, Error, HashFileConfig, Key, ManagerId, PageId, Pseudokey,
     Record, Result, Value,
@@ -122,25 +124,41 @@ impl Buckets {
         self.store.new_buf()
     }
 
-    /// `getbucket(page, buffer)`: read and decode. The page store
-    /// announces the read to the race detector.
+    /// `getbucket(page, buffer)`: read and decode. On a volatile store the
+    /// bucket is decoded from the page's words in place, with no copy into
+    /// `buf`; when durable, through `buf`. One page read either way, which
+    /// the page store announces to the race detector.
     #[inline]
     #[track_caller]
     pub fn getbucket(&self, page: PageId, buf: &mut PageBuf) -> Result<Bucket> {
-        self.store.read(page, buf)?;
-        Bucket::decode(buf)
+        match &self.wal {
+            Some(_) => {
+                self.store.read(page, buf)?;
+                Bucket::decode(buf)
+            }
+            None => self
+                .store
+                .with_page(page, |words| Bucket::decode_words(words))?,
+        }
     }
 
     /// `putbucket(page, buffer)`: encode and write, through the log first
     /// when durable (joining the thread's open transaction, else as a
-    /// committed singleton).
+    /// committed singleton) with `buf` holding the page image. On a
+    /// volatile store the bucket is encoded into the page's words in
+    /// place (a bucket that does not fit leaves them as they were); `buf`
+    /// is not used.
     #[inline]
     #[track_caller]
     pub fn putbucket(&self, page: PageId, bucket: &Bucket, buf: &mut PageBuf) -> Result<()> {
-        bucket.encode(buf)?;
         match &self.wal {
-            Some(w) => w.write(page, buf),
-            None => self.store.write(page, buf),
+            Some(w) => {
+                bucket.encode(buf)?;
+                w.write(page, buf)
+            }
+            None => self
+                .store
+                .with_page_mut(page, |words| bucket.encode_words(words))?,
         }
     }
 
@@ -501,6 +519,19 @@ impl Edit {
         match self {
             Edit::Add(record) => append_in_place(page, record).map(|()| true),
             Edit::Remove(key) => remove_in_place(page, key),
+        }
+    }
+
+    /// [`Edit::apply`] at `at`, where [`ceh_types::bucket::locate`] found the edit's key on
+    /// the page as it is now (see [`append_located`]).
+    pub fn apply_located<P: PageWordsMut + ?Sized>(
+        self,
+        page: &mut P,
+        at: Located,
+    ) -> Result<bool> {
+        match self {
+            Edit::Add(record) => append_located(page, at, record).map(|()| true),
+            Edit::Remove(_) => remove_located(page, at),
         }
     }
 }

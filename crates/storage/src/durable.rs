@@ -839,6 +839,8 @@ impl DurableStore {
         //    torn frames.
         let mut max_lsn = 0u64;
         let mut max_txn = 0u64;
+        // The slots a record replaced: the only frames step 6 rewrites.
+        let mut rebuilt = HashSet::new();
         for rec in &records {
             max_lsn = max_lsn.max(rec.lsn());
             max_txn = max_txn.max(rec.txn());
@@ -868,6 +870,7 @@ impl DurableStore {
                 WalRecord::Dealloc { lsn, .. } => Slot::Free { lsn: *lsn },
                 WalRecord::Commit { .. } => unreachable!("handled above"),
             };
+            rebuilt.insert(idx);
             report.redo_applied += 1;
         }
 
@@ -907,16 +910,23 @@ impl DurableStore {
             cfg,
         });
 
-        // 6. Persist the recovered state: every slot becomes a clean
-        //    frame and the log empties. This walks the same durability
-        //    points as a normal checkpoint, so an armed plan can cut
-        //    power *during recovery* — the double-crash case. Slots are
-        //    seeded without hit/miss accounting (recovery isn't
-        //    workload traffic) and regardless of cache capacity: the
-        //    checkpoint drains them all immediately.
+        // 6. Persist the recovered state: every slot a record rebuilt
+        //    becomes a clean frame and the log empties. This walks the
+        //    same durability points as a normal checkpoint, so an armed
+        //    plan can cut power *during recovery* — the double-crash
+        //    case. Only rebuilt frames are rewritten: the log still
+        //    covers them until the truncate, while a frame that already
+        //    held its recovered state has no other copy, and a torn
+        //    rewrite of it could not be rebuilt. Slots are seeded
+        //    without hit/miss accounting (recovery isn't workload
+        //    traffic) and regardless of cache capacity: the checkpoint
+        //    drains them all immediately.
         {
             let mut st = store.state.lock();
             for (i, s) in slots.into_iter().enumerate() {
+                if !rebuilt.contains(&i) {
+                    continue;
+                }
                 let fs = match s {
                     Slot::Live { bytes, .. } => FrameState::Live(bytes),
                     Slot::Free { .. } => FrameState::Freed,
@@ -1189,6 +1199,59 @@ mod tests {
             assert_eq!(&*buf, &*want_p, "point {point}: p diverged");
             r.read(q, &mut buf).unwrap();
             assert_eq!(&*buf, &*want_q, "point {point}: q diverged");
+        }
+    }
+
+    #[test]
+    fn a_crash_in_recovery_never_tears_a_frame_the_log_does_not_cover() {
+        // q's frame is clean after the checkpoint and no log record
+        // covers it; p's newer image is only in the log. Recovery must
+        // rewrite p's frame alone: a torn rewrite of q's could not be
+        // rebuilt. Every tear seed at every point of recovery's persist
+        // step, then a second recovery, must give back both pages.
+        let s = DurableStore::new(cfg(64), &MetricsHandle::new());
+        let p = s.alloc().unwrap();
+        let q = s.alloc().unwrap();
+        s.write(p, &filled(&s, 0x10)).unwrap();
+        s.write(q, &filled(&s, 0x20)).unwrap();
+        s.checkpoint().unwrap();
+        s.write(p, &filled(&s, 0x30)).unwrap();
+        s.power_off();
+        let disk = s.disk();
+        let counter = CrashPlan::count_only(0);
+        let counted = DurableConfig {
+            plan: Some(counter.clone()),
+            ..cfg(64)
+        };
+        let image = disk.snapshot();
+        DurableStore::recover(&disk, counted, &MetricsHandle::new()).unwrap();
+        assert_eq!(counter.points(), 2, "p's frame, then the log truncate");
+        for seed in 0..64 {
+            for point in 1..=2 {
+                disk.corrupt(|img| *img = image.clone());
+                let crash_cfg = DurableConfig {
+                    plan: Some(CrashPlan::armed(seed, point)),
+                    ..cfg(64)
+                };
+                let err = DurableStore::recover(&disk, crash_cfg, &MetricsHandle::new());
+                assert!(
+                    matches!(err, Err(Error::PowerLoss)),
+                    "seed {seed} point {point}"
+                );
+                let (r, _) = DurableStore::recover(&disk, cfg(64), &MetricsHandle::new())
+                    .unwrap_or_else(|e| panic!("seed {seed} point {point}: {e}"));
+                let mut buf = r.new_buf();
+                r.read(p, &mut buf).unwrap();
+                assert!(
+                    buf.iter().all(|&x| x == 0x30),
+                    "seed {seed} point {point}: p"
+                );
+                r.read(q, &mut buf).unwrap();
+                assert!(
+                    buf.iter().all(|&x| x == 0x20),
+                    "seed {seed} point {point}: q"
+                );
+            }
         }
     }
 

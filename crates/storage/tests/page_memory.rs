@@ -29,7 +29,11 @@ fn slots_are_inline_aligned_and_cost_what_is_touched() {
         initial_pages: 0,
         ..Buckets::page_config(&HashFileConfig::realistic())
     };
-    assert_eq!(cfg.page_size + 8, 4064, "realistic()'s slot: header + page");
+    assert_eq!(
+        cfg.page_size + 8,
+        STRIDE,
+        "realistic()'s slot: header + page"
+    );
     let store = PageStore::new(cfg.clone());
     let before = rss();
     for _ in 0..4096 {

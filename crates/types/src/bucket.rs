@@ -11,7 +11,16 @@
 //! page (see [`Bucket::capacity_for`]), and decoding is defensive: a page
 //! of garbage (e.g. poison bytes from a freed page) fails with
 //! [`Error::Corrupt`] rather than yielding a bucket.
+//!
+//! Inside the page, the paper's `search`, `add` and `remove` are a small
+//! hash table: a record lives at or after its *home slot*
+//! ([`home_slot`], a hash of its key), found by linear probing, with the
+//! slots kept in Robin Hood order (by home slot, ties by key). That order
+//! makes the layout a function of the record set alone, so an edit in
+//! place ([`append_in_place`], [`remove_in_place`]) leaves exactly the
+//! page that decode → edit → encode would.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bits::mask;
@@ -19,14 +28,41 @@ use crate::error::{Error, Result};
 use crate::ids::{BucketLink, ManagerId, PageId};
 use crate::key::{Key, Pseudokey, Record, Value};
 
-/// Magic tag at the start of every encoded bucket page.
-const MAGIC: u32 = 0xE111_5EC4;
+/// Magic tag at the start of every encoded bucket page. It names the
+/// layout too: pages of the earlier in-order slot array carried
+/// `0xE111_5EC4` and fail to decode.
+const MAGIC: u32 = 0xE111_5EC5;
 
-/// Byte size of the encoded bucket header.
-pub const BUCKET_HEADER_BYTES: usize = 56;
+/// Words in the header proper.
+const HEADER_WORDS: usize = 7;
+
+/// Words in the occupancy bitmap that follows the header: bit `s % 64`
+/// of word `HEADER_WORDS + s / 64` is set when slot `s` holds a record.
+const BITMAP_WORDS: usize = 4;
+
+/// The most record slots a page has: one per bitmap bit.
+pub const MAX_SLOTS: usize = 64 * BITMAP_WORDS;
+
+/// Byte size of the encoded bucket header, occupancy bitmap included:
+/// the offset of record slot 0.
+pub const BUCKET_HEADER_BYTES: usize = 8 * (HEADER_WORDS + BITMAP_WORDS);
 
 /// Byte size of one encoded record.
 pub const RECORD_BYTES: usize = 16;
+
+/// The multiplier of [`home_slot`]: 2^64 divided by the golden ratio.
+const HOME_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The home slot of `key` in a page of `slots` record slots: where its
+/// probe starts. A multiplicative hash of the key itself, not of the
+/// file's pseudokey (the records of one bucket share the pseudokey's low
+/// bits), reduced to `0..slots` by its top 32 bits. Every page derives
+/// `slots` from its own length ([`Bucket::capacity_for`]).
+#[inline]
+pub fn home_slot(key: Key, slots: usize) -> usize {
+    let h = key.0.wrapping_mul(HOME_MUL) >> 32;
+    ((h * slots as u64) >> 32) as usize
+}
 
 /// The `commonbits` sentinel marking a deleted bucket.
 ///
@@ -56,7 +92,9 @@ pub struct Bucket {
     /// Increases with each update that causes a directory update (§3);
     /// orders asynchronous directory-copy updates.
     pub version: u64,
-    /// The records; `count` in the paper is `records.len()` here.
+    /// The records; `count` in the paper is `records.len()` here. A set:
+    /// the page holds them in its own order, and [`Bucket::decode`] gives
+    /// them in slot order.
     pub records: Vec<Record>,
 }
 
@@ -80,12 +118,19 @@ impl Bucket {
         }
     }
 
-    /// How many records fit in a page of `page_size` bytes.
+    /// How many records fit in a page of `page_size` bytes: its record
+    /// slots, at most [`MAX_SLOTS`].
     pub const fn capacity_for(page_size: usize) -> usize {
-        (page_size - BUCKET_HEADER_BYTES) / RECORD_BYTES
+        let slots = page_size.saturating_sub(BUCKET_HEADER_BYTES) / RECORD_BYTES;
+        if slots < MAX_SLOTS {
+            slots
+        } else {
+            MAX_SLOTS
+        }
     }
 
-    /// The page size needed to hold `capacity` records.
+    /// The page size needed to hold `capacity` records (`capacity` ≤
+    /// [`MAX_SLOTS`]).
     pub const fn page_size_for(capacity: usize) -> usize {
         BUCKET_HEADER_BYTES + capacity * RECORD_BYTES
     }
@@ -276,36 +321,127 @@ impl Bucket {
 
     /// Encode into a page buffer. Fails if the records overflow the page.
     pub fn encode(&self, page: &mut [u8]) -> Result<()> {
-        if self.records.len() > Self::capacity_for(page.len()) {
+        self.encode_words(page)
+    }
+
+    /// Encode into `page`: the header, the bitmap, and the records in
+    /// Robin Hood order — the one layout of the record set, which
+    /// [`append_in_place`] and [`remove_in_place`] keep. Slots left free
+    /// keep whatever bytes they held. Fails, before writing anything, if
+    /// the records overflow the page or two of them share a key.
+    pub fn encode_words<P: PageWordsMut + ?Sized>(&self, page: &mut P) -> Result<()> {
+        let len = page.len_bytes();
+        let slots = Self::capacity_for(len);
+        if len < BUCKET_HEADER_BYTES || self.records.len() > slots {
             return Err(Error::Corrupt(format!(
-                "bucket with {} records does not fit a {}-byte page",
+                "bucket with {} records does not fit a {len}-byte page",
                 self.records.len(),
-                page.len()
             )));
         }
-        page[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-        page[4..8].copy_from_slice(&self.localdepth.to_le_bytes());
-        page[8..16].copy_from_slice(&self.commonbits.to_le_bytes());
-        page[16..20].copy_from_slice(&(self.records.len() as u32).to_le_bytes());
-        page[20..24].copy_from_slice(&self.next_mgr.0.to_le_bytes());
-        page[24..32].copy_from_slice(&self.next.0.to_le_bytes());
-        page[32..36].copy_from_slice(&self.prev_mgr.0.to_le_bytes());
-        page[36..40].copy_from_slice(&0u32.to_le_bytes()); // reserved
-        page[40..48].copy_from_slice(&self.prev.0.to_le_bytes());
-        page[48..56].copy_from_slice(&self.version.to_le_bytes());
-        let mut off = BUCKET_HEADER_BYTES;
-        for r in &self.records {
-            page[off..off + 8].copy_from_slice(&r.key.0.to_le_bytes());
-            page[off + 8..off + 16].copy_from_slice(&r.value.0.to_le_bytes());
-            off += RECORD_BYTES;
+        let mut bitmap = [0u64; BITMAP_WORDS];
+        let mut put = |s: usize, r: Record| {
+            page.set_word(key_word(s), r.key.0);
+            page.set_word(key_word(s) + 1, r.value.0);
+            bitmap[s / 64] |= 1 << (s % 64);
+        };
+        lay_out(&self.records, slots, &mut put)?;
+        page.set_word(0, u64::from(MAGIC) | u64::from(self.localdepth) << 32);
+        page.set_word(1, self.commonbits);
+        page.set_word(
+            2,
+            self.records.len() as u64 | u64::from(self.next_mgr.0) << 32,
+        );
+        page.set_word(3, self.next.0);
+        page.set_word(4, u64::from(self.prev_mgr.0)); // high half reserved
+        page.set_word(5, self.prev.0);
+        page.set_word(6, self.version);
+        for (i, w) in bitmap.into_iter().enumerate() {
+            page.set_word(HEADER_WORDS + i, w);
         }
         Ok(())
     }
 
-    /// Decode from a page buffer, validating the header (see
-    /// [`BucketView::over`] for what is checked).
+    /// Decode from a page buffer, validating it (see
+    /// [`Bucket::decode_words`]).
     pub fn decode(page: &[u8]) -> Result<Bucket> {
-        let view = BucketView::new(page)?;
+        Self::decode_words(page)
+    }
+
+    /// Decode `page`, its records in slot order. Beyond the header
+    /// checks of [`BucketView::over`], the bitmap must mark `count` slots,
+    /// all of them slots the page has, and the occupied slots must be in
+    /// Robin Hood order: a record after a free slot is at home, each
+    /// later one is no further from home than one more than the record
+    /// before it, and one exactly one further (the same home) has the
+    /// greater key; a full page has a record at home. A page that breaks
+    /// the order fails with [`Error::Corrupt`]: searches would miss its
+    /// records.
+    pub fn decode_words<P: PageWords + Copy>(page: P) -> Result<Bucket> {
+        let view = BucketView::over(page)?;
+        let slots = view.slots;
+        // One read of the bitmap: over a page a writer may be storing, a
+        // second read could mark slots past the page.
+        let bitmap: [u64; BITMAP_WORDS] = std::array::from_fn(|i| page.word(HEADER_WORDS + i));
+        let mut set = 0;
+        for (i, &w) in bitmap.iter().enumerate() {
+            let valid = match slots.saturating_sub(64 * i) {
+                0 => 0,
+                n if n >= 64 => u64::MAX,
+                n => (1 << n) - 1,
+            };
+            if w & !valid != 0 {
+                return Err(Error::Corrupt(format!(
+                    "bitmap marks a slot past the page's {slots}"
+                )));
+            }
+            set += w.count_ones() as usize;
+        }
+        if set != view.count {
+            return Err(Error::Corrupt(format!(
+                "bitmap marks {set} slots for {} records",
+                view.count
+            )));
+        }
+        let mut records = Vec::with_capacity(view.count);
+        // The record before, as (slot, key, distance from home), starting
+        // with the last slot's, which comes before slot 0.
+        let last = slots.wrapping_sub(1);
+        let mut prev = (slots > 0 && bitmap[last / 64] >> (last % 64) & 1 == 1).then(|| {
+            let k = page.word(key_word(last));
+            (last, k, displacement(k, last, slots))
+        });
+        let mut at_home = false;
+        for (w, &word) in bitmap.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let s = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let key = page.word(key_word(s));
+                let d = displacement(key, s, slots);
+                let ordered = match prev {
+                    Some((ps, k, pd)) if next_slot(ps, slots) == s => {
+                        d <= pd || (d == pd + 1 && k < key)
+                    }
+                    _ => d == 0,
+                };
+                if !ordered {
+                    return Err(Error::Corrupt(format!(
+                        "slot {s} (key {key:#x}, {d} from home) is out of Robin Hood order"
+                    )));
+                }
+                at_home |= d == 0;
+                records.push(Record {
+                    key: Key(key),
+                    value: Value(page.word(key_word(s) + 1)),
+                });
+                prev = Some((s, key, d));
+            }
+        }
+        if view.count == slots && slots > 0 && !at_home {
+            return Err(Error::Corrupt(
+                "full page with no record at its home slot".into(),
+            ));
+        }
         let (w2, w4) = (page.word(2), page.word(4));
         Ok(Bucket {
             localdepth: view.localdepth,
@@ -315,13 +451,7 @@ impl Bucket {
             prev: PageId(page.word(5)),
             prev_mgr: ManagerId(w4 as u32),
             version: page.word(6),
-            records: page[BUCKET_HEADER_BYTES..BUCKET_HEADER_BYTES + view.count * RECORD_BYTES]
-                .chunks_exact(RECORD_BYTES)
-                .map(|slot| Record {
-                    key: Key(u64::from_le_bytes(slot[..8].try_into().expect("slice len"))),
-                    value: Value(u64::from_le_bytes(slot[8..].try_into().expect("slice len"))),
-                })
-                .collect(),
+            records,
         })
     }
 }
@@ -422,30 +552,31 @@ fn check_prev<'a>(
 /// An encoded page read one 64-bit word at a time. The format is a
 /// sequence of little-endian words: a header of seven (magic and
 /// `localdepth`; `commonbits`; `count` and `next_mgr`; `next`;
-/// `prev_mgr` and a reserved half; `prev`; `version`) and two per record
-/// (key, value). Word `i` is the value of bytes `8i..8i + 8`.
+/// `prev_mgr` and a reserved half; `prev`; `version`), a four-word
+/// occupancy bitmap, then two per record slot (key, value), as many
+/// slots as [`Bucket::capacity_for`] the page's length. Word `i` is the
+/// value of bytes `8i..8i + 8`.
 ///
 /// Implemented for byte pages (`[u8]`, a process's private buffer) and
 /// for [`SharedPage`], the page store's words, which lock-free readers
-/// may load while a writer stores them.
+/// may load while a writer stores them. The codec, the in-place edits
+/// and [`BucketView`] are written once over this trait.
 pub trait PageWords {
     /// Length of the page in bytes.
     fn len_bytes(&self) -> usize;
     /// Word `i` (`i < len_bytes() / 8`).
     fn word(&self, i: usize) -> u64;
-    /// The first of the page's first `count` record slots whose key word
-    /// is `key` (`count` no more than the page holds). The paper's
-    /// `search` is this scan, so each page type runs it over its own
-    /// representation, bounds-checked once.
-    fn key_position(&self, count: usize, key: u64) -> Option<usize> {
-        (0..count).find(|&i| self.word(slot_word(i)) == key)
-    }
 }
 
 /// A [`PageWords`] page that can be written one word at a time.
 pub trait PageWordsMut: PageWords {
     /// Store `w` as word `i`.
     fn set_word(&mut self, i: usize, w: u64);
+
+    /// Copy words `src` to the words from `dst` on, as
+    /// [`slice::copy_within`] does: the two ranges may overlap. The
+    /// in-place edits shift runs of record slots with it.
+    fn copy_words(&mut self, src: Range<usize>, dst: usize);
 }
 
 impl PageWords for [u8] {
@@ -458,20 +589,17 @@ impl PageWords for [u8] {
     fn word(&self, i: usize) -> u64 {
         u64::from_le_bytes(self[8 * i..8 * i + 8].try_into().expect("slice len"))
     }
-
-    #[inline]
-    fn key_position(&self, count: usize, key: u64) -> Option<usize> {
-        let want = key.to_le_bytes();
-        self[BUCKET_HEADER_BYTES..BUCKET_HEADER_BYTES + count * RECORD_BYTES]
-            .chunks_exact(RECORD_BYTES)
-            .position(|slot| slot[..8] == want)
-    }
 }
 
 impl PageWordsMut for [u8] {
     #[inline]
     fn set_word(&mut self, i: usize, w: u64) {
         self[8 * i..8 * i + 8].copy_from_slice(&w.to_le_bytes());
+    }
+
+    #[inline]
+    fn copy_words(&mut self, src: Range<usize>, dst: usize) {
+        self.copy_within(8 * src.start..8 * src.end, 8 * dst);
     }
 }
 
@@ -484,11 +612,6 @@ impl<T: PageWords + ?Sized> PageWords for &T {
     #[inline]
     fn word(&self, i: usize) -> u64 {
         (**self).word(i)
-    }
-
-    #[inline]
-    fn key_position(&self, count: usize, key: u64) -> Option<usize> {
-        (**self).key_position(count, key)
     }
 }
 
@@ -532,15 +655,6 @@ impl PageWords for SharedPage<'_> {
     fn word(&self, i: usize) -> u64 {
         // ceh-lint: allow(relaxed-ordering) — a page word; the page's version word orders it
         u64::from_le(self.words[i].load(Ordering::Relaxed))
-    }
-
-    #[inline]
-    fn key_position(&self, count: usize, key: u64) -> Option<usize> {
-        let want = key.to_le();
-        self.words[HEADER_WORDS..HEADER_WORDS + 2 * count]
-            .chunks_exact(2)
-            // ceh-lint: allow(relaxed-ordering) — a page word; the page's version word orders it
-            .position(|slot| slot[0].load(Ordering::Relaxed) == want)
     }
 }
 
@@ -596,11 +710,6 @@ impl PageWords for SharedPageMut<'_> {
     fn word(&self, i: usize) -> u64 {
         self.shared().word(i)
     }
-
-    #[inline]
-    fn key_position(&self, count: usize, key: u64) -> Option<usize> {
-        self.shared().key_position(count, key)
-    }
 }
 
 impl PageWordsMut for SharedPageMut<'_> {
@@ -609,60 +718,346 @@ impl PageWordsMut for SharedPageMut<'_> {
         // ceh-lint: allow(relaxed-ordering) — a page word; the page's version word orders it
         self.words[i].store(w.to_le(), Ordering::Relaxed);
     }
+
+    fn copy_words(&mut self, src: Range<usize>, dst: usize) {
+        let from = &self.words[src.clone()];
+        let to = &self.words[dst..dst + src.len()];
+        let copy = |(a, b): (&AtomicU64, &AtomicU64)| {
+            // ceh-lint: allow(relaxed-ordering) — page words; the page's version word orders them
+            b.store(a.load(Ordering::Relaxed), Ordering::Relaxed)
+        };
+        if dst <= src.start {
+            from.iter().zip(to).for_each(copy);
+        } else {
+            from.iter().zip(to).rev().for_each(copy);
+        }
+    }
 }
 
-/// Word index of record slot `i`'s key (its value is the next word).
+/// Word index of record slot `s`'s key (its value is the next word).
 #[inline]
-const fn slot_word(i: usize) -> usize {
-    HEADER_WORDS + 2 * i
+const fn key_word(s: usize) -> usize {
+    HEADER_WORDS + BITMAP_WORDS + 2 * s
 }
 
-/// Words in the encoded bucket header.
-const HEADER_WORDS: usize = BUCKET_HEADER_BYTES / 8;
+/// Does slot `s` hold a record?
+#[inline]
+fn occupied<P: PageWords + ?Sized>(page: &P, s: usize) -> bool {
+    page.word(HEADER_WORDS + s / 64) >> (s % 64) & 1 == 1
+}
 
-/// The paper's `add(current, z)` on an encoded page, in place: write the
-/// record into slot `count` and bump `count`. The page ends up exactly as
-/// [`Bucket::decode`] → [`Bucket::add`] → [`Bucket::encode`] would leave
-/// it, so an update dirties one slot and the header instead of the page.
+/// Set or clear slot `s`'s bit in the occupancy bitmap.
+#[inline]
+fn set_occupied<P: PageWordsMut + ?Sized>(page: &mut P, s: usize, on: bool) {
+    let (i, bit) = (HEADER_WORDS + s / 64, 1u64 << (s % 64));
+    let w = page.word(i);
+    page.set_word(i, if on { w | bit } else { w & !bit });
+}
+
+/// The slot after `s`, wrapping past the last of `slots`.
+#[inline]
+fn next_slot(s: usize, slots: usize) -> usize {
+    if s + 1 == slots {
+        0
+    } else {
+        s + 1
+    }
+}
+
+/// How many slots past its home slot `key` lies when it is in slot `s`.
+#[inline]
+fn displacement(key: u64, s: usize, slots: usize) -> usize {
+    let home = home_slot(Key(key), slots);
+    if s >= home {
+        s - home
+    } else {
+        s + slots - home
+    }
+}
+
+/// The one probe loop: from `key`'s home slot, `Ok` with the slot that
+/// holds it, or `Err` with the slot it would go in — a free slot, or the
+/// first record that Robin Hood order puts after it (nearer its home, or
+/// as near with a greater key). At most `slots` probes, each reading one
+/// key word and one bitmap word within the page's slots, whatever the
+/// words hold. The key word is read first: its address depends on
+/// nothing but the key, so its load need not wait for the bitmap's.
+#[inline]
+fn probe<P: PageWords + ?Sized>(
+    page: &P,
+    slots: usize,
+    key: u64,
+) -> std::result::Result<usize, usize> {
+    let mut s = home_slot(Key(key), slots);
+    for d in 0..slots {
+        let k = page.word(key_word(s));
+        if !occupied(page, s) {
+            return Err(s);
+        }
+        if k == key {
+            return Ok(s);
+        }
+        let kd = displacement(k, s, slots);
+        if kd < d || (kd == d && k > key) {
+            return Err(s);
+        }
+        s = next_slot(s, slots);
+    }
+    Err(s)
+}
+
+/// The first free slot at or after `s`, wrapping: a scan of the bitmap,
+/// `None` on a page with every slot taken.
+fn free_slot_from<P: PageWords + ?Sized>(page: &P, s: usize, slots: usize) -> Option<usize> {
+    let words = slots.div_ceil(64);
+    // One pass over the bitmap words from `s`'s, the first one twice: from
+    // `s` on, then (after wrapping) below `s`.
+    for i in 0..=words {
+        let w = (s / 64 + i) % words;
+        let mut free = !page.word(HEADER_WORDS + w);
+        if i == 0 {
+            free &= u64::MAX << (s % 64);
+        }
+        if w == words - 1 && !slots.is_multiple_of(64) {
+            free &= (1 << (slots % 64)) - 1;
+        }
+        if free != 0 {
+            return Some(64 * w + free.trailing_zeros() as usize);
+        }
+    }
+    None
+}
+
+/// Move the record in slot `from` to slot `to`.
+#[inline]
+fn move_slot<P: PageWordsMut + ?Sized>(page: &mut P, from: usize, to: usize) {
+    let (k, v) = (page.word(key_word(from)), page.word(key_word(from) + 1));
+    page.set_word(key_word(to), k);
+    page.set_word(key_word(to) + 1, v);
+}
+
+/// Hand each of `records` to `put` with its slot in the Robin Hood
+/// layout over `slots` slots (`records.len() ≤ slots`), or fail, before
+/// handing any, if two share a key. A counting sort on the home slot,
+/// ties by key, then one greedy pass: each record goes to its home slot
+/// or just past the record before, whichever is later. The pass starts
+/// at a slot no cluster runs into from the slots before: the slot after
+/// the lowest point of the running sum, over the slots, of (records
+/// homed there − 1), past which every record homed before has a slot.
+fn lay_out(records: &[Record], slots: usize, put: &mut impl FnMut(usize, Record)) -> Result<()> {
+    let mut homes = [0u8; MAX_SLOTS];
+    // `first[h]`: where the records homed at `h` begin in `sorted`.
+    let mut first = [0u16; MAX_SLOTS + 1];
+    for (i, r) in records.iter().enumerate() {
+        let h = home_slot(r.key, slots);
+        homes[i] = h as u8;
+        first[h + 1] += 1;
+    }
+    let (mut sum, mut low, mut start) = (0i32, 0i32, 0);
+    for h in 0..slots {
+        sum += i32::from(first[h + 1]) - 1;
+        if sum < low {
+            (low, start) = (sum, h + 1);
+        }
+        first[h + 1] += first[h];
+    }
+    let start = if start == slots { 0 } else { start };
+    let mut sorted = [Record::new(0, 0); MAX_SLOTS];
+    let mut fill = first;
+    for (r, &h) in records.iter().zip(&homes) {
+        let (lo, mut j) = (
+            usize::from(first[usize::from(h)]),
+            usize::from(fill[usize::from(h)]),
+        );
+        fill[usize::from(h)] += 1;
+        while j > lo && sorted[j - 1].key > r.key {
+            sorted[j] = sorted[j - 1];
+            j -= 1;
+        }
+        if j > lo && sorted[j - 1].key == r.key {
+            return Err(Error::Corrupt(format!(
+                "bucket holds key {} twice",
+                r.key.0
+            )));
+        }
+        sorted[j] = *r;
+    }
+    let mut next = start;
+    for home in start..start + slots {
+        let h = if home < slots { home } else { home - slots };
+        for r in &sorted[usize::from(first[h])..usize::from(first[h + 1])] {
+            let at = next.max(home);
+            next = at + 1;
+            put(if at < slots { at } else { at - slots }, *r);
+        }
+    }
+    Ok(())
+}
+
+/// Put `record` into `page`'s `slots` slots at `at`, the slot a probe for
+/// its key ended on: shift the records from there up to the next free
+/// slot one slot on. `Err` (the page untouched) if no slot is free. The
+/// count is the caller's.
+fn insert_at<P: PageWordsMut + ?Sized>(
+    page: &mut P,
+    slots: usize,
+    at: usize,
+    record: Record,
+) -> Result<()> {
+    let Some(free) = free_slot_from(&*page, at, slots) else {
+        return Err(Error::Corrupt("no free slot".into()));
+    };
+    if at <= free {
+        page.copy_words(key_word(at)..key_word(free), key_word(at + 1));
+    } else {
+        page.copy_words(key_word(0)..key_word(free), key_word(1));
+        move_slot(page, slots - 1, 0);
+        page.copy_words(key_word(at)..key_word(slots - 1), key_word(at + 1));
+    }
+    page.set_word(key_word(at), record.key.0);
+    page.set_word(key_word(at) + 1, record.value.0);
+    set_occupied(page, free, true);
+    Ok(())
+}
+
+/// Empty slot `hole` of `page`'s `slots` slots: pull the run after it
+/// back one slot, up to the next free slot (on a full page, the hole
+/// itself) or a record at home, and free the run's last slot, which
+/// keeps its bytes. The count is the caller's.
+fn remove_at<P: PageWordsMut + ?Sized>(page: &mut P, slots: usize, hole: usize) {
+    let free = free_slot_from(&*page, hole, slots).unwrap_or(hole);
+    let mut end = hole;
+    loop {
+        let s = next_slot(end, slots);
+        if s == free || home_slot(Key(page.word(key_word(s))), slots) == s {
+            break;
+        }
+        end = s;
+    }
+    if hole <= end {
+        page.copy_words(key_word(hole + 1)..key_word(end + 1), key_word(hole));
+    } else {
+        page.copy_words(key_word(hole + 1)..key_word(slots), key_word(hole));
+        move_slot(page, 0, slots - 1);
+        page.copy_words(key_word(1)..key_word(end + 1), key_word(0));
+    }
+    set_occupied(page, end, false);
+}
+
+/// Where a probe for a key ended on a page: the key's slot, or the slot
+/// it would take. A validated read that plans an in-place edit hands it
+/// to the edit ([`append_located`], [`remove_located`]), which runs on
+/// the unchanged page under the write lock the read's snapshot granted,
+/// and so need not check the header or probe again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Located {
+    slot: usize,
+    found: bool,
+}
+
+impl Located {
+    /// Did the probe find the key?
+    #[inline]
+    pub fn found(self) -> bool {
+        self.found
+    }
+}
+
+/// The probe of the paper's `search(current, z)` over the record slots
+/// of `page`, before, or without, any check of its header: the probe
+/// needs only the page's length. Over a page that has not validated the
+/// answer means nothing, but computing it cannot fault. A validated read
+/// runs it first, so that the record's slot is loaded while the header
+/// is.
+#[inline]
+pub fn locate<P: PageWords + ?Sized>(page: &P, key: Key) -> Located {
+    let slots = Bucket::capacity_for(page.len_bytes());
+    match probe(page, slots, key.0) {
+        Ok(slot) => Located { slot, found: true },
+        Err(slot) => Located { slot, found: false },
+    }
+}
+
+/// The paper's `search(current, z)` over the record slots of `page`, as
+/// [`locate`] probes them, with no check of the header.
+#[inline]
+pub fn search_slots<P: PageWords + ?Sized>(page: &P, key: Key) -> Option<Value> {
+    let at = locate(page, key);
+    at.found.then(|| Value(page.word(key_word(at.slot) + 1)))
+}
+
+/// The paper's `add(current, z)` on an encoded page, in place: probe
+/// from the record's home slot to its place in Robin Hood order, shift
+/// the records from there to the next free slot one slot on, and bump
+/// `count`. The page ends up exactly as [`Bucket::decode`] →
+/// [`Bucket::add`] → [`Bucket::encode`] would leave it, so an update
+/// dirties the header, the bitmap and a short run of slots instead of the
+/// page.
 ///
 /// Fails with [`Error::Corrupt`], leaving the page untouched, when the
 /// header fails [`BucketView::over`] or the page has no free slot. Like
 /// [`Bucket::add`], the caller has already checked that the key is absent.
 pub fn append_in_place<P: PageWordsMut + ?Sized>(page: &mut P, record: Record) -> Result<()> {
-    let view = BucketView::over(&*page)?;
-    let count = view.count;
-    if count == Bucket::capacity_for(page.len_bytes()) {
+    BucketView::over(&*page)?;
+    let at = locate(&*page, record.key);
+    debug_assert!(!at.found, "add of a present key");
+    append_located(page, at, record)
+}
+
+/// [`append_in_place`] at `at`, which [`locate`] found for the record's
+/// key on this page as it is now: no header check, no probe. Fails with
+/// [`Error::Corrupt`], leaving the page untouched, when the page is full
+/// or `at` is not a free place for the key.
+pub fn append_located<P: PageWordsMut + ?Sized>(
+    page: &mut P,
+    at: Located,
+    record: Record,
+) -> Result<()> {
+    let slots = Bucket::capacity_for(page.len_bytes());
+    let count = page.word(2) as u32 as usize;
+    if count >= slots || at.found || at.slot >= slots {
         return Err(Error::Corrupt(format!(
-            "append to a full page of {count} records"
+            "append to a page of {count} records in {slots} slots at {at:?}"
         )));
     }
-    debug_assert!(view.search(record.key).is_none(), "add of a present key");
-    page.set_word(slot_word(count), record.key.0);
-    page.set_word(slot_word(count) + 1, record.value.0);
+    insert_at(page, slots, at.slot, record)?;
     set_count(page, count + 1);
     Ok(())
 }
 
 /// The paper's `remove(z, current)` on an encoded page, in place: the
-/// last slot moves into the hole, as [`Bucket::remove`]'s `swap_remove`
-/// does, and `count` drops by one. The page ends up exactly as decode →
-/// remove → encode would leave it. Reports whether anything was removed;
-/// removing an absent key changes nothing.
+/// records after the hole move back one slot each, up to a free slot or
+/// a record at home (a backward shift), the slot that run ends at is
+/// freed, and `count` drops by one. The freed slot keeps its bytes. The
+/// page ends up exactly as decode → remove → encode would leave it.
+/// Reports whether anything was removed; removing an absent key changes
+/// nothing.
 ///
 /// Fails with [`Error::Corrupt`], leaving the page untouched, when the
 /// header fails [`BucketView::over`].
 pub fn remove_in_place<P: PageWordsMut + ?Sized>(page: &mut P, key: Key) -> Result<bool> {
-    let view = BucketView::over(&*page)?;
-    let Some(hole) = view.position(key) else {
+    BucketView::over(&*page)?;
+    let at = locate(&*page, key);
+    remove_located(page, at)
+}
+
+/// [`remove_in_place`] at `at`, which [`locate`] found for the key on
+/// this page as it is now: no header check, no probe. Removes nothing
+/// when the key was not found. Fails with [`Error::Corrupt`], leaving
+/// the page untouched, when the page holds no record to remove.
+pub fn remove_located<P: PageWordsMut + ?Sized>(page: &mut P, at: Located) -> Result<bool> {
+    if !at.found {
         return Ok(false);
-    };
-    let last = view.count - 1;
-    if hole != last {
-        let (k, v) = (page.word(slot_word(last)), page.word(slot_word(last) + 1));
-        page.set_word(slot_word(hole), k);
-        page.set_word(slot_word(hole) + 1, v);
     }
-    set_count(page, last);
+    let slots = Bucket::capacity_for(page.len_bytes());
+    let count = page.word(2) as u32 as usize;
+    if count == 0 || count > slots || at.slot >= slots {
+        return Err(Error::Corrupt(format!(
+            "remove from a page of {count} records in {slots} slots at {at:?}"
+        )));
+    }
+    remove_at(page, slots, at.slot);
+    set_count(page, count - 1);
     Ok(true)
 }
 
@@ -680,21 +1075,22 @@ fn set_count<P: PageWordsMut + ?Sized>(page: &mut P, count: usize) {
 /// A Figure 5 find needs three things from a bucket — the wrong-bucket
 /// test, the `next` link, and `search` — none of which needs the records
 /// decoded into a [`Bucket`]. The view validates the header exactly as
-/// [`Bucket::decode`] does (it *is* decode's check), then answers those
-/// questions by reading the page's words where they lie: a byte page
-/// (`BucketView<&[u8]>`) or the page store's own words
+/// [`Bucket::decode`] does (it *is* decode's first check), then answers those questions by reading the page's words where they
+/// lie: a byte page (`BucketView<&[u8]>`) or the page store's own words
 /// (`BucketView<SharedPage>`).
 ///
 /// Over a page that a writer may be storing, every answer is made of
-/// words that each passed through one atomic load, and every index the
-/// view uses is bounded by the page, whatever the words hold: the view
-/// of a torn page gives wrong answers, never a panic.
+/// words that each passed through one atomic load, every probe loop is
+/// bounded by the page's slot count, and every index the view uses is
+/// bounded by the page, whatever the words hold: the view of a torn page
+/// gives wrong answers, never a panic.
 #[derive(Debug, Clone, Copy)]
 pub struct BucketView<P> {
     page: P,
     localdepth: u32,
     commonbits: u64,
     count: usize,
+    slots: usize,
 }
 
 impl<'a> BucketView<&'a [u8]> {
@@ -705,9 +1101,12 @@ impl<'a> BucketView<&'a [u8]> {
 }
 
 impl<P: PageWords + Copy> BucketView<P> {
-    /// Validate the header of an encoded page: long enough for a header,
-    /// the bucket magic, `localdepth` ≤ 64, and `count` records fitting
-    /// the page. A page of garbage fails with [`Error::Corrupt`].
+    /// Validate the header of an encoded page: long enough for the header
+    /// and bitmap, the bucket magic, `localdepth` ≤ 64, and `count`
+    /// records fitting the page. A page of garbage fails with
+    /// [`Error::Corrupt`]. The bitmap is checked against `count` by
+    /// [`Bucket::decode`], not here: a find needs only the bits it
+    /// probes.
     pub fn over(page: P) -> Result<Self> {
         let len = page.len_bytes();
         if len < BUCKET_HEADER_BYTES {
@@ -726,7 +1125,8 @@ impl<P: PageWords + Copy> BucketView<P> {
                 "localdepth {localdepth} out of range"
             )));
         }
-        if count > Bucket::capacity_for(len) {
+        let slots = Bucket::capacity_for(len);
+        if count > slots {
             return Err(Error::Corrupt(format!(
                 "count {count} exceeds page capacity"
             )));
@@ -736,6 +1136,7 @@ impl<P: PageWords + Copy> BucketView<P> {
             localdepth,
             commonbits,
             count,
+            slots,
         })
     }
 
@@ -770,18 +1171,13 @@ impl<P: PageWords + Copy> BucketView<P> {
         ManagerId((self.page.word(2) >> 32) as u32)
     }
 
-    /// The paper's `search(current, z)`, scanning the record slots in
-    /// place: one word per slot until the key matches.
+    /// The paper's `search(current, z)`, probing the record slots in
+    /// place from the key's home slot: it stops at the key, a free slot,
+    /// or the first record Robin Hood order puts after the key, and makes
+    /// at most one probe per slot.
     #[inline]
     pub fn search(&self, key: Key) -> Option<Value> {
-        self.position(key)
-            .map(|i| Value(self.page.word(slot_word(i) + 1)))
-    }
-
-    /// The slot holding `key`, if any.
-    #[inline]
-    fn position(&self, key: Key) -> Option<usize> {
-        self.page.key_position(self.count, key.0)
+        search_slots(&self.page, key)
     }
 }
 
@@ -801,22 +1197,67 @@ mod tests {
         b
     }
 
+    /// `b` with its records in key order: the codec keeps the record
+    /// set, in slot order.
+    fn by_key(mut b: Bucket) -> Bucket {
+        b.records.sort_by_key(|r| r.key);
+        b
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         let b = sample();
         let mut page = vec![0u8; 256];
         b.encode(&mut page).unwrap();
-        assert_eq!(Bucket::decode(&page).unwrap(), b);
+        assert_eq!(by_key(Bucket::decode(&page).unwrap()), by_key(b));
     }
 
     #[test]
     fn capacity_math() {
-        assert_eq!(Bucket::capacity_for(4096), (4096 - 56) / 16);
-        assert_eq!(Bucket::page_size_for(2), 56 + 32);
+        assert_eq!(Bucket::capacity_for(4096), (4096 - 88) / 16);
+        assert_eq!(Bucket::page_size_for(2), 88 + 32);
+        // A 4 KiB slot frame: the page store's header word and 250 slots.
+        assert_eq!(8 + Bucket::page_size_for(250), 4096);
         // page_size_for and capacity_for are inverses (up to slack).
-        for cap in [1usize, 2, 8, 250] {
+        for cap in [0usize, 1, 2, 8, 250, MAX_SLOTS] {
             assert_eq!(Bucket::capacity_for(Bucket::page_size_for(cap)), cap);
         }
+        // One bitmap bit per slot bounds the slots; short pages have none.
+        assert_eq!(Bucket::capacity_for(1 << 16), MAX_SLOTS);
+        assert_eq!(Bucket::capacity_for(40), 0);
+    }
+
+    #[test]
+    fn layout_is_robin_hood_order() {
+        // Three keys sharing home slot 1 of 4, then one at home 3: the
+        // shared home holds the least key, the rest follow in key order,
+        // and the cluster wraps past the last slot.
+        let slots = 4;
+        let mut keys: Vec<u64> = (0..)
+            .filter(|&k| home_slot(Key(k), slots) == 1)
+            .take(3)
+            .collect();
+        let late = (0..).find(|&k| home_slot(Key(k), slots) == 3).unwrap();
+        let mut b = Bucket::new(0, 0);
+        for &k in keys.iter().rev().chain([&late]) {
+            b.add(Record::new(k, k));
+        }
+        let mut page = vec![0u8; Bucket::page_size_for(slots)];
+        b.encode(&mut page).unwrap();
+        keys.sort_unstable();
+        let at = |s: usize| page.word(key_word(s));
+        assert_eq!(
+            [at(1), at(2), at(3), at(0)],
+            [keys[0], keys[1], keys[2], late]
+        );
+        let view = BucketView::new(&page).unwrap();
+        for &k in keys.iter().chain([&late]) {
+            assert_eq!(view.search(Key(k)), Some(Value(k)));
+        }
+        // Swapping two records of the shared home breaks the order.
+        page.set_word(key_word(1), keys[1]);
+        page.set_word(key_word(2), keys[0]);
+        assert!(matches!(Bucket::decode(&page), Err(Error::Corrupt(_))));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property tests for the bucket page codec.
 
+use std::cell::Cell;
 use std::sync::atomic::AtomicU64;
 
 use ceh_types::bucket::{
-    append_in_place, remove_in_place, Bucket, BucketView, SharedPage, SharedPageMut,
+    append_in_place, home_slot, remove_in_place, Bucket, BucketView, PageWords, SharedPage,
+    SharedPageMut, BUCKET_HEADER_BYTES,
 };
-use ceh_types::{Key, ManagerId, PageId, Pseudokey, Record};
+use ceh_types::{Key, ManagerId, PageId, Pseudokey, Record, Value};
 use proptest::prelude::*;
 
 /// The page store's atomic words holding `page`.
@@ -20,6 +22,106 @@ fn bytes_of(words: &[AtomicU64]) -> Vec<u8> {
     let mut bytes = vec![0u8; 8 * words.len()];
     SharedPage::new(words).copy_to(&mut bytes);
     bytes
+}
+
+/// `b` with its records in key order: the codec keeps the record set,
+/// in slot order.
+fn by_key(mut b: Bucket) -> Bucket {
+    b.records.sort_by_key(|r| r.key);
+    b
+}
+
+/// A byte page that counts the words read from it.
+struct Counted<'a> {
+    bytes: &'a [u8],
+    loads: Cell<usize>,
+}
+
+impl PageWords for Counted<'_> {
+    fn len_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    fn word(&self, i: usize) -> u64 {
+        self.loads.set(self.loads.get() + 1);
+        self.bytes.word(i)
+    }
+}
+
+/// A byte page whose words may read differently each time, as a page a
+/// writer is storing may: about one read in eight, picked by a mix of a
+/// read counter, comes back XORed with noise.
+struct Torn<'a> {
+    bytes: &'a [u8],
+    reads: Cell<u64>,
+}
+
+impl PageWords for Torn<'_> {
+    fn len_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    fn word(&self, i: usize) -> u64 {
+        let n = self.reads.get();
+        self.reads.set(n + 1);
+        let noise = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.bytes.word(i) ^ if noise >> 61 == 0 { noise } else { 0 }
+    }
+}
+
+/// Stamp `bytes` with a header the view accepts: the bucket magic, depth
+/// 0, and a `count` equal to the bitmap's bits, the bitmap cut to the
+/// page's slots. The slots keep whatever `bytes` held.
+fn stamp_valid_header(bytes: &mut [u8]) {
+    let slots = Bucket::capacity_for(bytes.len());
+    let mut magic = vec![0u8; Bucket::page_size_for(0)];
+    Bucket::new(0, 0).encode(&mut magic).unwrap();
+    bytes[0..8].copy_from_slice(&magic[0..8]);
+    let mut count = 0u32;
+    for i in 0..4 {
+        let at = 56 + 8 * i;
+        let w = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let keep = match slots.saturating_sub(64 * i) {
+            0 => 0,
+            n if n >= 64 => u64::MAX,
+            n => (1u64 << n) - 1,
+        };
+        count += (w & keep).count_ones();
+        bytes[at..at + 8].copy_from_slice(&(w & keep).to_le_bytes());
+    }
+    bytes[16..20].copy_from_slice(&count.to_le_bytes());
+}
+
+/// A key whose home slot among `slots` is one of the last two, found
+/// from `seed` on: such keys crowd the end of the page, so their
+/// clusters wrap past the last slot.
+fn late_key(seed: u64, slots: usize) -> u64 {
+    (seed..)
+        .find(|&k| home_slot(Key(k), slots) + 2 >= slots)
+        .expect("a late key")
+}
+
+/// `keys` without repeats, in first-seen order.
+fn distinct(keys: Vec<u64>) -> Vec<u64> {
+    let mut seen = std::collections::HashSet::new();
+    keys.into_iter().filter(|k| seen.insert(*k)).collect()
+}
+
+/// Every order of `items`.
+fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
+    if items.is_empty() {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for i in 0..items.len() {
+        let mut rest = items.to_vec();
+        let first = rest.remove(i);
+        for mut p in permutations(&rest) {
+            p.insert(0, first.clone());
+            out.push(p);
+        }
+    }
+    out
 }
 
 fn arb_bucket(max_records: usize) -> impl Strategy<Value = Bucket> {
@@ -57,7 +159,7 @@ proptest! {
     fn roundtrip(b in arb_bucket(20)) {
         let mut page = vec![0u8; Bucket::page_size_for(20)];
         b.encode(&mut page).unwrap();
-        prop_assert_eq!(Bucket::decode(&page).unwrap(), b);
+        prop_assert_eq!(by_key(Bucket::decode(&page).unwrap()), by_key(b));
     }
 
     /// Decoding arbitrary bytes either fails cleanly or yields a bucket
@@ -72,9 +174,11 @@ proptest! {
         }
     }
 
-    /// The borrowed view accepts exactly the pages `decode` accepts. Half
-    /// the pages carry the bucket magic and a small depth and count, so
-    /// the checks past the magic are reached too.
+    /// The borrowed view accepts every page `decode` accepts: its header
+    /// checks are decode's first ones, and decode adds the bitmap's and
+    /// the slot order's. Half the pages carry the bucket magic, a small
+    /// depth and count and a bitmap of that many bits, so the checks past
+    /// the magic are reached too.
     #[test]
     fn view_validates_like_decode(
         mut bytes in proptest::collection::vec(any::<u8>(), 0..512),
@@ -82,14 +186,19 @@ proptest! {
         localdepth in 0u32..80,
         count in 0u32..40,
     ) {
-        if stamp && bytes.len() >= 20 {
+        if stamp && bytes.len() >= BUCKET_HEADER_BYTES {
             let mut magic = vec![0u8; Bucket::page_size_for(0)];
             Bucket::new(0, 0).encode(&mut magic).unwrap();
             bytes[0..4].copy_from_slice(&magic[0..4]);
             bytes[4..8].copy_from_slice(&localdepth.to_le_bytes());
             bytes[16..20].copy_from_slice(&count.to_le_bytes());
+            let bits = if count == 0 { 0 } else { u64::MAX >> (64 - count) };
+            bytes[56..64].copy_from_slice(&bits.to_le_bytes());
+            bytes[64..88].fill(0);
         }
-        prop_assert_eq!(BucketView::new(&bytes).is_ok(), Bucket::decode(&bytes).is_ok());
+        if Bucket::decode(&bytes).is_ok() {
+            prop_assert!(BucketView::new(&bytes).is_ok());
+        }
     }
 
     /// On any encoded bucket — deleted-marked ones included — the view's
@@ -216,18 +325,169 @@ proptest! {
         count in 0u32..40,
         key in any::<u64>(),
     ) {
-        if stamp && bytes.len() >= 20 {
+        if stamp && bytes.len() >= BUCKET_HEADER_BYTES {
             let mut magic = vec![0u8; Bucket::page_size_for(0)];
             Bucket::new(0, 0).encode(&mut magic).unwrap();
             bytes[0..4].copy_from_slice(&magic[0..4]);
             bytes[4..8].copy_from_slice(&localdepth.to_le_bytes());
             bytes[16..20].copy_from_slice(&count.to_le_bytes());
+            bytes[56..88].fill(0);
         }
         prop_assume!(BucketView::new(&bytes).is_err());
         let before = bytes.clone();
         prop_assert!(append_in_place(&mut bytes[..], Record::new(key, key)).is_err());
         prop_assert!(remove_in_place(&mut bytes[..], Key(key)).is_err());
         prop_assert_eq!(bytes, before);
+    }
+
+    /// The layout is a function of the record set: every order of the
+    /// same records encodes to the same bytes, on pages from roomy to
+    /// full.
+    #[test]
+    fn every_permutation_encodes_to_the_same_bytes(
+        keys in proptest::collection::vec(any::<u64>(), 0..=5),
+        slack in 0usize..3,
+        stale in any::<u8>(),
+    ) {
+        let records: Vec<Record> = distinct(keys).into_iter().map(|k| Record::new(k, !k)).collect();
+        let size = Bucket::page_size_for(records.len() + slack);
+        let mut first: Option<Vec<u8>> = None;
+        for order in permutations(&records) {
+            let mut b = Bucket::new(0, 0);
+            b.records = order;
+            let mut page = vec![stale; size];
+            b.encode(&mut page).unwrap();
+            match &first {
+                None => first = Some(page),
+                Some(f) => prop_assert_eq!(f, &page),
+            }
+        }
+    }
+
+    /// A full page (`count == capacity`, no free slot to stop a probe)
+    /// still answers every search: resident keys are found, absent ones
+    /// are not.
+    #[test]
+    fn a_full_page_answers_absent_keys(
+        keys in proptest::collection::vec(any::<u64>(), 1..=16),
+        probes in proptest::collection::vec(any::<u64>(), 1..16),
+    ) {
+        let keys = distinct(keys);
+        let mut b = Bucket::new(0, 0);
+        for &k in &keys {
+            b.add(Record::new(k, !k));
+        }
+        let mut page = vec![0u8; Bucket::page_size_for(keys.len())];
+        b.encode(&mut page).unwrap();
+        let view = BucketView::new(&page).unwrap();
+        prop_assert_eq!(view.count(), Bucket::capacity_for(page.len()));
+        for &k in &keys {
+            prop_assert_eq!(view.search(Key(k)), Some(Value(!k)));
+        }
+        for k in probes {
+            if !keys.contains(&k) {
+                prop_assert_eq!(view.search(Key(k)), None);
+            }
+        }
+        prop_assert!(append_in_place(&mut page[..], Record::new(0, 0)).is_err());
+    }
+
+    /// Clusters that run past the last slot wrap to slot 0, at
+    /// capacities 2–8: the codec round-trips them, search finds every
+    /// key, and each in-place add and remove leaves the codec's bytes.
+    #[test]
+    fn clusters_wrap_past_the_last_slot(
+        slots in 2usize..=8,
+        seeds in proptest::collection::vec(any::<u64>(), 1..=8),
+        absent in any::<u64>(),
+    ) {
+        let mut keys: Vec<u64> = Vec::new();
+        for seed in seeds {
+            let k = late_key(seed, slots);
+            if !keys.contains(&k) && keys.len() < slots {
+                keys.push(k);
+            }
+        }
+        let mut b = Bucket::new(0, 0);
+        for &k in &keys {
+            b.add(Record::new(k, !k));
+        }
+        let mut page = vec![0u8; Bucket::page_size_for(slots)];
+        b.encode(&mut page).unwrap();
+        if keys.len() >= 3 {
+            prop_assert!(BucketView::new(&page).unwrap().search(Key(keys[0])).is_some());
+            let slot0 = page.word(BUCKET_HEADER_BYTES / 8);
+            prop_assert!(keys.contains(&slot0) && page[56] & 1 == 1, "slot 0 holds a wrapped record");
+        }
+        prop_assert_eq!(by_key(Bucket::decode(&page).unwrap()), by_key(b.clone()));
+        let view = BucketView::new(&page).unwrap();
+        for &k in &keys {
+            prop_assert_eq!(view.search(Key(k)), Some(Value(!k)));
+        }
+        let absent = late_key(absent, slots);
+        if !keys.contains(&absent) {
+            prop_assert_eq!(view.search(Key(absent)), None);
+            if keys.len() < slots {
+                let mut expected = page.clone();
+                let mut decoded = Bucket::decode(&expected).unwrap();
+                decoded.add(Record::new(absent, 1));
+                decoded.encode(&mut expected).unwrap();
+                let mut edited = page.clone();
+                append_in_place(&mut edited[..], Record::new(absent, 1)).unwrap();
+                prop_assert_eq!(edited, expected);
+            }
+        }
+        for &k in &keys {
+            let mut expected = page.clone();
+            let mut decoded = Bucket::decode(&expected).unwrap();
+            prop_assert!(decoded.remove(Key(k)));
+            decoded.encode(&mut expected).unwrap();
+            let mut edited = page.clone();
+            prop_assert!(remove_in_place(&mut edited[..], Key(k)).unwrap());
+            prop_assert_eq!(edited, expected);
+        }
+    }
+
+    /// Over any words the header check lets through — a torn page, or
+    /// slots in no order at all — `search` returns without a panic and
+    /// probes each slot at most once: one bitmap word and one key word a
+    /// probe, and the value word of a hit.
+    #[test]
+    fn search_over_random_words_is_bounded(
+        mut bytes in proptest::collection::vec(any::<u8>(), BUCKET_HEADER_BYTES..1024),
+        keys in proptest::collection::vec(any::<u64>(), 1..8),
+        resident in any::<usize>(),
+    ) {
+        stamp_valid_header(&mut bytes);
+        let counted = Counted { bytes: &bytes, loads: Cell::new(0) };
+        let view = BucketView::over(&counted).unwrap();
+        let slots = Bucket::capacity_for(bytes.len());
+        let mut probes = keys;
+        if slots > 0 {
+            let s = resident % slots;
+            let at = BUCKET_HEADER_BYTES + 16 * s;
+            probes.push(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()));
+        }
+        for k in probes {
+            counted.loads.set(0);
+            let _ = view.search(Key(k));
+            prop_assert!(counted.loads.get() <= 2 * slots + 1, "{} loads for {slots} slots", counted.loads.get());
+        }
+    }
+
+    /// Decoding a page whose words change between reads — a torn page,
+    /// which a reader holding ρ may see while an α holder edits it —
+    /// fails or succeeds, but never reads past the page.
+    #[test]
+    fn decode_of_a_torn_page_stays_in_the_page(
+        b in arb_bucket(20),
+        slack in 0usize..3,
+        offset in any::<u64>(),
+    ) {
+        let mut page = vec![0u8; Bucket::page_size_for(b.count() + slack)];
+        b.encode(&mut page).unwrap();
+        let torn = Torn { bytes: &page, reads: Cell::new(offset) };
+        let _ = Bucket::decode_words(&torn);
     }
 
     /// add/remove/search behave like a set keyed by Key.

@@ -44,6 +44,14 @@ echo "=== benchmark unit tests ==="
 # the oracle and the BENCHMARK.json metric tables.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "=== bucket layout ==="
+# The bucket page codec's property tests again, optimised and with
+# 4096 cases each: every order of a record set encodes to the same
+# bytes, the in-place add and remove leave the codec's bytes, full
+# pages and clusters that wrap past the last slot work, and a search
+# over random words stays within the page's slots.
+PROPTEST_CASES=4096 cargo test -q -p ceh-types --release --test prop_bucket
+
 echo "=== allocation tests (release) ==="
 # The zero-allocation claims (a warm find; a warm insert or delete that
 # does not restructure) checked on the optimised build the benchmark
