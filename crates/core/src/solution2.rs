@@ -33,7 +33,7 @@
 use ceh_locks::{LockId, LockMode, OwnerId};
 use ceh_storage::{mergeable, too_empty, Edit, Plan, Retire, MERGE_ATTEMPTS};
 use ceh_types::bits::partner_bit;
-use ceh_types::bucket::{locate, BucketView};
+use ceh_types::bucket::BucketView;
 use ceh_types::{
     DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Pseudokey, Result,
     Value,
@@ -306,28 +306,24 @@ impl Solution2 {
             page,
             core.locks(),
             |words| {
-                // Probed before the header, as a find does; the edit
-                // starts from this slot, since its CAS proves the page
-                // unchanged since.
-                let at = locate(&words, edit.key());
-                let found = at.found();
                 let view = BucketView::over(words).ok()?;
                 if !core.owner_in_window(&view, pk, page) {
                     return None;
                 }
+                let found = view.search(edit.key()).is_some();
                 match edit {
                     /* IS Z ALREADY THERE? */
                     Edit::Add(_) if found => Some(Plan::Answer(Ok(false))),
                     /* CURRENT IS FULL */
                     Edit::Add(_) if view.count() >= cfg.bucket_capacity => None,
-                    Edit::Add(_) => Some(Plan::Upgrade(LockMode::Alpha, (edit, at))),
+                    Edit::Add(_) => Some(Plan::Upgrade(LockMode::Alpha, edit)),
                     Edit::Remove(_) if !found => Some(Plan::Answer(Ok(false))),
                     /* TOO EMPTY: TRY TO MERGE */
                     Edit::Remove(_) if too_empty(cfg, view.count(), view.localdepth()) => None,
-                    Edit::Remove(_) => Some(Plan::Upgrade(LockMode::Xi, (edit, at))),
+                    Edit::Remove(_) => Some(Plan::Upgrade(LockMode::Xi, edit)),
                 }
             },
-            |words, (edit, at)| edit.apply_located(words, at),
+            |words, edit| edit.apply(words),
         )
     }
 

@@ -944,48 +944,6 @@ fn remove_at<P: PageWordsMut + ?Sized>(page: &mut P, slots: usize, hole: usize) 
     set_occupied(page, end, false);
 }
 
-/// Where a probe for a key ended on a page: the key's slot, or the slot
-/// it would take. A validated read that plans an in-place edit hands it
-/// to the edit ([`append_located`], [`remove_located`]), which runs on
-/// the unchanged page under the write lock the read's snapshot granted,
-/// and so need not check the header or probe again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Located {
-    slot: usize,
-    found: bool,
-}
-
-impl Located {
-    /// Did the probe find the key?
-    #[inline]
-    pub fn found(self) -> bool {
-        self.found
-    }
-}
-
-/// The probe of the paper's `search(current, z)` over the record slots
-/// of `page`, before, or without, any check of its header: the probe
-/// needs only the page's length. Over a page that has not validated the
-/// answer means nothing, but computing it cannot fault. A validated read
-/// runs it first, so that the record's slot is loaded while the header
-/// is.
-#[inline]
-pub fn locate<P: PageWords + ?Sized>(page: &P, key: Key) -> Located {
-    let slots = Bucket::capacity_for(page.len_bytes());
-    match probe(page, slots, key.0) {
-        Ok(slot) => Located { slot, found: true },
-        Err(slot) => Located { slot, found: false },
-    }
-}
-
-/// The paper's `search(current, z)` over the record slots of `page`, as
-/// [`locate`] probes them, with no check of the header.
-#[inline]
-pub fn search_slots<P: PageWords + ?Sized>(page: &P, key: Key) -> Option<Value> {
-    let at = locate(page, key);
-    at.found.then(|| Value(page.word(key_word(at.slot) + 1)))
-}
-
 /// The paper's `add(current, z)` on an encoded page, in place: probe
 /// from the record's home slot to its place in Robin Hood order, shift
 /// the records from there to the next free slot one slot on, and bump
@@ -998,29 +956,22 @@ pub fn search_slots<P: PageWords + ?Sized>(page: &P, key: Key) -> Option<Value> 
 /// header fails [`BucketView::over`] or the page has no free slot. Like
 /// [`Bucket::add`], the caller has already checked that the key is absent.
 pub fn append_in_place<P: PageWordsMut + ?Sized>(page: &mut P, record: Record) -> Result<()> {
-    BucketView::over(&*page)?;
-    let at = locate(&*page, record.key);
-    debug_assert!(!at.found, "add of a present key");
-    append_located(page, at, record)
-}
-
-/// [`append_in_place`] at `at`, which [`locate`] found for the record's
-/// key on this page as it is now: no header check, no probe. Fails with
-/// [`Error::Corrupt`], leaving the page untouched, when the page is full
-/// or `at` is not a free place for the key.
-pub fn append_located<P: PageWordsMut + ?Sized>(
-    page: &mut P,
-    at: Located,
-    record: Record,
-) -> Result<()> {
-    let slots = Bucket::capacity_for(page.len_bytes());
-    let count = page.word(2) as u32 as usize;
-    if count >= slots || at.found || at.slot >= slots {
+    let view = BucketView::over(&*page)?;
+    let (count, slots) = (view.count, view.slots);
+    if count >= slots {
         return Err(Error::Corrupt(format!(
-            "append to a page of {count} records in {slots} slots at {at:?}"
+            "append to a full page of {count} records"
         )));
     }
-    insert_at(page, slots, at.slot, record)?;
+    let at = probe(&*page, slots, record.key.0);
+    debug_assert!(at.is_err(), "add of a present key");
+    let Err(at) = at else {
+        return Err(Error::Corrupt(format!(
+            "add of key {} already present",
+            record.key.0
+        )));
+    };
+    insert_at(page, slots, at, record)?;
     set_count(page, count + 1);
     Ok(())
 }
@@ -1036,27 +987,18 @@ pub fn append_located<P: PageWordsMut + ?Sized>(
 /// Fails with [`Error::Corrupt`], leaving the page untouched, when the
 /// header fails [`BucketView::over`].
 pub fn remove_in_place<P: PageWordsMut + ?Sized>(page: &mut P, key: Key) -> Result<bool> {
-    BucketView::over(&*page)?;
-    let at = locate(&*page, key);
-    remove_located(page, at)
-}
-
-/// [`remove_in_place`] at `at`, which [`locate`] found for the key on
-/// this page as it is now: no header check, no probe. Removes nothing
-/// when the key was not found. Fails with [`Error::Corrupt`], leaving
-/// the page untouched, when the page holds no record to remove.
-pub fn remove_located<P: PageWordsMut + ?Sized>(page: &mut P, at: Located) -> Result<bool> {
-    if !at.found {
+    let view = BucketView::over(&*page)?;
+    let (count, slots) = (view.count, view.slots);
+    let Ok(hole) = probe(&*page, slots, key.0) else {
         return Ok(false);
-    }
-    let slots = Bucket::capacity_for(page.len_bytes());
-    let count = page.word(2) as u32 as usize;
-    if count == 0 || count > slots || at.slot >= slots {
+    };
+    if count == 0 {
         return Err(Error::Corrupt(format!(
-            "remove from a page of {count} records in {slots} slots at {at:?}"
+            "page with no records holds key {} in slot {hole}",
+            key.0
         )));
     }
-    remove_at(page, slots, at.slot);
+    remove_at(page, slots, hole);
     set_count(page, count - 1);
     Ok(true)
 }
@@ -1177,7 +1119,8 @@ impl<P: PageWords + Copy> BucketView<P> {
     /// at most one probe per slot.
     #[inline]
     pub fn search(&self, key: Key) -> Option<Value> {
-        search_slots(&self.page, key)
+        let s = probe(&self.page, self.slots, key.0).ok()?;
+        Some(Value(self.page.word(key_word(s) + 1)))
     }
 }
 
