@@ -32,7 +32,7 @@ ceh serve --cluster <spec> --node <i> [options]
   --backend <which>     'file': the same, and requires --data-dir;
                         'memory': write-ahead logged against an
                         in-memory image (keeps no files)
-  --capacity <n>        records per bucket (must match cluster-wide)
+  --capacity <n>        records per bucket, 1..=256 (must match cluster-wide)
   --seed <n>            seed for reconnect jitter and fault streams
   --drop <p>            drop each retried-class frame with probability p
   --dup <p>             duplicate retried-class frames with probability p
@@ -194,6 +194,9 @@ pub(crate) fn node_options(flags: &HashMap<String, String>) -> Result<NodeOption
             .parse()
             .map_err(|e| Error::Config(format!("--capacity {cap}: {e}")))?;
         opts.file = opts.file.with_bucket_capacity(cap);
+        opts.file
+            .validate()
+            .map_err(|e| Error::Config(format!("--capacity {cap}: {e}")))?;
     }
     opts.storage = site_storage(flags)?;
     opts.seed = flag_u64(flags, "seed", 0)?;
@@ -508,5 +511,13 @@ mod tests {
         assert!(storage(&["--backend", "file"]).is_err(), "no directory");
         assert!(storage(&["--backend", "memory", "--data-dir", "d"]).is_err());
         assert!(storage(&["--backend", "tape"]).is_err());
+    }
+
+    #[test]
+    fn capacity_flag_is_checked_against_the_page_bitmap() {
+        assert!(storage(&["--capacity", "256"]).is_ok());
+        let err = storage(&["--capacity", "257"]).unwrap_err().to_string();
+        assert!(err.contains("--capacity 257") && err.contains("at most 256"), "{err}");
+        assert!(storage(&["--capacity", "0"]).is_err());
     }
 }

@@ -9,7 +9,7 @@ use ceh_storage::{
     Buckets, Directory, DiskHandle, DurableConfig, DurableStore, Owning, PageBuf, PageStore,
     RecoveryReport, Split, Walked,
 };
-use ceh_types::bucket::BucketView;
+use ceh_types::bucket::{search_slots, BucketView};
 use ceh_types::{
     hash_key, BucketLink, Error, HashFileConfig, Key, ManagerId, PageId, Pseudokey, Record, Result,
     Value,
@@ -457,9 +457,11 @@ impl FileCore {
         let (_depth, page) = self.dir.lookup(pk);
         self.store().read_validated(page, |words| {
             self.locks.probe(page);
+            // Probe first: the home slot's address needs only the key, so
+            // its load overlaps the header's.
+            let found = search_slots(&words, key);
             let view = BucketView::over(words).ok()?;
-            self.owner_in_window(&view, pk, page)
-                .then(|| view.search(key))
+            self.owner_in_window(&view, pk, page).then_some(found)
         })
     }
 

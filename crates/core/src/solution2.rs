@@ -33,7 +33,7 @@
 use ceh_locks::{LockId, LockMode, OwnerId};
 use ceh_storage::{mergeable, too_empty, Edit, Plan, Retire, MERGE_ATTEMPTS};
 use ceh_types::bits::partner_bit;
-use ceh_types::bucket::BucketView;
+use ceh_types::bucket::{search_slots, BucketView};
 use ceh_types::{
     DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Pseudokey, Result,
     Value,
@@ -306,11 +306,12 @@ impl Solution2 {
             page,
             core.locks(),
             |words| {
+                // Probed before the header, as a find does.
+                let found = search_slots(&words, edit.key()).is_some();
                 let view = BucketView::over(words).ok()?;
                 if !core.owner_in_window(&view, pk, page) {
                     return None;
                 }
-                let found = view.search(edit.key()).is_some();
                 match edit {
                     /* IS Z ALREADY THERE? */
                     Edit::Add(_) if found => Some(Plan::Answer(Ok(false))),

@@ -1124,7 +1124,11 @@ mod tests {
         // layout is a function of the record set, so the page after each
         // edit is the codec's encoding of the new set over the page before
         // it: the record slots it fills or frees change, and every other
-        // free slot keeps its marker.
+        // free slot keeps its marker. Those bytes are what a rewrite
+        // (getbucket, add or remove, putbucket) leaves too; what tells the
+        // edit in place apart is the page reads: the walk's look at the
+        // root is the only one, where a rewrite reads the page again to
+        // decode it.
         let page = site.buckets.alloc().unwrap();
         let mut root = Bucket::new(0, 0);
         root.add(Record::new(1, 10));
@@ -1155,10 +1159,18 @@ mod tests {
             assert!(user_rx.try_recv().is_err());
             assert_eq!(site.locks.total_granted(), 0);
         };
+        // Page reads and writes of `op`: one of each for an edit in place.
+        let io = |op: &dyn Fn()| {
+            let before = site.buckets.store().stats();
+            op();
+            let after = site.buckets.store().stats();
+            (after.reads - before.reads, after.writes - before.writes)
+        };
         let mut env = envelope(OpKind::Insert, 3, page, 3, dir_rx.id());
         env.user_port = user_rx.id();
 
-        slave_insert(&site, env.clone(), None);
+        let (reads, writes) = io(&|| slave_insert(&site, env.clone(), None));
+        assert_eq!((reads, writes), (1, 1), "the walk's read, then the edit");
         only_bucketdone(UserOutcome::Inserted(InsertOutcome::Inserted));
         let mut want = buf.clone();
         root.add(Record::new(3, 30));
@@ -1170,7 +1182,8 @@ mod tests {
         // Not too empty at depth 0: a plain removal. The slot it frees
         // keeps the bytes it held, as encoding over the page does.
         (env.op, env.key, env.req_id) = (OpKind::Delete, Key(1), 2);
-        slave_delete(&site, env, None);
+        let (reads, writes) = io(&|| slave_delete(&site, env.clone(), None));
+        assert_eq!((reads, writes), (1, 1), "the walk's read, then the edit");
         only_bucketdone(UserOutcome::Deleted(DeleteOutcome::Deleted));
         assert!(root.remove(Key(1)));
         root.encode(&mut want).unwrap();

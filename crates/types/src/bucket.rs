@@ -944,6 +944,17 @@ fn remove_at<P: PageWordsMut + ?Sized>(page: &mut P, slots: usize, hole: usize) 
     set_occupied(page, end, false);
 }
 
+/// The paper's `search(current, z)` over the record slots of `page`,
+/// before, or without, any check of its header: the probe needs only the
+/// page's length. Over a page that has not validated the answer means
+/// nothing, but computing it cannot fault. A validated read runs it
+/// first, so that the record's slot is loaded while the header is.
+#[inline]
+pub fn search_slots<P: PageWords + ?Sized>(page: &P, key: Key) -> Option<Value> {
+    let s = probe(page, Bucket::capacity_for(page.len_bytes()), key.0).ok()?;
+    Some(Value(page.word(key_word(s) + 1)))
+}
+
 /// The paper's `add(current, z)` on an encoded page, in place: probe
 /// from the record's home slot to its place in Robin Hood order, shift
 /// the records from there to the next free slot one slot on, and bump
@@ -1119,8 +1130,7 @@ impl<P: PageWords + Copy> BucketView<P> {
     /// at most one probe per slot.
     #[inline]
     pub fn search(&self, key: Key) -> Option<Value> {
-        let s = probe(&self.page, self.slots, key.0).ok()?;
-        Some(Value(self.page.word(key_word(s) + 1)))
+        search_slots(&self.page, key)
     }
 }
 

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::bucket::MAX_SLOTS;
+
 /// The deepest directory any file builds: 2^26 entries, 512 MiB of page
 /// ids once a directory has grown that far. Every file's configuration
 /// is checked against it ([`check_max_depth`]).
@@ -26,7 +28,9 @@ pub fn check_max_depth(max_depth: u32) -> crate::Result<()> {
 /// simulation substrate, not the algorithms.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HashFileConfig {
-    /// Maximum number of records per bucket (the paper's `numentries`).
+    /// Maximum number of records per bucket (the paper's `numentries`),
+    /// in `1..=`[`MAX_SLOTS`]: a page has one occupancy bit per record
+    /// slot, and its bitmap has 256.
     ///
     /// Small values force frequent splits/merges and are what the
     /// concurrency torture tests use; realistic values are derived from the
@@ -120,6 +124,12 @@ impl HashFileConfig {
             return Err(crate::Error::Config(
                 "bucket_capacity must be at least 1".into(),
             ));
+        }
+        if self.bucket_capacity > MAX_SLOTS {
+            return Err(crate::Error::Config(format!(
+                "bucket_capacity must be at most {MAX_SLOTS} (one page's record slots), got {}",
+                self.bucket_capacity
+            )));
         }
         check_max_depth(self.max_depth)?;
         if self.merge_threshold >= self.bucket_capacity {
@@ -254,6 +264,20 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.to_string().contains("bucket_capacity"));
+    }
+
+    #[test]
+    fn rejects_capacity_beyond_the_page_bitmap() {
+        HashFileConfig::default()
+            .with_bucket_capacity(MAX_SLOTS)
+            .validate()
+            .unwrap();
+        let err = HashFileConfig::default()
+            .with_bucket_capacity(MAX_SLOTS + 1)
+            .validate()
+            .unwrap_err();
+        assert!(matches!(err, crate::Error::Config(_)));
+        assert!(err.to_string().contains("at most 256"), "{err}");
     }
 
     #[test]

@@ -176,28 +176,49 @@ proptest! {
 
     /// The borrowed view accepts every page `decode` accepts: its header
     /// checks are decode's first ones, and decode adds the bitmap's and
-    /// the slot order's. Half the pages carry the bucket magic, a small
-    /// depth and count and a bitmap of that many bits, so the checks past
-    /// the magic are reached too.
+    /// the slot order's. On a page whose bitmap and slots pass those —
+    /// half the pages are the codec's layout of `count` records (when
+    /// they fit) under a header stamped with `localdepth` and a magic
+    /// that may be broken — the two accept exactly the same pages.
     #[test]
     fn view_validates_like_decode(
         mut bytes in proptest::collection::vec(any::<u8>(), 0..512),
         stamp in any::<bool>(),
+        magic_ok in any::<bool>(),
         localdepth in 0u32..80,
-        count in 0u32..40,
+        count in 0u64..40,
+        seed in any::<u64>(),
     ) {
-        if stamp && bytes.len() >= BUCKET_HEADER_BYTES {
+        let laid_out = stamp
+            && bytes.len() >= BUCKET_HEADER_BYTES
+            && count as usize <= Bucket::capacity_for(bytes.len());
+        if laid_out {
+            let mut b = Bucket::new(0, 0);
+            for i in 0..count {
+                // An odd multiplier keeps the keys distinct.
+                b.add(Record::new(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), i));
+            }
+            b.encode(&mut bytes).unwrap();
+            bytes[4..8].copy_from_slice(&localdepth.to_le_bytes());
+            if !magic_ok {
+                bytes[0] ^= 1;
+            }
+        } else if stamp && bytes.len() >= BUCKET_HEADER_BYTES {
+            // More records than the page has slots.
             let mut magic = vec![0u8; Bucket::page_size_for(0)];
             Bucket::new(0, 0).encode(&mut magic).unwrap();
             bytes[0..4].copy_from_slice(&magic[0..4]);
             bytes[4..8].copy_from_slice(&localdepth.to_le_bytes());
-            bytes[16..20].copy_from_slice(&count.to_le_bytes());
-            let bits = if count == 0 { 0 } else { u64::MAX >> (64 - count) };
-            bytes[56..64].copy_from_slice(&bits.to_le_bytes());
-            bytes[64..88].fill(0);
+            bytes[16..20].copy_from_slice(&(count as u32).to_le_bytes());
         }
-        if Bucket::decode(&bytes).is_ok() {
-            prop_assert!(BucketView::new(&bytes).is_ok());
+        let (view, decoded) = (BucketView::new(&bytes).is_ok(), Bucket::decode(&bytes).is_ok());
+        if laid_out {
+            prop_assert_eq!(view, decoded);
+            prop_assert_eq!(view, magic_ok && localdepth <= 64);
+        } else if stamp && bytes.len() >= BUCKET_HEADER_BYTES {
+            prop_assert!(!view && !decoded, "count past the page's slots");
+        } else {
+            prop_assert!(view || !decoded);
         }
     }
 
