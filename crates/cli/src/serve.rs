@@ -517,7 +517,10 @@ mod tests {
     fn capacity_flag_is_checked_against_the_page_bitmap() {
         assert!(storage(&["--capacity", "256"]).is_ok());
         let err = storage(&["--capacity", "257"]).unwrap_err().to_string();
-        assert!(err.contains("--capacity 257") && err.contains("at most 256"), "{err}");
+        assert!(
+            err.contains("--capacity 257") && err.contains("at most 256"),
+            "{err}"
+        );
         assert!(storage(&["--capacity", "0"]).is_err());
     }
 }

@@ -33,7 +33,7 @@
 use ceh_locks::{LockId, LockMode, OwnerId};
 use ceh_storage::{mergeable, too_empty, Edit, Plan, Retire, MERGE_ATTEMPTS};
 use ceh_types::bits::partner_bit;
-use ceh_types::bucket::{search_slots, BucketView};
+use ceh_types::bucket::{locate, BucketView};
 use ceh_types::{
     DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Pseudokey, Result,
     Value,
@@ -306,8 +306,11 @@ impl Solution2 {
             page,
             core.locks(),
             |words| {
-                // Probed before the header, as a find does.
-                let found = search_slots(&words, edit.key()).is_some();
+                // Probed before the header, as a find does; the edit
+                // starts from this slot, since its CAS proves the page
+                // unchanged since.
+                let at = locate(&words, edit.key());
+                let found = at.found();
                 let view = BucketView::over(words).ok()?;
                 if !core.owner_in_window(&view, pk, page) {
                     return None;
@@ -317,14 +320,14 @@ impl Solution2 {
                     Edit::Add(_) if found => Some(Plan::Answer(Ok(false))),
                     /* CURRENT IS FULL */
                     Edit::Add(_) if view.count() >= cfg.bucket_capacity => None,
-                    Edit::Add(_) => Some(Plan::Upgrade(LockMode::Alpha, edit)),
+                    Edit::Add(_) => Some(Plan::Upgrade(LockMode::Alpha, (edit, at))),
                     Edit::Remove(_) if !found => Some(Plan::Answer(Ok(false))),
                     /* TOO EMPTY: TRY TO MERGE */
                     Edit::Remove(_) if too_empty(cfg, view.count(), view.localdepth()) => None,
-                    Edit::Remove(_) => Some(Plan::Upgrade(LockMode::Xi, edit)),
+                    Edit::Remove(_) => Some(Plan::Upgrade(LockMode::Xi, (edit, at))),
                 }
             },
-            |words, edit| edit.apply(words),
+            |words, (edit, at)| edit.apply_located(words, at),
         )
     }
 

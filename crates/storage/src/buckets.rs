@@ -20,7 +20,9 @@ use std::sync::Arc;
 
 use ceh_locks::{HeaderWords, LockId, LockManager, LockMode, OwnerId};
 use ceh_obs::MetricsHandle;
-use ceh_types::bucket::{append_in_place, remove_in_place, PageWordsMut};
+use ceh_types::bucket::{
+    append_in_place, append_located, remove_in_place, remove_located, Located, PageWordsMut,
+};
 use ceh_types::{
     Bucket, BucketLink, BucketView, Error, HashFileConfig, Key, ManagerId, PageId, Pseudokey,
     Record, Result, Value,
@@ -517,6 +519,19 @@ impl Edit {
         match self {
             Edit::Add(record) => append_in_place(page, record).map(|()| true),
             Edit::Remove(key) => remove_in_place(page, key),
+        }
+    }
+
+    /// [`Edit::apply`] at `at`, where [`ceh_types::bucket::locate`] found the edit's key on
+    /// the page as it is now (see [`append_located`]).
+    pub fn apply_located<P: PageWordsMut + ?Sized>(
+        self,
+        page: &mut P,
+        at: Located,
+    ) -> Result<bool> {
+        match self {
+            Edit::Add(record) => append_located(page, at, record).map(|()| true),
+            Edit::Remove(_) => remove_located(page, at),
         }
     }
 }

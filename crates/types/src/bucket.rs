@@ -944,15 +944,46 @@ fn remove_at<P: PageWordsMut + ?Sized>(page: &mut P, slots: usize, hole: usize) 
     set_occupied(page, end, false);
 }
 
-/// The paper's `search(current, z)` over the record slots of `page`,
-/// before, or without, any check of its header: the probe needs only the
-/// page's length. Over a page that has not validated the answer means
-/// nothing, but computing it cannot fault. A validated read runs it
-/// first, so that the record's slot is loaded while the header is.
+/// Where a probe for a key ended on a page: the key's slot, or the slot
+/// it would take. A validated read that plans an in-place edit hands it
+/// to the edit ([`append_located`], [`remove_located`]), which runs on
+/// the unchanged page under the write lock the read's snapshot granted,
+/// and so need not check the header or probe again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Located {
+    slot: usize,
+    found: bool,
+}
+
+impl Located {
+    /// Did the probe find the key?
+    #[inline]
+    pub fn found(self) -> bool {
+        self.found
+    }
+}
+
+/// The probe of the paper's `search(current, z)` over the record slots
+/// of `page`, before, or without, any check of its header: the probe
+/// needs only the page's length. Over a page that has not validated the
+/// answer means nothing, but computing it cannot fault. A validated read
+/// runs it first, so that the record's slot is loaded while the header
+/// is.
+#[inline]
+pub fn locate<P: PageWords + ?Sized>(page: &P, key: Key) -> Located {
+    let slots = Bucket::capacity_for(page.len_bytes());
+    match probe(page, slots, key.0) {
+        Ok(slot) => Located { slot, found: true },
+        Err(slot) => Located { slot, found: false },
+    }
+}
+
+/// The paper's `search(current, z)` over the record slots of `page`, as
+/// [`locate`] probes them, with no check of the header.
 #[inline]
 pub fn search_slots<P: PageWords + ?Sized>(page: &P, key: Key) -> Option<Value> {
-    let s = probe(page, Bucket::capacity_for(page.len_bytes()), key.0).ok()?;
-    Some(Value(page.word(key_word(s) + 1)))
+    let at = locate(page, key);
+    at.found.then(|| Value(page.word(key_word(at.slot) + 1)))
 }
 
 /// The paper's `add(current, z)` on an encoded page, in place: probe
@@ -967,22 +998,29 @@ pub fn search_slots<P: PageWords + ?Sized>(page: &P, key: Key) -> Option<Value> 
 /// header fails [`BucketView::over`] or the page has no free slot. Like
 /// [`Bucket::add`], the caller has already checked that the key is absent.
 pub fn append_in_place<P: PageWordsMut + ?Sized>(page: &mut P, record: Record) -> Result<()> {
-    let view = BucketView::over(&*page)?;
-    let (count, slots) = (view.count, view.slots);
-    if count >= slots {
+    BucketView::over(&*page)?;
+    let at = locate(&*page, record.key);
+    debug_assert!(!at.found, "add of a present key");
+    append_located(page, at, record)
+}
+
+/// [`append_in_place`] at `at`, which [`locate`] found for the record's
+/// key on this page as it is now: no header check, no probe. Fails with
+/// [`Error::Corrupt`], leaving the page untouched, when the page is full
+/// or `at` is not a free place for the key.
+pub fn append_located<P: PageWordsMut + ?Sized>(
+    page: &mut P,
+    at: Located,
+    record: Record,
+) -> Result<()> {
+    let slots = Bucket::capacity_for(page.len_bytes());
+    let count = page.word(2) as u32 as usize;
+    if count >= slots || at.found || at.slot >= slots {
         return Err(Error::Corrupt(format!(
-            "append to a full page of {count} records"
+            "append to a page of {count} records in {slots} slots at {at:?}"
         )));
     }
-    let at = probe(&*page, slots, record.key.0);
-    debug_assert!(at.is_err(), "add of a present key");
-    let Err(at) = at else {
-        return Err(Error::Corrupt(format!(
-            "add of key {} already present",
-            record.key.0
-        )));
-    };
-    insert_at(page, slots, at, record)?;
+    insert_at(page, slots, at.slot, record)?;
     set_count(page, count + 1);
     Ok(())
 }
@@ -998,18 +1036,27 @@ pub fn append_in_place<P: PageWordsMut + ?Sized>(page: &mut P, record: Record) -
 /// Fails with [`Error::Corrupt`], leaving the page untouched, when the
 /// header fails [`BucketView::over`].
 pub fn remove_in_place<P: PageWordsMut + ?Sized>(page: &mut P, key: Key) -> Result<bool> {
-    let view = BucketView::over(&*page)?;
-    let (count, slots) = (view.count, view.slots);
-    let Ok(hole) = probe(&*page, slots, key.0) else {
+    BucketView::over(&*page)?;
+    let at = locate(&*page, key);
+    remove_located(page, at)
+}
+
+/// [`remove_in_place`] at `at`, which [`locate`] found for the key on
+/// this page as it is now: no header check, no probe. Removes nothing
+/// when the key was not found. Fails with [`Error::Corrupt`], leaving
+/// the page untouched, when the page holds no record to remove.
+pub fn remove_located<P: PageWordsMut + ?Sized>(page: &mut P, at: Located) -> Result<bool> {
+    if !at.found {
         return Ok(false);
-    };
-    if count == 0 {
+    }
+    let slots = Bucket::capacity_for(page.len_bytes());
+    let count = page.word(2) as u32 as usize;
+    if count == 0 || count > slots || at.slot >= slots {
         return Err(Error::Corrupt(format!(
-            "page with no records holds key {} in slot {hole}",
-            key.0
+            "remove from a page of {count} records in {slots} slots at {at:?}"
         )));
     }
-    remove_at(page, slots, hole);
+    remove_at(page, slots, at.slot);
     set_count(page, count - 1);
     Ok(true)
 }
