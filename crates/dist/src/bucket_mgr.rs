@@ -1000,6 +1000,80 @@ mod tests {
     }
 
     #[test]
+    fn local_second_of_pair_merge_keeps_the_zero_partners_prev() {
+        let site = test_site(0, 1, None);
+        let [p00, _, p01, p11] = depth2_file(&site, None);
+        let (_id, dir_rx) = site.net.create_port();
+        slave_delete(
+            &site,
+            envelope(OpKind::Delete, 7, p11, 0b11, dir_rx.id()),
+            None,
+        );
+        let here = |p| BucketLink::new(site.id, p);
+        assert_eq!(merge_update(&dir_rx), (here(p01), here(p11)));
+        let survivor = get_bucket(&site, p01);
+        assert_eq!((survivor.localdepth, survivor.commonbits), (1, 0b1));
+        assert_eq!(
+            (survivor.prev, survivor.prev_mgr),
+            (p00, site.id),
+            "the '0' partner's prev"
+        );
+        assert_eq!(survivor.next, PageId::NULL, "the '1' partner's next");
+        assert_eq!(survivor.records, vec![Record::new(5, 50)]);
+        let tomb = get_bucket(&site, p11);
+        assert!(tomb.is_deleted());
+        assert_eq!((tomb.next, tomb.next_mgr), (p01, site.id));
+        assert_eq!(site.locks.total_granted(), 0);
+    }
+
+    /// The page's bytes as the store holds them.
+    fn page_bytes(site: &Site, page: PageId) -> Vec<u8> {
+        let mut buf = site.buckets.store().new_buf();
+        site.buckets.store().read(page, &mut buf).unwrap();
+        buf.to_vec()
+    }
+
+    /// Label A at a slave: the "0" partner that `prev` names is a
+    /// tombstone, or links to a page other than the deleter's. The
+    /// delete asks for a re-drive and changes neither page.
+    #[test]
+    fn local_second_of_pair_with_a_stale_zero_partner_is_redriven() {
+        for stale in ["tombstone", "next elsewhere"] {
+            let site = test_site(0, 1, None);
+            let [_, p10, p01, p11] = depth2_file(&site, None);
+            let zero = match stale {
+                "tombstone" => Bucket::tombstone(BucketLink::new(site.id, p10), 3),
+                _ => {
+                    let mut zero = get_bucket(&site, p01);
+                    zero.next = p10;
+                    zero
+                }
+            };
+            let mut buf = site.buckets.store().new_buf();
+            zero.encode(&mut buf).unwrap();
+            site.buckets.store().write(p01, &buf).unwrap();
+            let before = [p01, p11].map(|p| page_bytes(&site, p));
+            let (_id, dir_rx) = site.net.create_port();
+            slave_delete(
+                &site,
+                envelope(OpKind::Delete, 7, p11, 0b11, dir_rx.id()),
+                None,
+            );
+            match dir_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+                Msg::Bucketdone {
+                    success: false,
+                    outcome: None,
+                    ..
+                } => {}
+                other => panic!("{stale}: unexpected {other:?}"),
+            }
+            assert!(dir_rx.recv_timeout(Duration::from_millis(50)).is_err());
+            assert_eq!([p01, p11].map(|p| page_bytes(&site, p)), before, "{stale}");
+            assert_eq!(site.locks.total_granted(), 0, "{stale}");
+        }
+    }
+
+    #[test]
     fn mdreply_merge_keeps_the_zero_partners_prev() {
         let site = test_site(0, 2, None);
         let remote = BucketLink::new(ManagerId(1), PageId(3));
