@@ -1,5 +1,6 @@
-//! Detector self-test: with the `check-inject` feature, Solution 2 skips
-//! Figure 9's label-A re-validation (the check that the page reached
+//! Detector self-test: with the `check-inject` feature, the pairing step
+//! of a delete (`ceh_storage::Buckets::pair`, which Solution 2 runs)
+//! skips Figure 9's label-A re-validation (the check that the page reached
 //! through a possibly-stale directory entry is still the live merge
 //! partner). The explorer must catch the resulting race, minimize it,
 //! and produce a fixture that replays.

@@ -1,10 +1,10 @@
 //! State and helpers shared by both concurrent solutions.
 
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
-use ceh_obs::MetricsHandle;
+use ceh_obs::{MetricsHandle, THREAD_SLOTS};
 use ceh_storage::{
     Buckets, Directory, DiskHandle, DurableConfig, DurableStore, Owning, PageBuf, PageStore,
     RecoveryReport, Split, Walked,
@@ -300,9 +300,10 @@ impl FileCore {
         self.len.add(-1);
     }
 
-    /// Fresh page buffer.
+    /// A fresh buffer for a whole-page copy through the store
+    /// ([`PageStore::read`]); the buckets take none.
     pub fn new_buf(&self) -> PageBuf {
-        self.buckets.new_buf()
+        self.store().new_buf()
     }
 
     /// Split the full bucket on `page`, which the caller holds α-locked,
@@ -485,33 +486,22 @@ impl FileCore {
     }
 }
 
-/// The record count: one signed count per thread slot, each on its own
-/// cache line pair, summed on read. Two callers' updates then write no
-/// common line for it; the sum is exact whenever no update is in flight.
+/// The record count: one signed count per thread slot
+/// ([`ceh_obs::thread_slot`]), each on its own cache line pair, summed on
+/// read. Two callers' updates then write no common line for it; the sum
+/// is exact whenever no update is in flight (callers past
+/// [`ceh_obs::THREAD_SLOTS`] share slots, still exactly).
 struct RecordCount {
-    slots: Box<[PaddedCount]>,
+    slots: [PaddedCount; THREAD_SLOTS],
 }
 
 #[derive(Default)]
 #[repr(align(128))]
 struct PaddedCount(AtomicI64);
 
-/// Slots per count: callers past this many share slots, still exactly.
-const COUNT_SLOTS: usize = 16;
-
-static NEXT_COUNT_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's slot in every [`RecordCount`], assigned round-robin
-    /// on first use.
-    static COUNT_SLOT: usize =
-        // ceh-lint: allow(relaxed-ordering) — a slot number; only distinctness matters, not order
-        NEXT_COUNT_SLOT.fetch_add(1, Ordering::Relaxed) % COUNT_SLOTS;
-}
-
 impl RecordCount {
     fn new(start: usize) -> Self {
-        let slots: Box<[PaddedCount]> = (0..COUNT_SLOTS).map(|_| PaddedCount::default()).collect();
+        let slots: [PaddedCount; THREAD_SLOTS] = Default::default();
         // ceh-lint: allow(relaxed-ordering) — not yet shared
         slots[0].0.store(start as i64, Ordering::Relaxed);
         RecordCount { slots }
@@ -519,7 +509,7 @@ impl RecordCount {
 
     #[inline]
     fn add(&self, n: i64) {
-        let slot = COUNT_SLOT.with(|s| *s);
+        let slot = ceh_obs::thread_slot() % THREAD_SLOTS;
         // ceh-lint: allow(relaxed-ordering) — statistics counter, exact only at quiescence
         self.slots[slot].0.fetch_add(n, Ordering::Relaxed);
     }
@@ -563,9 +553,8 @@ mod tests {
         assert_eq!(core.dir().depth(), 0);
         assert_eq!(core.dir().depthcount(), 1);
         assert!(core.is_empty());
-        let mut buf = core.new_buf();
         let root = core.dir().index(0);
-        let b = core.buckets().getbucket(root, &mut buf).unwrap();
+        let b = core.buckets().getbucket(root).unwrap();
         assert_eq!(b.localdepth, 0);
         assert_eq!(b.count(), 0);
     }
@@ -584,7 +573,7 @@ mod tests {
     fn find_on_a_corrupt_page_errors_and_releases_its_locks() {
         let core = FileCore::new(HashFileConfig::tiny()).unwrap();
         let root = core.dir().index(0);
-        let mut junk = core.new_buf();
+        let mut junk = core.store().new_buf();
         junk.fill(0xAB);
         core.store().write(root, &junk).unwrap();
         for hold_directory in [false, true] {
@@ -607,9 +596,7 @@ mod tests {
             // does not exist.
             let mut stray = ceh_types::Bucket::new(1, 1);
             stray.next = next;
-            core.buckets()
-                .putbucket(root, &stray, &mut core.new_buf())
-                .unwrap();
+            core.buckets().putbucket(root, &stray).unwrap();
             for hold_directory in [false, true] {
                 assert!(core.find_impl(key, hold_directory).is_err(), "{next}");
                 assert_eq!(core.locks().total_granted(), 0, "no ρ left behind");

@@ -109,8 +109,7 @@ mod tests {
         let mut b = snap.buckets[&head].clone();
         assert!(!b.next.is_null());
         b.next = ceh_types::PageId::NULL;
-        let mut buf = f.core().new_buf();
-        f.core().buckets().putbucket(head, &b, &mut buf).unwrap();
+        f.core().buckets().putbucket(head, &b).unwrap();
         assert!(check_concurrent_file(f.core()).is_err());
     }
 
@@ -124,8 +123,7 @@ mod tests {
         let (&p, b) = snap.buckets.iter().next().unwrap();
         let mut b = b.clone();
         b.mark_deleted();
-        let mut buf = f.core().new_buf();
-        f.core().buckets().putbucket(p, &b, &mut buf).unwrap();
+        f.core().buckets().putbucket(p, &b).unwrap();
         assert!(check_concurrent_file(f.core()).is_err());
     }
 

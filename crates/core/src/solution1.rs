@@ -16,10 +16,11 @@
 //! every process that could restructure underneath them.
 
 use ceh_locks::LockId;
-use ceh_storage::{mergeable, too_empty, Edit, Owning, Peek, Retire};
-use ceh_types::bits::{partner_bit, partner_commonbits};
+use ceh_storage::{too_empty, Edit, Owning, Paired, Peek, Retire};
+use ceh_types::bits::partner_bit;
 use ceh_types::{
-    DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, PageId, Pseudokey, Result, Value,
+    DeleteOutcome, Error, HashFileConfig, InsertOutcome, Key, ManagerId, PageId, Pseudokey, Result,
+    Value,
 };
 
 use crate::common::{try_or_release, FileCore};
@@ -186,63 +187,53 @@ impl Solution1 {
         }
 
         // Merge attempt. Identify the partner with respect to localdepth.
-        let buckets = core.buckets();
-        let mut buf = core.new_buf();
-        let mut current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
-        let m = partner_bit(current.localdepth);
+        let m = partner_bit(at.localdepth);
         let first_of_pair = pk.0 & m != m;
-        let newpage = if first_of_pair {
+        let partner = if first_of_pair {
             /* z goes in first of pair: the partner follows via next */
-            if current.next.is_null() {
-                // Defensive: a "0" bucket of localdepth ≥ 2 always has a
-                // next under the protocols; treat a missing one as
-                // unmergeable rather than corrupting the chain.
-                return self.finish_unmergeable(owner, key, oldpage);
-            }
-            core.xi_lock(owner, LockId::Page(current.next));
-            current.next
+            at.next.page
         } else {
             /* z goes in second of pair: the "0" partner via the directory */
-            let newpage = core.dir().index(selectedbits & !m);
-            // Lock in next-link order to avoid deadlock with readers
-            // "following next links from C to B" (§2.2): release B,
-            // request C then B. No re-validation needed, unlike Figure
-            // 9: our ξ on the directory never left, so nothing can have
-            // changed while oldpage was unlocked (readers don't write).
-            core.un_xi_lock(owner, LockId::Page(oldpage));
-            core.xi_lock(owner, LockId::Page(newpage));
-            core.xi_lock(owner, LockId::Page(oldpage));
-            newpage
+            core.dir().index(selectedbits & !m)
         };
-        let brother = try_or_release!(core, owner, buckets.getbucket(newpage, &mut buf));
-
-        let (cfg, ld, count) = (core.config(), current.localdepth, current.count());
-        if !mergeable(cfg, ld, count, brother.localdepth, brother.count()) {
-            /* not possible to merge these two */
-            core.un_xi_lock(owner, LockId::Page(newpage));
-            return self.finish_unmergeable(owner, key, oldpage);
-        }
-        debug_assert_eq!(
-            brother.commonbits,
-            partner_commonbits(current.commonbits, current.localdepth),
-            "next/directory led somewhere other than the partner"
+        let here = ManagerId::NONE;
+        let (locks, cfg) = (core.locks(), core.config());
+        let paired = core.buckets().pair(
+            locks,
+            owner,
+            oldpage,
+            partner,
+            first_of_pair,
+            here,
+            pk,
+            key,
+            cfg,
         );
+        let (zero, one) = match try_or_release!(core, owner, paired) {
+            Paired::Merge { zero, one } => (zero, one),
+            /* not possible to merge these two */
+            Paired::Alone { .. } => return self.finish_unmergeable(owner, key, oldpage),
+            Paired::Stale => {
+                // Our ξ on the directory never left, so nothing changed
+                // while oldpage was unlocked (readers don't write): the
+                // directory's "0" entry is a deeper bucket that does not
+                // link to oldpage. Not partners; re-lock and remove.
+                core.xi_lock(owner, LockId::Page(oldpage));
+                return self.finish_unmergeable(owner, key, oldpage);
+            }
+        };
 
         /* mergeable */
         let merge_span = core.trace_begin("merge", oldpage.0, 0);
-        let old_ld = brother.localdepth;
+        let old_ld = zero.1.localdepth;
         core.dir().count_merge(old_ld);
         // The survivors of z's bucket move across (none at the paper's
         // merge_threshold = 0); the "1" partner's page is freed.
-        current.remove(key);
-        let (z, partner) = ((oldpage, &current), (newpage, &brother));
-        let (zero, one) = if first_of_pair {
-            (z, partner)
-        } else {
-            (partner, z)
-        };
         let (merged_page, garbage_page) = (zero.0, one.0);
-        try_or_release!(core, owner, buckets.merge(zero, one, Retire::Free));
+        let merged = core
+            .buckets()
+            .merge((zero.0, &zero.1), (one.0, &one.1), Retire::Free);
+        try_or_release!(core, owner, merged);
         if core.dir().halve() {
             core.stats().halvings();
         } else {
@@ -250,7 +241,7 @@ impl Solution1 {
         }
         core.stats().merges();
         core.trace_end(merge_span, "merge", merged_page.0, garbage_page.0);
-        core.un_xi_lock(owner, LockId::Page(newpage));
+        core.un_xi_lock(owner, LockId::Page(partner));
         core.un_xi_lock(owner, LockId::Page(oldpage));
         core.un_xi_lock(owner, LockId::Directory);
         core.len_dec();

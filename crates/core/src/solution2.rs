@@ -17,9 +17,10 @@
 //!   so stale directory entries still lead somewhere useful;
 //! * deleters whose target is the "1" partner must release and re-lock in
 //!   next-link order, then re-validate everything that could have changed
-//!   in the window (the label-A checks of Figure 9) — partner no longer
-//!   linked, bucket refilled, key moved by a split, pair already merged —
-//!   and retry the whole operation if validation fails;
+//!   in the window (the label-A checks of Figure 9, in the pairing step
+//!   every file shares, [`ceh_storage::Buckets::pair`]) — partner no
+//!   longer linked, bucket refilled, key moved by a split, pair already
+//!   merged — and retry the whole operation if validation fails;
 //! * tombstone deallocation and directory halving happen in a separate
 //!   garbage-collection phase under ξ-locks, after all other locks are
 //!   released;
@@ -31,7 +32,7 @@
 //!   else runs Figures 8–9 unchanged (DESIGN.md §3.9, "The write path").
 
 use ceh_locks::{LockId, LockMode, OwnerId};
-use ceh_storage::{mergeable, too_empty, Edit, Plan, Retire, MERGE_ATTEMPTS};
+use ceh_storage::{too_empty, Edit, Paired, Plan, Retire, MERGE_ATTEMPTS};
 use ceh_types::bits::partner_bit;
 use ceh_types::bucket::{locate, BucketView};
 use ceh_types::{
@@ -452,92 +453,57 @@ impl Solution2 {
                 return Ok(DeleteOutcome::NotFound);
             }
 
-            // Deliberate fault injection for `ceh-check`'s self-test: the
-            // `check-inject` feature disables Figure 9's label-A
-            // re-validation below, recreating exactly the stale-partner
-            // race the paper's checklist exists to close. Never enabled in
-            // normal builds; the schedule explorer must catch it.
-            let skip_label_a = cfg!(feature = "check-inject");
-            let buckets = core.buckets();
-            let mut buf = core.new_buf();
             let m = partner_bit(at.localdepth);
             let first_of_pair = pk.0 & m != m;
-            let (mut current, brother, newpage);
-            if first_of_pair {
+            let partner = if first_of_pair {
                 /* Z IN FIRST OF PAIR */
-                current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
-                newpage = current.next;
-                if newpage.is_null() {
-                    // Defensive (see Solution 1): treat as unmergeable.
-                    return self.remove_without_merge(owner, key, oldpage, true);
-                }
-                core.xi_lock(owner, LockId::Page(newpage));
-                brother = try_or_release!(core, owner, buckets.getbucket(newpage, &mut buf));
+                at.next.page
             } else {
                 /* Z IN SECOND OF PAIR */
-                newpage = core.dir().index(selectedbits & !m);
-                core.un_xi_lock(owner, LockId::Page(oldpage));
-                core.xi_lock(owner, LockId::Page(newpage));
-                brother = try_or_release!(core, owner, buckets.getbucket(newpage, &mut buf));
-                if !skip_label_a && (brother.next != oldpage || brother.is_deleted()) {
-                    /* A: OLDPAGE AND NEWPAGE ARE NOT MERGABLE PARTNERS */
+                core.dir().index(selectedbits & !m)
+            };
+            let (buckets, locks, here) = (core.buckets(), core.locks(), ManagerId::NONE);
+            let paired = buckets.pair(
+                locks,
+                owner,
+                oldpage,
+                partner,
+                first_of_pair,
+                here,
+                pk,
+                key,
+                cfg,
+            );
+            let (zero, one) = match try_or_release!(core, owner, paired) {
+                Paired::Merge { zero, one } => (zero, one),
+                Paired::Alone { present } => {
+                    return self.remove_without_merge(owner, key, oldpage, present);
+                }
+                Paired::Stale => {
                     // The stale directory entry led somewhere that is no
-                    // longer (or never was) the live "0" partner.
-                    // Locking oldpage from here would risk deadlock;
-                    // restart instead (Figure 9's `delete (z); return;`).
-                    core.un_xi_lock(owner, LockId::Page(newpage));
+                    // longer (or never was) the live "0" partner, or z
+                    // moved: restart (Figure 9's `delete (z); return;`).
                     core.un_rho_lock(owner, LockId::Directory);
                     core.stats().delete_retries();
                     continue 'retry;
                 }
-                core.xi_lock(owner, LockId::Page(oldpage));
-                current = try_or_release!(core, owner, buckets.getbucket(oldpage, &mut buf));
-                if !skip_label_a && !current.owns(pk) {
-                    /* Z no longer belongs in oldpage - while waiting to
-                    re-lock oldpage it may have filled up and split,
-                    moving z */
-                    core.un_xi_lock(owner, LockId::Page(oldpage));
-                    core.un_xi_lock(owner, LockId::Page(newpage));
-                    core.un_rho_lock(owner, LockId::Directory);
-                    core.stats().delete_retries();
-                    continue 'retry;
-                }
-            }
-
-            // Figure 9's combined re-validation: "Either it is not
-            // possible to merge because of localdepths or something
-            // happened while waiting to re-lock oldpage - more data
-            // inserted into oldpage so it is no longer empty and maybe
-            // then z deleted".
-            let present = current.search(key).is_some();
-            let (ld, count) = (current.localdepth, current.count());
-            let fits = mergeable(cfg, ld, count, brother.localdepth, brother.count());
-            if !(present && too_empty(cfg, count, ld) && fits) {
-                core.un_xi_lock(owner, LockId::Page(newpage));
-                return self.remove_without_merge(owner, key, oldpage, present);
-            }
+            };
 
             /* MERGE */
             let merge_span = core.trace_begin("merge", oldpage.0, 0);
             core.alpha_lock(owner, LockId::Directory); // ρ → α conversion
-            let old_ld = brother.localdepth;
+            let old_ld = zero.1.localdepth;
             core.dir().count_merge(old_ld);
-            current.remove(key);
-            let (z, partner) = ((oldpage, &current), (newpage, &brother));
-            let (zero, one) = if first_of_pair {
-                (z, partner)
-            } else {
-                (partner, z)
-            };
             // Survivor + tombstone are one logged transaction.
-            let retire = Retire::Tombstone(ManagerId::NONE);
-            try_or_release!(core, owner, buckets.merge(zero, one, retire));
+            let retire = Retire::Tombstone(here);
+            let merged = buckets.merge((zero.0, &zero.1), (one.0, &one.1), retire);
+            try_or_release!(core, owner, merged);
             let (merged_page, garbage_page) = (zero.0, one.0);
             core.dir().update_one_side(merged_page, old_ld, pk);
             core.stats().merges();
             core.trace_end(merge_span, "merge", merged_page.0, garbage_page.0);
             core.un_xi_lock(owner, LockId::Page(oldpage));
-            core.un_xi_lock(owner, LockId::Page(newpage));
+            core.un_xi_lock(owner, LockId::Page(partner));
             core.un_alpha_lock(owner, LockId::Directory);
             core.un_rho_lock(owner, LockId::Directory);
             core.len_dec();
@@ -872,10 +838,7 @@ mod tests {
         for k in [0b00u64, 0b10, 0b01, 0b11, 0b100, 0b101] {
             f.insert(Key(k), Value(k)).unwrap();
         }
-        let bucket = |page| {
-            let mut buf = f.core().new_buf();
-            f.core().buckets().getbucket(page, &mut buf).unwrap()
-        };
+        let bucket = |page| f.core().buckets().getbucket(page).unwrap();
         let (p00, p01, p11) = (
             f.core().dir().index(0b00),
             f.core().dir().index(0b01),

@@ -82,13 +82,8 @@ fn second_of_pair_refilled_while_waiting() {
     // its ξ on this page before requesting the pair in order, so this
     // insert acquires it freely).
     {
-        let mut buf = f.core().new_buf();
         assert_eq!(
-            f.core()
-                .buckets()
-                .getbucket(target_page, &mut buf)
-                .unwrap()
-                .count(),
+            f.core().buckets().getbucket(target_page).unwrap().count(),
             1
         );
     }
@@ -204,8 +199,7 @@ fn second_solution_first_of_pair_merge_outcome() {
     // down into the "0" page; GC runs inline afterwards.
     assert_eq!(f.delete(Key(0b01)).unwrap(), DeleteOutcome::Deleted);
 
-    let mut buf = f.core().new_buf();
-    let survivor = f.core().buckets().getbucket(zero_page, &mut buf).unwrap();
+    let survivor = f.core().buckets().getbucket(zero_page).unwrap();
     assert_eq!(survivor.localdepth, 1);
     assert_eq!(survivor.commonbits, 0b1);
     assert_eq!(survivor.records.len(), 1);
@@ -255,24 +249,17 @@ fn reader_recovers_through_tombstone() {
     f.core()
         .locks()
         .lock(partner_owner, LockId::Page(one_page), LockMode::Xi);
-    let mut buf = f.core().new_buf();
-    let mut survivor = f.core().buckets().getbucket(one_page, &mut buf).unwrap();
-    let victim = f.core().buckets().getbucket(target_page, &mut buf).unwrap();
+    let mut survivor = f.core().buckets().getbucket(one_page).unwrap();
+    let victim = f.core().buckets().getbucket(target_page).unwrap();
     survivor.localdepth -= 1;
     survivor.commonbits &= ceh_types::mask(survivor.localdepth);
     survivor.records.extend(victim.records.iter().copied());
     survivor.next = victim.next;
-    f.core()
-        .buckets()
-        .putbucket(one_page, &survivor, &mut buf)
-        .unwrap();
+    f.core().buckets().putbucket(one_page, &survivor).unwrap();
     let mut tomb = Bucket::new(0, 0);
     tomb.mark_deleted();
     tomb.next = one_page;
-    f.core()
-        .buckets()
-        .putbucket(target_page, &tomb, &mut buf)
-        .unwrap();
+    f.core().buckets().putbucket(target_page, &tomb).unwrap();
     f.core()
         .dir()
         .update_one_side(one_page, 2, ceh_types::Pseudokey(0b11));

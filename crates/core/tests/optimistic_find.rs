@@ -156,14 +156,13 @@ fn a_find_in_the_merge_window_never_sees_the_deleted_key() {
     locks.lock(merger, LockId::Page(zero), LockMode::Xi);
     locks.lock(merger, LockId::Directory, LockMode::Alpha);
 
-    let mut buf = core.new_buf();
-    let current = core.buckets().getbucket(one, &mut buf).unwrap();
-    let mut survivor = core.buckets().getbucket(zero, &mut buf).unwrap();
+    let current = core.buckets().getbucket(one).unwrap();
+    let mut survivor = core.buckets().getbucket(zero).unwrap();
     survivor.localdepth -= 1;
     survivor.commonbits &= mask(survivor.localdepth);
     survivor.next = current.next;
     survivor.version = survivor.version.max(current.version) + 1;
-    core.buckets().putbucket(zero, &survivor, &mut buf).unwrap();
+    core.buckets().putbucket(zero, &survivor).unwrap();
 
     // The window: the survivor owns `10` and does not hold it…
     let survivor_says = core
@@ -202,7 +201,7 @@ fn a_find_in_the_merge_window_never_sees_the_deleted_key() {
     tombstone.localdepth = current.localdepth;
     tombstone.next = zero;
     tombstone.version = survivor.version;
-    core.buckets().putbucket(one, &tombstone, &mut buf).unwrap();
+    core.buckets().putbucket(one, &tombstone).unwrap();
     core.dir().update_one_side(zero, current.localdepth, pk);
     locks.unlock(merger, LockId::Page(one), LockMode::Xi);
     locks.unlock(merger, LockId::Page(zero), LockMode::Xi);

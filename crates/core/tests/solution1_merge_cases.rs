@@ -46,8 +46,7 @@ fn page_of(f: &Solution1, pattern: u64) -> PageId {
 }
 
 fn bucket_at(f: &Solution1, page: PageId) -> Bucket {
-    let mut buf = f.core().new_buf();
-    f.core().buckets().getbucket(page, &mut buf).unwrap()
+    f.core().buckets().getbucket(page).unwrap()
 }
 
 /// Case 1 — "z goes in first of pair": deleting the lone key of the

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use ceh_locks::LockMode;
 use ceh_net::{PortId, PortRx, RecvError};
-use ceh_storage::{mergeable, too_empty, Edit, Owning, Retire, Walked, MERGE_ATTEMPTS};
+use ceh_storage::{mergeable, too_empty, Edit, Owning, Paired, Retire, Walked, MERGE_ATTEMPTS};
 use ceh_types::bits::{partner_bit, partner_commonbits};
 use ceh_types::bucket::Bucket;
 use ceh_types::{hash_key, BucketLink, DeleteOutcome, InsertOutcome, PageId, Record};
@@ -367,19 +367,78 @@ fn slave_delete(site: &Site, env: OpEnvelope, fwd: Option<PortId>) {
         remove_without_merge(site, owner, &env, oldpage, at.found.is_some());
         return;
     }
-    let mut buf = site.buckets.new_buf();
-    let Ok(current) = site.buckets.getbucket(oldpage, &mut buf) else {
-        release_and_reply(site, owner, &env, oldpage, LockMode::Xi, None);
+    let remote =
+        |link: BucketLink| !link.is_null() && !link.manager.is_none() && link.manager != site.id;
+    let m = partner_bit(at.localdepth);
+    let first_of_pair = env.pseudokey.0 & m != m;
+    let partner = if first_of_pair {
+        /* MSG.KEY IN FIRST OF PAIR: THE "1" PARTNER IS NEXT */
+        if remote(at.next) {
+            delete_mergedown(site, owner, &env, oldpage, at.next);
+            return;
+        }
+        at.next
+    } else {
+        /* MSG.KEY IN SECOND OF PAIR: THE "0" PARTNER IS PREV */
+        let Ok(current) = site.buckets.getbucket(oldpage) else {
+            release_and_reply(site, owner, &env, oldpage, LockMode::Xi, None);
+            return;
+        };
+        let prev = BucketLink::new(current.prev_mgr, current.prev);
+        if remote(prev) {
+            // Lock ordering: the "0" partner precedes us in the chain, so
+            // release the target before requesting the pair in order
+            // (Figure 9 / §2.2).
+            site.unlock(owner, oldpage, LockMode::Xi);
+            delete_mergeup(site, owner, &env, oldpage, prev);
+            return;
+        }
+        prev
+    };
+    // Both partners here: Figure 9's pairing step.
+    let paired = site.buckets.pair(
+        &site.locks,
+        owner,
+        oldpage,
+        partner.page,
+        first_of_pair,
+        site.id,
+        env.pseudokey,
+        env.key,
+        &site.cfg,
+    );
+    let (zero, one) = match paired {
+        Ok(Paired::Merge { zero, one }) => (zero, one),
+        Ok(Paired::Alone { present }) => {
+            remove_without_merge(site, owner, &env, oldpage, present);
+            return;
+        }
+        /* A: not mergeable partners — re-drive with fresh state */
+        Ok(Paired::Stale) | Err(_) => {
+            bucketdone(site, &env, false, None);
+            return;
+        }
+    };
+    let retire = Retire::Tombstone(site.id);
+    let merged = site
+        .buckets
+        .merge((zero.0, &zero.1), (one.0, &one.1), retire);
+    site.unlock(owner, one.0, LockMode::Xi);
+    site.unlock(owner, zero.0, LockMode::Xi);
+    let Ok(survivor) = merged else {
+        bucketdone(site, &env, false, None);
         return;
     };
-    let m = partner_bit(at.localdepth);
-    if env.pseudokey.0 & m != m {
-        /* MSG.KEY IN FIRST OF PAIR */
-        delete_first_of_pair(site, owner, &env, oldpage, current, buf);
-    } else {
-        /* MSG.KEY IN SECOND OF PAIR */
-        delete_second_of_pair(site, owner, &env, oldpage, current, buf);
-    }
+    let versions = (zero.1.version, one.1.version, survivor.version);
+    let here = |page| BucketLink::new(site.id, page);
+    send_merge_update(
+        site,
+        &env,
+        zero.1.localdepth,
+        versions,
+        here(zero.0),
+        here(one.0),
+    );
 }
 
 /// The delete that does not merge: `remove(z, current)` in place when
@@ -402,64 +461,32 @@ fn remove_without_merge(
     release_and_reply(site, owner, env, page, LockMode::Xi, outcome);
 }
 
-/// The key's bucket is the "0" partner; the "1" partner is `next` —
-/// merge it *down* into us (locally or via Mergedown).
-fn delete_first_of_pair(
+/// The key's bucket, on `oldpage`, is the "0" partner, and the "1"
+/// partner, `partner`, is on another site: merge it *down* into us
+/// through Mergedown.
+fn delete_mergedown(
     site: &Site,
     owner: ceh_locks::OwnerId,
     env: &OpEnvelope,
     oldpage: PageId,
-    mut current: Bucket,
-    mut buf: ceh_storage::PageBuf,
+    partner: BucketLink,
 ) {
-    let partner = BucketLink::new(current.next_mgr, current.next);
-    if partner.is_null() {
-        remove_without_merge(site, owner, env, oldpage, true);
+    let Ok(mut current) = site.buckets.getbucket(oldpage) else {
+        release_and_reply(site, owner, env, oldpage, LockMode::Xi, None);
         return;
-    }
-    let here = BucketLink::new(site.id, oldpage);
-    let (ld, count) = (current.localdepth, current.count());
-
-    if partner.manager == site.id || partner.manager.is_none() {
-        // Local merge, as in Figure 9.
-        let brother = match site.lock_getbucket(owner, partner.page, LockMode::Xi, &mut buf) {
-            Ok(b) => b,
-            Err(_) => {
-                remove_without_merge(site, owner, env, oldpage, true);
-                return;
-            }
-        };
-        if !mergeable(&site.cfg, ld, count, brother.localdepth, brother.count()) {
-            site.unlock(owner, partner.page, LockMode::Xi);
-            remove_without_merge(site, owner, env, oldpage, true);
-            return;
-        }
-        current.remove(env.key);
-        let (zero, one) = ((oldpage, &current), (partner.page, &brother));
-        let merged = site.buckets.merge(zero, one, Retire::Tombstone(site.id));
-        site.unlock(owner, partner.page, LockMode::Xi);
-        site.unlock(owner, oldpage, LockMode::Xi);
-        let Ok(survivor) = merged else {
-            bucketdone(site, env, false, None);
-            return;
-        };
-        let versions = (current.version, brother.version, survivor.version);
-        send_merge_update(site, env, ld, versions, here, partner);
-        return;
-    }
-
-    // Remote "1" partner: Mergedown protocol.
+    };
     let Some(port) = site.bucket_port(partner.manager) else {
         remove_without_merge(site, owner, env, oldpage, true);
         return;
     };
+    let ld = current.localdepth;
     let (_id, reply_rx) = site.net.create_port();
     site.net.send(
         port,
         Msg::Mergedown {
             partner: partner.page,
             localdepth: ld,
-            count: count - 1,
+            count: current.count() - 1,
             reply_port: reply_rx.id(),
         },
     );
@@ -479,13 +506,14 @@ fn delete_first_of_pair(
     site.fence_merge(&fences);
     current.remove(env.key);
     let survivor = Bucket::merged(&current, &brother);
-    let ok = site.buckets.putbucket(oldpage, &survivor, &mut buf).is_ok();
+    let ok = site.buckets.putbucket(oldpage, &survivor).is_ok();
     site.unlock(owner, oldpage, LockMode::Xi);
     if !ok {
         bucketdone(site, env, false, None);
         return;
     }
     let versions = (current.version, brother.version, survivor.version);
+    let here = BucketLink::new(site.id, oldpage);
     send_merge_update(site, env, ld, versions, here, partner);
 }
 
@@ -503,31 +531,16 @@ fn refuse_goahead(site: &Site, goahead_port: PortId) {
     );
 }
 
-/// The key's bucket is the "1" partner; the "0" partner is `prev` —
-/// merge *up* into it (locally or via Mergeup + Goahead).
-fn delete_second_of_pair(
+/// The key's bucket, on `oldpage` (released), is the "1" partner, and
+/// the "0" partner, `partner`, is on another site: merge *up* into it
+/// through Mergeup and Goahead.
+fn delete_mergeup(
     site: &Site,
     owner: ceh_locks::OwnerId,
     env: &OpEnvelope,
     oldpage: PageId,
-    current: Bucket,
-    mut buf: ceh_storage::PageBuf,
+    partner: BucketLink,
 ) {
-    let partner = BucketLink::new(current.prev_mgr, current.prev);
-    if partner.is_null() {
-        remove_without_merge(site, owner, env, oldpage, true);
-        return;
-    }
-    // Lock ordering: the "0" partner precedes us in the chain, so release
-    // the target before requesting the pair in order (Figure 9 / §2.2).
-    site.unlock(owner, oldpage, LockMode::Xi);
-
-    if partner.manager == site.id || partner.manager.is_none() {
-        delete_second_local(site, owner, env, oldpage, partner.page, buf);
-        return;
-    }
-
-    // Remote "0" partner: Mergeup protocol.
     let Some(port) = site.bucket_port(partner.manager) else {
         bucketdone(site, env, false, None);
         return;
@@ -560,7 +573,7 @@ fn delete_second_of_pair(
 
     // Re-lock the target and re-validate everything (Figure 14 mirrors
     // Figure 9's checks).
-    let mut current = match site.lock_getbucket(owner, oldpage, LockMode::Xi, &mut buf) {
+    let mut current = match site.lock_getbucket(owner, oldpage, LockMode::Xi) {
         Ok(b) => b,
         Err(_) => {
             refuse_goahead(site, goahead_port);
@@ -589,10 +602,7 @@ fn delete_second_of_pair(
     let new_version = Bucket::merged_version(brother_version, expected_v1);
     current.remove(env.key);
     let tombstone = Bucket::tombstone(partner, new_version);
-    let ok = site
-        .buckets
-        .putbucket(oldpage, &tombstone, &mut buf)
-        .is_ok();
+    let ok = site.buckets.putbucket(oldpage, &tombstone).is_ok();
     site.net.send(
         goahead_port,
         Msg::Goahead {
@@ -611,65 +621,6 @@ fn delete_second_of_pair(
     let versions = (brother_version, expected_v1, new_version);
     let here = BucketLink::new(site.id, oldpage);
     send_merge_update(site, env, ld, versions, partner, here);
-}
-
-/// Local second-of-pair merge (both partners on this site): the Figure 9
-/// release-and-relock dance with its validations.
-fn delete_second_local(
-    site: &Site,
-    owner: ceh_locks::OwnerId,
-    env: &OpEnvelope,
-    oldpage: PageId,
-    partner: PageId,
-    mut buf: ceh_storage::PageBuf,
-) {
-    let brother = match site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) {
-        Ok(b) => b,
-        Err(_) => {
-            bucketdone(site, env, false, None);
-            return;
-        }
-    };
-    if brother.is_deleted() || brother.next != oldpage || brother.next_mgr != site.id {
-        /* A: not mergeable partners */
-        release_and_reply(site, owner, env, partner, LockMode::Xi, None);
-        return;
-    }
-    let mut current = match site.lock_getbucket(owner, oldpage, LockMode::Xi, &mut buf) {
-        Ok(b) => b,
-        Err(_) => {
-            release_and_reply(site, owner, env, partner, LockMode::Xi, None);
-            return;
-        }
-    };
-    if !current.owns(env.pseudokey) {
-        site.unlock(owner, oldpage, LockMode::Xi);
-        release_and_reply(site, owner, env, partner, LockMode::Xi, None);
-        return;
-    }
-    let present = current.search(env.key).is_some();
-    let (ld, count) = (current.localdepth, current.count());
-    let fits = mergeable(&site.cfg, ld, count, brother.localdepth, brother.count());
-    if !(present && too_empty(&site.cfg, count, ld) && fits) {
-        site.unlock(owner, partner, LockMode::Xi);
-        remove_without_merge(site, owner, env, oldpage, present);
-        return;
-    }
-    current.remove(env.key);
-    let (zero, one) = ((partner, &brother), (oldpage, &current));
-    let merged = site.buckets.merge(zero, one, Retire::Tombstone(site.id));
-    site.unlock(owner, oldpage, LockMode::Xi);
-    site.unlock(owner, partner, LockMode::Xi);
-    let Ok(survivor) = merged else {
-        bucketdone(site, env, false, None);
-        return;
-    };
-    let versions = (brother.version, current.version, survivor.version);
-    let (merged, garbage) = (
-        BucketLink::new(site.id, partner),
-        BucketLink::new(site.id, oldpage),
-    );
-    send_merge_update(site, env, ld, versions, merged, garbage);
 }
 
 /// Report a committed merge of the partners of depth `old_localdepth`
@@ -714,7 +665,6 @@ fn slave_mergedown(
     reply_port: PortId,
 ) {
     let owner = site.locks.new_owner();
-    let mut buf = site.buckets.new_buf();
     let refuse = || {
         site.net.send(
             reply_port,
@@ -725,7 +675,7 @@ fn slave_mergedown(
             },
         );
     };
-    let Ok(brother) = site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) else {
+    let Ok(brother) = site.lock_getbucket(owner, partner, LockMode::Xi) else {
         refuse();
         return;
     };
@@ -745,10 +695,7 @@ fn slave_mergedown(
     // "brother -> commonbits = deleted; brother -> next = brother -> prev;"
     let prev = BucketLink::new(brother.prev_mgr, brother.prev);
     let tombstone = Bucket::tombstone(prev, brother.version);
-    let ok = site
-        .buckets
-        .putbucket(partner, &tombstone, &mut buf)
-        .is_ok();
+    let ok = site.buckets.putbucket(partner, &tombstone).is_ok();
     site.unlock(owner, partner, LockMode::Xi);
     site.net.send(
         reply_port,
@@ -770,7 +717,6 @@ fn slave_mergeup(
     reply_port: PortId,
 ) {
     let owner = site.locks.new_owner();
-    let mut buf = site.buckets.new_buf();
     let refuse = || {
         site.net.send(
             reply_port,
@@ -783,7 +729,7 @@ fn slave_mergeup(
             },
         );
     };
-    let Ok(brother) = site.lock_getbucket(owner, partner, LockMode::Xi, &mut buf) else {
+    let Ok(brother) = site.lock_getbucket(owner, partner, LockMode::Xi) else {
         refuse();
         return;
     };
@@ -827,7 +773,7 @@ fn slave_mergeup(
                 version,
                 ..Bucket::merged(&brother, &one)
             };
-            let _ = site.buckets.putbucket(partner, &survivor, &mut buf);
+            let _ = site.buckets.putbucket(partner, &survivor);
         }
         Ok(Msg::Goahead { success: false, .. }) => {}
         Ok(_) | Err(RecvError::Empty) | Err(RecvError::Disconnected) => {}
@@ -890,8 +836,7 @@ mod tests {
 
     fn put_bucket(site: &Site, b: &Bucket) -> PageId {
         let page = site.buckets.alloc().unwrap();
-        let mut buf = site.buckets.new_buf();
-        site.buckets.putbucket(page, b, &mut buf).unwrap();
+        site.buckets.putbucket(page, b).unwrap();
         page
     }
 
@@ -903,8 +848,7 @@ mod tests {
     }
 
     fn get_bucket(site: &Site, page: PageId) -> Bucket {
-        let mut buf = site.buckets.new_buf();
-        site.buckets.getbucket(page, &mut buf).unwrap()
+        site.buckets.getbucket(page).unwrap()
     }
 
     fn envelope(op: OpKind, key: u64, page: PageId, pk: u64, dirmgr_port: PortId) -> OpEnvelope {
@@ -1148,8 +1092,7 @@ mod tests {
         let [_, _, p01, _] = depth2_file(&site, Some(BucketLink::new(remote.id, p11)));
         let mut zero = get_bucket(&site, p01);
         zero.add(Record::new(9, 90));
-        let mut buf = site.buckets.new_buf();
-        site.buckets.putbucket(p01, &zero, &mut buf).unwrap();
+        site.buckets.putbucket(p01, &zero).unwrap();
         let mut one = eleven(site.id, p01);
         for k in [11, 15, 19] {
             one.add(Record::new(k, k * 10));
@@ -1207,7 +1150,7 @@ mod tests {
         let mut root = Bucket::new(0, 0);
         root.add(Record::new(1, 10));
         root.add(Record::new(2, 20));
-        let mut buf = site.buckets.new_buf();
+        let mut buf = site.buckets.store().new_buf();
         buf.fill(0xAB);
         root.encode(&mut buf).unwrap();
         site.buckets.store().write(page, &buf).unwrap();

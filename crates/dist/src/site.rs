@@ -14,7 +14,7 @@ use std::time::Duration;
 use ceh_locks::{LockId, LockManager, LockManagerConfig, LockMode, OwnerId};
 use ceh_net::PortId;
 use ceh_obs::{Counter, MetricsHandle};
-use ceh_storage::{Buckets, DiskHandle, DurableConfig, DurableStore, PageBuf};
+use ceh_storage::{Buckets, DiskHandle, DurableConfig, DurableStore};
 use ceh_types::bucket::Bucket;
 use ceh_types::{Error, HashFileConfig, ManagerId, PageId, Result};
 
@@ -253,17 +253,11 @@ impl Site {
     /// [`Site::lock`] `page` and read it (`getbucket`). On a fault — a
     /// page past this site's store, a freed page, a page that does not
     /// decode — nothing stays locked.
-    pub fn lock_getbucket(
-        &self,
-        owner: OwnerId,
-        page: PageId,
-        mode: LockMode,
-        buf: &mut PageBuf,
-    ) -> Result<Bucket> {
+    pub fn lock_getbucket(&self, owner: OwnerId, page: PageId, mode: LockMode) -> Result<Bucket> {
         self.buckets.check_link(page)?;
         self.lock(owner, page, mode);
         self.buckets
-            .getbucket(page, buf)
+            .getbucket(page)
             .inspect_err(|_| self.unlock(owner, page, mode))
     }
 
@@ -389,9 +383,8 @@ pub(crate) mod tests {
         let page = site.buckets.alloc().unwrap();
         let mut b = Bucket::new(2, 0b01);
         b.add(ceh_types::Record::new(0b101, 7));
-        let mut buf = site.buckets.new_buf();
-        site.buckets.putbucket(page, &b, &mut buf).unwrap();
-        assert_eq!(site.buckets.getbucket(page, &mut buf).unwrap(), b);
+        site.buckets.putbucket(page, &b).unwrap();
+        assert_eq!(site.buckets.getbucket(page).unwrap(), b);
     }
 
     #[test]

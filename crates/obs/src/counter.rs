@@ -4,11 +4,11 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
-/// Number of independent cache lines a [`Counter`] spreads its value
-/// over. Recording threads are assigned a home shard round-robin, so up
-/// to this many threads can increment concurrently without bouncing a
-/// cache line between cores.
-const SHARDS: usize = 8;
+/// Number of thread slots ([`thread_slot`]), and of independent cache
+/// lines a [`Counter`] spreads its value over: up to this many threads
+/// can increment concurrently without bouncing a cache line between
+/// cores.
+pub const THREAD_SLOTS: usize = 8;
 
 #[repr(align(64))]
 #[derive(Default)]
@@ -23,11 +23,13 @@ thread_local! {
     static THREAD_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
-/// This thread's home shard, assigned on first use.
+/// This thread's slot in `0..THREAD_SLOTS`, assigned round-robin on its
+/// first use: the shard a [`Counter`] increments, and the one for any
+/// other per-thread-sharded cell.
 #[inline]
-fn thread_slot() -> usize {
+pub fn thread_slot() -> usize {
     let slot = THREAD_SLOT.get();
-    if slot < SHARDS {
+    if slot < THREAD_SLOTS {
         slot
     } else {
         assign_thread_slot()
@@ -37,7 +39,7 @@ fn thread_slot() -> usize {
 #[cold]
 #[inline(never)]
 fn assign_thread_slot() -> usize {
-    let slot = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % SHARDS;
+    let slot = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % THREAD_SLOTS;
     THREAD_SLOT.set(slot);
     slot
 }
@@ -48,7 +50,7 @@ fn assign_thread_slot() -> usize {
 /// in-flight increments but never goes backwards).
 #[derive(Default)]
 pub struct Counter {
-    shards: [PaddedU64; SHARDS],
+    shards: [PaddedU64; THREAD_SLOTS],
 }
 
 impl Counter {
@@ -162,7 +164,7 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        assert!(slots.iter().all(|&s| s < SHARDS), "{slots:?}");
+        assert!(slots.iter().all(|&s| s < THREAD_SLOTS), "{slots:?}");
     }
 
     #[test]

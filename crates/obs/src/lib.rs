@@ -70,7 +70,7 @@ mod trace;
 mod trace_report;
 mod window;
 
-pub use counter::{Counter, Gauge};
+pub use counter::{thread_slot, Counter, Gauge, THREAD_SLOTS};
 pub use hist::{Histogram, HistogramCapture, HistogramSnapshot, HistogramWindow};
 pub use history::{HistKind, HistRecord, HistResult, HistToken, HistoryLog};
 pub use registry::{MetricsHandle, MetricsSnapshot};

@@ -161,8 +161,7 @@ impl SequentialHashFile {
     pub fn find(&self, key: Key) -> Result<Option<Value>> {
         let pk = (self.hasher)(key);
         let page = self.index(pk);
-        let mut buf = self.buckets.new_buf();
-        let bucket = self.buckets.getbucket(page, &mut buf)?;
+        let bucket = self.buckets.getbucket(page)?;
         debug_assert!(
             bucket.owns(pk),
             "sequential file can never have the wrong bucket"
@@ -175,18 +174,17 @@ impl SequentialHashFile {
     pub fn insert(&mut self, key: Key, value: Value) -> Result<InsertOutcome> {
         let pk = (self.hasher)(key);
         let z = Record { key, value };
-        let mut buf = self.buckets.new_buf();
         // The paper's insert retries after a split that failed to make
         // room ("if (!done) insert(z)"); the loop is that recursion.
         loop {
             let oldpage = self.index(pk);
-            let mut current = self.buckets.getbucket(oldpage, &mut buf)?;
+            let mut current = self.buckets.getbucket(oldpage)?;
             if current.search(key).is_some() {
                 return Ok(InsertOutcome::AlreadyPresent);
             }
             if current.count() < self.cfg.bucket_capacity {
                 current.add(z);
-                self.buckets.putbucket(oldpage, &current, &mut buf)?;
+                self.buckets.putbucket(oldpage, &current)?;
                 self.len += 1;
                 return Ok(InsertOutcome::Inserted);
             }
@@ -215,8 +213,7 @@ impl SequentialHashFile {
     pub fn delete(&mut self, key: Key) -> Result<DeleteOutcome> {
         let pk = (self.hasher)(key);
         let (depth, oldpage) = self.dir.lookup(pk);
-        let mut buf = self.buckets.new_buf();
-        let mut current = self.buckets.getbucket(oldpage, &mut buf)?;
+        let mut current = self.buckets.getbucket(oldpage)?;
 
         if current.search(key).is_none() {
             return Ok(DeleteOutcome::NotFound);
@@ -228,7 +225,7 @@ impl SequentialHashFile {
         let (d, count) = (current.localdepth, current.count());
         let brother = if too_empty(&self.cfg, count, d) {
             let page = self.dir.index(pk.low_bits(depth) ^ partner_bit(d));
-            let brother = self.buckets.getbucket(page, &mut buf)?;
+            let brother = self.buckets.getbucket(page)?;
             mergeable(&self.cfg, d, count, brother.localdepth, brother.count())
                 .then_some((page, brother))
         } else {
@@ -238,7 +235,7 @@ impl SequentialHashFile {
         let Some((partner_page, brother)) = brother else {
             // "Not possible to merge these two": the local depths differ,
             // or the records do not fit in one bucket.
-            self.buckets.putbucket(oldpage, &current, &mut buf)?;
+            self.buckets.putbucket(oldpage, &current)?;
             self.len -= 1;
             return Ok(DeleteOutcome::Deleted);
         };
@@ -453,13 +450,12 @@ mod tests {
             f.index(Pseudokey(0b01)),
             f.index(Pseudokey(0b11)),
         );
-        let mut buf = f.buckets.new_buf();
-        assert_eq!(f.buckets.getbucket(p01, &mut buf).unwrap().next, p11);
+        assert_eq!(f.buckets.getbucket(p01).unwrap().next, p11);
         f.delete(Key(0b101)).unwrap();
         // 01:{01} merges with its "1" partner 11, whose page is freed.
         f.delete(Key(0b01)).unwrap();
         assert_eq!(f.index(Pseudokey(0b11)), p01);
-        let survivor = f.buckets.getbucket(p01, &mut buf).unwrap();
+        let survivor = f.buckets.getbucket(p01).unwrap();
         assert_eq!(survivor.next, PageId::NULL, "next skips the freed page");
         assert_eq!(survivor.prev, p00);
         f.check_invariants().unwrap();

@@ -41,10 +41,9 @@ impl FileSnapshot {
     pub fn capture(pages: &Buckets, dir: &Directory, capacity: usize) -> Result<FileSnapshot> {
         let entries = dir.entries_snapshot();
         let mut buckets = BTreeMap::new();
-        let mut buf = pages.new_buf();
         for &p in &entries {
             if let std::collections::btree_map::Entry::Vacant(e) = buckets.entry(p) {
-                e.insert(pages.getbucket(p, &mut buf)?);
+                e.insert(pages.getbucket(p)?);
             }
         }
         Ok(FileSnapshot {

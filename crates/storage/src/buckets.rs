@@ -10,11 +10,12 @@
 //!
 //! It also holds the restructuring steps every file shares: the
 //! hand-over-hand walk ([`Buckets::walk`]), the split
-//! ([`Buckets::split`]), the merge test ([`mergeable`]) and commit
-//! ([`Buckets::merge`]), and a one-site file's restart
+//! ([`Buckets::split`]), the pairing of a too-empty bucket with its
+//! partner ([`Buckets::pair`], with the merge test [`mergeable`]), the
+//! merge commit ([`Buckets::merge`]), and a one-site file's restart
 //! ([`Buckets::recover`]). Each takes no directory lock and sends no
-//! message: the lock order, the directory update and the messages stay
-//! with the file that calls it.
+//! message: the directory update and the messages stay with the file
+//! that calls it.
 
 use std::sync::Arc;
 
@@ -29,7 +30,7 @@ use ceh_types::{
 };
 
 use crate::{rebuild_directory, Directory};
-use crate::{DurableStore, DurableTxn, PageBuf, PageStore, PageStoreConfig};
+use crate::{DurableStore, DurableTxn, PageStore, PageStoreConfig};
 
 /// A hash file's buckets: its page store, and the durability layer
 /// whose volatile cache that store is when the file is crash-consistent.
@@ -100,7 +101,7 @@ impl Buckets {
     pub fn place(&self, bucket: &Bucket) -> Result<PageId> {
         let txn = self.begin_txn()?;
         let page = self.alloc()?;
-        self.putbucket(page, bucket, &mut self.new_buf())?;
+        self.putbucket(page, bucket)?;
         txn.commit()?;
         Ok(page)
     }
@@ -118,43 +119,31 @@ impl Buckets {
         self.wal.as_ref()
     }
 
-    /// A fresh page buffer.
-    #[inline]
-    pub fn new_buf(&self) -> PageBuf {
-        self.store.new_buf()
-    }
-
-    /// `getbucket(page, buffer)`: read and decode. On a volatile store the
-    /// bucket is decoded from the page's words in place, with no copy into
-    /// `buf`; when durable, through `buf`. One page read either way, which
-    /// the page store announces to the race detector.
+    /// `getbucket(page, buffer)`: decode the bucket from the page's words
+    /// in place (the durable store's cache when durable), with no copy.
+    /// One page read, which the page store announces to the race
+    /// detector.
     #[inline]
     #[track_caller]
-    pub fn getbucket(&self, page: PageId, buf: &mut PageBuf) -> Result<Bucket> {
-        match &self.wal {
-            Some(_) => {
-                self.store.read(page, buf)?;
-                Bucket::decode(buf)
-            }
-            None => self
-                .store
-                .with_page(page, |words| Bucket::decode_words(words))?,
-        }
+    pub fn getbucket(&self, page: PageId) -> Result<Bucket> {
+        self.store
+            .with_page(page, |words| Bucket::decode_words(words))?
     }
 
-    /// `putbucket(page, buffer)`: encode and write, through the log first
-    /// when durable (joining the thread's open transaction, else as a
-    /// committed singleton) with `buf` holding the page image. On a
-    /// volatile store the bucket is encoded into the page's words in
-    /// place (a bucket that does not fit leaves them as they were); `buf`
-    /// is not used.
+    /// `putbucket(page, buffer)`: encode and write. When durable, the
+    /// bucket is encoded into a page image that is logged first (joining
+    /// the thread's open transaction, else as a committed singleton) and
+    /// then written to the cache. On a volatile store it is encoded into
+    /// the page's words in place (a bucket that does not fit leaves them
+    /// as they were).
     #[inline]
     #[track_caller]
-    pub fn putbucket(&self, page: PageId, bucket: &Bucket, buf: &mut PageBuf) -> Result<()> {
+    pub fn putbucket(&self, page: PageId, bucket: &Bucket) -> Result<()> {
         match &self.wal {
             Some(w) => {
-                bucket.encode(buf)?;
-                w.write(page, buf)
+                let mut image = self.store.new_buf();
+                bucket.encode(&mut image)?;
+                w.write(page, &image)
             }
             None => self
                 .store
@@ -172,7 +161,7 @@ impl Buckets {
     pub fn edit(&self, page: PageId, edit: Edit) -> Result<bool> {
         match &self.wal {
             Some(w) => {
-                let mut buf = self.new_buf();
+                let mut buf = self.store.new_buf();
                 w.read(page, &mut buf)?;
                 let out = edit.apply(&mut buf[..])?;
                 w.write(page, &buf)?;
@@ -196,6 +185,7 @@ impl Buckets {
                     found: view.search(key),
                     count: view.count(),
                     localdepth: view.localdepth(),
+                    next: BucketLink::new(view.next_mgr(), view.next()),
                 })
             } else {
                 Peek::WrongBucket {
@@ -247,11 +237,10 @@ impl Buckets {
     /// (quiescent use only): the one scan over all of a file's pages, for
     /// recovery and the structural checks.
     pub fn scan(&self) -> Vec<(PageId, Result<Bucket>)> {
-        let mut buf = self.new_buf();
         self.store
             .allocated_page_ids()
             .into_iter()
-            .map(|page| (page, self.getbucket(page, &mut buf)))
+            .map(|page| (page, self.getbucket(page)))
             .collect()
     }
 
@@ -323,8 +312,7 @@ impl Buckets {
         hasher: fn(Key) -> Pseudokey,
         place: impl FnOnce(Bucket) -> Result<BucketLink>,
     ) -> Result<Split> {
-        let mut buf = self.new_buf();
-        let current = self.getbucket(page, &mut buf)?;
+        let current = self.getbucket(page)?;
         let (mut half1, half2, done) = current.split(
             record.key,
             record.value,
@@ -340,7 +328,7 @@ impl Buckets {
         let txn = self.begin_txn()?;
         let link = place(half2)?;
         (half1.next, half1.next_mgr) = (link.page, link.manager);
-        self.putbucket(page, &half1, &mut buf)?;
+        self.putbucket(page, &half1)?;
         txn.commit()?;
         Ok(Split {
             localdepth: current.localdepth,
@@ -348,6 +336,103 @@ impl Buckets {
             half2: link,
             done,
         })
+    }
+
+    /// The pairing step of a delete in Figures 7, 9 and 14, from `page`,
+    /// which `owner` holds ξ: its bucket owns `pk`, holds `key` and is
+    /// [`too_empty`]. `partner` is the other half of the pair: the "1"
+    /// partner, `page`'s `next`, when `first_of_pair`; else the "0"
+    /// partner, found through a directory or through `prev`.
+    ///
+    /// On the "0" side the step locks `partner` ξ and reads both
+    /// buckets. On the "1" side it locks in next-link order, as readers
+    /// "following next links" do (§2.2): it releases `page`, locks and
+    /// reads `partner`, then locks and reads `page` again. What the
+    /// released lock let change is label *A* of Figure 9, and the step
+    /// answers [`Paired::Stale`], holding nothing, when `partner` is a
+    /// tombstone or its `next` is not `page` on `here`'s site (the
+    /// directory or `prev` led somewhere that is not, or is no longer,
+    /// the live "0" partner), or when `page` no longer owns `pk` (it
+    /// filled up and split while unlocked).
+    ///
+    /// Then the pair merges when the key is still in `page`, its bucket
+    /// still [`too_empty`] and the partners [`mergeable`]: both pages stay
+    /// held, and the key is removed from `page`'s bucket, ready for
+    /// [`Buckets::merge`]. Otherwise only `page` stays held. A null
+    /// `partner` (never the case under the protocols) is
+    /// [`Paired::Alone`]. On an error no page lock is held.
+    ///
+    /// The `check-inject` feature skips the label-*A* checks, so the
+    /// schedule explorer's self-test can show that it catches the race
+    /// they close.
+    #[allow(clippy::too_many_arguments)]
+    pub fn pair(
+        &self,
+        locks: &LockManager,
+        owner: OwnerId,
+        page: PageId,
+        partner: PageId,
+        first_of_pair: bool,
+        here: ManagerId,
+        pk: Pseudokey,
+        key: Key,
+        cfg: &HashFileConfig,
+    ) -> Result<Paired> {
+        let lock = |page| locks.lock(owner, LockId::Page(page), LockMode::Xi);
+        let unlock = |page| locks.unlock(owner, LockId::Page(page), LockMode::Xi);
+        let label_a = !cfg!(feature = "check-inject");
+        if partner.is_null() {
+            return Ok(Paired::Alone { present: true });
+        }
+        let locked = |at| {
+            self.check_link(at)?;
+            lock(at);
+            self.getbucket(at).inspect_err(|_| unlock(at))
+        };
+        let (mut current, brother) = if first_of_pair {
+            /* Z IN FIRST OF PAIR */
+            let both = self
+                .getbucket(page)
+                .and_then(|current| Ok((current, locked(partner)?)));
+            both.inspect_err(|_| unlock(page))?
+        } else {
+            /* Z IN SECOND OF PAIR */
+            unlock(page);
+            let brother = locked(partner)?;
+            if label_a && (brother.is_deleted() || (brother.next_mgr, brother.next) != (here, page))
+            {
+                /* A: PAGE AND PARTNER ARE NOT MERGEABLE PARTNERS */
+                unlock(partner);
+                return Ok(Paired::Stale);
+            }
+            let current = locked(page).inspect_err(|_| unlock(partner))?;
+            if label_a && !current.owns(pk) {
+                /* Z NO LONGER BELONGS IN PAGE: IT FILLED UP AND SPLIT */
+                unlock(page);
+                unlock(partner);
+                return Ok(Paired::Stale);
+            }
+            (current, brother)
+        };
+        // "Either it is not possible to merge because of localdepths or
+        // something happened while waiting to re-lock oldpage - more data
+        // inserted into oldpage so it is no longer empty and maybe then z
+        // deleted" (Figure 9).
+        let present = current.search(key).is_some();
+        let (ld, count) = (current.localdepth, current.count());
+        let fits = mergeable(cfg, ld, count, brother.localdepth, brother.count());
+        if !(present && too_empty(cfg, count, ld) && fits) {
+            unlock(partner);
+            return Ok(Paired::Alone { present });
+        }
+        current.remove(key);
+        let (z, other) = ((page, current), (partner, brother));
+        let (zero, one) = if first_of_pair {
+            (z, other)
+        } else {
+            (other, z)
+        };
+        Ok(Paired::Merge { zero, one })
     }
 
     /// The merge commit of Figures 7, 9 and 14 and of the sequential
@@ -364,15 +449,14 @@ impl Buckets {
         retire: Retire,
     ) -> Result<Bucket> {
         let survivor = Bucket::merged(zero, one);
-        let mut buf = self.new_buf();
         let txn = self.begin_txn()?;
-        self.putbucket(zero_page, &survivor, &mut buf)?;
+        self.putbucket(zero_page, &survivor)?;
         match retire {
             Retire::Free => self.dealloc(one_page)?,
             Retire::Tombstone(here) => {
                 let link = BucketLink::new(here, zero_page);
                 let tombstone = Bucket::tombstone(link, survivor.version);
-                self.putbucket(one_page, &tombstone, &mut buf)?;
+                self.putbucket(one_page, &tombstone)?;
             }
         }
         txn.commit()?;
@@ -481,6 +565,27 @@ pub struct Split {
     pub done: bool,
 }
 
+/// What [`Buckets::pair`] found.
+#[derive(Debug)]
+pub enum Paired {
+    /// The partners merge: each with its page, the "0" partner first,
+    /// both pages held ξ, the key already removed from its bucket.
+    Merge {
+        /// The "0" partner (partner bit clear).
+        zero: (PageId, Bucket),
+        /// The "1" partner.
+        one: (PageId, Bucket),
+    },
+    /// No merge: only the deleter's page is held. Is the key in it?
+    Alone {
+        /// `search(key)` found the key.
+        present: bool,
+    },
+    /// Label *A* of Figure 9: what the released lock let change leaves
+    /// no pair to merge. No page lock is held; the caller starts over.
+    Stale,
+}
+
 /// How [`Buckets::merge`] retires the "1" partner's page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Retire {
@@ -560,4 +665,146 @@ pub struct Owning {
     pub count: usize,
     /// The bucket's local depth.
     pub localdepth: u32,
+    /// Its `next` link: the "1" partner when the bucket is the "0" one.
+    pub next: BucketLink,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Capacity 4, merge threshold 0, identity pseudokeys: the depth-2
+    /// partners `01` holding key 5 and `11` holding key 7, `11` split
+    /// off from `01` (`01`'s `next`, `11`'s `prev`).
+    struct Pair {
+        buckets: Buckets,
+        locks: LockManager,
+        cfg: HashFileConfig,
+        zero: PageId,
+        one: PageId,
+    }
+
+    fn pair_file() -> Pair {
+        let cfg = HashFileConfig::tiny().with_bucket_capacity(4);
+        let buckets = Buckets::new(&cfg, &MetricsHandle::default());
+        let locks = LockManager::over(Arc::clone(buckets.store()) as _);
+        let [zero, one] = [(); 2].map(|()| buckets.alloc().unwrap());
+        let mut b01 = Bucket::new(2, 0b01);
+        b01.add(Record::new(5, 50));
+        b01.next = one;
+        let mut b11 = Bucket::new(2, 0b11);
+        b11.add(Record::new(7, 70));
+        b11.prev = zero;
+        buckets.putbucket(zero, &b01).unwrap();
+        buckets.putbucket(one, &b11).unwrap();
+        Pair {
+            buckets,
+            locks,
+            cfg,
+            zero,
+            one,
+        }
+    }
+
+    impl Pair {
+        /// Delete `key` from `page` as a file would: lock `page` ξ, then
+        /// pair it with `partner`.
+        fn pair(&self, page: PageId, partner: PageId, key: u64) -> (OwnerId, Result<Paired>) {
+            let owner = self.locks.new_owner();
+            self.locks.lock(owner, LockId::Page(page), LockMode::Xi);
+            let first_of_pair = page == self.zero;
+            let (pk, here) = (Pseudokey(key), ManagerId::NONE);
+            let paired = self.buckets.pair(
+                &self.locks,
+                owner,
+                page,
+                partner,
+                first_of_pair,
+                here,
+                pk,
+                Key(key),
+                &self.cfg,
+            );
+            (owner, paired)
+        }
+
+        fn bucket(&self, page: PageId) -> Bucket {
+            self.buckets.getbucket(page).unwrap()
+        }
+
+        fn put(&self, page: PageId, bucket: &Bucket) {
+            self.buckets.putbucket(page, bucket).unwrap();
+        }
+    }
+
+    #[test]
+    fn pair_merges_from_either_side_holding_both_pages() {
+        for (page, key) in [(0, 5), (1, 7)] {
+            let f = pair_file();
+            let [page, partner] = match page {
+                0 => [f.zero, f.one],
+                _ => [f.one, f.zero],
+            };
+            let (_, paired) = f.pair(page, partner, key);
+            let Ok(Paired::Merge { zero, one }) = paired else {
+                panic!("key {key}: {paired:?}");
+            };
+            assert_eq!((zero.0, one.0), (f.zero, f.one), "key {key}");
+            let mut want = [f.bucket(f.zero), f.bucket(f.one)];
+            want[usize::from(page == f.one)].remove(Key(key));
+            assert_eq!([zero.1, one.1], want, "key {key}: the key is removed");
+            assert_eq!(f.locks.total_granted(), 2, "key {key}");
+        }
+    }
+
+    #[test]
+    fn pair_leaves_a_refilled_bucket_alone_holding_its_page() {
+        let f = pair_file();
+        let mut refilled = f.bucket(f.one);
+        refilled.add(Record::new(11, 110));
+        f.put(f.one, &refilled);
+        let (_, paired) = f.pair(f.one, f.zero, 7);
+        assert!(matches!(paired, Ok(Paired::Alone { present: true })));
+        assert_eq!(f.locks.total_granted(), 1);
+        assert_eq!(f.bucket(f.one), refilled);
+    }
+
+    #[test]
+    fn pair_leaves_a_bucket_without_the_key_alone() {
+        let f = pair_file();
+        let mut emptied = f.bucket(f.one);
+        emptied.remove(Key(7));
+        f.put(f.one, &emptied);
+        let (_, paired) = f.pair(f.one, f.zero, 7);
+        assert!(matches!(paired, Ok(Paired::Alone { present: false })));
+        assert_eq!(f.locks.total_granted(), 1);
+    }
+
+    #[test]
+    #[cfg_attr(feature = "check-inject", ignore = "the label-A checks are skipped")]
+    fn pair_is_stale_when_the_zero_partner_is_a_tombstone() {
+        let f = pair_file();
+        let tombstone = Bucket::tombstone(BucketLink::new(ManagerId::NONE, f.one), 3);
+        f.put(f.zero, &tombstone);
+        let before = [f.bucket(f.zero), f.bucket(f.one)];
+        let (_, paired) = f.pair(f.one, f.zero, 7);
+        assert!(matches!(paired, Ok(Paired::Stale)), "{paired:?}");
+        assert_eq!(f.locks.total_granted(), 0);
+        assert_eq!([f.bucket(f.zero), f.bucket(f.one)], before);
+    }
+
+    #[test]
+    #[cfg_attr(feature = "check-inject", ignore = "the label-A checks are skipped")]
+    fn pair_is_stale_when_a_split_moved_the_key() {
+        let f = pair_file();
+        // `11` split while unlocked: its page keeps the `011` half, and
+        // key 7 (`111`) went to the new page.
+        let mut kept = Bucket::new(3, 0b011);
+        kept.prev = f.zero;
+        f.put(f.one, &kept);
+        let (_, paired) = f.pair(f.one, f.zero, 7);
+        assert!(matches!(paired, Ok(Paired::Stale)), "{paired:?}");
+        assert_eq!(f.locks.total_granted(), 0);
+        assert_eq!(f.bucket(f.one), kept);
+    }
 }

@@ -42,7 +42,13 @@
 //! file hold one, and call its `getbucket`/`putbucket`, its in-place
 //! [`Buckets::edit`] and [`Buckets::peek`], `alloc`/`dealloc` and
 //! `begin_txn`; it logs each mutation first when the file is durable and
-//! writes the store directly when it is not. It also creates a file's
+//! writes the store directly when it is not, building the page image the
+//! log record needs itself, so no caller holds a page buffer. It also
+//! holds the steps every file's restructuring shares: the hand-over-hand
+//! walk, the split, and a delete's merge half, from pairing a too-empty
+//! bucket with its partner ([`Buckets::pair`], which locks the pair in
+//! next-link order and re-checks what a released lock let change, Figure
+//! 9's label *A*) to the commit ([`Buckets::merge`]). It creates a file's
 //! root bucket, holds the recovery sweep, and the one scan over every
 //! allocated page.
 //!
@@ -82,7 +88,8 @@ pub mod wal;
 
 pub use backend::{BackendKind, DiskHandle, DiskImage, FileBackend, MemBackend, PageBackend};
 pub use buckets::{
-    mergeable, too_empty, Buckets, Edit, Owning, Peek, Retire, Split, Walked, MERGE_ATTEMPTS,
+    mergeable, too_empty, Buckets, Edit, Owning, Paired, Peek, Retire, Split, Walked,
+    MERGE_ATTEMPTS,
 };
 pub use crash::{CrashPlan, Tear};
 pub use directory::{rebuild_directory, Directory, DirectoryEntry};

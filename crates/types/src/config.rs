@@ -1,7 +1,5 @@
 //! Configuration shared by all hash-file implementations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bucket::MAX_SLOTS;
 
 /// The deepest directory any file builds: 2^26 entries, 512 MiB of page
@@ -26,7 +24,7 @@ pub fn check_max_depth(max_depth: u32) -> crate::Result<()> {
 /// "maximum number of keys per bucket") and `maxdepth` (the directory is
 /// declared `int directory[1<<maxdepth]`). Everything else here controls the
 /// simulation substrate, not the algorithms.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashFileConfig {
     /// Maximum number of records per bucket (the paper's `numentries`),
     /// in `1..=`[`MAX_SLOTS`]: a page has one occupancy bit per record
@@ -151,7 +149,7 @@ impl HashFileConfig {
 /// request id, so a directory manager that already executed the lost
 /// reply's operation returns the recorded outcome instead of applying
 /// it twice.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (first try included). At least 1.
     pub attempts: u32,

@@ -2,14 +2,12 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The address of a bucket's disk page within a page store.
 ///
 /// The paper's listings pass around `int` disk page addresses
 /// (`oldpage`, `newpage`, `merged`, `garbage`); this is their typed
 /// equivalent. [`PageId::NULL`] plays the role of a nil `next` pointer.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u64);
 
 impl PageId {
@@ -47,7 +45,7 @@ impl fmt::Display for PageId {
 ///
 /// "Each link represents a pair consisting of a long-lived identifier for a
 /// manager port and a bucket address that is meaningful to that manager."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ManagerId(pub u32);
 
 impl ManagerId {
@@ -68,7 +66,7 @@ impl fmt::Display for ManagerId {
 }
 
 /// A (manager, page) pair: the distributed structure's full bucket link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BucketLink {
     /// Which bucket manager owns the page.
     pub manager: ManagerId,

@@ -9,8 +9,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A key stored in the hash file.
 ///
 /// Keys are 64-bit identifiers, matching the paper's database-index
@@ -18,15 +16,15 @@ use serde::{Deserialize, Serialize};
 /// id or tuple address). The newtype prevents accidentally confusing a key
 /// with its pseudokey — a bug class the wrong-bucket recovery logic is very
 /// sensitive to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Key(pub u64);
 
 /// The value ("associated information") stored with a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Value(pub u64);
 
 /// A `(key, value)` pair as stored in a bucket slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
     /// The record's key.
     pub key: Key,
@@ -50,7 +48,7 @@ impl Record {
 /// The directory is indexed by the **least significant** `depth` bits of
 /// the pseudokey ("In our work, the least significant bits are used in
 /// order to simplify manipulations of the directory", §1).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pseudokey(pub u64);
 
 impl fmt::Debug for Pseudokey {

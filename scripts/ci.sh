@@ -17,6 +17,11 @@ echo "=== lines (information) ==="
 echo "=== fmt ==="
 cargo fmt --all -- --check
 
+echo "=== unused dependencies ==="
+# Every dependency a crate declares is named in its sources (or
+# forwarded by one of its features): see the script's header.
+./scripts/unused_deps.sh
+
 echo "=== clippy ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
