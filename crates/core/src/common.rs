@@ -492,7 +492,7 @@ impl FileCore {
 /// is exact whenever no update is in flight (callers past
 /// [`ceh_obs::THREAD_SLOTS`] share slots, still exactly).
 struct RecordCount {
-    slots: [PaddedCount; THREAD_SLOTS],
+    slots: Box<[PaddedCount; THREAD_SLOTS]>,
 }
 
 #[derive(Default)]
@@ -501,7 +501,7 @@ struct PaddedCount(AtomicI64);
 
 impl RecordCount {
     fn new(start: usize) -> Self {
-        let slots: [PaddedCount; THREAD_SLOTS] = Default::default();
+        let slots: Box<[PaddedCount; THREAD_SLOTS]> = Box::default();
         // ceh-lint: allow(relaxed-ordering) — not yet shared
         slots[0].0.store(start as i64, Ordering::Relaxed);
         RecordCount { slots }
@@ -509,6 +509,8 @@ impl RecordCount {
 
     #[inline]
     fn add(&self, n: i64) {
+        // In range already; the modulus lets the compiler drop the
+        // bounds check.
         let slot = ceh_obs::thread_slot() % THREAD_SLOTS;
         // ceh-lint: allow(relaxed-ordering) — statistics counter, exact only at quiescence
         self.slots[slot].0.fetch_add(n, Ordering::Relaxed);

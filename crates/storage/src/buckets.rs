@@ -338,33 +338,20 @@ impl Buckets {
         })
     }
 
-    /// The pairing step of a delete in Figures 7, 9 and 14, from `page`,
-    /// which `owner` holds ξ: its bucket owns `pk`, holds `key` and is
-    /// [`too_empty`]. `partner` is the other half of the pair: the "1"
-    /// partner, `page`'s `next`, when `first_of_pair`; else the "0"
-    /// partner, found through a directory or through `prev`.
-    ///
-    /// On the "0" side the step locks `partner` ξ and reads both
-    /// buckets. On the "1" side it locks in next-link order, as readers
-    /// "following next links" do (§2.2): it releases `page`, locks and
-    /// reads `partner`, then locks and reads `page` again. What the
-    /// released lock let change is label *A* of Figure 9, and the step
-    /// answers [`Paired::Stale`], holding nothing, when `partner` is a
-    /// tombstone or its `next` is not `page` on `here`'s site (the
-    /// directory or `prev` led somewhere that is not, or is no longer,
-    /// the live "0" partner), or when `page` no longer owns `pk` (it
-    /// filled up and split while unlocked).
-    ///
-    /// Then the pair merges when the key is still in `page`, its bucket
-    /// still [`too_empty`] and the partners [`mergeable`]: both pages stay
-    /// held, and the key is removed from `page`'s bucket, ready for
-    /// [`Buckets::merge`]. Otherwise only `page` stays held. A null
-    /// `partner` (never the case under the protocols) is
-    /// [`Paired::Alone`]. On an error no page lock is held.
-    ///
-    /// The `check-inject` feature skips the label-*A* checks, so the
-    /// schedule explorer's self-test can show that it catches the race
-    /// they close.
+    /// The pairing step of a delete (Figures 7, 9 and 14), from `page`,
+    /// held ξ by `owner`, whose bucket owns `pk`, holds `key` and is
+    /// [`too_empty`], and `partner`: the "1" partner (`page`'s `next`)
+    /// when `first_of_pair`, else the "0" partner the caller found. The
+    /// "0" side locks `partner` ξ. The "1" side locks in next-link order
+    /// (§2.2): it releases `page`, locks `partner`, then `page`, and
+    /// answers [`Paired::Stale`], holding nothing, on what the released
+    /// lock let change (Figure 9's label *A*): `partner` is a tombstone
+    /// or does not link to `page` on `here`'s site, or `page` no longer
+    /// owns `pk`. Then [`Paired::Merge`] if the key is still there, the
+    /// bucket still too empty and the pair [`mergeable`], else
+    /// [`Paired::Alone`] (also for a null `partner`). On an error no
+    /// page lock is held. The `check-inject` feature skips the label-*A*
+    /// checks, for the schedule explorer's self-test.
     #[allow(clippy::too_many_arguments)]
     pub fn pair(
         &self,
@@ -568,21 +555,19 @@ pub struct Split {
 /// What [`Buckets::pair`] found.
 #[derive(Debug)]
 pub enum Paired {
-    /// The partners merge: each with its page, the "0" partner first,
-    /// both pages held ξ, the key already removed from its bucket.
+    /// The partners merge, both pages held ξ, the key removed.
     Merge {
-        /// The "0" partner (partner bit clear).
+        /// The "0" partner (partner bit clear) and its page.
         zero: (PageId, Bucket),
-        /// The "1" partner.
+        /// The "1" partner and its page.
         one: (PageId, Bucket),
     },
-    /// No merge: only the deleter's page is held. Is the key in it?
+    /// No merge; only the deleter's page is held.
     Alone {
-        /// `search(key)` found the key.
+        /// Is the key in it?
         present: bool,
     },
-    /// Label *A* of Figure 9: what the released lock let change leaves
-    /// no pair to merge. No page lock is held; the caller starts over.
+    /// Label *A* of Figure 9: no page lock is held.
     Stale,
 }
 
